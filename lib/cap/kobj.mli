@@ -127,7 +127,10 @@ val make_irq_notification : id:int -> line:int -> irq_notification
 (** {2 Cap-group operations} *)
 
 val install : cap_group -> cap -> int
-(** Install a capability in the first free slot; returns the slot. *)
+(** Install a capability in the first free slot; returns the slot.  Like
+    {!install_at} and {!revoke} it bumps the group's generation, which is
+    also how the checkpoint's live-tree cache notices that the tree's shape
+    changed: slots must not be written any other way. *)
 
 val install_at : cap_group -> int -> cap -> unit
 (** Install at a specific slot (restore path; slot must be free). *)

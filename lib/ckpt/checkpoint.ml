@@ -17,79 +17,9 @@ let now st = Clock.now (Kernel.clock st.State.kernel)
 let archive_page st pmo pno paddr =
   match st.State.page_archive_hook with Some h -> h pmo pno paddr | None -> ()
 
-(* vpn -> (pmo, page index) within a VM space.
-
-   Regions are kept in an interval index sorted by start vpn so a lookup is
-   a binary search instead of a scan of the whole region list (the protect
-   pass resolves every dirty vpn, so this is on the STW path).  The index
-   is cached per VM space and rebuilt whenever the region list changes —
-   detected by physical identity of the (immutable-once-replaced) list, so
-   a stale hit is impossible.  When regions overlap, the original code
-   returned the first match in list order; the index preserves that by
-   remembering each region's list position and scanning left from the
-   binary-search point while the running max end vpn still covers the
-   query. *)
-type region_index = {
-  ri_list : Kobj.vm_region list;  (* identity token for invalidation *)
-  ri_sorted : (Kobj.vm_region * int) array;  (* by vr_vpn, with list position *)
-  ri_max_end : int array;  (* ri_max_end.(i) = max end vpn over ri_sorted.(0..i) *)
-}
-
-let region_cache : (int, region_index) Hashtbl.t = Hashtbl.create 64
-
-let build_region_index vms =
-  let arr = Array.of_list (List.mapi (fun i r -> (r, i)) vms.Kobj.vs_regions) in
-  Array.sort
-    (fun ((a : Kobj.vm_region), ia) (b, ib) ->
-      match compare a.Kobj.vr_vpn b.Kobj.vr_vpn with 0 -> compare ia ib | c -> c)
-    arr;
-  let max_end = Array.make (Array.length arr) 0 in
-  let run = ref 0 in
-  Array.iteri
-    (fun i ((r : Kobj.vm_region), _) ->
-      run := max !run (r.Kobj.vr_vpn + r.Kobj.vr_pages);
-      max_end.(i) <- !run)
-    arr;
-  { ri_list = vms.Kobj.vs_regions; ri_sorted = arr; ri_max_end = max_end }
-
-let region_index vms =
-  match Hashtbl.find_opt region_cache vms.Kobj.vs_id with
-  | Some idx when idx.ri_list == vms.Kobj.vs_regions -> idx
-  | Some _ | None ->
-    let idx = build_region_index vms in
-    Hashtbl.replace region_cache vms.Kobj.vs_id idx;
-    idx
-
-let resolve_region vms vpn =
-  let idx = region_index vms in
-  let arr = idx.ri_sorted in
-  let n = Array.length arr in
-  (* rightmost entry starting at or before vpn *)
-  let last = ref (-1) in
-  let lo = ref 0 and hi = ref (n - 1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let r, _ = arr.(mid) in
-    if r.Kobj.vr_vpn <= vpn then begin
-      last := mid;
-      lo := mid + 1
-    end
-    else hi := mid - 1
-  done;
-  let best = ref None in
-  let i = ref !last in
-  while !i >= 0 && idx.ri_max_end.(!i) > vpn do
-    let r, pos = arr.(!i) in
-    if vpn < r.Kobj.vr_vpn + r.Kobj.vr_pages then begin
-      match !best with
-      | Some (_, best_pos) when best_pos <= pos -> ()
-      | Some _ | None -> best := Some (r, pos)
-    end;
-    decr i
-  done;
-  match !best with
-  | Some (r, _) -> Some (r.Kobj.vr_pmo, vpn - r.Kobj.vr_vpn)
-  | None -> None
+(* vpn -> (pmo, page index) within a VM space, through a one-off index
+   (the walk keeps its indexes in the live-tree cache). *)
+let resolve_region vms vpn = Region_index.resolve (Region_index.build vms) vpn
 
 (* Charge the cost of copying one object's own state into its backup. A
    full (first-time) checkpoint additionally pays allocation and structure
@@ -103,9 +33,9 @@ let charge_object_copy st obj ~full =
   if full then Store.charge store (c.Cost.alloc_small_ns + (3 * copy))
   else Store.charge store copy
 
-(* Checkpoint one object (step 2). Returns true if it was a full (first)
-   checkpoint. *)
-let checkpoint_object st obj ~new_ver =
+(* Checkpoint one object (step 2). Returns its ORoot, whether this was its
+   full (first) checkpoint, and the snapshot bytes. *)
+let checkpoint_object st live obj ~new_ver =
   let kernel = st.State.kernel in
   let store = Kernel.store kernel in
   let c = Store.cost store in
@@ -143,9 +73,10 @@ let checkpoint_object st obj ~new_ver =
        by stop-and-copy, and leaving them writable is precisely how hybrid
        copy eliminates their faults. *)
     let pt = Kernel.pagetable kernel vms in
+    let regions = Live_tree.region_index live vms in
     let protected_n =
       Pagetable.protect_dirty pt (fun vpn pte ->
-          (match resolve_region vms vpn with
+          (match Region_index.resolve regions vpn with
           | Some (pmo, pno) -> archive_page st pmo pno pte.Pagetable.paddr
           | None -> ());
           if Paddr.is_dram pte.Pagetable.paddr then false
@@ -160,7 +91,7 @@ let checkpoint_object st obj ~new_ver =
     ignore protected_n
   | Kobj.Vmspace _ | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Pmo _ | Kobj.Ipc_conn _
   | Kobj.Notification _ | Kobj.Irq_notification _ -> ());
-  (full, Snapshot.bytes snap)
+  (oroot, full, Snapshot.bytes snap)
 
 (* The asynchronous drain rides on the hybrid/CoW machinery: without dirty
    tracking, fault backups and the active list there is nothing to defer,
@@ -276,16 +207,22 @@ let hybrid_sublist st ~new_ver entries counters =
     entries
 
 (* An ORoot is dead when this walk's traversal did not reach its object.
-   Keyed on the visited set rather than last_seen_ver because the
+   Keyed on the walk's live set rather than last_seen_ver because the
    incremental walk leaves the last_seen_ver of skipped (but live)
-   objects stale on purpose. *)
+   objects stale on purpose.  Every live object has an ORoot once the walk
+   is done (skipped ones had one, the rest were just given one), so the
+   table holds a dead ORoot exactly when it is larger than the live set:
+   the sweep runs only then. *)
 let gc_dead_oroots st ~visited =
   let kernel = st.State.kernel in
   let store = Kernel.store kernel in
   let dead =
-    Hashtbl.fold
-      (fun oid (o : Oroot.t) acc -> if not (Hashtbl.mem visited oid) then (oid, o) :: acc else acc)
-      st.State.oroots []
+    if Hashtbl.length st.State.oroots <= Hashtbl.length visited then []
+    else
+      Hashtbl.fold
+        (fun oid (o : Oroot.t) acc ->
+          if not (Hashtbl.mem visited oid) then (oid, o) :: acc else acc)
+        st.State.oroots []
   in
   List.iter
     (fun (oid, (o : Oroot.t)) ->
@@ -553,54 +490,6 @@ let run st =
   let walk_tok = Probe.enter "ckpt.captree" in
   let walk0 = now st in
   let per_kind = Hashtbl.create 8 in
-  (* Owner map for subtree attribution: object id -> owning process name.
-     First process wins for objects shared across cap groups (e.g. IPC
-     connections installed in both ends); everything reachable only from
-     the root (boot services' parents, the root group itself) stays
-     "kernel".  Host-time bookkeeping only — no simulated cost; cached
-     across checkpoints and invalidated by the kernel's process epoch so
-     the per-process tree walks don't repeat while the process population
-     is unchanged.  Objects created since the cache was built (same
-     processes, new caps) miss the table and are attributed on demand. *)
-  let owner =
-    let epoch = Kernel.procs_epoch kernel in
-    match st.State.owner_cache with
-    | Some o when st.State.owner_cache_epoch = epoch -> o
-    | Some _ | None ->
-      let owner = Hashtbl.create 1024 in
-      List.iter
-        (fun (p : Kernel.process) ->
-          Kobj.iter_tree ~root:p.Kernel.cg (fun obj ->
-              let oid = Kobj.id obj in
-              if not (Hashtbl.mem owner oid) then Hashtbl.add owner oid p.Kernel.pname))
-        (Kernel.processes kernel);
-      st.State.owner_cache <- Some owner;
-      st.State.owner_cache_epoch <- epoch;
-      owner
-  in
-  let owner_of oid =
-    match Hashtbl.find_opt owner oid with
-    | Some name -> name
-    | None ->
-      (* cache built before this object existed: find its process without
-         a full walk, and memoize the answer either way *)
-      let name =
-        let found = ref None in
-        (try
-           List.iter
-             (fun (p : Kernel.process) ->
-               Kobj.iter_tree ~root:p.Kernel.cg (fun obj ->
-                   if Kobj.id obj = oid then begin
-                     found := Some p.Kernel.pname;
-                     raise Exit
-                   end))
-             (Kernel.processes kernel)
-         with Exit -> ());
-        Option.value ~default:"kernel" !found
-      in
-      Hashtbl.add owner oid name;
-      name
-  in
   (* group name -> (ns, objects, per-kind ns) *)
   let per_group : (string, int ref * int ref * (Kobj.kind, int) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 16
@@ -613,27 +502,31 @@ let run st =
   in
   (* Incremental walk: an object whose generation still matches the one
      recorded at its last checkpoint has not been mutated, so its backups
-     are already current — skip snapshot/copy/charge entirely.  The
-     traversal itself is host-time only, and the visited set it builds
-     doubles as the liveness epoch: ORoots of unreached objects are the
-     dead ones, so skipped objects need no per-object liveness write. *)
+     are already current — skip snapshot/copy/charge entirely.  The tree
+     comes from the live-tree cache, re-traversed only when its shape
+     changed, so a clean object costs one generation compare; all of it is
+     host-time only.  The cache's live set doubles as the liveness epoch:
+     ORoots of unreached objects are the dead ones, so skipped objects need
+     no per-object liveness write. *)
   let incremental = st.State.features.State.incremental_walk && not st.State.force_full in
-  let visited = Hashtbl.create 512 in
+  let live = Live_tree.refresh st.State.live_tree ~root:(Kernel.root kernel) ~oroots:st.State.oroots in
+  st.State.live_tree <- Some live;
+  let visited = Live_tree.live live in
   let skipped = ref 0 in
   Treesls_obs.Wearmap.with_writer "ckpt.captree" (fun () ->
-  Kobj.iter_tree ~root:(Kernel.root kernel) (fun obj ->
-      let oid = Kobj.id obj in
-      Hashtbl.replace visited oid ();
+  Array.iter (fun (e : Live_tree.entry) ->
+      let obj = e.Live_tree.obj in
       let clean =
         incremental
-        && (match Hashtbl.find_opt st.State.oroots oid with
+        && (match e.Live_tree.oroot with
            | Some o -> o.Oroot.saved_gen = Kobj.gen obj
            | None -> false)
       in
       if clean then incr skipped
       else begin
         let t_obj0 = now st in
-        let full, bytes = checkpoint_object st obj ~new_ver in
+        let oroot, full, bytes = checkpoint_object st live obj ~new_ver in
+        e.Live_tree.oroot <- Some oroot;
         Crash_site.hit "ckpt.captree.obj";
         let dt = now st - t_obj0 in
         incr objects;
@@ -642,7 +535,7 @@ let run st =
         let kind = Kobj.kind obj in
         Hashtbl.replace per_kind kind
           (dt + Option.value ~default:0 (Hashtbl.find_opt per_kind kind));
-        let gname = owner_of oid in
+        let gname = Live_tree.owner live kernel (Kobj.id obj) in
         let g_ns, g_objs, g_kinds =
           match Hashtbl.find_opt per_group gname with
           | Some g -> g
@@ -656,7 +549,7 @@ let run st =
         Hashtbl.replace g_kinds kind (dt + Option.value ~default:0 (Hashtbl.find_opt g_kinds kind));
         let cost_stats = State.obj_cost st kind in
         Stats.add (if full then cost_stats.State.full else cost_stats.State.incr) (float_of_int dt)
-      end));
+      end) (Live_tree.entries live));
   st.State.force_full <- false;
   let walk_ns = now st - walk0 in
   Probe.exit walk_tok

@@ -43,6 +43,6 @@ val resolve_cow_fault : State.t -> Treesls_cap.Kobj.pmo -> int -> bool
 
 val resolve_region : Treesls_cap.Kobj.vmspace -> int -> (Treesls_cap.Kobj.pmo * int) option
 (** [resolve_region vms vpn] is the (pmo, page index) backing [vpn], via a
-    cached interval index over the VM space's regions; when regions
-    overlap, the first one in region-list order wins (exposed for unit
-    tests). *)
+    freshly built {!Region_index} over the VM space's regions (the walk
+    keeps its indexes in the live-tree cache); when regions overlap, the
+    first one in region-list order wins (exposed for unit tests). *)

@@ -30,8 +30,7 @@ type t = {
   mutable next_ckpt_at : int;
   mutable last_report : Report.t option;
   mutable force_full : bool;
-  mutable owner_cache : (int, string) Hashtbl.t option;
-  mutable owner_cache_epoch : int;
+  mutable live_tree : Live_tree.t option;
   mutable wear_mark : int;
   drain : Drain.t;
   mutable drain_policy : Drain.policy;
@@ -66,8 +65,7 @@ let create kernel active_cfg features =
     next_ckpt_at = 0;
     last_report = None;
     force_full = true;
-    owner_cache = None;
-    owner_cache_epoch = -1;
+    live_tree = None;
     wear_mark = 0;
     drain = Drain.create ();
     drain_policy = Drain.Lazy;
@@ -120,8 +118,7 @@ let note_crash t =
   (* restored objects carry fresh generations that could collide with the
      pre-crash saved_gen values, so the first post-restore walk is eager *)
   t.force_full <- true;
-  t.owner_cache <- None;
-  t.owner_cache_epoch <- -1;
+  t.live_tree <- None;
   (* the drain backlog and restamp tables die with DRAM; drain-saved NVM
      frames survive for Restore's drain_settle phase *)
   Drain.note_crash t.drain

@@ -61,11 +61,9 @@ type t = {
           by {!note_crash}, cleared by [Checkpoint.run] — the first walk
           after boot or restore must visit every object to (re)seed the
           per-object saved generations *)
-  mutable owner_cache : (int, string) Hashtbl.t option;
-      (** volatile: object id -> owning process name, for report
-          attribution; valid only while [owner_cache_epoch] matches
-          [Kernel.procs_epoch] *)
-  mutable owner_cache_epoch : int;
+  mutable live_tree : Live_tree.t option;
+      (** volatile: the capability tree as the last walk found it, reused
+          while its shape is unchanged (see {!Live_tree}) *)
   mutable wear_mark : int;
       (** cumulative wearmap bytes at the last committed checkpoint: the
           per-interval physical-NVM-bytes delta (WAF numerator) is measured

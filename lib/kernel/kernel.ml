@@ -40,7 +40,6 @@ type t = {
   stats : stats;
   ipc_handlers : (int, Bytes.t -> Bytes.t) Hashtbl.t;
   mutable alive : bool;
-  mutable procs_epoch : int;  (** bumped on process create/exit *)
 }
 
 let store t = t.store
@@ -53,7 +52,6 @@ let sched t = t.sched
 let stats t = t.stats
 let ipc_handlers t = t.ipc_handlers
 let processes t = t.procs
-let procs_epoch t = t.procs_epoch
 let find_process t ~name = List.find_opt (fun p -> p.pname = name) t.procs
 
 let pagetable t vms =
@@ -133,7 +131,6 @@ let create_process t ~name ~threads ~prio =
     ignore (add_thread t proc ~prio)
   done;
   t.procs <- t.procs @ [ proc ];
-  t.procs_epoch <- t.procs_epoch + 1;
   proc
 
 let exit_process t proc =
@@ -147,7 +144,6 @@ let exit_process t proc =
     (fun slot c -> if Kobj.id c.Kobj.target = proc.pid then Kobj.revoke t.root slot)
     t.root;
   t.procs <- List.filter (fun p -> p.pid <> proc.pid) t.procs;
-  t.procs_epoch <- t.procs_epoch + 1;
   Hashtbl.remove t.pagetables proc.vms.Kobj.vs_id
 
 let grow_heap t proc ~pages =
@@ -577,7 +573,6 @@ let rebuild ~store ~ncores ~root ~ids_hwm =
       stats = fresh_stats ();
       ipc_handlers = Hashtbl.create 16;
       alive = true;
-      procs_epoch = 0;
     }
   in
   t.procs <- derive_processes root;
@@ -630,7 +625,6 @@ let boot ?(cost = Cost.default) ?(ncores = 8) ?(nvm_pages = 1 lsl 16) ?(dram_pag
       stats = fresh_stats ();
       ipc_handlers = Hashtbl.create 16;
       alive = true;
-      procs_epoch = 0;
     }
   in
   (* kernel VM space + kernel buffer PMOs, reachable as special nodes *)

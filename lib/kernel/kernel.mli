@@ -58,11 +58,6 @@ val sched : t -> Sched.t
 val stats : t -> stats
 val processes : t -> process list
 
-val procs_epoch : t -> int
-(** Bumped on every process create/exit; consumers caching anything derived
-    from the process list (e.g. the checkpoint owner-attribution map) compare
-    epochs instead of re-walking. *)
-
 val find_process : t -> name:string -> process option
 
 val pagetable : t -> Kobj.vmspace -> Pagetable.t

@@ -31,17 +31,19 @@ let node_size t i =
   done;
   !depth_size
 
+(* One journal record of every word, built as a list rather than through a
+   [Txn]: the format writes each word once, so the transaction's
+   read-your-writes table would only be an O(pages) transient at boot. *)
 let format area ~base ~total_pages =
   let t = layout area ~base ~total_pages in
-  let txn = Txn.create area in
-  for i = 1 to (2 * total_pages) - 1 do
-    Txn.write txn (t.tree + i) (node_size t i)
+  let writes = ref [ (t.free_count, total_pages) ] in
+  for p = total_pages - 1 downto 0 do
+    writes := (t.orders + p, 0) :: !writes
   done;
-  for p = 0 to total_pages - 1 do
-    Txn.write txn (t.orders + p) 0
+  for i = (2 * total_pages) - 1 downto 1 do
+    writes := (t.tree + i, node_size t i) :: !writes
   done;
-  Txn.write txn t.free_count total_pages;
-  Txn.commit txn ~desc:"buddy-format";
+  Warea.commit area ~desc:"buddy-format" !writes;
   t
 
 let attach area ~base ~total_pages = layout area ~base ~total_pages

@@ -51,13 +51,12 @@ let create ~words =
 let size t = Array.length t.words
 let read t i = t.words.(i)
 
-let check_distinct writes =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (i, _) ->
-      if Hashtbl.mem tbl i then invalid_arg "Warea.commit: duplicate index";
-      Hashtbl.add tbl i ())
-    writes
+let check_distinct (writes : (int * int) array) =
+  let idx = Array.map fst writes in
+  Array.sort Int.compare idx;
+  for k = 1 to Array.length idx - 1 do
+    if idx.(k) = idx.(k - 1) then invalid_arg "Warea.commit: duplicate index"
+  done
 
 let apply_all t record = Array.iter (fun (i, v) -> t.words.(i) <- v) record.writes
 
@@ -82,9 +81,9 @@ let commit t ~desc writes =
      log behind (and must not consume a commit point), otherwise a later
      crash+recover would observe state from a transaction that never
      happened. *)
-  check_distinct writes;
-  t.points <- t.points + 1;
   let arr = Array.of_list writes in
+  check_distinct arr;
+  t.points <- t.points + 1;
   if fires t Before_log then begin
     (* The record was being written when power failed: keep a torn
        (incomplete) record so recovery exercises the discard path. *)

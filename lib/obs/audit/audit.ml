@@ -5,6 +5,7 @@ module Ckpt_page = Treesls_ckpt.Ckpt_page
 module Snapshot = Treesls_ckpt.Snapshot
 module Restore = Treesls_ckpt.Restore
 module State = Treesls_ckpt.State
+module Live_tree = Treesls_ckpt.Live_tree
 module Kernel = Treesls_kernel.Kernel
 module Kobj = Treesls_cap.Kobj
 module Radix = Treesls_cap.Radix
@@ -94,6 +95,12 @@ let run ?wear mgr =
   let reachable : (int, Kobj.t) Hashtbl.t = Hashtbl.create 256 in
   Kobj.iter_tree ~root (fun obj -> Hashtbl.replace reachable (Kobj.id obj) obj);
   let radixes = Restore.tree_radixes (Some root) in
+
+  (* The walk's cached tree must still be the tree: a stale cache would
+     skip objects that joined it and let GC free ones still in it. *)
+  Option.iter
+    (fun lt -> Option.iter (add Error Captree "live-tree cache: %s") (Live_tree.check lt ~root))
+    st.State.live_tree;
 
   (* Captree: ORoot version sanity, snapshot restorability, references. *)
   Manager.iter_oroots mgr (fun oid (oroot : Oroot.t) ->

@@ -175,6 +175,32 @@ let eternal_rollback_state_detected () =
   check_string "message" "eternal PMO carries rollback page records" v.Audit.message;
   check_bool "locates the PMO" true (v.Audit.obj_id = Some p.Kobj.pmo_id)
 
+(* ---- fault injection: a slot written behind the live-tree cache ---- *)
+
+let stale_live_tree_detected () =
+  let sys, k, proc, _, _, _ = setup () in
+  ignore (System.checkpoint sys);
+  check_bool "baseline clean" true (Audit.ok (System.audit sys));
+  (* a raw slot write skips Kobj.install, so the group's generation — the
+     cache's shape check — does not move *)
+  let g = proc.Kernel.cg in
+  let slot =
+    let rec free i = if g.Kobj.cg_slots.(i) = None then i else free (i + 1) in
+    free 0
+  in
+  let stray = Kobj.make_notification ~id:(Treesls_cap.Id_gen.next (Kernel.ids k)) in
+  g.Kobj.cg_slots.(slot) <-
+    Some { Kobj.target = Kobj.Notification stray; rights = Treesls_cap.Rights.full };
+  let v = the_violation (System.audit sys) in
+  check_bool "error severity" true (v.Audit.severity = Audit.Error);
+  check_string "subsystem" "captree" (Audit.subsystem_name v.Audit.subsystem);
+  check_bool "message" true (contains ~sub:"live-tree cache" v.Audit.message);
+  (* once the write is announced the cache is stale, rebuilt at its next use *)
+  Kobj.touch (Kobj.Cap_group g);
+  check_bool "announced change audits clean" true (Audit.ok (System.audit sys));
+  ignore (System.checkpoint sys);
+  check_bool "rebuilt cache audits clean" true (Audit.ok (System.audit sys))
+
 (* ---- census ---- *)
 
 let census_balances () =
@@ -295,6 +321,7 @@ let () =
           Alcotest.test_case "leaked buddy block detected" `Quick leaked_buddy_block_detected;
           Alcotest.test_case "eternal rollback state detected" `Quick
             eternal_rollback_state_detected;
+          Alcotest.test_case "stale live-tree cache detected" `Quick stale_live_tree_detected;
         ] );
       ( "census",
         [ Alcotest.test_case "census balances" `Quick census_balances ] );

@@ -190,6 +190,60 @@ let conservation () =
   let r2 = System.checkpoint sys_i in
   check_bool "clean checkpoint walks (almost) nothing" true (r2.Report.objects_walked <= 4)
 
+(* ---- live-tree cache: reused while the shape holds, rebuilt on edge changes ---- *)
+
+module Live_tree = Treesls_ckpt.Live_tree
+
+let live_tree sys =
+  match (Manager.state (System.manager sys)).State.live_tree with
+  | Some t -> t
+  | None -> Alcotest.fail "no live-tree cache after a checkpoint"
+
+let live_tree_tracks_shape () =
+  let sys = System.boot ~features:(feats ~incr:true) () in
+  let k = System.kernel sys in
+  let mgr = System.manager sys in
+  let p = Kernel.create_process k ~name:"shape" ~threads:1 ~prio:5 in
+  let n = Kernel.create_notification k p in
+  ignore (System.checkpoint sys);
+  let t0 = live_tree sys in
+  let size t = Array.length (Live_tree.entries t) in
+  let audit_clean what = check_int (what ^ ": audit errors") 0 (Audit.errors (System.audit sys)) in
+  (* object state changes leave the shape alone: same cache, nothing rebuilt *)
+  Ipc.notify k n;
+  let r = System.checkpoint sys in
+  check_bool "state change reuses the cache" true (live_tree sys == t0);
+  check_int "walked + skipped = cached objects" (size t0)
+    (r.Report.objects_walked + r.Report.objects_skipped);
+  audit_clean "reused";
+  (* a new capability changes a cap group's slots *)
+  let n2 = Kernel.create_notification k p in
+  ignore (System.checkpoint sys);
+  let t1 = live_tree sys in
+  check_bool "install rebuilds" true (t1 != t0);
+  check_int "new object cached" (size t0 + 1) (size t1);
+  check_bool "new object live" true (Hashtbl.mem (Live_tree.live t1) n2.Kobj.nt_id);
+  audit_clean "install";
+  (* a heap grows through a replaced region list (and a new PMO cap) *)
+  ignore (Kernel.grow_heap k p ~pages:1);
+  ignore (System.checkpoint sys);
+  let t2 = live_tree sys in
+  check_bool "region change rebuilds" true (t2 != t1);
+  check_int "heap PMO cached" (size t1 + 1) (size t2);
+  (* revoking the process's cap drops its subtree, and GC its ORoots *)
+  Kernel.exit_process k p;
+  ignore (System.checkpoint sys);
+  let t3 = live_tree sys in
+  check_bool "revoke rebuilds" true (t3 != t2);
+  check_bool "exited objects leave the live set" false
+    (Hashtbl.mem (Live_tree.live t3) n2.Kobj.nt_id);
+  check_bool "their ORoots are collected" true (Manager.find_oroot mgr n2.Kobj.nt_id = None);
+  audit_clean "revoke";
+  (* a crash drops the cache with the rest of DRAM *)
+  ignore (System.crash_and_recover sys);
+  check_bool "no cache after restore" true
+    (Option.is_none (Manager.state (System.manager sys)).State.live_tree)
+
 (* ---- restore equivalence under randomized mutation traces ---- *)
 
 (* Whole-state fingerprint: every reachable object's snapshot plus the
@@ -325,5 +379,7 @@ let () =
         ] );
       ("hybrid-undo", [ Alcotest.test_case "undo retires the entry" `Quick hybrid_undo_drops_entry ]);
       ("accounting", [ Alcotest.test_case "conservation vs eager twin" `Quick conservation ]);
+      ( "live-tree",
+        [ Alcotest.test_case "reused while the shape holds" `Quick live_tree_tracks_shape ] );
       ("properties", qsuite);
     ]

@@ -158,7 +158,8 @@ let per_group_churn () =
     apps;
   assert_groups_live_and_exact sys r1;
   (* destroy half the tenants -> checkpoint: their groups must vanish
-     (the owner cache invalidates on procs_epoch, not on time) *)
+     (exits revoke root slots, which retires the live-tree cache and its
+     owner map) *)
   let doomed, kept = (List.filteri (fun i _ -> i < 2) apps, List.filteri (fun i _ -> i >= 2) apps) in
   let k = System.kernel sys in
   List.iter
