@@ -38,6 +38,7 @@ bench-fresh:
 	dune exec bench/main.exe -- --exp adaptive --smoke --json-dir $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp async_drain --smoke --audit --json-dir $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp multitenant --smoke --json-dir $(BENCH_FRESH)
+	dune exec bench/main.exe -- --exp fig10 --smoke --json-dir $(BENCH_FRESH)
 
 # Per-metric deltas of the fresh results vs the committed copies
 # (informational; the self-gating experiments above are what fail).

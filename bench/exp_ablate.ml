@@ -37,8 +37,8 @@ let ablate_copy () =
   in
   let rows =
     [
-      run "copy-on-write only" (features ~ckpt:true ~track:true ~copy:true ~hybrid:false ());
-      run "hybrid copy" (features ~ckpt:true ~track:true ~copy:true ~hybrid:true ());
+      run "copy-on-write only" (features State.Cow);
+      run "hybrid copy" (features State.Hybrid);
     ]
   in
   Table.print ~title:"Ablation: page-copy strategy (Memcached, 1000 Hz, 8k ops)"
@@ -65,8 +65,8 @@ let ablate_walk () =
   in
   let rows =
     [
-      run "eager" (features ~incr:false ~ckpt:true ~track:true ~copy:true ~hybrid:true ());
-      run "incremental" (features ~incr:true ~ckpt:true ~track:true ~copy:true ~hybrid:true ());
+      run "eager" (features ~incr:false State.Hybrid);
+      run "incremental" (features ~incr:true State.Hybrid);
     ]
   in
   Table.print ~title:"Ablation: eager vs incremental capability-tree walk (Memcached, 6k ops)"

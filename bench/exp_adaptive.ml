@@ -87,7 +87,7 @@ type run = {
 }
 
 let run_one ~label ~interval_us ~adaptive =
-  let feats = features ~ckpt:true ~track:true ~copy:true ~hybrid:true ~adaptive () in
+  let feats = features ~adaptive State.Hybrid in
   let sys = boot ~interval_us ~features:feats ~adaptive_cfg () in
   (* price the black box's NVM residency like the trace ring's *)
   System.ensure_tseries_backing sys;

@@ -27,7 +27,6 @@ open Exp_common
 module Net_server = Treesls_extsync.Net_server
 module Rtrace = Treesls_obs.Rtrace
 module Probe = Treesls_obs.Probe
-module Drain = Treesls_ckpt.Drain
 module C = Treesls_crashtest.Crashtest
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("async_drain: " ^ m); exit 2) fmt
@@ -96,12 +95,9 @@ let advance_to sys target =
   loop ()
 
 let run_one ~label ~async =
-  let feats = features ~ckpt:true ~track:true ~copy:true ~hybrid:true ~async () in
+  let feats = features ~async State.Hybrid in
   let sys = boot ~interval_us ~features:feats () in
-  if async then begin
-    Manager.set_drain_policy (System.manager sys) Drain.Lazy;
-    Manager.set_drain_batch (System.manager sys) drain_batch
-  end;
+  if async then Manager.set_drain_batch (System.manager sys) drain_batch;
   let rng = Rng.create 93L in
   let nkeys = keys () in
   let app = Kv_app.launch ~keys_hint:nkeys ~value_size:100 sys Kv_app.Memcached in
@@ -182,13 +178,10 @@ let run_one ~label ~async =
    thus CoW fault resolutions) with the writes.  After a final settle and
    a crash/recover on each, the restore fingerprints must be identical. *)
 let fingerprint_of ~async =
-  let feats = features ~ckpt:true ~track:true ~copy:true ~hybrid:true ~async () in
+  let feats = features ~async State.Hybrid in
   let sys = boot ~features:feats () in
   System.set_interval_us sys None;
-  if async then begin
-    Manager.set_drain_policy (System.manager sys) Drain.Lazy;
-    Manager.set_drain_batch (System.manager sys) drain_batch
-  end;
+  if async then Manager.set_drain_batch (System.manager sys) drain_batch;
   let rng = Rng.create 71L in
   let nkeys = keys () / 4 in
   let app = Kv_app.launch ~keys_hint:nkeys ~value_size:100 sys Kv_app.Memcached in

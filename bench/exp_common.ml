@@ -20,18 +20,10 @@ module Sqlite = Treesls_apps.Sqlite
 module Phoenix = Treesls_apps.Phoenix
 module Kvstore = Treesls_apps.Kvstore
 
-let features ?(incr = true) ?(adaptive = false) ?(async = false) ~ckpt ~track ~copy ~hybrid () =
-  {
-    State.ckpt_enabled = ckpt;
-    track_dirty = track;
-    copy_on_fault = copy;
-    hybrid;
-    incremental_walk = incr;
-    adaptive_interval = adaptive;
-    async_drain = async;
-  }
+let features ?(incr = true) ?(adaptive = false) ?(async = false) level =
+  { State.level; incremental_walk = incr; adaptive_interval = adaptive; async_drain = async }
 
-let full_features () = features ~ckpt:true ~track:true ~copy:true ~hybrid:true ()
+let full_features () = features State.Hybrid
 
 (* Set by main.exe's [--trace FILE] flag: every system booted through this
    module records a trace, and the last one's ring is exported to FILE when

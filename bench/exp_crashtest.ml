@@ -8,7 +8,7 @@
      equivalence, liveness).  ANY failure exits 2 with the reproducer
      string, failing the build.
    - the ASYNC sweep repeats the exploration with the asynchronous drain on
-     (Lazy policy, small batch): checkpoints stage a window that settles
+     (drain batch 1): checkpoints stage a window that settles
      over the following ops, so the schedule space gains mid-drain crashes
      (ckpt.drain.copied / ckpt.drain.settled / ckpt.cow_fault.resolved)
      and restore's drain_settle reconciliation.  All three drain sites
@@ -47,7 +47,7 @@ let run () =
     die "only %d commit-point x phase schedules explored (need >= %d)" sweep.C.commit_schedules
       min_commit_schedules_full;
   (* async-drain sweep: same exploration with the split-capture checkpoint
-     on (Lazy policy, batch 1) — windows stay pending across ops, so the
+     on (drain batch 1) — windows stay pending across ops, so the
      schedule space now includes crashes mid-drain, at settle, and inside
      the CoW fault resolution, plus restore's drain_settle reconciliation *)
   let async_cfg = { cfg with C.async = true } in

@@ -15,7 +15,7 @@ let gap_ns_for = function `Set -> 4_200 | `Get -> 2_600
 
 let run_one ~interval_us ~op =
   let features =
-    if interval_us = 0 then features ~ckpt:false ~track:false ~copy:false ~hybrid:false ()
+    if interval_us = 0 then features State.Off
     else full_features ()
   in
   let sys = boot ~interval_us:(max 1000 interval_us) ~features () in

@@ -24,7 +24,7 @@ let mode_name = function
 let run_one mode ~interval_ms =
   let features =
     match mode with
-    | Baseline -> features ~ckpt:false ~track:false ~copy:false ~hybrid:false ()
+    | Baseline -> features State.Off
     | Ckpt_only | Ext_sync -> full_features ()
   in
   let sys = boot ~interval_us:(interval_ms * 1000) ~features () in

@@ -13,7 +13,7 @@ let value_size = 1024
 
 let run_treesls ~ckpt workload =
   let features =
-    if ckpt then full_features () else features ~ckpt:false ~track:false ~copy:false ~hybrid:false ()
+    if ckpt then full_features () else features State.Off
   in
   let sys = boot ~interval_us:1000 ~features () in
   if not ckpt then System.set_interval_us sys None;

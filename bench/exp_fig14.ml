@@ -56,7 +56,7 @@ let is_write = function Prefix_dist.Put _ -> true | Prefix_dist.Get _ -> false
 
 let run_treesls ~interval_us =
   let features =
-    if interval_us = 0 then features ~ckpt:false ~track:false ~copy:false ~hybrid:false ()
+    if interval_us = 0 then features State.Off
     else full_features ()
   in
   let sys = boot ~interval_us:(max 1000 interval_us) ~features () in

@@ -46,7 +46,7 @@ let fingerprint sys =
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("incr_walk: " ^ m); exit 2) fmt
 
 let setup ~incr ~pool =
-  let sys = boot ~features:(features ~incr ~ckpt:true ~track:true ~copy:true ~hybrid:true ()) () in
+  let sys = boot ~features:(features ~incr State.Hybrid) () in
   let k = System.kernel sys in
   let p = Kernel.create_process k ~name:"pool" ~threads:1 ~prio:5 in
   let notifs = Array.init pool (fun _ -> Kernel.create_notification k p) in

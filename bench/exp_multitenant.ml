@@ -27,7 +27,6 @@ open Exp_common
 module Serve = Treesls_serve.Serve
 module Tenant = Treesls_serve.Tenant
 module Rtrace = Treesls_obs.Rtrace
-module Drain = Treesls_ckpt.Drain
 
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("multitenant: " ^ m); exit 2) fmt
 
@@ -58,17 +57,12 @@ type measured = {
 
 let run_one mode ~tenants =
   let async = mode = Incr_async in
-  let feats =
-    features ~incr:async ~async ~ckpt:true ~track:true ~copy:true ~hybrid:true ()
-  in
+  let feats = features ~incr:async ~async State.Hybrid in
   (* 64 tenants x (shard store + ring + procs) outgrows the default
      arena once checkpoint copies are counted in *)
   let nvm_pages = if tenants >= 32 then 1 lsl 18 else 1 lsl 17 in
   let sys = boot ~interval_us ~features:feats ~nvm_pages () in
-  if async then begin
-    Manager.set_drain_policy (System.manager sys) Drain.Lazy;
-    Manager.set_drain_batch (System.manager sys) drain_batch
-  end;
+  if async then Manager.set_drain_batch (System.manager sys) drain_batch;
   let cfg = { Serve.default_cfg with tenants; ops_per_tenant = ops_per_tenant (); gap_ns } in
   let srv = Serve.create sys cfg in
   Serve.run srv;

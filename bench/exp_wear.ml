@@ -47,7 +47,7 @@ type mode_result = {
    across modes), preload a KV store, then hammer a Zipf hot set. *)
 let run_mode ~incr ~ops =
   let sys =
-    boot ~features:(features ~incr ~ckpt:true ~track:true ~copy:true ~hybrid:true ()) ()
+    boot ~features:(features ~incr State.Hybrid) ()
   in
   System.ensure_wear_backing sys;
   let rng = Rng.create 7L in

@@ -890,7 +890,6 @@ let serve_cmd =
   let module Serve = Treesls_serve.Serve in
   let module Tenant = Treesls_serve.Tenant in
   let module Rtrace = Treesls_obs.Rtrace in
-  let module Drain = Treesls_ckpt.Drain in
   let tenants_arg =
     Arg.(
       value & opt int 4
@@ -922,21 +921,14 @@ let serve_cmd =
     end;
     let features =
       {
-        Treesls_ckpt.State.ckpt_enabled = true;
-        track_dirty = true;
-        copy_on_fault = true;
-        hybrid = true;
-        incremental_walk = not eager;
-        adaptive_interval = false;
+        (Treesls_ckpt.State.default_features ()) with
+        Treesls_ckpt.State.incremental_walk = not eager;
         async_drain = not eager;
       }
     in
     let nvm_pages = if tenants >= 32 then 1 lsl 18 else 1 lsl 17 in
     let sys = System.boot ~interval_us:(max 1 interval) ~features ~nvm_pages () in
-    if not eager then begin
-      Manager.set_drain_policy (System.manager sys) Drain.Lazy;
-      Manager.set_drain_batch (System.manager sys) 16
-    end;
+    if not eager then Manager.set_drain_batch (System.manager sys) 16;
     (* split the op budget into crash-separated segments: every tenant's
        ring and store must come back by name after each power failure *)
     let segments = crashes + 1 in

@@ -17,10 +17,6 @@ let now st = Clock.now (Kernel.clock st.State.kernel)
 let archive_page st pmo pno paddr =
   match st.State.page_archive_hook with Some h -> h pmo pno paddr | None -> ()
 
-(* vpn -> (pmo, page index) within a VM space, through a one-off index
-   (the walk keeps its indexes in the live-tree cache). *)
-let resolve_region vms vpn = Region_index.resolve (Region_index.build vms) vpn
-
 (* Charge the cost of copying one object's own state into its backup. A
    full (first-time) checkpoint additionally pays allocation and structure
    construction, which is what separates the Full and Incr columns of
@@ -67,7 +63,7 @@ let checkpoint_object st live obj ~new_ver =
   | Kobj.Pmo _ | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Vmspace _ | Kobj.Ipc_conn _
   | Kobj.Notification _ | Kobj.Irq_notification _ -> ());
   (match obj with
-  | Kobj.Vmspace vms when st.State.features.State.track_dirty ->
+  | Kobj.Vmspace vms when st.State.features.State.level >= State.Fault ->
     (* Re-arm copy-on-write: mark pages dirtied since the last checkpoint
        read-only again. DRAM-cached pages stay writable — they are covered
        by stop-and-copy, and leaving them writable is precisely how hybrid
@@ -93,14 +89,12 @@ let checkpoint_object st live obj ~new_ver =
   | Kobj.Notification _ | Kobj.Irq_notification _ -> ());
   (oroot, full, Snapshot.bytes snap)
 
-(* The asynchronous drain rides on the hybrid/CoW machinery: without dirty
-   tracking, fault backups and the active list there is nothing to defer,
-   so the feature silently degrades to eager capture. *)
+(* The asynchronous drain rides on the hybrid/CoW machinery: below level
+   [Hybrid] there is no DRAM cache whose copies could be deferred, so the
+   feature silently degrades to eager capture. *)
 let async_on st =
   let f = st.State.features in
-  f.State.async_drain
-  && st.State.drain_policy <> Drain.Eager
-  && f.State.track_dirty && f.State.copy_on_fault && f.State.hybrid
+  f.State.async_drain && f.State.level = State.Hybrid
 
 (* Step 3: one core's traversal of its sub-list of the active page list. *)
 let hybrid_sublist st ~new_ver entries counters =
@@ -242,10 +236,10 @@ let gc_dead_oroots st ~visited =
       Hashtbl.remove st.State.oroots oid)
     dead
 
-(* Post-commit probe tail, shared by the eager path (inside [run]) and the
-   drain settle: counters/gauges for the committed version, wear telemetry,
-   then the black-box sample last — it snapshots the whole registry and
-   fires the SLO watchdog + adaptive-interval hook. *)
+(* The probe tail of a commit: counters/gauges for the committed
+   version, wear telemetry, then the black-box sample last — it snapshots
+   the whole registry and fires the SLO watchdog + adaptive-interval
+   hook. *)
 let emit_commit_probes st (r : Report.t) =
   let store = Kernel.store st.State.kernel in
   Probe.count "ckpt.runs" 1;
@@ -293,6 +287,38 @@ let emit_commit_probes st (r : Report.t) =
   Probe.tseries_sample ~version:r.Report.version ~stw_ns:r.Report.stw_ns
     ~interval_ns:st.State.interval_ns
 
+(* Step 4, the atomic commit: bump the version — THE durability point —
+   then free the backups of objects the walk did not reach.  Runs inside
+   the pause when nothing was deferred, at settle otherwise. *)
+let commit_version st ~visited =
+  Global_meta.commit_checkpoint (Store.meta (Kernel.store st.State.kernel));
+  Crash_site.hit "ckpt.version_bump";
+  gc_dead_oroots st ~visited;
+  Crash_site.hit "ckpt.gc_done"
+
+(* Release what waited on the commit, after the resume or at settle.  The
+   commit + STW window is recorded first, so the extsync callbacks can
+   attribute each released reply to this version.  WAF: NVM bytes landed
+   since the previous commit (wearmap delta) over the application-level
+   dirty delta; at most one of [dram_dirty_copied] and [pages_drained] is
+   nonzero, so each captured page counts once in either mode. *)
+let publish_commit st ~stw_t0 (r : Report.t) =
+  Probe.ckpt_committed ~version:r.Report.version ~stw_t0 ~stw_t1:(stw_t0 + r.Report.stw_ns);
+  List.iter (fun cb -> cb ()) st.State.ckpt_callbacks;
+  let wear_now = Probe.wear_total_bytes () in
+  let pages = r.Report.pages_protected + r.Report.dram_dirty_copied + r.Report.pages_drained in
+  let r =
+    {
+      r with
+      Report.nvm_bytes_written = wear_now - st.State.wear_mark;
+      logical_dirty_bytes = (Store.cost (Kernel.store st.State.kernel)).Cost.page_size * pages;
+    }
+  in
+  st.State.wear_mark <- wear_now;
+  st.State.last_report <- Some r;
+  emit_commit_probes st r;
+  r
+
 (* Copy up to [limit] backlog pages into their stale CPP slots on the
    follower cores (metered — the shared clock does not advance; ops running
    meanwhile only pay for pages they fault on). *)
@@ -328,27 +354,19 @@ let drain_copies st (p : Drain.pending) ~limit =
   !copied
 
 (* The settle step: the backlog is empty — apply the CoW restamps and
-   drain-saved frames, bump the version (THE atomic commit, deferred from
-   the STW), run the dead-ORoot GC against the walk's visited set, and
-   release everything that waited on durability: the extsync callbacks,
-   the wear/WAF accounting, the commit probes and the black-box sample. *)
+   drain-saved frames, then commit and publish the staged version. *)
 let settle_commit st (p : Drain.pending) =
-  let kernel = st.State.kernel in
-  let store = Kernel.store kernel in
-  let meta = Store.meta store in
-  let drain = st.State.drain in
+  let store = Kernel.store st.State.kernel in
   let meter = ref 0 in
   Treesls_obs.Wearmap.with_writer "ckpt.drain" (fun () ->
       Store.with_sink store (Store.Meter meter) (fun () ->
-          Drain.apply_settle store drain ~ver:p.Drain.p_ver));
+          Drain.apply_settle store st.State.drain ~ver:p.Drain.p_ver));
   p.Drain.p_drain_ns <- p.Drain.p_drain_ns + !meter;
   Crash_site.hit "ckpt.drain.settled";
-  Global_meta.commit_checkpoint meta;
-  Crash_site.hit "ckpt.version_bump";
-  gc_dead_oroots st ~visited:p.Drain.p_visited;
-  Crash_site.hit "ckpt.gc_done";
-  Drain.clear_pending drain;
-  Probe.span_at "ckpt.drain" ~ts_ns:p.Drain.p_stw_t1 ~dur_ns:(now st - p.Drain.p_stw_t1)
+  commit_version st ~visited:p.Drain.p_visited;
+  Drain.clear_pending st.State.drain;
+  let stw_t1 = p.Drain.p_stw_t0 + p.Drain.p_report.Report.stw_ns in
+  Probe.span_at "ckpt.drain" ~ts_ns:stw_t1 ~dur_ns:(now st - stw_t1)
     ~args:
       [
         ("version", string_of_int p.Drain.p_ver);
@@ -356,44 +374,26 @@ let settle_commit st (p : Drain.pending) =
         ("drained", string_of_int p.Drain.p_drained);
         ("cow_faults", string_of_int p.Drain.p_cow_faults);
       ];
-  (* replies released below attribute to the STW window that staged them *)
-  Probe.ckpt_committed ~version:p.Drain.p_ver ~stw_t0:p.Drain.p_stw_t0
-    ~stw_t1:p.Drain.p_stw_t1;
-  List.iter (fun cb -> cb ()) st.State.ckpt_callbacks;
-  let wear_now = Probe.wear_total_bytes () in
-  let nvm_bytes_written = wear_now - st.State.wear_mark in
-  st.State.wear_mark <- wear_now;
-  let logical_dirty_bytes =
-    (Store.cost store).Cost.page_size
-    * (p.Drain.p_report.Report.pages_protected + p.Drain.p_drained)
-  in
-  let report =
-    {
-      p.Drain.p_report with
-      Report.nvm_bytes_written;
-      logical_dirty_bytes;
-      pages_drained = p.Drain.p_drained;
-      cow_faults = p.Drain.p_cow_faults;
-      drain_ns = p.Drain.p_drain_ns;
-    }
-  in
-  st.State.last_report <- Some report;
-  emit_commit_probes st report
+  (* replies released by the publish attribute to the STW window that
+     staged them *)
+  ignore
+    (publish_commit st ~stw_t0:p.Drain.p_stw_t0
+       {
+         p.Drain.p_report with
+         Report.pages_drained = p.Drain.p_drained;
+         cow_faults = p.Drain.p_cow_faults;
+         drain_ns = p.Drain.p_drain_ns;
+       })
 
-(* One asynchronous drain step, called between operations (System.tick).
-   Lazy copies a bounded batch per step; Deadline empties the backlog at
-   the first opportunity.  Either way [run] force-settles any window still
-   pending before the next capture — one staged version in flight, ever. *)
+(* One asynchronous drain step, called between operations (System.tick):
+   copy a batch of [drain_batch] pages.  [run] force-settles any window
+   still pending before the next capture — one staged version in flight,
+   ever. *)
 let drain_step st =
   match Drain.pending st.State.drain with
   | None -> 0
   | Some p ->
-    let limit =
-      match st.State.drain_policy with
-      | Drain.Lazy -> st.State.drain_batch
-      | Drain.Eager | Drain.Deadline -> max_int
-    in
-    let n = drain_copies st p ~limit in
+    let n = drain_copies st p ~limit:st.State.drain_batch in
     if Drain.backlog st.State.drain = 0 then settle_commit st p;
     n
 
@@ -470,9 +470,150 @@ let resolve_cow_fault st pmo pno =
         | (Some _ | None), _ -> ())));
     true
 
+type walk = {
+  live : Live_tree.t;
+  dirty : (Kobj.t * int * bool) list;
+      (* checkpointed objects in walk order: (object, leader ns, full) *)
+  fulls : int;
+  skipped : int;
+  snap_bytes : int;
+  walk0 : int;
+  walk_ns : int;
+}
+
+(* Step 2: the leader walks the capability tree.  Incremental walk: an
+   object whose generation still matches the one recorded at its last
+   checkpoint has not been mutated, so its backups are already current —
+   skip snapshot/copy/charge entirely.  The tree comes from the live-tree
+   cache, re-traversed only when its shape changed, so a clean object
+   costs one generation compare; all of it is host-time only.  The cache's
+   live set doubles as the liveness epoch: ORoots of unreached objects are
+   the dead ones, so skipped objects need no per-object liveness write. *)
+let walk_tree st ~new_ver =
+  let tok = Probe.enter "ckpt.captree" in
+  let walk0 = now st in
+  let incremental = st.State.features.State.incremental_walk && not st.State.force_full in
+  let root = Kernel.root st.State.kernel in
+  let live = Live_tree.refresh st.State.live_tree ~root ~oroots:st.State.oroots in
+  st.State.live_tree <- Some live;
+  let dirty = ref [] and fulls = ref 0 and skipped = ref 0 and snap_bytes = ref 0 in
+  Treesls_obs.Wearmap.with_writer "ckpt.captree" (fun () ->
+      Array.iter
+        (fun (e : Live_tree.entry) ->
+          let obj = e.Live_tree.obj in
+          let clean =
+            incremental
+            &&
+            match e.Live_tree.oroot with
+            | Some o -> o.Oroot.saved_gen = Kobj.gen obj
+            | None -> false
+          in
+          if clean then incr skipped
+          else begin
+            let t_obj0 = now st in
+            let oroot, full, bytes = checkpoint_object st live obj ~new_ver in
+            e.Live_tree.oroot <- Some oroot;
+            Crash_site.hit "ckpt.captree.obj";
+            if full then incr fulls;
+            snap_bytes := !snap_bytes + bytes;
+            dirty := (obj, now st - t_obj0, full) :: !dirty
+          end)
+        (Live_tree.entries live));
+  st.State.force_full <- false;
+  let walk_ns = now st - walk0 in
+  Probe.exit tok
+    ~args:
+      [
+        ("objects", string_of_int (List.length !dirty));
+        ("full", string_of_int !fulls);
+        ("skipped", string_of_int !skipped);
+        ("snapshot_bytes", string_of_int !snap_bytes);
+      ];
+  Crash_site.hit "ckpt.captree.done";
+  {
+    live;
+    dirty = List.rev !dirty;
+    fulls = !fulls;
+    skipped = !skipped;
+    snap_bytes = !snap_bytes;
+    walk0;
+    walk_ns;
+  }
+
+(* Step 3: the other cores traverse their sub-lists of the active page
+   list in parallel with the leader's walk, each on its own meter.  The
+   pause lasts until both the leader and the slowest core finish, so the
+   clock advances by the slowest core's excess over the walk.  Returns
+   (ns, dirty pages copied, pages migrated in, pages migrated out). *)
+let hybrid_copy st ~new_ver (w : walk) =
+  if st.State.features.State.level <> State.Hybrid then (0, 0, 0, 0)
+  else begin
+    let kernel = st.State.kernel in
+    let store = Kernel.store kernel in
+    let (dirty_copied, migrated_in, migrated_out) as counters = (ref 0, ref 0, ref 0) in
+    let worst = ref 0 in
+    Array.iter
+      (fun entries ->
+        let meter = ref 0 in
+        Treesls_obs.Wearmap.with_writer "ckpt.hybrid" (fun () ->
+            Store.with_sink store (Store.Meter meter) (fun () ->
+                hybrid_sublist st ~new_ver entries counters));
+        if !meter > !worst then worst := !meter)
+      (Active_list.sublists st.State.active ~cores:(max 1 (Kernel.ncores kernel - 1)));
+    Active_list.compact st.State.active;
+    if !worst > w.walk_ns then Clock.advance (Kernel.clock kernel) (!worst - w.walk_ns);
+    (* explicit timestamps: the span overlaps ckpt.captree *)
+    Probe.span_at "ckpt.hybrid_copy" ~ts_ns:w.walk0 ~dur_ns:!worst
+      ~args:
+        [
+          ("dirty_copied", string_of_int !dirty_copied);
+          ("migrated_in", string_of_int !migrated_in);
+          ("migrated_out", string_of_int !migrated_out);
+        ];
+    (!worst, !dirty_copied, !migrated_in, !migrated_out)
+  end
+
+(* The walk's captree time by object kind and by owning process, and the
+   per-object cost samples of Table 3: host-time bookkeeping, tallied after
+   the pause in walk order. *)
+let attribute st (w : walk) =
+  let add tbl k dt =
+    Hashtbl.replace tbl k (dt + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+  in
+  let pairs tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+  let per_kind = Hashtbl.create 8 in
+  (* group name -> (ns, objects, per-kind ns) *)
+  let per_group : (string, int ref * int ref * (Kobj.kind, int) Hashtbl.t) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  List.iter
+    (fun (obj, dt, full) ->
+      let kind = Kobj.kind obj in
+      add per_kind kind dt;
+      let gname = Live_tree.owner w.live st.State.kernel (Kobj.id obj) in
+      let g_ns, g_objs, g_kinds =
+        match Hashtbl.find_opt per_group gname with
+        | Some g -> g
+        | None ->
+          let g = (ref 0, ref 0, Hashtbl.create 8) in
+          Hashtbl.add per_group gname g;
+          g
+      in
+      g_ns := !g_ns + dt;
+      incr g_objs;
+      add g_kinds kind dt;
+      let cost_stats = State.obj_cost st kind in
+      Stats.add (if full then cost_stats.State.full else cost_stats.State.incr) (float_of_int dt))
+    w.dirty;
+  ( pairs per_kind,
+    Hashtbl.fold
+      (fun name (g_ns, g_objs, g_kinds) acc ->
+        (name, { Report.g_ns = !g_ns; g_objects = !g_objs; g_kinds = pairs g_kinds }) :: acc)
+      per_group [] )
+
 let run st =
   (* one staged version in flight, ever: a window still draining must
-     finish (deadline semantics) before the next capture starts *)
+     finish before the next capture starts *)
   settle st;
   let kernel = st.State.kernel in
   let store = Kernel.store kernel in
@@ -486,114 +627,15 @@ let run st =
   Probe.exit quiesce_tok;
   Global_meta.begin_checkpoint meta;
   Crash_site.hit "ckpt.begin";
-  (* step 2: leader walks the capability tree *)
-  let walk_tok = Probe.enter "ckpt.captree" in
-  let walk0 = now st in
-  let per_kind = Hashtbl.create 8 in
-  (* group name -> (ns, objects, per-kind ns) *)
-  let per_group : (string, int ref * int ref * (Kobj.kind, int) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let objects = ref 0 and fulls = ref 0 and snap_bytes = ref 0 in
-  let protected_before =
+  (* the dirty pages step 2 re-protects, counted before it clears them *)
+  let pages_protected =
     List.fold_left
       (fun acc p -> acc + Pagetable.dirty_count (Kernel.pagetable kernel p.Kernel.vms))
       0 (Kernel.processes kernel)
   in
-  (* Incremental walk: an object whose generation still matches the one
-     recorded at its last checkpoint has not been mutated, so its backups
-     are already current — skip snapshot/copy/charge entirely.  The tree
-     comes from the live-tree cache, re-traversed only when its shape
-     changed, so a clean object costs one generation compare; all of it is
-     host-time only.  The cache's live set doubles as the liveness epoch:
-     ORoots of unreached objects are the dead ones, so skipped objects need
-     no per-object liveness write. *)
-  let incremental = st.State.features.State.incremental_walk && not st.State.force_full in
-  let live = Live_tree.refresh st.State.live_tree ~root:(Kernel.root kernel) ~oroots:st.State.oroots in
-  st.State.live_tree <- Some live;
-  let visited = Live_tree.live live in
-  let skipped = ref 0 in
-  Treesls_obs.Wearmap.with_writer "ckpt.captree" (fun () ->
-  Array.iter (fun (e : Live_tree.entry) ->
-      let obj = e.Live_tree.obj in
-      let clean =
-        incremental
-        && (match e.Live_tree.oroot with
-           | Some o -> o.Oroot.saved_gen = Kobj.gen obj
-           | None -> false)
-      in
-      if clean then incr skipped
-      else begin
-        let t_obj0 = now st in
-        let oroot, full, bytes = checkpoint_object st live obj ~new_ver in
-        e.Live_tree.oroot <- Some oroot;
-        Crash_site.hit "ckpt.captree.obj";
-        let dt = now st - t_obj0 in
-        incr objects;
-        if full then incr fulls;
-        snap_bytes := !snap_bytes + bytes;
-        let kind = Kobj.kind obj in
-        Hashtbl.replace per_kind kind
-          (dt + Option.value ~default:0 (Hashtbl.find_opt per_kind kind));
-        let gname = Live_tree.owner live kernel (Kobj.id obj) in
-        let g_ns, g_objs, g_kinds =
-          match Hashtbl.find_opt per_group gname with
-          | Some g -> g
-          | None ->
-            let g = (ref 0, ref 0, Hashtbl.create 8) in
-            Hashtbl.add per_group gname g;
-            g
-        in
-        g_ns := !g_ns + dt;
-        incr g_objs;
-        Hashtbl.replace g_kinds kind (dt + Option.value ~default:0 (Hashtbl.find_opt g_kinds kind));
-        let cost_stats = State.obj_cost st kind in
-        Stats.add (if full then cost_stats.State.full else cost_stats.State.incr) (float_of_int dt)
-      end) (Live_tree.entries live));
-  st.State.force_full <- false;
-  let walk_ns = now st - walk0 in
-  Probe.exit walk_tok
-    ~args:
-      [
-        ("objects", string_of_int !objects);
-        ("full", string_of_int !fulls);
-        ("skipped", string_of_int !skipped);
-        ("snapshot_bytes", string_of_int !snap_bytes);
-      ];
-  Crash_site.hit "ckpt.captree.done";
-  (* step 3: parallel hybrid copy by the other cores *)
-  let dirty_copied = ref 0 and migrated_in = ref 0 and migrated_out = ref 0 in
-  let hybrid_ns =
-    if st.State.features.State.hybrid then begin
-      let cores = max 1 (Kernel.ncores kernel - 1) in
-      let sublists = Active_list.sublists st.State.active ~cores in
-      let worst = ref 0 in
-      Array.iter
-        (fun entries ->
-          let meter = ref 0 in
-          Treesls_obs.Wearmap.with_writer "ckpt.hybrid" (fun () ->
-              Store.with_sink store (Store.Meter meter) (fun () ->
-                  hybrid_sublist st ~new_ver entries (dirty_copied, migrated_in, migrated_out)));
-          if !meter > !worst then worst := !meter)
-        sublists;
-      Active_list.compact st.State.active;
-      !worst
-    end
-    else 0
-  in
-  (* the pause lasts until both the leader and the slowest core finish *)
-  if hybrid_ns > walk_ns then Clock.advance (Kernel.clock kernel) (hybrid_ns - walk_ns);
-  (* The hybrid copy ran on the other cores in parallel with the leader's
-     walk: record it with explicit timestamps, overlapping ckpt.captree. *)
-  if st.State.features.State.hybrid then
-    Probe.span_at "ckpt.hybrid_copy" ~ts_ns:walk0 ~dur_ns:hybrid_ns
-      ~args:
-        [
-          ("dirty_copied", string_of_int !dirty_copied);
-          ("migrated_in", string_of_int !migrated_in);
-          ("migrated_out", string_of_int !migrated_out);
-        ];
-  (* step 4: atomic commit — or, with the drain on, staging *)
+  let w = walk_tree st ~new_ver in
+  let hybrid_ns, dram_dirty_copied, migrated_in, migrated_out = hybrid_copy st ~new_ver w in
+  (* step 4: atomic commit — or, with copies deferred to the drain, staging *)
   let others_tok = Probe.enter "ckpt.others" in
   let others0 = now st in
   (* The id high-water mark is part of the staged state: it must be in
@@ -602,19 +644,13 @@ let run st =
      objects. A crash before the bump leaves it too high for the rolled
      back version, which only costs id-space gaps. *)
   st.State.ids_hwm <- Id_gen.current (Kernel.ids kernel);
-  (* Everything is staged.  With an empty backlog the version bump below
-     is THE atomic commit; with deferred copies outstanding the bump (and
-     with it the GC, the extsync callbacks, wear accounting and the
-     black-box sample) waits in [settle_commit] until the drain empties —
-     a mid-window crash rolls back to the still-committed N-1. *)
+  (* Everything is staged.  With an empty backlog the commit happens right
+     here; with deferred copies outstanding it waits in [settle_commit]
+     until the drain empties — a mid-window crash rolls back to the
+     still-committed N-1. *)
   Crash_site.hit "ckpt.publish";
   let enqueued = Drain.backlog st.State.drain in
-  if enqueued = 0 then begin
-    Global_meta.commit_checkpoint meta;
-    Crash_site.hit "ckpt.version_bump";
-    gc_dead_oroots st ~visited;
-    Crash_site.hit "ckpt.gc_done"
-  end;
+  if enqueued = 0 then commit_version st ~visited:(Live_tree.live w.live);
   Store.charge store (Store.cost store).Cost.tlb_shootdown_ns;
   let others_ns = now st - others0 in
   Probe.exit others_tok;
@@ -624,77 +660,40 @@ let run st =
   Probe.exit resume_tok;
   let stw_ns = now st - t0 in
   Probe.exit stw_tok ~args:[ ("stw_ns", string_of_int stw_ns) ];
+  let per_kind_ns, per_group = attribute st w in
   let report =
     {
+      Report.zero with
       Report.version = new_ver;
       stw_ns;
       ipi_ns = ipi_ns + resume_ns;
-      captree_ns = walk_ns;
+      captree_ns = w.walk_ns;
       others_ns;
       hybrid_ns;
-      per_kind_ns = Hashtbl.fold (fun k v acc -> (k, v) :: acc) per_kind [];
-      per_group =
-        Hashtbl.fold
-          (fun name (g_ns, g_objs, g_kinds) acc ->
-            ( name,
-              {
-                Report.g_ns = !g_ns;
-                g_objects = !g_objs;
-                g_kinds = Hashtbl.fold (fun k v acc -> (k, v) :: acc) g_kinds [];
-              } )
-            :: acc)
-          per_group [];
-      objects_walked = !objects;
-      full_objects = !fulls;
-      objects_skipped = !skipped;
-      pages_protected = protected_before;
-      dram_dirty_copied = !dirty_copied;
-      migrated_in = !migrated_in;
-      migrated_out = !migrated_out;
+      per_kind_ns;
+      per_group;
+      objects_walked = List.length w.dirty;
+      full_objects = w.fulls;
+      objects_skipped = w.skipped;
+      pages_protected;
+      dram_dirty_copied;
+      migrated_in;
+      migrated_out;
       cached_pages = Active_list.cached_count st.State.active;
-      snapshot_bytes = !snap_bytes;
-      nvm_bytes_written = 0;
-      logical_dirty_bytes = 0;
-      pages_drained = 0;
-      cow_faults = 0;
-      drain_ns = 0;
+      snapshot_bytes = w.snap_bytes;
     }
   in
-  if enqueued = 0 then begin
-    (* eager commit: record the commit + STW window first, so the extsync
-       callbacks below can attribute each released reply to this version
-       (and bind flow arrows to the ckpt.stw slice just closed) *)
-    Probe.ckpt_committed ~version:new_ver ~stw_t0:t0 ~stw_t1:(t0 + stw_ns);
-    (* external synchrony callbacks run after the commit (release replies) *)
-    List.iter (fun cb -> cb ()) st.State.ckpt_callbacks;
-    (* Write-amplification: physical NVM bytes landed since the previous
-       checkpoint (wearmap delta — app data, CoW backups, hybrid copies,
-       snapshots, journal, meta) over the application-level dirty delta
-       (dirty pages × page size, identical whatever the walk strategy). *)
-    let wear_now = Probe.wear_total_bytes () in
-    let nvm_bytes_written = wear_now - st.State.wear_mark in
-    st.State.wear_mark <- wear_now;
-    let logical_dirty_bytes =
-      (Store.cost store).Cost.page_size * (protected_before + !dirty_copied)
-    in
-    let report = { report with Report.nvm_bytes_written; logical_dirty_bytes } in
-    st.State.last_report <- Some report;
-    emit_commit_probes st report;
-    report
-  end
+  if enqueued = 0 then publish_commit st ~stw_t0:t0 report
   else begin
-    (* async: the STW only staged version N.  Publish the window — the
-       drain ([drain_step]/[settle]) owes [enqueued] copies, and the
-       durability point with everything downstream of it moves to
-       [settle_commit].  The partial report carries the STW-side truth;
-       wear/WAF and drain fields are finalised at settle. *)
+    (* async: the STW only staged version N — the drain owes [enqueued]
+       copies, and the commit with everything downstream of it moves to
+       [settle_commit].  The partial report carries the STW-side truth. *)
     Probe.gauge "ckpt.drain.backlog" enqueued;
     Drain.publish st.State.drain
       {
         Drain.p_ver = new_ver;
-        p_visited = visited;
+        p_visited = Live_tree.live w.live;
         p_stw_t0 = t0;
-        p_stw_t1 = t0 + stw_ns;
         p_enqueued = enqueued;
         p_report = report;
         p_drained = 0;

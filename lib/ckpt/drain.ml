@@ -32,9 +32,7 @@ module Kobj = Treesls_cap.Kobj
 module Paddr = Treesls_nvm.Paddr
 module Store = Treesls_nvm.Store
 
-type policy = Eager | Lazy | Deadline
-
-let policy_name = function Eager -> "eager" | Lazy -> "lazy" | Deadline -> "deadline"
+type policy = Lazy
 
 type entry = { d_pmo : Kobj.pmo; d_cps : Ckpt_page.t; d_pno : int }
 
@@ -42,7 +40,6 @@ type pending = {
   p_ver : int;  (* the staged (uncommitted) version *)
   p_visited : (int, unit) Hashtbl.t;  (* the walk's liveness epoch, for the deferred GC *)
   p_stw_t0 : int;
-  p_stw_t1 : int;
   p_enqueued : int;  (* backlog size at publish = pages deferred *)
   p_report : Report.t;  (* STW-side partial report, finalised at settle *)
   mutable p_drained : int;  (* backlog pages copied (background + fault-resolved) *)

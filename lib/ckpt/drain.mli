@@ -15,12 +15,11 @@ module Kobj = Treesls_cap.Kobj
 module Paddr = Treesls_nvm.Paddr
 module Store = Treesls_nvm.Store
 
-type policy =
-  | Eager  (** degrade to today's behaviour: copy everything inside the STW *)
-  | Lazy  (** copy [drain_batch] backlog pages per drain step *)
-  | Deadline  (** empty the whole backlog at the first drain step *)
-
-val policy_name : policy -> string
+type policy = Lazy
+(** The one drain policy: copy [drain_batch] backlog pages per drain step
+    (a batch at least as large as the backlog empties it in one step;
+    eager stop-and-copy is [async_drain] off).  Only
+    [Manager.set_drain_policy] still names it. *)
 
 type entry = { d_pmo : Kobj.pmo; d_cps : Ckpt_page.t; d_pno : int }
 (** One owed copy: a dirty DRAM-cached page protected at the STW whose
@@ -30,8 +29,7 @@ type pending = {
   p_ver : int;  (** the staged (uncommitted) version *)
   p_visited : (int, unit) Hashtbl.t;
       (** the walk's liveness epoch, for the GC deferred to settle *)
-  p_stw_t0 : int;
-  p_stw_t1 : int;
+  p_stw_t0 : int;  (** the STW's start; it ended [p_report.stw_ns] later *)
   p_enqueued : int;  (** backlog size at publish = pages deferred *)
   p_report : Report.t;  (** STW-side partial report, finalised at settle *)
   mutable p_drained : int;

@@ -19,7 +19,8 @@ let install_hooks st =
             [Checkpoint.resolve_cow_fault] must arbitrate between the
             staged and the committed version, so the eager protocol below
             only runs when it declines. *)
-         (if st.State.features.State.copy_on_fault then
+         let level = st.State.features.State.level in
+         (if level >= State.Cow then
             if not (Checkpoint.resolve_cow_fault st pmo pno) then
               match Hashtbl.find_opt st.State.oroots pmo.Kobj.pmo_id with
               | Some oroot -> (
@@ -32,7 +33,7 @@ let install_hooks st =
                   | None -> ())
                 | (Some _ | None), _ -> ())
               | None -> ());
-         if st.State.features.State.hybrid then Active_list.record_fault st.State.active pmo pno));
+         if level = State.Hybrid then Active_list.record_fault st.State.active pmo pno));
   Kernel.set_fresh_hook kernel (Some (fun pmo pno -> State.note_fresh_page st pmo pno))
 
 let attach ?(active_cfg = Active_list.default_config) ?features kernel =
@@ -63,7 +64,7 @@ let tick t =
   | None -> None
   | Some _ ->
     if
-      t.st.State.features.State.ckpt_enabled
+      t.st.State.features.State.level <> State.Off
       && Clock.now (Kernel.clock (kernel t)) >= t.st.State.next_ckpt_at
     then begin
       let r = Checkpoint.run t.st in
@@ -87,8 +88,7 @@ let drain_settle t = Checkpoint.settle t.st
 let drain_backlog t = Drain.backlog t.st.State.drain
 let drain_pending_version t = Drain.pending_version t.st.State.drain
 let drain_saved_frames t = Drain.saved_frames t.st.State.drain
-let drain_policy t = t.st.State.drain_policy
-let set_drain_policy t p = t.st.State.drain_policy <- p
+let set_drain_policy _ Drain.Lazy = ()
 let set_drain_batch t n = t.st.State.drain_batch <- max 1 n
 
 let on_checkpoint t cb = t.st.State.ckpt_callbacks <- t.st.State.ckpt_callbacks @ [ cb ]
@@ -118,7 +118,6 @@ let recover t =
 
 let iter_oroots t f = Hashtbl.iter f t.st.State.oroots
 let find_oroot t oid = Hashtbl.find_opt t.st.State.oroots oid
-let oroot_count t = Hashtbl.length t.st.State.oroots
 
 let checkpoint_bytes t = State.checkpoint_bytes t.st
 let last_report t = t.st.State.last_report
@@ -128,5 +127,3 @@ let obj_costs t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.st.State.obj_costs []
   |> List.sort (fun (a, _) (b, _) ->
          compare (Treesls_cap.Kobj.kind_name a) (Treesls_cap.Kobj.kind_name b))
-
-let reset_obj_costs t = Hashtbl.reset t.st.State.obj_costs

@@ -51,8 +51,8 @@ val next_deadline : t -> int option
     window is pending. *)
 
 val drain_step : t -> int
-(** Copy a policy-sized batch of backlog pages; settles when the backlog
-    empties. Returns pages copied. *)
+(** Copy a batch of [set_drain_batch] backlog pages; settles when the
+    backlog empties. Returns pages copied. *)
 
 val drain_settle : t -> unit
 (** Force the pending window durable now. *)
@@ -60,10 +60,12 @@ val drain_settle : t -> unit
 val drain_backlog : t -> int
 val drain_pending_version : t -> int option
 val drain_saved_frames : t -> Treesls_nvm.Paddr.t list
-val drain_policy : t -> Drain.policy
 val set_drain_policy : t -> Drain.policy -> unit
+(** No-op: [Lazy] is the only policy. *)
+
 val set_drain_batch : t -> int -> unit
-(** Backlog pages per [Lazy] drain step (clamped to >= 1). *)
+(** Backlog pages per drain step (clamped to >= 1, default 8); a batch at
+    least as large as the backlog empties it in one step. *)
 
 val on_checkpoint : t -> (unit -> unit) -> unit
 (** Register a checkpoint callback (external synchrony, §5); volatile —
@@ -86,9 +88,7 @@ val iter_oroots : t -> (int -> Oroot.t -> unit) -> unit
 (** Visit every ORoot (live and not-yet-GC'd), keyed by object id. *)
 
 val find_oroot : t -> int -> Oroot.t option
-val oroot_count : t -> int
 
 val checkpoint_bytes : t -> int
 val last_report : t -> Report.t option
 val obj_costs : t -> (Treesls_cap.Kobj.kind * State.obj_cost) list
-val reset_obj_costs : t -> unit

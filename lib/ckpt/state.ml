@@ -2,11 +2,10 @@ module Kobj = Treesls_cap.Kobj
 module Kernel = Treesls_kernel.Kernel
 module Stats = Treesls_util.Stats
 
+type level = Off | Tree | Fault | Cow | Hybrid
+
 type features = {
-  mutable ckpt_enabled : bool;
-  mutable track_dirty : bool;
-  mutable copy_on_fault : bool;
-  mutable hybrid : bool;
+  mutable level : level;
   mutable incremental_walk : bool;
   mutable adaptive_interval : bool;
   mutable async_drain : bool;
@@ -33,16 +32,12 @@ type t = {
   mutable live_tree : Live_tree.t option;
   mutable wear_mark : int;
   drain : Drain.t;
-  mutable drain_policy : Drain.policy;
-  mutable drain_batch : int;  (* Lazy policy: backlog pages copied per tick *)
+  mutable drain_batch : int;  (* backlog pages copied per drain step *)
 }
 
 let default_features () =
   {
-    ckpt_enabled = true;
-    track_dirty = true;
-    copy_on_fault = true;
-    hybrid = true;
+    level = Hybrid;
     incremental_walk = true;
     adaptive_interval = false;
     async_drain = false;
@@ -68,7 +63,6 @@ let create kernel active_cfg features =
     live_tree = None;
     wear_mark = 0;
     drain = Drain.create ();
-    drain_policy = Drain.Lazy;
     drain_batch = 8;
   }
 

@@ -9,11 +9,26 @@
 module Kobj = Treesls_cap.Kobj
 module Kernel = Treesls_kernel.Kernel
 
+(** How much of the checkpoint machinery runs: the cumulative bars of
+    Figure 10, each level adding one mechanism to the level before it
+    (so levels compare in declaration order).
+    Only [Cow] and [Hybrid] persist page contents: [Tree] and [Fault] are
+    overhead-only ablation levels whose commits capture object state but
+    leave no pre-image of a page written after the checkpoint, so a
+    restore does not bring back the committed page contents. *)
+type level =
+  | Off  (** no periodic checkpoints ([Manager.tick] never fires) *)
+  | Tree  (** stop-the-world capability-tree checkpoints; pages untracked *)
+  | Fault
+      (** + dirty pages re-marked read-only at each checkpoint, so the
+          next write faults; the fault copies nothing *)
+  | Cow  (** + the fault saves the page's pre-image (copy-on-write) *)
+  | Hybrid
+      (** + hot pages cached in DRAM and stop-and-copied in parallel
+          (Figure 5 step 3); the default *)
+
 type features = {
-  mutable ckpt_enabled : bool;  (** take checkpoints at all *)
-  mutable track_dirty : bool;  (** mark dirty pages read-only at checkpoint *)
-  mutable copy_on_fault : bool;  (** copy the pre-image in the fault handler *)
-  mutable hybrid : bool;  (** hybrid copy: hot-page DRAM cache + stop-and-copy *)
+  mutable level : level;
   mutable incremental_walk : bool;
       (** skip clean objects (generation unchanged) during the STW walk *)
   mutable adaptive_interval : bool;
@@ -24,8 +39,7 @@ type features = {
       (** split the STW capture from the page copies: dirty DRAM-cached
           pages are protected and enqueued at the STW, copied later by
           {!Drain} steps, and the version commits at settle (default off;
-          requires track_dirty + copy_on_fault + hybrid and a non-Eager
-          {!Drain.policy} to take effect) *)
+          takes effect only at level [Hybrid]) *)
 }
 
 type obj_cost = {
@@ -67,13 +81,11 @@ type t = {
   mutable wear_mark : int;
       (** cumulative wearmap bytes at the last committed checkpoint: the
           per-interval physical-NVM-bytes delta (WAF numerator) is measured
-          against this watermark by [Checkpoint.run] *)
+          against this watermark at each commit *)
   drain : Drain.t;
       (** asynchronous-drain window state: backlog of owed page copies,
           CoW restamp/saved tables, and the staged (pending) version *)
-  mutable drain_policy : Drain.policy;
-  mutable drain_batch : int;
-      (** [Lazy] policy: backlog pages copied per drain step *)
+  mutable drain_batch : int;  (** backlog pages copied per drain step *)
 }
 
 val default_features : unit -> features

@@ -174,9 +174,9 @@ let enable_tracing ?(verbose = false) ?(eternal_backing = true) t =
 
 (* Like the trace ring's backing, but for the wearmap's per-page counters:
    8 bytes of write count + 8 bytes written per NVM page.  Lazy (not at
-   boot) so systems that never ask for wear residency keep the same
-   eternal-PMO layout as before — Ring.reattach resolves eternal PMOs by
-   creation order. *)
+   boot) so systems that never ask for wear residency keep their boot
+   object census and NVM footprint; Ring.reattach claims rings by their
+   persisted name, so when this PMO is created does not matter to it. *)
 let ensure_wear_backing t =
   match Probe.wear_backing_pmo t.obs with
   | Some _ -> ()
@@ -195,8 +195,7 @@ let ensure_wear_backing t =
 let wearmap t = Probe.wearmap t.obs
 
 (* Same lazy eternal-backing pattern for the black box: one fixed-width
-   slot per tseries sample.  Lazy so existing eternal-PMO creation order
-   (trace ring, then wearmap) is undisturbed for Ring.reattach. *)
+   slot per tseries sample, created only for systems that ask for it. *)
 let ensure_tseries_backing t =
   match Probe.tseries_backing_pmo t.obs with
   | Some _ -> ()

@@ -386,7 +386,7 @@ type config = {
   per_site_cap : int;  (* max hits sampled per site *)
   op_cap : int;  (* max DRAM-loss (and per-restore-site) op indices *)
   recovery_bug : bool;  (* deliberately break journal replay (must be caught) *)
-  async : bool;  (* run with the asynchronous drain on (Lazy, batch 1) *)
+  async : bool;  (* run with the asynchronous drain on (batch 1) *)
 }
 
 let default_config =
@@ -404,7 +404,7 @@ let default_config =
   }
 
 (* Boot one victim/twin system under the sweep's checkpoint mode.  Async
-   sweeps use the Lazy policy with a tiny batch so windows stay pending
+   sweeps use a one-page drain batch so windows stay pending
    across several ops — maximising the trace window in which the drain
    crash sites and the CoW fault path are live. *)
 let boot_sys cfg =
@@ -421,7 +421,6 @@ let boot_sys cfg =
   if cfg.async then begin
     let mgr = System.manager sys in
     (Treesls_ckpt.Manager.features mgr).Treesls_ckpt.State.async_drain <- true;
-    Treesls_ckpt.Manager.set_drain_policy mgr Treesls_ckpt.Drain.Lazy;
     Treesls_ckpt.Manager.set_drain_batch mgr 1
   end;
   sys

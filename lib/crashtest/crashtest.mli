@@ -113,8 +113,8 @@ type config = {
           ({!Treesls_nvm.Warea.set_recovery_bug}); a correct sweep must
           then report failures *)
   async : bool;
-      (** run every victim and twin with [features.async_drain] on (Lazy
-          policy, batch 1): checkpoints stage a drain window that settles
+      (** run every victim and twin with [features.async_drain] on (drain
+          batch 1): checkpoints stage a drain window that settles
           over the following ops, so the sweep covers mid-drain crashes
           ([ckpt.drain.copied] / [ckpt.drain.settled] /
           [ckpt.cow_fault.resolved] sites) and the restore-side

@@ -20,6 +20,8 @@ module Restore = Treesls_ckpt.Restore
 module System = Treesls.System
 module Census = Treesls_cap.Census
 module Rng = Treesls_util.Rng
+module Kv_app = Treesls_apps.Kv_app
+module Audit = Treesls_audit.Audit
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -596,6 +598,101 @@ let prop_hybrid_page_contents =
 
 let qsuite_hybrid = List.map QCheck_alcotest.to_alcotest [ prop_hybrid_page_contents ]
 
+(* ---- the Figure 10 ladder: one Kv_app trace per State.level ---- *)
+
+type ladder = {
+  commits : int;
+  cow_faults : int;
+  backup_frames : int;
+  migrated_in : int;  (* summed over the trace's commits *)
+  max_cached : int;  (* DRAM-cached pages, worst commit *)
+  sys : System.t;
+  app : Kv_app.t;
+  expect : string -> string option;  (* the last committed value per key *)
+}
+
+let ladder_keys = "fresh" :: List.init 48 (Printf.sprintf "k%d")
+
+(* 1500 sets over 48 keys with 200 us periodic checkpoints, then two
+   writes after the last commit (an overwrite and a new key) that a
+   correct restore rolls back. *)
+let ladder_trace level =
+  let features = { (State.default_features ()) with State.level } in
+  let sys = System.boot ~interval_us:200 ~features () in
+  let app = Kv_app.launch ~keys_hint:256 ~value_size:64 sys Kv_app.Memcached in
+  let k = System.kernel sys in
+  let v0 = System.version sys and cow0 = (Kernel.stats k).Kernel.cow_faults in
+  let live = Hashtbl.create 64 and committed = ref (Hashtbl.create 1) in
+  let migrated_in = ref 0 and max_cached = ref 0 in
+  for i = 0 to 1_499 do
+    let key = Printf.sprintf "k%d" (i * 7 mod 48) and value = Printf.sprintf "v%d" i in
+    Kv_app.set app ~key ~value;
+    Hashtbl.replace live key value;
+    match System.tick sys with
+    | Some r ->
+      committed := Hashtbl.copy live;
+      migrated_in := !migrated_in + r.Report.migrated_in;
+      max_cached := max !max_cached r.Report.cached_pages
+    | None -> ()
+  done;
+  Kv_app.set app ~key:"k0" ~value:"uncommitted";
+  Kv_app.set app ~key:"fresh" ~value:"uncommitted";
+  let frames = ref 0 in
+  Manager.iter_oroots (System.manager sys) (fun _ o ->
+      match o.Oroot.pages with
+      | Some pages -> frames := !frames + Ckpt_page.backup_frames pages
+      | None -> ());
+  let committed = !committed in
+  {
+    commits = System.version sys - v0;
+    cow_faults = (Kernel.stats k).Kernel.cow_faults - cow0;
+    backup_frames = !frames;
+    migrated_in = !migrated_in;
+    max_cached = !max_cached;
+    sys;
+    app;
+    expect = Hashtbl.find_opt committed;
+  }
+
+let off_trace = lazy (ladder_trace State.Off)
+
+(* After a power cut, every key reads back its last committed value and
+   the post-commit writes are gone. *)
+let check_restores (l : ladder) =
+  ignore (System.crash_and_recover l.sys);
+  Kv_app.refresh l.app;
+  List.iter
+    (fun key ->
+      Alcotest.(check (option string)) ("restored " ^ key) (l.expect key) (Kv_app.get l.app ~key))
+    ladder_keys;
+  check_int "audit clean" 0 (Audit.errors (System.audit l.sys))
+
+let level_off () =
+  let l = Lazy.force off_trace in
+  check_int "never commits" 0 l.commits
+
+let level_tree () =
+  let l = ladder_trace State.Tree in
+  check_bool "commits" true (l.commits > 0);
+  let off = Lazy.force off_trace in
+  check_bool "no more CoW faults than Off" true (l.cow_faults <= off.cow_faults)
+
+let level_fault () =
+  let l = ladder_trace State.Fault in
+  check_bool "takes CoW faults" true (l.cow_faults > 0);
+  check_int "banks no backup frames" 0 l.backup_frames
+
+let level_cow () =
+  let l = ladder_trace State.Cow in
+  check_bool "banks backup frames" true (l.backup_frames > 0);
+  check_int "caches no page in DRAM" 0 l.max_cached;
+  check_restores l
+
+let level_hybrid () =
+  let l = ladder_trace State.Hybrid in
+  check_bool "migrates pages into DRAM" true (l.migrated_in > 0);
+  check_restores l
+
 let () =
   Alcotest.run "ckpt"
     [
@@ -655,6 +752,14 @@ let () =
           Alcotest.test_case "tick policy" `Quick tick_policy;
         ] );
       ("hybrid-property", qsuite_hybrid);
+      ( "levels",
+        [
+          Alcotest.test_case "Off never commits" `Quick level_off;
+          Alcotest.test_case "Tree commits, no extra CoW faults" `Quick level_tree;
+          Alcotest.test_case "Fault faults, banks no frames" `Quick level_fault;
+          Alcotest.test_case "Cow banks frames, restores" `Quick level_cow;
+          Alcotest.test_case "Hybrid caches pages, restores" `Quick level_hybrid;
+        ] );
       ( "restore",
         [
           Alcotest.test_case "rolls back object state" `Quick restore_rolls_back_object_state;

@@ -1,17 +1,17 @@
 (* Asynchronous checkpoint drain (DESIGN.md §16): unit tests for the
-   lazy/deadline drain state machine, CoW-fault resolution against a
-   pending backlog, mid-drain crash recovery, and a property test that a
-   system checkpointed with the async drain restores byte-identically to
-   an eager twin driven by the same trace — under arbitrary interleavings
-   of app writes and drain steps. *)
+   drain state machine, the commit contract it shares with the eager
+   path, CoW-fault resolution against a pending backlog, mid-drain crash
+   recovery, and a property test that a system checkpointed with the
+   async drain restores byte-identically to an eager twin driven by the
+   same trace — under arbitrary interleavings of app writes and drain
+   steps. *)
 
 module System = Treesls.System
 module Kernel = Treesls_kernel.Kernel
 module Ipc = Treesls_kernel.Ipc
 module Manager = Treesls_ckpt.Manager
 module State = Treesls_ckpt.State
-module Checkpoint = Treesls_ckpt.Checkpoint
-module Drain = Treesls_ckpt.Drain
+module Region_index = Treesls_ckpt.Region_index
 module Active_list = Treesls_ckpt.Active_list
 module Snapshot = Treesls_ckpt.Snapshot
 module Report = Treesls_ckpt.Report
@@ -19,18 +19,18 @@ module Audit = Treesls_audit.Audit
 module Kobj = Treesls_cap.Kobj
 module Radix = Treesls_cap.Radix
 module Store = Treesls_nvm.Store
+module Metrics = Treesls_obs.Metrics
+module Probe = Treesls_obs.Probe
 module Rng = Treesls_util.Rng
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let boot_async ?(policy = Drain.Lazy) ?(batch = 1) () =
+let boot_async ?(batch = 1) () =
   let f = State.default_features () in
   f.State.async_drain <- true;
   let sys = System.boot ~features:f () in
-  let mgr = System.manager sys in
-  Manager.set_drain_policy mgr policy;
-  Manager.set_drain_batch mgr batch;
+  Manager.set_drain_batch (System.manager sys) batch;
   sys
 
 (* Build [n] DRAM-cached heap pages that are dirty right now, so the next
@@ -49,7 +49,7 @@ let make_hot_pages sys n =
   System.drain_settle sys;
   let al = st.State.active in
   for i = 0 to n - 1 do
-    match Checkpoint.resolve_region p.Kernel.vms (vpn0 + i) with
+    match Region_index.resolve (Region_index.build p.Kernel.vms) (vpn0 + i) with
     | Some (pmo, pno) ->
       for _ = 1 to (Active_list.config al).Active_list.hot_threshold do
         Active_list.record_fault al pmo pno
@@ -128,26 +128,70 @@ let mid_drain_crash () =
   System.drain_settle sys;
   check_int "audit clean after new work" 0 (Audit.errors (System.audit sys))
 
-let deadline_policy () =
-  let sys = boot_async ~policy:Drain.Deadline () in
+let whole_backlog_batch () =
+  let sys = boot_async ~batch:max_int () in
   ignore (make_hot_pages sys 6);
   let v0 = System.version sys in
   ignore (System.checkpoint sys);
   check_int "staged all" 6 (System.drain_backlog sys);
-  check_int "first tick drains the whole backlog" 6
+  check_int "first step drains the whole backlog" 6
     (Manager.drain_step (System.manager sys));
   check_int "committed" (v0 + 1) (System.version sys);
   check_int "audit clean" 0 (Audit.errors (System.audit sys))
 
-let eager_policy_fallback () =
-  let sys = boot_async ~policy:Drain.Eager () in
+let sync_stop_and_copy () =
+  let sys = System.boot () in
   ignore (make_hot_pages sys 3);
   let v0 = System.version sys in
   let r = System.checkpoint sys in
-  check_int "no backlog under the eager policy" 0 (System.drain_backlog sys);
+  check_int "no backlog with async_drain off" 0 (System.drain_backlog sys);
   check_int "committed at the STW" (v0 + 1) (System.version sys);
   check_int "pages stop-and-copied inside the pause" 3 r.Report.dram_dirty_copied;
   check_int "nothing drained" 0 r.Report.pages_drained
+
+(* ---- the commit contract, shared by the eager commit and the settle ---- *)
+
+(* One checkpoint of 5 dirty cached pages, committed inside the pause
+   (eager) or at the settle after lazy drain steps; either way the
+   callbacks run at the committed version, the published report is the
+   one the commit probes saw, and its logical dirty bytes count every
+   captured page exactly once. *)
+let commit_contract ~async () =
+  let sys = if async then boot_async ~batch:2 () else System.boot () in
+  let mgr = System.manager sys in
+  ignore (make_hot_pages sys 5);
+  let metrics = Probe.metrics (System.obs sys) in
+  let runs0 = Metrics.counter_value metrics "ckpt.runs" in
+  let seen = ref [] in
+  Manager.on_checkpoint mgr (fun () -> seen := System.version sys :: !seen);
+  let v0 = System.version sys in
+  let staged = System.checkpoint sys in
+  check_int "staged version" (v0 + 1) staged.Report.version;
+  check_int "commit probes only once committed"
+    (if async then runs0 else runs0 + 1)
+    (Metrics.counter_value metrics "ckpt.runs");
+  while Manager.drain_step mgr > 0 do
+    ()
+  done;
+  check_int "one version committed" (v0 + 1) (System.version sys);
+  let r = Option.get (Manager.last_report mgr) in
+  check_bool "callbacks ran once, at the committed version" true (!seen = [ r.Report.version ]);
+  check_int "ckpt.runs rose once" (runs0 + 1) (Metrics.counter_value metrics "ckpt.runs");
+  check_int "published version is the gauge's" r.Report.version
+    (Metrics.gauge_value metrics "ckpt.version");
+  check_int "published WAF is the gauge's"
+    (100 * r.Report.nvm_bytes_written / max 1 r.Report.logical_dirty_bytes)
+    (Metrics.gauge_value metrics "ckpt.nvm.waf");
+  check_int "STW side unchanged by the publish" staged.Report.stw_ns r.Report.stw_ns;
+  if not async then check_bool "eager: run returns the published report" true (staged = r);
+  let psz = (Kernel.cost (System.kernel sys)).Treesls_sim.Cost.page_size in
+  check_int "logical dirty bytes"
+    (psz * (r.Report.pages_protected + r.Report.dram_dirty_copied + r.Report.pages_drained))
+    r.Report.logical_dirty_bytes;
+  check_int "each dirty cached page captured once" 5
+    (r.Report.dram_dirty_copied + r.Report.pages_drained);
+  check_int "copied in the pause or drained, not both" 0
+    (min r.Report.dram_dirty_copied r.Report.pages_drained)
 
 (* ---- restore equivalence under randomized traces + drain interleaving ---- *)
 
@@ -259,10 +303,7 @@ let prop_async_restore_equivalence =
             ~active_cfg:{ Active_list.default_config with Active_list.hot_threshold = 1 }
             ()
         in
-        if async then begin
-          Manager.set_drain_policy (System.manager sys) Drain.Lazy;
-          Manager.set_drain_batch (System.manager sys) 1
-        end;
+        if async then Manager.set_drain_batch (System.manager sys) 1;
         apply sys ~drain_gap trace;
         ignore (System.crash_and_recover sys);
         sys
@@ -284,9 +325,14 @@ let () =
           Alcotest.test_case "lazy stage/step/settle" `Quick lazy_staging;
           Alcotest.test_case "cow fault resolves a backlogged page" `Quick cow_fault_resolution;
           Alcotest.test_case "mid-drain crash restores cleanly" `Quick mid_drain_crash;
-          Alcotest.test_case "deadline drains in one tick" `Quick deadline_policy;
-          Alcotest.test_case "eager policy falls back to stop-and-copy" `Quick
-            eager_policy_fallback;
+          Alcotest.test_case "max_int batch drains in one step" `Quick whole_backlog_batch;
+          Alcotest.test_case "async_drain off copies inside the pause" `Quick
+            sync_stop_and_copy;
+        ] );
+      ( "commit",
+        [
+          Alcotest.test_case "eager commit contract" `Quick (commit_contract ~async:false);
+          Alcotest.test_case "lazy-settle commit contract" `Quick (commit_contract ~async:true);
         ] );
       ("properties", qsuite);
     ]

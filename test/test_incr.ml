@@ -9,7 +9,7 @@ module Kernel = Treesls_kernel.Kernel
 module Ipc = Treesls_kernel.Ipc
 module Manager = Treesls_ckpt.Manager
 module State = Treesls_ckpt.State
-module Checkpoint = Treesls_ckpt.Checkpoint
+module Region_index = Treesls_ckpt.Region_index
 module Oroot = Treesls_ckpt.Oroot
 module Ckpt_page = Treesls_ckpt.Ckpt_page
 module Active_list = Treesls_ckpt.Active_list
@@ -39,7 +39,7 @@ let region pmo vpn pages =
 
 let check_resolve msg vms vpn expect =
   let got =
-    match Checkpoint.resolve_region vms vpn with
+    match Region_index.resolve (Region_index.build vms) vpn with
     | Some (p, pno) -> Some (p.Kobj.pmo_id, pno)
     | None -> None
   in
@@ -106,7 +106,7 @@ let resolve_against_linear_model =
       let ok = ref true in
       for vpn = 0 to 60 do
         let got =
-          match Checkpoint.resolve_region vms vpn with
+          match Region_index.resolve (Region_index.build vms) vpn with
           | Some (p, pno) -> Some (p.Kobj.pmo_id, pno)
           | None -> None
         in
@@ -125,7 +125,7 @@ let hybrid_undo_drops_entry () =
   Kernel.touch_write k p ~vpn;
   ignore (System.checkpoint sys);
   let pmo, pno =
-    match Checkpoint.resolve_region p.Kernel.vms vpn with
+    match Region_index.resolve (Region_index.build p.Kernel.vms) vpn with
     | Some r -> r
     | None -> Alcotest.fail "heap page not resolved"
   in
