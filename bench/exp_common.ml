@@ -256,48 +256,30 @@ let results : (string * (string * string) list * (string * float) list) list ref
 
 let emit_row ~config ~metrics = results := !results @ [ (!current_exp, config, metrics) ]
 
-let esc = Treesls_obs.Trace.json_escape
-
-let row_json b (config, metrics) =
-  Buffer.add_string b "{\"config\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (esc k) (esc v)))
-    config;
-  Buffer.add_string b "},\"metrics\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      (* %.17g round-trips every float; trim the common integral case *)
-      let s =
-        if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-        else Printf.sprintf "%.6g" v
-      in
-      Buffer.add_string b (Printf.sprintf "\"%s\":%s" (esc k) s))
-    metrics;
-  Buffer.add_string b "}}"
+module Json = Treesls_util.Json
 
 let experiments_json rows =
   let names =
     List.fold_left (fun acc (e, _, _) -> if List.mem e acc then acc else acc @ [ e ]) [] rows
   in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"experiments\":[";
-  List.iteri
-    (fun i name ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "{\"name\":\"%s\",\"rows\":[" (esc name));
-      let mine = List.filter (fun (e, _, _) -> e = name) rows in
-      List.iteri
-        (fun j (_, config, metrics) ->
-          if j > 0 then Buffer.add_char b ',';
-          row_json b (config, metrics))
-        mine;
-      Buffer.add_string b "]}")
-    names;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  (* trim the common integral case; %.6g otherwise *)
+  let num v =
+    Json.Num
+      (if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+       else Printf.sprintf "%.6g" v)
+  in
+  let row (_, config, metrics) =
+    Json.Obj
+      [
+        ("config", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) config));
+        ("metrics", Json.Obj (List.map (fun (k, v) -> (k, num v)) metrics));
+      ]
+  in
+  let experiment name =
+    let mine = List.filter (fun (e, _, _) -> e = name) rows in
+    Json.Obj [ ("name", Json.Str name); ("rows", Json.Arr (List.map row mine)) ]
+  in
+  Json.to_string (Json.Obj [ ("experiments", Json.Arr (List.map experiment names)) ])
 
 let write_file path contents =
   let oc = open_out path in

@@ -39,6 +39,7 @@ module Trace = Treesls_obs.Trace
 module Audit = Treesls_audit.Audit
 module Nvm_census = Treesls_audit.Nvm_census
 module Eidetic = Treesls_ckpt.Eidetic
+module Json = Treesls_util.Json
 open Cmdliner
 
 let workloads =
@@ -136,12 +137,16 @@ let drive sys ~workload ~ops ~crashes ~seed =
     if crashes > 0 && i mod crash_every = 0 && System.version sys > 0 then begin
       let r = System.crash_and_recover sys in
       refresh ();
-      Printf.printf "crash at op %d: rolled back to v%d (%d objects)\n%!" i
+      Printf.eprintf "crash at op %d: rolled back to v%d (%d objects)\n%!" i
         r.Treesls_ckpt.Restore.version r.Treesls_ckpt.Restore.restored_objects
     end
   done
 
 let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON instead of text")
+
+(* [--json] output: exactly one document on stdout (informational lines
+   such as crash notices and "wrote FILE" go to stderr) *)
+let print_json j = print_endline (Json.to_string j)
 
 (* Sum a run's reports into one aggregate for the `ckpt top` view and the
    folded flamegraph export. *)
@@ -256,7 +261,7 @@ let ckpt_cmd =
         let oc = open_out path in
         List.iter (fun l -> output_string oc (l ^ "\n")) (Report.folded_lines agg);
         close_out oc;
-        Printf.printf "\nwrote %s (collapsed stacks; render with flamegraph.pl)\n" path
+        Printf.eprintf "wrote %s (collapsed stacks; render with flamegraph.pl)\n" path
       | None -> ())
   in
   Cmd.v
@@ -310,7 +315,7 @@ let inspect_cmd =
     let sys = boot_configured interval in
     drive sys ~workload ~ops ~crashes ~seed;
     let c = System.nvm_census sys in
-    if json then print_endline (Nvm_census.to_json c) else Format.printf "%a@?" Nvm_census.pp c
+    if json then print_json (Nvm_census.to_json c) else Format.printf "%a@?" Nvm_census.pp c
   in
   Cmd.v
     (Cmd.info "inspect"
@@ -333,10 +338,7 @@ let doctor_cmd =
     drive sys ~workload ~ops ~crashes ~seed;
     let r = System.audit ~wear:Audit.default_wear_thresholds sys in
     let slo = System.slo sys in
-    if json then begin
-      print_endline (Audit.to_json r);
-      print_endline (Slo.to_json slo)
-    end
+    if json then print_json (Json.Obj [ ("audit", Audit.to_json r); ("slo", Slo.to_json slo) ])
     else begin
       Format.printf "%a@." Audit.pp r;
       Format.printf "%a@." Slo.pp slo
@@ -385,7 +387,7 @@ let tseries_cmd =
     System.ensure_tseries_backing sys;
     drive sys ~workload ~ops ~crashes ~seed;
     let ts = System.tseries sys in
-    if json then print_endline (Tseries.to_json ~last ts)
+    if json then print_json (Tseries.to_json ~last ts)
     else begin
       Printf.printf
         "black box: %d samples recorded, %d retained (capacity %d), %d columns (%d dropped)\n"
@@ -405,14 +407,14 @@ let tseries_cmd =
       let oc = open_out path in
       output_string oc (Tseries.to_csv ts);
       close_out oc;
-      Printf.printf "wrote %s (one line per retained sample)\n" path
+      Printf.eprintf "wrote %s (one line per retained sample)\n" path
     | None -> ());
     match perfetto with
     | Some path ->
       let oc = open_out path in
       output_string oc (Tseries.to_perfetto_json ts);
       close_out oc;
-      Printf.printf "wrote %s (open in https://ui.perfetto.dev; %d counter points)\n" path
+      Printf.eprintf "wrote %s (open in https://ui.perfetto.dev; %d counter points)\n" path
         (Tseries.counter_points ts)
     | None -> ()
   in
@@ -458,7 +460,7 @@ let slo_cmd =
       Slo.set_rules slo rules
     end;
     drive sys ~workload ~ops ~crashes ~seed;
-    if json then print_endline (Slo.to_json slo) else Format.printf "%a@." Slo.pp slo;
+    if json then print_json (Slo.to_json slo) else Format.printf "%a@." Slo.pp slo;
     if not (Slo.healthy slo) then exit 1
   in
   Cmd.v
@@ -492,7 +494,7 @@ let wear_cmd =
       let tbl = Nvm_census.page_owners (System.manager sys) in
       fun p -> Hashtbl.find_opt tbl p
     in
-    if json then print_endline (Wearmap.to_json ~owners ~top_n wm)
+    if json then print_json (Wearmap.to_json ~owners ~top_n wm)
     else begin
       Printf.printf "nvm writes: %d (%d bytes) across %d pages touched\n"
         (Wearmap.total_writes wm) (Wearmap.total_bytes wm) (Wearmap.pages_tracked wm);
@@ -521,7 +523,7 @@ let wear_cmd =
       let oc = open_out path in
       output_string oc (Wearmap.to_csv ~owners wm);
       close_out oc;
-      Printf.printf "wrote %s (page,writes,bytes,owner per touched page)\n" path
+      Printf.eprintf "wrote %s (page,writes,bytes,owner per touched page)\n" path
     | None -> ()
   in
   Cmd.v
@@ -562,7 +564,7 @@ let diff_cmd =
       let from_version = Option.value from_v ~default:prev in
       let to_version = Option.value to_v ~default:last in
       let d = Audit.diff (System.manager sys) eid ~from_version ~to_version in
-      if json then print_endline (Audit.diff_to_json d)
+      if json then print_json (Audit.diff_to_json d)
       else Format.printf "%a@." Audit.pp_diff d
     | _ ->
       prerr_endline "fewer than two checkpoints were archived; nothing to diff";
@@ -662,7 +664,7 @@ let trace_cmd =
     match export with
     | Some path ->
       System.export_trace_file sys ~path;
-      Printf.printf "wrote %s (open in https://ui.perfetto.dev or chrome://tracing)\n" path
+      Printf.eprintf "wrote %s (open in https://ui.perfetto.dev or chrome://tracing)\n" path
     | None -> ()
   in
   Cmd.v
@@ -681,7 +683,7 @@ let metrics_cmd =
     let sys = boot_configured interval in
     drive sys ~workload ~ops ~crashes ~seed;
     let snap = System.metrics_snapshot sys in
-    if json then print_endline (Treesls_obs.Metrics.snapshot_to_json snap)
+    if json then print_json (Treesls_obs.Metrics.snapshot_to_json snap)
     else Format.printf "%a@." Treesls_obs.Metrics.pp_snapshot snap
   in
   Cmd.v
@@ -722,11 +724,11 @@ let rto_cmd =
       exit 1
     | Some r ->
       (match action with `Last -> ());
-      if json then print_endline (Rto.to_json r) else Format.printf "%a" Rto.pp r;
+      if json then print_json (Rto.to_json r) else Format.printf "%a" Rto.pp r;
       (match flight with
       | Some path ->
         ignore (System.export_flight_file sys ~path);
-        Printf.printf "wrote %s (open in https://ui.perfetto.dev or chrome://tracing)\n" path
+        Printf.eprintf "wrote %s (open in https://ui.perfetto.dev or chrome://tracing)\n" path
       | None -> ())
   in
   Cmd.v
@@ -809,46 +811,48 @@ let crashtest_cmd =
       if not json then prerr_newline ();
       let n_results = List.length sweep.C.results in
       if json then begin
-        let failures =
-          sweep.C.failed
-          |> List.map (fun (r : C.result) ->
-                 Printf.sprintf "{\"repro\":%S,\"outcome\":%S}"
-                   (C.reproducer cfg r.C.point)
-                   (C.outcome_to_string r.C.outcome))
-          |> String.concat ","
+        let schedule (r : C.result) =
+          [
+            ("repro", Json.Str (C.reproducer cfg r.C.point));
+            ("outcome", Json.Str (C.outcome_to_string r.C.outcome));
+          ]
         in
-        let per_schedule =
-          sweep.C.results
-          |> List.map (fun (r : C.result) ->
-                 let base =
-                   Printf.sprintf "{\"repro\":%S,\"outcome\":%S"
-                     (C.reproducer cfg r.C.point)
-                     (C.outcome_to_string r.C.outcome)
-                 in
-                 match r.C.recovery with
-                 | None -> base ^ "}"
-                 | Some rc ->
-                   let phases =
-                     rc.Rto.r_phases
-                     |> List.map (fun (name, ns) -> Printf.sprintf "%S:%d" name ns)
-                     |> String.concat ","
-                   in
-                   Printf.sprintf
-                     "%s,\"recovery_ns\":%d,\"downtime_ns\":%d,\"untracked_ns\":%d,\"phases\":{%s}}"
-                     base rc.Rto.r_total_ns rc.Rto.r_downtime_ns rc.Rto.r_untracked_ns phases)
-          |> String.concat ","
+        let recovery (rc : Rto.record) =
+          [
+            ("recovery_ns", Json.int rc.Rto.r_total_ns);
+            ("downtime_ns", Json.int rc.Rto.r_downtime_ns);
+            ("untracked_ns", Json.int rc.Rto.r_untracked_ns);
+            ("phases", Json.Obj (List.map (fun (name, ns) -> (name, Json.int ns)) rc.Rto.r_phases));
+          ]
         in
-        let rto =
-          sweep.C.rto_stats
-          |> List.map (fun (name, h) ->
-                 Printf.sprintf "%S:{\"n\":%d,\"min_ns\":%d,\"mean_ns\":%.1f,\"p99_ns\":%d}" name
-                   (H.count h) (H.min_value h) (H.mean h) (H.percentile h 99.0))
-          |> String.concat ","
+        let timer (name, h) =
+          ( name,
+            Json.Obj
+              [
+                ("n", Json.int (H.count h));
+                ("min_ns", Json.int (H.min_value h));
+                ("mean_ns", Json.fixed 1 (H.mean h));
+                ("p99_ns", Json.int (H.percentile h 99.0));
+              ] )
         in
-        Printf.printf
-          "{\"commit_points\":%d,\"schedules\":%d,\"commit_schedules\":%d,\"passed\":%d,\"failed\":%d,\"failures\":[%s],\"per_schedule\":[%s],\"rto\":{%s}}\n"
-          sweep.C.commit_points n_results sweep.C.commit_schedules sweep.C.passed
-          (List.length sweep.C.failed) failures per_schedule rto
+        print_json
+          (Json.Obj
+             [
+               ("commit_points", Json.int sweep.C.commit_points);
+               ("schedules", Json.int n_results);
+               ("commit_schedules", Json.int sweep.C.commit_schedules);
+               ("passed", Json.int sweep.C.passed);
+               ("failed", Json.int (List.length sweep.C.failed));
+               ("failures", Json.Arr (List.map (fun r -> Json.Obj (schedule r)) sweep.C.failed));
+               ( "per_schedule",
+                 Json.Arr
+                   (List.map
+                      (fun (r : C.result) ->
+                        Json.Obj
+                          (schedule r @ Option.fold ~none:[] ~some:recovery r.C.recovery))
+                      sweep.C.results) );
+               ("rto", Json.Obj (List.map timer sweep.C.rto_stats));
+             ])
       end
       else begin
         Printf.printf "trace: seed=%d ops=%d -> %d journal commit points\n" cfg.C.seed cfg.C.ops
@@ -947,7 +951,7 @@ let serve_cmd =
       Serve.run srv;
       if seg < segments then begin
         let r = System.crash_and_recover sys in
-        Printf.printf "crash after segment %d: rolled back to v%d (%d objects restored)\n%!" seg
+        Printf.eprintf "crash after segment %d: rolled back to v%d (%d objects restored)\n%!" seg
           r.Treesls_ckpt.Restore.version r.Treesls_ckpt.Restore.restored_objects
       end
     done;
@@ -956,18 +960,30 @@ let serve_cmd =
     let total_attr_ns = List.fold_left (fun a (_, ns) -> a + ns) 0 attribution in
     let us v = float_of_int v /. 1e3 in
     if json then begin
-      let row_json (r : Serve.row) =
-        Printf.sprintf
-          "{\"tenant\":%S,\"sent\":%d,\"shed\":%d,\"delivered\":%d,\"keys\":%d,\"enq2vis_p50_ns\":%d,\"enq2vis_p99_ns\":%d,\"e2e_p99_ns\":%d,\"walk_ns\":%d,\"walk_objects\":%d}"
-          r.Serve.r_tenant r.Serve.r_sent r.Serve.r_shed r.Serve.r_delivered r.Serve.r_keys
-          r.Serve.r_enq2vis.Rtrace.s_p50_ns r.Serve.r_enq2vis.Rtrace.s_p99_ns
-          r.Serve.r_e2e.Rtrace.s_p99_ns r.Serve.r_group_ns r.Serve.r_group_objects
+      let row (r : Serve.row) =
+        Json.Obj
+          [
+            ("tenant", Json.Str r.Serve.r_tenant);
+            ("sent", Json.int r.Serve.r_sent);
+            ("shed", Json.int r.Serve.r_shed);
+            ("delivered", Json.int r.Serve.r_delivered);
+            ("keys", Json.int r.Serve.r_keys);
+            ("enq2vis_p50_ns", Json.int r.Serve.r_enq2vis.Rtrace.s_p50_ns);
+            ("enq2vis_p99_ns", Json.int r.Serve.r_enq2vis.Rtrace.s_p99_ns);
+            ("e2e_p99_ns", Json.int r.Serve.r_e2e.Rtrace.s_p99_ns);
+            ("walk_ns", Json.int r.Serve.r_group_ns);
+            ("walk_objects", Json.int r.Serve.r_group_objects);
+          ]
       in
-      Printf.printf
-        "{\"tenants\":[%s],\"commits\":%d,\"stw_mean_ns\":%.0f,\"captree_ns\":%d,\"attribution_exact\":%b}\n"
-        (String.concat "," (List.map row_json rows))
-        (List.length (Serve.reports srv))
-        (Serve.stw_mean_ns srv) (Serve.captree_total srv) (Serve.attribution_exact srv)
+      print_json
+        (Json.Obj
+           [
+             ("tenants", Json.Arr (List.map row rows));
+             ("commits", Json.int (List.length (Serve.reports srv)));
+             ("stw_mean_ns", Json.fixed 0 (Serve.stw_mean_ns srv));
+             ("captree_ns", Json.int (Serve.captree_total srv));
+             ("attribution_exact", Json.Bool (Serve.attribution_exact srv));
+           ])
     end
     else begin
       Printf.printf "%d tenants x %d ops (%dns gap, %dus interval, %s): %d commits\n\n" tenants

@@ -21,7 +21,6 @@ let record t lat_ns =
   t.ops <- t.ops + 1
 
 let ops t = t.ops
-let latencies t = t.lat
 
 let elapsed_s t = float_of_int (now t - t.measure_from) /. 1e9
 

@@ -16,7 +16,6 @@ val record : t -> int -> unit
 (** Record one completed operation with the given latency (ns). *)
 
 val ops : t -> int
-val latencies : t -> Treesls_util.Histogram.t
 val elapsed_s : t -> float
 val throughput_kops : t -> float
 val reset_measurement : t -> unit

@@ -219,7 +219,6 @@ let interval_ctl t = t.ctl
 let audit ?wear t = Treesls_audit.Audit.run ?wear t.mgr
 let nvm_census t = Treesls_audit.Nvm_census.collect t.mgr
 
-let disable_tracing t = Probe.set_tracing t.obs false
 let export_trace ?pid ?tid t = Trace.to_perfetto_json ?pid ?tid (Probe.trace t.obs)
 
 let export_trace_file ?pid ?tid t ~path =

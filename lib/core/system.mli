@@ -124,8 +124,6 @@ val enable_tracing : ?verbose:bool -> ?eternal_backing:bool -> t -> unit
     makes it crash-surviving — is visible in the capability tree and paid
     for in the cost model at enable time. *)
 
-val disable_tracing : t -> unit
-
 val wearmap : t -> Treesls_obs.Wearmap.t
 (** NVM write/wear telemetry collected by this system's probe — always on
     while the probe is installed; counters are monotone across

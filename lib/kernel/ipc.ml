@@ -81,5 +81,3 @@ let wait k n th =
     Kobj.touch (Kobj.Notification n);
     false
   end
-
-let clear_handlers k = Hashtbl.reset (Kernel.ipc_handlers k)

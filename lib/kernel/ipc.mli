@@ -32,6 +32,3 @@ val notify : Kernel.t -> Kobj.notification -> unit
 val wait : Kernel.t -> Kobj.notification -> Kobj.thread -> bool
 (** [wait k n th] consumes a pending signal (returns [true]) or blocks the
     thread on the notification (returns [false]). *)
-
-val clear_handlers : Kernel.t -> unit
-(** Simulates the loss of all volatile handler closures (crash). *)

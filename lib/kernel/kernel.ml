@@ -340,6 +340,9 @@ let ensure_mapped t proc ~vpn ~for_write =
       t.stats.alloc_faults <- t.stats.alloc_faults + 1;
       Probe.count "kernel.faults.alloc" 1;
       let paddr = Store.alloc_page t.store in
+      (* a recycled frame still holds its previous owner's bytes (freed by
+         a restore or by GC after an exit); fresh pages must read zero *)
+      Treesls_obs.Wearmap.with_default_writer "app" (fun () -> Store.zero_page t.store paddr);
       Radix.set region.Kobj.vr_pmo.Kobj.pmo_radix pno paddr;
       (* the fresh page needs a CP record at the next walk; the PMO must
          not be skipped before its pending-fresh list is drained *)

@@ -130,11 +130,6 @@ let iter_live t f =
     if tag > 0 then f ~offset:p ~order:(tag - 1)
   done
 
-let live_pages t =
-  let n = ref 0 in
-  iter_live t (fun ~offset:_ ~order -> n := !n + (1 lsl order));
-  !n
-
 let check_invariants t =
   (* Recompute the expected tree from the allocation-order array. A page is
      free iff it is not covered by any live allocation. *)

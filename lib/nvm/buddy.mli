@@ -47,10 +47,6 @@ val iter_live : t -> (offset:int -> order:int -> unit) -> unit
     the state auditor to reconcile allocator accounting with reachable
     objects). *)
 
-val live_pages : t -> int
-(** Pages covered by live allocations ([total_pages - free_pages] when the
-    free counter is consistent). *)
-
 val check_invariants : t -> unit
 (** Recompute the tree bottom-up and compare with stored state; verify the
     free-page count. Raises [Failure] on divergence (test helper). *)

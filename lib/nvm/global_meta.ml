@@ -22,4 +22,3 @@ let commit_checkpoint t =
 let abort_in_flight t =
   t.status <- Idle;
   wear_word ()
-let checkpoints_taken t = t.version

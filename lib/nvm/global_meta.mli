@@ -29,6 +29,3 @@ val commit_checkpoint : t -> unit
 
 val abort_in_flight : t -> unit
 (** Used by recovery: clear a stale in-flight mark after a crash. *)
-
-val checkpoints_taken : t -> int
-(** Same as [version]: checkpoints committed since boot. *)

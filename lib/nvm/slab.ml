@@ -135,10 +135,6 @@ let page_of t handle =
   if pw = 0 then invalid_arg "Slab.page_of: dead handle";
   pw - 1
 
-let byte_offset_of t handle =
-  check_handle t handle;
-  handle.obj * class_sizes.(handle.cls)
-
 let live t = Warea.read t.area t.live_word
 
 let slab_pages t =

@@ -38,9 +38,6 @@ val free : t -> handle -> unit
 val page_of : t -> handle -> int
 (** NVM page offset holding the object. *)
 
-val byte_offset_of : t -> handle -> int
-(** Byte offset of the object within its page. *)
-
 val live : t -> int
 (** Number of live objects across all classes. *)
 

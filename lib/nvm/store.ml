@@ -113,6 +113,7 @@ let device t (addr : Paddr.t) =
   | Paddr.Ssd -> t.ssd
 
 let page_bytes t addr = Device.page (device t addr) addr.Paddr.idx
+let zero_page t addr = Device.zero_page (device t addr) addr.Paddr.idx
 
 let copy_page t ~src ~dst =
   let ns =
@@ -230,7 +231,6 @@ let digest bytes =
   !h
 
 let set_checksums t on = t.checksums <- on
-let checksums_enabled t = t.checksums
 
 let seal_page t addr =
   if t.checksums then begin
@@ -256,8 +256,6 @@ let nvm_pages_touched t = Device.touched t.nvm
 let dram_pages_touched t = Device.touched t.dram
 let dram_pages_free t = t.dram_free_count
 let live_objects t = Slab.live t.slab
-let journal_commits t = Warea.commits t.warea
 let journal_in_flight t = Warea.in_flight t.warea
 let allocator_meta_words t = Warea.size t.warea
 let sealed_pages t = Hashtbl.length t.seals
-let ssd_slots_total t = Device.pages t.ssd

@@ -56,6 +56,10 @@ val page_bytes : t -> Paddr.t -> Bytes.t
 (** Raw backing store of a page (no cost charged; callers charge access
     costs at the right granularity). *)
 
+val zero_page : t -> Paddr.t -> unit
+(** Clear a page, charging no time (like {!alloc_dram_page}'s clearing);
+    a never-written frame is already zero and records no write. *)
+
 val copy_page : t -> src:Paddr.t -> dst:Paddr.t -> unit
 (** Copy page content, charging the device-appropriate memcpy cost. *)
 
@@ -105,8 +109,6 @@ val set_checksums : t -> bool -> unit
     base system). When on, backup pages are checksummed as they are
     written and verified before restore uses them. *)
 
-val checksums_enabled : t -> bool
-
 val seal_page : t -> Paddr.t -> unit
 (** Record a checksum of the page's current content (no-op when
     reliability mode is off). Checkpoint code seals every backup page
@@ -140,7 +142,6 @@ val dram_pages_touched : t -> int
 
 val dram_pages_free : t -> int
 val live_objects : t -> int
-val journal_commits : t -> int
 
 val journal_in_flight : t -> bool
 (** Whether an un-truncated word-area journal record exists. Outside a
@@ -152,5 +153,3 @@ val allocator_meta_words : t -> int
 
 val sealed_pages : t -> int
 (** Number of pages currently carrying a backup checksum. *)
-
-val ssd_slots_total : t -> int

@@ -16,6 +16,7 @@ module Slab = Treesls_nvm.Slab
 module Global_meta = Treesls_nvm.Global_meta
 module Probe = Treesls_obs.Probe
 module Wearmap = Treesls_obs.Wearmap
+module Json = Treesls_util.Json
 
 type severity = Info | Warning | Error
 type subsystem = Meta | Journal | Captree | Pages | Allocator | Eternal | Wear
@@ -397,38 +398,29 @@ let pp ppf r =
     Format.fprintf ppf "%d error(s), %d warning(s)" (errors r) (warnings r);
   List.iter (fun v -> Format.fprintf ppf "@\n  %a" pp_violation v) r.violations
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let violation_to_json v =
-  let opt name = function
-    | Some i -> Printf.sprintf ",\"%s\":%d" name i
-    | None -> ""
-  in
-  Printf.sprintf {|{"severity":"%s","subsystem":"%s"%s%s%s,"message":"%s"}|}
-    (severity_name v.severity) (subsystem_name v.subsystem)
-    (opt "obj_id" v.obj_id) (opt "pno" v.pno)
-    (match v.paddr with
-    | Some p -> Printf.sprintf ",\"paddr\":\"%s\"" (Paddr.to_string p)
-    | None -> "")
-    (json_escape v.message)
+  let opt name f = function Some x -> [ (name, f x) ] | None -> [] in
+  Json.Obj
+    ([
+       ("severity", Json.Str (severity_name v.severity));
+       ("subsystem", Json.Str (subsystem_name v.subsystem));
+     ]
+    @ opt "obj_id" Json.int v.obj_id
+    @ opt "pno" Json.int v.pno
+    @ opt "paddr" (fun p -> Json.Str (Paddr.to_string p)) v.paddr
+    @ [ ("message", Json.Str v.message) ])
 
 let to_json r =
-  Printf.sprintf
-    {|{"version":%d,"objects_checked":%d,"pages_checked":%d,"errors":%d,"warnings":%d,"violations":[%s],"census":%s}|}
-    r.version r.objects_checked r.pages_checked (errors r) (warnings r)
-    (String.concat "," (List.map violation_to_json r.violations))
-    (Nvm_census.to_json r.census)
+  Json.Obj
+    [
+      ("version", Json.int r.version);
+      ("objects_checked", Json.int r.objects_checked);
+      ("pages_checked", Json.int r.pages_checked);
+      ("errors", Json.int (errors r));
+      ("warnings", Json.int (warnings r));
+      ("violations", Json.Arr (List.map violation_to_json r.violations));
+      ("census", Nvm_census.to_json r.census);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Cross-version diff explorer                                         *)
@@ -529,14 +521,21 @@ let pp_diff ppf d =
 
 let diff_to_json d =
   let obj (oid, kind, change) =
-    Printf.sprintf {|{"obj_id":%d,"kind":"%s","change":"%s"}|} oid
-      (json_escape (Kobj.kind_name kind))
-      (change_name change)
+    Json.Obj
+      [
+        ("obj_id", Json.int oid);
+        ("kind", Json.Str (Kobj.kind_name kind));
+        ("change", Json.Str (change_name change));
+      ]
   in
   let page (pmo_id, pno, cls) =
-    Printf.sprintf {|{"pmo_id":%d,"pno":%d,"class":"%s"}|} pmo_id pno (class_name cls)
+    Json.Obj
+      [ ("pmo_id", Json.int pmo_id); ("pno", Json.int pno); ("class", Json.Str (class_name cls)) ]
   in
-  Printf.sprintf {|{"from_version":%d,"to_version":%d,"objects":[%s],"pages":[%s]}|}
-    d.from_version d.to_version
-    (String.concat "," (List.map obj d.objects))
-    (String.concat "," (List.map page d.pages))
+  Json.Obj
+    [
+      ("from_version", Json.int d.from_version);
+      ("to_version", Json.int d.to_version);
+      ("objects", Json.Arr (List.map obj d.objects));
+      ("pages", Json.Arr (List.map page d.pages));
+    ]

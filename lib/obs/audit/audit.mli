@@ -91,7 +91,7 @@ val severity_name : severity -> string
 val subsystem_name : subsystem -> string
 val pp_violation : Format.formatter -> violation -> unit
 val pp : Format.formatter -> report -> unit
-val to_json : report -> string
+val to_json : report -> Treesls_util.Json.t
 
 (** {1 Cross-version diff explorer} *)
 
@@ -123,4 +123,4 @@ val diff : Manager.t -> Eidetic.t -> from_version:int -> to_version:int -> diff
 val change_name : object_change -> string
 val class_name : page_class -> string
 val pp_diff : Format.formatter -> diff -> unit
-val diff_to_json : diff -> string
+val diff_to_json : diff -> Treesls_util.Json.t

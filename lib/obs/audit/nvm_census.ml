@@ -186,28 +186,35 @@ let rows t =
     ("unaccounted pages", unaccounted_pages t, unaccounted_pages t * t.page_size);
   ]
 
-let pp_rows ~signed ppf t =
-  let c n = if signed then Printf.sprintf "%+d" n else string_of_int n in
-  List.iter
-    (fun (label, count, bytes) ->
-      Format.fprintf ppf "  %-28s %10s %14s B@\n" label (c count) (c bytes))
-    (rows t);
-  Format.fprintf ppf "  %-28s %10s %14s@\n" "slab objects" (c t.slab_objects) "-";
-  Format.fprintf ppf "  %-28s %10s %14s@\n" "sealed backup pages" (c t.sealed_pages) "-"
-
 let pp ppf t =
   Format.fprintf ppf "NVM census @@v%d: %d pages x %d B (%d free, %d accounted)@\n"
     t.version t.total_pages t.page_size t.free_pages (accounted_pages t);
-  pp_rows ~signed:false ppf t
-
-let pp_delta ppf t =
-  Format.fprintf ppf "NVM census delta @@v%d (signed, vs baseline):@\n" t.version;
-  pp_rows ~signed:true ppf t
+  List.iter
+    (fun (label, count, bytes) -> Format.fprintf ppf "  %-28s %10d %14d B@\n" label count bytes)
+    (rows t);
+  Format.fprintf ppf "  %-28s %10d %14s@\n" "slab objects" t.slab_objects "-";
+  Format.fprintf ppf "  %-28s %10d %14s@\n" "sealed backup pages" t.sealed_pages "-"
 
 let to_json t =
-  Printf.sprintf
-    {|{"version":%d,"page_size":%d,"total_pages":%d,"free_pages":%d,"runtime_pages":%d,"eternal_pages":%d,"backup_cp_frames":%d,"backup_cpp_frames":%d,"slab_pages":%d,"slab_objects":%d,"cp_records":%d,"snapshot_slots":%d,"snapshot_bytes":%d,"sealed_pages":%d,"allocator_meta_bytes":%d,"accounted_pages":%d,"unaccounted_pages":%d}|}
-    t.version t.page_size t.total_pages t.free_pages t.runtime_pages t.eternal_pages
-    t.backup_cp_frames t.backup_cpp_frames t.slab_pages t.slab_objects t.cp_records
-    t.snapshot_slots t.snapshot_bytes t.sealed_pages t.allocator_meta_bytes
-    (accounted_pages t) (unaccounted_pages t)
+  Treesls_util.Json.Obj
+    (List.map
+       (fun (k, v) -> (k, Treesls_util.Json.int v))
+       [
+         ("version", t.version);
+         ("page_size", t.page_size);
+         ("total_pages", t.total_pages);
+         ("free_pages", t.free_pages);
+         ("runtime_pages", t.runtime_pages);
+         ("eternal_pages", t.eternal_pages);
+         ("backup_cp_frames", t.backup_cp_frames);
+         ("backup_cpp_frames", t.backup_cpp_frames);
+         ("slab_pages", t.slab_pages);
+         ("slab_objects", t.slab_objects);
+         ("cp_records", t.cp_records);
+         ("snapshot_slots", t.snapshot_slots);
+         ("snapshot_bytes", t.snapshot_bytes);
+         ("sealed_pages", t.sealed_pages);
+         ("allocator_meta_bytes", t.allocator_meta_bytes);
+         ("accounted_pages", accounted_pages t);
+         ("unaccounted_pages", unaccounted_pages t);
+       ])

@@ -58,11 +58,8 @@ val diff : t -> t -> t
     taken from [cur]). *)
 
 val rows : t -> (string * int * int) list
-(** [(label, count, bytes)] table rows, fixed order; feeds text and JSON
-    rendering. *)
+(** [(label, count, bytes)] table rows, fixed order; feeds {!pp}. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_delta : Format.formatter -> t -> unit
-(** Like {!pp} but with explicitly signed counts — for printing a {!diff}. *)
 
-val to_json : t -> string
+val to_json : t -> Treesls_util.Json.t

@@ -1,4 +1,5 @@
 module Histogram = Treesls_util.Histogram
+module Json = Treesls_util.Json
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
@@ -102,19 +103,21 @@ let pp_snapshot ppf s =
   end
 
 let snapshot_to_json s =
-  let b = Buffer.create 1024 in
-  let esc = Trace.json_escape in
-  let kv_ints l =
-    String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (esc k) v) l)
+  let ints l = Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) l) in
+  let timer tm =
+    Json.Obj
+      [
+        ("count", Json.int tm.tm_count);
+        ("total_ns", Json.int tm.tm_total_ns);
+        ("mean_ns", Json.fixed 1 tm.tm_mean_ns);
+        ("p50_ns", Json.int tm.tm_p50_ns);
+        ("p99_ns", Json.int tm.tm_p99_ns);
+        ("max_ns", Json.int tm.tm_max_ns);
+      ]
   in
-  Buffer.add_string b (Printf.sprintf "{\"counters\":{%s},\"gauges\":{%s},\"timers\":{" (kv_ints s.counters) (kv_ints s.gauges));
-  List.iteri
-    (fun i (k, tm) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "\"%s\":{\"count\":%d,\"total_ns\":%d,\"mean_ns\":%.1f,\"p50_ns\":%d,\"p99_ns\":%d,\"max_ns\":%d}"
-           (esc k) tm.tm_count tm.tm_total_ns tm.tm_mean_ns tm.tm_p50_ns tm.tm_p99_ns tm.tm_max_ns))
-    s.timers;
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  Json.Obj
+    [
+      ("counters", ints s.counters);
+      ("gauges", ints s.gauges);
+      ("timers", Json.Obj (List.map (fun (k, tm) -> (k, timer tm)) s.timers));
+    ]

@@ -48,4 +48,4 @@ type snapshot = {
 val snapshot : t -> snapshot
 val reset : t -> unit
 val pp_snapshot : Format.formatter -> snapshot -> unit
-val snapshot_to_json : snapshot -> string
+val snapshot_to_json : snapshot -> Treesls_util.Json.t

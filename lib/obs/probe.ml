@@ -75,8 +75,6 @@ let tseries t = t.tseries
 let slo t = t.slo
 let set_sample_hook t f = t.sample_hook <- Some f
 
-let tracing_enabled () = match !current with Some t -> t.tracing | None -> false
-
 (* --- trace emitters --------------------------------------------------- *)
 
 let enter ?args name =

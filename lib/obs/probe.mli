@@ -73,8 +73,6 @@ val tseries_backing_pmo : t -> int option
 (** Id of the eternal PMO reserved as the tseries ring's NVM backing (set
     by [System.ensure_tseries_backing]); [None] until reserved. *)
 
-val tracing_enabled : unit -> bool
-
 (** {2 Trace emitters} — no-ops (returning 0 where applicable) unless a
     probe is installed with tracing on. *)
 

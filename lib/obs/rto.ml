@@ -21,6 +21,8 @@
    profiler reads the clock other code advances and never charges time
    itself, so profiling cannot perturb the restore being measured. *)
 
+module Json = Treesls_util.Json
+
 type phase_span = { ps_name : string; ps_t0 : int; ps_t1 : int }
 
 type record = {
@@ -69,7 +71,6 @@ type t = {
 let create () = { cur = None; last = None; restores = 0; crash_ns = -1; awaiting_req = false }
 let last t = t.last
 let count t = t.restores
-let in_restore t = t.cur <> None
 
 let note_crash t ~now =
   t.crash_ns <- now;
@@ -197,27 +198,27 @@ let note_first_request t ~now =
 
 (* --- export ----------------------------------------------------------- *)
 
-let esc = Trace.json_escape
-
-let kv_ns_obj l =
-  String.concat "," (List.map (fun (k, ns) -> Printf.sprintf "\"%s\":%d" (esc k) ns) l)
-
 let to_json r =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"restore_index\":%d,\"version\":%d,\"crash_ns\":%d,\"begin_ns\":%d,\"end_ns\":%d,\"total_ns\":%d,\"downtime_ns\":%d,\"untracked_ns\":%d,\"ttfr_ns\":%d"
-       r.r_index r.r_version r.r_crash_ns r.r_begin_ns r.r_end_ns r.r_total_ns r.r_downtime_ns
-       r.r_untracked_ns r.r_ttfr_ns);
-  Buffer.add_string b
-    (Printf.sprintf
-       ",\"restored_objects\":%d,\"dropped_objects\":%d,\"pages_restored\":%d,\"pages_dropped\":%d"
-       r.r_restored_objects r.r_dropped_objects r.r_pages_restored r.r_pages_dropped);
-  Buffer.add_string b (Printf.sprintf ",\"phases\":{%s}" (kv_ns_obj r.r_phases));
-  Buffer.add_string b (Printf.sprintf ",\"per_kind_ns\":{%s}" (kv_ns_obj r.r_per_kind_ns));
-  Buffer.add_string b
-    (Printf.sprintf ",\"pre_crash_events\":%d}" (List.length r.r_pre_crash));
-  Buffer.contents b
+  let ns_obj l = Json.Obj (List.map (fun (k, ns) -> (k, Json.int ns)) l) in
+  Json.Obj
+    [
+      ("restore_index", Json.int r.r_index);
+      ("version", Json.int r.r_version);
+      ("crash_ns", Json.int r.r_crash_ns);
+      ("begin_ns", Json.int r.r_begin_ns);
+      ("end_ns", Json.int r.r_end_ns);
+      ("total_ns", Json.int r.r_total_ns);
+      ("downtime_ns", Json.int r.r_downtime_ns);
+      ("untracked_ns", Json.int r.r_untracked_ns);
+      ("ttfr_ns", Json.int r.r_ttfr_ns);
+      ("restored_objects", Json.int r.r_restored_objects);
+      ("dropped_objects", Json.int r.r_dropped_objects);
+      ("pages_restored", Json.int r.r_pages_restored);
+      ("pages_dropped", Json.int r.r_pages_dropped);
+      ("phases", ns_obj r.r_phases);
+      ("per_kind_ns", ns_obj r.r_per_kind_ns);
+      ("pre_crash_events", Json.int (List.length r.r_pre_crash));
+    ]
 
 let us ns = float_of_int ns /. 1e3
 
@@ -253,61 +254,24 @@ let pp ppf r =
    on one named track, the crash instant and the recovery-phase spans on
    another, in a single Perfetto file. *)
 let flight_to_perfetto_json ?(pid = 1) r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  Trace.meta_process_name b ~pid "treesls";
-  Buffer.add_char b ',';
-  Trace.meta_thread_name b ~pid ~tid:1 "pre-crash";
-  Buffer.add_char b ',';
-  Trace.meta_thread_name b ~pid ~tid:2 "recovery";
-  List.iter
-    (fun e ->
-      Buffer.add_char b ',';
-      Trace.event_json ~pid ~tid:1 b e)
-    r.r_pre_crash;
+  let recovery_event ~name ~cat ~ph ~ts_ns ~dur_ns ~id ~parent args =
+    Trace.event_json ~pid ~tid:2
+      { Trace.seq = 0; name; cat; ph; ts_ns; dur_ns; id; parent; args }
+  in
   let crash_ts = if r.r_crash_ns >= 0 then r.r_crash_ns else r.r_begin_ns in
-  Buffer.add_char b ',';
-  Trace.event_json ~pid ~tid:2 b
-    {
-      Trace.seq = 0;
-      name = "crash";
-      cat = "crash";
-      ph = Trace.Instant;
-      ts_ns = crash_ts;
-      dur_ns = 0;
-      id = 0;
-      parent = 0;
-      args = [ ("marker", "flight") ];
-    };
-  Buffer.add_char b ',';
-  Trace.event_json ~pid ~tid:2 b
-    {
-      Trace.seq = 0;
-      name = "recovery";
-      cat = "rto";
-      ph = Trace.Complete;
-      ts_ns = r.r_begin_ns;
-      dur_ns = r.r_total_ns;
-      id = 1;
-      parent = 0;
-      args =
-        [ ("version", string_of_int r.r_version); ("restore", string_of_int r.r_index) ];
-    };
-  List.iter
-    (fun s ->
-      Buffer.add_char b ',';
-      Trace.event_json ~pid ~tid:2 b
-        {
-          Trace.seq = 0;
-          name = "rto." ^ s.ps_name;
-          cat = "rto";
-          ph = Trace.Complete;
-          ts_ns = s.ps_t0;
-          dur_ns = s.ps_t1 - s.ps_t0;
-          id = 0;
-          parent = 1;
-          args = [];
-        })
-    r.r_spans;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Trace.perfetto_file ~pid
+    ~tracks:[ (1, "pre-crash"); (2, "recovery") ]
+    (List.map (Trace.event_json ~pid ~tid:1) r.r_pre_crash
+    @ [
+        recovery_event ~name:"crash" ~cat:"crash" ~ph:Trace.Instant ~ts_ns:crash_ts ~dur_ns:0 ~id:0
+          ~parent:0
+          [ ("marker", "flight") ];
+        recovery_event ~name:"recovery" ~cat:"rto" ~ph:Trace.Complete ~ts_ns:r.r_begin_ns
+          ~dur_ns:r.r_total_ns ~id:1 ~parent:0
+          [ ("version", string_of_int r.r_version); ("restore", string_of_int r.r_index) ];
+      ]
+    @ List.map
+        (fun s ->
+          recovery_event ~name:("rto." ^ s.ps_name) ~cat:"rto" ~ph:Trace.Complete ~ts_ns:s.ps_t0
+            ~dur_ns:(s.ps_t1 - s.ps_t0) ~id:0 ~parent:1 [])
+        r.r_spans)

@@ -54,8 +54,6 @@ val last : t -> record option
 val count : t -> int
 (** Successful recoveries sealed so far. *)
 
-val in_restore : t -> bool
-
 (** {2 Lifecycle} — driven by [Probe]'s [rto_*] wrappers. *)
 
 val note_crash : t -> now:int -> unit
@@ -100,7 +98,7 @@ val note_first_request : t -> now:int -> int option
 (** {2 Export} *)
 
 val pp : Format.formatter -> record -> unit
-val to_json : record -> string
+val to_json : record -> Treesls_util.Json.t
 
 val flight_to_perfetto_json : ?pid:int -> record -> string
 (** One Perfetto timeline: the captured pre-crash events on a track named

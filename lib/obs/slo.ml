@@ -8,6 +8,8 @@
    [slo.alerts] metric, and the retained alert log feeds the
    doctor-visible health report. *)
 
+module Json = Treesls_util.Json
+
 type func = P50 | P99 | Value | Rate | Delta | Ewma | Max | Mean
 type cmp = Lt | Le | Gt | Ge | Eq
 
@@ -305,25 +307,25 @@ let pp ppf t =
     (rule_report t)
 
 let to_json t =
-  let esc = Trace.json_escape in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"healthy\":%b,\"checks\":%d,\"alerts_total\":%d,\"rules\":[" (healthy t)
-       t.checks t.alerts_total);
-  List.iteri
-    (fun i (text, evals, fires, _) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"rule\":\"%s\",\"evals\":%d,\"fires\":%d}" (esc text) evals fires))
-    (rule_report t);
-  Buffer.add_string b "],\"alerts\":[";
-  List.iteri
-    (fun i al ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"seq\":%d,\"version\":%d,\"ts_ns\":%d,\"rule\":\"%s\",\"value\":%.3f,\"bound\":%.3f}"
-           al.al_seq al.al_version al.al_ts_ns (esc al.al_rule) al.al_value al.al_bound))
-    (alerts t);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let rule (text, evals, fires, _) =
+    Json.Obj [ ("rule", Json.Str text); ("evals", Json.int evals); ("fires", Json.int fires) ]
+  in
+  let alert al =
+    Json.Obj
+      [
+        ("seq", Json.int al.al_seq);
+        ("version", Json.int al.al_version);
+        ("ts_ns", Json.int al.al_ts_ns);
+        ("rule", Json.Str al.al_rule);
+        ("value", Json.fixed 3 al.al_value);
+        ("bound", Json.fixed 3 al.al_bound);
+      ]
+  in
+  Json.Obj
+    [
+      ("healthy", Json.Bool (healthy t));
+      ("checks", Json.int t.checks);
+      ("alerts_total", Json.int t.alerts_total);
+      ("rules", Json.Arr (List.map rule (rule_report t)));
+      ("alerts", Json.Arr (List.map alert (alerts t)));
+    ]

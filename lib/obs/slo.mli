@@ -69,4 +69,4 @@ val rule_report : t -> (string * int * int * alert option) list
 (** Per rule: (text, evaluations, fires, last alert). *)
 
 val pp : Format.formatter -> t -> unit
-val to_json : t -> string
+val to_json : t -> Treesls_util.Json.t

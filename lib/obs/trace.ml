@@ -106,107 +106,78 @@ let clear t =
   t.stack <- []
 
 (* ------------------------------------------------------------------ *)
-(* Chrome/Perfetto trace_event JSON export.  No JSON library is baked
-   into the container, so the (flat, simple) format is emitted by hand. *)
+(* Chrome/Perfetto trace_event JSON export. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Treesls_util.Json
 
 (* trace_event timestamps are in microseconds; keep ns precision with a
    fractional part *)
-let us ns = Printf.sprintf "%.3f" (float_of_int ns /. 1e3)
+let us ns = Json.fixed 3 (float_of_int ns /. 1e3)
 
-let event_json ~pid ~tid b e =
-  Buffer.add_string b
-    (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%s,\"pid\":%d,\"tid\":%d"
-       (json_escape e.name) (json_escape e.cat)
-       (match e.ph with
-       | Complete -> "X"
-       | Instant -> "i"
-       | Flow_start -> "s"
-       | Flow_end -> "f"
-       | Counter -> "C")
-       (us e.ts_ns) pid tid);
-  (match e.ph with
-  | Complete -> Buffer.add_string b (Printf.sprintf ",\"dur\":%s" (us e.dur_ns))
-  | Instant -> Buffer.add_string b ",\"s\":\"t\""
-  | Flow_start -> Buffer.add_string b (Printf.sprintf ",\"id\":%d" e.id)
-  (* "bp":"e" binds the arrow to the enclosing slice rather than the
-     next slice on the track — required to land on ckpt.stw itself *)
-  | Flow_end -> Buffer.add_string b (Printf.sprintf ",\"id\":%d,\"bp\":\"e\"" e.id)
-  | Counter -> ());
-  Buffer.add_string b ",\"args\":{";
-  (match e.ph with
-  | Counter ->
+let event_json ~pid ~tid e =
+  let ph, extra =
+    match e.ph with
+    | Complete -> ("X", [ ("dur", us e.dur_ns) ])
+    | Instant -> ("i", [ ("s", Json.Str "t") ])
+    | Flow_start -> ("s", [ ("id", Json.int e.id) ])
+    (* "bp":"e" binds the arrow to the enclosing slice rather than the
+       next slice on the track — required to land on ckpt.stw itself *)
+    | Flow_end -> ("f", [ ("id", Json.int e.id); ("bp", Json.Str "e") ])
+    | Counter -> ("C", [])
+  in
+  let args =
+    match e.ph with
     (* counter args must be raw numbers for the viewer to build tracks *)
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":%s" (json_escape k) v))
-      e.args
-  | Complete | Instant | Flow_start | Flow_end ->
-    let is_flow = match e.ph with Flow_start | Flow_end -> true | _ -> false in
-    let args =
+    | Counter -> List.map (fun (k, v) -> (k, Json.Num v)) e.args
+    | Complete | Instant | Flow_start | Flow_end ->
+      let is_flow = match e.ph with Flow_start | Flow_end -> true | _ -> false in
       [ ("seq", string_of_int e.seq) ]
       @ (if e.id <> 0 && not is_flow then [ ("span", string_of_int e.id) ] else [])
       @ (if e.parent <> 0 then [ ("parent", string_of_int e.parent) ] else [])
       @ e.args
-    in
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-      args);
-  Buffer.add_string b "}}"
+      |> List.map (fun (k, v) -> (k, Json.Str v))
+  in
+  Json.Obj
+    ([
+       ("name", Json.Str e.name);
+       ("cat", Json.Str e.cat);
+       ("ph", Json.Str ph);
+       ("ts", us e.ts_ns);
+       ("pid", Json.int pid);
+       ("tid", Json.int tid);
+     ]
+    @ extra
+    @ [ ("args", Json.Obj args) ])
 
-(* Perfetto metadata ("M") events name the process/thread tracks in the
-   viewer; without them every track shows a bare pid/tid number. *)
-let meta_process_name b ~pid name =
-  Buffer.add_string b
-    (Printf.sprintf "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"%s\"}}"
-       pid (json_escape name))
+(* The file frame every Perfetto export shares: "ph":"M" metadata events
+   name the process and each thread track (without them every track
+   shows a bare pid/tid number), then the events. *)
+let perfetto_file ~pid ~tracks events =
+  let meta name ids value =
+    Json.Obj
+      ((("name", Json.Str name) :: ("ph", Json.Str "M") :: ids)
+      @ [ ("args", Json.Obj [ ("name", Json.Str value) ]) ])
+  in
+  let pid_f = ("pid", Json.int pid) in
+  let tracks =
+    List.map (fun (tid, name) -> meta "thread_name" [ pid_f; ("tid", Json.int tid) ] name) tracks
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("displayTimeUnit", Json.Str "ns");
+         ("traceEvents", Json.Arr ((meta "process_name" [ pid_f ] "treesls" :: tracks) @ events));
+       ])
 
-let meta_thread_name b ~pid ~tid name =
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-       pid tid (json_escape name))
-
-let to_perfetto_json ?(pid = 1) ?(tid = 1) ?(proc_name = "treesls") ?(track_name = "kernel")
-    ?(req_track_name = "requests") t =
+let to_perfetto_json ?(pid = 1) ?(tid = 1) t =
   let evs = events t in
   (* request-causality events get their own named track so the rtrace
      timeline is separable from the checkpoint pipeline in the UI *)
   let has_req = List.exists (fun e -> e.cat = "req") evs in
   let req_tid = tid + 1 in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  meta_process_name b ~pid proc_name;
-  Buffer.add_char b ',';
-  meta_thread_name b ~pid ~tid track_name;
-  if has_req then begin
-    Buffer.add_char b ',';
-    meta_thread_name b ~pid ~tid:req_tid req_track_name
-  end;
-  List.iter
-    (fun e ->
-      Buffer.add_char b ',';
-      event_json ~pid ~tid:(if e.cat = "req" then req_tid else tid) b e)
-    evs;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  perfetto_file ~pid
+    ~tracks:((tid, "kernel") :: (if has_req then [ (req_tid, "requests") ] else []))
+    (List.map (fun e -> event_json ~pid ~tid:(if e.cat = "req" then req_tid else tid) e) evs)
 
 let pp_event ppf e =
   let args =

@@ -78,36 +78,24 @@ val capacity : t -> int
 val open_spans : t -> int
 val clear : t -> unit
 
-val to_perfetto_json :
-  ?pid:int ->
-  ?tid:int ->
-  ?proc_name:string ->
-  ?track_name:string ->
-  ?req_track_name:string ->
-  t ->
-  string
-(** Chrome/Perfetto [trace_event] JSON ([{"traceEvents":[...]}]): spans as
-    ["ph":"X"] complete events, instants as ["ph":"i"], flows as
-    ["ph":"s"]/["ph":"f"]; [ts]/[dur] in microseconds with nanosecond
-    precision.  The stream is prefixed with ["ph":"M"] metadata events
-    naming the process ([proc_name], default ["treesls"]) and the main
-    track ([track_name], default ["kernel"]); request-causality events
-    (category ["req"]) are routed to their own track [tid+1] named
-    [req_track_name] (default ["requests"]) when present.  Load in
-    Perfetto UI or [chrome://tracing]. *)
+val to_perfetto_json : ?pid:int -> ?tid:int -> t -> string
+(** Chrome/Perfetto [trace_event] JSON (the {!perfetto_file} frame):
+    spans as ["ph":"X"] complete events, instants as ["ph":"i"], flows as
+    ["ph":"s"]/["ph":"f"], counters as ["ph":"C"]; [ts]/[dur] in
+    microseconds with nanosecond precision.  Events go on track [tid]
+    (default 1) named ["kernel"]; request-causality events (category
+    ["req"]) get their own track [tid+1] named ["requests"] when present.
+    Load in Perfetto UI or [chrome://tracing]. *)
 
-val event_json : pid:int -> tid:int -> Buffer.t -> event -> unit
-(** Append one event's trace_event JSON object (no surrounding comma) —
-    the building block {!to_perfetto_json} uses, exported so the RTO
-    flight recorder can re-emit captured pre-crash events onto its own
-    track. *)
+val event_json : pid:int -> tid:int -> event -> Treesls_util.Json.t
+(** One event's trace_event object — exported so the RTO flight recorder
+    and the black box can put events on their own tracks. *)
 
-val meta_process_name : Buffer.t -> pid:int -> string -> unit
-val meta_thread_name : Buffer.t -> pid:int -> tid:int -> string -> unit
-(** Append a Perfetto ["ph":"M"] [process_name]/[thread_name] metadata
-    event (no surrounding comma). *)
+val perfetto_file : pid:int -> tracks:(int * string) list -> Treesls_util.Json.t list -> string
+(** The one Perfetto file frame every trace export writes: a trace_event
+    object displayed in ns whose event array opens with ["ph":"M"]
+    metadata events naming process [pid] ["treesls"] and each
+    [(tid, name)] track, followed by the given events. *)
 
 val pp_event : Format.formatter -> event -> unit
 
-val json_escape : string -> string
-(** JSON string-body escaping, shared with {!Metrics}'s JSON dump. *)

@@ -15,6 +15,8 @@
    increasing — a torn, duplicated, or reordered sample is impossible to
    miss. *)
 
+module Json = Treesls_util.Json
+
 type sample = {
   sp_seq : int;  (* monotone across crashes; never reset *)
   sp_version : int;  (* committed checkpoint version *)
@@ -172,8 +174,7 @@ let max_over t name ~n =
   | v :: vs -> Some (List.fold_left max v vs)
 
 (* ------------------------------------------------------------------ *)
-(* Exports.  No JSON library in the container; emitted by hand like the
-   trace ring's. *)
+(* Exports. *)
 
 let to_csv t =
   let b = Buffer.create 4096 in
@@ -194,35 +195,27 @@ let to_csv t =
 
 let to_json ?last t =
   let ss = match last with None -> samples t | Some n -> window t ~n in
-  let esc = Trace.json_escape in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"columns\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\"" (esc c)))
-    (columns t);
-  Buffer.add_string b
-    (Printf.sprintf "],\"capacity\":%d,\"total\":%d,\"dropped\":%d,\"samples\":[" t.cap t.total
-       (dropped t));
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"seq\":%d,\"version\":%d,\"ts_ns\":%d,\"values\":{" s.sp_seq s.sp_version
-           s.sp_ts_ns);
-      let first = ref true in
-      for id = 0 to min (t.n_cols - 1) (Array.length s.sp_values - 1) do
-        if s.sp_values.(id) <> absent then begin
-          if not !first then Buffer.add_char b ',';
-          first := false;
-          Buffer.add_string b (Printf.sprintf "\"%s\":%d" (esc t.col_names.(id)) s.sp_values.(id))
-        end
-      done;
-      Buffer.add_string b "}}")
-    ss;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let cols = columns t in
+  let sample s =
+    let values =
+      List.filter_map (fun c -> Option.map (fun v -> (c, Json.int v)) (value t s c)) cols
+    in
+    Json.Obj
+      [
+        ("seq", Json.int s.sp_seq);
+        ("version", Json.int s.sp_version);
+        ("ts_ns", Json.int s.sp_ts_ns);
+        ("values", Json.Obj values);
+      ]
+  in
+  Json.Obj
+    [
+      ("columns", Json.Arr (List.map (fun c -> Json.Str c) cols));
+      ("capacity", Json.int t.cap);
+      ("total", Json.int t.total);
+      ("dropped", Json.int (dropped t));
+      ("samples", Json.Arr (List.map sample ss));
+    ]
 
 (* Perfetto counter-track export: exactly one [ph:"C"] event per retained
    sample (the acceptance gate counts them against [total]), carrying the
@@ -230,34 +223,24 @@ let to_json ?last t =
    a dedicated "tseries" track. *)
 let to_perfetto_json ?(pid = 1) ?(tid = 9) ?cols t =
   let cols = match cols with Some c -> c | None -> columns t in
-  let esc = Trace.json_escape in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  Buffer.add_string b
-    (Printf.sprintf "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"treesls\"}}" pid);
-  Buffer.add_string b
-    (Printf.sprintf
-       ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"tseries\"}}"
-       pid tid);
-  List.iter
-    (fun s ->
-      Buffer.add_string b
-        (Printf.sprintf ",{\"name\":\"tseries\",\"cat\":\"tseries\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{"
-           (float_of_int s.sp_ts_ns /. 1e3) pid tid);
-      let first = ref true in
-      List.iter
-        (fun c ->
-          match value t s c with
-          | None -> ()
-          | Some v ->
-            if not !first then Buffer.add_char b ',';
-            first := false;
-            Buffer.add_string b (Printf.sprintf "\"%s\":%d" (esc c) v))
-        cols;
-      Buffer.add_string b "}}")
-    (samples t);
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let counter s =
+    let args =
+      List.filter_map (fun c -> Option.map (fun v -> (c, string_of_int v)) (value t s c)) cols
+    in
+    Trace.event_json ~pid ~tid
+      {
+        Trace.seq = s.sp_seq;
+        name = "tseries";
+        cat = "tseries";
+        ph = Trace.Counter;
+        ts_ns = s.sp_ts_ns;
+        dur_ns = 0;
+        id = 0;
+        parent = 0;
+        args;
+      }
+  in
+  Trace.perfetto_file ~pid ~tracks:[ (tid, "tseries") ] (List.map counter (samples t))
 
 let counter_points t = length t
 

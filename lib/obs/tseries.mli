@@ -90,7 +90,7 @@ val max_over : t -> string -> n:int -> int option
 val to_csv : t -> string
 (** Header [seq,version,ts_ns,<columns...>]; absent cells are empty. *)
 
-val to_json : ?last:int -> t -> string
+val to_json : ?last:int -> t -> Treesls_util.Json.t
 
 val to_perfetto_json : ?pid:int -> ?tid:int -> ?cols:string list -> t -> string
 (** Standalone Perfetto counter-track export: exactly one [ph:"C"] event

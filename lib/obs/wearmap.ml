@@ -21,6 +21,8 @@
    counters survive crash/restore because nothing ever rolls them back —
    totals are monotone across a system's lifetime. *)
 
+module Json = Treesls_util.Json
+
 type page_stat = { mutable p_writes : int; mutable p_bytes : int }
 type sub_stat = { mutable s_writes : int; mutable s_bytes : int }
 
@@ -195,40 +197,27 @@ let to_csv ?owners t =
   Buffer.contents b
 
 let to_json ?owners ?(top_n = 20) t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"total_writes\": %d,\n" t.total_writes);
-  Buffer.add_string b (Printf.sprintf "  \"total_bytes\": %d,\n" t.total_bytes);
-  Buffer.add_string b (Printf.sprintf "  \"copy_pages\": %d,\n" t.copy_pages);
-  Buffer.add_string b (Printf.sprintf "  \"copy_ns\": %d,\n" t.copy_ns);
-  Buffer.add_string b (Printf.sprintf "  \"pages_tracked\": %d,\n" (pages_tracked t));
-  Buffer.add_string b (Printf.sprintf "  \"max_writes\": %d,\n" (max_writes t));
-  Buffer.add_string b (Printf.sprintf "  \"gini\": %.4f,\n" (gini t));
-  Buffer.add_string b (Printf.sprintf "  \"skew\": %.2f,\n" (skew t));
-  Buffer.add_string b "  \"subsystems\": {";
-  List.iteri
-    (fun i (name, w, bytes) ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b
-        (Printf.sprintf "\n    \"%s\": { \"writes\": %d, \"bytes\": %d }"
-           (Trace.json_escape name) w bytes))
-    (subsystems t);
-  Buffer.add_string b "\n  },\n";
-  Buffer.add_string b "  \"top\": [";
-  List.iteri
-    (fun i (page, w, bytes) ->
-      if i > 0 then Buffer.add_string b ",";
-      let owner =
-        match owners with
-        | None -> None
-        | Some f -> f page
-      in
-      Buffer.add_string b
-        (Printf.sprintf "\n    { \"page\": %d, \"writes\": %d, \"bytes\": %d%s }" page w
-           bytes
-           (match owner with
-           | None -> ""
-           | Some o -> Printf.sprintf ", \"owner\": \"%s\"" (Trace.json_escape o))))
-    (top t ~n:top_n);
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let owner page = match owners with None -> None | Some f -> f page in
+  let page_json (page, w, bytes) =
+    Json.Obj
+      ([ ("page", Json.int page); ("writes", Json.int w); ("bytes", Json.int bytes) ]
+      @ match owner page with None -> [] | Some o -> [ ("owner", Json.Str o) ])
+  in
+  Json.Obj
+    [
+      ("total_writes", Json.int t.total_writes);
+      ("total_bytes", Json.int t.total_bytes);
+      ("copy_pages", Json.int t.copy_pages);
+      ("copy_ns", Json.int t.copy_ns);
+      ("pages_tracked", Json.int (pages_tracked t));
+      ("max_writes", Json.int (max_writes t));
+      ("gini", Json.fixed 4 (gini t));
+      ("skew", Json.fixed 2 (skew t));
+      ( "subsystems",
+        Json.Obj
+          (List.map
+             (fun (name, w, bytes) ->
+               (name, Json.Obj [ ("writes", Json.int w); ("bytes", Json.int bytes) ]))
+             (subsystems t)) );
+      ("top", Json.Arr (List.map page_json (top t ~n:top_n)));
+    ]

@@ -87,6 +87,6 @@ val gini : t -> float
 val to_csv : ?owners:(int -> string option) -> t -> string
 (** Full heatmap, one line per touched page, sorted by page index. *)
 
-val to_json : ?owners:(int -> string option) -> ?top_n:int -> t -> string
+val to_json : ?owners:(int -> string option) -> ?top_n:int -> t -> Treesls_util.Json.t
 (** Totals, per-subsystem breakdown, skew statistics and top-[top_n]
     hottest pages as a JSON object. *)

@@ -64,7 +64,6 @@ let create sys ~idx ~seed cfg =
 
 let name t = t.name
 let index t = t.idx
-let ring_name t = ring_name_of t.name
 let origin_prefix t = t.name ^ "/"
 let app t = t.app
 let net t = t.net

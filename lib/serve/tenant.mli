@@ -41,7 +41,6 @@ val refresh : t -> unit
 
 val name : t -> string
 val index : t -> int
-val ring_name : t -> string
 
 val origin_prefix : t -> string
 (** ["t<i>/"], for rtrace queries. *)

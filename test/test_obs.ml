@@ -1,7 +1,7 @@
 (* Observability tests: the trace ring (wraparound, nesting, crash
-   survival), the Perfetto exporter (validated with a hand-rolled JSON
-   parser — the container bakes in no JSON library), the metrics registry,
-   and the two properties the subsystem promises the rest of the repo:
+   survival), the Perfetto exporter (read back with [Json.parse]), the
+   metrics registry, and the two properties the subsystem promises the
+   rest of the repo:
    events reconcile exactly with the checkpoint Report, and tracing that is
    off records nothing and costs no simulated time. *)
 
@@ -14,6 +14,7 @@ module Report = Treesls_ckpt.Report
 module Kernel = Treesls_kernel.Kernel
 module Net_server = Treesls_extsync.Net_server
 module Kv_app = Treesls_apps.Kv_app
+module Json = Treesls_util.Json
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -75,135 +76,13 @@ let abort_marks_open_spans () =
       check_bool "flagged aborted" true (List.assoc_opt "aborted" e.Trace.args = Some "true"))
     (Trace.events tr)
 
-(* ---- minimal JSON parser, to validate the hand-rolled exporter ---- *)
+(* ---- accessors over Json.parse'd exports ---- *)
 
-type json =
-  | JNull
-  | JBool of bool
-  | JNum of float
-  | JStr of string
-  | JArr of json list
-  | JObj of (string * json) list
+let obj_field f j =
+  match Json.member f j with Some v -> v | None -> Alcotest.failf "missing field %s" f
 
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = Alcotest.failf "JSON parse error at %d: %s" !pos msg in
-  let peek () = if !pos < n then s.[!pos] else fail "unexpected end of input" in
-  let next () =
-    let c = peek () in
-    incr pos;
-    c
-  in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c = if next () <> c then fail (Printf.sprintf "expected '%c'" c) in
-  let lit word v =
-    String.iter expect word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents b
-      | '\\' ->
-        (match next () with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'n' -> Buffer.add_char b '\n'
-        | 'r' -> Buffer.add_char b '\r'
-        | 't' -> Buffer.add_char b '\t'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'u' ->
-          let hex = String.init 4 (fun _ -> next ()) in
-          Buffer.add_char b (Char.chr (int_of_string ("0x" ^ hex) land 0xff))
-        | c -> fail (Printf.sprintf "bad escape '%c'" c));
-        go ()
-      | c when Char.code c < 0x20 -> fail "unescaped control character"
-      | c ->
-        Buffer.add_char b c;
-        go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      && (match s.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false)
-    do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> JNum f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      expect '{';
-      skip_ws ();
-      if peek () = '}' then (
-        ignore (next ());
-        JObj [])
-      else
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match next () with
-          | ',' -> members ((k, v) :: acc)
-          | '}' -> JObj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        members []
-    | '[' ->
-      expect '[';
-      skip_ws ();
-      if peek () = ']' then (
-        ignore (next ());
-        JArr [])
-      else
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          match next () with
-          | ',' -> elems (v :: acc)
-          | ']' -> JArr (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        elems []
-    | '"' -> JStr (parse_string ())
-    | 't' -> lit "true" (JBool true)
-    | 'f' -> lit "false" (JBool false)
-    | 'n' -> lit "null" JNull
-    | _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let obj_field f = function
-  | JObj fields -> (
-    match List.assoc_opt f fields with
-    | Some v -> v
-    | None -> Alcotest.failf "missing field %s" f)
-  | _ -> Alcotest.failf "expected object around %s" f
-
-let str = function JStr s -> s | _ -> Alcotest.fail "expected string"
-let num = function JNum f -> f | _ -> Alcotest.fail "expected number"
+let str = function Json.Str s -> s | _ -> Alcotest.fail "expected string"
+let num j = match Json.to_float j with Some f -> f | None -> Alcotest.fail "expected number"
 
 let perfetto_json_wellformed () =
   let tr = Trace.create () in
@@ -211,8 +90,8 @@ let perfetto_json_wellformed () =
   Trace.instant tr ~now:1_500 "mark\\back";
   Trace.end_span tr ~now:2_000 a;
   Trace.complete tr "ckpt.hybrid_copy" ~ts_ns:1_100 ~dur_ns:700;
-  let j = parse_json (Trace.to_perfetto_json ~pid:7 ~tid:3 tr) in
-  let all = match obj_field "traceEvents" j with JArr l -> l | _ -> Alcotest.fail "array" in
+  let j = Json.parse (Trace.to_perfetto_json ~pid:7 ~tid:3 tr) in
+  let all = match obj_field "traceEvents" j with Json.Arr l -> l | _ -> Alcotest.fail "array" in
   (* the stream opens with metadata ("M") events naming the tracks *)
   let meta, evs = List.partition (fun e -> str (obj_field "ph" e) = "M") all in
   check_int "two metadata events (no req track here)" 2 (List.length meta);
@@ -260,8 +139,8 @@ let perfetto_flow_events () =
   Trace.flow_start tr ~flow_id:42 "req.flow" ~ts_ns:500;
   Trace.flow_end tr ~flow_id:42 "req.flow" ~ts_ns:1_500;
   Trace.end_span tr ~now:2_000 a;
-  let j = parse_json (Trace.to_perfetto_json ~pid:1 ~tid:1 tr) in
-  let evs = match obj_field "traceEvents" j with JArr l -> l | _ -> Alcotest.fail "array" in
+  let j = Json.parse (Trace.to_perfetto_json ~pid:1 ~tid:1 tr) in
+  let evs = match obj_field "traceEvents" j with Json.Arr l -> l | _ -> Alcotest.fail "array" in
   let by_ph p =
     List.filter (fun e -> str (obj_field "ph" e) = p) evs
   in
@@ -285,8 +164,8 @@ let perfetto_counter_escaping () =
      (the exporter passes non-ASCII bytes through unescaped) *)
   Trace.counter tr ~now:2_000 "bla\"ck\\bo\xc3\xa9x"
     ~values:[ ("a\"b", 7); ("c\\d", -3); ("\xc3\xa9", 12) ];
-  let j = parse_json (Trace.to_perfetto_json ~pid:1 ~tid:1 tr) in
-  let evs = match obj_field "traceEvents" j with JArr l -> l | _ -> Alcotest.fail "array" in
+  let j = Json.parse (Trace.to_perfetto_json ~pid:1 ~tid:1 tr) in
+  let evs = match obj_field "traceEvents" j with Json.Arr l -> l | _ -> Alcotest.fail "array" in
   match List.filter (fun e -> str (obj_field "ph" e) = "C") evs with
   | [ c ] ->
     check_bool "track name round-trips" true
@@ -404,8 +283,8 @@ let rtrace_flows_end_to_end () =
       end)
     (Rtrace.completed rt);
   (* the export carries req spans and flow arrows into the stw slice *)
-  let j = parse_json (Trace.to_perfetto_json ~pid:1 ~tid:1 (System.trace sys)) in
-  let evs = match obj_field "traceEvents" j with JArr l -> l | _ -> Alcotest.fail "array" in
+  let j = Json.parse (Trace.to_perfetto_json ~pid:1 ~tid:1 (System.trace sys)) in
+  let evs = match obj_field "traceEvents" j with Json.Arr l -> l | _ -> Alcotest.fail "array" in
   let flows p = List.filter (fun e ->
     str (obj_field "name" e) = "req.flow" && str (obj_field "ph" e) = p) evs
   in
@@ -456,8 +335,8 @@ let metrics_snapshot_reset () =
   check_int "counter_value" 5 (Metrics.counter_value m "c");
   check_int "untouched name reads 0" 0 (Metrics.counter_value m "nope");
   (* JSON dump parses and carries the sections *)
-  (match parse_json (Metrics.snapshot_to_json s) with
-  | JObj f ->
+  (match Json.parse (Json.to_string (Metrics.snapshot_to_json s)) with
+  | Json.Obj f ->
     check_bool "json sections" true
       (List.mem_assoc "counters" f && List.mem_assoc "gauges" f && List.mem_assoc "timers" f)
   | _ -> Alcotest.fail "metrics json not an object");
@@ -638,8 +517,8 @@ let rto_flight_roundtrip () =
   let flight =
     match System.export_flight sys with Some f -> f | None -> Alcotest.fail "no flight export"
   in
-  let j = parse_json flight in
-  let all = match obj_field "traceEvents" j with JArr l -> l | _ -> Alcotest.fail "array" in
+  let j = Json.parse flight in
+  let all = match obj_field "traceEvents" j with Json.Arr l -> l | _ -> Alcotest.fail "array" in
   let meta, evs = List.partition (fun e -> str (obj_field "ph" e) = "M") all in
   let thread_named tid name =
     List.exists
@@ -659,7 +538,7 @@ let rto_flight_roundtrip () =
          str (obj_field "ph" e) = "i"
          && str (obj_field "name" e) = "crash"
          && (match obj_field "args" e with
-            | JObj fields -> List.assoc_opt "marker" fields = Some (JStr "flight")
+            | Json.Obj fields -> List.assoc_opt "marker" fields = Some (Json.Str "flight")
             | _ -> false))
        evs
    with

@@ -102,6 +102,49 @@ let exit_committed () =
   let k = System.kernel sys in
   check_bool "stays gone" true (Kernel.find_process k ~name:"really-gone" = None)
 
+(* ---- fresh pages read zero, whoever owned the frame before ---- *)
+
+let page_size k = (Kernel.cost k).Treesls_sim.Cost.page_size
+
+let fill_heap k proc ~pages c =
+  let vpn = Kernel.grow_heap k proc ~pages in
+  for i = 0 to pages - 1 do
+    Kernel.write_bytes k proc ~vaddr:((vpn + i) * page_size k) (Bytes.make (page_size k) c)
+  done
+
+(* pages of a new [pages]-page heap region that do not read all zero *)
+let stale_fresh_pages k proc ~pages =
+  let vpn = Kernel.grow_heap k proc ~pages in
+  List.init pages (fun i ->
+      Kernel.read_bytes k proc ~vaddr:((vpn + i) * page_size k) ~len:(page_size k))
+  |> List.filter (Bytes.exists (fun c -> c <> '\000'))
+  |> List.length
+
+(* frames written after the last commit are freed by the restore *)
+let fresh_pages_zero_after_crash () =
+  let sys = System.boot () in
+  let k = System.kernel sys in
+  let a = Kernel.create_process k ~name:"a" ~threads:1 ~prio:5 in
+  ignore (System.checkpoint sys);
+  fill_heap k a ~pages:8 'X';
+  ignore (System.crash_and_recover sys);
+  let k = System.kernel sys in
+  let b = Kernel.create_process k ~name:"b" ~threads:1 ~prio:5 in
+  check_int "fresh pages read zero" 0 (stale_fresh_pages k b ~pages:8)
+
+(* an exited process's frames are freed by the checkpoints after its exit *)
+let fresh_pages_zero_after_exit () =
+  let sys = System.boot () in
+  let k = System.kernel sys in
+  let a = Kernel.create_process k ~name:"a" ~threads:1 ~prio:5 in
+  fill_heap k a ~pages:32 'X';
+  ignore (System.checkpoint sys);
+  Kernel.exit_process k a;
+  ignore (System.checkpoint sys);
+  ignore (System.checkpoint sys);
+  let b = Kernel.create_process k ~name:"b" ~threads:1 ~prio:5 in
+  check_int "fresh pages read zero" 0 (stale_fresh_pages k b ~pages:32)
+
 (* ---- crash injected inside an allocator operation ---- *)
 
 let crash_in_allocator phase () =
@@ -294,6 +337,11 @@ let () =
           Alcotest.test_case "exit committed stays" `Quick exit_committed;
           Alcotest.test_case "shared PMO copy-on-write" `Quick shared_pmo_cow;
           Alcotest.test_case "ping-pong across crash" `Quick ping_pong;
+        ] );
+      ( "fresh-pages",
+        [
+          Alcotest.test_case "zero after a crash" `Quick fresh_pages_zero_after_crash;
+          Alcotest.test_case "zero after an exit" `Quick fresh_pages_zero_after_exit;
         ] );
       ( "torn-journal",
         [

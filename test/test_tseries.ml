@@ -11,6 +11,7 @@ module Probe = Treesls_obs.Probe
 module Interval_ctl = Treesls_ckpt.Interval_ctl
 module System = Treesls.System
 module Kv_app = Treesls_apps.Kv_app
+module Json = Treesls_util.Json
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -101,8 +102,9 @@ let perfetto_counter_points () =
      points reconcile with the ring, never double-counting per column *)
   check_int "one ph:C event per sample" 3 (count_substring j "\"ph\":\"C\"");
   check_int "no per-column duplication" 3 (count_substring j "\"cat\":\"tseries\"");
-  let json = Tseries.to_json ts in
-  check_int "json carries the same samples" 3 (count_substring json "\"seq\":")
+  let samples = Json.member "samples" (Tseries.to_json ts) in
+  check_int "json carries the same samples" 3
+    (match samples with Some (Json.Arr l) -> List.length l | _ -> -1)
 
 (* ---- Slo: rule grammar and evaluation ---- *)
 

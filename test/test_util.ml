@@ -6,6 +6,7 @@ module Stats = Treesls_util.Stats
 module Histogram = Treesls_util.Histogram
 module Bits = Treesls_util.Bits
 module Table = Treesls_util.Table
+module Json = Treesls_util.Json
 
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
@@ -377,6 +378,57 @@ let table_formats () =
   check_string "ratio" "2.20x" (Table.fmt_ratio 2.2);
   check_string "pct" "46%" (Table.fmt_pct 0.46)
 
+(* ---- Json ---- *)
+
+let json_parse_decodes () =
+  let v =
+    Json.parse
+      (" {\"a\" : [0, -2.5e+3, true, false, null], "
+      ^ "\"s\": \"q\\\"b\\\\s\\/ \\n\\t\\r\\b\\f\\u0001\\u00e9\\ud83d\\ude00\"}\n")
+  in
+  check_bool "every escape form decodes; a surrogate pair is one UTF-8 code point" true
+    (v
+    = Json.Obj
+        [
+          ( "a",
+            Json.Arr
+              [ Json.Num "0"; Json.Num "-2.5e+3"; Json.Bool true; Json.Bool false; Json.Null ] );
+          ("s", Json.Str "q\"b\\s/ \n\t\r\b\012\001\xc3\xa9\xf0\x9f\x98\x80");
+        ]);
+  check_bool "member" true (Json.member "s" v <> None);
+  check_bool "member absent" true (Json.member "zz" v = None);
+  check_bool "member of a non-object" true (Json.member "a" (Json.Arr []) = None);
+  check_float "to_float" (-2500.0) (Option.get (Json.to_float (Json.Num "-2.5e+3")));
+  check_bool "to_float of a string" true (Json.to_float (Json.Str "1") = None)
+
+(* BENCH files and CLI output are read back from outside the process *)
+let json_rejects_malformed () =
+  List.iter
+    (fun (what, text) ->
+      match Json.parse text with
+      | _ -> Alcotest.failf "%s: %S parsed" what text
+      | exception Json.Parse_error _ -> ())
+    [
+      ("trailing garbage", "{} x");
+      ("two documents", "{}\n{}");
+      ("unterminated string", "\"abc");
+      ("unterminated object", "{\"a\":1");
+      ("trailing comma", "[1,]");
+      ("bad escape", "\"a\\qb\"");
+      ("truncated \\u escape", "\"\\u12\"");
+      ("non-hex \\u escape", "\"\\u12g4\"");
+      ("lone surrogate", "\"\\ud83d\"");
+      ("raw control byte", "\"a\nb\"");
+      ("leading zero", "01");
+      ("bare minus", "-");
+      ("plus sign", "+1");
+      ("no fraction digits", "1.");
+      ("no exponent digits", "1e+");
+      ("leading dot", ".5");
+      ("nan", "nan");
+      ("empty input", "");
+    ]
+
 (* ---- qcheck properties ---- *)
 
 let prop_stats_percentile_bounds =
@@ -423,8 +475,48 @@ let prop_bits_next_pow2 =
       let p = Bits.next_power_of_two v in
       Bits.is_power_of_two p && p >= v && (p = 1 || p / 2 < v))
 
+(* strings mix raw bytes (non-ASCII, control) with every escaped byte;
+   numbers come from the producers' own constructors *)
+let json_arb =
+  let open QCheck.Gen in
+  let byte = oneof [ char; oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\000' ] ] in
+  let str = string_size ~gen:byte (0 -- 8) in
+  let num = oneof [ map Json.int int; map2 Json.fixed (0 -- 6) (float_range (-1e9) 1e9) ] in
+  let gen =
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 num;
+                 map (fun s -> Json.Str s) str;
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n / 4))));
+                 (1, map (fun l -> Json.Obj l) (list_size (0 -- 4) (pair str (self (n / 4)))));
+               ])
+  in
+  QCheck.make ~print:Json.to_string gen
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json: parse (to_string v) = v" ~count:500 json_arb (fun v ->
+      Json.parse (Json.to_string v) = v)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
-  [ prop_stats_percentile_bounds; prop_hist_percentile_monotone; prop_rng_int_uniformish; prop_bits_next_pow2 ]
+  [
+    prop_stats_percentile_bounds;
+    prop_hist_percentile_monotone;
+    prop_rng_int_uniformish;
+    prop_bits_next_pow2;
+    prop_json_roundtrip;
+  ]
 
 let () =
   Alcotest.run "util"
@@ -489,6 +581,11 @@ let () =
         [
           Alcotest.test_case "render alignment" `Quick table_render;
           Alcotest.test_case "formatters" `Quick table_formats;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "parse decodes every escape" `Quick json_parse_decodes;
+          Alcotest.test_case "parse rejects malformed input" `Quick json_rejects_malformed;
         ] );
       ("properties", qsuite);
     ]

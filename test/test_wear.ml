@@ -19,6 +19,7 @@ module System = Treesls.System
 module Kernel = Treesls_kernel.Kernel
 module Report = Treesls_ckpt.Report
 module Audit = Treesls_audit.Audit
+module Json = Treesls_util.Json
 module Kv_app = Treesls_apps.Kv_app
 
 let check_int = Alcotest.(check int)
@@ -162,22 +163,24 @@ let export_round_trip () =
   let owners p = if p = 2 then Some "runtime/kv/pmo7" else None in
   check_string "csv heatmap" "page,writes,bytes,owner\n2,2,150,runtime/kv/pmo7\n9,1,25,\n"
     (Wearmap.to_csv ~owners wm);
-  let json = Wearmap.to_json ~owners wm in
-  let contains needle =
-    let nl = String.length needle and hl = String.length json in
-    let rec go i = i + nl <= hl && (String.sub json i nl = needle || go (i + 1)) in
-    go 0
-  in
+  let json = Json.parse (Json.to_string (Wearmap.to_json ~owners wm)) in
+  let field path = List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some json) path in
+  let totals w b = Some (Json.Obj [ ("writes", Json.int w); ("bytes", Json.int b) ]) in
   List.iter
-    (fun s -> check_bool (Printf.sprintf "json has %s" s) true (contains s))
+    (fun (path, v) ->
+      check_bool ("json has " ^ String.concat "." path) true (field path = v))
     [
-      "\"total_bytes\": 239";
-      "\"total_writes\": 4";
-      "\"pages_tracked\": 2";
-      "\"app\": { \"writes\": 3, \"bytes\": 175 }";
-      "\"nvm.journal\": { \"writes\": 1, \"bytes\": 64 }";
-      "\"owner\": \"runtime/kv/pmo7\"";
+      ([ "total_bytes" ], Some (Json.int 239));
+      ([ "total_writes" ], Some (Json.int 4));
+      ([ "pages_tracked" ], Some (Json.int 2));
+      ([ "subsystems"; "app" ], totals 3 175);
+      ([ "subsystems"; "nvm.journal" ], totals 1 64);
     ];
+  check_bool "json has the owner" true
+    (match field [ "top" ] with
+    | Some (Json.Arr pages) ->
+      List.exists (fun p -> Json.member "owner" p = Some (Json.Str "runtime/kv/pmo7")) pages
+    | _ -> false);
   (* reset clears everything *)
   Wearmap.reset wm;
   check_int "reset totals" 0 (Wearmap.total_bytes wm);
