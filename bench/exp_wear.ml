@@ -43,8 +43,8 @@ type mode_result = {
   m_wm : Wearmap.t;
 }
 
-(* One run: boot (installing a fresh probe, so attribution never mixes
-   across modes), preload a KV store, then hammer a Zipf hot set. *)
+(* One run: boot (each system has its own probe, so attribution never
+   mixes across modes), preload a KV store, then hammer a Zipf hot set. *)
 let run_mode ~incr ~ops =
   let sys =
     boot ~features:(features ~incr State.Hybrid) ()

@@ -135,7 +135,8 @@ let origin_of payload =
 let call t payload =
   (* each client op is an externally-driven request: id assigned here,
      carried implicitly through Ipc.call and any Net_server.send *)
-  ignore (Treesls_obs.Probe.req_arrive ~origin:(t.origin_prefix ^ origin_of payload));
+  ignore
+    (Treesls_obs.Probe.req_arrive (System.obs t.sys) ~origin:(t.origin_prefix ^ origin_of payload));
   client_stage t payload;
   Ipc.call (System.kernel t.sys) t.conn payload
 

@@ -11,8 +11,10 @@ module Clock = Treesls_sim.Clock
 module Stats = Treesls_util.Stats
 module Id_gen = Treesls_cap.Id_gen
 module Probe = Treesls_obs.Probe
+module Wearmap = Treesls_obs.Wearmap
 
 let now st = Clock.now (Kernel.clock st.State.kernel)
+let with_writer st name f = Wearmap.with_writer (Probe.wearmap (State.probe st)) name f
 
 let archive_page st pmo pno paddr =
   match st.State.page_archive_hook with Some h -> h pmo pno paddr | None -> ()
@@ -44,7 +46,8 @@ let checkpoint_object st live obj ~new_ver =
   Oroot.save oroot ~version:new_ver snap;
   (* the snapshot lands in the ORoot's NVM slot: physical bytes, but no
      single device page backs the (modeled) object store *)
-  Probe.wear_note ~subsystem:"ckpt.snapshot" ~bytes:(Snapshot.bytes snap);
+  Wearmap.note (Probe.wearmap (State.probe st)) ~subsystem:"ckpt.snapshot"
+    ~bytes:(Snapshot.bytes snap);
   (match obj with
   | Kobj.Pmo pmo when pmo.Kobj.pmo_kind = Kobj.Pmo_normal ->
     let pages = Oroot.pages_exn oroot in
@@ -147,7 +150,7 @@ let hybrid_sublist st ~new_ver entries counters =
               e.Active_list.e_idle <- 0;
               Kernel.clear_page_dirty kernel pmo ~pno;
               incr migrated_in;
-              Crash_site.hit "ckpt.hybrid.migrated_in"
+              Crash_site.hit (State.crash_sites st) "ckpt.hybrid.migrated_in"
             | Some _ | None -> ())
         end
         else begin
@@ -176,7 +179,7 @@ let hybrid_sublist st ~new_ver entries counters =
               Kernel.clear_page_dirty kernel pmo ~pno;
               e.Active_list.e_idle <- 0;
               incr dirty_copied;
-              Crash_site.hit "ckpt.hybrid.copied"
+              Crash_site.hit (State.crash_sites st) "ckpt.hybrid.copied"
             end
           end
           else begin
@@ -194,7 +197,7 @@ let hybrid_sublist st ~new_ver entries counters =
               e.Active_list.e_dram <- false;
               Active_list.drop st.State.active e;
               incr migrated_out;
-              Crash_site.hit "ckpt.hybrid.migrated_out"
+              Crash_site.hit (State.crash_sites st) "ckpt.hybrid.migrated_out"
             end
           end
         end)
@@ -242,49 +245,47 @@ let gc_dead_oroots st ~visited =
    hook. *)
 let emit_commit_probes st (r : Report.t) =
   let store = Kernel.store st.State.kernel in
-  Probe.count "ckpt.runs" 1;
-  Probe.count "ckpt.objects_walked" r.Report.objects_walked;
-  Probe.count "ckpt.objects_skipped" r.Report.objects_skipped;
-  Probe.count "ckpt.full_objects" r.Report.full_objects;
-  Probe.gauge "ckpt.dirty_fraction_pct"
+  let probe = State.probe st in
+  Probe.count probe "ckpt.runs" 1;
+  Probe.count probe "ckpt.objects_walked" r.Report.objects_walked;
+  Probe.count probe "ckpt.objects_skipped" r.Report.objects_skipped;
+  Probe.count probe "ckpt.full_objects" r.Report.full_objects;
+  Probe.gauge probe "ckpt.dirty_fraction_pct"
     (100 * r.Report.objects_walked / max 1 (r.Report.objects_walked + r.Report.objects_skipped));
-  Probe.count "ckpt.pages.protected" r.Report.pages_protected;
-  Probe.count "ckpt.pages.dirty_copied" r.Report.dram_dirty_copied;
-  Probe.count "ckpt.pages.migrated_in" r.Report.migrated_in;
-  Probe.count "ckpt.pages.migrated_out" r.Report.migrated_out;
-  Probe.gauge "ckpt.cached_pages" r.Report.cached_pages;
-  Probe.gauge "ckpt.version" r.Report.version;
-  Probe.observe "ckpt.stw_ns" r.Report.stw_ns;
-  Probe.observe "ckpt.captree_ns" r.Report.captree_ns;
-  Probe.observe "ckpt.hybrid_ns" r.Report.hybrid_ns;
-  Probe.observe "ckpt.others_ns" r.Report.others_ns;
+  Probe.count probe "ckpt.pages.protected" r.Report.pages_protected;
+  Probe.count probe "ckpt.pages.dirty_copied" r.Report.dram_dirty_copied;
+  Probe.count probe "ckpt.pages.migrated_in" r.Report.migrated_in;
+  Probe.count probe "ckpt.pages.migrated_out" r.Report.migrated_out;
+  Probe.gauge probe "ckpt.cached_pages" r.Report.cached_pages;
+  Probe.gauge probe "ckpt.version" r.Report.version;
+  Probe.observe probe "ckpt.stw_ns" r.Report.stw_ns;
+  Probe.observe probe "ckpt.captree_ns" r.Report.captree_ns;
+  Probe.observe probe "ckpt.hybrid_ns" r.Report.hybrid_ns;
+  Probe.observe probe "ckpt.others_ns" r.Report.others_ns;
   (* drain telemetry: the per-window backlog (0 when eager, so the gauge —
      and its tseries column — exists in both modes), the total protection
      flips the window rode on, and the resolved copy/fault counts *)
-  Probe.gauge "ckpt.drain.backlog" r.Report.pages_drained;
-  Probe.gauge "ckpt.pages.protected.last" (r.Report.pages_protected + r.Report.pages_drained);
-  if r.Report.pages_drained > 0 then Probe.count "ckpt.drain.pages" r.Report.pages_drained;
-  if r.Report.cow_faults > 0 then Probe.count "ckpt.drain.cow_faults" r.Report.cow_faults;
-  if r.Report.drain_ns > 0 then Probe.observe "ckpt.drain_ns" r.Report.drain_ns;
+  Probe.gauge probe "ckpt.drain.backlog" r.Report.pages_drained;
+  Probe.gauge probe "ckpt.pages.protected.last" (r.Report.pages_protected + r.Report.pages_drained);
+  if r.Report.pages_drained > 0 then Probe.count probe "ckpt.drain.pages" r.Report.pages_drained;
+  if r.Report.cow_faults > 0 then Probe.count probe "ckpt.drain.cow_faults" r.Report.cow_faults;
+  if r.Report.drain_ns > 0 then Probe.observe probe "ckpt.drain_ns" r.Report.drain_ns;
   (* wear telemetry: WAF ×100 (integer gauge), per-subsystem cumulative
      bytes, device materialisation watermarks, and — with tracing on — a
      Perfetto counter-track sample of the same per-subsystem series *)
-  Probe.gauge "ckpt.nvm.waf"
+  Probe.gauge probe "ckpt.nvm.waf"
     (100 * r.Report.nvm_bytes_written / max 1 r.Report.logical_dirty_bytes);
-  Probe.count "ckpt.nvm.bytes" r.Report.nvm_bytes_written;
-  (match Probe.installed () with
-  | Some p ->
-    List.iter
-      (fun (name, _writes, bytes) -> Probe.gauge ("nvm.bytes_written." ^ name) bytes)
-      (Treesls_obs.Wearmap.subsystems (Probe.wearmap p))
-  | None -> ());
-  Probe.gauge "nvm.pages_touched" (Store.nvm_pages_touched store);
-  Probe.gauge "dram.pages_touched" (Store.dram_pages_touched store);
-  Probe.wear_counter_sample ();
+  Probe.count probe "ckpt.nvm.bytes" r.Report.nvm_bytes_written;
+  List.iter
+    (fun (name, _writes, bytes) -> Probe.gauge probe ("nvm.bytes_written." ^ name) bytes)
+    (Wearmap.subsystems (Probe.wearmap probe));
+  Probe.gauge probe "nvm.pages_touched" (Store.nvm_pages_touched store);
+  Probe.gauge probe "dram.pages_touched" (Store.dram_pages_touched store);
+  Probe.wear_counter_sample probe;
   (* black-box sample last, once every post-commit gauge above is in the
      registry: one tseries sample per committed version, then the SLO
      watchdog and the adaptive-interval feedback hook *)
-  Probe.tseries_sample ~version:r.Report.version ~stw_ns:r.Report.stw_ns
+  Probe.tseries_sample probe ~version:r.Report.version ~stw_ns:r.Report.stw_ns
     ~interval_ns:st.State.interval_ns
 
 (* Step 4, the atomic commit: bump the version — THE durability point —
@@ -292,9 +293,9 @@ let emit_commit_probes st (r : Report.t) =
    the pause when nothing was deferred, at settle otherwise. *)
 let commit_version st ~visited =
   Global_meta.commit_checkpoint (Store.meta (Kernel.store st.State.kernel));
-  Crash_site.hit "ckpt.version_bump";
+  Crash_site.hit (State.crash_sites st) "ckpt.version_bump";
   gc_dead_oroots st ~visited;
-  Crash_site.hit "ckpt.gc_done"
+  Crash_site.hit (State.crash_sites st) "ckpt.gc_done"
 
 (* Release what waited on the commit, after the resume or at settle.  The
    commit + STW window is recorded first, so the extsync callbacks can
@@ -303,9 +304,10 @@ let commit_version st ~visited =
    dirty delta; at most one of [dram_dirty_copied] and [pages_drained] is
    nonzero, so each captured page counts once in either mode. *)
 let publish_commit st ~stw_t0 (r : Report.t) =
-  Probe.ckpt_committed ~version:r.Report.version ~stw_t0 ~stw_t1:(stw_t0 + r.Report.stw_ns);
+  let probe = State.probe st in
+  Probe.ckpt_committed probe ~version:r.Report.version ~stw_t0 ~stw_t1:(stw_t0 + r.Report.stw_ns);
   List.iter (fun cb -> cb ()) st.State.ckpt_callbacks;
-  let wear_now = Probe.wear_total_bytes () in
+  let wear_now = Wearmap.total_bytes (Probe.wearmap probe) in
   let pages = r.Report.pages_protected + r.Report.dram_dirty_copied + r.Report.pages_drained in
   let r =
     {
@@ -328,7 +330,7 @@ let drain_copies st (p : Drain.pending) ~limit =
   let drain = st.State.drain in
   let copied = ref 0 in
   let meter = ref 0 in
-  Treesls_obs.Wearmap.with_writer "ckpt.drain" (fun () ->
+  with_writer st "ckpt.drain" (fun () ->
       Store.with_sink store (Store.Meter meter) (fun () ->
           let exhausted = ref false in
           while (not !exhausted) && !copied < limit do
@@ -345,7 +347,7 @@ let drain_copies st (p : Drain.pending) ~limit =
                   (Kernel.mappings_of_page kernel pmo ~pno);
                 incr copied;
                 p.Drain.p_drained <- p.Drain.p_drained + 1;
-                Crash_site.hit "ckpt.drain.copied"
+                Crash_site.hit (State.crash_sites st) "ckpt.drain.copied"
               | Some _ | None ->
                 (* page vanished or left DRAM since the STW: no copy owed *)
                 ())
@@ -358,15 +360,16 @@ let drain_copies st (p : Drain.pending) ~limit =
 let settle_commit st (p : Drain.pending) =
   let store = Kernel.store st.State.kernel in
   let meter = ref 0 in
-  Treesls_obs.Wearmap.with_writer "ckpt.drain" (fun () ->
+  with_writer st "ckpt.drain" (fun () ->
       Store.with_sink store (Store.Meter meter) (fun () ->
           Drain.apply_settle store st.State.drain ~ver:p.Drain.p_ver));
   p.Drain.p_drain_ns <- p.Drain.p_drain_ns + !meter;
-  Crash_site.hit "ckpt.drain.settled";
+  Crash_site.hit (State.crash_sites st) "ckpt.drain.settled";
   commit_version st ~visited:p.Drain.p_visited;
   Drain.clear_pending st.State.drain;
+  let probe = State.probe st in
   let stw_t1 = p.Drain.p_stw_t0 + p.Drain.p_report.Report.stw_ns in
-  Probe.span_at "ckpt.drain" ~ts_ns:stw_t1 ~dur_ns:(now st - stw_t1)
+  Probe.span_at probe "ckpt.drain" ~ts_ns:stw_t1 ~dur_ns:(now st - stw_t1)
     ~args:
       [
         ("version", string_of_int p.Drain.p_ver);
@@ -421,7 +424,7 @@ let resolve_cow_fault st pmo pno =
          faulting op pays one page and the page reopens for writing *)
       match Radix.get pmo.Kobj.pmo_radix pno with
       | Some runtime when Paddr.is_dram runtime ->
-        Treesls_obs.Wearmap.with_writer "ckpt.cow_fault" (fun () ->
+        with_writer st "ckpt.cow_fault" (fun () ->
             Ckpt_page.stop_and_copy_dram store e.Drain.d_cps ~runtime ~pno
               ~new_ver:p.Drain.p_ver);
         List.iter
@@ -429,7 +432,7 @@ let resolve_cow_fault st pmo pno =
           (Kernel.mappings_of_page kernel pmo ~pno);
         p.Drain.p_drained <- p.Drain.p_drained + 1;
         p.Drain.p_cow_faults <- p.Drain.p_cow_faults + 1;
-        Crash_site.hit "ckpt.cow_fault.resolved"
+        Crash_site.hit (State.crash_sites st) "ckpt.cow_fault.resolved"
       | Some _ | None -> ())
     | None -> (
       (* NVM page protected at the STW: its backup must serve two masters —
@@ -443,14 +446,14 @@ let resolve_cow_fault st pmo pno =
           | None -> ()
           | Some cp ->
             let committed = Global_meta.version (Store.meta store) in
-            Treesls_obs.Wearmap.with_writer "ckpt.cow_fault" (fun () ->
+            with_writer st "ckpt.cow_fault" (fun () ->
                 if Ckpt_page.cow_backup store pages ~runtime ~pno ~global:committed then begin
                   (* clean at N: the pre-image just banked equals the page's
                      content at both N-1 and N, so settle lifts the stamp to
                      N without another copy *)
                   Drain.note_restamp st.State.drain key cp;
                   p.Drain.p_cow_faults <- p.Drain.p_cow_faults + 1;
-                  Crash_site.hit "ckpt.cow_fault.resolved"
+                  Crash_site.hit (State.crash_sites st) "ckpt.cow_fault.resolved"
                 end
                 else if
                   (cp.Ckpt_page.b1_ver = committed && cp.Ckpt_page.b1 <> None)
@@ -465,7 +468,7 @@ let resolve_cow_fault st pmo pno =
                   Store.seal_page store frame;
                   Drain.note_saved st.State.drain key cp frame;
                   p.Drain.p_cow_faults <- p.Drain.p_cow_faults + 1;
-                  Crash_site.hit "ckpt.cow_fault.resolved"
+                  Crash_site.hit (State.crash_sites st) "ckpt.cow_fault.resolved"
                 end))
         | (Some _ | None), _ -> ())));
     true
@@ -490,14 +493,15 @@ type walk = {
    live set doubles as the liveness epoch: ORoots of unreached objects are
    the dead ones, so skipped objects need no per-object liveness write. *)
 let walk_tree st ~new_ver =
-  let tok = Probe.enter "ckpt.captree" in
+  let probe = State.probe st in
+  let tok = Probe.enter probe "ckpt.captree" in
   let walk0 = now st in
   let incremental = st.State.features.State.incremental_walk && not st.State.force_full in
   let root = Kernel.root st.State.kernel in
   let live = Live_tree.refresh st.State.live_tree ~root ~oroots:st.State.oroots in
   st.State.live_tree <- Some live;
   let dirty = ref [] and fulls = ref 0 and skipped = ref 0 and snap_bytes = ref 0 in
-  Treesls_obs.Wearmap.with_writer "ckpt.captree" (fun () ->
+  with_writer st "ckpt.captree" (fun () ->
       Array.iter
         (fun (e : Live_tree.entry) ->
           let obj = e.Live_tree.obj in
@@ -513,7 +517,7 @@ let walk_tree st ~new_ver =
             let t_obj0 = now st in
             let oroot, full, bytes = checkpoint_object st live obj ~new_ver in
             e.Live_tree.oroot <- Some oroot;
-            Crash_site.hit "ckpt.captree.obj";
+            Crash_site.hit (State.crash_sites st) "ckpt.captree.obj";
             if full then incr fulls;
             snap_bytes := !snap_bytes + bytes;
             dirty := (obj, now st - t_obj0, full) :: !dirty
@@ -521,7 +525,7 @@ let walk_tree st ~new_ver =
         (Live_tree.entries live));
   st.State.force_full <- false;
   let walk_ns = now st - walk0 in
-  Probe.exit tok
+  Probe.exit probe tok
     ~args:
       [
         ("objects", string_of_int (List.length !dirty));
@@ -529,7 +533,7 @@ let walk_tree st ~new_ver =
         ("skipped", string_of_int !skipped);
         ("snapshot_bytes", string_of_int !snap_bytes);
       ];
-  Crash_site.hit "ckpt.captree.done";
+  Crash_site.hit (State.crash_sites st) "ckpt.captree.done";
   {
     live;
     dirty = List.rev !dirty;
@@ -550,12 +554,13 @@ let hybrid_copy st ~new_ver (w : walk) =
   else begin
     let kernel = st.State.kernel in
     let store = Kernel.store kernel in
+    let probe = State.probe st in
     let (dirty_copied, migrated_in, migrated_out) as counters = (ref 0, ref 0, ref 0) in
     let worst = ref 0 in
     Array.iter
       (fun entries ->
         let meter = ref 0 in
-        Treesls_obs.Wearmap.with_writer "ckpt.hybrid" (fun () ->
+        with_writer st "ckpt.hybrid" (fun () ->
             Store.with_sink store (Store.Meter meter) (fun () ->
                 hybrid_sublist st ~new_ver entries counters));
         if !meter > !worst then worst := !meter)
@@ -563,7 +568,7 @@ let hybrid_copy st ~new_ver (w : walk) =
     Active_list.compact st.State.active;
     if !worst > w.walk_ns then Clock.advance (Kernel.clock kernel) (!worst - w.walk_ns);
     (* explicit timestamps: the span overlaps ckpt.captree *)
-    Probe.span_at "ckpt.hybrid_copy" ~ts_ns:w.walk0 ~dur_ns:!worst
+    Probe.span_at probe "ckpt.hybrid_copy" ~ts_ns:w.walk0 ~dur_ns:!worst
       ~args:
         [
           ("dirty_copied", string_of_int !dirty_copied);
@@ -617,16 +622,17 @@ let run st =
   settle st;
   let kernel = st.State.kernel in
   let store = Kernel.store kernel in
+  let probe = State.probe st in
   let meta = Store.meta store in
   let new_ver = Global_meta.version meta + 1 in
   let t0 = now st in
-  let stw_tok = Probe.enter "ckpt.stw" ~args:[ ("version", string_of_int new_ver) ] in
+  let stw_tok = Probe.enter probe "ckpt.stw" ~args:[ ("version", string_of_int new_ver) ] in
   (* step 1: quiesce *)
-  let quiesce_tok = Probe.enter "ckpt.quiesce" in
+  let quiesce_tok = Probe.enter probe "ckpt.quiesce" in
   let ipi_ns = Kernel.quiesce kernel in
-  Probe.exit quiesce_tok;
+  Probe.exit probe quiesce_tok;
   Global_meta.begin_checkpoint meta;
-  Crash_site.hit "ckpt.begin";
+  Crash_site.hit (State.crash_sites st) "ckpt.begin";
   (* the dirty pages step 2 re-protects, counted before it clears them *)
   let pages_protected =
     List.fold_left
@@ -636,7 +642,7 @@ let run st =
   let w = walk_tree st ~new_ver in
   let hybrid_ns, dram_dirty_copied, migrated_in, migrated_out = hybrid_copy st ~new_ver w in
   (* step 4: atomic commit — or, with copies deferred to the drain, staging *)
-  let others_tok = Probe.enter "ckpt.others" in
+  let others_tok = Probe.enter probe "ckpt.others" in
   let others0 = now st in
   (* The id high-water mark is part of the staged state: it must be in
      place BEFORE the version bump, or a crash right after the bump would
@@ -648,18 +654,18 @@ let run st =
      here; with deferred copies outstanding it waits in [settle_commit]
      until the drain empties — a mid-window crash rolls back to the
      still-committed N-1. *)
-  Crash_site.hit "ckpt.publish";
+  Crash_site.hit (State.crash_sites st) "ckpt.publish";
   let enqueued = Drain.backlog st.State.drain in
   if enqueued = 0 then commit_version st ~visited:(Live_tree.live w.live);
   Store.charge store (Store.cost store).Cost.tlb_shootdown_ns;
   let others_ns = now st - others0 in
-  Probe.exit others_tok;
+  Probe.exit probe others_tok;
   (* step 5: resume *)
-  let resume_tok = Probe.enter "ckpt.resume" in
+  let resume_tok = Probe.enter probe "ckpt.resume" in
   let resume_ns = Kernel.resume_cores kernel in
-  Probe.exit resume_tok;
+  Probe.exit probe resume_tok;
   let stw_ns = now st - t0 in
-  Probe.exit stw_tok ~args:[ ("stw_ns", string_of_int stw_ns) ];
+  Probe.exit probe stw_tok ~args:[ ("stw_ns", string_of_int stw_ns) ];
   let per_kind_ns, per_group = attribute st w in
   let report =
     {
@@ -688,7 +694,7 @@ let run st =
     (* async: the STW only staged version N — the drain owes [enqueued]
        copies, and the commit with everything downstream of it moves to
        [settle_commit].  The partial report carries the STW-side truth. *)
-    Probe.gauge "ckpt.drain.backlog" enqueued;
+    Probe.gauge probe "ckpt.drain.backlog" enqueued;
     Drain.publish st.State.drain
       {
         Drain.p_ver = new_ver;

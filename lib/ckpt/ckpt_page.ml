@@ -49,8 +49,9 @@ let cow_backup store t ~runtime ~pno ~global =
         assert (cp.b2 = None);
         (* The backup copy is checkpoint wear even though the fault that
            triggered it arrived under the writer's ("app"/"extsync")
-           context — with_writer overrides the ambient default. *)
-        Treesls_obs.Wearmap.with_writer "ckpt.cow" @@ fun () ->
+           context — with_writer overrides the "app" default. *)
+        Treesls_obs.Wearmap.with_writer (Treesls_obs.Probe.wearmap (Store.probe store)) "ckpt.cow"
+        @@ fun () ->
         let dst =
           match cp.b1 with
           | Some p -> p

@@ -97,8 +97,9 @@ let crash t =
   (* The trace ring and metrics registry live in eternal-PMO state: a
      power failure ends open spans (recorded as aborted) and stamps a
      crash marker, but the events recorded so far survive the failure. *)
-  Treesls_obs.Probe.crash_mark ();
-  Treesls_obs.Probe.count "crashes" 1;
+  let probe = State.probe t.st in
+  Treesls_obs.Probe.crash_mark probe;
+  Treesls_obs.Probe.count probe "crashes" 1;
   State.note_crash t.st;
   Kernel.crash (kernel t)
 
@@ -106,7 +107,8 @@ let recover t =
   let report =
     (* journal replay and page normalisation during restore are recovery
        wear, not app wear *)
-    Treesls_obs.Wearmap.with_writer "restore" (fun () -> Restore.run t.st)
+    Treesls_obs.Wearmap.with_writer (Treesls_obs.Probe.wearmap (State.probe t.st)) "restore"
+      (fun () -> Restore.run t.st)
   in
   install_hooks t.st;
   (match t.st.State.interval_ns with

@@ -87,18 +87,19 @@ let page_check_ns store =
 let run_inner st =
   let crashed_kernel = st.State.kernel in
   let store = Kernel.store crashed_kernel in
+  let probe = Store.probe store in
   let clock = Store.clock store in
   let t0 = Clock.now clock in
-  Probe.rto_phase_begin "journal_replay";
+  Probe.rto_phase_begin probe "journal_replay";
   Store.recover store;
-  Probe.rto_phase_end ();
+  Probe.rto_phase_end probe;
   (* Crash sites here model a power cut during recovery itself.  Only the
      read-only prefix carries sites: journal replay and the integrity
      pre-pass are idempotent, so a second [recover] after a crash at either
      site simply starts over.  The mutating tail (oroot removal, page
      frees) is not re-entrant and stays site-free. *)
-  Crash_site.hit "restore.begin";
-  Probe.rto_phase_begin "meta_validate";
+  Crash_site.hit (Store.crash_sites store) "restore.begin";
+  Probe.rto_phase_begin probe "meta_validate";
   let g = Global_meta.version (Store.meta store) in
   if g = 0 then raise No_checkpoint;
   let radixes = tree_radixes st.State.crashed_root in
@@ -111,18 +112,18 @@ let run_inner st =
       | `Use keep when not (Store.verify_page store keep) ->
         raise (Corrupt_backup { pmo_id; pno; paddr = keep })
       | `Use _ | `Drop -> ());
-  Probe.rto_phase_end ();
-  Crash_site.hit "restore.precheck";
+  Probe.rto_phase_end probe;
+  Crash_site.hit (Store.crash_sites store) "restore.precheck";
   (* A crash mid-drain abandoned a staged version: its DRAM backlog died
      with the power and its CoW restamps are moot, but the drain-saved NVM
      frames survived and are referenced by nothing at or below [g] — free
      them here, before the allocator reconciliation counts claims.
      Idempotent (the tables empty on the first pass), so a crash during
      recovery itself replays it safely. *)
-  Probe.rto_phase_begin "drain_settle";
+  Probe.rto_phase_begin probe "drain_settle";
   let drain_dropped = Drain.abandon store st.State.drain in
-  Probe.rto_phase_end ();
-  Probe.rto_phase_begin "oroot_select";
+  Probe.rto_phase_end probe;
+  Probe.rto_phase_begin probe "oroot_select";
   (* PMO ids known to the checkpoint manager before any rollback: pages of
      any other PMO found in the crashed tree are in-flight allocations. *)
   let known_pmos = Hashtbl.create 64 in
@@ -156,14 +157,14 @@ let run_inner st =
           to_drop := oid :: !to_drop)
     st.State.oroots;
   List.iter (Hashtbl.remove st.State.oroots) !to_drop;
-  Probe.rto_phase_end ();
+  Probe.rto_phase_end probe;
   (* Phase 1: materialise bare objects with their original ids. *)
   let stubs : (int, Kobj.t) Hashtbl.t = Hashtbl.create 256 in
   let pages_restored = ref 0 and pages_dropped = ref drain_dropped in
   (* Roll back page allocations of PMOs the checkpoint never saw (created
      after the last commit): the paper's comparison of the crash-time
      state against the checkpoint's state (§3, step 7). *)
-  Probe.rto_phase_begin "page_remap";
+  Probe.rto_phase_begin probe "page_remap";
   Hashtbl.iter
     (fun pmo_id radix ->
       if not (Hashtbl.mem known_pmos pmo_id) then
@@ -179,8 +180,8 @@ let run_inner st =
             end)
           radix)
     radixes;
-  Probe.rto_phase_end ();
-  Probe.rto_phase_begin "materialize";
+  Probe.rto_phase_end probe;
+  Probe.rto_phase_begin probe "materialize";
   List.iter
     (fun (oid, (oroot : Oroot.t), snap) ->
       let t_obj = Clock.now clock in
@@ -216,7 +217,7 @@ let run_inner st =
           | Kobj.Pmo_normal ->
             (* nested: CoW/page-table reconstruction charged to its own
                phase, subtracted from [materialize]'s exclusive time *)
-            Probe.rto_phase_begin "page_remap";
+            Probe.rto_phase_begin probe "page_remap";
             let cps = Oroot.pages_exn oroot in
             let runtime_of pno =
               match Hashtbl.find_opt radixes oid with
@@ -263,7 +264,7 @@ let run_inner st =
                 radix
             | None -> ());
             List.iter (fun pno -> Ckpt_page.remove cps ~pno) !to_remove;
-            Probe.rto_phase_end ();
+            Probe.rto_phase_end probe;
             Kobj.Pmo pmo)
         | Snapshot.S_ipc { calls; _ } ->
           let c = Kobj.make_ipc_conn ~id:oid in
@@ -285,11 +286,11 @@ let run_inner st =
       oroot.Oroot.runtime <- Some obj;
       Hashtbl.replace stubs oid obj;
       let dt = Clock.now clock - t_obj in
-      Probe.rto_note_kind (Kobj.kind_name (Kobj.kind obj)) dt;
+      Probe.rto_note_kind probe (Kobj.kind_name (Kobj.kind obj)) dt;
       Stats.add (State.obj_cost st (Kobj.kind obj)).State.restore (float_of_int dt))
     !live;
-  Probe.rto_phase_end ();
-  Probe.rto_phase_begin "captree_rebuild";
+  Probe.rto_phase_end probe;
+  Probe.rto_phase_begin probe "captree_rebuild";
   (* Phase 2: stitch references by object id. *)
   let find_stub oid = Hashtbl.find_opt stubs oid in
   List.iter
@@ -336,8 +337,8 @@ let run_inner st =
   st.State.crashed_root <- None;
   Active_list.clear st.State.active;
   Hashtbl.reset st.State.pending_fresh;
-  Probe.rto_phase_end ();
-  Probe.rto_phase_begin "oroot_gc";
+  Probe.rto_phase_end probe;
+  Probe.rto_phase_begin probe "oroot_gc";
   (* Redo the dead-ORoot GC the crash may have interrupted: a crash between
      the version bump and [gc_dead_oroots] leaves ORoots of objects deleted
      before [g] in the table, where they would shadow recycled ids and pin
@@ -365,8 +366,8 @@ let run_inner st =
       incr dropped;
       Hashtbl.remove st.State.oroots oid)
     dead;
-  Probe.rto_phase_end ();
-  Probe.rto_phase_begin "buddy_reconcile";
+  Probe.rto_phase_end probe;
+  Probe.rto_phase_begin probe "buddy_reconcile";
   (* Final allocator reconciliation (paper section 3, step 7: compare the
      crash-time state with the checkpoint and reclaim): free every live
      buddy block no surviving subsystem claims. The canonical orphan is a
@@ -410,7 +411,7 @@ let run_inner st =
       Store.free_page store (Paddr.nvm offset);
       pages_dropped := !pages_dropped + (1 lsl order))
     !orphans;
-  Probe.rto_phase_end ();
+  Probe.rto_phase_end probe;
   {
     restored_objects = List.length !live;
     dropped_objects = !dropped;
@@ -423,11 +424,12 @@ let run_inner st =
 let run st =
   (* Open the recovery profile (capturing the pre-crash flight tail)
      before the restore span can record anything into the ring. *)
-  Probe.rto_begin_restore ();
-  let tok = Probe.enter "restore" in
+  let probe = State.probe st in
+  Probe.rto_begin_restore probe;
+  let tok = Probe.enter probe "restore" in
   match run_inner st with
   | r ->
-    Probe.exit tok
+    Probe.exit probe tok
       ~args:
         [
           ("version", string_of_int r.version);
@@ -436,16 +438,16 @@ let run st =
           ("pages_restored", string_of_int r.pages_restored);
           ("pages_dropped", string_of_int r.pages_dropped);
         ];
-    Probe.count "restore.runs" 1;
-    Probe.count "restore.objects" r.restored_objects;
-    Probe.observe "restore.ns" r.restore_ns;
-    Probe.rto_restore_done ~version:r.version ~restored_objects:r.restored_objects
+    Probe.count probe "restore.runs" 1;
+    Probe.count probe "restore.objects" r.restored_objects;
+    Probe.observe probe "restore.ns" r.restore_ns;
+    Probe.rto_restore_done probe ~version:r.version ~restored_objects:r.restored_objects
       ~dropped_objects:r.dropped_objects ~pages_restored:r.pages_restored
       ~pages_dropped:r.pages_dropped;
     r
   | exception e ->
     (* failed attempt: nothing trustworthy to profile; the next attempt
        opens a fresh profile (the crash instant is kept) *)
-    Probe.rto_abort ();
-    Probe.exit tok ~args:[ ("failed", "true") ];
+    Probe.rto_abort probe;
+    Probe.exit probe tok ~args:[ ("failed", "true") ];
     raise e

@@ -1,5 +1,7 @@
 module Kobj = Treesls_cap.Kobj
 module Kernel = Treesls_kernel.Kernel
+module Store = Treesls_nvm.Store
+module Probe = Treesls_obs.Probe
 module Stats = Treesls_util.Stats
 
 type level = Off | Tree | Fault | Cow | Hybrid
@@ -61,10 +63,15 @@ let create kernel active_cfg features =
     last_report = None;
     force_full = true;
     live_tree = None;
-    wear_mark = 0;
+    (* the system's own boot (allocator format, service setup) is already
+       in the wearmap; the first commit's WAF numerator starts after it *)
+    wear_mark = Treesls_obs.Wearmap.total_bytes (Probe.wearmap (Store.probe (Kernel.store kernel)));
     drain = Drain.create ();
     drain_batch = 8;
   }
+
+let probe t = Store.probe (Kernel.store t.kernel)
+let crash_sites t = Store.crash_sites (Kernel.store t.kernel)
 
 let oroot_for t obj ~version =
   let oid = Kobj.id obj in

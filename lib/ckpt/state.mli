@@ -79,9 +79,10 @@ type t = {
       (** volatile: the capability tree as the last walk found it, reused
           while its shape is unchanged (see {!Live_tree}) *)
   mutable wear_mark : int;
-      (** cumulative wearmap bytes at the last committed checkpoint: the
-          per-interval physical-NVM-bytes delta (WAF numerator) is measured
-          against this watermark at each commit *)
+      (** cumulative wearmap bytes at the last committed checkpoint (at
+          attach before the first): the per-interval physical-NVM-bytes
+          delta (WAF numerator) is measured against this watermark at each
+          commit *)
   drain : Drain.t;
       (** asynchronous-drain window state: backlog of owed page copies,
           CoW restamp/saved tables, and the staged (pending) version *)
@@ -90,6 +91,10 @@ type t = {
 
 val default_features : unit -> features
 val create : Kernel.t -> Active_list.config -> features -> t
+
+val probe : t -> Treesls_obs.Probe.t
+val crash_sites : t -> Treesls_nvm.Crash_site.t
+(** The store's per-system probe and crash-site table. *)
 
 val oroot_for : t -> Kobj.t -> version:int -> Oroot.t * bool
 (** The object's ORoot, creating it if absent; the flag is [true] when this

@@ -11,10 +11,13 @@ module Interval_ctl = Treesls_ckpt.Interval_ctl
 
 type t = {
   mgr : Manager.t;
-  obs : Probe.t;
   ctl : Interval_ctl.t;
   mutable services : (string * (t -> unit)) list;
 }
+
+let kernel t = Manager.kernel t.mgr
+let store t = Kernel.store (kernel t)
+let obs t = Treesls_nvm.Store.probe (store t)
 
 (* Feedback edge of the adaptive-interval controller: runs from the
    probe's post-sample hook, i.e. inside Checkpoint.run after the
@@ -26,34 +29,29 @@ let adaptive_on_sample t =
     | None -> ()
     | Some interval_ns -> (
       match
-        Interval_ctl.on_sample t.ctl (Probe.tseries t.obs) ~interval_ns
+        Interval_ctl.on_sample t.ctl (Probe.tseries (obs t)) ~interval_ns
           ~drain_backlog:(Manager.drain_backlog t.mgr)
       with
       | Some ns ->
         Manager.set_interval t.mgr (Some ns);
-        Probe.gauge "ckpt.interval_ns" ns;
-        Probe.count "ckpt.adaptive.retunes" 1
+        Probe.gauge (obs t) "ckpt.interval_ns" ns;
+        Probe.count (obs t) "ckpt.adaptive.retunes" 1
       | None -> ())
 
-let boot ?cost ?ncores ?nvm_pages ?dram_pages ?interval_us ?features ?active_cfg
-    ?trace_capacity ?tseries_capacity ?adaptive_cfg () =
-  let kernel = Kernel.boot ?cost ?ncores ?nvm_pages ?dram_pages () in
+let boot ?nvm_pages ?interval_us ?features ?active_cfg ?adaptive_cfg () =
+  let kernel = Kernel.boot ?nvm_pages () in
   let mgr = Manager.attach ?active_cfg ?features kernel in
   (match interval_us with Some us -> Manager.set_interval mgr (Some (us * 1000)) | None -> ());
-  let obs = Probe.create ?capacity:trace_capacity ?tseries_capacity ~clock:(Kernel.clock kernel) () in
-  Probe.install obs;
   let ctl =
     Interval_ctl.create (match adaptive_cfg with Some c -> c | None -> Interval_ctl.default_config)
   in
-  let t = { mgr; obs; ctl; services = [] } in
-  Probe.set_sample_hook obs (fun () -> adaptive_on_sample t);
+  let t = { mgr; ctl; services = [] } in
+  Probe.set_sample_hook (obs t) (fun () -> adaptive_on_sample t);
   t
 
-let kernel t = Manager.kernel t.mgr
 let manager t = t.mgr
 let clock t = Kernel.clock (kernel t)
 let now_ns t = Clock.now (clock t)
-let store t = Kernel.store (kernel t)
 let checkpoint t = Manager.checkpoint t.mgr
 
 (* Asynchronous drain: one backlog step per op boundary (the follower
@@ -75,13 +73,13 @@ let tick t =
        match
          Interval_ctl.on_pressure t.ctl
            ~now_ns:(Clock.now (Kernel.clock (Manager.kernel t.mgr)))
-           ~pending:(Probe.req_pending_enqueued ()) ~interval_ns
+           ~pending:(Probe.req_pending_enqueued (obs t)) ~interval_ns
            ~drain_backlog:(Manager.drain_backlog t.mgr)
        with
        | Some ns ->
          Manager.set_interval t.mgr (Some ns);
-         Probe.gauge "ckpt.interval_ns" ns;
-         Probe.count "ckpt.adaptive.clamps" 1
+         Probe.gauge (obs t) "ckpt.interval_ns" ns;
+         Probe.count (obs t) "ckpt.adaptive.clamps" 1
        | None -> ())
      | None -> ());
   Manager.tick t.mgr
@@ -126,10 +124,10 @@ let recover t =
   (* service re-setup (extsync ring reattach, net server rebind) is part
      of the outage a client observes, so it is charged to the recovery
      profile before the record is sealed *)
-  Probe.rto_phase_begin "ring_reattach";
+  Probe.rto_phase_begin (obs t) "ring_reattach";
   List.iter (fun (_, setup) -> setup t) t.services;
-  Probe.rto_phase_end ();
-  Probe.rto_recovered ();
+  Probe.rto_phase_end (obs t);
+  Probe.rto_recovered (obs t);
   report
 
 let crash_and_recover t =
@@ -140,9 +138,8 @@ let stats t = Kernel.stats (kernel t)
 
 (* --- observability ---------------------------------------------------- *)
 
-let obs t = t.obs
-let trace t = Probe.trace t.obs
-let metrics_snapshot t = Metrics.snapshot (Probe.metrics t.obs)
+let trace t = Probe.trace (obs t)
+let metrics_snapshot t = Metrics.snapshot (Probe.metrics (obs t))
 
 (* Reserve an eternal PMO to back the trace ring, mirroring how TreeSLS
    keeps always-persistent state (§5): eternal pages are materialised at
@@ -153,23 +150,22 @@ let metrics_snapshot t = Metrics.snapshot (Probe.metrics t.obs)
    kernel would charge simulated time and perturb the measurement being
    traced); the PMO models its NVM footprint at 64 bytes per slot. *)
 let ensure_eternal_backing t =
-  match Probe.backing_pmo t.obs with
+  match Probe.backing_pmo (obs t) with
   | Some _ -> ()
   | None ->
     let k = kernel t in
-    let bytes = Trace.capacity (Probe.trace t.obs) * 64 in
+    let bytes = Trace.capacity (Probe.trace (obs t)) * 64 in
     let psz = (Kernel.cost k).Treesls_sim.Cost.page_size in
     let pages = max 1 ((bytes + psz - 1) / psz) in
     let pmo = Kernel.make_eternal_pmo k ~pages in
-    Probe.set_backing_pmo t.obs pmo.Treesls_cap.Kobj.pmo_id;
-    Probe.instant "obs.eternal_backing"
+    Probe.set_backing_pmo (obs t) pmo.Treesls_cap.Kobj.pmo_id;
+    Probe.instant (obs t) "obs.eternal_backing"
       ~args:
         [ ("pmo", string_of_int pmo.Treesls_cap.Kobj.pmo_id); ("pages", string_of_int pages) ]
 
 let enable_tracing ?(verbose = false) ?(eternal_backing = true) t =
-  Probe.install t.obs;
-  Probe.set_tracing t.obs true;
-  Probe.set_verbose t.obs verbose;
+  Probe.set_tracing (obs t) true;
+  Probe.set_verbose (obs t) verbose;
   if eternal_backing then ensure_eternal_backing t
 
 (* Like the trace ring's backing, but for the wearmap's per-page counters:
@@ -178,7 +174,7 @@ let enable_tracing ?(verbose = false) ?(eternal_backing = true) t =
    object census and NVM footprint; Ring.reattach claims rings by their
    persisted name, so when this PMO is created does not matter to it. *)
 let ensure_wear_backing t =
-  match Probe.wear_backing_pmo t.obs with
+  match Probe.wear_backing_pmo (obs t) with
   | Some _ -> ()
   | None ->
     let k = kernel t in
@@ -187,31 +183,31 @@ let ensure_wear_backing t =
     let psz = (Kernel.cost k).Treesls_sim.Cost.page_size in
     let pages = max 1 ((bytes + psz - 1) / psz) in
     let pmo = Kernel.make_eternal_pmo k ~pages in
-    Probe.set_wear_backing_pmo t.obs pmo.Treesls_cap.Kobj.pmo_id;
-    Probe.instant "obs.wear_backing"
+    Probe.set_wear_backing_pmo (obs t) pmo.Treesls_cap.Kobj.pmo_id;
+    Probe.instant (obs t) "obs.wear_backing"
       ~args:
         [ ("pmo", string_of_int pmo.Treesls_cap.Kobj.pmo_id); ("pages", string_of_int pages) ]
 
-let wearmap t = Probe.wearmap t.obs
+let wearmap t = Probe.wearmap (obs t)
 
 (* Same lazy eternal-backing pattern for the black box: one fixed-width
    slot per tseries sample, created only for systems that ask for it. *)
 let ensure_tseries_backing t =
-  match Probe.tseries_backing_pmo t.obs with
+  match Probe.tseries_backing_pmo (obs t) with
   | Some _ -> ()
   | None ->
     let k = kernel t in
-    let bytes = Treesls_obs.Tseries.backing_bytes (Probe.tseries t.obs) in
+    let bytes = Treesls_obs.Tseries.backing_bytes (Probe.tseries (obs t)) in
     let psz = (Kernel.cost k).Treesls_sim.Cost.page_size in
     let pages = max 1 ((bytes + psz - 1) / psz) in
     let pmo = Kernel.make_eternal_pmo k ~pages in
-    Probe.set_tseries_backing_pmo t.obs pmo.Treesls_cap.Kobj.pmo_id;
-    Probe.instant "obs.tseries_backing"
+    Probe.set_tseries_backing_pmo (obs t) pmo.Treesls_cap.Kobj.pmo_id;
+    Probe.instant (obs t) "obs.tseries_backing"
       ~args:
         [ ("pmo", string_of_int pmo.Treesls_cap.Kobj.pmo_id); ("pages", string_of_int pages) ]
 
-let tseries t = Probe.tseries t.obs
-let slo t = Probe.slo t.obs
+let tseries t = Probe.tseries (obs t)
+let slo t = Probe.slo (obs t)
 let interval_ctl t = t.ctl
 
 (* --- state audit (slsfsck) -------------------------------------------- *)
@@ -219,7 +215,7 @@ let interval_ctl t = t.ctl
 let audit ?wear t = Treesls_audit.Audit.run ?wear t.mgr
 let nvm_census t = Treesls_audit.Nvm_census.collect t.mgr
 
-let export_trace ?pid ?tid t = Trace.to_perfetto_json ?pid ?tid (Probe.trace t.obs)
+let export_trace ?pid ?tid t = Trace.to_perfetto_json ?pid ?tid (Probe.trace (obs t))
 
 let export_trace_file ?pid ?tid t ~path =
   let oc = open_out path in
@@ -228,8 +224,8 @@ let export_trace_file ?pid ?tid t ~path =
 
 (* --- recovery observability (RTO profiler / flight recorder) ----------- *)
 
-let rto t = Probe.rto t.obs
-let last_recovery t = Treesls_obs.Rto.last (Probe.rto t.obs)
+let rto t = Probe.rto (obs t)
+let last_recovery t = Treesls_obs.Rto.last (Probe.rto (obs t))
 
 let export_flight t =
   Option.map Treesls_obs.Rto.flight_to_perfetto_json (last_recovery t)

@@ -22,24 +22,18 @@ module Restore = Treesls_ckpt.Restore
 type t
 
 val boot :
-  ?cost:Treesls_sim.Cost.t ->
-  ?ncores:int ->
   ?nvm_pages:int ->
-  ?dram_pages:int ->
   ?interval_us:int ->
   ?features:Treesls_ckpt.State.features ->
   ?active_cfg:Treesls_ckpt.Active_list.config ->
-  ?trace_capacity:int ->
-  ?tseries_capacity:int ->
   ?adaptive_cfg:Treesls_ckpt.Interval_ctl.config ->
   unit ->
   t
 (** Boot. [interval_us] enables periodic checkpointing (e.g. 1000 for the
-    paper's 1 ms / 1000 Hz configuration).  Boot also creates and installs
-    this system's observability probe (metrics on, tracing off;
-    [trace_capacity] sizes the event ring — see {!enable_tracing};
-    [tseries_capacity] sizes the black-box sample ring).  [adaptive_cfg]
-    configures the adaptive-interval controller, which acts only while
+    paper's 1 ms / 1000 Hz configuration).  The system's observability
+    probe (metrics on, tracing off — see {!enable_tracing}) comes with its
+    store, so it has counted the boot itself.  [adaptive_cfg] configures
+    the adaptive-interval controller, which acts only while
     [features.adaptive_interval] is set (default off). *)
 
 val kernel : t -> Kernel.t
@@ -125,8 +119,8 @@ val enable_tracing : ?verbose:bool -> ?eternal_backing:bool -> t -> unit
     for in the cost model at enable time. *)
 
 val wearmap : t -> Treesls_obs.Wearmap.t
-(** NVM write/wear telemetry collected by this system's probe — always on
-    while the probe is installed; counters are monotone across
+(** NVM write/wear telemetry collected by this system's probe — always on,
+    from the allocator format at boot; counters are monotone across
     crash/restore. *)
 
 val ensure_wear_backing : t -> unit

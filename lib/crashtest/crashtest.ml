@@ -287,9 +287,6 @@ let tseries_mark sys =
    survived. *)
 let tseries_check sys ~mark =
   let total_before, last_before = mark in
-  (* the twin boot made its probe ambient (last boot wins): reinstall the
-     victim's so the fresh sample lands in the ring under test *)
-  Probe.install (System.obs sys);
   ignore (System.checkpoint sys);
   (* async mode: the sample lands at settle, not at the STW *)
   System.drain_settle sys;
@@ -478,13 +475,13 @@ type plan = {
 (* One instrumented run of the trace: record the commit-point window and
    how often each named crash site fires.  Nothing is injected. *)
 let enumerate cfg =
-  Crash_site.reset ();
   let ops = gen_trace ~seed:cfg.seed ~ops:cfg.ops in
   let sys = boot_sys cfg in
   ignore (System.checkpoint sys);
   let w = Store.warea (System.store sys) in
+  let sites = Store.crash_sites (System.store sys) in
   let first_point = Warea.commit_points w in
-  Crash_site.record ();
+  Crash_site.record sites;
   replay sys ops ~on_op:(fun _ -> ());
   (* one final checkpoint so the tail of the trace is also covered by
      checkpoint crash sites; settle its drain window so the drain/settle
@@ -492,8 +489,7 @@ let enumerate cfg =
   ignore (System.checkpoint sys);
   System.drain_settle sys;
   let last_point = Warea.commit_points w in
-  let site_hits = Crash_site.counts () in
-  Crash_site.reset ();
+  let site_hits = Crash_site.counts sites in
   { p_ops = ops; first_point; last_point; site_hits }
 
 let schedules_of_plan cfg plan =
@@ -537,7 +533,6 @@ let twin_fingerprint cache cfg g =
   match Hashtbl.find_opt cache g with
   | Some fp -> fp
   | None ->
-    Crash_site.reset ();
     let ops = gen_trace ~seed:cfg.seed ~ops:cfg.ops in
     let sys = boot_sys cfg in
     (try
@@ -583,15 +578,15 @@ let liveness_check sys =
    restore.* timer histograms (live references: the victim system is
    dropped right after, so handing them out is safe). *)
 let run_one_profiled ?(twins = Hashtbl.create 8) cfg point =
-  Crash_site.reset ();
   let ops = gen_trace ~seed:cfg.seed ~ops:cfg.ops in
   let sys = boot_sys cfg in
   ignore (System.checkpoint sys);
   let w = Store.warea (System.store sys) in
+  let sites = Store.crash_sites (System.store sys) in
   if cfg.recovery_bug then Warea.set_recovery_bug w true;
   (match point with
   | Commit (p, ph) -> Warea.set_crash_schedule w (Some (p, ph))
-  | Site (s, n) -> Crash_site.arm ~site:s ~nth:n
+  | Site (s, n) -> Crash_site.arm sites ~site:s ~nth:n
   | Restore_site _ | Op_crash _ -> ());
   let fired = ref false in
   let stop_at = match point with Restore_site (_, k) | Op_crash k -> Some k | _ -> None in
@@ -607,7 +602,7 @@ let run_one_profiled ?(twins = Hashtbl.create 8) cfg point =
   | Stop -> fired := true);
   (* Disarm leftovers: recovery must not re-fire a stale plan. *)
   Warea.set_crash_schedule w None;
-  Crash_site.reset ();
+  Crash_site.reset sites;
   let wear_bytes_before = Treesls_obs.Wearmap.total_bytes (System.wearmap sys) in
   let tseries_before = tseries_mark sys in
   let outcome =
@@ -615,19 +610,19 @@ let run_one_profiled ?(twins = Hashtbl.create 8) cfg point =
     else begin
       System.crash sys;
       (* crash-during-recovery schedules arm their site only now *)
-      (match point with Restore_site (s, _) -> Crash_site.arm ~site:s ~nth:1 | _ -> ());
+      (match point with Restore_site (s, _) -> Crash_site.arm sites ~site:s ~nth:1 | _ -> ());
       let recovered =
         match System.recover sys with
         | _ -> Ok ()
         | exception Warea.Crashed _ when (match point with Restore_site _ -> true | _ -> false) ->
           (* the second power cut, mid-recovery: clean up and just retry *)
-          Crash_site.reset ();
+          Crash_site.reset sites;
           (match System.recover sys with
           | _ -> Ok ()
           | exception e -> Error ("retry: " ^ Printexc.to_string e))
         | exception e -> Error (Printexc.to_string e)
       in
-      Crash_site.reset ();
+      Crash_site.reset sites;
       match recovered with
       | Error e -> Recovery_failed e
       | Ok () -> (
@@ -654,8 +649,6 @@ let run_one_profiled ?(twins = Hashtbl.create 8) cfg point =
     end
   in
   Warea.set_recovery_bug w false;
-  (* read RTO telemetry through the victim's own probe handle: the twin's
-     probe may be the ambient one by now (last boot wins) *)
   let recovery = Rto.last (Probe.rto (System.obs sys)) in
   let m = Probe.metrics (System.obs sys) in
   let rto_timers =
@@ -700,12 +693,6 @@ let run ?(progress = fun _ _ -> ()) cfg =
             in
             Histogram.merge ~into:acc h)
           rto_timers;
-        Probe.count "crashtest.schedules" 1;
-        if not (outcome_is_pass r.outcome) then begin
-          Probe.count "crashtest.failed" 1;
-          Probe.instant "crashtest.fail"
-            ~args:[ ("repro", reproducer cfg point); ("outcome", outcome_to_string r.outcome) ]
-        end;
         r)
       schedules
   in

@@ -63,9 +63,9 @@ let reattach ?(slots = default_slots) ?(slot_size = default_slot_size)
 
 let send t ~client payload =
   let sent_ns = Clock.now (Kernel.clock t.kernel) in
-  (* stamp the ambient request's enqueue time and tag the slot with its id
+  (* stamp the current request's enqueue time and tag the slot with its id
      so the releasing checkpoint can attribute the visibility latency *)
-  let req = Treesls_obs.Probe.req_enqueued () in
+  let req = Treesls_obs.Probe.req_enqueued (Treesls_nvm.Store.probe (Kernel.store t.kernel)) in
   Ring.append ~req t.ring (encode ~client ~sent_ns payload)
 
 let pending t = Ring.unpublished_count t.ring

@@ -48,9 +48,9 @@ val reattach :
 
 val send : t -> client:int -> Bytes.t -> bool
 (** Queue a response; it becomes visible at the next checkpoint. [false]
-    when the ring is full (client should back off).  Stamps the ambient
-    request's enqueue time and tags the ring slot with its id, so the
-    releasing checkpoint version is recorded per request. *)
+    when the ring is full (client should back off).  Stamps the system's
+    current request's enqueue time and tags the ring slot with its id, so
+    the releasing checkpoint version is recorded per request. *)
 
 val pending : t -> int
 (** Responses waiting for the next checkpoint. *)

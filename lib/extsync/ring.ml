@@ -5,6 +5,7 @@ module Cost = Treesls_sim.Cost
 module Store = Treesls_nvm.Store
 module Global_meta = Treesls_nvm.Global_meta
 module Probe = Treesls_obs.Probe
+module Wearmap = Treesls_obs.Wearmap
 
 type t = {
   kernel : Kernel.t;
@@ -21,7 +22,8 @@ type t = {
   mutable dropped : int;
 }
 
-
+let probe t = Store.probe (Kernel.store t.kernel)
+let with_extsync_writer t f = Wearmap.with_writer (Probe.wearmap (probe t)) "extsync" f
 
 let pages_needed kernel ~slots ~slot_size =
   let psz = (Kernel.cost kernel).Cost.page_size in
@@ -39,7 +41,7 @@ let read_cursor t off =
 let write_cursor t off v =
   (* the ring lives in an eternal PMO on NVM: cursor writes are extsync
      wear, not app wear *)
-  Treesls_obs.Wearmap.with_writer "extsync" @@ fun () ->
+  with_extsync_writer t @@ fun () ->
   Kernel.write_bytes t.kernel t.proc ~vaddr:(t.base + off) (int_to_bytes v)
 
 let reader t = read_cursor t 0
@@ -62,7 +64,7 @@ let slot_vaddr t i =
   t.base + psz t + (i mod t.slots * t.slot_size)
 
 let write_name t name =
-  Treesls_obs.Wearmap.with_writer "extsync" @@ fun () ->
+  with_extsync_writer t @@ fun () ->
   Kernel.write_bytes t.kernel t.proc ~vaddr:(t.base + name_len_off)
     (int_to_bytes (String.length name));
   Kernel.write_bytes t.kernel t.proc ~vaddr:(t.base + name_bytes_off)
@@ -151,15 +153,15 @@ let append ?(req = 0) t msg =
   let w = writer t and r = reader t in
   if w - r >= t.slots then begin
     t.dropped <- t.dropped + 1;
-    Probe.count "extsync.ring.dropped" 1;
-    if req <> 0 then Probe.req_shed ~id:req;
+    Probe.count (probe t) "extsync.ring.dropped" 1;
+    if req <> 0 then Probe.req_shed (probe t) ~id:req;
     false
   end
   else begin
     let va = slot_vaddr t w in
     let hdr = Bytes.create 4 in
     Bytes.set_int32_le hdr 0 (Int32.of_int len);
-    Treesls_obs.Wearmap.with_writer "extsync" (fun () ->
+    with_extsync_writer t (fun () ->
         Kernel.write_bytes t.kernel t.proc ~vaddr:va hdr;
         Kernel.write_bytes t.kernel t.proc ~vaddr:(va + 4) msg);
     t.slot_req.(w mod t.slots) <- req;
@@ -178,14 +180,14 @@ let on_checkpoint t =
     for i = vis to w - 1 do
       let req = t.slot_req.(i mod t.slots) in
       if req <> 0 then begin
-        Probe.req_released ~id:req ~version;
+        Probe.req_released (probe t) ~id:req ~version;
         t.slot_req.(i mod t.slots) <- 0
       end
     done
   end;
-  Probe.count "extsync.published" newly;
+  Probe.count (probe t) "extsync.published" newly;
   if newly > 0 then
-    Probe.instant "extsync.flush"
+    Probe.instant (probe t) "extsync.flush"
       ~args:[ ("published", string_of_int newly); ("pmo", string_of_int t.pmo_id) ];
   write_cursor t 16 w
 
@@ -197,7 +199,7 @@ let on_restore t =
   for i = vis to w - 1 do
     let req = t.slot_req.(i mod t.slots) in
     if req <> 0 then begin
-      Probe.req_dropped ~id:req;
+      Probe.req_dropped (probe t) ~id:req;
       t.slot_req.(i mod t.slots) <- 0
     end
   done;

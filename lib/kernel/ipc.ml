@@ -1,5 +1,7 @@
 module Kobj = Treesls_cap.Kobj
 module Cost = Treesls_sim.Cost
+module Probe = Treesls_obs.Probe
+module Store = Treesls_nvm.Store
 
 type handler = Bytes.t -> Bytes.t
 
@@ -29,22 +31,23 @@ let call k conn payload =
   | Some h ->
     (* two crossings: call into the server, return to the client *)
     let c = Kernel.cost k in
-    let req = Treesls_obs.Probe.req_current () in
+    let probe = Store.probe (Kernel.store k) in
+    let req = Probe.req_current probe in
     let tok =
-      Treesls_obs.Probe.enter_v "ipc.call"
+      Probe.enter_v probe "ipc.call"
         ~args:
           (("conn", string_of_int conn.Kobj.ic_id)
           :: (if req <> 0 then [ ("req", string_of_int req) ] else []))
     in
     Kernel.syscall k ~work_ns:c.Cost.syscall_ns;
     (Kernel.stats k).Kernel.ipc_calls <- (Kernel.stats k).Kernel.ipc_calls + 1;
-    Treesls_obs.Probe.count "ipc.calls" 1;
-    Treesls_obs.Probe.req_ipc ();
+    Probe.count probe "ipc.calls" 1;
+    Probe.req_ipc probe;
     conn.Kobj.ic_calls <- conn.Kobj.ic_calls + 1;
     Kobj.touch (Kobj.Ipc_conn conn);
     let reply = h payload in
-    Treesls_obs.Probe.req_handled ();
-    Treesls_obs.Probe.exit tok;
+    Probe.req_handled probe;
+    Probe.exit probe tok;
     reply
 
 let notify k n =

@@ -6,6 +6,7 @@ module Radix = Treesls_cap.Radix
 module Cost = Treesls_sim.Cost
 module Clock = Treesls_sim.Clock
 module Probe = Treesls_obs.Probe
+module Wearmap = Treesls_obs.Wearmap
 
 type process = {
   pid : int;
@@ -43,6 +44,7 @@ type t = {
 }
 
 let store t = t.store
+let probe t = Store.probe t.store
 let clock t = Store.clock t.store
 let cost t = Store.cost t.store
 let root t = t.root
@@ -238,7 +240,7 @@ let swap_in_page t pmo ~pno slot =
   charge t (cost t).Cost.trap_ns;
   t.stats.page_faults <- t.stats.page_faults + 1;
   t.stats.swap_ins <- t.stats.swap_ins + 1;
-  Probe.count "kernel.faults.major" 1;
+  Probe.count (probe t) "kernel.faults.major" 1;
   let fresh = Store.swap_in t.store ~slot in
   Radix.set pmo.Kobj.pmo_radix pno fresh;
   List.iter (fun (pt, vpn) -> Pagetable.remap pt ~vpn ~paddr:fresh) (rmap_live t pmo pno);
@@ -276,7 +278,7 @@ let ensure_mapped t proc ~vpn ~for_write =
     charge t (cost t).Cost.trap_ns;
     t.stats.page_faults <- t.stats.page_faults + 1;
     t.stats.cow_faults <- t.stats.cow_faults + 1;
-    Probe.count "kernel.faults.cow" 1;
+    Probe.count (probe t) "kernel.faults.cow" 1;
     cow_upgrade region (vpn - region.Kobj.vr_vpn);
     Pagetable.make_writable pt ~vpn;
     (* the PTE just joined the pagetable's dirty list: the next checkpoint
@@ -338,11 +340,12 @@ let ensure_mapped t proc ~vpn ~for_write =
     | None ->
       (* first touch: allocate the page on NVM *)
       t.stats.alloc_faults <- t.stats.alloc_faults + 1;
-      Probe.count "kernel.faults.alloc" 1;
+      Probe.count (probe t) "kernel.faults.alloc" 1;
       let paddr = Store.alloc_page t.store in
       (* a recycled frame still holds its previous owner's bytes (freed by
          a restore or by GC after an exit); fresh pages must read zero *)
-      Treesls_obs.Wearmap.with_default_writer "app" (fun () -> Store.zero_page t.store paddr);
+      Wearmap.with_default_writer (Probe.wearmap (probe t)) "app" (fun () ->
+          Store.zero_page t.store paddr);
       Radix.set region.Kobj.vr_pmo.Kobj.pmo_radix pno paddr;
       (* the fresh page needs a CP record at the next walk; the PMO must
          not be skipped before its pending-fresh list is drained *)
@@ -364,9 +367,9 @@ let set_dirty_bit t proc vpn =
 
 (* The generic write syscall claims the "app" wear context, but only as a
    default: when a more specific subsystem (extsync ring, checkpoint) is
-   already on the ambient writer stack, its attribution wins. *)
+   already on the wearmap's writer stack, its attribution wins. *)
 let write_bytes t proc ~vaddr (data : Bytes.t) =
-  Treesls_obs.Wearmap.with_default_writer "app" @@ fun () ->
+  Wearmap.with_default_writer (Probe.wearmap (probe t)) "app" @@ fun () ->
   let psz = page_size t in
   let len = Bytes.length data in
   let rec loop vaddr src_off remaining =
@@ -400,7 +403,7 @@ let read_bytes t proc ~vaddr ~len =
 let cookie = Bytes.make 8 '\x5a'
 
 let touch_write t proc ~vpn =
-  Treesls_obs.Wearmap.with_default_writer "app" @@ fun () ->
+  Wearmap.with_default_writer (Probe.wearmap (probe t)) "app" @@ fun () ->
   let paddr = ensure_mapped t proc ~vpn ~for_write:true in
   Store.write_page t.store paddr ~off:0 cookie;
   set_dirty_bit t proc vpn
@@ -412,7 +415,7 @@ let page_paddr t proc ~vpn =
 
 let syscall t ~work_ns =
   t.stats.syscalls <- t.stats.syscalls + 1;
-  Probe.count "kernel.syscalls" 1;
+  Probe.count (probe t) "kernel.syscalls" 1;
   charge t ((cost t).Cost.syscall_ns + work_ns)
 
 (* --- page migration support --------------------------------------------- *)

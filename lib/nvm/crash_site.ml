@@ -1,42 +1,40 @@
-(* Ambient registry like Treesls_obs.Probe: global state keeps the
-   checkpoint/restore pipelines free of plumbing, and the explorer resets it
-   around every run. *)
+(* One table per store: each system owns its crash-injection state, so
+   arming a site on one system never fires inside another. *)
 
 type mode = Off | Record | Armed of { site : string; nth : int }
 
-let mode = ref Off
-let hits : (string, int) Hashtbl.t = Hashtbl.create 32
+type t = { mutable mode : mode; hits : (string, int) Hashtbl.t }
 
-let reset () =
-  mode := Off;
-  Hashtbl.reset hits
+let create () = { mode = Off; hits = Hashtbl.create 32 }
 
-let record () =
-  reset ();
-  mode := Record
+let reset t =
+  t.mode <- Off;
+  Hashtbl.reset t.hits
 
-let arm ~site ~nth =
+let record t =
+  reset t;
+  t.mode <- Record
+
+let arm t ~site ~nth =
   if nth < 1 then invalid_arg "Crash_site.arm: nth must be >= 1";
-  Hashtbl.reset hits;
-  mode := Armed { site; nth }
+  Hashtbl.reset t.hits;
+  t.mode <- Armed { site; nth }
 
-let armed () = match !mode with Armed { site; nth } -> Some (site, nth) | Off | Record -> None
-
-let bump name =
-  let c = (match Hashtbl.find_opt hits name with Some c -> c | None -> 0) + 1 in
-  Hashtbl.replace hits name c;
+let bump t name =
+  let c = (match Hashtbl.find_opt t.hits name with Some c -> c | None -> 0) + 1 in
+  Hashtbl.replace t.hits name c;
   c
 
-let hit name =
-  match !mode with
+let hit t name =
+  match t.mode with
   | Off -> ()
-  | Record -> ignore (bump name)
+  | Record -> ignore (bump t name)
   | Armed { site; nth } ->
-    if String.equal site name && bump name = nth then begin
-      mode := Off;
+    if String.equal site name && bump t name = nth then begin
+      t.mode <- Off;
       raise (Warea.Crashed ("site:" ^ name))
     end
 
-let counts () =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) hits []
+let counts t =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.hits []
   |> List.sort (fun (a, _) (b, _) -> compare a b)

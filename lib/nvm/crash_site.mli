@@ -2,34 +2,34 @@
 
     The checkpoint manager marks interesting instants — sub-phases of the
     stop-the-world walk, hybrid-copy migration steps, the version bump —
-    with [Crash_site.hit "ckpt.publish"] and the like.  In the default
-    [Off] mode a hit is a single mode check (tier-1 tests pay nothing).
-    The crash-schedule explorer first runs a trace in [Record] mode to
-    enumerate how often each site fires, then re-runs it with one site
-    {!arm}ed: the [nth] hit of that site raises {!Warea.Crashed}, modelling
-    a power cut at exactly that instant.
+    with [Crash_site.hit sites "ckpt.publish"] and the like.  In the
+    default [Off] mode a hit is a single mode check (tier-1 tests pay
+    nothing).  The crash-schedule explorer first runs a trace in [Record]
+    mode to enumerate how often each site fires, then re-runs it with one
+    site {!arm}ed: the [nth] hit of that site raises {!Warea.Crashed},
+    modelling a power cut at exactly that instant.
 
-    Ambient (global) on purpose, mirroring [Treesls_obs.Probe]: crash
-    injection must not thread plumbing through every pipeline layer.
-    Explorers {!reset} around each run; at most one system should run under
-    a non-[Off] mode at a time. *)
+    Each store owns one table ([Store.crash_sites]); the pipelines
+    reach it through the store they already hold, so a site armed on one
+    system never fires inside another. *)
 
-val reset : unit -> unit
+type t
+
+val create : unit -> t
+(** A fresh table in [Off] mode. *)
+
+val reset : t -> unit
 (** Back to [Off]; clears hit counts. *)
 
-val record : unit -> unit
+val record : t -> unit
 (** Count every hit per site (enumeration run). *)
 
-val arm : site:string -> nth:int -> unit
+val arm : t -> site:string -> nth:int -> unit
 (** Crash (raise {!Warea.Crashed}) at the [nth] (1-based) hit of [site];
     self-disarms on firing. *)
 
-val armed : unit -> (string * int) option
-(** The armed (site, nth), if any — e.g. to detect a schedule that never
-    fired. *)
-
-val hit : string -> unit
+val hit : t -> string -> unit
 (** Mark a crash site.  No-op when [Off]. *)
 
-val counts : unit -> (string * int) list
+val counts : t -> (string * int) list
 (** Per-site hit counts of the current recording, sorted by site name. *)

@@ -5,11 +5,12 @@ type t = {
   page_size : int;
   store : Bytes.t option array;
   mutable touched : int;
+  wearmap : Treesls_obs.Wearmap.t;
 }
 
-let create ~kind ~pages ~page_size =
+let create ~wearmap ~kind ~pages ~page_size =
   assert (pages > 0 && page_size > 0);
-  { kind; page_size; store = Array.make pages None; touched = 0 }
+  { kind; page_size; store = Array.make pages None; touched = 0; wearmap }
 
 let kind t = t.kind
 let pages t = Array.length t.store
@@ -29,13 +30,13 @@ let read t idx ~off ~len =
   let p = page t idx in
   Bytes.sub p off len
 
-(* Every physical byte landing on an NVM page feeds the wearmap, attributed
-   to the ambient writer context — this is the single choke point that makes
-   write-amplification and wear measurable (DRAM/SSD writes cost no
-   endurance and are not counted). *)
+(* Every physical byte landing on an NVM page feeds the device's wearmap,
+   attributed to its current writer context — this is the single choke
+   point that makes write-amplification and wear measurable (DRAM/SSD
+   writes cost no endurance and are not counted). *)
 let wear t idx ~bytes =
   match t.kind with
-  | Paddr.Nvm -> Treesls_obs.Probe.wear_page_write ~page:idx ~bytes
+  | Paddr.Nvm -> Treesls_obs.Wearmap.record t.wearmap ~page:idx ~bytes
   | Paddr.Dram | Paddr.Ssd -> ()
 
 let write t idx ~off src =

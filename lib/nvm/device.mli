@@ -9,7 +9,10 @@ type kind = Paddr.device
 
 type t
 
-val create : kind:kind -> pages:int -> page_size:int -> t
+val create : wearmap:Treesls_obs.Wearmap.t -> kind:kind -> pages:int -> page_size:int -> t
+(** Every byte written to an NVM device's pages is recorded in [wearmap]
+    under its current writer; DRAM and SSD devices record nothing. *)
+
 val kind : t -> kind
 val pages : t -> int
 val page_size : t -> int

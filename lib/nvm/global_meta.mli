@@ -12,7 +12,8 @@ type status =
   | Idle  (** no checkpoint in flight *)
   | In_progress  (** STW checkpoint running; not yet committed *)
 
-val create : unit -> t
+val create : wearmap:Treesls_obs.Wearmap.t -> t
+(** Each word write is recorded in [wearmap] as [nvm.meta] bytes. *)
 
 val version : t -> int
 (** Version of the last committed checkpoint; 0 = none yet. *)

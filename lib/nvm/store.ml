@@ -1,6 +1,7 @@
 module Cost = Treesls_sim.Cost
 module Clock = Treesls_sim.Clock
 module Probe = Treesls_obs.Probe
+module Wearmap = Treesls_obs.Wearmap
 
 type sink = Clock_sink | Meter of int ref | Off
 
@@ -20,6 +21,8 @@ type t = {
   mutable sink : sink;
   seals : (Paddr.t, int) Hashtbl.t; (* NVM metadata: backup page checksums *)
   mutable checksums : bool; (* reliability mode (paper section 8), off by default *)
+  probe : Probe.t;
+  crash_sites : Crash_site.t;
 }
 
 let max_slabs_per_class = 512
@@ -27,12 +30,17 @@ let max_slabs_per_class = 512
 let create ?(cost = Cost.default) ?(ssd_pages = 4096) ~clock ~nvm_pages ~dram_pages () =
   if not (Treesls_util.Bits.is_power_of_two nvm_pages) then
     invalid_arg "Store.create: nvm_pages must be a power of two";
-  let nvm = Device.create ~kind:Paddr.Nvm ~pages:nvm_pages ~page_size:cost.Cost.page_size in
-  let dram = Device.create ~kind:Paddr.Dram ~pages:dram_pages ~page_size:cost.Cost.page_size in
-  let ssd = Device.create ~kind:Paddr.Ssd ~pages:ssd_pages ~page_size:cost.Cost.page_size in
+  (* the probe exists before the allocator format, so this system's own
+     boot journal is charged to it *)
+  let probe = Probe.create ~clock in
+  let wearmap = Probe.wearmap probe in
+  let device kind pages = Device.create ~wearmap ~kind ~pages ~page_size:cost.Cost.page_size in
+  let nvm = device Paddr.Nvm nvm_pages in
+  let dram = device Paddr.Dram dram_pages in
+  let ssd = device Paddr.Ssd ssd_pages in
   let buddy_words = Buddy.words_needed ~total_pages:nvm_pages in
   let slab_words = Slab.words_needed ~max_slabs_per_class in
-  let warea = Warea.create ~words:(buddy_words + slab_words) in
+  let warea = Warea.create ~probe ~words:(buddy_words + slab_words) in
   let buddy = Buddy.format warea ~base:0 ~total_pages:nvm_pages in
   let slab =
     Slab.format warea ~base:buddy_words ~buddy ~page_size:cost.Cost.page_size
@@ -49,12 +57,14 @@ let create ?(cost = Cost.default) ?(ssd_pages = 4096) ~clock ~nvm_pages ~dram_pa
     warea;
     buddy;
     slab;
-    meta = Global_meta.create ();
+    meta = Global_meta.create ~wearmap;
     dram_free;
     dram_free_count = dram_pages;
     sink = Clock_sink;
     seals = Hashtbl.create 256;
     checksums = false;
+    probe;
+    crash_sites = Crash_site.create ();
   }
 
 let cost t = t.cost
@@ -63,6 +73,8 @@ let meta t = t.meta
 let buddy t = t.buddy
 let slab t = t.slab
 let warea t = t.warea
+let probe t = t.probe
+let crash_sites t = t.crash_sites
 
 let charge t ns =
   match t.sink with
@@ -77,8 +89,8 @@ let with_sink t sink f =
 
 let alloc_page t =
   charge t (t.cost.Cost.alloc_page_ns + t.cost.Cost.journal_entry_ns);
-  Probe.count "nvm.alloc.pages" 1;
-  Probe.instant_v "nvm.alloc" ~args:[ ("kind", "page") ];
+  Probe.count t.probe "nvm.alloc.pages" 1;
+  Probe.instant_v t.probe "nvm.alloc" ~args:[ ("kind", "page") ];
   match Buddy.alloc t.buddy ~order:0 with
   | Some idx -> Paddr.nvm idx
   | None -> raise Out_of_memory
@@ -86,7 +98,7 @@ let alloc_page t =
 let free_page t addr =
   if not (Paddr.is_nvm addr) then invalid_arg "Store.free_page: not an NVM page";
   charge t (t.cost.Cost.alloc_page_ns + t.cost.Cost.journal_entry_ns);
-  Probe.count "nvm.free.pages" 1;
+  Probe.count t.probe "nvm.free.pages" 1;
   Hashtbl.remove t.seals addr;
   Buddy.free t.buddy ~offset:addr.Paddr.idx
 
@@ -122,7 +134,7 @@ let copy_page t ~src ~dst =
   charge t ns;
   (* reconcile charged copy time against physical bytes: the wearmap pairs
      this ns with the page-sized write Device.copy_page records below *)
-  if Paddr.is_nvm dst then Probe.wear_copy_charged ~ns;
+  if Paddr.is_nvm dst then Wearmap.copy_charged (Probe.wearmap t.probe) ~ns;
   Device.copy_page ~src:(device t src) ~src_idx:src.Paddr.idx ~dst:(device t dst)
     ~dst_idx:dst.Paddr.idx
 
@@ -170,7 +182,7 @@ let swap_out t ~src =
   | None -> None
   | Some slot ->
     charge t (ssd_page_ns t);
-    Probe.count "nvm.swap.outs" 1;
+    Probe.count t.probe "nvm.swap.outs" 1;
     Device.copy_page ~src:t.nvm ~src_idx:src.Paddr.idx ~dst:t.ssd ~dst_idx:slot.Paddr.idx;
     free_page t src;
     Some slot
@@ -179,10 +191,10 @@ let swap_in t ~slot =
   if not (Paddr.is_ssd slot) then invalid_arg "Store.swap_in: source must be an SSD slot";
   (* swap-in can fire on a read fault, outside any writer context; its
      NVM landing is swap machinery wear either way *)
-  Treesls_obs.Wearmap.with_writer "nvm.swap" @@ fun () ->
+  Wearmap.with_writer (Probe.wearmap t.probe) "nvm.swap" @@ fun () ->
   let dst = alloc_page t in
   charge t (ssd_page_ns t);
-  Probe.count "nvm.swap.ins" 1;
+  Probe.count t.probe "nvm.swap.ins" 1;
   Device.copy_page ~src:t.ssd ~src_idx:slot.Paddr.idx ~dst:t.nvm ~dst_idx:dst.Paddr.idx;
   free_ssd_page t slot;
   dst
@@ -191,15 +203,15 @@ let ssd_slots_free t = List.length t.ssd_free
 
 let alloc_obj t ~size =
   charge t (t.cost.Cost.alloc_small_ns + t.cost.Cost.journal_entry_ns);
-  Probe.count "nvm.alloc.objs" 1;
-  Probe.instant_v "nvm.alloc" ~args:[ ("kind", "obj"); ("size", string_of_int size) ];
+  Probe.count t.probe "nvm.alloc.objs" 1;
+  Probe.instant_v t.probe "nvm.alloc" ~args:[ ("kind", "obj"); ("size", string_of_int size) ];
   match Slab.alloc t.slab ~size with
   | Some h -> h
   | None -> raise Out_of_memory
 
 let free_obj t h =
   charge t (t.cost.Cost.alloc_small_ns + t.cost.Cost.journal_entry_ns);
-  Probe.count "nvm.free.objs" 1;
+  Probe.count t.probe "nvm.free.objs" 1;
   Slab.free t.slab h
 
 let crash t =

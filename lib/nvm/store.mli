@@ -8,7 +8,12 @@
 
     All operations charge simulated time to a pluggable sink, by default
     the global clock; the checkpoint code redirects charges to per-core
-    meters while modelling work done in parallel with the leader. *)
+    meters while modelling work done in parallel with the leader.
+
+    A store also owns its system's observability probe and crash-site
+    table.  Both outlive crashes and kernel rebuilds, like the store
+    itself, and every layer above reaches them through the store it
+    holds. *)
 
 type t
 
@@ -23,7 +28,9 @@ val create :
   unit ->
   t
 (** [nvm_pages] must be a power of two. [ssd_pages] sizes the swap device
-    used by memory over-commitment (default 4096). *)
+    used by memory over-commitment (default 4096).  The store's probe is
+    built from [clock] before the allocators are formatted, so the format
+    journal is charged to it. *)
 
 val cost : t -> Treesls_sim.Cost.t
 val clock : t -> Treesls_sim.Clock.t
@@ -31,6 +38,12 @@ val meta : t -> Global_meta.t
 val buddy : t -> Buddy.t
 val slab : t -> Slab.t
 val warea : t -> Warea.t
+
+val probe : t -> Treesls_obs.Probe.t
+(** This system's observability context. *)
+
+val crash_sites : t -> Crash_site.t
+(** This system's named-crash-site table. *)
 
 val charge : t -> int -> unit
 (** Charge [ns] to the current sink. *)

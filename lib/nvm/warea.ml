@@ -1,3 +1,6 @@
+module Probe = Treesls_obs.Probe
+module Wearmap = Treesls_obs.Wearmap
+
 exception Crashed of string
 
 type crash_phase = Before_log | After_log | Mid_apply | After_apply
@@ -32,9 +35,10 @@ type t = {
   mutable words_written : int;
   mutable replayed_words : int;
   mutable recovery_bug : bool;
+  probe : Treesls_obs.Probe.t;
 }
 
-let create ~words =
+let create ~probe ~words =
   assert (words > 0);
   {
     words = Array.make words 0;
@@ -46,6 +50,7 @@ let create ~words =
     words_written = 0;
     replayed_words = 0;
     recovery_bug = false;
+    probe;
   }
 
 let size t = Array.length t.words
@@ -102,13 +107,13 @@ let commit t ~desc writes =
   t.log <- None;
   t.commits <- t.commits + 1;
   t.words_written <- t.words_written + Array.length arr;
-  Treesls_obs.Probe.count "nvm.txn.commits" 1;
-  Treesls_obs.Probe.count "nvm.txn.words" (Array.length arr);
+  Probe.count t.probe "nvm.txn.commits" 1;
+  Probe.count t.probe "nvm.txn.words" (Array.length arr);
   (* journal write model: each committed word costs an 8-byte log record
      plus its 8-byte in-place apply — 16 physical NVM bytes per word, so
      journal wear reconciles exactly with the nvm.txn.words counter *)
-  Treesls_obs.Probe.wear_note ~subsystem:"nvm.journal" ~bytes:(16 * Array.length arr);
-  Treesls_obs.Probe.instant_v "nvm.txn"
+  Wearmap.note (Probe.wearmap t.probe) ~subsystem:"nvm.journal" ~bytes:(16 * Array.length arr);
+  Probe.instant_v t.probe "nvm.txn"
     ~args:[ ("desc", desc); ("words", string_of_int (Array.length arr)) ]
 
 let consume_point t ~desc =
@@ -146,7 +151,7 @@ let recover t =
       (* redo replay re-applies each word in place: 8 physical bytes/word,
          attributed separately so normal-run journal wear still reconciles
          with the nvm.txn.words counter *)
-      Treesls_obs.Probe.wear_note ~subsystem:"restore.journal"
+      Wearmap.note (Probe.wearmap t.probe) ~subsystem:"restore.journal"
         ~bytes:(8 * Array.length record.writes)
     end;
     t.log <- None

@@ -43,7 +43,11 @@ val phase_of_string : string -> crash_phase option
 val all_phases : crash_phase list
 (** The four phases in log order. *)
 
-val create : words:int -> t
+val create : probe:Treesls_obs.Probe.t -> words:int -> t
+(** A zeroed area whose commits and replays are counted and wear-recorded
+    in [probe] ([nvm.txn.*] counters, [nvm.journal]/[restore.journal]
+    bytes). *)
+
 val size : t -> int
 
 val read : t -> int -> int

@@ -66,6 +66,7 @@ let run ?wear mgr =
   let st = Manager.state mgr in
   let kernel = Manager.kernel mgr in
   let store = Kernel.store kernel in
+  let probe = Store.probe store in
   let meta = Store.meta store in
   let g = Global_meta.version meta in
   (* Async drain: between a publish and its settle the system legitimately
@@ -235,36 +236,28 @@ let run ?wear mgr =
     reachable;
 
   (* The trace ring's NVM backing must be a reachable eternal PMO. *)
-  (match Probe.installed () with
-  | Some probe when Probe.clock probe == Kernel.clock kernel -> (
-    match Probe.backing_pmo probe with
-    | None -> ()
-    | Some id -> (
-      match Hashtbl.find_opt reachable id with
-      | Some (Kobj.Pmo p) when p.Kobj.pmo_kind = Kobj.Pmo_eternal -> ()
-      | Some _ -> add ~obj_id:id Error Eternal "trace backing object is not an eternal PMO"
-      | None ->
-        add ~obj_id:id Error Eternal "trace backing PMO is not reachable from the root"))
-  | Some _ | None -> ());
+  (match Probe.backing_pmo probe with
+  | None -> ()
+  | Some id -> (
+    match Hashtbl.find_opt reachable id with
+    | Some (Kobj.Pmo p) when p.Kobj.pmo_kind = Kobj.Pmo_eternal -> ()
+    | Some _ -> add ~obj_id:id Error Eternal "trace backing object is not an eternal PMO"
+    | None -> add ~obj_id:id Error Eternal "trace backing PMO is not reachable from the root"));
 
   (* The wearmap's NVM backing (when reserved) follows the same rule. *)
-  (match Probe.installed () with
-  | Some probe when Probe.clock probe == Kernel.clock kernel -> (
-    match Probe.wear_backing_pmo probe with
-    | None -> ()
-    | Some id -> (
-      match Hashtbl.find_opt reachable id with
-      | Some (Kobj.Pmo p) when p.Kobj.pmo_kind = Kobj.Pmo_eternal -> ()
-      | Some _ -> add ~obj_id:id Error Eternal "wear backing object is not an eternal PMO"
-      | None ->
-        add ~obj_id:id Error Eternal "wear backing PMO is not reachable from the root"))
-  | Some _ | None -> ());
+  (match Probe.wear_backing_pmo probe with
+  | None -> ()
+  | Some id -> (
+    match Hashtbl.find_opt reachable id with
+    | Some (Kobj.Pmo p) when p.Kobj.pmo_kind = Kobj.Pmo_eternal -> ()
+    | Some _ -> add ~obj_id:id Error Eternal "wear backing object is not an eternal PMO"
+    | None -> add ~obj_id:id Error Eternal "wear backing PMO is not reachable from the root"));
 
   (* Wear health (doctor, opt-in): write-amplification and wear-skew
      thresholds, plus unattributed writes — NVM bytes recorded outside any
      writer context mean an instrumentation gap. *)
-  (match (wear, Probe.installed ()) with
-  | Some th, Some probe when Probe.clock probe == Kernel.clock kernel ->
+  (match wear with
+  | Some th ->
     let wm = Probe.wearmap probe in
     let unattributed = Wearmap.subsystem_bytes wm Wearmap.unattributed in
     if unattributed > 0 then
@@ -284,7 +277,7 @@ let run ?wear mgr =
           "wear skew %.1f (max/mean writes over %d pages) exceeds threshold %.1f" skew
           tracked th.skew_warn
     end
-  | _ -> ());
+  | None -> ());
 
   (* Allocator: internal invariants, then reconcile every live buddy
      block against exactly one owning subsystem. *)
@@ -367,9 +360,9 @@ let run ?wear mgr =
   let nerr =
     List.length (List.filter (fun v -> v.severity = Error) violations)
   in
-  Probe.count "audit.runs" 1;
-  Probe.count "audit.violations" (List.length violations);
-  if nerr > 0 then Probe.count "audit.errors" nerr;
+  Probe.count probe "audit.runs" 1;
+  Probe.count probe "audit.violations" (List.length violations);
+  if nerr > 0 then Probe.count probe "audit.errors" nerr;
   {
     version = g;
     objects_checked = !objects_checked;

@@ -1,45 +1,40 @@
-(** Zero-cost-when-disabled observability hooks.
+(** Per-system observability context.
 
-    The kernel, checkpoint manager, NVM allocator/journal and external
-    synchrony ring are instrumented through this module's static emitters
-    rather than holding a trace handle each: call sites pay one load and
-    branch when no probe is installed, and emitters never advance the
-    simulated clock, so observability cannot perturb a measurement.
-
-    A probe bundles a {!Trace} ring, a {!Metrics} registry and the
-    {!Treesls_sim.Clock} that timestamps both.  [Treesls.System.boot]
-    creates and installs one per system (last boot wins — the simulator is
-    single-threaded).  Metrics are always collected while a probe is
-    installed; trace events additionally require {!set_tracing}, and the
-    per-operation firehose ([nvm.alloc], [nvm.txn], [ipc.call]) also
-    requires {!set_verbose}. *)
+    A probe bundles a {!Trace} ring, a {!Metrics} registry, the request
+    tracker, the wearmap, the recovery profiler and the black-box
+    time-series, all timestamped by one {!Treesls_sim.Clock}.
+    [Treesls_nvm.Store.create] builds one per store, before it formats
+    the allocator, so every word a system writes — its own boot included
+    — is charged to that system.  The kernel, checkpoint manager, NVM
+    allocator/journal and external-synchrony ring reach it through the
+    store they already hold and pass it to the emitters below, which
+    never advance the simulated clock, so observability cannot perturb a
+    measurement.  Metrics are always collected; trace events additionally
+    require {!set_tracing}, and the per-operation firehose ([nvm.alloc],
+    [nvm.txn], [ipc.call]) also requires {!set_verbose}. *)
 
 type t
 
-val create : ?capacity:int -> ?tseries_capacity:int -> clock:Treesls_sim.Clock.t -> unit -> t
-(** [capacity] is the trace ring size (default 4096 events);
-    [tseries_capacity] the black-box sample ring size
-    (default {!Tseries.default_capacity}). *)
-
-val install : t -> unit
-val uninstall : unit -> unit
-val installed : unit -> t option
+val create : clock:Treesls_sim.Clock.t -> t
+(** A probe with a 4096-event trace ring and a
+    {!Tseries.default_capacity}-sample black box; tracing off. *)
 
 val clock : t -> Treesls_sim.Clock.t
 val trace : t -> Trace.t
 val metrics : t -> Metrics.t
 
 val rtrace : t -> Rtrace.t
-(** Request-causality tracker (see {!Rtrace}); always collecting while
-    the probe is installed, like metrics. *)
+(** Request-causality tracker (see {!Rtrace}); always collecting, like
+    metrics. *)
 
 val wearmap : t -> Wearmap.t
-(** NVM write/wear telemetry (see {!Wearmap}); always collecting while
-    the probe is installed, like metrics. *)
+(** NVM write/wear telemetry (see {!Wearmap}); always collecting, like
+    metrics.  The store's devices, journal and metadata record into it
+    directly. *)
 
 val rto : t -> Rto.t
 (** Recovery profiler / crash flight recorder (see {!Rto}); always
-    collecting while the probe is installed, like metrics. *)
+    collecting, like metrics. *)
 
 val tseries : t -> Tseries.t
 (** Crash-surviving metrics time-series (see {!Tseries}); sampled at
@@ -73,48 +68,48 @@ val tseries_backing_pmo : t -> int option
 (** Id of the eternal PMO reserved as the tseries ring's NVM backing (set
     by [System.ensure_tseries_backing]); [None] until reserved. *)
 
-(** {2 Trace emitters} — no-ops (returning 0 where applicable) unless a
-    probe is installed with tracing on. *)
+(** {2 Trace emitters} — no-ops (returning 0 where applicable) unless
+    tracing is on. *)
 
-val enter : ?args:(string * string) list -> string -> int
-val exit : ?args:(string * string) list -> int -> unit
+val enter : t -> ?args:(string * string) list -> string -> int
+val exit : t -> ?args:(string * string) list -> int -> unit
 (** Open/close a nested span.  [exit 0] is a no-op, so call sites need no
     disabled-check of their own. *)
 
-val instant : ?args:(string * string) list -> string -> unit
+val instant : t -> ?args:(string * string) list -> string -> unit
 
-val span_at : ?args:(string * string) list -> string -> ts_ns:int -> dur_ns:int -> unit
+val span_at : t -> ?args:(string * string) list -> string -> ts_ns:int -> dur_ns:int -> unit
 (** Record a span with explicit timestamps (overlapping/parallel work). *)
 
-val enter_v : ?args:(string * string) list -> string -> int
-val instant_v : ?args:(string * string) list -> string -> unit
+val enter_v : t -> ?args:(string * string) list -> string -> int
+val instant_v : t -> ?args:(string * string) list -> string -> unit
 (** Verbose-tier variants: additionally gated on {!set_verbose}. *)
 
-val crash_mark : unit -> unit
+val crash_mark : t -> unit
 (** Close all open spans as [aborted=true] and record a ["crash"] instant —
     called by the checkpoint manager when a power failure is injected.
     Also finalizes every pending request as dropped (see {!Rtrace.on_crash}),
     independent of whether the trace ring is recording. *)
 
-(** {2 RTO / flight-recorder emitters} — active whenever a probe is
-    installed (like metrics); they read the simulated clock but never
-    advance it.  Call sites: [Restore.run] opens/aborts/completes the
-    profile, [Restore.run_inner] brackets its phases, and
-    [System.recover] brackets service re-setup then seals the record
-    (emitting the [restore.*] metrics family). *)
+(** {2 RTO / flight-recorder emitters} — always active (like metrics);
+    they read the simulated clock but never advance it.  Call sites:
+    [Restore.run] opens/aborts/completes the profile, [Restore.run_inner]
+    brackets its phases, and [System.recover] brackets service re-setup
+    then seals the record (emitting the [restore.*] metrics family). *)
 
-val rto_begin_restore : unit -> unit
+val rto_begin_restore : t -> unit
 (** Open a recovery profile, capturing the pre-crash tail of the trace
     ring for the flight recorder. *)
 
-val rto_phase_begin : string -> unit
-val rto_phase_end : unit -> unit
+val rto_phase_begin : t -> string -> unit
+val rto_phase_end : t -> unit
 (** Bracket a named restore phase (phases nest; exclusive accounting). *)
 
-val rto_note_kind : string -> int -> unit
+val rto_note_kind : t -> string -> int -> unit
 (** Charge materialisation nanoseconds to an object-kind name. *)
 
 val rto_restore_done :
+  t ->
   version:int ->
   restored_objects:int ->
   dropped_objects:int ->
@@ -124,85 +119,67 @@ val rto_restore_done :
 (** [Restore.run] succeeded with this report; the profile stays open for
     service re-setup. *)
 
-val rto_abort : unit -> unit
+val rto_abort : t -> unit
 (** [Restore.run] raised: discard the building profile. *)
 
-val rto_recovered : unit -> unit
+val rto_recovered : t -> unit
 (** Seal the profile into the crash-surviving [last] record and emit the
     [restore.*] metrics (total/downtime/untracked, per-phase timers,
     object/page counts). *)
 
-(** {2 Request-causality emitters} — active whenever a probe is installed
-    (like metrics); host-time cost only.  Call sites: [Kv_app.call] marks
-    arrival, [Ipc.call] marks handling, [Net_server.send]/[Ring.append]
-    mark enqueue/shed, and [Ring.on_checkpoint] marks release with the
+(** {2 Request-causality emitters} — always active (like metrics);
+    host-time cost only.  Call sites: [Kv_app.call] marks arrival,
+    [Ipc.call] marks handling, [Net_server.send]/[Ring.append] mark
+    enqueue/shed, and [Ring.on_checkpoint] marks release with the
     committing version. *)
 
-val req_arrive : origin:string -> int
-(** New externally-driven request becomes the ambient current one;
-    returns its id (0 with no probe). *)
+val req_arrive : t -> origin:string -> int
+(** New externally-driven request becomes the system's current one;
+    returns its id. *)
 
-val req_current : unit -> int
-val req_handled : unit -> unit
-val req_ipc : unit -> unit
+val req_current : t -> int
+val req_handled : t -> unit
+val req_ipc : t -> unit
 
-val req_enqueued : unit -> int
+val req_enqueued : t -> int
 (** Stamp the current request's enqueue-on-ring time; returns its id so
     the ring can remember which request each slot's reply belongs to. *)
 
-val req_shed : id:int -> unit
+val req_shed : t -> id:int -> unit
 (** The ring was full; the reply for request [id] was dropped at enqueue. *)
 
-val req_dropped : id:int -> unit
+val req_dropped : t -> id:int -> unit
 (** Request [id]'s enqueued reply was discarded (restore found it past
     [visible_writer]). *)
 
-val req_released : id:int -> version:int -> unit
+val req_released : t -> id:int -> version:int -> unit
 (** Checkpoint [version]'s commit made request [id]'s reply visible.
     Feeds [req.enq2vis_ns]/[req.e2e_ns] metrics; with tracing on, also
     emits a retroactive ["req"] span and a ["req.flow"] flow arrow ending
     inside the releasing [ckpt.stw] slice. *)
 
-val ckpt_committed : version:int -> stw_t0:int -> stw_t1:int -> unit
+val ckpt_committed : t -> version:int -> stw_t0:int -> stw_t1:int -> unit
 (** Record the just-committed checkpoint's STW window so release flow
     arrows can bind to its trace slice.  Called by [Checkpoint.run]
     before the post-commit callbacks that publish ring entries. *)
 
-(** {2 Wear emitters} — active whenever a probe is installed (like
-    metrics); host-time cost only.  Call sites: [Device.write]/
-    [copy_page]/[zero_page] record physical page writes, [Warea.commit]
-    notes journal bytes, [Checkpoint.run] notes snapshot bytes, and
-    [Store.copy_page] reconciles charged copy time with copied bytes. *)
+(** {2 Wear} *)
 
-val wear_page_write : page:int -> bytes:int -> unit
-(** A physical write of [bytes] to NVM page [page], attributed to the
-    ambient {!Wearmap} writer context. *)
-
-val wear_note : subsystem:string -> bytes:int -> unit
-(** Modeled metadata bytes with no single backing page. *)
-
-val wear_copy_charged : ns:int -> unit
-(** A whole-page NVM copy was charged [ns] by the cost model. *)
-
-val wear_total_bytes : unit -> int
-(** Cumulative physical NVM bytes recorded so far (0 with no probe). *)
-
-val wear_counter_sample : unit -> unit
+val wear_counter_sample : t -> unit
 (** With tracing on, record a [nvm.bytes_written] Perfetto counter sample
     carrying the cumulative per-subsystem byte totals. *)
 
-(** {2 Tseries / SLO emitters} — active whenever a probe is installed
-    (like metrics). *)
+(** {2 Tseries / SLO emitters} — always active (like metrics). *)
 
 val tseries_key_cols : string list
 (** The headline signals mirrored onto the live trace as a ["tseries"]
     counter track when tracing is on. *)
 
-val req_pending_enqueued : unit -> int
-(** {!Rtrace.pending_enqueued} of the installed probe (0 with none) —
-    the controller's burst-pressure poll. *)
+val req_pending_enqueued : t -> int
+(** {!Rtrace.pending_enqueued} of this probe — the controller's
+    burst-pressure poll. *)
 
-val tseries_sample : version:int -> stw_ns:int -> interval_ns:int option -> unit
+val tseries_sample : t -> version:int -> stw_ns:int -> interval_ns:int option -> unit
 (** Record one black-box sample for the just-committed checkpoint
     [version]: the full metrics registry (counters, gauges, per-timer
     count/p99) plus the derived signals ([ckpt.stw_ns] of this commit
@@ -212,8 +189,8 @@ val tseries_sample : version:int -> stw_ns:int -> interval_ns:int option -> unit
     [Checkpoint.run] after commit, once the post-commit gauges are
     set. *)
 
-(** {2 Metrics emitters} — active whenever a probe is installed. *)
+(** {2 Metrics emitters} — always active. *)
 
-val count : string -> int -> unit
-val gauge : string -> int -> unit
-val observe : string -> int -> unit
+val count : t -> string -> int -> unit
+val gauge : t -> string -> int -> unit
+val observe : t -> string -> int -> unit

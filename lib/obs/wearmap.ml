@@ -2,10 +2,10 @@
 
    Physical write accounting for the simulated NVM device: every byte that
    lands on an NVM page is counted per page (wear) and attributed to the
-   subsystem that wrote it (amplification).  Attribution uses an ambient
-   *writer context* — a module-global stack, same single-threaded-simulator
-   trick as {!Rtrace}'s ambient current request — so the device layer never
-   needs to know who is calling it.
+   subsystem that wrote it (amplification).  Attribution uses a *writer
+   context* — a stack of subsystem names held by the wearmap itself, pushed
+   by the code that is about to write — so the device layer never needs to
+   know who is calling it.
 
    Two accounting channels:
    - [record]: a physical write to an identified NVM page (from
@@ -29,6 +29,7 @@ type sub_stat = { mutable s_writes : int; mutable s_bytes : int }
 type t = {
   pages : (int, page_stat) Hashtbl.t;
   subs : (string, sub_stat) Hashtbl.t;
+  mutable stack : string list; (* writer context, innermost first *)
   mutable total_writes : int;
   mutable total_bytes : int;
   mutable copy_pages : int; (* whole-page NVM copies charged via Store *)
@@ -39,34 +40,30 @@ let create () =
   {
     pages = Hashtbl.create 1024;
     subs = Hashtbl.create 16;
+    stack = [];
     total_writes = 0;
     total_bytes = 0;
     copy_pages = 0;
     copy_ns = 0;
   }
 
-(* --- ambient writer context ------------------------------------------- *)
+(* --- writer context ------------------------------------------------------ *)
 
 let unattributed = "unattributed"
 
-(* Module-global, not per-[t]: the writer context describes *who is
-   executing*, which is a property of the (single-threaded) simulation,
-   not of any particular telemetry sink. *)
-let stack : string list ref = ref []
+let current_writer t = match t.stack with [] -> unattributed | w :: _ -> w
 
-let current_writer () = match !stack with [] -> unattributed | w :: _ -> w
-
-let with_writer name f =
-  stack := name :: !stack;
+let with_writer t name f =
+  t.stack <- name :: t.stack;
   Fun.protect
-    ~finally:(fun () -> match !stack with [] -> () | _ :: tl -> stack := tl)
+    ~finally:(fun () -> match t.stack with [] -> () | _ :: tl -> t.stack <- tl)
     f
 
 (* Outermost-wins variant for generic entry points (e.g. the kernel's
    write syscall claims "app" only when no more specific subsystem —
    extsync, checkpoint — is already on the stack). *)
-let with_default_writer name f =
-  match !stack with [] -> with_writer name f | _ :: _ -> f ()
+let with_default_writer t name f =
+  match t.stack with [] -> with_writer t name f | _ :: _ -> f ()
 
 (* --- recording --------------------------------------------------------- *)
 
@@ -89,7 +86,7 @@ let record t ~page ~bytes =
    in
    ps.p_writes <- ps.p_writes + 1;
    ps.p_bytes <- ps.p_bytes + bytes);
-  let s = sub t (current_writer ()) in
+  let s = sub t (current_writer t) in
   s.s_writes <- s.s_writes + 1;
   s.s_bytes <- s.s_bytes + bytes;
   t.total_writes <- t.total_writes + 1;

@@ -2,9 +2,8 @@
 
     Counts every physical byte written to the simulated NVM device, per
     page (wear) and per writing subsystem (amplification).  Subsystem
-    attribution uses an ambient {e writer context} — a module-global stack
-    manipulated with {!with_writer}, the same single-threaded-simulator
-    pattern as {!Rtrace}'s ambient current request — so the device layer
+    attribution uses each wearmap's {e writer context} — a stack of
+    subsystem names manipulated with {!with_writer} — so the device layer
     stays ignorant of its callers.
 
     The tables live in the OCaml heap but model NVM-resident state (see
@@ -15,19 +14,19 @@ type t
 
 val create : unit -> t
 
-(** {2 Writer context} — module-global ambient state, not per-[t]. *)
+(** {2 Writer context} *)
 
-val with_writer : string -> (unit -> 'a) -> 'a
+val with_writer : t -> string -> (unit -> 'a) -> 'a
 (** Run [f] with the given subsystem name as the innermost writer;
     exception-safe (the context pops even if [f] raises, e.g. an injected
     crash). *)
 
-val with_default_writer : string -> (unit -> 'a) -> 'a
+val with_default_writer : t -> string -> (unit -> 'a) -> 'a
 (** Like {!with_writer} but only applies when no writer context is active —
     for generic entry points (the kernel write syscall claims ["app"]
     unless extsync/checkpoint/… already claimed the write). *)
 
-val current_writer : unit -> string
+val current_writer : t -> string
 (** Innermost active writer, or {!unattributed} when none. *)
 
 val unattributed : string

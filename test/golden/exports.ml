@@ -152,11 +152,11 @@ let audit_diff =
 
 let wearmap () =
   let wm = Wearmap.create () in
-  Wearmap.with_writer "app" (fun () ->
+  Wearmap.with_writer wm "app" (fun () ->
       Wearmap.record wm ~page:2 ~bytes:100;
       Wearmap.record wm ~page:2 ~bytes:50;
       Wearmap.record wm ~page:9 ~bytes:25);
-  Wearmap.with_writer "ckpt \"cow\"" (fun () -> Wearmap.record wm ~page:5 ~bytes:4096);
+  Wearmap.with_writer wm "ckpt \"cow\"" (fun () -> Wearmap.record wm ~page:5 ~bytes:4096);
   Wearmap.note wm ~subsystem:"nvm.journal" ~bytes:64;
   Wearmap.copy_charged wm ~ns:300;
   wm

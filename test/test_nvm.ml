@@ -12,9 +12,17 @@ module Store = Treesls_nvm.Store
 module Global_meta = Treesls_nvm.Global_meta
 module Clock = Treesls_sim.Clock
 module Rng = Treesls_util.Rng
+module Probe = Treesls_obs.Probe
+module Wearmap = Treesls_obs.Wearmap
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+(* Standalone devices and word areas record into throwaway telemetry. *)
+let device ~kind ~pages ~page_size =
+  Device.create ~wearmap:(Wearmap.create ()) ~kind ~pages ~page_size
+
+let warea ~words = Warea.create ~probe:(Probe.create ~clock:(Clock.create ())) ~words
 
 (* ---- Paddr ---- *)
 
@@ -29,19 +37,19 @@ let paddr_basics () =
 (* ---- Device ---- *)
 
 let device_rw () =
-  let d = Device.create ~kind:Paddr.Nvm ~pages:8 ~page_size:128 in
+  let d = device ~kind:Paddr.Nvm ~pages:8 ~page_size:128 in
   Device.write d 2 ~off:10 (Bytes.of_string "hello");
   Alcotest.(check string) "read back" "hello" (Bytes.to_string (Device.read d 2 ~off:10 ~len:5))
 
 let device_lazy () =
-  let d = Device.create ~kind:Paddr.Nvm ~pages:100 ~page_size:64 in
+  let d = device ~kind:Paddr.Nvm ~pages:100 ~page_size:64 in
   check_int "untouched" 0 (Device.touched d);
   ignore (Device.page d 5);
   check_int "one page materialised" 1 (Device.touched d)
 
 let device_crash_semantics () =
-  let nvm = Device.create ~kind:Paddr.Nvm ~pages:4 ~page_size:64 in
-  let dram = Device.create ~kind:Paddr.Dram ~pages:4 ~page_size:64 in
+  let nvm = device ~kind:Paddr.Nvm ~pages:4 ~page_size:64 in
+  let dram = device ~kind:Paddr.Dram ~pages:4 ~page_size:64 in
   Device.write nvm 0 ~off:0 (Bytes.of_string "keep");
   Device.write dram 0 ~off:0 (Bytes.of_string "lose");
   Device.crash nvm;
@@ -51,14 +59,14 @@ let device_crash_semantics () =
     (Bytes.to_string (Device.read dram 0 ~off:0 ~len:4))
 
 let device_copy () =
-  let a = Device.create ~kind:Paddr.Nvm ~pages:2 ~page_size:32 in
-  let b = Device.create ~kind:Paddr.Dram ~pages:2 ~page_size:32 in
+  let a = device ~kind:Paddr.Nvm ~pages:2 ~page_size:32 in
+  let b = device ~kind:Paddr.Dram ~pages:2 ~page_size:32 in
   Device.write a 0 ~off:0 (Bytes.of_string "xy");
   Device.copy_page ~src:a ~src_idx:0 ~dst:b ~dst_idx:1;
   Alcotest.(check string) "copied" "xy" (Bytes.to_string (Device.read b 1 ~off:0 ~len:2))
 
 let device_zero () =
-  let d = Device.create ~kind:Paddr.Nvm ~pages:2 ~page_size:16 in
+  let d = device ~kind:Paddr.Nvm ~pages:2 ~page_size:16 in
   Device.write d 0 ~off:0 (Bytes.of_string "abc");
   Device.zero_page d 0;
   Alcotest.(check string) "zeroed" "\000\000\000"
@@ -67,7 +75,7 @@ let device_zero () =
 (* ---- Warea ---- *)
 
 let warea_commit_read () =
-  let w = Warea.create ~words:16 in
+  let w = warea ~words:16 in
   Warea.commit w ~desc:"t" [ (0, 42); (3, 7) ];
   check_int "word 0" 42 (Warea.read w 0);
   check_int "word 3" 7 (Warea.read w 3);
@@ -75,12 +83,12 @@ let warea_commit_read () =
   check_int "words written" 2 (Warea.words_written w)
 
 let warea_duplicate_index () =
-  let w = Warea.create ~words:4 in
+  let w = warea ~words:4 in
   Alcotest.check_raises "duplicate" (Invalid_argument "Warea.commit: duplicate index")
     (fun () -> Warea.commit w ~desc:"d" [ (1, 1); (1, 2) ])
 
 let warea_crash_atomicity phase expect_applied () =
-  let w = Warea.create ~words:8 in
+  let w = warea ~words:8 in
   Warea.commit w ~desc:"init" [ (0, 1); (1, 1) ];
   Warea.set_crash_plan w (Some phase);
   (try
@@ -96,7 +104,7 @@ let warea_crash_atomicity phase expect_applied () =
   check_int "no tearing" (Warea.read w 0) (Warea.read w 1)
 
 let warea_recover_idempotent () =
-  let w = Warea.create ~words:4 in
+  let w = warea ~words:4 in
   Warea.set_crash_plan w (Some Warea.Mid_apply);
   (try Warea.commit w ~desc:"x" [ (0, 9); (1, 9) ] with Warea.Crashed _ -> ());
   Warea.recover w;
@@ -109,7 +117,7 @@ let warea_recover_idempotent () =
 let warea_phase_matrix () =
   List.iter
     (fun phase ->
-      let w = Warea.create ~words:8 in
+      let w = warea ~words:8 in
       Warea.commit w ~desc:"init" (List.init 6 (fun i -> (i, 100)));
       Warea.set_crash_plan w (Some phase);
       (try
@@ -131,7 +139,7 @@ let warea_phase_matrix () =
     Warea.all_phases
 
 let warea_duplicate_before_side_effects () =
-  let w = Warea.create ~words:4 in
+  let w = warea ~words:4 in
   Warea.set_crash_plan w (Some Warea.Before_log);
   Alcotest.check_raises "duplicate rejected first" (Invalid_argument "Warea.commit: duplicate index")
     (fun () -> Warea.commit w ~desc:"d" [ (1, 1); (1, 2) ]);
@@ -147,7 +155,7 @@ let warea_duplicate_before_side_effects () =
   check_int "before-log rolled back" 0 (Warea.read w 1)
 
 let warea_empty_point_counts () =
-  let w = Warea.create ~words:4 in
+  let w = warea ~words:4 in
   Warea.commit w ~desc:"a" [ (0, 1) ];
   check_int "one point" 1 (Warea.commit_points w);
   Warea.consume_point w ~desc:"empty";
@@ -157,7 +165,7 @@ let warea_empty_point_counts () =
   check_int "numbering continues" 3 (Warea.commit_points w)
 
 let warea_empty_point_fires_armed_plan () =
-  let w = Warea.create ~words:4 in
+  let w = warea ~words:4 in
   Warea.set_crash_plan w (Some Warea.After_log);
   (try
      Warea.consume_point w ~desc:"empty";
@@ -168,7 +176,7 @@ let warea_empty_point_fires_armed_plan () =
   check_int "point still consumed" 1 (Warea.commit_points w)
 
 let warea_schedule_fires_at_absolute_point () =
-  let w = Warea.create ~words:4 in
+  let w = warea ~words:4 in
   Warea.set_crash_schedule w (Some (3, Warea.After_log));
   Warea.commit w ~desc:"p1" [ (0, 1) ];
   Warea.commit w ~desc:"p2" [ (0, 2) ];
@@ -185,7 +193,7 @@ let warea_schedule_fires_at_absolute_point () =
 (* ---- Txn ---- *)
 
 let txn_read_through () =
-  let w = Warea.create ~words:8 in
+  let w = warea ~words:8 in
   Warea.commit w ~desc:"i" [ (2, 5) ];
   let t = Txn.create w in
   check_int "reads durable" 5 (Txn.read t 2);
@@ -196,7 +204,7 @@ let txn_read_through () =
   check_int "now durable" 6 (Warea.read w 2)
 
 let txn_empty_commit () =
-  let w = Warea.create ~words:4 in
+  let w = warea ~words:4 in
   let t = Txn.create w in
   Txn.commit t ~desc:"empty";
   check_int "no commit recorded" 0 (Warea.commits w);
@@ -205,7 +213,7 @@ let txn_empty_commit () =
   check_int "commit point consumed" 1 (Warea.commit_points w)
 
 let txn_rewrite_single_entry () =
-  let w = Warea.create ~words:4 in
+  let w = warea ~words:4 in
   let t = Txn.create w in
   Txn.write t 1 10;
   Txn.write t 1 20;
@@ -216,7 +224,7 @@ let txn_rewrite_single_entry () =
 (* ---- Buddy ---- *)
 
 let mk_buddy pages =
-  let w = Warea.create ~words:(Buddy.words_needed ~total_pages:pages) in
+  let w = warea ~words:(Buddy.words_needed ~total_pages:pages) in
   (w, Buddy.format w ~base:0 ~total_pages:pages)
 
 let buddy_basics () =
@@ -307,7 +315,7 @@ let mk_slab () =
   let pages = 64 in
   let bw = Buddy.words_needed ~total_pages:pages in
   let sw = Slab.words_needed ~max_slabs_per_class:8 in
-  let w = Warea.create ~words:(bw + sw) in
+  let w = warea ~words:(bw + sw) in
   let b = Buddy.format w ~base:0 ~total_pages:pages in
   let s = Slab.format w ~base:bw ~buddy:b ~page_size:4096 ~max_slabs_per_class:8 in
   (w, b, s)
@@ -398,7 +406,7 @@ let slab_random_ops () =
 (* ---- Global_meta ---- *)
 
 let meta_commit_protocol () =
-  let m = Global_meta.create () in
+  let m = Global_meta.create ~wearmap:(Wearmap.create ()) in
   check_int "initial version" 0 (Global_meta.version m);
   Global_meta.begin_checkpoint m;
   check_bool "in progress" true (Global_meta.status m = Global_meta.In_progress);

@@ -357,7 +357,7 @@ let trace_survives_crash () =
     Kv_app.set_i app i
   done;
   ignore (System.checkpoint sys);
-  Probe.instant ~args:[ ("witness", "42") ] "test.pre_crash_marker";
+  Probe.instant (System.obs sys) ~args:[ ("witness", "42") ] "test.pre_crash_marker";
   ignore (System.crash_and_recover sys);
   Kv_app.refresh app;
   let tr = System.trace sys in
@@ -511,7 +511,7 @@ let rto_ttfr () =
 
 let rto_flight_roundtrip () =
   let sys, app = boot_live () in
-  Probe.instant ~args:[ ("w", "1") ] "test.flight_witness";
+  Probe.instant (System.obs sys) ~args:[ ("w", "1") ] "test.flight_witness";
   ignore (System.crash_and_recover sys);
   Kv_app.refresh app;
   let flight =
@@ -569,7 +569,7 @@ let rto_ring_survives_cycles () =
   let sys, app = boot_live () in
   let cycles = 3 in
   for cycle = 1 to cycles do
-    Probe.instant ~args:[ ("cycle", string_of_int cycle) ] "test.cycle_witness";
+    Probe.instant (System.obs sys) ~args:[ ("cycle", string_of_int cycle) ] "test.cycle_witness";
     ignore (System.crash_and_recover sys);
     Kv_app.refresh app;
     (* some post-recovery work so later cycles crash a different state *)

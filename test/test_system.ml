@@ -12,6 +12,10 @@ module Store = Treesls_nvm.Store
 module Kv_app = Treesls_apps.Kv_app
 module Kvstore = Treesls_apps.Kvstore
 module Rng = Treesls_util.Rng
+module Crash_site = Treesls_nvm.Crash_site
+module Probe = Treesls_obs.Probe
+module Metrics = Treesls_obs.Metrics
+module Wearmap = Treesls_obs.Wearmap
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -323,6 +327,46 @@ let prop_repeated_crashes =
       done;
       !ok)
 
+(* ---- two systems in one process share no state ---- *)
+
+(* Each system's probe, crash-site table and wear writer stack belong to
+   its store, so booting, checkpointing, arming or scoping one system
+   leaves every other system's observability and crash injection alone. *)
+let two_systems_share_nothing () =
+  let a = System.boot () in
+  let wear s = Wearmap.total_bytes (System.wearmap s) in
+  let runs s = Metrics.counter_value (Probe.metrics (System.obs s)) "ckpt.runs" in
+  let a_snap = System.metrics_snapshot a and a_wear = wear a in
+  check_bool "A's boot is charged to A" true (a_wear > 0);
+  let b = System.boot () in
+  check_bool "B's boot leaves A's metrics unchanged" true (System.metrics_snapshot a = a_snap);
+  check_int "B's boot leaves A's wear unchanged" a_wear (wear a);
+  check_int "B's boot is charged to B" a_wear (wear b);
+  ignore (System.checkpoint a);
+  check_int "A counts its own checkpoint" 1 (runs a);
+  check_int "B does not count A's checkpoint" 0 (runs b);
+  ignore (System.checkpoint b);
+  (* a site armed on B's store stays quiet through A's checkpoint, then
+     fires in B's *)
+  Crash_site.arm (Store.crash_sites (System.store b)) ~site:"ckpt.begin" ~nth:1;
+  ignore (System.checkpoint a);
+  check_int "A checkpoints past B's armed site" 2 (runs a);
+  check_bool "B's armed site fires in B's checkpoint" true
+    (match System.checkpoint b with _ -> false | exception Warea.Crashed _ -> true);
+  ignore (System.crash_and_recover b);
+  (* a writer scope opened on A's wearmap does not attribute B's writes *)
+  let kb = System.kernel b in
+  let p = Kernel.create_process kb ~name:"writer" ~threads:1 ~prio:5 in
+  let vpn = Kernel.grow_heap kb p ~pages:1 in
+  let app_b = Wearmap.subsystem_bytes (System.wearmap b) "app" in
+  Wearmap.with_writer (System.wearmap a) "scope.a" (fun () -> Kernel.touch_write kb p ~vpn);
+  check_int "A's scope attributes none of B's writes" 0
+    (Wearmap.subsystem_bytes (System.wearmap b) "scope.a");
+  check_bool "B's write lands under B's own default writer" true
+    (Wearmap.subsystem_bytes (System.wearmap b) "app" > app_b);
+  check_int "A's scope records nothing in A" 0
+    (Wearmap.subsystem_bytes (System.wearmap a) "scope.a")
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_crash_equals_committed_model; prop_repeated_crashes ]
 
@@ -351,4 +395,6 @@ let () =
           Alcotest.test_case "crash after-apply" `Quick (crash_in_allocator Warea.After_apply);
         ] );
       ("properties", qsuite);
+      ( "isolation",
+        [ Alcotest.test_case "two systems share nothing" `Quick two_systems_share_nothing ] );
     ]

@@ -26,22 +26,11 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* Run [f] under a freshly installed probe, so device-level wear lands in a
-   wearmap this test owns; restores whatever probe was installed before. *)
-let with_probe f =
-  let prev = Probe.installed () in
-  let p = Probe.create ~clock:(Clock.create ()) () in
-  Probe.install p;
-  Fun.protect
-    ~finally:(fun () -> match prev with Some q -> Probe.install q | None -> Probe.uninstall ())
-    (fun () -> f p)
-
 (* ---- device choke point ---- *)
 
 let device_zero_page_edges () =
-  with_probe @@ fun p ->
-  let wm = Probe.wearmap p in
-  let d = Device.create ~kind:Paddr.Nvm ~pages:8 ~page_size:64 in
+  let wm = Wearmap.create () in
+  let d = Device.create ~wearmap:wm ~kind:Paddr.Nvm ~pages:8 ~page_size:64 in
   (* zeroing a never-materialised page is a no-op: no storage, no wear *)
   Device.zero_page d 3;
   check_int "untouched zero_page materialises nothing" 0 (Device.touched d);
@@ -54,10 +43,9 @@ let device_zero_page_edges () =
   check_string "content zeroed" (String.make 64 '\000') (Bytes.to_string (Device.page d 3))
 
 let device_copy_page_edges () =
-  with_probe @@ fun p ->
-  let wm = Probe.wearmap p in
-  let nvm = Device.create ~kind:Paddr.Nvm ~pages:8 ~page_size:64 in
-  let dram = Device.create ~kind:Paddr.Dram ~pages:8 ~page_size:64 in
+  let wm = Wearmap.create () in
+  let nvm = Device.create ~wearmap:wm ~kind:Paddr.Nvm ~pages:8 ~page_size:64 in
+  let dram = Device.create ~wearmap:wm ~kind:Paddr.Dram ~pages:8 ~page_size:64 in
   (* copying from an untouched source yields zeros (lazy pages read as
      zero), and wears only the NVM destination *)
   Device.copy_page ~src:dram ~src_idx:0 ~dst:nvm ~dst_idx:1;
@@ -72,14 +60,13 @@ let device_copy_page_edges () =
   check_int "NVM->DRAM copy records no wear" before (Wearmap.total_bytes wm);
   check_string "payload copied" "xyz" (Bytes.to_string (Device.read dram 5 ~off:0 ~len:3));
   (* mismatched page sizes are a programming error *)
-  let odd = Device.create ~kind:Paddr.Dram ~pages:2 ~page_size:32 in
+  let odd = Device.create ~wearmap:wm ~kind:Paddr.Dram ~pages:2 ~page_size:32 in
   check_bool "page-size mismatch asserts" true
     (match Device.copy_page ~src:odd ~src_idx:0 ~dst:nvm ~dst_idx:0 with
     | () -> false
     | exception Assert_failure _ -> true)
 
 let pages_touched_crash_accounting () =
-  with_probe @@ fun _p ->
   let store = Store.create ~clock:(Clock.create ()) ~nvm_pages:64 ~dram_pages:8 () in
   let a = Store.alloc_page store in
   Store.write_page store a ~off:0 (Bytes.make 8 'x');
@@ -102,27 +89,36 @@ let pages_touched_crash_accounting () =
 
 let writer_context_stack () =
   let wm = Wearmap.create () in
-  check_string "no context -> unattributed" Wearmap.unattributed (Wearmap.current_writer ());
-  Wearmap.with_writer "outer" (fun () ->
-      check_string "innermost wins" "outer" (Wearmap.current_writer ());
-      Wearmap.with_writer "inner" (fun () ->
-          check_string "nested innermost wins" "inner" (Wearmap.current_writer ());
+  let other = Wearmap.create () in
+  check_string "no context -> unattributed" Wearmap.unattributed (Wearmap.current_writer wm);
+  Wearmap.with_writer wm "outer" (fun () ->
+      check_string "innermost wins" "outer" (Wearmap.current_writer wm);
+      check_string "another wearmap's stack is untouched" Wearmap.unattributed
+        (Wearmap.current_writer other);
+      Wearmap.with_writer wm "inner" (fun () ->
+          check_string "nested innermost wins" "inner" (Wearmap.current_writer wm);
           (* a default writer never overrides an active context *)
-          Wearmap.with_default_writer "app" (fun () ->
+          Wearmap.with_default_writer wm "app" (fun () ->
               check_string "default loses to active context" "inner"
-                (Wearmap.current_writer ())));
-      check_string "inner popped" "outer" (Wearmap.current_writer ()));
-  check_string "outer popped" Wearmap.unattributed (Wearmap.current_writer ());
-  Wearmap.with_default_writer "app" (fun () ->
-      check_string "default applies on empty stack" "app" (Wearmap.current_writer ()));
+                (Wearmap.current_writer wm));
+          (* ... but on another wearmap the stack is empty, so it applies *)
+          Wearmap.with_default_writer other "app" (fun () ->
+              check_string "default applies on another wearmap" "app"
+                (Wearmap.current_writer other)));
+      check_string "inner popped" "outer" (Wearmap.current_writer wm));
+  check_string "outer popped" Wearmap.unattributed (Wearmap.current_writer wm);
+  Wearmap.with_default_writer wm "app" (fun () ->
+      check_string "default applies on empty stack" "app" (Wearmap.current_writer wm));
   (* exception-safe: the context pops even when f raises *)
-  (try Wearmap.with_writer "doomed" (fun () -> raise Exit) with Exit -> ());
-  check_string "popped across raise" Wearmap.unattributed (Wearmap.current_writer ());
-  (* record attributes to the ambient writer; note bypasses the stack *)
-  Wearmap.with_writer "a" (fun () -> Wearmap.record wm ~page:7 ~bytes:10);
-  Wearmap.record wm ~page:7 ~bytes:5;
+  (try Wearmap.with_writer wm "doomed" (fun () -> raise Exit) with Exit -> ());
+  check_string "popped across raise" Wearmap.unattributed (Wearmap.current_writer wm);
+  (* record attributes to the wearmap's own writer; note bypasses the
+     stack; a scope on another wearmap attributes nothing here *)
+  Wearmap.with_writer wm "a" (fun () -> Wearmap.record wm ~page:7 ~bytes:10);
+  Wearmap.with_writer other "b" (fun () -> Wearmap.record wm ~page:7 ~bytes:5);
   Wearmap.note wm ~subsystem:"meta" ~bytes:3;
   check_int "a bytes" 10 (Wearmap.subsystem_bytes wm "a");
+  check_int "other's scope attributes nothing" 0 (Wearmap.subsystem_bytes wm "b");
   check_int "unattributed bytes" 5 (Wearmap.subsystem_bytes wm Wearmap.unattributed);
   check_int "note bytes" 3 (Wearmap.subsystem_bytes wm "meta");
   check_int "total bytes" 18 (Wearmap.total_bytes wm);
@@ -155,7 +151,7 @@ let skew_and_gini () =
 
 let export_round_trip () =
   let wm = Wearmap.create () in
-  Wearmap.with_writer "app" (fun () ->
+  Wearmap.with_writer wm "app" (fun () ->
       Wearmap.record wm ~page:2 ~bytes:100;
       Wearmap.record wm ~page:2 ~bytes:50;
       Wearmap.record wm ~page:9 ~bytes:25);
@@ -226,11 +222,10 @@ let attribution_survives_midckpt_crash () =
   ignore (Kernel.create_process (System.kernel sys) ~name:"dirty" ~threads:1 ~prio:5);
   (* power failure in the middle of the capability-tree walk: the first
      dirty object visited pulls the plug *)
-  Crash_site.arm ~site:"ckpt.captree.obj" ~nth:1;
-  Fun.protect ~finally:Crash_site.reset (fun () ->
-      match System.checkpoint sys with
-      | _ -> Alcotest.fail "armed checkpoint did not crash"
-      | exception Warea.Crashed _ -> ());
+  Crash_site.arm (Store.crash_sites (System.store sys)) ~site:"ckpt.captree.obj" ~nth:1;
+  (match System.checkpoint sys with
+  | _ -> Alcotest.fail "armed checkpoint did not crash"
+  | exception Warea.Crashed _ -> ());
   System.crash sys;
   ignore (System.recover sys);
   (* the wear tables model eternal-PMO state: monotone, never rolled back *)
@@ -243,7 +238,7 @@ let attribution_survives_midckpt_crash () =
     (List.fold_left (fun a (_, _, b) -> a + b) 0 (Wearmap.subsystems wm));
   (* the aborted walk's writer context unwound with the exception *)
   check_string "writer stack empty after injected crash" Wearmap.unattributed
-    (Wearmap.current_writer ());
+    (Wearmap.current_writer wm);
   (* and the system is healthy enough to checkpoint again *)
   let r = System.checkpoint sys in
   check_bool "post-restore checkpoint commits" true (r.Report.version > 0)
