@@ -10,7 +10,13 @@
    only one side are called out.  The report is informational — drift is
    expected as the simulator evolves — so the exit code only reflects
    usage/parse errors (1), never metric movement.  Files are read with the
-   strict parser of [Treesls_util.Json], the module that writes them. *)
+   strict parser of [Treesls_util.Json], the module that writes them.
+
+   Metrics with a [host] word in their name ([sched_host_ms_p50]) are
+   measured on the host clock and move on every run.  They are labelled
+   as such and counted apart from the deterministic (virtual-time and
+   count) metrics; a change inside a +-30% band is called noise, one
+   outside it flagged drift. *)
 
 module Json = Treesls_util.Json
 
@@ -56,6 +62,10 @@ let rows_of_file path =
 
 (* --- diff --------------------------------------------------------------- *)
 
+let host_noise_band = 0.30
+
+let is_host_metric k = List.mem "host" (String.split_on_char '_' k)
+
 let diff_file ~fresh ~committed name =
   Printf.printf "== %s ==\n" name;
   if not (Sys.file_exists committed) then begin
@@ -65,7 +75,7 @@ let diff_file ~fresh ~committed name =
   else begin
     let fresh_rows = rows_of_file fresh in
     let base_rows = rows_of_file committed in
-    let changed = ref 0 and rows = ref 0 in
+    let changed = ref 0 and rows = ref 0 and host_noise = ref 0 and host_drift = ref 0 in
     List.iter
       (fun (_, cfg, metrics) ->
         match List.find_opt (fun (_, c, _) -> c = cfg) base_rows with
@@ -78,12 +88,28 @@ let diff_file ~fresh ~committed name =
               | None -> Printf.printf "  %s: + %s = %g (new metric)\n" cfg k fresh_v
               | Some base_v ->
                 if fresh_v <> base_v then begin
-                  incr changed;
-                  let pct =
-                    if base_v = 0.0 then "n/a"
-                    else Printf.sprintf "%+.1f%%" ((fresh_v -. base_v) /. Float.abs base_v *. 100.0)
+                  let rel =
+                    if base_v = 0.0 then None else Some ((fresh_v -. base_v) /. Float.abs base_v)
                   in
-                  Printf.printf "  %s: %s %g -> %g (%s)\n" cfg k base_v fresh_v pct
+                  let pct =
+                    match rel with
+                    | None -> "n/a"
+                    | Some r -> Printf.sprintf "%+.1f%%" (r *. 100.0)
+                  in
+                  let label =
+                    if not (is_host_metric k) then (
+                      incr changed;
+                      "")
+                    else
+                      match rel with
+                      | Some r when Float.abs r <= host_noise_band ->
+                        incr host_noise;
+                        " [host clock: noise]"
+                      | Some _ | None ->
+                        incr host_drift;
+                        " [host clock: DRIFT]"
+                  in
+                  Printf.printf "  %s: %s %g -> %g (%s)%s\n" cfg k base_v fresh_v pct label
                 end)
             metrics;
           List.iter
@@ -97,8 +123,14 @@ let diff_file ~fresh ~committed name =
         if not (List.exists (fun (_, c, _) -> c = cfg) fresh_rows) then
           Printf.printf "  - row %s (only in committed copy)\n" cfg)
       base_rows;
-    if !changed = 0 then Printf.printf "  %d rows, no metric changes\n" !rows
-    else Printf.printf "  %d rows, %d metric changes\n" !rows !changed
+    let host =
+      if !host_noise + !host_drift = 0 then ""
+      else
+        Printf.sprintf "; host clock: %d within +-%.0f%% noise, %d flagged drift" !host_noise
+          (host_noise_band *. 100.0) !host_drift
+    in
+    if !changed = 0 then Printf.printf "  %d rows, no metric changes%s\n" !rows host
+    else Printf.printf "  %d rows, %d metric changes%s\n" !rows !changed host
   end
 
 let () =

@@ -24,7 +24,7 @@
      treesls_cli slo --rule "p99(enq2vis) < 2*interval"     watch an SLO rule over a run
      treesls_cli diff -w sqlite -n 3000      explain the last two checkpoint versions
      treesls_cli crashtest                   sweep every crash schedule of a smoke trace
-     treesls_cli crashtest --schedule "seed=42;ops=280;commit:57:mid_apply"
+     treesls_cli crashtest --schedule "seed=42;ops=280;mode=eager;commit:57:mid_apply"
                                              replay one failing schedule and shrink it
 *)
 
@@ -764,8 +764,17 @@ let crashtest_cmd =
       & info [ "schedule" ] ~docv:"REPRO"
           ~doc:
             "Replay one schedule instead of sweeping: a reproducer string like \
-             $(b,seed=42;ops=280;commit:57:mid_apply) (or just the point, with --seed/--ops). \
-             A failing schedule is shrunk to its minimal trace prefix.")
+             $(b,seed=42;ops=280;mode=async;site:ckpt.drain.settled:3) (or just the point, \
+             with --seed/--ops/--async). The string's mode wins over --async; strings without \
+             one replay eager. A failing schedule is shrunk to its minimal trace prefix.")
+  in
+  let async =
+    Arg.(
+      value & flag
+      & info [ "async" ]
+          ~doc:
+            "Run with the asynchronous drain on (batch 1), as the async sweeps do: \
+             checkpoints stage a window that settles over the following ops")
   in
   let with_bug =
     Arg.(
@@ -775,15 +784,22 @@ let crashtest_cmd =
             "Deliberately re-introduce the Mid_apply journal-replay bug: the sweep must then \
              report failures (sanity check that the harness can catch real bugs)")
   in
-  let run seed ops max_commits schedule with_bug json =
+  let run seed ops max_commits schedule with_bug async json =
     let cfg =
-      { C.default_config with C.seed; ops; commit_cap = max_commits; recovery_bug = with_bug }
+      {
+        C.default_config with
+        C.seed;
+        ops;
+        commit_cap = max_commits;
+        recovery_bug = with_bug;
+        async;
+      }
     in
     match schedule with
     | Some s -> (
       let parsed =
-        match C.parse_reproducer s with
-        | Some (seed, ops, point) -> Some ({ cfg with C.seed; ops }, point)
+        match C.parse_reproducer ~base:cfg s with
+        | Some _ as p -> p
         | None -> Option.map (fun p -> (cfg, p)) (C.point_of_string s)
       in
       match parsed with
@@ -888,7 +904,7 @@ let crashtest_cmd =
           deterministic trace (journal commit points x phases, checkpoint/restore crash \
           sites, DRAM losses), inject each, and verify recovery with the slsfsck audit plus \
           fingerprint equivalence against a crash-free twin; exits 2 on any failing schedule")
-    Term.(const run $ seed_arg $ ops $ max_commits $ schedule $ with_bug $ json_arg)
+    Term.(const run $ seed_arg $ ops $ max_commits $ schedule $ with_bug $ async $ json_arg)
 
 let serve_cmd =
   let module Serve = Treesls_serve.Serve in

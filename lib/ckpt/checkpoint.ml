@@ -355,17 +355,20 @@ let drain_copies st (p : Drain.pending) ~limit =
   p.Drain.p_drain_ns <- p.Drain.p_drain_ns + !meter;
   !copied
 
-(* The settle step: the backlog is empty — apply the CoW restamps and
-   drain-saved frames, then commit and publish the staged version. *)
+(* The settle step: the backlog is empty — commit the staged version,
+   then apply the CoW restamps and drain-saved frames, and publish.  The
+   bump comes first because applying frees the backups that held N-1: a
+   cut before the bump must still find them, and a cut after it finds the
+   restamp/saved records, which restore's [drain_settle] rolls forward. *)
 let settle_commit st (p : Drain.pending) =
   let store = Kernel.store st.State.kernel in
+  commit_version st ~visited:p.Drain.p_visited;
   let meter = ref 0 in
   with_writer st "ckpt.drain" (fun () ->
       Store.with_sink store (Store.Meter meter) (fun () ->
           Drain.apply_settle store st.State.drain ~ver:p.Drain.p_ver));
   p.Drain.p_drain_ns <- p.Drain.p_drain_ns + !meter;
   Crash_site.hit (State.crash_sites st) "ckpt.drain.settled";
-  commit_version st ~visited:p.Drain.p_visited;
   Drain.clear_pending st.State.drain;
   let probe = State.probe st in
   let stw_t1 = p.Drain.p_stw_t0 + p.Drain.p_report.Report.stw_ns in

@@ -22,11 +22,13 @@
      into a fresh frame; settle installs that frame as the page's backup
      stamped [p_ver], freeing the slot it supersedes.
 
-   Crash discipline: the backlog and restamp tables are DRAM-resident
-   bookkeeping and die with a power failure ([note_crash]); the saved
-   frames are NVM-resident and survive until restore's [drain_settle]
-   phase frees them ([abandon] — the committed ORoots reference only
-   slots stamped at or below the restore target). *)
+   Crash discipline: the backlog is DRAM-resident bookkeeping and dies
+   with a power failure ([note_crash]).  The restamp and saved records and
+   the saved frames are NVM-resident and survive the cut.  If it came
+   after the version bump, restore redoes the settle ([roll_forward]);
+   otherwise its [drain_settle] phase frees the saved frames ([abandon] —
+   the committed ORoots reference only slots stamped at or below the
+   restore target). *)
 
 module Kobj = Treesls_cap.Kobj
 module Paddr = Treesls_nvm.Paddr
@@ -100,14 +102,22 @@ let saved_frames t = Hashtbl.fold (fun _ (_, f) acc -> f :: acc) t.saved []
 
 (* Settle bookkeeping: lift the clean-at-[ver] backups to the new stamp
    and install the drain-saved frames, freeing the slots they supersede.
-   The caller bumps the version right after. *)
+   Runs once version [ver] is committed: at settle right after the bump,
+   or in restore ([roll_forward]) when a cut fell in between.  A saved
+   frame already installed is skipped, and the record points at the new
+   frame before the old one is freed, so a pass cut short and run again
+   applies each entry once (a frame whose free the cut tore is no longer
+   referenced, and restore's allocator reconciliation reclaims it). *)
 let apply_settle store t ~ver =
   Hashtbl.iter (fun _ (cp : Ckpt_page.cp) -> cp.Ckpt_page.b1_ver <- ver) t.restamp;
   Hashtbl.iter
     (fun _ ((cp : Ckpt_page.cp), frame) ->
-      (match cp.Ckpt_page.b1 with Some old -> Store.free_page store old | None -> ());
-      cp.Ckpt_page.b1 <- Some frame;
-      cp.Ckpt_page.b1_ver <- ver)
+      let old = cp.Ckpt_page.b1 in
+      if old <> Some frame then begin
+        cp.Ckpt_page.b1 <- Some frame;
+        cp.Ckpt_page.b1_ver <- ver;
+        Option.iter (Store.free_page store) old
+      end)
     t.saved;
   Hashtbl.reset t.restamp;
   Hashtbl.reset t.saved
@@ -117,13 +127,23 @@ let clear_pending t =
   Hashtbl.reset t.index;
   Queue.clear t.queue
 
-(* Power failure mid-window: the backlog and restamp tables are volatile
-   bookkeeping; the saved frames (NVM) and the pending stamp survive for
-   restore's [drain_settle] phase. *)
+(* Power failure mid-window: the backlog is volatile bookkeeping; the
+   restamp and saved records (NVM) and the pending stamp survive for
+   restore. *)
 let note_crash t =
   Hashtbl.reset t.index;
-  Queue.clear t.queue;
-  Hashtbl.reset t.restamp
+  Queue.clear t.queue
+
+(* Restore, right after the journal replay: a window whose staged version
+   is already committed (the cut fell inside its settle, after the bump)
+   has its settle redone with the rest of the committed work, and is
+   forgotten.  A no-op otherwise. *)
+let roll_forward store t ~committed =
+  match t.pending with
+  | Some p when p.p_ver <= committed ->
+    apply_settle store t ~ver:p.p_ver;
+    clear_pending t
+  | Some _ | None -> ()
 
 (* Restore's [drain_settle]: the staged version is abandoned — free the
    drain-saved frames and forget the window.  Returns the number of

@@ -6,10 +6,10 @@
     how faults resolve) lives in [Checkpoint]; the tick/settle entry
     points are exposed through [Manager] and [System].
 
-    Crash discipline: the backlog and restamp tables model DRAM-resident
-    bookkeeping and die with a power failure ({!note_crash}); the saved
-    frames are NVM-resident and survive until restore's [drain_settle]
-    phase frees them ({!abandon}). *)
+    Crash discipline: the backlog models DRAM-resident bookkeeping and
+    dies with a power failure ({!note_crash}); the restamp and saved
+    records are NVM-resident and survive until restore redoes the settle
+    ({!roll_forward}) or abandons the window ({!abandon}). *)
 
 module Kobj = Treesls_cap.Kobj
 module Paddr = Treesls_nvm.Paddr
@@ -68,13 +68,20 @@ val saved_frames : t -> Paddr.t list
 (** In-flight drain-saved frames (for the audit's allocator census). *)
 
 val apply_settle : Store.t -> t -> ver:int -> unit
-(** Apply restamps and install saved frames (freeing superseded slots);
-    the caller commits the version bump right after. *)
+(** Apply restamps and install saved frames (freeing superseded slots).
+    Called once version [ver] is committed; a saved frame already
+    installed is skipped, so a pass cut short can simply run again. *)
 
 val clear_pending : t -> unit
 val note_crash : t -> unit
-(** Power failure: drop the volatile backlog/restamp bookkeeping, keep the
-    NVM-resident saved frames and the pending stamp for restore. *)
+(** Power failure: drop the volatile backlog, keep the NVM-resident
+    restamp/saved records and the pending stamp for restore. *)
+
+val roll_forward : Store.t -> t -> committed:int -> unit
+(** Restore, after the journal replay: a window whose staged version is at
+    most [committed] had its version bump land before the cut, so its
+    settle is redone ({!apply_settle}) and the window cleared.  A no-op
+    for any other window; idempotent. *)
 
 val abandon : Store.t -> t -> int
 (** Restore's [drain_settle] phase: free the drain-saved frames of the

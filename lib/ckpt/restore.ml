@@ -92,6 +92,11 @@ let run_inner st =
   let t0 = Clock.now clock in
   Probe.rto_phase_begin probe "journal_replay";
   Store.recover store;
+  (* A cut inside a drain settle, after the staged version's bump: that
+     version is committed, so its settle is redone here with the rest of
+     the committed work — before the integrity pre-pass picks the backups
+     the restore will use. *)
+  Drain.roll_forward store st.State.drain ~committed:(Global_meta.version (Store.meta store));
   Probe.rto_phase_end probe;
   (* Crash sites here model a power cut during recovery itself.  Only the
      read-only prefix carries sites: journal replay and the integrity

@@ -422,21 +422,30 @@ let boot_sys cfg =
   end;
   sys
 
-let reproducer cfg p = Printf.sprintf "seed=%d;ops=%d;%s" cfg.seed cfg.ops (point_to_string p)
+let reproducer cfg p =
+  Printf.sprintf "seed=%d;ops=%d;mode=%s;%s" cfg.seed cfg.ops
+    (if cfg.async then "async" else "eager")
+    (point_to_string p)
 
-let parse_reproducer s =
+let parse_reproducer ?(base = default_config) s =
   let kv key p =
     let pre = key ^ "=" in
     let n = String.length pre in
     if String.length p > n && String.sub p 0 n = pre then
-      int_of_string_opt (String.sub p n (String.length p - n))
+      Some (String.sub p n (String.length p - n))
     else None
   in
+  let int_kv key p = Option.bind (kv key p) int_of_string_opt in
+  let mode = function "eager" -> Some false | "async" -> Some true | _ -> None in
+  let build a b async pt =
+    match (int_kv "seed" a, int_kv "ops" b, async, point_of_string pt) with
+    | Some seed, Some ops, Some async, Some point -> Some ({ base with seed; ops; async }, point)
+    | _ -> None
+  in
   match String.split_on_char ';' s with
-  | [ a; b; pt ] -> (
-    match (kv "seed" a, kv "ops" b, point_of_string pt) with
-    | Some seed, Some ops, Some point -> Some (seed, ops, point)
-    | _ -> None)
+  (* strings from before the mode field replay eager *)
+  | [ a; b; pt ] -> build a b (Some false) pt
+  | [ a; b; m; pt ] -> build a b (Option.bind (kv "mode" m) mode) pt
   | _ -> None
 
 type result = { point : point; outcome : outcome; recovery : Rto.record option }

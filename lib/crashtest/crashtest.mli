@@ -22,7 +22,7 @@
       the recovered system still takes new work and checkpoints cleanly.
 
     Every schedule is replayable from its reproducer string
-    (["seed=42;ops=150;commit:57:mid_apply"]) via {!point_of_string} and
+    (["seed=42;ops=150;mode=eager;commit:57:mid_apply"]) via {!point_of_string} and
     {!run_one}, and a failure shrinks to a minimal trace prefix with
     {!shrink}. *)
 
@@ -124,11 +124,14 @@ type config = {
 val default_config : config
 
 val reproducer : config -> point -> string
-(** ["seed=<n>;ops=<n>;<point>"] — paste into
+(** ["seed=<n>;ops=<n>;mode=<eager|async>;<point>"] — paste into
     [treesls crashtest --schedule]. *)
 
-val parse_reproducer : string -> (int * int * point) option
-(** Inverse of {!reproducer}: [(seed, ops, point)]. *)
+val parse_reproducer : ?base:config -> string -> (config * point) option
+(** Inverse of {!reproducer}: [base] (default {!default_config}) with the
+    string's [seed], [ops] and mode ([async]) applied, plus the point.
+    Three-field strings without a mode (the format before the mode field
+    existed) replay eager. *)
 
 (** {2 Running} *)
 

@@ -2,10 +2,18 @@
 
     The checkpoint manager "uses a buddy system to manage all NVM resources"
     (§3).  State is a complete binary tree stored in the journaled word area
-    ({!Warea}): node [i] records the size of the largest free run of pages
+    ({!Warea}): node [i] tracks the size of the largest free run of pages
     below it, so allocation descends in O(log n) and freeing merges buddies
     by recomputing ancestors.  A parallel array records the order of each
     live allocation so that a mismatched [free] is detected.
+
+    Every word is stored relative to the all-free state, so an all-zero
+    word range is a formatted allocator with every page free:
+    - tree words [base + 1 .. base + 2n) hold each node's {e deficit},
+      [node_size - longest] (0 = wholly free);
+    - order words [base + 2n .. base + 3n) hold [order + 1] at the first
+      page of each live allocation (0 = none);
+    - the counter word [base + 3n] holds the pages in use.
 
     Every mutation goes through a {!Txn}; a crash at any phase leaves the
     tree either before or after the whole operation. *)
@@ -17,7 +25,11 @@ val words_needed : total_pages:int -> int
     two). *)
 
 val format : Warea.t -> base:int -> total_pages:int -> t
-(** Initialise a fresh allocator (boot time; all pages free). *)
+(** Initialise a fresh allocator (boot time; all pages free).  The word
+    range must be all zeros, which is what a new {!Warea} holds
+    ([Store.create] formats into one): the format then only journals one
+    counter word, so booting costs O(1) journal work and still consumes
+    one commit point. *)
 
 val attach : Warea.t -> base:int -> total_pages:int -> t
 (** Re-attach to existing state after a crash (no reformat). *)
@@ -48,5 +60,9 @@ val iter_live : t -> (offset:int -> order:int -> unit) -> unit
     objects). *)
 
 val check_invariants : t -> unit
-(** Recompute the tree bottom-up and compare with stored state; verify the
-    free-page count. Raises [Failure] on divergence (test helper). *)
+(** Recompute the tree from the order words in one post-order pass and
+    compare every node outside an allocated block with its stored state
+    (words under an allocated block are stale by design and ignored);
+    verify that order records neither overlap nor misalign and that the
+    in-use counter matches.  O(n) in the pages managed.  Raises [Failure]
+    on divergence. *)

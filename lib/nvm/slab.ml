@@ -26,17 +26,12 @@ let layout area ~base ~buddy ~page_size ~max_slabs_per_class =
 let page_word t cls slot = t.base + (((cls * t.max_slabs) + slot) * 2)
 let bitmap_word t cls slot = page_word t cls slot + 1
 
+(* An all-zero range is already an empty slab set (no pages, clear
+   bitmaps, nothing live); the one-word commit keeps the format a journal
+   commit point. *)
 let format area ~base ~buddy ~page_size ~max_slabs_per_class =
   let t = layout area ~base ~buddy ~page_size ~max_slabs_per_class in
-  let txn = Txn.create area in
-  for cls = 0 to nclasses - 1 do
-    for slot = 0 to max_slabs_per_class - 1 do
-      Txn.write txn (page_word t cls slot) 0;
-      Txn.write txn (bitmap_word t cls slot) 0
-    done
-  done;
-  Txn.write txn t.live_word 0;
-  Txn.commit txn ~desc:"slab-format";
+  Warea.commit area ~desc:"slab-format" [ (t.live_word, 0) ];
   t
 
 let attach = layout

@@ -1,7 +1,9 @@
-(* Tests for the crash-schedule explorer (lib/crashtest): a small clean
-   sweep must pass everywhere, and a deliberately re-introduced journal
-   recovery bug must be caught — the acceptance demonstration that the
-   harness actually detects real recovery defects. *)
+(* Tests for the crash-schedule explorer (lib/crashtest): clean and
+   async sweeps over four trace seeds must pass everywhere, the settle
+   cut they once caught replays as its own case, and a deliberately
+   re-introduced journal recovery bug must be caught — the acceptance
+   demonstration that the harness actually detects real recovery
+   defects. *)
 
 module C = Treesls_crashtest.Crashtest
 module Warea = Treesls_nvm.Warea
@@ -20,14 +22,25 @@ let small_config =
     op_cap = 3;
   }
 
-let clean_sweep () =
-  let sweep = C.run small_config in
-  check_bool "some journal commit points found" true (sweep.C.commit_points > 0);
-  check_bool "some commit schedules ran" true (sweep.C.commit_schedules > 0);
-  check_bool "checkpoint sites were hit" true (sweep.C.site_hits <> []);
-  check_int "no failures" 0 (List.length sweep.C.failed);
-  check_int "all schedules passed" (List.length sweep.C.results) sweep.C.passed;
-  (* every passing schedule seals an RTO record with an exact phase sum *)
+(* The wide sweeps: ops 240 over four trace seeds.  The caps are the
+   smallest that still reach the settle-cut schedule below (a per-site
+   cap of 3 samples past it). *)
+let sweep_seeds = [ 42; 1; 2; 3 ]
+
+let sweep_config ~async seed =
+  {
+    C.default_config with
+    C.seed;
+    ops = 240;
+    commit_cap = 12;
+    per_site_cap = 4;
+    op_cap = 4;
+    async;
+  }
+
+(* Every passing schedule seals an RTO record with an exact phase sum, and
+   the merged restore.* histograms carry one sample per recovery. *)
+let check_recoveries (sweep : C.sweep) =
   let module Rto = Treesls_obs.Rto in
   let recoveries = ref 0 in
   List.iter
@@ -40,11 +53,50 @@ let clean_sweep () =
         check_int "phase sum exact" rc.Rto.r_total_ns
           (List.fold_left (fun a (_, ns) -> a + ns) 0 rc.Rto.r_phases + rc.Rto.r_untracked_ns))
     sweep.C.results;
-  (* and the merged restore.* histograms carry one sample per recovery *)
   check_bool "rto_stats populated" true (sweep.C.rto_stats <> []);
   match List.assoc_opt "restore.total_ns" sweep.C.rto_stats with
   | None -> Alcotest.fail "restore.total_ns missing from rto_stats"
   | Some h -> check_int "one sample per recovery" !recoveries (Treesls_util.Histogram.count h)
+
+let check_sweep (sweep : C.sweep) =
+  let cfg = sweep.C.config in
+  check_bool "some journal commit points found" true (sweep.C.commit_points > 0);
+  check_bool "some commit schedules ran" true (sweep.C.commit_schedules > 0);
+  check_bool "checkpoint sites were hit" true (sweep.C.site_hits <> []);
+  List.iter
+    (fun (r : C.result) ->
+      Printf.printf "FAIL %s: %s\n" (C.reproducer cfg r.C.point) (C.outcome_to_string r.C.outcome))
+    sweep.C.failed;
+  check_int "no failures" 0 (List.length sweep.C.failed);
+  check_int "all schedules passed" (List.length sweep.C.results) sweep.C.passed;
+  check_recoveries sweep
+
+let clean_sweep () =
+  List.iter (fun seed -> check_sweep (C.run (sweep_config ~async:false seed))) sweep_seeds
+
+let async_sweep () =
+  List.iter
+    (fun seed ->
+      let sweep = C.run (sweep_config ~async:true seed) in
+      check_sweep sweep;
+      (* the drain path was exercised, not just enabled *)
+      List.iter
+        (fun site ->
+          check_bool (Printf.sprintf "seed %d reached %s" seed site) true
+            (List.mem_assoc site sweep.C.site_hits))
+        [ "ckpt.drain.copied"; "ckpt.drain.settled"; "ckpt.cow_fault.resolved" ])
+    sweep_seeds
+
+(* A cut at an async window's settle must recover to exactly N-1 or N.
+   This schedule fails (fingerprint mismatch @v5) when the settle frees
+   N-1's backups before the version bump lands. *)
+let settle_cut_regression () =
+  let repro = "seed=2;ops=240;mode=async;site:ckpt.drain.settled:3" in
+  match C.parse_reproducer repro with
+  | None -> Alcotest.failf "reproducer did not parse: %s" repro
+  | Some (cfg, point) ->
+    check_bool "replays async" true cfg.C.async;
+    Alcotest.(check string) repro "passed" (C.outcome_to_string (C.run_one cfg point))
 
 (* Acceptance demo: re-introduce the classic journal-replay bug (recovery
    skips the redo), and the sweep MUST report failures — specifically on
@@ -79,20 +131,34 @@ let single_schedule_replay () =
 
 let reproducer_roundtrip () =
   List.iter
-    (fun p ->
-      let s = C.reproducer small_config p in
-      match C.parse_reproducer s with
-      | Some (seed, ops, p') ->
-        check_int "seed" small_config.C.seed seed;
-        check_int "ops" small_config.C.ops ops;
-        Alcotest.(check string) "point" (C.point_to_string p) (C.point_to_string p')
-      | None -> Alcotest.failf "reproducer did not parse: %s" s)
-    [
-      C.Commit (57, Warea.Mid_apply);
-      C.Site ("ckpt.publish", 2);
-      C.Restore_site ("restore.begin", 9);
-      C.Op_crash 14;
-    ]
+    (fun cfg ->
+      List.iter
+        (fun p ->
+          let s = C.reproducer cfg p in
+          match C.parse_reproducer s with
+          | Some (cfg', p') ->
+            check_int "seed" cfg.C.seed cfg'.C.seed;
+            check_int "ops" cfg.C.ops cfg'.C.ops;
+            check_bool "mode" cfg.C.async cfg'.C.async;
+            Alcotest.(check string) "point" (C.point_to_string p) (C.point_to_string p')
+          | None -> Alcotest.failf "reproducer did not parse: %s" s)
+        [
+          C.Commit (57, Warea.Mid_apply);
+          C.Site ("ckpt.publish", 2);
+          C.Restore_site ("restore.begin", 9);
+          C.Op_crash 14;
+        ])
+    [ small_config; { small_config with C.async = true } ];
+  (* strings from before the mode field replay eager *)
+  (match C.parse_reproducer "seed=42;ops=280;commit:57:mid_apply" with
+  | Some (cfg, C.Commit (57, Warea.Mid_apply)) ->
+    check_bool "three-field string is eager" false cfg.C.async;
+    check_int "seed" 42 cfg.C.seed;
+    check_int "ops" 280 cfg.C.ops
+  | _ -> Alcotest.fail "three-field reproducer did not parse");
+  List.iter
+    (fun s -> check_bool s true (C.parse_reproducer s = None))
+    [ "seed=2;ops=240;mode=lazy;op:3"; "seed=2;ops=240;async;op:3"; "seed=2;mode=async;op:3" ]
 
 let point_string_rejects_garbage () =
   List.iter
@@ -119,6 +185,8 @@ let () =
       ( "sweep",
         [
           Alcotest.test_case "clean sweep has zero failures" `Slow clean_sweep;
+          Alcotest.test_case "async sweep has zero failures" `Slow async_sweep;
+          Alcotest.test_case "settle cut recovers to N-1 or N" `Quick settle_cut_regression;
           Alcotest.test_case "deliberate recovery bug is caught" `Slow recovery_bug_caught;
           Alcotest.test_case "single schedule replay" `Quick single_schedule_replay;
         ] );

@@ -128,6 +128,49 @@ let mid_drain_crash () =
   System.drain_settle sys;
   check_int "audit clean after new work" 0 (Audit.errors (System.audit sys))
 
+(* A cut inside the settle, after the version bump and before the
+   bookkeeping is applied: recovery lands on the staged version N and
+   rolls the settle forward from the surviving records.  Two cold NVM
+   pages fault during the window: [x] was dirty at N, so its fault saved
+   N's content to a fresh frame; [y] was clean at N, so its fault banked
+   a pre-image that settle restamps to N. *)
+let settle_cut_rolls_forward () =
+  let sys = boot_async ~batch:1 () in
+  let k = System.kernel sys in
+  let psz = (Kernel.cost k).Treesls_sim.Cost.page_size in
+  let cold = Kernel.create_process k ~name:"cold" ~threads:1 ~prio:5 in
+  let vpn = Kernel.grow_heap k cold ~pages:2 in
+  let vaddr i = ((vpn + i) * psz) + 64 in
+  let write i s = Kernel.write_bytes (System.kernel sys) cold ~vaddr:(vaddr i) (Bytes.of_string s) in
+  write 0 "x0";
+  write 1 "y0";
+  ignore (System.checkpoint sys);
+  System.drain_settle sys;
+  (* dirty cached pages keep N's window pending across the faults below *)
+  ignore (make_hot_pages sys 2);
+  write 0 "x1";
+  let v_n = System.version sys + 1 in
+  ignore (System.checkpoint sys);
+  check_bool "window pending" true (System.drain_backlog sys > 0);
+  write 0 "x2";
+  write 1 "y2";
+  let sites = Store.crash_sites (System.store sys) in
+  Treesls_nvm.Crash_site.arm sites ~site:"ckpt.version_bump" ~nth:1;
+  (match System.drain_settle sys with
+  | () -> Alcotest.fail "armed settle did not crash"
+  | exception Treesls_nvm.Warea.Crashed _ -> ());
+  Treesls_nvm.Crash_site.reset sites;
+  check_int "the bump landed" v_n (System.version sys);
+  System.crash sys;
+  ignore (System.recover sys);
+  check_int "recovered to the staged version" v_n (System.version sys);
+  check_bool "window forgotten" true (Manager.drain_pending_version (System.manager sys) = None);
+  let cold = Option.get (Kernel.find_process (System.kernel sys) ~name:"cold") in
+  let read i = Bytes.to_string (Kernel.read_bytes (System.kernel sys) cold ~vaddr:(vaddr i) ~len:2) in
+  Alcotest.(check string) "saved frame installed" "x1" (read 0);
+  Alcotest.(check string) "restamped backup used" "y0" (read 1);
+  check_int "audit clean" 0 (Audit.errors (System.audit sys))
+
 let whole_backlog_batch () =
   let sys = boot_async ~batch:max_int () in
   ignore (make_hot_pages sys 6);
@@ -325,6 +368,8 @@ let () =
           Alcotest.test_case "lazy stage/step/settle" `Quick lazy_staging;
           Alcotest.test_case "cow fault resolves a backlogged page" `Quick cow_fault_resolution;
           Alcotest.test_case "mid-drain crash restores cleanly" `Quick mid_drain_crash;
+          Alcotest.test_case "settle cut after the bump rolls forward" `Quick
+            settle_cut_rolls_forward;
           Alcotest.test_case "max_int batch drains in one step" `Quick whole_backlog_batch;
           Alcotest.test_case "async_drain off copies inside the pause" `Quick
             sync_stop_and_copy;

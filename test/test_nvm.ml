@@ -309,6 +309,52 @@ let buddy_random_ops () =
   done;
   Buddy.check_invariants b
 
+(* Corrupted words must fail the audit, wherever they are not stale by
+   design.  The word layout ([Buddy]'s interface): tree node [i] at [i],
+   order records from [2n], the counter at [3n] (base 0).  Every
+   corruption is relative (+k), so it corrupts under any word encoding. *)
+let corrupt w i ~by = Warea.commit w ~desc:"corrupt" [ (i, Warea.read w i + by) ]
+
+let raises f = match f () with () -> false | exception Failure _ -> true
+
+let buddy_corruption_detected () =
+  let pages = 16 in
+  let fresh () =
+    let w, b = mk_buddy pages in
+    ignore (Option.get (Buddy.alloc b ~order:0));
+    (w, b)
+  in
+  (* node 3 (the free right half) and the root (above the allocation) *)
+  List.iter
+    (fun node ->
+      let w, b = fresh () in
+      Buddy.check_invariants b;
+      corrupt w node ~by:1;
+      check_bool (Printf.sprintf "tree word %d" node) true
+        (raises (fun () -> Buddy.check_invariants b)))
+    [ 3; 1 ];
+  let w, b = fresh () in
+  corrupt w (3 * pages) ~by:1;
+  check_bool "drifted counter" true (raises (fun () -> Buddy.check_invariants b));
+  (* an order-1 block at page 0, then a record claiming page 1 as well *)
+  let w, b = mk_buddy pages in
+  check_int "order-1 block at 0" 0 (Option.get (Buddy.alloc b ~order:1));
+  corrupt w ((2 * pages) + 1) ~by:1;
+  Alcotest.check_raises "overlapping records" (Failure "buddy: overlapping allocations") (fun () ->
+      Buddy.check_invariants b);
+  let w, b = mk_buddy pages in
+  corrupt w ((2 * pages) + 1) ~by:2;
+  Alcotest.check_raises "misaligned record" (Failure "buddy: misaligned allocation record")
+    (fun () -> Buddy.check_invariants b)
+
+let buddy_stale_words_accepted () =
+  let pages = 16 in
+  let w, b = mk_buddy pages in
+  (* order 2 at page 0 is node 4; nodes 8, 9 and 16-19 lie under it *)
+  check_int "order-2 block at 0" 0 (Option.get (Buddy.alloc b ~order:2));
+  List.iter (fun node -> corrupt w node ~by:3) [ 8; 9; 16; 19 ];
+  Buddy.check_invariants b
+
 (* ---- Slab ---- *)
 
 let mk_slab () =
@@ -421,6 +467,17 @@ let meta_commit_protocol () =
 
 let mk_store () =
   Store.create ~clock:(Clock.create ()) ~nvm_pages:64 ~dram_pages:8 ()
+
+(* A fresh word area is already all-free, so formatting the buddy and
+   the slabs costs one journaled word and one commit point each. *)
+let store_format_journals_two_words () =
+  let s = Store.create ~clock:(Clock.create ()) ~nvm_pages:65536 ~dram_pages:8 () in
+  let w = Store.warea s in
+  check_int "commit points" 2 (Warea.commit_points w);
+  check_int "words written" 2 (Warea.words_written w);
+  check_int "all free" 65536 (Store.nvm_pages_free s);
+  Buddy.check_invariants (Store.buddy s);
+  Slab.check_invariants (Store.slab s)
 
 let store_pages () =
   let s = mk_store () in
@@ -575,8 +632,53 @@ let prop_slab_crash_consistency =
       Buddy.check_invariants b;
       true)
 
+(* The buddy against a model: every allocation takes the leftmost
+   order-aligned run of free pages, and freeing makes the run free again. *)
+let prop_buddy_model =
+  let pages = 64 in
+  QCheck.Test.make ~name:"buddy: leftmost aligned fit, as the model" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 300) (pair bool (int_bound 1000)))
+    (fun ops ->
+      let _, b = mk_buddy pages in
+      let used = Array.make pages false in
+      let live = ref [] in
+      let model_alloc order =
+        let size = 1 lsl order in
+        let fits o = Array.for_all not (Array.sub used o size) in
+        let rec find o = if o >= pages then None else if fits o then Some o else find (o + size) in
+        find 0
+      in
+      let mark o size v = Array.fill used o size v in
+      List.iter
+        (fun (is_alloc, r) ->
+          (if is_alloc || !live = [] then begin
+             let order = r mod 4 in
+             let got = Buddy.alloc b ~order and want = model_alloc order in
+             if got <> want then
+               QCheck.Test.fail_reportf "order %d: buddy %s, model %s" order
+                 (Option.fold ~none:"none" ~some:string_of_int got)
+                 (Option.fold ~none:"none" ~some:string_of_int want);
+             Option.iter
+               (fun o ->
+                 mark o (1 lsl order) true;
+                 live := (o, order) :: !live)
+               got
+           end
+           else
+             let o, order = List.nth !live (r mod List.length !live) in
+             Buddy.free b ~offset:o;
+             mark o (1 lsl order) false;
+             live := List.filter (fun (o', _) -> o' <> o) !live);
+          let model_free = Array.fold_left (fun n u -> if u then n else n + 1) 0 used in
+          if Buddy.free_pages b <> model_free then
+            QCheck.Test.fail_reportf "free_pages %d, model %d" (Buddy.free_pages b) model_free;
+          Buddy.check_invariants b)
+        ops;
+      true)
+
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest [ prop_buddy_crash_consistency; prop_slab_crash_consistency ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_buddy_model; prop_buddy_crash_consistency; prop_slab_crash_consistency ]
 
 let () =
   Alcotest.run "nvm"
@@ -629,6 +731,9 @@ let () =
           Alcotest.test_case "crash after-log" `Quick (buddy_crash_during_alloc Warea.After_log);
           Alcotest.test_case "crash mid-apply" `Quick (buddy_crash_during_alloc Warea.Mid_apply);
           Alcotest.test_case "random ops keep invariants" `Quick buddy_random_ops;
+          Alcotest.test_case "corrupted words detected" `Quick buddy_corruption_detected;
+          Alcotest.test_case "stale words under a block accepted" `Quick
+            buddy_stale_words_accepted;
         ] );
       ( "slab",
         [
@@ -655,6 +760,7 @@ let () =
           Alcotest.test_case "page io + copy" `Quick store_page_io;
           Alcotest.test_case "small objects" `Quick store_objects;
           Alcotest.test_case "crash and recover" `Quick store_crash_recover;
+          Alcotest.test_case "format journals two words" `Quick store_format_journals_two_words;
         ] );
       ("properties", qsuite);
     ]
