@@ -27,7 +27,9 @@ fmt:
 BENCH_FRESH := _build/bench-fresh
 
 # Regenerate the CI-scale BENCH files into $(BENCH_FRESH) (committed
-# copies stay untouched until `make ci` promotes them).
+# copies stay untouched until `make ci` promotes them).  fig11 and fig14
+# run at full scale (a few seconds each): they pin the callers of the
+# virtual-time driver (`System.advance_to`) that no smoke run covers.
 bench-fresh:
 	rm -rf $(BENCH_FRESH) && mkdir -p $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp extsync_lat --smoke --json-dir $(BENCH_FRESH)
@@ -39,6 +41,8 @@ bench-fresh:
 	dune exec bench/main.exe -- --exp async_drain --smoke --audit --json-dir $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp multitenant --smoke --json-dir $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp fig10 --smoke --json-dir $(BENCH_FRESH)
+	dune exec bench/main.exe -- --exp fig11 --json-dir $(BENCH_FRESH)
+	dune exec bench/main.exe -- --exp fig14 --json-dir $(BENCH_FRESH)
 
 # Per-metric deltas of the fresh results vs the committed copies
 # (informational; the self-gating experiments above are what fail).

@@ -46,22 +46,6 @@ let adaptive_cfg =
     pressure_threshold = 24;
   }
 
-(* ns-precision pacing that still fires checkpoints at their deadline
-   (same as exp_extsync_lat: the pause must start on time, not at the next
-   driver tick). *)
-let advance_to sys target =
-  let rec loop () =
-    if System.now_ns sys < target then begin
-      (match Manager.next_deadline (System.manager sys) with
-      | Some d when d <= target ->
-        if System.now_ns sys < d then Clock.advance (System.clock sys) (d - System.now_ns sys);
-        ignore (Manager.tick (System.manager sys))
-      | Some _ | None -> Clock.advance (System.clock sys) (target - System.now_ns sys));
-      loop ()
-    end
-  in
-  loop ()
-
 let count_substring s sub =
   let n = String.length sub in
   let rec go i acc =
@@ -112,7 +96,7 @@ let run_one ~label ~interval_us ~adaptive =
        manager tick) so the pressure feedforward is polled per op *)
     let t0 = System.now_ns sys in
     for i = 0 to burst () - 1 do
-      advance_to sys (t0 + (i * gap_ns));
+      ignore (System.advance_to sys (t0 + (i * gap_ns)));
       Kv_app.set_i app (Rng.int rng keys);
       ignore (Net_server.send net ~client:(!req land 31) (Bytes.of_string "+OK"));
       incr req;
@@ -120,7 +104,7 @@ let run_one ~label ~interval_us ~adaptive =
     done;
     (* idle gap: deadlines keep firing with nothing to release — the
        adaptive run should back its interval off toward the ceiling *)
-    advance_to sys (System.now_ns sys + (idle_us * 1000))
+    ignore (System.advance_to sys (System.now_ns sys + (idle_us * 1000)))
   done;
   (* one more commit so the final partial interval's replies release too *)
   ignore (System.checkpoint sys);

@@ -77,23 +77,6 @@ let make_collector sys =
   in
   (poll, fun () -> List.rev !reports)
 
-(* ns-precision pacing that fires checkpoint deadlines on time (same as
-   exp_adaptive): the STW must start at its deadline, not at the next
-   driver tick.  Drain steps still only run at op boundaries, as they
-   would between real operations. *)
-let advance_to sys target =
-  let rec loop () =
-    if System.now_ns sys < target then begin
-      (match Manager.next_deadline (System.manager sys) with
-      | Some d when d <= target ->
-        if System.now_ns sys < d then Clock.advance (System.clock sys) (d - System.now_ns sys);
-        ignore (Manager.tick (System.manager sys))
-      | Some _ | None -> Clock.advance (System.clock sys) (target - System.now_ns sys));
-      loop ()
-    end
-  in
-  loop ()
-
 let run_one ~label ~async =
   let feats = features ~async State.Hybrid in
   let sys = boot ~interval_us ~features:feats () in
@@ -116,7 +99,7 @@ let run_one ~label ~async =
      page-heavy dirty set the gate is about *)
   let t0 = System.now_ns sys in
   for i = 0 to warm_ops () - 1 do
-    advance_to sys (t0 + (i * gap_ns));
+    ignore (System.advance_to sys (t0 + (i * gap_ns)));
     Kv_app.set_i app (Rng.int rng nkeys);
     ignore (System.tick sys)
   done;
@@ -127,7 +110,7 @@ let run_one ~label ~async =
   let req = ref 0 in
   let t0 = System.now_ns sys in
   for i = 0 to measure_ops () - 1 do
-    advance_to sys (t0 + (i * gap_ns));
+    ignore (System.advance_to sys (t0 + (i * gap_ns)));
     Kv_app.set_i app (Rng.int rng nkeys);
     ignore (Net_server.send net ~client:(!req land 31) (Bytes.of_string "+OK"));
     incr req;

@@ -19,8 +19,7 @@ let run_one ~interval_us ~op =
     else full_features ()
   in
   let sys = boot ~interval_us:(max 1000 interval_us) ~features () in
-  if interval_us = 0 then System.set_interval_us sys None
-  else System.set_interval_us sys (Some interval_us);
+  if interval_us > 0 then System.set_interval_us sys (Some interval_us);
   let rng = Rng.create 29L in
   let app = Kv_app.launch ~keys_hint:40_000 ~value_size:100 sys Kv_app.Memcached in
   for i = 0 to 19_999 do

@@ -28,7 +28,6 @@ let run_one mode ~interval_ms =
     | Ckpt_only | Ext_sync -> full_features ()
   in
   let sys = boot ~interval_us:(interval_ms * 1000) ~features () in
-  (match mode with Baseline -> System.set_interval_us sys None | Ckpt_only | Ext_sync -> ());
   let rng = Rng.create 31L in
   let app = Kv_app.launch ~keys_hint:30_000 ~value_size:1024 sys Kv_app.Redis in
   for i = 0 to 9_999 do
@@ -57,12 +56,12 @@ let run_one mode ~interval_ms =
       if !outstanding >= window then
         (* all client credits consumed: idle until the next checkpoint
            releases the replies *)
-        System.advance_us sys 50
+        ignore (System.advance_to sys (System.now_ns sys + 50_000))
       else begin
         Kv_app.set_i app (Rng.int rng 30_000);
         if Net_server.send net ~client:(Rng.int rng 50) (Bytes.of_string "+OK") then
           incr outstanding
-        else System.advance_us sys 50;
+        else ignore (System.advance_to sys (System.now_ns sys + 50_000));
         ignore (System.tick sys)
       end
     done;

@@ -16,7 +16,6 @@ let run_treesls ~ckpt workload =
     if ckpt then full_features () else features State.Off
   in
   let sys = boot ~interval_us:1000 ~features () in
-  if not ckpt then System.set_interval_us sys None;
   let rng = Rng.create 37L in
   let app = Kv_app.launch ~keys_hint:(keys * 2) ~value_size sys Kv_app.Redis in
   for i = 0 to keys - 1 do

@@ -60,7 +60,6 @@ let run_treesls ~interval_us =
     else full_features ()
   in
   let sys = boot ~interval_us:(max 1000 interval_us) ~features () in
-  if interval_us = 0 then System.set_interval_us sys None;
   let rng = Rng.create 41L in
   let gen = Prefix_dist.create rng in
   let app = Lsm.launch ~wal:false ~memtable_kb:4096 sys Lsm.Rocksdb in
@@ -73,21 +72,7 @@ let run_treesls ~interval_us =
           | Prefix_dist.Get { key } -> ignore (Lsm.get app ~key));
           ignore (System.tick sys));
       now = (fun () -> System.now_ns sys);
-      idle_to =
-        (fun t ->
-          (* idle time still takes periodic checkpoints *)
-          let rec go () =
-            if System.now_ns sys < t then begin
-              (match Manager.next_deadline (System.manager sys) with
-              | Some dl when dl <= t ->
-                if System.now_ns sys < dl then
-                  Clock.advance (System.clock sys) (dl - System.now_ns sys);
-                ignore (System.tick sys)
-              | Some _ | None -> Clock.advance (System.clock sys) (t - System.now_ns sys));
-              go ()
-            end
-          in
-          go ());
+      idle_to = (fun t -> ignore (System.advance_to sys t));
       is_write;
     }
   in
@@ -130,6 +115,8 @@ let run () =
         let tput, p50, p99 =
           match cfg with `T us -> run_treesls ~interval_us:us | `A mode -> run_aurora mode
         in
+        emit_row ~config:[ ("config", name) ]
+          ~metrics:[ ("tput_kops", tput); ("p50_us", p50); ("p99_us", p99) ];
         [ name; f1 tput; f2 p50; f2 p99 ])
       configs
   in

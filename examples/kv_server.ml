@@ -38,7 +38,7 @@ let () =
     (Net_server.pending net);
 
   (* Simulated time passes; the 1 ms checkpoint fires and releases them. *)
-  System.advance_us sys 1500;
+  ignore (System.advance_to sys (System.now_ns sys + 1_500_000));
   Printf.printf "after checkpoint: %d replies delivered\n" (List.length !acked);
 
   (* Now a request is processed but power fails before its checkpoint. *)

@@ -78,8 +78,12 @@ let tick t =
     end
     else None
 
+(* [None] exactly when [tick] cannot fire: a deadline that never fires
+   would never re-arm, and a driver waiting on it would spin *)
 let next_deadline t =
-  match t.st.State.interval_ns with Some _ -> Some t.st.State.next_ckpt_at | None -> None
+  match t.st.State.interval_ns with
+  | Some _ when t.st.State.features.State.level <> State.Off -> Some t.st.State.next_ckpt_at
+  | Some _ | None -> None
 
 (* --- asynchronous drain ----------------------------------------------- *)
 

@@ -43,6 +43,8 @@ val tick : t -> Report.t option
 (** Take a checkpoint if the deadline passed (call between operations). *)
 
 val next_deadline : t -> int option
+(** The armed deadline, or [None] when {!tick} cannot fire (no interval,
+    or [features.level = Off]). *)
 
 (** {2 Asynchronous drain}
 

@@ -87,31 +87,25 @@ let tick t =
 let set_interval_us t us = Manager.set_interval t.mgr (Option.map (fun u -> u * 1000) us)
 let version t = Manager.version t.mgr
 
-let advance_us t us =
-  let target = now_ns t + (us * 1000) in
-  (* While a drain backlog is outstanding, advance in bounded slices and
-     step the drain at each: idle wall-clock is exactly when the follower
-     cores catch up, and a whole-interval jump would otherwise convert the
-     entire backlog into a stop-the-world settle at the next deadline. *)
-  let drain_slice_ns = 50_000 in
-  let rec loop () =
-    if now_ns t < target then begin
-      drain_tick t;
-      (match Manager.next_deadline t.mgr with
+(* The one virtual-time driver.  Each armed deadline on the way fires at
+   the deadline itself, not at the next op: the pause must start on time
+   for the visible-latency measurement.  Idle time takes no drain step and
+   no pressure feedforward — both belong to op boundaries ([tick]); a
+   backlog still pending at the next deadline is settled by that
+   checkpoint. *)
+let advance_to t target =
+  let rec loop fired =
+    if now_ns t >= target then List.rev fired
+    else
+      match Manager.next_deadline t.mgr with
       | Some d when d <= target ->
-        if now_ns t < d then
-          if drain_backlog t > 0 then
-            Clock.advance (clock t) (min drain_slice_ns (d - now_ns t))
-          else Clock.advance (clock t) (d - now_ns t);
-        if now_ns t >= d then ignore (Manager.tick t.mgr)
+        if now_ns t < d then Clock.advance (clock t) (d - now_ns t);
+        loop (match Manager.tick t.mgr with Some r -> r :: fired | None -> fired)
       | Some _ | None ->
-        if drain_backlog t > 0 then
-          Clock.advance (clock t) (min drain_slice_ns (target - now_ns t))
-        else Clock.advance (clock t) (target - now_ns t));
-      loop ()
-    end
+        Clock.advance (clock t) (target - now_ns t);
+        List.rev fired
   in
-  loop ()
+  loop []
 
 let add_service t ~name ~setup =
   t.services <- t.services @ [ (name, setup) ];

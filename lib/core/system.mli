@@ -5,7 +5,7 @@
     services, and the checkpoint manager attached.  Applications are
     created through {!Treesls_kernel.Kernel} using {!kernel}, and drive
     checkpoints by calling {!tick} between operations (or {!checkpoint}
-    explicitly).
+    explicitly); idle time passes through {!advance_to}.
 
     Power failures are injected with {!crash} and survived with {!recover}:
     after recovery the system is rolled back to the last committed
@@ -65,8 +65,12 @@ val drain_backlog : t -> int
 val set_interval_us : t -> int option -> unit
 val version : t -> int
 
-val advance_us : t -> int -> unit
-(** Let simulated time pass (idle work), taking periodic checkpoints. *)
+val advance_to : t -> int -> Report.t list
+(** Let simulated time pass (idle work) up to the absolute virtual time
+    [target] (a no-op if it is not ahead of {!now_ns}).  Every armed
+    checkpoint deadline [d <= target] fires at [d] itself; returns their
+    reports, oldest first.  Idle time takes no drain step and polls no
+    pressure feedforward — those run at op boundaries ({!tick}). *)
 
 val add_service : t -> name:string -> setup:(t -> unit) -> unit
 (** Register a service setup function: runs immediately and again after

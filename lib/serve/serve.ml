@@ -1,7 +1,5 @@
 module System = Treesls.System
-module Manager = Treesls_ckpt.Manager
 module Report = Treesls_ckpt.Report
-module Clock = Treesls_sim.Clock
 module Rtrace = Treesls_obs.Rtrace
 module Probe = Treesls_obs.Probe
 module Rng = Treesls_util.Rng
@@ -54,26 +52,6 @@ let reports t = List.rev t.reports
 
 let refresh t = Array.iter Tenant.refresh t.tenants
 
-(* ns-precision pacing that still fires checkpoint deadlines on time (the
-   pause must start at its deadline for the visible-latency measurement,
-   not at the next driver op), collecting each fired commit's report. *)
-let advance_to t target =
-  let sys = t.sys in
-  let rec loop () =
-    if System.now_ns sys < target then begin
-      (match Manager.next_deadline (System.manager sys) with
-      | Some d when d <= target ->
-        if System.now_ns sys < d then
-          Clock.advance (System.clock sys) (d - System.now_ns sys);
-        (match Manager.tick (System.manager sys) with
-        | Some r -> t.reports <- r :: t.reports
-        | None -> ())
-      | Some _ | None -> Clock.advance (System.clock sys) (target - System.now_ns sys));
-      loop ()
-    end
-  in
-  loop ()
-
 (* Open loop over the merged arrival schedule: tenant [i]'s op [j] arrives
    at [t0 + j*gap + i*stagger], tenants staggered evenly within the gap —
    deterministic virtual time, lexicographic (j, i) order. *)
@@ -86,7 +64,8 @@ let run t =
   let t0 = System.now_ns t.sys in
   for j = 0 to t.cfg.ops_per_tenant - 1 do
     for i = 0 to n - 1 do
-      advance_to t (t0 + (j * gap) + (i * stagger));
+      let fired = System.advance_to t.sys (t0 + (j * gap) + (i * stagger)) in
+      t.reports <- List.rev_append fired t.reports;
       Tenant.step t.tenants.(i);
       match System.tick t.sys with
       | Some r -> t.reports <- r :: t.reports

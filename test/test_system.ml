@@ -7,6 +7,9 @@
 module System = Treesls.System
 module Kernel = Treesls_kernel.Kernel
 module Manager = Treesls_ckpt.Manager
+module State = Treesls_ckpt.State
+module Report = Treesls_ckpt.Report
+module Active_list = Treesls_ckpt.Active_list
 module Warea = Treesls_nvm.Warea
 module Store = Treesls_nvm.Store
 module Kv_app = Treesls_apps.Kv_app
@@ -327,6 +330,82 @@ let prop_repeated_crashes =
       done;
       !ok)
 
+(* ---- the virtual-time driver ---- *)
+
+(* A deadline fires at the deadline itself, so the clock ends one pause
+   past it. *)
+let deadline_fires_on_time () =
+  let sys = System.boot ~interval_us:1000 () in
+  let d = System.now_ns sys + 1_000_000 in
+  match System.advance_to sys d with
+  | [ r ] -> check_int "clock = deadline + pause" (d + r.Report.stw_ns) (System.now_ns sys)
+  | l -> Alcotest.failf "expected one report, got %d" (List.length l)
+
+let advance_to_now_is_a_noop () =
+  let sys = System.boot ~interval_us:1000 () in
+  let now = System.now_ns sys in
+  check_int "no reports" 0 (List.length (System.advance_to sys now));
+  check_int "clock unmoved" now (System.now_ns sys)
+
+let fires_every_deadline_in_order () =
+  let sys = System.boot ~interval_us:1000 () in
+  let target = System.now_ns sys + 3_500_000 in
+  let reports = System.advance_to sys target in
+  let v = List.map (fun (r : Report.t) -> r.Report.version) reports in
+  check_int "three deadlines in 3.5 ms" 3 (List.length reports);
+  check_bool "oldest first" true (List.sort_uniq compare v = v);
+  check_int "ends at the target" target (System.now_ns sys)
+
+(* Idle time takes no drain step: a staged backlog waits for the next op
+   boundary, or for the next deadline's checkpoint, which settles it. *)
+let idle_takes_no_drain_step () =
+  let f = State.default_features () in
+  f.State.async_drain <- true;
+  let sys =
+    System.boot ~features:f
+      ~active_cfg:{ Active_list.default_config with Active_list.hot_threshold = 1 }
+      ()
+  in
+  let k = System.kernel sys in
+  let p = Kernel.create_process k ~name:"hot" ~threads:1 ~prio:5 in
+  let n = 16 in
+  let vpn0 = Kernel.grow_heap k p ~pages:n in
+  let dirty () =
+    for i = 0 to n - 1 do
+      Kernel.touch_write k p ~vpn:(vpn0 + i)
+    done
+  in
+  (* first write; CoW fault (hot at one fault, so the capture migrates
+     the page into the DRAM cache); re-dirty in the cache, so the last
+     capture stages one copy per page *)
+  for round = 1 to 3 do
+    dirty ();
+    ignore (System.checkpoint sys);
+    if round < 3 then System.drain_settle sys
+  done;
+  let backlog = System.drain_backlog sys and v0 = System.version sys in
+  check_int "staged backlog" n backlog;
+  System.set_interval_us sys (Some 1000);
+  let target = System.now_ns sys + 500_000 in
+  check_int "no deadline before the target" 0 (List.length (System.advance_to sys target));
+  check_int "backlog untouched while idle" backlog (System.drain_backlog sys);
+  check_int "still staged" v0 (System.version sys);
+  check_int "ends at the target" target (System.now_ns sys);
+  check_int "the deadline's checkpoint fires" 1
+    (List.length (System.advance_to sys (target + 1_000_000)));
+  check_int "and settles the backlog" 0 (System.drain_backlog sys);
+  check_int "both versions committed" (v0 + 2) (System.version sys)
+
+(* With checkpointing Off an interval arms no deadline: [Manager.tick]
+   never fires or re-arms one, so a driver waiting on it would spin. *)
+let off_level_does_not_hang () =
+  let sys =
+    System.boot ~interval_us:1000 ~features:{ (State.default_features ()) with level = State.Off } ()
+  in
+  let target = System.now_ns sys + 5_000_000 in
+  check_int "no reports" 0 (List.length (System.advance_to sys target));
+  check_int "ends at the target" target (System.now_ns sys)
+
 (* ---- two systems in one process share no state ---- *)
 
 (* Each system's probe, crash-site table and wear writer stack belong to
@@ -393,6 +472,14 @@ let () =
           Alcotest.test_case "crash after-log" `Quick (crash_in_allocator Warea.After_log);
           Alcotest.test_case "crash mid-apply" `Quick (crash_in_allocator Warea.Mid_apply);
           Alcotest.test_case "crash after-apply" `Quick (crash_in_allocator Warea.After_apply);
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "deadline fires on time" `Quick deadline_fires_on_time;
+          Alcotest.test_case "advance to now is a no-op" `Quick advance_to_now_is_a_noop;
+          Alcotest.test_case "fires every deadline in order" `Quick fires_every_deadline_in_order;
+          Alcotest.test_case "idle takes no drain step" `Quick idle_takes_no_drain_step;
+          Alcotest.test_case "Off-level interval does not hang" `Quick off_level_does_not_hang;
         ] );
       ("properties", qsuite);
       ( "isolation",
