@@ -4,8 +4,8 @@
    - the CLEAN sweep enumerates every crash point of the deterministic
      workload trace — journal commit points x all four Warea phases, every
      named checkpoint/restore crash site, DRAM loss between ops — injects
-     each, recovers, and verifies (slsfsck audit, twin-fingerprint
-     equivalence, liveness).  ANY failure exits 2 with the reproducer
+     each, recovers, and verifies (slsfsck audit, fingerprint equivalence
+     with one crash-free reference run, liveness).  ANY failure exits 2 with the reproducer
      string, failing the build.
    - the ASYNC sweep repeats the exploration with the asynchronous drain on
      (drain batch 1): checkpoints stage a window that settles

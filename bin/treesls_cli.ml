@@ -903,7 +903,8 @@ let crashtest_cmd =
          "Exhaustive crash-schedule exploration: enumerate every crash point of a \
           deterministic trace (journal commit points x phases, checkpoint/restore crash \
           sites, DRAM losses), inject each, and verify recovery with the slsfsck audit plus \
-          fingerprint equivalence against a crash-free twin; exits 2 on any failing schedule")
+          fingerprint equivalence against one crash-free reference run of the trace; exits 2 \
+          on any failing schedule")
     Term.(const run $ seed_arg $ ops $ max_commits $ schedule $ with_bug $ async $ json_arg)
 
 let serve_cmd =

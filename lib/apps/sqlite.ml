@@ -12,16 +12,18 @@ type t = {
   journal_pages : int;
   mutable journal_cursor : int;
   mutable next_row : int;
-  rows_hint : int;
 }
 
 type op = Read | Insert | Update | Delete
 
 let psz sys = (Kernel.cost (System.kernel sys)).Cost.page_size
 
+(* the store is sized for this many rows *)
+let rows_hint = 50_000
+
 (* Table 2 row B: +1 CG, +4 threads, +3 IPC, +0 notifications, +14 PMOs
    (= code + 4 stacks + 3 IPC buffers + store + journal + 4 heap), +1 VMS. *)
-let launch ?(rows_hint = 50_000) sys =
+let launch sys =
   let proc = Launchpad.make_proc sys ~name:"sqlite" ~threads:4 ~ipcs:3 ~notifs:0 ~extra_pmos:4 in
   let k = System.kernel sys in
   let bytes = (rows_hint * 180) + (rows_hint * 8) + (2 * psz sys) in
@@ -38,7 +40,6 @@ let launch ?(rows_hint = 50_000) sys =
     journal_pages;
     journal_cursor = 0;
     next_row = 0;
-    rows_hint;
   }
 
 let refresh t =

@@ -11,7 +11,7 @@ module System = Treesls.System
 
 type t
 
-val launch : ?rows_hint:int -> System.t -> t
+val launch : System.t -> t
 val refresh : t -> unit
 
 type op = Read | Insert | Update | Delete

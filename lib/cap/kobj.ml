@@ -19,7 +19,7 @@ and cap_group = {
   mutable cg_gen : int;
 }
 
-and thread_state = Ready | Running of int | Blocked_notif of int | Blocked_ipc of int | Exited
+and thread_state = Ready | Blocked_notif of int | Exited
 
 and thread = {
   th_id : int;

@@ -31,9 +31,7 @@ and cap_group = {
 
 and thread_state =
   | Ready
-  | Running of int  (** core id *)
   | Blocked_notif of int  (** notification object id *)
-  | Blocked_ipc of int  (** connection object id *)
   | Exited
 
 and thread = {

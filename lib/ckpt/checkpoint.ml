@@ -203,42 +203,6 @@ let hybrid_sublist st ~new_ver entries counters =
         end)
     entries
 
-(* An ORoot is dead when this walk's traversal did not reach its object.
-   Keyed on the walk's live set rather than last_seen_ver because the
-   incremental walk leaves the last_seen_ver of skipped (but live)
-   objects stale on purpose.  Every live object has an ORoot once the walk
-   is done (skipped ones had one, the rest were just given one), so the
-   table holds a dead ORoot exactly when it is larger than the live set:
-   the sweep runs only then. *)
-let gc_dead_oroots st ~visited =
-  let kernel = st.State.kernel in
-  let store = Kernel.store kernel in
-  let dead =
-    if Hashtbl.length st.State.oroots <= Hashtbl.length visited then []
-    else
-      Hashtbl.fold
-        (fun oid (o : Oroot.t) acc ->
-          if not (Hashtbl.mem visited oid) then (oid, o) :: acc else acc)
-        st.State.oroots []
-  in
-  List.iter
-    (fun (oid, (o : Oroot.t)) ->
-      (match o.Oroot.pages with
-      | Some pages ->
-        (* The object left the tree before this (now committed) checkpoint,
-           so nothing can roll back to a state containing it any more: free
-           its backup frames and its runtime frames (reachable through the
-           runtime pointer the ORoot keeps). *)
-        let runtime_of pno =
-          match o.Oroot.runtime with
-          | Some (Kobj.Pmo p) -> Radix.get p.Kobj.pmo_radix pno
-          | Some _ | None -> None
-        in
-        Ckpt_page.free_all store pages ~runtime_of
-      | None -> ());
-      Hashtbl.remove st.State.oroots oid)
-    dead
-
 (* The probe tail of a commit: counters/gauges for the committed
    version, wear telemetry, then the black-box sample last — it snapshots
    the whole registry and fires the SLO watchdog + adaptive-interval
@@ -289,12 +253,14 @@ let emit_commit_probes st (r : Report.t) =
     ~interval_ns:st.State.interval_ns
 
 (* Step 4, the atomic commit: bump the version — THE durability point —
-   then free the backups of objects the walk did not reach.  Runs inside
-   the pause when nothing was deferred, at settle otherwise. *)
+   then free the backups of objects the walk did not reach.  The walk's
+   live set, not last_seen_ver, decides: the incremental walk leaves the
+   last_seen_ver of skipped (but live) objects stale on purpose.  Runs
+   inside the pause when nothing was deferred, at settle otherwise. *)
 let commit_version st ~visited =
   Global_meta.commit_checkpoint (Store.meta (Kernel.store st.State.kernel));
   Crash_site.hit (State.crash_sites st) "ckpt.version_bump";
-  gc_dead_oroots st ~visited;
+  ignore (State.gc_dead_oroots st ~live:visited);
   Crash_site.hit (State.crash_sites st) "ckpt.gc_done"
 
 (* Release what waited on the commit, after the resume or at settle.  The

@@ -53,7 +53,6 @@ let create cfg =
      cannot overflow in the cooldown test *)
   { cfg; integral = 0.0; retunes = 0; pressure_clamps = 0; last_clamp_ns = min_int / 2 }
 
-let config t = t.cfg
 let retunes t = t.retunes
 let pressure_clamps t = t.pressure_clamps
 

@@ -34,8 +34,6 @@ val create : config -> t
 (** Raises [Invalid_argument] on a non-positive or inverted interval
     range. *)
 
-val config : t -> config
-
 val on_sample :
   t -> Treesls_obs.Tseries.t -> interval_ns:int -> drain_backlog:int -> int option
 (** Feedback step against the newest sample; [Some ns] proposes a new

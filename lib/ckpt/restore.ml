@@ -351,26 +351,7 @@ let run_inner st =
      test the committed walk would have applied. *)
   let reachable : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   Kobj.iter_tree ~root (fun obj -> Hashtbl.replace reachable (Kobj.id obj) ());
-  let dead =
-    Hashtbl.fold
-      (fun oid (o : Oroot.t) acc ->
-        if not (Hashtbl.mem reachable oid) then (oid, o) :: acc else acc)
-      st.State.oroots []
-  in
-  List.iter
-    (fun (oid, (o : Oroot.t)) ->
-      (match o.Oroot.pages with
-      | Some pages ->
-        let runtime_of pno =
-          match o.Oroot.runtime with
-          | Some (Kobj.Pmo p) -> Radix.get p.Kobj.pmo_radix pno
-          | Some _ | None -> None
-        in
-        Ckpt_page.free_all store pages ~runtime_of
-      | None -> ());
-      incr dropped;
-      Hashtbl.remove st.State.oroots oid)
-    dead;
+  dropped := !dropped + State.gc_dead_oroots st ~live:reachable;
   Probe.rto_phase_end probe;
   Probe.rto_phase_begin probe "buddy_reconcile";
   (* Final allocator reconciliation (paper section 3, step 7: compare the

@@ -1,6 +1,7 @@
 module Kobj = Treesls_cap.Kobj
 module Kernel = Treesls_kernel.Kernel
 module Store = Treesls_nvm.Store
+module Radix = Treesls_cap.Radix
 module Probe = Treesls_obs.Probe
 module Stats = Treesls_util.Stats
 
@@ -140,3 +141,35 @@ let checkpoint_bytes t =
       in
       acc + snap_bytes + page_bytes)
     t.oroots 0
+
+(* An ORoot is dead when its object is not in [live] (the committed walk's
+   traversal, or the restored tree): nothing can roll back to a state
+   containing the object any more, so free its backup frames and its
+   runtime frames (reachable through the runtime pointer the ORoot keeps)
+   and drop it.  Every live object has an ORoot, so the table holds a dead
+   one exactly when it is larger than the live set: the sweep runs only
+   then. *)
+let gc_dead_oroots t ~live =
+  if Hashtbl.length t.oroots <= Hashtbl.length live then 0
+  else begin
+    let store = Kernel.store t.kernel in
+    let dead =
+      Hashtbl.fold
+        (fun oid (o : Oroot.t) acc -> if Hashtbl.mem live oid then acc else (oid, o) :: acc)
+        t.oroots []
+    in
+    List.iter
+      (fun (oid, (o : Oroot.t)) ->
+        (match o.Oroot.pages with
+        | Some pages ->
+          let runtime_of pno =
+            match o.Oroot.runtime with
+            | Some (Kobj.Pmo p) -> Radix.get p.Kobj.pmo_radix pno
+            | Some _ | None -> None
+          in
+          Ckpt_page.free_all store pages ~runtime_of
+        | None -> ());
+        Hashtbl.remove t.oroots oid)
+      dead;
+    List.length dead
+  end

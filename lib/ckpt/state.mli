@@ -109,3 +109,9 @@ val note_crash : t -> unit
 
 val checkpoint_bytes : t -> int
 (** Current checkpoint footprint: snapshot bytes + backup page frames. *)
+
+val gc_dead_oroots : t -> live:(int, unit) Hashtbl.t -> int
+(** Free and drop every ORoot whose object is not in [live] — its backup
+    frames and the runtime frames its runtime pointer still reaches.
+    Returns the number dropped.  Run by the commit (against the walk's
+    live set) and by restore (against the restored tree). *)

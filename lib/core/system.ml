@@ -135,70 +135,49 @@ let stats t = Kernel.stats (kernel t)
 let trace t = Probe.trace (obs t)
 let metrics_snapshot t = Metrics.snapshot (Probe.metrics (obs t))
 
-(* Reserve an eternal PMO to back the trace ring, mirroring how TreeSLS
-   keeps always-persistent state (§5): eternal pages are materialised at
-   creation, walked by every checkpoint, and revived verbatim by restore
-   instead of rolling back — which is exactly the lifetime the trace
-   buffer needs to stay inspectable across a power failure.  The event
-   payload itself stays on the OCaml heap (writing each event through the
-   kernel would charge simulated time and perturb the measurement being
-   traced); the PMO models its NVM footprint at 64 bytes per slot. *)
-let ensure_eternal_backing t =
-  match Probe.backing_pmo (obs t) with
-  | Some _ -> ()
-  | None ->
+(* Reserve an eternal PMO of [bytes] as the NVM backing of one
+   observability structure, mirroring how TreeSLS keeps always-persistent
+   state (§5): eternal pages are materialised at creation, walked by every
+   checkpoint, and revived verbatim by restore instead of rolling back —
+   exactly the lifetime a trace ring, wear counters or black box need to
+   stay inspectable across a power failure.  The payload itself stays on
+   the OCaml heap (writing it through the kernel would charge simulated
+   time and perturb the measurement); the PMO models its NVM footprint.
+   Idempotent per [name]; the wear and tseries backings are reserved only
+   on request, so systems that never ask keep their boot object census and
+   NVM footprint (Ring.reattach claims rings by their persisted name, so
+   when these PMOs are created does not matter to it). *)
+let reserve_backing t name ~instant ~bytes =
+  if not (List.mem_assoc name (Probe.backings (obs t))) then begin
     let k = kernel t in
-    let bytes = Trace.capacity (Probe.trace (obs t)) * 64 in
     let psz = (Kernel.cost k).Treesls_sim.Cost.page_size in
     let pages = max 1 ((bytes + psz - 1) / psz) in
     let pmo = Kernel.make_eternal_pmo k ~pages in
-    Probe.set_backing_pmo (obs t) pmo.Treesls_cap.Kobj.pmo_id;
-    Probe.instant (obs t) "obs.eternal_backing"
+    Probe.add_backing (obs t) name pmo.Treesls_cap.Kobj.pmo_id;
+    Probe.instant (obs t) instant
       ~args:
         [ ("pmo", string_of_int pmo.Treesls_cap.Kobj.pmo_id); ("pages", string_of_int pages) ]
+  end
 
+(* trace ring: 64 bytes per slot *)
 let enable_tracing ?(verbose = false) ?(eternal_backing = true) t =
   Probe.set_tracing (obs t) true;
   Probe.set_verbose (obs t) verbose;
-  if eternal_backing then ensure_eternal_backing t
+  if eternal_backing then
+    reserve_backing t "trace" ~instant:"obs.eternal_backing"
+      ~bytes:(Trace.capacity (Probe.trace (obs t)) * 64)
 
-(* Like the trace ring's backing, but for the wearmap's per-page counters:
-   8 bytes of write count + 8 bytes written per NVM page.  Lazy (not at
-   boot) so systems that never ask for wear residency keep their boot
-   object census and NVM footprint; Ring.reattach claims rings by their
-   persisted name, so when this PMO is created does not matter to it. *)
+(* wearmap: 8 bytes of write count + 8 bytes written per NVM page *)
 let ensure_wear_backing t =
-  match Probe.wear_backing_pmo (obs t) with
-  | Some _ -> ()
-  | None ->
-    let k = kernel t in
-    let store = Kernel.store k in
-    let bytes = Treesls_nvm.Store.nvm_pages_total store * 16 in
-    let psz = (Kernel.cost k).Treesls_sim.Cost.page_size in
-    let pages = max 1 ((bytes + psz - 1) / psz) in
-    let pmo = Kernel.make_eternal_pmo k ~pages in
-    Probe.set_wear_backing_pmo (obs t) pmo.Treesls_cap.Kobj.pmo_id;
-    Probe.instant (obs t) "obs.wear_backing"
-      ~args:
-        [ ("pmo", string_of_int pmo.Treesls_cap.Kobj.pmo_id); ("pages", string_of_int pages) ]
+  reserve_backing t "wear" ~instant:"obs.wear_backing"
+    ~bytes:(Treesls_nvm.Store.nvm_pages_total (store t) * 16)
 
 let wearmap t = Probe.wearmap (obs t)
 
-(* Same lazy eternal-backing pattern for the black box: one fixed-width
-   slot per tseries sample, created only for systems that ask for it. *)
+(* black box: one fixed-width slot per tseries sample *)
 let ensure_tseries_backing t =
-  match Probe.tseries_backing_pmo (obs t) with
-  | Some _ -> ()
-  | None ->
-    let k = kernel t in
-    let bytes = Treesls_obs.Tseries.backing_bytes (Probe.tseries (obs t)) in
-    let psz = (Kernel.cost k).Treesls_sim.Cost.page_size in
-    let pages = max 1 ((bytes + psz - 1) / psz) in
-    let pmo = Kernel.make_eternal_pmo k ~pages in
-    Probe.set_tseries_backing_pmo (obs t) pmo.Treesls_cap.Kobj.pmo_id;
-    Probe.instant (obs t) "obs.tseries_backing"
-      ~args:
-        [ ("pmo", string_of_int pmo.Treesls_cap.Kobj.pmo_id); ("pages", string_of_int pages) ]
+  reserve_backing t "tseries" ~instant:"obs.tseries_backing"
+    ~bytes:(Treesls_obs.Tseries.backing_bytes (Probe.tseries (obs t)))
 
 let tseries t = Probe.tseries (obs t)
 let slo t = Probe.slo (obs t)

@@ -56,9 +56,9 @@ val drain_tick : t -> unit
 
 val drain_settle : t -> unit
 (** Force the pending drain window (if any) durable now; no-op otherwise.
-    Harness code that needs "everything up to here committed" (crashtest
-    twins, fingerprinting, final checkpoints) calls this unconditionally —
-    it is the identity in eager mode. *)
+    Harness code that needs "everything up to here committed"
+    (fingerprinting, final checkpoints) calls this unconditionally — it
+    is the identity in eager mode. *)
 
 val drain_backlog : t -> int
 

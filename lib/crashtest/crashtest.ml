@@ -8,6 +8,7 @@ module Warea = Treesls_nvm.Warea
 module Crash_site = Treesls_nvm.Crash_site
 module Snapshot = Treesls_ckpt.Snapshot
 module Manager = Treesls_ckpt.Manager
+module Report = Treesls_ckpt.Report
 module Net_server = Treesls_extsync.Net_server
 module Audit = Treesls_audit.Audit
 module Probe = Treesls_obs.Probe
@@ -57,16 +58,18 @@ let ct_ring_slot_size = 48
 
 (* Replay [ops] on a freshly booted [sys] (after its baseline checkpoint).
    [on_op i] runs after op [i] (0-based) completes — the hook the explorer
-   uses to stop early (DRAM-loss crashes, twin replay).  An armed crash
-   raising {!Warea.Crashed} mid-op escapes to the caller with the driver
-   state simply abandoned, as a real power cut would leave it.
+   uses to stop early (DRAM-loss crashes).  [on_ckpt r] runs as each [Ckpt]
+   op's pause ends, with its report — the hook the reference run records
+   fingerprints from.  An armed crash raising {!Warea.Crashed} mid-op
+   escapes to the caller with the driver state simply abandoned, as a real
+   power cut would leave it.
 
    [delivered] shadows the two rings' persistent delivered counters in
    DRAM: each ring's deliver callback bumps its ref.  No crash site can
    fire between [Ring.set_meta] and the callback (neither touches the
    journal), so whenever {!Warea.Crashed} escapes, the refs equal the
    counts durably in NVM — the exact post-recovery oracle. *)
-let replay ?(delivered = (ref 0, ref 0)) sys ops ~on_op =
+let replay ?(delivered = (ref 0, ref 0)) sys ops ~on_op ~on_ckpt =
   let k () = System.kernel sys in
   let base = Kernel.create_process (k ()) ~name:"driver" ~threads:1 ~prio:5 in
   let da, db = delivered in
@@ -138,7 +141,7 @@ let replay ?(delivered = (ref 0, ref 0)) sys ops ~on_op =
         heap_pages := !heap_pages + 2;
         Kernel.touch_write (k ()) base ~vpn:v
       | Ckpt ->
-        ignore (System.checkpoint sys);
+        on_ckpt (System.checkpoint sys);
         (* write-after-checkpoint on the hottest page: when the checkpoint
            staged a drain window this hits a still-protected backlogged
            page before any drain step runs — the CoW-fault resolution
@@ -218,7 +221,7 @@ let outcome_to_string = function
   | Passed -> "passed"
   | Did_not_fire -> "did-not-fire"
   | Audit_failed v -> "audit: " ^ v
-  | Fingerprint_mismatch g -> Printf.sprintf "fingerprint mismatch vs twin @v%d" g
+  | Fingerprint_mismatch g -> Printf.sprintf "fingerprint mismatch vs reference @v%d" g
   | Recovery_failed e -> "recovery: " ^ e
   | Liveness_failed e -> "liveness: " ^ e
   | Wear_failed e -> "wear: " ^ e
@@ -400,11 +403,11 @@ let default_config =
     async = false;
   }
 
-(* Boot one victim/twin system under the sweep's checkpoint mode.  Async
+(* Boot one system under the sweep's checkpoint mode.  Async
    sweeps use a one-page drain batch so windows stay pending
    across several ops — maximising the trace window in which the drain
    crash sites and the CoW fault path are live. *)
-let boot_sys cfg =
+let boot cfg =
   let sys =
     if cfg.async then
       (* hair-trigger promotion: one fault puts a page on the active list,
@@ -417,8 +420,8 @@ let boot_sys cfg =
   in
   if cfg.async then begin
     let mgr = System.manager sys in
-    (Treesls_ckpt.Manager.features mgr).Treesls_ckpt.State.async_drain <- true;
-    Treesls_ckpt.Manager.set_drain_batch mgr 1
+    (Manager.features mgr).Treesls_ckpt.State.async_drain <- true;
+    Manager.set_drain_batch mgr 1
   end;
   sys
 
@@ -485,13 +488,13 @@ type plan = {
    how often each named crash site fires.  Nothing is injected. *)
 let enumerate cfg =
   let ops = gen_trace ~seed:cfg.seed ~ops:cfg.ops in
-  let sys = boot_sys cfg in
+  let sys = boot cfg in
   ignore (System.checkpoint sys);
   let w = Store.warea (System.store sys) in
   let sites = Store.crash_sites (System.store sys) in
   let first_point = Warea.commit_points w in
   Crash_site.record sites;
-  replay sys ops ~on_op:(fun _ -> ());
+  replay sys ops ~on_op:ignore ~on_ckpt:ignore;
   (* one final checkpoint so the tail of the trace is also covered by
      checkpoint crash sites; settle its drain window so the drain/settle
      sites of the tail are enumerated too *)
@@ -523,45 +526,25 @@ let schedules_of_plan cfg plan =
   let op_crashes = if cfg.include_op_crashes then List.map (fun k -> Op_crash k) op_indices else [] in
   commits @ sites @ op_crashes
 
-(* ---- twin oracle ------------------------------------------------------ *)
+(* ---- reference run -------------------------------------------------- *)
 
-(* The crash-free twin for recovered version [g]: replay the same trace,
-   stop at the very instant version [g] commits, then crash+recover — the
-   recovery normalises runtime-only state (thread run states, page
-   placement) exactly as it did for the victim, so the fingerprints are
-   comparable.  The stop must be at the commit itself, not a per-op poll:
-   one checkpoint call can commit two versions back to back (the forced
-   settle of the pending window, then the new window settling immediately
-   when its backlog is empty), so a poll between ops can overshoot [g].
-   The on_checkpoint callback fires at every commit — eager checkpoints
-   and drain settles alike — and raising from it abandons only
-   volatile post-commit work, which the crash would lose anyway.
-   Cached per version: the whole sweep shares one twin per commit
-   version. *)
-let twin_fingerprint cache cfg g =
-  match Hashtbl.find_opt cache g with
-  | Some fp -> fp
-  | None ->
-    let ops = gen_trace ~seed:cfg.seed ~ops:cfg.ops in
-    let sys = boot_sys cfg in
-    (try
-       Manager.on_checkpoint (System.manager sys) (fun () ->
-           if System.version sys >= g then raise Stop);
-       ignore (System.checkpoint sys);
-       replay sys ops ~on_op:(fun _ -> ());
-       (* trace exhausted below g: the victim's g came from the trace
-          tail — a still-pending window, or the final enumeration
-          checkpoint *)
-       System.drain_settle sys;
-       if System.version sys < g then begin
-         ignore (System.checkpoint sys);
-         System.drain_settle sys
-       end
-     with Stop -> ());
-    ignore (System.crash_and_recover sys);
-    let fp = fingerprint sys in
-    Hashtbl.add cache g fp;
-    fp
+(* The committed state every recovered victim is judged against: one
+   crash-free replay of the whole trace that records [fingerprint sys]
+   under the version each checkpoint pause staged — the baseline, every
+   [Ckpt] op and the final checkpoint.  Recorded as the pause ends, not at
+   the commit: an async version commits at its settle, ops later, but its
+   content is the state its pause captured.  Nothing needs normalising:
+   recovery rewrites only page placement, which the fingerprint does not
+   see. *)
+let reference cfg =
+  let ops = gen_trace ~seed:cfg.seed ~ops:cfg.ops in
+  let sys = boot cfg in
+  let fps = ref [] in
+  let record (r : Report.t) = fps := (r.Report.version, fingerprint sys) :: !fps in
+  record (System.checkpoint sys);
+  replay sys ops ~on_op:ignore ~on_ckpt:record;
+  record (System.checkpoint sys);
+  List.rev !fps
 
 (* ---- injection -------------------------------------------------------- *)
 
@@ -582,13 +565,14 @@ let liveness_check sys =
   with e -> Some (Printexc.to_string e)
 
 (* Run ONE schedule end to end: boot, arm, replay until the crash fires,
-   power-cut, recover, verify (audit + twin fingerprint + liveness).
-   Returns the outcome plus the victim's sealed recovery record and its
-   restore.* timer histograms (live references: the victim system is
-   dropped right after, so handing them out is safe). *)
-let run_one_profiled ?(twins = Hashtbl.create 8) cfg point =
+   power-cut, recover, verify (audit + reference fingerprint + liveness).
+   [reference] is forced only once a victim recovers cleanly.  Returns the
+   outcome plus the victim's sealed recovery record and its restore.*
+   timer histograms (live references: the victim system is dropped right
+   after, so handing them out is safe). *)
+let run_schedule ~reference cfg point =
   let ops = gen_trace ~seed:cfg.seed ~ops:cfg.ops in
-  let sys = boot_sys cfg in
+  let sys = boot cfg in
   ignore (System.checkpoint sys);
   let w = Store.warea (System.store sys) in
   let sites = Store.crash_sites (System.store sys) in
@@ -601,7 +585,7 @@ let run_one_profiled ?(twins = Hashtbl.create 8) cfg point =
   let stop_at = match point with Restore_site (_, k) | Op_crash k -> Some k | _ -> None in
   let shadow_a = ref 0 and shadow_b = ref 0 in
   (try
-     replay ~delivered:(shadow_a, shadow_b) sys ops ~on_op:(fun i ->
+     replay ~delivered:(shadow_a, shadow_b) sys ops ~on_ckpt:ignore ~on_op:(fun i ->
          match stop_at with Some k when i = k -> raise Stop | _ -> ());
      (* cover the trace tail, mirroring the enumeration run *)
      ignore (System.checkpoint sys);
@@ -640,8 +624,8 @@ let run_one_profiled ?(twins = Hashtbl.create 8) cfg point =
           Audit_failed (Printf.sprintf "%d errors" (Audit.errors rep))
         else
           let g = System.version sys in
-          let fp = fingerprint sys in
-          if fp <> twin_fingerprint twins cfg g then Fingerprint_mismatch g
+          if List.assoc_opt g (Lazy.force reference) <> Some (fingerprint sys) then
+            Fingerprint_mismatch g
           else
             match liveness_check sys with
             | Some e -> Liveness_failed e
@@ -670,8 +654,10 @@ let run_one_profiled ?(twins = Hashtbl.create 8) cfg point =
   in
   ({ point; outcome; recovery }, rto_timers)
 
-let run_one ?twins cfg point =
-  let r, _ = run_one_profiled ?twins cfg point in
+let run_one_profiled cfg point = run_schedule ~reference:(lazy (reference cfg)) cfg point
+
+let run_one cfg point =
+  let r, _ = run_one_profiled cfg point in
   r.outcome
 
 (* ---- the sweep -------------------------------------------------------- *)
@@ -679,7 +665,7 @@ let run_one ?twins cfg point =
 let run ?(progress = fun _ _ -> ()) cfg =
   let plan = enumerate cfg in
   let schedules = schedules_of_plan cfg plan in
-  let twins = Hashtbl.create 16 in
+  let reference = lazy (reference cfg) in
   let total = List.length schedules in
   (* Per-phase RTO aggregation: every victim's restore.* timers are merged
      bucket-wise (Histogram.merge) into one histogram per name — the raw
@@ -689,7 +675,7 @@ let run ?(progress = fun _ _ -> ()) cfg =
     List.mapi
       (fun i point ->
         progress i total;
-        let r, rto_timers = run_one_profiled ~twins cfg point in
+        let r, rto_timers = run_schedule ~reference cfg point in
         List.iter
           (fun (name, h) ->
             let acc =

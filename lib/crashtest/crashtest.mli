@@ -16,10 +16,11 @@
       publication, version bump), a crash {e during recovery itself}, or
       plain DRAM loss between operations.
     + {b Verify}: recover via [System.crash]/[recover], then require (a)
-      zero [slsfsck] audit errors, (b) a state fingerprint equal to a
-      crash-free {e twin} that committed the same version and was then
-      crash+recovered (normalising runtime-only state), and (c) liveness —
-      the recovered system still takes new work and checkpoints cleanly.
+      zero [slsfsck] audit errors, (b) a state fingerprint equal to the
+      {e reference} at the recovered version — one crash-free run of the
+      trace per sweep, fingerprinted as each checkpoint pause ends — and
+      (c) liveness: the recovered system still takes new work and
+      checkpoints cleanly.
 
     Every schedule is replayable from its reproducer string
     (["seed=42;ops=150;mode=eager;commit:57:mid_apply"]) via {!point_of_string} and
@@ -45,9 +46,15 @@ val gen_trace : seed:int -> ops:int -> op list
     numbering, same site hit counts. *)
 
 val replay :
-  ?delivered:int ref * int ref -> Treesls.System.t -> op list -> on_op:(int -> unit) -> unit
+  ?delivered:int ref * int ref ->
+  Treesls.System.t ->
+  op list ->
+  on_op:(int -> unit) ->
+  on_ckpt:(Treesls_ckpt.Report.t -> unit) ->
+  unit
 (** Replay a trace on a freshly booted system (after its baseline
-    checkpoint).  [on_op i] runs after op [i] completes.  An armed crash
+    checkpoint).  [on_op i] runs after op [i] completes; [on_ckpt r] runs
+    as each [Ckpt] op's pause ends, with its report.  An armed crash
     raising {!Treesls_nvm.Warea.Crashed} mid-op escapes to the caller.
 
     The trace also drives two same-geometry named extsync reply rings
@@ -113,8 +120,8 @@ type config = {
           ({!Treesls_nvm.Warea.set_recovery_bug}); a correct sweep must
           then report failures *)
   async : bool;
-      (** run every victim and twin with [features.async_drain] on (drain
-          batch 1): checkpoints stage a drain window that settles
+      (** run every victim and the reference with [features.async_drain]
+          on (drain batch 1): checkpoints stage a drain window that settles
           over the following ops, so the sweep covers mid-drain crashes
           ([ckpt.drain.copied] / [ckpt.drain.settled] /
           [ckpt.cow_fault.resolved] sites) and the restore-side
@@ -141,10 +148,19 @@ type fingerprint
 
 val fingerprint : Treesls.System.t -> fingerprint
 
-val run_one : ?twins:(int, fingerprint) Hashtbl.t -> config -> point -> outcome
+val boot : config -> Treesls.System.t
+(** A system booted under the config's checkpoint mode, as every victim
+    and the reference run are; no checkpoint taken yet. *)
+
+val reference : config -> (int * fingerprint) list
+(** One crash-free run of the trace: the fingerprint as each checkpoint
+    pause ends (the baseline, every [Ckpt] op, the final checkpoint),
+    keyed by the version that pause staged, oldest first.  A victim
+    recovered to version [g] must equal the entry for [g]. *)
+
+val run_one : config -> point -> outcome
 (** Boot, arm [point], replay the trace, power-cut when it fires, recover,
-    verify.  [twins] caches per-version twin fingerprints across calls
-    (pass the same table when running many schedules). *)
+    verify against the {!reference} (built by this call). *)
 
 type result = {
   point : point;
@@ -155,11 +171,7 @@ type result = {
           ([Did_not_fire], [Recovery_failed]) *)
 }
 
-val run_one_profiled :
-  ?twins:(int, fingerprint) Hashtbl.t ->
-  config ->
-  point ->
-  result * (string * Treesls_util.Histogram.t) list
+val run_one_profiled : config -> point -> result * (string * Treesls_util.Histogram.t) list
 (** Like {!run_one} but also returns the victim's [restore.*] timer
     histograms, for {!Treesls_util.Histogram.merge}-style aggregation
     across schedules. *)
@@ -179,10 +191,9 @@ type sweep = {
 }
 
 val run : ?progress:(int -> int -> unit) -> config -> sweep
-(** The full sweep: enumerate, then inject every schedule.  [progress i n]
-    is called before schedule [i] of [n].  Emits [crashtest.schedules] /
-    [crashtest.failed] metrics and a [crashtest.fail] trace instant (with
-    the reproducer string) per failing schedule. *)
+(** The full sweep: enumerate, then inject every schedule, judging each
+    against one {!reference} run built by the first schedule that
+    recovers.  [progress i n] is called before schedule [i] of [n]. *)
 
 val shrink : config -> point -> config
 (** Smallest [ops] prefix under which [point] still fails (binary search;

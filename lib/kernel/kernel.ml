@@ -582,17 +582,6 @@ let rebuild ~store ~ncores ~root ~ids_hwm =
     }
   in
   t.procs <- derive_processes root;
-  (* Threads checkpointed as Running were on-CPU at checkpoint time; they
-     resume as ready. *)
-  List.iter
-    (fun p ->
-      List.iter
-        (fun th ->
-          match th.Kobj.th_state with
-          | Kobj.Running _ -> th.Kobj.th_state <- Kobj.Ready
-          | Kobj.Ready | Kobj.Blocked_notif _ | Kobj.Blocked_ipc _ | Kobj.Exited -> ())
-        p.threads)
-    t.procs;
   Sched.rebuild t.sched ~root;
   t
 

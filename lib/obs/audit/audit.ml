@@ -235,23 +235,15 @@ let run ?wear mgr =
       | _ -> ())
     reachable;
 
-  (* The trace ring's NVM backing must be a reachable eternal PMO. *)
-  (match Probe.backing_pmo probe with
-  | None -> ()
-  | Some id -> (
-    match Hashtbl.find_opt reachable id with
-    | Some (Kobj.Pmo p) when p.Kobj.pmo_kind = Kobj.Pmo_eternal -> ()
-    | Some _ -> add ~obj_id:id Error Eternal "trace backing object is not an eternal PMO"
-    | None -> add ~obj_id:id Error Eternal "trace backing PMO is not reachable from the root"));
-
-  (* The wearmap's NVM backing (when reserved) follows the same rule. *)
-  (match Probe.wear_backing_pmo probe with
-  | None -> ()
-  | Some id -> (
-    match Hashtbl.find_opt reachable id with
-    | Some (Kobj.Pmo p) when p.Kobj.pmo_kind = Kobj.Pmo_eternal -> ()
-    | Some _ -> add ~obj_id:id Error Eternal "wear backing object is not an eternal PMO"
-    | None -> add ~obj_id:id Error Eternal "wear backing PMO is not reachable from the root"));
+  (* Every observability backing (trace ring, wearmap, black box) must be
+     a reachable eternal PMO. *)
+  List.iter
+    (fun (name, id) ->
+      match Hashtbl.find_opt reachable id with
+      | Some (Kobj.Pmo p) when p.Kobj.pmo_kind = Kobj.Pmo_eternal -> ()
+      | Some _ -> add ~obj_id:id Error Eternal "%s backing object is not an eternal PMO" name
+      | None -> add ~obj_id:id Error Eternal "%s backing PMO is not reachable from the root" name)
+    (Probe.backings probe);
 
   (* Wear health (doctor, opt-in): write-amplification and wear-skew
      thresholds, plus unattributed writes — NVM bytes recorded outside any

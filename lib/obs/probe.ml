@@ -19,9 +19,7 @@ type t = {
          interval controller's feedback edge; set by System.boot) *)
   mutable tracing : bool;
   mutable verbose : bool;
-  mutable backing_pmo : int option;
-  mutable wear_backing_pmo : int option;
-  mutable tseries_backing_pmo : int option;
+  mutable backings : (string * int) list;  (* (name, eternal PMO id), oldest first *)
 }
 
 let create ~clock =
@@ -38,9 +36,7 @@ let create ~clock =
     sample_hook = None;
     tracing = false;
     verbose = false;
-    backing_pmo = None;
-    wear_backing_pmo = None;
-    tseries_backing_pmo = None;
+    backings = [];
   }
 
 let clock t = t.clock
@@ -52,12 +48,8 @@ let set_tracing t on = t.tracing <- on
 let tracing t = t.tracing
 let set_verbose t on = t.verbose <- on
 let verbose t = t.verbose
-let set_backing_pmo t id = t.backing_pmo <- Some id
-let backing_pmo t = t.backing_pmo
-let set_wear_backing_pmo t id = t.wear_backing_pmo <- Some id
-let wear_backing_pmo t = t.wear_backing_pmo
-let set_tseries_backing_pmo t id = t.tseries_backing_pmo <- Some id
-let tseries_backing_pmo t = t.tseries_backing_pmo
+let add_backing t name id = t.backings <- t.backings @ [ (name, id) ]
+let backings t = t.backings
 let wearmap t = t.wearmap
 let rto t = t.rto
 let tseries t = t.tseries

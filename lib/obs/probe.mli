@@ -53,20 +53,13 @@ val tracing : t -> bool
 val set_verbose : t -> bool -> unit
 val verbose : t -> bool
 
-val set_backing_pmo : t -> int -> unit
-val backing_pmo : t -> int option
-(** Id of the eternal PMO reserved as the ring's NVM backing (set by
-    [System.enable_tracing]); [None] while tracing is off. *)
-
-val set_wear_backing_pmo : t -> int -> unit
-val wear_backing_pmo : t -> int option
-(** Id of the eternal PMO reserved as the wearmap's NVM backing (set by
-    [System.ensure_wear_backing]); [None] until reserved. *)
-
-val set_tseries_backing_pmo : t -> int -> unit
-val tseries_backing_pmo : t -> int option
-(** Id of the eternal PMO reserved as the tseries ring's NVM backing (set
-    by [System.ensure_tseries_backing]); [None] until reserved. *)
+val add_backing : t -> string -> int -> unit
+val backings : t -> (string * int) list
+(** The eternal PMOs reserved as NVM backings of this probe's structures,
+    as [(name, pmo id)] in reservation order: ["trace"] (added by
+    [System.enable_tracing]), ["wear"] ([System.ensure_wear_backing]) and
+    ["tseries"] ([System.ensure_tseries_backing]).  The audit requires
+    each to be a reachable eternal PMO. *)
 
 (** {2 Trace emitters} — no-ops (returning 0 where applicable) unless
     tracing is on. *)

@@ -21,8 +21,10 @@ type req = {
   mutable rq_outcome : outcome;
 }
 
+(* completed-request records kept for [completed]/CLI inspection *)
+let done_cap = 1024
+
 type t = {
-  done_cap : int;
   done_buf : req option array;
   mutable done_total : int; (* completed requests ever; write index = total mod cap *)
   live : (int, req) Hashtbl.t;
@@ -44,11 +46,9 @@ type t = {
 
 let per_version_keep = 64
 
-let create ?(done_capacity = 1024) () =
-  if done_capacity <= 0 then invalid_arg "Rtrace.create: done_capacity must be positive";
+let create () =
   {
-    done_cap = done_capacity;
-    done_buf = Array.make done_capacity None;
+    done_buf = Array.make done_cap None;
     done_total = 0;
     live = Hashtbl.create 256;
     next_id = 1;
@@ -73,7 +73,7 @@ let finish t rq =
   | Pending -> ());
   Hashtbl.remove t.live rq.rq_id;
   if t.current = rq.rq_id then t.current <- 0;
-  t.done_buf.(t.done_total mod t.done_cap) <- Some rq;
+  t.done_buf.(t.done_total mod done_cap) <- Some rq;
   t.done_total <- t.done_total + 1
 
 let arrive t ~now ~origin =
@@ -199,10 +199,10 @@ let dropped_count t = t.dropped
 let completed_total t = t.done_total
 
 let completed t =
-  let n = min t.done_total t.done_cap in
+  let n = min t.done_total done_cap in
   let first = t.done_total - n in
   List.init n (fun i ->
-      match t.done_buf.((first + i) mod t.done_cap) with
+      match t.done_buf.((first + i) mod done_cap) with
       | Some rq -> rq
       | None -> assert false)
   |> List.rev

@@ -20,8 +20,6 @@ type outcome =
   | Shed  (** ring full; reply dropped at enqueue (client must retry) *)
   | Dropped  (** lost to a crash before its releasing commit *)
 
-val outcome_name : outcome -> string
-
 type req = {
   rq_id : int;
   rq_origin : string;  (** e.g. ["kv.set"] *)
@@ -36,10 +34,10 @@ type req = {
 
 type t
 
-val create : ?done_capacity:int -> unit -> t
-(** [done_capacity] bounds the ring of completed-request records kept for
-    [completed]/CLI inspection (default 1024).  Histograms and counters
-    aggregate over {e all} requests regardless. *)
+val create : unit -> t
+(** The ring of completed-request records kept for [completed]/CLI
+    inspection holds the newest 1024.  Histograms and counters aggregate
+    over {e all} requests regardless. *)
 
 val arrive : t -> now:int -> origin:string -> int
 (** Start a new request and make it current.  A previous current request
@@ -91,8 +89,7 @@ val dropped_count : t -> int
 val completed_total : t -> int
 
 val completed : t -> req list
-(** Most recent completed requests, newest first (bounded by
-    [done_capacity]). *)
+(** Most recent completed requests, newest first (at most 1024). *)
 
 val per_version : t -> (int * int) list
 (** Released-request count per releasing commit version, newest first

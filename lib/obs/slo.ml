@@ -226,18 +226,18 @@ type alert = {
 
 type rule_stats = { mutable rs_evals : int; mutable rs_fires : int; mutable rs_last : alert option }
 
+let alert_cap = 256
+
 type t = {
   mutable rules : (rule * rule_stats) list;
-  alert_cap : int;
   mutable alerts : alert list;  (* newest first, bounded *)
   mutable alerts_total : int;
   mutable checks : int;
 }
 
-let create ?(alert_cap = 256) ?(rules = default_rules) () =
+let create ?(rules = default_rules) () =
   {
     rules = List.map (fun r -> (r, { rs_evals = 0; rs_fires = 0; rs_last = None })) rules;
-    alert_cap;
     alerts = [];
     alerts_total = 0;
     checks = 0;
@@ -281,8 +281,8 @@ let check t ts ~interval_ns =
             s.rs_fires <- s.rs_fires + 1;
             s.rs_last <- Some al;
             t.alerts_total <- t.alerts_total + 1;
-            t.alerts <- al :: (if List.length t.alerts >= t.alert_cap then
-                                 List.filteri (fun i _ -> i < t.alert_cap - 1) t.alerts
+            t.alerts <- al :: (if List.length t.alerts >= alert_cap then
+                                 List.filteri (fun i _ -> i < alert_cap - 1) t.alerts
                                else t.alerts);
             Some al
           end

@@ -49,7 +49,7 @@ type alert = {
 
 type t
 
-val create : ?alert_cap:int -> ?rules:rule list -> unit -> t
+val create : ?rules:rule list -> unit -> t
 val rules : t -> rule list
 val set_rules : t -> rule list -> unit
 (** Replaces the rule set and resets per-rule statistics. *)
@@ -59,7 +59,7 @@ val check : t -> Tseries.t -> interval_ns:int option -> alert list
     the alerts fired by this sample. *)
 
 val alerts : t -> alert list
-(** Retained alerts, oldest first (bounded by [alert_cap]). *)
+(** Retained alerts, oldest first (the newest 256). *)
 
 val alerts_total : t -> int
 val checks : t -> int

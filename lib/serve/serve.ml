@@ -28,7 +28,7 @@ type t = {
   mutable reports : Report.t list; (* newest first *)
 }
 
-let create ?(service = true) sys (cfg : cfg) =
+let create sys (cfg : cfg) =
   if cfg.tenants <= 0 then invalid_arg "Serve.create: need at least one tenant";
   let rng = Rng.create cfg.seed in
   let tenants =
@@ -39,18 +39,13 @@ let create ?(service = true) sys (cfg : cfg) =
   (* Re-bind every tenant after each recover; name-claimed rings make the
      order irrelevant.  Setup also runs at registration, when the tenants
      are already live — skip that first call. *)
-  if service then begin
-    let live = ref false in
-    System.add_service sys ~name:"serve" ~setup:(fun _ ->
-        if !live then Array.iter Tenant.refresh tenants else live := true)
-  end;
+  let live = ref false in
+  System.add_service sys ~name:"serve" ~setup:(fun _ ->
+      if !live then Array.iter Tenant.refresh tenants else live := true);
   t
 
 let tenants t = Array.to_list t.tenants
-let tenant t i = t.tenants.(i)
 let reports t = List.rev t.reports
-
-let refresh t = Array.iter Tenant.refresh t.tenants
 
 (* Open loop over the merged arrival schedule: tenant [i]'s op [j] arrives
    at [t0 + j*gap + i*stagger], tenants staggered evenly within the gap —

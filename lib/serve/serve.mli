@@ -28,22 +28,16 @@ val default_cfg : cfg
 
 type t
 
-val create : ?service:bool -> System.t -> cfg -> t
-(** Launch all tenants (preloading their stores).  With [service] (the
-    default) a ["serve"] system service re-binds every tenant after each
-    recover, so [System.crash_and_recover] works transparently; pass
-    [~service:false] to drive {!refresh} by hand (e.g. in reattach-order
-    tests). *)
+val create : System.t -> cfg -> t
+(** Launch all tenants (preloading their stores).  A ["serve"] system
+    service re-binds every tenant after each recover, so
+    [System.crash_and_recover] works transparently. *)
 
 val run : t -> unit
 (** Execute the full arrival schedule, then settle and take one final
     checkpoint so every parked reply is released. *)
 
-val refresh : t -> unit
-(** Re-bind every tenant after a crash/recover (any order is safe). *)
-
 val tenants : t -> Tenant.t list
-val tenant : t -> int -> Tenant.t
 
 val reports : t -> Report.t list
 (** Every checkpoint report committed during {!run}, oldest first. *)

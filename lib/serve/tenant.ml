@@ -28,7 +28,6 @@ let default_cfg =
 
 type t = {
   sys : System.t;
-  idx : int;
   name : string;
   cfg : cfg;
   app : Kv_app.t;
@@ -60,13 +59,11 @@ let create sys ~idx ~seed cfg =
      cursor writes) attribute to this tenant's cap subtree. *)
   let net = make_net sys cfg ~name ~proc:(Kv_app.server app) ~attach:false in
   let ycsb = Ycsb.create cfg.mix ~keys:cfg.keys (Rng.create seed) in
-  { sys; idx; name; cfg; app; net; ycsb; sent = 0; shed = 0 }
+  { sys; name; cfg; app; net; ycsb; sent = 0; shed = 0 }
 
 let name t = t.name
-let index t = t.idx
 let origin_prefix t = t.name ^ "/"
 let app t = t.app
-let net t = t.net
 
 let step t =
   (match Ycsb.next t.ycsb with
@@ -83,7 +80,6 @@ let refresh t =
 let sent t = t.sent
 let shed t = t.shed
 let delivered t = Net_server.delivered t.net
-let pending t = Net_server.pending t.net
 let key_count t = Ycsb.key_count t.ycsb
 
 let owns_group t g =

@@ -10,7 +10,6 @@
     ["t<i>/kv.<op>"]. *)
 
 module System = Treesls.System
-module Net_server = Treesls_extsync.Net_server
 module Kv_app = Treesls_apps.Kv_app
 module Ycsb = Treesls_workloads.Ycsb
 
@@ -40,13 +39,11 @@ val refresh : t -> unit
     name.  Tenants can refresh in any order. *)
 
 val name : t -> string
-val index : t -> int
 
 val origin_prefix : t -> string
 (** ["t<i>/"], for rtrace queries. *)
 
 val app : t -> Kv_app.t
-val net : t -> Net_server.t
 val sent : t -> int
 
 val shed : t -> int
@@ -54,8 +51,6 @@ val shed : t -> int
 
 val delivered : t -> int
 (** Persistent: survives crash/restore. *)
-
-val pending : t -> int
 
 val key_count : t -> int
 (** Grows with inserts. *)

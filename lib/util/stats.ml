@@ -75,8 +75,6 @@ let min_opt t = if t.len = 0 then None else Some (min t)
 let max_opt t = if t.len = 0 then None else Some (max t)
 
 let p50 t = percentile t 50.0
-let p95 t = percentile t 95.0
-let p99 t = percentile t 99.0
 
 let merge a b =
   let m = create () in

@@ -26,8 +26,6 @@ val max_opt : t -> float option
 (** Non-raising variants of {!min} / {!max}; [None] when empty. *)
 
 val p50 : t -> float
-val p95 : t -> float
-val p99 : t -> float
 
 val merge : t -> t -> t
 (** Union of two sample sets (neither input is mutated). *)

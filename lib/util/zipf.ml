@@ -56,8 +56,6 @@ let extend t ~n =
     { t with n; zetan; eta }
   end
 
-let domain t = t.n
-
 let next t =
   let u = Rng.float t.rng 1.0 in
   let uz = u *. t.zetan in

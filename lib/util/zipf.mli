@@ -12,12 +12,10 @@ val create : ?theta:float -> n:int -> Rng.t -> t
 
 val extend : t -> n:int -> t
 (** [extend t ~n] grows the sampling domain to [\[0, n)] (no-op when
-    [n <= domain t]).  The zeta constant is updated incrementally with the
-    new harmonic terms only — O(n - domain t), so per-insert extension is
-    cheap.  The returned sampler shares [t]'s random stream. *)
-
-val domain : t -> int
-(** Current domain size [n]. *)
+    [n] is not above the current domain size).  The zeta constant is
+    updated incrementally with the new harmonic terms only, so per-insert
+    extension is cheap.  The returned sampler shares [t]'s random
+    stream. *)
 
 val next : t -> int
 (** Next sample; item 0 is the most popular. *)

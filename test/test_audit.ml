@@ -1,7 +1,8 @@
 (* Tests for the NVM state auditor (slsfsck): a clean system audits
    green, and each injected fault — a backup stamped above the committed
    version, an orphaned CPP half, a leaked buddy block, rollback state on
-   an eternal PMO — yields exactly the expected violation.  Also pins the
+   an eternal PMO, a normal PMO registered as an observability backing —
+   yields exactly the expected violation.  Also pins the
    Report.pp format (every field, including per_kind_ns). *)
 
 module System = Treesls.System
@@ -16,6 +17,7 @@ module Ckpt_page = Treesls_ckpt.Ckpt_page
 module Report = Treesls_ckpt.Report
 module Eidetic = Treesls_ckpt.Eidetic
 module Audit = Treesls_audit.Audit
+module Probe = Treesls_obs.Probe
 module Census = Treesls_audit.Nvm_census
 
 let check_int = Alcotest.(check int)
@@ -175,6 +177,23 @@ let eternal_rollback_state_detected () =
   check_string "message" "eternal PMO carries rollback page records" v.Audit.message;
   check_bool "locates the PMO" true (v.Audit.obj_id = Some p.Kobj.pmo_id)
 
+(* ---- fault injection: a normal PMO registered as a backing ---- *)
+
+(* Every observability backing is held to the same rule: a normal
+   (rolled-back) PMO registered as the black box's backing is an
+   eternal-PMO violation, just as it is for the trace ring's or the
+   wearmap's. *)
+let normal_pmo_backing_detected () =
+  let sys, _, _, _, pmo_id, _ = setup () in
+  ignore (System.checkpoint sys);
+  check_bool "baseline clean" true (Audit.ok (System.audit sys));
+  Probe.add_backing (System.obs sys) "tseries" pmo_id;
+  let v = the_violation (System.audit sys) in
+  check_bool "error severity" true (v.Audit.severity = Audit.Error);
+  check_string "subsystem" "eternal" (Audit.subsystem_name v.Audit.subsystem);
+  check_string "message" "tseries backing object is not an eternal PMO" v.Audit.message;
+  check_bool "locates the PMO" true (v.Audit.obj_id = Some pmo_id)
+
 (* ---- fault injection: a slot written behind the live-tree cache ---- *)
 
 let stale_live_tree_detected () =
@@ -322,6 +341,8 @@ let () =
           Alcotest.test_case "eternal rollback state detected" `Quick
             eternal_rollback_state_detected;
           Alcotest.test_case "stale live-tree cache detected" `Quick stale_live_tree_detected;
+          Alcotest.test_case "normal PMO as tseries backing detected" `Quick
+            normal_pmo_backing_detected;
         ] );
       ( "census",
         [ Alcotest.test_case "census balances" `Quick census_balances ] );

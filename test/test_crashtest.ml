@@ -1,11 +1,14 @@
 (* Tests for the crash-schedule explorer (lib/crashtest): clean and
    async sweeps over four trace seeds must pass everywhere, the settle
-   cut they once caught replays as its own case, and a deliberately
-   re-introduced journal recovery bug must be caught — the acceptance
-   demonstration that the harness actually detects real recovery
-   defects. *)
+   cut they once caught replays as its own case, the crash-free reference
+   the sweeps judge against agrees with crash+recover at every version,
+   and a deliberately re-introduced journal recovery bug must be caught —
+   the acceptance demonstration that the harness actually detects real
+   recovery defects. *)
 
 module C = Treesls_crashtest.Crashtest
+module System = Treesls.System
+module Manager = Treesls_ckpt.Manager
 module Warea = Treesls_nvm.Warea
 
 let check_int = Alcotest.(check int)
@@ -98,6 +101,48 @@ let settle_cut_regression () =
     check_bool "replays async" true cfg.C.async;
     Alcotest.(check string) repro "passed" (C.outcome_to_string (C.run_one cfg point))
 
+(* The recovered version and fingerprint of a system that replays the
+   trace up to the instant version [g] commits, then crashes and
+   recovers.  The stop is at the commit itself, not between ops: one
+   checkpoint call can commit two versions back to back (the forced
+   settle of the pending window, then the new window when its backlog is
+   empty).  Raising from the commit callback abandons only volatile
+   post-commit work, which the crash loses anyway.  A [g] the trace never
+   commits is left to the final checkpoint. *)
+exception Committed
+
+let crash_recover_at (cfg : C.config) g =
+  let sys = C.boot cfg in
+  (try
+     Manager.on_checkpoint (System.manager sys) (fun () ->
+         if System.version sys >= g then raise Committed);
+     ignore (System.checkpoint sys);
+     C.replay sys (C.gen_trace ~seed:cfg.C.seed ~ops:cfg.C.ops) ~on_op:ignore ~on_ckpt:ignore;
+     System.drain_settle sys;
+     ignore (System.checkpoint sys);
+     System.drain_settle sys
+   with Committed -> ());
+  ignore (System.crash_and_recover sys);
+  (System.version sys, C.fingerprint sys)
+
+(* The reference records each version's state as its pause ends, with no
+   crash involved; recovery to that version must reproduce it exactly, in
+   both modes (async versions commit ops after their pause). *)
+let reference_matches_crash_recover () =
+  List.iter
+    (fun async ->
+      let cfg = sweep_config ~async 42 in
+      let reference = C.reference cfg in
+      check_bool "reference covers the trace's checkpoints" true (List.length reference > 10);
+      List.iter
+        (fun (g, fp) ->
+          let name = Printf.sprintf "%s v%d" (if async then "async" else "eager") g in
+          let g', fp' = crash_recover_at cfg g in
+          check_int (name ^ " recovered version") g g';
+          check_bool (name ^ " fingerprint") true (fp = fp'))
+        reference)
+    [ false; true ]
+
 (* Acceptance demo: re-introduce the classic journal-replay bug (recovery
    skips the redo), and the sweep MUST report failures — specifically on
    mid_apply schedules, the only phase whose recovery depends on the redo
@@ -187,6 +232,8 @@ let () =
           Alcotest.test_case "clean sweep has zero failures" `Slow clean_sweep;
           Alcotest.test_case "async sweep has zero failures" `Slow async_sweep;
           Alcotest.test_case "settle cut recovers to N-1 or N" `Quick settle_cut_regression;
+          Alcotest.test_case "reference equals crash+recover at every version" `Quick
+            reference_matches_crash_recover;
           Alcotest.test_case "deliberate recovery bug is caught" `Slow recovery_bug_caught;
           Alcotest.test_case "single schedule replay" `Quick single_schedule_replay;
         ] );

@@ -374,7 +374,8 @@ let trace_survives_crash () =
   check_bool "marker args intact" true
     (List.assoc_opt "witness" (List.hd (find_events tr "test.pre_crash_marker")).Trace.args
     = Some "42");
-  check_bool "ring has eternal PMO backing" true (Probe.backing_pmo (System.obs sys) <> None);
+  check_bool "ring has eternal PMO backing" true
+    (List.mem_assoc "trace" (Probe.backings (System.obs sys)));
   (* the metrics registry is eternal too *)
   let m = Probe.metrics (System.obs sys) in
   check_int "crash counted" 1 (Metrics.counter_value m "crashes");

@@ -250,7 +250,8 @@ let wear_backing_audited () =
   ignore (System.checkpoint sys);
   let rep = System.audit ~wear:Audit.default_wear_thresholds sys in
   check_int "audit errors" 0 (Audit.errors rep);
-  check_bool "backing pmo recorded" true (Probe.wear_backing_pmo (System.obs sys) <> None);
+  check_bool "backing pmo recorded once" true
+    (List.map fst (Probe.backings (System.obs sys)) = [ "wear" ]);
   ignore (System.crash_and_recover sys);
   let rep2 = System.audit sys in
   check_int "audit errors post-restore" 0 (Audit.errors rep2)
