@@ -14,7 +14,11 @@
     as it saw them and compares them before each use, so an object can
     become reachable (or unreachable) only through a change the comparison
     sees.  Host-time bookkeeping only: building or reusing the cache
-    charges no simulated time.  DRAM state: dropped at a crash. *)
+    charges no simulated time.  DRAM state: dropped at a crash.  Restore
+    rebuilds it once from the restored tree, and that one walk serves the
+    whole recovery: the scheduler, the dead-ORoot GC, the allocator
+    reconciliation and the first checkpoint after the restore all read
+    it. *)
 
 type entry = {
   obj : Treesls_cap.Kobj.t;

@@ -111,12 +111,16 @@ let run_inner st =
   (* Integrity pre-pass (paper section 8): verify every sealed backup that
      the restore would use BEFORE mutating anything, so a detected
      corruption leaves the store untouched — the caller can repair the
-     frame (e.g. from an eidetic archive) and simply retry. *)
-  iter_restore_choices st ~radixes ~global:g (fun ~pmo_id ~pno ~cp:_ ~choice ->
-      match choice with
-      | `Use keep when not (Store.verify_page store keep) ->
-        raise (Corrupt_backup { pmo_id; pno; paddr = keep })
-      | `Use _ | `Drop -> ());
+     frame (e.g. from an eidetic archive) and simply retry.  Every
+     unsealed page verifies, so with an empty seal table the pass cannot
+     raise.  Keyed on the seal table, not the checksum switch: pages
+     sealed before checksums were turned off are still checked. *)
+  if Store.sealed_pages store > 0 then
+    iter_restore_choices st ~radixes ~global:g (fun ~pmo_id ~pno ~cp:_ ~choice ->
+        match choice with
+        | `Use keep when not (Store.verify_page store keep) ->
+          raise (Corrupt_backup { pmo_id; pno; paddr = keep })
+        | `Use _ | `Drop -> ());
   Probe.rto_phase_end probe;
   Crash_site.hit (Store.crash_sites store) "restore.precheck";
   (* A crash mid-drain abandoned a staged version: its DRAM backlog died
@@ -333,12 +337,29 @@ let run_inner st =
     | Some (Kobj.Cap_group cg) -> cg
     | Some _ | None -> failwith "Restore: root cap group missing from checkpoint"
   in
+  (* The one walk of the restored tree (paper §3, step 7), kept as the
+     live-tree cache: the scheduler, the dead-ORoot GC and the allocator
+     reconciliation below read it, and the first checkpoint after the
+     restore reuses it while the tree's edges stay as they are now. *)
+  let tree = Live_tree.refresh None ~root ~oroots:st.State.oroots in
+  let threads =
+    Array.fold_right
+      (fun (e : Live_tree.entry) acc ->
+        match e.Live_tree.obj with
+        | Kobj.Thread th -> th :: acc
+        | Kobj.Cap_group _ | Kobj.Vmspace _ | Kobj.Pmo _ | Kobj.Ipc_conn _ | Kobj.Notification _
+        | Kobj.Irq_notification _ -> acc)
+      (Live_tree.entries tree) []
+  in
   (* Never hand out an id an oroot still owns, even if the persisted
      high-water mark is older than this checkpoint (pre-fix stores). *)
   let ids_hwm = Hashtbl.fold (fun oid _ acc -> max acc oid) stubs st.State.ids_hwm in
   st.State.ids_hwm <- ids_hwm;
-  let kernel = Kernel.rebuild ~store ~ncores:(Kernel.ncores crashed_kernel) ~root ~ids_hwm in
+  let kernel =
+    Kernel.rebuild ~store ~ncores:(Kernel.ncores crashed_kernel) ~root ~ids_hwm ~threads
+  in
   st.State.kernel <- kernel;
+  st.State.live_tree <- Some tree;
   st.State.crashed_root <- None;
   Active_list.clear st.State.active;
   Hashtbl.reset st.State.pending_fresh;
@@ -349,9 +370,7 @@ let run_inner st =
      before [g] in the table, where they would shadow recycled ids and pin
      their frames forever. Reachability from the restored root is the same
      test the committed walk would have applied. *)
-  let reachable : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  Kobj.iter_tree ~root (fun obj -> Hashtbl.replace reachable (Kobj.id obj) ());
-  dropped := !dropped + State.gc_dead_oroots st ~live:reachable;
+  dropped := !dropped + State.gc_dead_oroots st ~live:(Live_tree.live tree);
   Probe.rto_phase_end probe;
   Probe.rto_phase_begin probe "buddy_reconcile";
   (* Final allocator reconciliation (paper section 3, step 7: compare the
@@ -360,16 +379,18 @@ let run_inner st =
      frame whose buddy-alloc transaction committed — so the journal redo
      preserved the allocation — but which the crash cut down before any
      radix or backup slot ever referenced it. *)
-  let claimed : (int, unit) Hashtbl.t = Hashtbl.create 512 in
-  let claim p = if Paddr.is_nvm p then Hashtbl.replace claimed p.Paddr.idx () in
-  List.iter
-    (fun off -> Hashtbl.replace claimed off ())
-    (Treesls_nvm.Slab.slab_pages (Store.slab store));
-  Kobj.iter_tree ~root (fun obj ->
-      match obj with
+  (* one byte per NVM page; [Bytes.set] bounds-checks every claim *)
+  let claimed = Bytes.make (Store.nvm_pages_total store) '\000' in
+  let claim_idx i = Bytes.set claimed i '\001' in
+  let claim p = if Paddr.is_nvm p then claim_idx p.Paddr.idx in
+  List.iter claim_idx (Treesls_nvm.Slab.slab_pages (Store.slab store));
+  Array.iter
+    (fun (e : Live_tree.entry) ->
+      match e.Live_tree.obj with
       | Kobj.Pmo p -> Radix.iter (fun _ paddr -> claim paddr) p.Kobj.pmo_radix
       | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Vmspace _ | Kobj.Ipc_conn _ | Kobj.Notification _
-      | Kobj.Irq_notification _ -> ());
+      | Kobj.Irq_notification _ -> ())
+    (Live_tree.entries tree);
   Hashtbl.iter
     (fun _ (o : Oroot.t) ->
       match o.Oroot.pages with
@@ -386,7 +407,7 @@ let run_inner st =
   Treesls_nvm.Buddy.iter_live buddy (fun ~offset ~order ->
       let any = ref false in
       for i = offset to offset + (1 lsl order) - 1 do
-        if Hashtbl.mem claimed i then any := true
+        if Bytes.get claimed i <> '\000' then any := true
       done;
       if not !any then orphans := (offset, order) :: !orphans);
   List.iter

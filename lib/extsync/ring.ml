@@ -89,15 +89,22 @@ let create kernel proc ~name ~slots ~slot_size =
   write_name t name;
   t
 
-(* Every eternal PMO under the root, in creation (pmo_id) order. *)
+(* Every eternal PMO, each once, in ascending pmo_id order.
+   [Kernel.make_eternal_pmo] installs each one in the root cap group (the
+   state auditor checks that every reachable one still holds a slot
+   there), so the root's own slots name them all without a walk of the
+   tree.  The order matters: [reattach] reads the header of every
+   candidate before the match, and each read is charged. *)
 let eternal_pmos kernel =
   let acc = ref [] in
-  Kobj.iter_tree ~root:(Kernel.root kernel) (fun obj ->
-      match obj with
+  Kobj.iter_caps
+    (fun _ c ->
+      match c.Kobj.target with
       | Kobj.Pmo p when p.Kobj.pmo_kind = Kobj.Pmo_eternal -> acc := p :: !acc
       | Kobj.Pmo _ | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Vmspace _ | Kobj.Ipc_conn _
-      | Kobj.Notification _ | Kobj.Irq_notification _ -> ());
-  List.sort (fun a b -> Int.compare a.Kobj.pmo_id b.Kobj.pmo_id) !acc
+      | Kobj.Notification _ | Kobj.Irq_notification _ -> ())
+    (Kernel.root kernel);
+  List.sort_uniq (fun a b -> Int.compare a.Kobj.pmo_id b.Kobj.pmo_id) !acc
 
 (* Read a candidate's persisted name straight from NVM (page 0 of the
    PMO), without mapping it into any process: non-ring eternal PMOs (or

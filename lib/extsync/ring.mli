@@ -26,11 +26,12 @@ val create : Kernel.t -> Kernel.process -> name:string -> slots:int -> slot_size
 
 val reattach : Kernel.t -> Kernel.process -> name:string -> slots:int -> slot_size:int -> t
 (** After recovery: locate the eternal PMO whose persisted header name
-    equals [name] under the new kernel's root and re-derive cursors from
-    its (preserved) content.  [name], [slots] and [slot_size] must match
-    {!create}.  Claiming is strictly by name — reattach order does not
-    matter, and equal-sized rings can never cross-claim.  Raises
-    [Invalid_argument] when no such ring exists. *)
+    equals [name] among those installed in the new kernel's root cap
+    group (where {!Kernel.make_eternal_pmo} puts every eternal PMO) and
+    re-derive cursors from its (preserved) content.  [name], [slots] and
+    [slot_size] must match {!create}.  Claiming is strictly by name —
+    reattach order does not matter, and equal-sized rings can never
+    cross-claim.  Raises [Invalid_argument] when no such ring exists. *)
 
 val meta : t -> int
 (** One caller-owned word persisted in the ring's header page (eternal:

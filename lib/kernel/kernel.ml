@@ -561,7 +561,7 @@ let derive_processes root =
     root;
   !procs
 
-let rebuild ~store ~ncores ~root ~ids_hwm =
+let rebuild ~store ~ncores ~root ~ids_hwm ~threads =
   let ids = Id_gen.create () in
   Id_gen.restore ids ids_hwm;
   let t =
@@ -582,7 +582,7 @@ let rebuild ~store ~ncores ~root ~ids_hwm =
     }
   in
   t.procs <- derive_processes root;
-  Sched.rebuild t.sched ~root;
+  Sched.rebuild t.sched threads;
   t
 
 (* --- boot ---------------------------------------------------------------- *)

@@ -177,7 +177,15 @@ val crash : t -> unit
     survives. After this only {!store} and recovery entry points may be
     used. *)
 
-val rebuild : store:Store.t -> ncores:int -> root:Kobj.cap_group -> ids_hwm:int -> t
+val rebuild :
+  store:Store.t ->
+  ncores:int ->
+  root:Kobj.cap_group ->
+  ids_hwm:int ->
+  threads:Kobj.thread list ->
+  t
 (** Recovery: adopt a revived capability tree as the new runtime tree,
-    re-derive processes from cap groups, rebuild the scheduler, start with
-    empty page tables. *)
+    re-derive processes from cap groups, start with empty page tables, and
+    rebuild the scheduler from [threads]: every thread reachable from
+    [root], in {!Kobj.iter_tree} visit order.  Restore takes them from its
+    one walk of the restored tree, so the kernel does not walk it again. *)

@@ -14,10 +14,6 @@ let rec pick t =
 let ready_count t = Queue.length t.queue
 let clear t = Queue.clear t.queue
 
-let rebuild t ~root =
+let rebuild t threads =
   clear t;
-  Kobj.iter_tree ~root (fun obj ->
-      match obj with
-      | Kobj.Thread th when th.Kobj.th_state = Kobj.Ready -> enqueue t th
-      | Kobj.Thread _ | Kobj.Cap_group _ | Kobj.Vmspace _ | Kobj.Pmo _ | Kobj.Ipc_conn _
-      | Kobj.Notification _ | Kobj.Irq_notification _ -> ())
+  List.iter (fun th -> if th.Kobj.th_state = Kobj.Ready then enqueue t th) threads

@@ -14,6 +14,8 @@ val pick : t -> Treesls_cap.Kobj.thread option
 val ready_count : t -> int
 val clear : t -> unit
 
-val rebuild : t -> root:Treesls_cap.Kobj.cap_group -> unit
-(** Recovery: clear, then enqueue every [Ready] thread reachable from the
-    capability tree. *)
+val rebuild : t -> Treesls_cap.Kobj.thread list -> unit
+(** Recovery: clear, then enqueue the [Ready] ones of [threads] in list
+    order.  Restore passes every thread reachable in the restored
+    capability tree, in {!Treesls_cap.Kobj.iter_tree} visit order, taken
+    from the one walk it makes of that tree. *)

@@ -204,12 +204,17 @@ let run ?wear mgr =
         add ~obj_id:pmo_id ~pno Error Pages
           "page committed at v%d has no restorable source" cp.Ckpt_page.born_ver);
 
-  (* Eternal PMOs: excluded from rollback (§5). *)
+  (* Eternal PMOs: excluded from rollback (§5), and installed in the root
+     cap group, whose slots are all that ring reattachment searches. *)
+  let in_root = Hashtbl.create 16 in
+  Kobj.iter_caps (fun _ c -> Hashtbl.replace in_root (Kobj.id c.Kobj.target) ()) root;
   Hashtbl.iter
     (fun oid obj ->
       match obj with
       | Kobj.Pmo p when p.Kobj.pmo_kind = Kobj.Pmo_eternal ->
         let add ?pno ?paddr sev fmt = add ~obj_id:oid ?pno ?paddr sev Eternal fmt in
+        if not (Hashtbl.mem in_root oid) then
+          add Error "eternal PMO holds no capability in the root cap group";
         Radix.iter
           (fun pno paddr ->
             if not (Paddr.is_nvm paddr) then

@@ -24,8 +24,10 @@
       leaks, claims without a live block are dangling frames.
     - {b Eternal}: eternal PMOs carry no rollback page records ([§5]:
       they are excluded from rollback), their frames are NVM-resident,
-      and every observability backing PMO (trace ring, wearmap, black
-      box; each once reserved) is a reachable eternal PMO.
+      each reachable one holds a capability in the root cap group's own
+      slots (where [Ring.reattach] looks for it), and every observability
+      backing PMO (trace ring, wearmap, black box; each once reserved) is
+      a reachable eternal PMO.
 
     Every failed check yields a structured {!violation}; a clean system
     yields none.  The same walk prices NVM by subsystem ({!Nvm_census})

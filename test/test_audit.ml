@@ -1,7 +1,8 @@
 (* Tests for the NVM state auditor (slsfsck): a clean system audits
    green, and each injected fault — a backup stamped above the committed
    version, an orphaned CPP half, a leaked buddy block, rollback state on
-   an eternal PMO, a normal PMO registered as an observability backing —
+   an eternal PMO, an eternal PMO missing from the root cap group, a
+   normal PMO registered as an observability backing —
    yields exactly the expected violation.  Also pins the
    Report.pp format (every field, including per_kind_ns). *)
 
@@ -19,6 +20,7 @@ module Eidetic = Treesls_ckpt.Eidetic
 module Audit = Treesls_audit.Audit
 module Probe = Treesls_obs.Probe
 module Census = Treesls_audit.Nvm_census
+module Ring = Treesls_extsync.Ring
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -176,6 +178,36 @@ let eternal_rollback_state_detected () =
   check_string "subsystem" "eternal" (Audit.subsystem_name v.Audit.subsystem);
   check_string "message" "eternal PMO carries rollback page records" v.Audit.message;
   check_bool "locates the PMO" true (v.Audit.obj_id = Some p.Kobj.pmo_id)
+
+(* ---- fault injection: an eternal PMO outside the root's slots ---- *)
+
+(* [Kernel.make_eternal_pmo] installs every eternal PMO in the root cap
+   group, and ring reattachment searches only the root's own slots: a
+   ring reachable only through its process could not be reattached. *)
+let eternal_outside_root_detected () =
+  let sys, k, proc, _, _, _ = setup () in
+  ignore (Ring.create k proc ~name:"outbox" ~slots:4 ~slot_size:64);
+  ignore (System.checkpoint sys);
+  check_bool "baseline clean" true (Audit.ok (System.audit sys));
+  let ring_pmo =
+    (List.find
+       (fun r -> r.Kobj.vr_pmo.Kobj.pmo_kind = Kobj.Pmo_eternal)
+       proc.Kernel.vms.Kobj.vs_regions)
+      .Kobj.vr_pmo
+  in
+  let root = Kernel.root k in
+  let slots = ref [] in
+  Kobj.iter_caps
+    (fun i c -> if Kobj.id c.Kobj.target = ring_pmo.Kobj.pmo_id then slots := i :: !slots)
+    root;
+  check_int "one root slot" 1 (List.length !slots);
+  Kobj.revoke root (List.hd !slots);
+  let v = the_violation (System.audit sys) in
+  check_bool "error severity" true (v.Audit.severity = Audit.Error);
+  check_string "subsystem" "eternal" (Audit.subsystem_name v.Audit.subsystem);
+  check_string "message" "eternal PMO holds no capability in the root cap group"
+    v.Audit.message;
+  check_bool "locates the PMO" true (v.Audit.obj_id = Some ring_pmo.Kobj.pmo_id)
 
 (* ---- fault injection: a normal PMO registered as a backing ---- *)
 
@@ -341,6 +373,8 @@ let () =
           Alcotest.test_case "eternal rollback state detected" `Quick
             eternal_rollback_state_detected;
           Alcotest.test_case "stale live-tree cache detected" `Quick stale_live_tree_detected;
+          Alcotest.test_case "eternal PMO outside the root detected" `Quick
+            eternal_outside_root_detected;
           Alcotest.test_case "normal PMO as tseries backing detected" `Quick
             normal_pmo_backing_detected;
         ] );

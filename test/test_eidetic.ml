@@ -184,6 +184,33 @@ let corruption_detected () =
        false
      with Restore.Corrupt_backup { pno; _ } -> pno = 0)
 
+(* The integrity pre-pass runs whenever the seal table is non-empty, not
+   when checksums are switched on: a backup sealed before the switch went
+   off is still verified, and still before recovery mutates anything. *)
+let corruption_detected_after_checksums_off () =
+  let sys, k, proc, vpn, pmo_id, psz = setup () in
+  let store = System.store sys in
+  Store.set_checksums store true;
+  Kernel.write_bytes k proc ~vaddr:(vpn * psz) (Bytes.of_string "golden");
+  ignore (System.checkpoint sys);
+  Kernel.write_bytes k proc ~vaddr:(vpn * psz) (Bytes.of_string "dirty!");
+  let frame = Option.get (backup_frame sys pmo_id) in
+  Store.set_checksums store false;
+  check_bool "backup still sealed" true (Store.is_sealed store frame);
+  Store.corrupt_page store frame;
+  System.crash sys;
+  let st = Manager.state (System.manager sys) in
+  let free0 = Store.nvm_pages_free store and oroots0 = Hashtbl.length st.State.oroots in
+  (match System.recover sys with
+  | _ -> Alcotest.fail "corruption not detected"
+  | exception Restore.Corrupt_backup { pmo_id = id; pno; paddr } ->
+    check_int "corrupt PMO" pmo_id id;
+    check_int "corrupt page" 0 pno;
+    check_bool "corrupt frame" true (Treesls_nvm.Paddr.equal paddr frame));
+  check_int "no frame freed" free0 (Store.nvm_pages_free store);
+  check_int "no ORoot dropped" oroots0 (Hashtbl.length st.State.oroots);
+  check_bool "crashed tree kept for a retry" true (st.State.crashed_root <> None)
+
 let corruption_repaired_from_archive () =
   let sys, k, proc, vpn, pmo_id, psz = setup () in
   Store.set_checksums (System.store sys) true;
@@ -352,6 +379,8 @@ let () =
       ( "reliability",
         [
           Alcotest.test_case "corruption detected" `Quick corruption_detected;
+          Alcotest.test_case "sealed backup checked with checksums off" `Quick
+            corruption_detected_after_checksums_off;
           Alcotest.test_case "repair from eidetic archive" `Quick
             corruption_repaired_from_archive;
         ] );

@@ -197,7 +197,7 @@ module Live_tree = Treesls_ckpt.Live_tree
 let live_tree sys =
   match (Manager.state (System.manager sys)).State.live_tree with
   | Some t -> t
-  | None -> Alcotest.fail "no live-tree cache after a checkpoint"
+  | None -> Alcotest.fail "no live-tree cache"
 
 let live_tree_tracks_shape () =
   let sys = System.boot ~features:(feats ~incr:true) () in
@@ -239,10 +239,18 @@ let live_tree_tracks_shape () =
     (Hashtbl.mem (Live_tree.live t3) n2.Kobj.nt_id);
   check_bool "their ORoots are collected" true (Manager.find_oroot mgr n2.Kobj.nt_id = None);
   audit_clean "revoke";
-  (* a crash drops the cache with the rest of DRAM *)
+  (* a crash drops the cache with the rest of DRAM; restore rebuilds it
+     from its one walk of the restored tree, and the next checkpoint
+     reuses that walk *)
   ignore (System.crash_and_recover sys);
-  check_bool "no cache after restore" true
-    (Option.is_none (Manager.state (System.manager sys)).State.live_tree)
+  let t4 = live_tree sys in
+  check_bool "restored cache matches the restored tree" true
+    (Live_tree.check t4 ~root:(Kernel.root (System.kernel sys)) = None);
+  audit_clean "restore";
+  let r4 = System.checkpoint sys in
+  check_bool "first checkpoint after restore reuses the cache" true (live_tree sys == t4);
+  check_int "first checkpoint after restore is eager" 0 r4.Report.objects_skipped;
+  check_int "it walks every cached object" (size t4) r4.Report.objects_walked
 
 (* ---- restore equivalence under randomized mutation traces ---- *)
 

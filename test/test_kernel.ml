@@ -232,10 +232,21 @@ let sched_skips_blocked () =
   th.Kobj.th_state <- Kobj.Blocked_notif 5;
   check_bool "skips blocked" true (Sched.pick s = None)
 
+(* Every thread reachable from [root], in visit order: what restore hands
+   [Kernel.rebuild] from its walk of the restored tree. *)
+let tree_threads root =
+  let acc = ref [] in
+  Kobj.iter_tree ~root (fun obj ->
+      match obj with
+      | Kobj.Thread th -> acc := th :: !acc
+      | Kobj.Cap_group _ | Kobj.Vmspace _ | Kobj.Pmo _ | Kobj.Ipc_conn _ | Kobj.Notification _
+      | Kobj.Irq_notification _ -> ());
+  List.rev !acc
+
 let sched_rebuild () =
   let k = boot () in
   let s = Sched.create () in
-  Sched.rebuild s ~root:(Kernel.root k);
+  Sched.rebuild s (tree_threads (Kernel.root k));
   check_int "all ready threads enqueued" 27 (Sched.ready_count s)
 
 (* ---- IPC ---- *)
@@ -285,11 +296,15 @@ let rebuild_derives_processes () =
   let root = Kernel.root k in
   let store = Kernel.store k in
   let ids_hwm = Treesls_cap.Id_gen.current (Kernel.ids k) in
-  let k2 = Kernel.rebuild ~store ~ncores:(Kernel.ncores k) ~root ~ids_hwm in
+  let k2 =
+    Kernel.rebuild ~store ~ncores:(Kernel.ncores k) ~root ~ids_hwm ~threads:(tree_threads root)
+  in
   check_int "same process count" (List.length (Kernel.processes k))
     (List.length (Kernel.processes k2));
   let p2 = Option.get (Kernel.find_process k2 ~name:"app") in
   check_int "threads rederived" 2 (List.length p2.Kernel.threads);
+  check_int "ready threads rescheduled" (Sched.ready_count (Kernel.sched k))
+    (Sched.ready_count (Kernel.sched k2));
   check_bool "brk recomputed past regions" true (p2.Kernel.brk_vpn >= p.Kernel.brk_vpn);
   let fresh = Treesls_cap.Id_gen.next (Kernel.ids k2) in
   check_bool "id continuity" true (fresh > ids_hwm)
