@@ -712,13 +712,14 @@ let run ?(progress = fun _ _ -> ()) cfg =
    under which the schedule still fires and still fails.  Sound because
    every candidate is re-verified end to end; commit-point numbering under
    a shorter prefix is unchanged for the prefix itself (the trace is a
-   prefix-closed determinism domain). *)
+   prefix-closed determinism domain).  A prefix too short to reach the
+   crash point replays as [Did_not_fire]: it does not reproduce. *)
 let shrink cfg point =
   let fails k =
     if k >= cfg.ops then true
     else
       let cfg' : config = { cfg with ops = k } in
-      not (outcome_is_pass (run_one cfg' point))
+      match run_one cfg' point with Passed | Did_not_fire -> false | _ -> true
   in
   let lo = ref 0 and hi = ref cfg.ops in
   while !lo < !hi do

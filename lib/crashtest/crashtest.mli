@@ -196,5 +196,6 @@ val run : ?progress:(int -> int -> unit) -> config -> sweep
     recovers.  [progress i n] is called before schedule [i] of [n]. *)
 
 val shrink : config -> point -> config
-(** Smallest [ops] prefix under which [point] still fails (binary search;
-    every candidate is re-verified end to end). *)
+(** Smallest [ops] prefix under which [point] still fires and fails
+    (binary search; every candidate is re-verified end to end, and one
+    that replays as [Did_not_fire] does not count as a failure). *)

@@ -2,6 +2,7 @@ type t = {
   area : Warea.t;
   base : int;
   total : int; (* pages; power of two *)
+  max_order : int; (* log2 total: the largest block *)
   tree : int; (* word offset of tree[1..2*total): each node's deficit *)
   orders : int; (* word offset of per-page alloc order (+1; 0 = none) *)
   used_count : int; (* word offset of the pages-in-use counter *)
@@ -20,6 +21,7 @@ let layout area ~base ~total_pages =
     area;
     base;
     total = total_pages;
+    max_order = Treesls_util.Bits.log2_int total_pages;
     tree = base;
     orders = base + (2 * total_pages);
     used_count = base + (2 * total_pages) + total_pages;
@@ -113,51 +115,73 @@ let order_of t ~offset =
   let tag = Warea.read t.area (t.orders + offset) in
   if tag = 0 then None else Some (tag - 1)
 
+(* A record's tag is [order + 1]; a block of that order must fit in the
+   managed pages.  Anything else is corruption: the audit reports it, and
+   no walk may follow it past the last page. *)
+let valid_tag t tag = tag >= 1 && tag - 1 <= t.max_order
+
 let iter_live t f =
-  for p = 0 to t.total - 1 do
-    let tag = Warea.read t.area (t.orders + p) in
-    if tag > 0 then f ~offset:p ~order:(tag - 1)
-  done
+  Warea.iter_nonzero t.area ~lo:t.orders ~hi:(t.orders + t.total) (fun i tag ->
+      let offset = i - t.orders in
+      if valid_tag t tag && offset + (1 lsl (tag - 1)) <= t.total then
+        f ~offset ~order:(tag - 1))
 
 let check_invariants t =
-  (* Recompute the expected tree from the allocation-order array. A page is
-     free iff it is not covered by any live allocation. *)
-  let covered = Array.make t.total false in
-  let used = ref 0 in
-  for p = 0 to t.total - 1 do
-    let tag = Warea.read t.area (t.orders + p) in
-    if tag > 0 then begin
+  (* The order records, ascending.  Blocks are aligned powers of two, so a
+     record overlaps an earlier one iff it starts before the furthest end
+     seen so far.  [blocks] holds each block's tree node. *)
+  let blocks = Hashtbl.create 64 in
+  let reach = ref 0 and used = ref 0 in
+  Warea.iter_nonzero t.area ~lo:t.orders ~hi:(t.orders + t.total) (fun i tag ->
+      let p = i - t.orders in
+      if not (valid_tag t tag) then
+        failwith (Printf.sprintf "buddy: order record %d at page %d out of range" tag p);
       let size = 1 lsl (tag - 1) in
       if p mod size <> 0 then failwith "buddy: misaligned allocation record";
-      for q = p to p + size - 1 do
-        if covered.(q) then failwith "buddy: overlapping allocations";
-        covered.(q) <- true
-      done;
-      used := !used + size
-    end
-  done;
+      if p < !reach then failwith "buddy: overlapping allocations";
+      reach := p + size;
+      used := !used + size;
+      Hashtbl.replace blocks ((t.total + p) / size) ());
   if Warea.read t.area t.used_count <> !used then
     failwith
       (Printf.sprintf "buddy: used count %d <> recomputed %d"
          (Warea.read t.area t.used_count) !used);
-  (* One post-order pass from the root: a node is wholly free only if both
-     children are wholly free; otherwise it offers the max child run.  A
-     block allocated at order k zeroes its node's [longest] but leaves its
-     descendants' words stale by design (they are never consulted while an
-     ancestor is allocated), so only nodes outside every allocated block
-     are compared. *)
+  (* The nodes to visit: every written tree word and every block node, with
+     all their ancestors.  Any other node the pass below reaches reads
+     wholly free and, since the pass stops at block nodes, lies outside
+     every block: its whole subtree is free and agrees with its words. *)
+  let visited = Hashtbl.create 256 in
+  let rec mark node =
+    if node >= 1 && not (Hashtbl.mem visited node) then begin
+      Hashtbl.add visited node ();
+      mark (node / 2)
+    end
+  in
+  Warea.iter_nonzero t.area ~lo:(t.tree + 1) ~hi:(t.tree + (2 * t.total)) (fun i _ ->
+      mark (i - t.tree));
+  Hashtbl.iter (fun node () -> mark node) blocks;
+  (* One post-order pass from the root over the visited nodes: a node is
+     wholly free only if both children are wholly free; otherwise it offers
+     the max child run.  A block allocated at order k zeroes its node's
+     [longest] but leaves its descendants' words stale by design (they are
+     never consulted while an ancestor is allocated), so only nodes outside
+     every allocated block are compared, and the pass stops at block
+     nodes, which expect 0 like any fully used node. *)
   let rec expect node nsize ~under =
-    let got = if under then 0 else nsize - Warea.read t.area (t.tree + node) in
-    let e =
-      if nsize = 1 then if covered.(node - t.total) then 0 else 1
-      else
-        let under = under || got = 0 in
-        let l = expect (2 * node) (nsize / 2) ~under
-        and r = expect ((2 * node) + 1) (nsize / 2) ~under in
-        if l = nsize / 2 && r = nsize / 2 then nsize else if l > r then l else r
-    in
-    if (not under) && got <> e then
-      failwith (Printf.sprintf "buddy: node %d longest %d <> expected %d" node got e);
-    e
+    if not (Hashtbl.mem visited node) then nsize
+    else begin
+      let got = if under then 0 else nsize - Warea.read t.area (t.tree + node) in
+      let e =
+        if Hashtbl.mem blocks node then 0
+        else if nsize = 1 then 1
+        else
+          let under = under || got = 0 and half = nsize / 2 in
+          let l = expect (2 * node) half ~under and r = expect ((2 * node) + 1) half ~under in
+          if l = half && r = half then nsize else if l > r then l else r
+      in
+      if (not under) && got <> e then
+        failwith (Printf.sprintf "buddy: node %d longest %d <> expected %d" node got e);
+      e
+    end
   in
   ignore (expect 1 t.total ~under:false)

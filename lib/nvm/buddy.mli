@@ -55,14 +55,21 @@ val order_of : t -> offset:int -> int option
 (** Order of the live allocation at [offset], if any. *)
 
 val iter_live : t -> (offset:int -> order:int -> unit) -> unit
-(** Visit every live allocation (read-only walk of the order array; used by
-    the state auditor to reconcile allocator accounting with reachable
-    objects). *)
+(** Visit every live allocation in ascending [offset] (a read-only walk of
+    the written order words, {!Warea.iter_nonzero}; used by the state
+    auditor and by restore to reconcile allocator accounting with
+    reachable objects).  A record whose block would not fit in the managed
+    pages is corruption, which {!check_invariants} reports; it is not
+    visited. *)
 
 val check_invariants : t -> unit
-(** Recompute the tree from the order words in one post-order pass and
-    compare every node outside an allocated block with its stored state
-    (words under an allocated block are stale by design and ignored);
-    verify that order records neither overlap nor misalign and that the
-    in-use counter matches.  O(n) in the pages managed.  Raises [Failure]
-    on divergence. *)
+(** Verify that every order record's tag lies in [0 .. log2 total + 1],
+    that records neither overlap nor misalign, and that the in-use counter
+    matches; then recompute the tree from the records in one post-order
+    pass and compare every node outside an allocated block with its stored
+    state (words under an allocated block are stale by design and
+    ignored).  The pass visits only written tree words, the allocated
+    blocks' nodes and their ancestors: any other node reads wholly free
+    and lies outside every block, so its subtree is free and agrees with
+    its words.  O(words ever written), not O(pages managed).  Raises
+    [Failure] on divergence. *)

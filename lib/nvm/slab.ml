@@ -132,35 +132,36 @@ let page_of t handle =
 
 let live t = Warea.read t.area t.live_word
 
+(* [f cls slot pw bm] for every slot with a non-zero word, ascending; a
+   slot whose two words were never written is empty and consistent. *)
+let iter_slots t f =
+  let last = ref (-1) in
+  Warea.iter_nonzero t.area ~lo:t.base ~hi:t.live_word (fun i _ ->
+      let k = (i - t.base) / 2 in
+      if k <> !last then begin
+        last := k;
+        let cls = k / t.max_slabs and slot = k mod t.max_slabs in
+        f cls slot
+          (Warea.read t.area (page_word t cls slot))
+          (Warea.read t.area (bitmap_word t cls slot))
+      end)
+
 let slab_pages t =
   let acc = ref [] in
-  for cls = nclasses - 1 downto 0 do
-    for slot = t.max_slabs - 1 downto 0 do
-      let pw = Warea.read t.area (page_word t cls slot) in
-      if pw <> 0 then acc := (pw - 1) :: !acc
-    done
-  done;
-  !acc
+  iter_slots t (fun _ _ pw _ -> if pw <> 0 then acc := (pw - 1) :: !acc);
+  List.rev !acc
 
 let live_in_class t cls =
   if cls < 0 || cls >= nclasses then invalid_arg "Slab.live_in_class";
   let cap = capacity t.page_size cls in
   let acc = ref 0 in
-  for slot = 0 to t.max_slabs - 1 do
-    if Warea.read t.area (page_word t cls slot) <> 0 then begin
-      let bm = Warea.read t.area (bitmap_word t cls slot) in
-      acc := !acc + (cap - popcount bm)
-    end
-  done;
+  iter_slots t (fun c _ pw bm -> if c = cls && pw <> 0 then acc := !acc + (cap - popcount bm));
   !acc
 
 let check_invariants t =
   let live_sum = ref 0 in
-  for cls = 0 to nclasses - 1 do
-    let cap = capacity t.page_size cls in
-    for slot = 0 to t.max_slabs - 1 do
-      let pw = Warea.read t.area (page_word t cls slot) in
-      let bm = Warea.read t.area (bitmap_word t cls slot) in
+  iter_slots t (fun cls _ pw bm ->
+      let cap = capacity t.page_size cls in
       if pw = 0 then begin
         if bm <> 0 then failwith "slab: bitmap set on empty slot"
       end
@@ -169,8 +170,6 @@ let check_invariants t =
         (if Buddy.order_of t.buddy ~offset:(pw - 1) <> Some 0 then
            failwith "slab: slab page not a live order-0 buddy allocation");
         live_sum := !live_sum + (cap - popcount bm)
-      end
-    done
-  done;
+      end);
   if live t <> !live_sum then
     failwith (Printf.sprintf "slab: live counter %d <> recomputed %d" (live t) !live_sum)

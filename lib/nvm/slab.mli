@@ -42,10 +42,12 @@ val live : t -> int
 (** Number of live objects across all classes. *)
 
 val slab_pages : t -> int list
-(** Buddy page offsets currently held as slabs (read-only walk; the state
-    auditor counts them against the buddy's live allocations). *)
+(** Buddy page offsets currently held as slabs, in slot order (a read-only
+    walk of the written slab words; the state auditor counts them against
+    the buddy's live allocations). *)
 
 val live_in_class : t -> int -> int
 
 val check_invariants : t -> unit
-(** Verify bitmap/capacity consistency and the live counter. *)
+(** Verify bitmap/capacity consistency and the live counter, reading only
+    written slab words (a slot never written is empty and consistent). *)

@@ -25,8 +25,16 @@ let all_phases = [ Before_log; After_log; Mid_apply; After_apply ]
    detectable and must be discarded, not replayed. *)
 type record = { writes : (int * int) array; complete : bool }
 
+(* Words live in fixed-size chunks, allocated on the first non-zero write:
+   an unwritten chunk is the shared empty array and reads as zeros, so a
+   fresh area costs one pointer per chunk and a scan skips what was never
+   written. *)
+let chunk_bits = 8
+let chunk_words = 1 lsl chunk_bits
+
 type t = {
-  words : int array;
+  size : int;
+  chunks : int array array;
   mutable log : record option;
   mutable crash_plan : crash_phase option;
   mutable schedule : (int * crash_phase) option;
@@ -41,7 +49,8 @@ type t = {
 let create ~probe ~words =
   assert (words > 0);
   {
-    words = Array.make words 0;
+    size = words;
+    chunks = Array.make ((words + chunk_words - 1) lsr chunk_bits) [||];
     log = None;
     crash_plan = None;
     schedule = None;
@@ -53,17 +62,49 @@ let create ~probe ~words =
     probe;
   }
 
-let size t = Array.length t.words
-let read t i = t.words.(i)
+let size t = t.size
 
-let check_distinct (writes : (int * int) array) =
+let read t i =
+  if i < 0 || i >= t.size then invalid_arg "Warea.read: index out of bounds";
+  let c = t.chunks.(i lsr chunk_bits) in
+  if Array.length c = 0 then 0 else c.(i land (chunk_words - 1))
+
+let set t i v =
+  let k = i lsr chunk_bits in
+  let c = t.chunks.(k) in
+  if Array.length c > 0 then c.(i land (chunk_words - 1)) <- v
+  else if v <> 0 then begin
+    let c = Array.make chunk_words 0 in
+    t.chunks.(k) <- c;
+    c.(i land (chunk_words - 1)) <- v
+  end
+
+let iter_nonzero t ~lo ~hi f =
+  if lo < 0 || hi > t.size || lo > hi then invalid_arg "Warea.iter_nonzero: bad range";
+  let i = ref lo in
+  while !i < hi do
+    let k = !i lsr chunk_bits in
+    let stop = min hi ((k + 1) lsl chunk_bits) in
+    let c = t.chunks.(k) in
+    if Array.length c > 0 then
+      for j = !i to stop - 1 do
+        let v = c.(j land (chunk_words - 1)) in
+        if v <> 0 then f j v
+      done;
+    i := stop
+  done
+
+let validate t (writes : (int * int) array) =
   let idx = Array.map fst writes in
   Array.sort Int.compare idx;
-  for k = 1 to Array.length idx - 1 do
+  let n = Array.length idx in
+  if n > 0 && (idx.(0) < 0 || idx.(n - 1) >= t.size) then
+    invalid_arg "Warea.commit: index out of bounds";
+  for k = 1 to n - 1 do
     if idx.(k) = idx.(k - 1) then invalid_arg "Warea.commit: duplicate index"
   done
 
-let apply_all t record = Array.iter (fun (i, v) -> t.words.(i) <- v) record.writes
+let apply_all t record = Array.iter (fun (i, v) -> set t i v) record.writes
 
 (* Should an armed crash fire at [phase] of the current commit point?  Both
    arming mechanisms disarm themselves on firing so recovery code can commit
@@ -87,7 +128,7 @@ let commit t ~desc writes =
      crash+recover would observe state from a transaction that never
      happened. *)
   let arr = Array.of_list writes in
-  check_distinct arr;
+  validate t arr;
   t.points <- t.points + 1;
   if fires t Before_log then begin
     (* The record was being written when power failed: keep a torn
@@ -99,7 +140,7 @@ let commit t ~desc writes =
   if fires t After_log then raise (Crashed (desc ^ ": after-log"));
   if fires t Mid_apply then begin
     let half = Array.length arr / 2 in
-    Array.iteri (fun k (i, v) -> if k < half then t.words.(i) <- v) arr;
+    Array.iteri (fun k (i, v) -> if k < half then set t i v) arr;
     raise (Crashed (desc ^ ": mid-apply"))
   end;
   apply_all t { writes = arr; complete = true };

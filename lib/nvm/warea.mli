@@ -46,18 +46,29 @@ val all_phases : crash_phase list
 val create : probe:Treesls_obs.Probe.t -> words:int -> t
 (** A zeroed area whose commits and replays are counted and wear-recorded
     in [probe] ([nvm.txn.*] counters, [nvm.journal]/[restore.journal]
-    bytes). *)
+    bytes).  Words are stored in fixed-size chunks allocated on their
+    first non-zero write, so creating an area allocates no per-word
+    storage. *)
 
 val size : t -> int
 
 val read : t -> int -> int
-(** Read word [i]. *)
+(** Read word [i]; a word never written reads 0.  Raises
+    [Invalid_argument] if [i] is outside [0 .. size - 1]. *)
+
+val iter_nonzero : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
+(** [iter_nonzero t ~lo ~hi f] calls [f i v] for every word [i] in
+    [lo .. hi - 1] whose value [v] is non-zero, in ascending [i].  Chunks
+    never written are skipped whole, so the cost is O(words in written
+    chunks of the range), not O(range).  Raises [Invalid_argument] on a
+    range outside the area. *)
 
 val commit : t -> desc:string -> (int * int) list -> unit
 (** [commit t ~desc writes] atomically applies [(index, value)] writes.
-    Indices must be distinct — validated before any journal side effect, so
-    a rejected commit leaves no torn log and consumes no commit point.
-    Raises {!Crashed} if a crash plan or schedule fires. *)
+    Indices must be distinct and inside the area — validated before any
+    journal side effect, so a rejected commit leaves no torn log and
+    consumes no commit point.  Raises {!Crashed} if a crash plan or
+    schedule fires. *)
 
 val consume_point : t -> desc:string -> unit
 (** Consume one commit point without writing anything: what an {e empty}

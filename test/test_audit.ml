@@ -1,6 +1,7 @@
 (* Tests for the NVM state auditor (slsfsck): a clean system audits
    green, and each injected fault — a backup stamped above the committed
-   version, an orphaned CPP half, a leaked buddy block, rollback state on
+   version, an orphaned CPP half, a leaked buddy block, a buddy order
+   record outside the managed pages, rollback state on
    an eternal PMO, an eternal PMO missing from the root cap group, a
    normal PMO registered as an observability backing —
    yields exactly the expected violation.  Also pins the
@@ -150,6 +151,24 @@ let leaked_buddy_block_detected () =
   check_string "subsystem" "allocator" (Audit.subsystem_name v.Audit.subsystem);
   check_string "message" "live NVM block reachable from no subsystem (leak)" v.Audit.message;
   check_int "census counts the leak" 1 (Census.unaccounted_pages r.Audit.census)
+
+(* ---- fault injection: an order record outside the managed pages ---- *)
+
+(* Page 0's order word, in [Buddy]'s layout at the store's base 0 (order
+   words from [2n]), set to tag [order + 1].  Tags past [log2 n + 1] name a
+   block larger than the store, and a negative tag is no order at all:
+   each must come back as an allocator error in the report, not as an
+   exception out of the audit. *)
+let bad_order_record_reported tag () =
+  let sys = System.boot () in
+  let store = System.store sys in
+  check_bool "baseline clean" true (Audit.ok (System.audit sys));
+  Treesls_nvm.Warea.commit (Store.warea store) ~desc:"corrupt"
+    [ (2 * Store.nvm_pages_total store, tag) ];
+  let v = the_violation (System.audit sys) in
+  check_bool "error severity" true (v.Audit.severity = Audit.Error);
+  check_string "subsystem" "allocator" (Audit.subsystem_name v.Audit.subsystem);
+  check_bool "message" true (contains ~sub:"out of range" v.Audit.message)
 
 (* ---- fault injection: rollback state on an eternal PMO ---- *)
 
@@ -370,6 +389,10 @@ let () =
             flipped_backup_version_detected;
           Alcotest.test_case "orphaned CPP half detected" `Quick orphaned_cpp_half_detected;
           Alcotest.test_case "leaked buddy block detected" `Quick leaked_buddy_block_detected;
+          Alcotest.test_case "order record 18 reported" `Quick (bad_order_record_reported 18);
+          Alcotest.test_case "order record 40 reported" `Quick (bad_order_record_reported 40);
+          Alcotest.test_case "order record 64 reported" `Quick (bad_order_record_reported 64);
+          Alcotest.test_case "order record -1 reported" `Quick (bad_order_record_reported (-1));
           Alcotest.test_case "eternal rollback state detected" `Quick
             eternal_rollback_state_detected;
           Alcotest.test_case "stale live-tree cache detected" `Quick stale_live_tree_detected;

@@ -1,5 +1,5 @@
 (* Tests for the crash-schedule explorer (lib/crashtest): clean and
-   async sweeps over four trace seeds must pass everywhere, the settle
+   async sweeps over eight trace seeds must pass everywhere, the settle
    cut they once caught replays as its own case, the crash-free reference
    the sweeps judge against agrees with crash+recover at every version,
    and a deliberately re-introduced journal recovery bug must be caught —
@@ -25,10 +25,10 @@ let small_config =
     op_cap = 3;
   }
 
-(* The wide sweeps: ops 240 over four trace seeds.  The caps are the
+(* The wide sweeps: ops 240 over eight trace seeds.  The caps are the
    smallest that still reach the settle-cut schedule below (a per-site
    cap of 3 samples past it). *)
-let sweep_seeds = [ 42; 1; 2; 3 ]
+let sweep_seeds = [ 42; 1; 2; 3; 5; 7; 11; 13 ]
 
 let sweep_config ~async seed =
   {
@@ -224,6 +224,19 @@ let shrink_finds_smaller_failure () =
     check_bool "shrunk config still fails" true
       (not (C.outcome_is_pass (C.run_one cfg' r.C.point)))
 
+(* With the recovery bug on, commit point 8 fails at ops 40 but lies past
+   the end of short prefixes: a prefix that never reaches it replays as
+   did-not-fire, which must not count as reproducing the failure. *)
+let shrink_keeps_the_crash_firing () =
+  let cfg = { small_config with C.recovery_bug = true } in
+  let point = C.Commit (8, Warea.Mid_apply) in
+  check_bool "fails at full length" false (C.outcome_is_pass (C.run_one cfg point));
+  let cfg' = C.shrink cfg point in
+  let out = C.run_one cfg' point in
+  Alcotest.(check string) "shrunk schedule still fires" "fails"
+    (match out with C.Passed -> "passes" | C.Did_not_fire -> "did-not-fire" | _ -> "fails");
+  check_bool "shrunk prefix no longer than original" true (cfg'.C.ops <= cfg.C.ops)
+
 let () =
   Alcotest.run "crashtest"
     [
@@ -242,5 +255,10 @@ let () =
           Alcotest.test_case "roundtrip" `Quick reproducer_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick point_string_rejects_garbage;
         ] );
-      ("shrink", [ Alcotest.test_case "shrinks a failing schedule" `Slow shrink_finds_smaller_failure ]);
+      ( "shrink",
+        [
+          Alcotest.test_case "shrinks a failing schedule" `Slow shrink_finds_smaller_failure;
+          Alcotest.test_case "shrinks only to prefixes that fire" `Slow
+            shrink_keeps_the_crash_firing;
+        ] );
     ]

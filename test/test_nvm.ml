@@ -190,6 +190,62 @@ let warea_schedule_fires_at_absolute_point () =
   (* points 1 and 2 committed untouched *)
   check_int "points consumed" 3 (Warea.commit_points w)
 
+(* Words live in chunks allocated on first non-zero write; none of that
+   shows through [read], and [iter_nonzero] sees exactly the non-zero
+   words, ascending, however they were written. *)
+let nonzero w ~lo ~hi =
+  let acc = ref [] in
+  Warea.iter_nonzero w ~lo ~hi (fun i v -> acc := (i, v) :: !acc);
+  List.rev !acc
+
+let check_words = Alcotest.(check (list (pair int int)))
+
+let warea_unwritten_reads_zero () =
+  let w = warea ~words:1000 in
+  List.iter (fun i -> check_int (Printf.sprintf "word %d" i) 0 (Warea.read w i)) [ 0; 255; 256; 999 ];
+  check_words "nothing non-zero" [] (nonzero w ~lo:0 ~hi:1000);
+  Warea.commit w ~desc:"zero" [ (300, 0) ];
+  check_int "a zero write reads zero" 0 (Warea.read w 300);
+  Warea.commit w ~desc:"one" [ (301, 7) ];
+  check_int "its chunk neighbour reads zero" 0 (Warea.read w 302)
+
+let warea_nonzero_ascending () =
+  let w = warea ~words:1000 in
+  Warea.commit w ~desc:"a" [ (700, 3); (5, 1); (999, 4); (300, 2); (6, 9) ];
+  Warea.commit w ~desc:"b" [ (6, 0) ];
+  check_words "ascending, zeros skipped" [ (5, 1); (300, 2); (700, 3); (999, 4) ]
+    (nonzero w ~lo:0 ~hi:1000);
+  check_words "sub-range" [ (300, 2) ] (nonzero w ~lo:6 ~hi:700);
+  check_words "empty range" [] (nonzero w ~lo:300 ~hi:300)
+
+let warea_nonzero_sees_crash_and_replay () =
+  let w = warea ~words:1000 in
+  Warea.set_crash_plan w (Some Warea.Mid_apply);
+  (try
+     Warea.commit w ~desc:"x" [ (10, 1); (600, 2); (300, 3); (900, 4) ];
+     Alcotest.fail "expected crash"
+   with Warea.Crashed _ -> ());
+  check_words "the half a mid-apply crash wrote" [ (10, 1); (600, 2) ]
+    (nonzero w ~lo:0 ~hi:1000);
+  Warea.recover w;
+  check_words "the replay's words too" [ (10, 1); (300, 3); (600, 2); (900, 4) ]
+    (nonzero w ~lo:0 ~hi:1000)
+
+let warea_out_of_range_raises () =
+  let w = warea ~words:300 in
+  let invalid f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  check_bool "read -1" true (invalid (fun () -> Warea.read w (-1)));
+  check_bool "read size" true (invalid (fun () -> Warea.read w 300));
+  check_bool "read past the last chunk" true (invalid (fun () -> Warea.read w 512));
+  check_bool "iter past size" true (invalid (fun () -> nonzero w ~lo:0 ~hi:301));
+  check_bool "iter below 0" true (invalid (fun () -> nonzero w ~lo:(-1) ~hi:10));
+  Warea.set_crash_plan w (Some Warea.Mid_apply);
+  check_bool "commit past size" true (invalid (fun () -> Warea.commit w ~desc:"x" [ (0, 1); (300, 1) ]));
+  check_bool "commit below 0" true (invalid (fun () -> Warea.commit w ~desc:"x" [ (-1, 1) ]));
+  check_bool "no torn record staged" false (Warea.in_flight w);
+  check_int "no commit point consumed" 0 (Warea.commit_points w);
+  check_int "nothing applied" 0 (Warea.read w 0)
+
 (* ---- Txn ---- *)
 
 let txn_read_through () =
@@ -354,6 +410,93 @@ let buddy_stale_words_accepted () =
   check_int "order-2 block at 0" 0 (Option.get (Buddy.alloc b ~order:2));
   List.iter (fun node -> corrupt w node ~by:3) [ 8; 9; 16; 19 ];
   Buddy.check_invariants b
+
+(* The reference check: the dense O(pages) pass over the word layout of
+   [Buddy]'s interface (base 0), with an order record's tag [order + 1]
+   limited to [1 .. log2 pages + 1].  Every page's record is read, a
+   coverage array marks allocated pages, and every tree node outside an
+   allocated block is compared with the value recomputed from coverage.
+   [Buddy.check_invariants] visits only written words and must reach the
+   same verdict. *)
+let dense_check w ~pages =
+  let read = Warea.read w in
+  let max_order = Treesls_util.Bits.log2_int pages in
+  let covered = Array.make pages false in
+  let used = ref 0 in
+  for p = 0 to pages - 1 do
+    let tag = read ((2 * pages) + p) in
+    if tag < 0 || tag - 1 > max_order then failwith "order record out of range";
+    if tag > 0 then begin
+      let size = 1 lsl (tag - 1) in
+      if p mod size <> 0 then failwith "misaligned allocation record";
+      for q = p to p + size - 1 do
+        if covered.(q) then failwith "overlapping allocations";
+        covered.(q) <- true
+      done;
+      used := !used + size
+    end
+  done;
+  if read (3 * pages) <> !used then failwith "used count";
+  let rec expect node nsize ~under =
+    let got = if under then 0 else nsize - read node in
+    let e =
+      if nsize = 1 then if covered.(node - pages) then 0 else 1
+      else
+        let under = under || got = 0 in
+        let l = expect (2 * node) (nsize / 2) ~under
+        and r = expect ((2 * node) + 1) (nsize / 2) ~under in
+        if l = nsize / 2 && r = nsize / 2 then nsize else max l r
+    in
+    if (not under) && got <> e then failwith "tree node";
+    e
+  in
+  ignore (expect 1 pages ~under:false)
+
+let verdict f = match f () with () -> true | exception Failure _ -> false
+
+(* Seeded random allocator states on 4- to 128-page buddies, each then
+   hit by 0-2 relative corruptions: the sparse check and the dense
+   reference must agree on every one.  A third of the corruptions land
+   on order words, where records overlap, misalign or leave the range. *)
+let buddy_sparse_check_matches_dense () =
+  let rng = Rng.create 2024L in
+  let deltas = [| -3; -2; -1; 1; 1; 2; 3; 17; 64 |] in
+  let states = 6_000 in
+  let passed = ref 0 in
+  for state = 1 to states do
+    let pages = 1 lsl (2 + Rng.int rng 6) in
+    let w, b = mk_buddy pages in
+    let max_order = Treesls_util.Bits.log2_int pages in
+    let live = ref [] in
+    for _ = 1 to Rng.int rng (2 * pages) do
+      if Rng.int rng 3 > 0 || !live = [] then begin
+        let order = if Rng.bool rng then 0 else Rng.int rng (max_order + 1) in
+        Option.iter (fun p -> live := p :: !live) (Buddy.alloc b ~order)
+      end
+      else begin
+        let p = List.nth !live (Rng.int rng (List.length !live)) in
+        Buddy.free b ~offset:p;
+        live := List.filter (( <> ) p) !live
+      end
+    done;
+    let words = Buddy.words_needed ~total_pages:pages in
+    for _ = 1 to Rng.int rng 3 do
+      let i =
+        if Rng.int rng 3 = 0 then (2 * pages) + Rng.int rng pages else Rng.int rng words
+      in
+      corrupt w i ~by:deltas.(Rng.int rng (Array.length deltas))
+    done;
+    let dense = verdict (fun () -> dense_check w ~pages) in
+    let sparse = verdict (fun () -> Buddy.check_invariants b) in
+    if dense <> sparse then
+      Alcotest.failf "state %d (%d pages): dense %s, sparse %s" state pages
+        (if dense then "passes" else "fails")
+        (if sparse then "passes" else "fails");
+    if dense then incr passed
+  done;
+  (* both verdicts must be well represented for the agreement to mean much *)
+  check_bool (Printf.sprintf "%d of %d states pass" !passed states) true
+    (!passed > states / 4 && !passed < states * 3 / 4)
 
 (* ---- Slab ---- *)
 
@@ -712,6 +855,11 @@ let () =
           Alcotest.test_case "empty txn fires armed plan" `Quick warea_empty_point_fires_armed_plan;
           Alcotest.test_case "schedule fires at absolute point" `Quick
             warea_schedule_fires_at_absolute_point;
+          Alcotest.test_case "unwritten words read zero" `Quick warea_unwritten_reads_zero;
+          Alcotest.test_case "non-zero words ascending" `Quick warea_nonzero_ascending;
+          Alcotest.test_case "non-zero words after crash and replay" `Quick
+            warea_nonzero_sees_crash_and_replay;
+          Alcotest.test_case "out-of-range indices raise" `Quick warea_out_of_range_raises;
         ] );
       ( "txn",
         [
@@ -734,6 +882,8 @@ let () =
           Alcotest.test_case "corrupted words detected" `Quick buddy_corruption_detected;
           Alcotest.test_case "stale words under a block accepted" `Quick
             buddy_stale_words_accepted;
+          Alcotest.test_case "sparse check agrees with the dense reference" `Quick
+            buddy_sparse_check_matches_dense;
         ] );
       ( "slab",
         [
