@@ -7,6 +7,15 @@ module Cost = Treesls_sim.Cost
 module Clock = Treesls_sim.Clock
 module Probe = Treesls_obs.Probe
 module Wearmap = Treesls_obs.Wearmap
+module Int_tbl = Treesls_util.Int_tbl
+
+(* Reverse-map key: (PMO id, page index). *)
+module Page_tbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (a, b) (c, d) = Int.equal a c && Int.equal b d
+  let hash (pmo_id, pno) = (pmo_id * 65_599) + pno
+end)
 
 type process = {
   pid : int;
@@ -33,8 +42,8 @@ type t = {
   ncores : int;
   root : Kobj.cap_group;
   mutable procs : process list;
-  pagetables : (int, Pagetable.t) Hashtbl.t;
-  rmap : (int * int, (Pagetable.t * int) list ref) Hashtbl.t;
+  pagetables : Pagetable.t Int_tbl.t; (* by vmspace id *)
+  rmap : (Pagetable.t * int) list ref Page_tbl.t;
   sched : Sched.t;
   mutable cow_hook : (Kobj.pmo -> int -> unit) option;
   mutable fresh_hook : (Kobj.pmo -> int -> unit) option;
@@ -57,23 +66,23 @@ let processes t = t.procs
 let find_process t ~name = List.find_opt (fun p -> p.pname = name) t.procs
 
 let pagetable t vms =
-  match Hashtbl.find_opt t.pagetables vms.Kobj.vs_id with
+  match Int_tbl.find_opt t.pagetables vms.Kobj.vs_id with
   | Some pt -> pt
   | None ->
     let pt = Pagetable.create () in
-    Hashtbl.replace t.pagetables vms.Kobj.vs_id pt;
+    Int_tbl.replace t.pagetables vms.Kobj.vs_id pt;
     pt
 
 let rmap_add t pmo pno pt vpn =
   let key = (pmo.Kobj.pmo_id, pno) in
-  match Hashtbl.find_opt t.rmap key with
+  match Page_tbl.find_opt t.rmap key with
   | Some l -> l := (pt, vpn) :: !l
-  | None -> Hashtbl.replace t.rmap key (ref [ (pt, vpn) ])
+  | None -> Page_tbl.replace t.rmap key (ref [ (pt, vpn) ])
 
 (* Mappings whose PTE still exists; prunes stale entries lazily. *)
 let rmap_live t pmo pno =
   let key = (pmo.Kobj.pmo_id, pno) in
-  match Hashtbl.find_opt t.rmap key with
+  match Page_tbl.find_opt t.rmap key with
   | None -> []
   | Some l ->
     let live = List.filter (fun (pt, vpn) -> Pagetable.lookup pt ~vpn <> None) !l in
@@ -146,7 +155,7 @@ let exit_process t proc =
     (fun slot c -> if Kobj.id c.Kobj.target = proc.pid then Kobj.revoke t.root slot)
     t.root;
   t.procs <- List.filter (fun p -> p.pid <> proc.pid) t.procs;
-  Hashtbl.remove t.pagetables proc.vms.Kobj.vs_id
+  Int_tbl.remove t.pagetables proc.vms.Kobj.vs_id
 
 let grow_heap t proc ~pages =
   let pmo = new_pmo t ~pages ~kind:Kobj.Pmo_normal in
@@ -246,27 +255,35 @@ let swap_in_page t pmo ~pno slot =
   List.iter (fun (pt, vpn) -> Pagetable.remap pt ~vpn ~paddr:fresh) (rmap_live t pmo pno);
   fresh
 
-(* Returns the PTE's physical address with the page present and, when
-   [for_write], writable — running the fault paths as needed. *)
-let ensure_mapped t proc ~vpn ~for_write =
-  assert t.alive;
-  let pt = pagetable t proc.vms in
+(* The fault paths: swap-in, copy-on-write upgrade, first mapping.
+   [found] is the PTE [ensure_mapped] looked up.  Returns the PTE left
+   installed, present and, when [for_write], writable. *)
+let fault t proc pt ~vpn ~for_write found =
   let cow_upgrade region pno =
     (match region.Kobj.vr_pmo.Kobj.pmo_kind with
     | Kobj.Pmo_eternal -> ()
     | Kobj.Pmo_normal -> (
       match t.cow_hook with Some h -> h region.Kobj.vr_pmo pno | None -> ()))
   in
+  (* install a mapping and return its PTE *)
+  let map ~paddr ~writable =
+    Pagetable.map pt ~vpn ~paddr ~writable;
+    Option.get (Pagetable.lookup pt ~vpn)
+  in
   (* swapped-out pages fault back in before anything else *)
-  (match Pagetable.lookup pt ~vpn with
-  | Some pte when Paddr.is_ssd pte.Pagetable.paddr -> (
-    match region_of proc vpn with
-    | Some region ->
-      ignore (swap_in_page t region.Kobj.vr_pmo ~pno:(vpn - region.Kobj.vr_vpn) pte.Pagetable.paddr)
-    | None -> ())
-  | Some _ | None -> ());
-  match Pagetable.lookup pt ~vpn with
-  | Some pte when (not for_write) || pte.Pagetable.writable -> pte.Pagetable.paddr
+  let found =
+    match found with
+    | Some pte when Paddr.is_ssd pte.Pagetable.paddr -> (
+      match region_of proc vpn with
+      | Some region ->
+        let pno = vpn - region.Kobj.vr_vpn in
+        ignore (swap_in_page t region.Kobj.vr_pmo ~pno pte.Pagetable.paddr);
+        Pagetable.lookup pt ~vpn
+      | None -> found)
+    | Some _ | None -> found
+  in
+  match found with
+  | Some pte when (not for_write) || pte.Pagetable.writable -> pte
   | Some pte ->
     (* write to a read-only mapping: copy-on-write fault *)
     let region =
@@ -285,9 +302,7 @@ let ensure_mapped t proc ~vpn ~for_write =
        must run the protect pass over this vmspace, so mark it dirty *)
     Kobj.touch (Kobj.Vmspace proc.vms);
     (* the CoW hook may have migrated the page; reload *)
-    (match Pagetable.lookup pt ~vpn with
-    | Some p -> p.Pagetable.paddr
-    | None -> pte.Pagetable.paddr)
+    (match Pagetable.lookup pt ~vpn with Some p -> p | None -> pte)
   | None -> (
     let region =
       match region_of proc vpn with
@@ -311,10 +326,10 @@ let ensure_mapped t proc ~vpn ~for_write =
         | Some p -> p
         | None -> paddr
       in
-      Pagetable.map pt ~vpn ~paddr ~writable:for_write;
+      let pte = map ~paddr ~writable:for_write in
       if for_write then Kobj.touch (Kobj.Vmspace proc.vms);
       rmap_add t region.Kobj.vr_pmo pno pt vpn;
-      paddr
+      pte
     | Some paddr ->
       (* present in the PMO, just not in this page table (e.g. after a
          restore rebuilt page tables empty) *)
@@ -327,15 +342,15 @@ let ensure_mapped t proc ~vpn ~for_write =
           | Some p -> p
           | None -> paddr
         in
-        Pagetable.map pt ~vpn ~paddr ~writable:true;
+        let pte = map ~paddr ~writable:true in
         Kobj.touch (Kobj.Vmspace proc.vms);
         rmap_add t region.Kobj.vr_pmo pno pt vpn;
-        paddr
+        pte
       end
       else begin
-        Pagetable.map pt ~vpn ~paddr ~writable:false;
+        let pte = map ~paddr ~writable:false in
         rmap_add t region.Kobj.vr_pmo pno pt vpn;
-        paddr
+        pte
       end
     | None ->
       (* first touch: allocate the page on NVM *)
@@ -351,23 +366,30 @@ let ensure_mapped t proc ~vpn ~for_write =
          not be skipped before its pending-fresh list is drained *)
       Kobj.touch (Kobj.Pmo region.Kobj.vr_pmo);
       (match t.fresh_hook with Some h -> h region.Kobj.vr_pmo pno | None -> ());
-      Pagetable.map pt ~vpn ~paddr ~writable:for_write;
+      let pte = map ~paddr ~writable:for_write in
       if for_write then Kobj.touch (Kobj.Vmspace proc.vms);
       rmap_add t region.Kobj.vr_pmo pno pt vpn;
-      paddr)
+      pte)
+
+(* The PTE mapping [vpn], present and, when [for_write], writable.  A hit
+   (mapped, not swapped out, writable if need be) costs one page-table
+   lookup; anything else takes the fault paths. *)
+let ensure_mapped t proc ~vpn ~for_write =
+  assert t.alive;
+  let pt = pagetable t proc.vms in
+  match Pagetable.lookup pt ~vpn with
+  | Some pte as found ->
+    if (for_write && not pte.Pagetable.writable) || Paddr.is_ssd pte.Pagetable.paddr then
+      fault t proc pt ~vpn ~for_write found
+    else pte
+  | None -> fault t proc pt ~vpn ~for_write None
 
 let page_size t = (cost t).Cost.page_size
 
-(* Post-write: set the hardware dirty bit on the PTE. *)
-let set_dirty_bit t proc vpn =
-  let pt = pagetable t proc.vms in
-  match Pagetable.lookup pt ~vpn with
-  | Some pte -> pte.Pagetable.dirty <- true
-  | None -> ()
-
 (* The generic write syscall claims the "app" wear context, but only as a
    default: when a more specific subsystem (extsync ring, checkpoint) is
-   already on the wearmap's writer stack, its attribution wins. *)
+   already on the wearmap's writer stack, its attribution wins.  Each
+   chunk sets the hardware dirty bit on the PTE it wrote through. *)
 let write_bytes t proc ~vaddr (data : Bytes.t) =
   Wearmap.with_default_writer (Probe.wearmap (probe t)) "app" @@ fun () ->
   let psz = page_size t in
@@ -376,9 +398,9 @@ let write_bytes t proc ~vaddr (data : Bytes.t) =
     if remaining > 0 then begin
       let vpn = vaddr / psz and off = vaddr mod psz in
       let chunk = min remaining (psz - off) in
-      let paddr = ensure_mapped t proc ~vpn ~for_write:true in
-      Store.write_page t.store paddr ~off (Bytes.sub data src_off chunk);
-      set_dirty_bit t proc vpn;
+      let pte = ensure_mapped t proc ~vpn ~for_write:true in
+      Store.write_from t.store pte.Pagetable.paddr ~off data ~src_off ~len:chunk;
+      pte.Pagetable.dirty <- true;
       loop (vaddr + chunk) (src_off + chunk) (remaining - chunk)
     end
   in
@@ -391,9 +413,8 @@ let read_bytes t proc ~vaddr ~len =
     if remaining > 0 then begin
       let vpn = vaddr / psz and off = vaddr mod psz in
       let chunk = min remaining (psz - off) in
-      let paddr = ensure_mapped t proc ~vpn ~for_write:false in
-      let data = Store.read_page t.store paddr ~off ~len:chunk in
-      Bytes.blit data 0 out dst_off chunk;
+      let pte = ensure_mapped t proc ~vpn ~for_write:false in
+      Store.read_into t.store pte.Pagetable.paddr ~off ~len:chunk out ~dst_off;
       loop (vaddr + chunk) (dst_off + chunk) (remaining - chunk)
     end
   in
@@ -404,14 +425,14 @@ let cookie = Bytes.make 8 '\x5a'
 
 let touch_write t proc ~vpn =
   Wearmap.with_default_writer (Probe.wearmap (probe t)) "app" @@ fun () ->
-  let paddr = ensure_mapped t proc ~vpn ~for_write:true in
-  Store.write_page t.store paddr ~off:0 cookie;
-  set_dirty_bit t proc vpn
+  let pte = ensure_mapped t proc ~vpn ~for_write:true in
+  Store.write_page t.store pte.Pagetable.paddr ~off:0 cookie;
+  pte.Pagetable.dirty <- true
 
 let page_paddr t proc ~vpn =
   match region_of proc vpn with
   | None -> None
-  | Some _ -> Some (ensure_mapped t proc ~vpn ~for_write:false)
+  | Some _ -> Some (ensure_mapped t proc ~vpn ~for_write:false).Pagetable.paddr
 
 let syscall t ~work_ns =
   t.stats.syscalls <- t.stats.syscalls + 1;
@@ -513,8 +534,8 @@ let resume_cores t =
 let crash t =
   Store.crash t.store;
   Hashtbl.reset t.ipc_handlers;
-  Hashtbl.reset t.pagetables;
-  Hashtbl.reset t.rmap;
+  Int_tbl.reset t.pagetables;
+  Page_tbl.reset t.rmap;
   Sched.clear t.sched;
   t.procs <- [];
   t.alive <- false
@@ -571,8 +592,8 @@ let rebuild ~store ~ncores ~root ~ids_hwm ~threads =
       ncores;
       root;
       procs = [];
-      pagetables = Hashtbl.create 16;
-      rmap = Hashtbl.create 256;
+      pagetables = Int_tbl.create 16;
+      rmap = Page_tbl.create 256;
       sched = Sched.create ();
       cow_hook = None;
       fresh_hook = None;
@@ -612,8 +633,8 @@ let boot ?(cost = Cost.default) ?(ncores = 8) ?(nvm_pages = 1 lsl 16) ?(dram_pag
       ncores;
       root;
       procs = [];
-      pagetables = Hashtbl.create 16;
-      rmap = Hashtbl.create 256;
+      pagetables = Int_tbl.create 16;
+      rmap = Page_tbl.create 256;
       sched = Sched.create ();
       cow_hook = None;
       fresh_hook = None;

@@ -80,8 +80,6 @@ val create_process : t -> name:string -> threads:int -> prio:int -> process
 val exit_process : t -> process -> unit
 (** Marks threads exited and revokes the process's cap from the root. *)
 
-val add_thread : t -> process -> prio:int -> Kobj.thread
-
 val grant : t -> from_proc:process -> to_proc:process -> slot:int -> rights:Treesls_cap.Rights.t -> int
 (** Capability derivation: copy the capability in [from_proc]'s [slot]
     into [to_proc] with attenuated [rights]. The source capability must
@@ -110,7 +108,16 @@ val map_shared : t -> process -> Kobj.pmo -> writable:bool -> int
 val make_eternal_pmo : t -> pages:int -> Kobj.pmo
 (** An eternal PMO (not rolled back on restore), owned by the root. *)
 
-(** {2 Memory access (syscall-free fast path of user code)} *)
+(** {2 Memory access (syscall-free fast path of user code)}
+
+    An access is split at page boundaries and each chunk is charged on its
+    own: [cachelines(chunk)] times the device's access ns.  A chunk whose
+    page is mapped, not swapped out and, for a write, writable is a hit:
+    one page-table lookup, then one blit between the caller's buffer and
+    the device page.  Any other chunk first takes the fault paths (swap-in,
+    copy-on-write upgrade, first mapping), which charge the trap and run
+    the checkpoint manager's hooks.  A write sets the hardware dirty bit
+    on the PTE it wrote through. *)
 
 val write_bytes : t -> process -> vaddr:int -> Bytes.t -> unit
 (** Copy bytes into the process's memory, faulting pages as needed and

@@ -46,9 +46,6 @@ val remap : t -> vpn:int -> paddr:Treesls_nvm.Paddr.t -> unit
 (** Replace the physical page of an existing mapping (page migration),
     preserving the writable and dirty bits. *)
 
-val dirty_pages : t -> (int * pte) list
-(** Mappings made writable since the last {!protect_dirty}. *)
-
 val dirty_count : t -> int
 
 val protect_dirty : t -> (int -> pte -> bool) -> int
@@ -59,4 +56,3 @@ val protect_dirty : t -> (int -> pte -> bool) -> int
     Returns how many were protected. *)
 
 val mapped_count : t -> int
-val iter : (int -> pte -> unit) -> t -> unit

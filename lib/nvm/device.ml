@@ -25,10 +25,14 @@ let page t idx =
     t.touched <- t.touched + 1;
     b
 
-let read t idx ~off ~len =
+let read_into t idx ~off ~len dst ~dst_off =
   assert (off >= 0 && len >= 0 && off + len <= t.page_size);
-  let p = page t idx in
-  Bytes.sub p off len
+  Bytes.blit (page t idx) off dst dst_off len
+
+let read t idx ~off ~len =
+  let dst = Bytes.create len in
+  read_into t idx ~off ~len dst ~dst_off:0;
+  dst
 
 (* Every physical byte landing on an NVM page feeds the device's wearmap,
    attributed to its current writer context — this is the single choke
@@ -39,12 +43,12 @@ let wear t idx ~bytes =
   | Paddr.Nvm -> Treesls_obs.Wearmap.record t.wearmap ~page:idx ~bytes
   | Paddr.Dram | Paddr.Ssd -> ()
 
-let write t idx ~off src =
-  let len = Bytes.length src in
-  assert (off >= 0 && off + len <= t.page_size);
-  let p = page t idx in
-  Bytes.blit src 0 p off len;
+let write_from t idx ~off src ~src_off ~len =
+  assert (off >= 0 && len >= 0 && off + len <= t.page_size);
+  Bytes.blit src src_off (page t idx) off len;
   wear t idx ~bytes:len
+
+let write t idx ~off src = write_from t idx ~off src ~src_off:0 ~len:(Bytes.length src)
 
 let copy_page ~src ~src_idx ~dst ~dst_idx =
   assert (src.page_size = dst.page_size);

@@ -23,6 +23,13 @@ val page : t -> int -> Bytes.t
 val read : t -> int -> off:int -> len:int -> Bytes.t
 val write : t -> int -> off:int -> Bytes.t -> unit
 
+val read_into : t -> int -> off:int -> len:int -> Bytes.t -> dst_off:int -> unit
+(** [read] straight into [dst] at [dst_off]: one blit, no intermediate
+    buffer. *)
+
+val write_from : t -> int -> off:int -> Bytes.t -> src_off:int -> len:int -> unit
+(** [write] of the [len] bytes of [src] at [src_off]: one blit. *)
+
 val copy_page : src:t -> src_idx:int -> dst:t -> dst_idx:int -> unit
 (** Whole-page copy between (possibly different) devices. *)
 

@@ -149,13 +149,20 @@ let access_ns t addr ~write ~len =
   in
   lines * per
 
-let read_page t addr ~off ~len =
+let read_into t addr ~off ~len dst ~dst_off =
   charge t (access_ns t addr ~write:false ~len);
-  Device.read (device t addr) addr.Paddr.idx ~off ~len
+  Device.read_into (device t addr) addr.Paddr.idx ~off ~len dst ~dst_off
 
-let write_page t addr ~off src =
-  charge t (access_ns t addr ~write:true ~len:(Bytes.length src));
-  Device.write (device t addr) addr.Paddr.idx ~off src
+let read_page t addr ~off ~len =
+  let dst = Bytes.create len in
+  read_into t addr ~off ~len dst ~dst_off:0;
+  dst
+
+let write_from t addr ~off src ~src_off ~len =
+  charge t (access_ns t addr ~write:true ~len);
+  Device.write_from (device t addr) addr.Paddr.idx ~off src ~src_off ~len
+
+let write_page t addr ~off src = write_from t addr ~off src ~src_off:0 ~len:(Bytes.length src)
 
 (* --- SSD swap slots (memory over-commitment, paper section 8) --- *)
 

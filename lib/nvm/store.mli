@@ -82,6 +82,14 @@ val read_page : t -> Paddr.t -> off:int -> len:int -> Bytes.t
 val write_page : t -> Paddr.t -> off:int -> Bytes.t -> unit
 (** Write bytes, charging per-cacheline access cost. *)
 
+val read_into : t -> Paddr.t -> off:int -> len:int -> Bytes.t -> dst_off:int -> unit
+(** {!read_page} into [dst] at [dst_off], with the same charge: one blit
+    from the device page, no intermediate buffer. *)
+
+val write_from : t -> Paddr.t -> off:int -> Bytes.t -> src_off:int -> len:int -> unit
+(** {!write_page} of the [len] bytes of [src] at [src_off], with the same
+    charge and wear: one blit into the device page. *)
+
 (** {2 SSD swap (memory over-commitment, paper section 8)} *)
 
 val swap_out : t -> src:Paddr.t -> Paddr.t option

@@ -5,12 +5,14 @@
    subsystem that wrote it (amplification).  Attribution uses a *writer
    context* — a stack of subsystem names held by the wearmap itself, pushed
    by the code that is about to write — so the device layer never needs to
-   know who is calling it.
+   know who is calling it.  A frame looks its subsystem's row up on its
+   first write and keeps it: a scope that writes nothing adds no row, and
+   a scope that writes often pays for one lookup.
 
    Two accounting channels:
    - [record]: a physical write to an identified NVM page (from
-     [Device.write]/[copy_page]/[zero_page]); feeds both the per-page wear
-     table and the per-subsystem totals.
+     [Device.write_from]/[copy_page]/[zero_page]); feeds both the per-page
+     wear table and the per-subsystem totals.
    - [note]: modeled metadata bytes with no single backing page (journal
      records, object snapshots, the global meta word); feeds the
      per-subsystem totals and the grand total only.
@@ -22,14 +24,18 @@
    totals are monotone across a system's lifetime. *)
 
 module Json = Treesls_util.Json
+module Int_tbl = Treesls_util.Int_tbl
 
 type page_stat = { mutable p_writes : int; mutable p_bytes : int }
 type sub_stat = { mutable s_writes : int; mutable s_bytes : int }
 
+(* [row] is [name]'s row in [subs], resolved on the frame's first write *)
+type frame = { name : string; mutable row : sub_stat option }
+
 type t = {
-  pages : (int, page_stat) Hashtbl.t;
+  pages : page_stat Int_tbl.t;
   subs : (string, sub_stat) Hashtbl.t;
-  mutable stack : string list; (* writer context, innermost first *)
+  mutable stack : frame list; (* writer context, innermost first *)
   mutable total_writes : int;
   mutable total_bytes : int;
   mutable copy_pages : int; (* whole-page NVM copies charged via Store *)
@@ -38,7 +44,7 @@ type t = {
 
 let create () =
   {
-    pages = Hashtbl.create 1024;
+    pages = Int_tbl.create 1024;
     subs = Hashtbl.create 16;
     stack = [];
     total_writes = 0;
@@ -51,13 +57,20 @@ let create () =
 
 let unattributed = "unattributed"
 
-let current_writer t = match t.stack with [] -> unattributed | w :: _ -> w
+let current_writer t = match t.stack with [] -> unattributed | f :: _ -> f.name
+
+let pop t = match t.stack with [] -> () | _ :: tl -> t.stack <- tl
 
 let with_writer t name f =
-  t.stack <- name :: t.stack;
-  Fun.protect
-    ~finally:(fun () -> match t.stack with [] -> () | _ :: tl -> t.stack <- tl)
-    f
+  t.stack <- { name; row = None } :: t.stack;
+  match f () with
+  | v ->
+    pop t;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    pop t;
+    Printexc.raise_with_backtrace e bt
 
 (* Outermost-wins variant for generic entry points (e.g. the kernel's
    write syscall claims "app" only when no more specific subsystem —
@@ -75,18 +88,29 @@ let sub t name =
     Hashtbl.add t.subs name s;
     s
 
+let writer_row t =
+  match t.stack with
+  | [] -> sub t unattributed
+  | f :: _ -> (
+    match f.row with
+    | Some s -> s
+    | None ->
+      let s = sub t f.name in
+      f.row <- Some s;
+      s)
+
 let record t ~page ~bytes =
   (let ps =
-     match Hashtbl.find_opt t.pages page with
+     match Int_tbl.find_opt t.pages page with
      | Some ps -> ps
      | None ->
        let ps = { p_writes = 0; p_bytes = 0 } in
-       Hashtbl.add t.pages page ps;
+       Int_tbl.add t.pages page ps;
        ps
    in
    ps.p_writes <- ps.p_writes + 1;
    ps.p_bytes <- ps.p_bytes + bytes);
-  let s = sub t (current_writer t) in
+  let s = writer_row t in
   s.s_writes <- s.s_writes + 1;
   s.s_bytes <- s.s_bytes + bytes;
   t.total_writes <- t.total_writes + 1;
@@ -104,8 +128,10 @@ let copy_charged t ~ns =
   t.copy_ns <- t.copy_ns + ns
 
 let reset t =
-  Hashtbl.reset t.pages;
+  Int_tbl.reset t.pages;
   Hashtbl.reset t.subs;
+  (* open frames must not keep writing into the dropped rows *)
+  List.iter (fun f -> f.row <- None) t.stack;
   t.total_writes <- 0;
   t.total_bytes <- 0;
   t.copy_pages <- 0;
@@ -117,7 +143,7 @@ let total_writes t = t.total_writes
 let total_bytes t = t.total_bytes
 let copy_pages t = t.copy_pages
 let copy_ns t = t.copy_ns
-let pages_tracked t = Hashtbl.length t.pages
+let pages_tracked t = Int_tbl.length t.pages
 
 let subsystem_bytes t name =
   match Hashtbl.find_opt t.subs name with Some s -> s.s_bytes | None -> 0
@@ -128,20 +154,20 @@ let subsystems t =
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
 let top t ~n =
-  Hashtbl.fold (fun page ps acc -> (page, ps.p_writes, ps.p_bytes) :: acc) t.pages []
+  Int_tbl.fold (fun page ps acc -> (page, ps.p_writes, ps.p_bytes) :: acc) t.pages []
   |> List.sort (fun (pa, wa, ba) (pb, wb, bb) ->
          match Int.compare wb wa with
          | 0 -> ( match Int.compare bb ba with 0 -> Int.compare pa pb | c -> c)
          | c -> c)
   |> fun l -> List.filteri (fun i _ -> i < n) l
 
-let max_writes t = Hashtbl.fold (fun _ ps m -> max m ps.p_writes) t.pages 0
+let max_writes t = Int_tbl.fold (fun _ ps m -> max m ps.p_writes) t.pages 0
 
 let mean_writes t =
-  let n = Hashtbl.length t.pages in
+  let n = Int_tbl.length t.pages in
   if n = 0 then 0.0
   else
-    float_of_int (Hashtbl.fold (fun _ ps acc -> acc + ps.p_writes) t.pages 0)
+    float_of_int (Int_tbl.fold (fun _ ps acc -> acc + ps.p_writes) t.pages 0)
     /. float_of_int n
 
 (* max-over-mean wear skew: 1.0 = perfectly even, large = a few pages are
@@ -155,7 +181,7 @@ let skew t =
    the wear is where wear happens). 0 = uniform, →1 = concentrated. *)
 let gini t =
   let xs =
-    Hashtbl.fold (fun _ ps acc -> ps.p_writes :: acc) t.pages []
+    Int_tbl.fold (fun _ ps acc -> ps.p_writes :: acc) t.pages []
     |> List.sort Int.compare
   in
   let n = List.length xs in
@@ -181,7 +207,7 @@ let gini t =
 let to_csv ?owners t =
   let b = Buffer.create 256 in
   Buffer.add_string b "page,writes,bytes,owner\n";
-  Hashtbl.fold (fun page ps acc -> (page, ps) :: acc) t.pages []
+  Int_tbl.fold (fun page ps acc -> (page, ps) :: acc) t.pages []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.iter (fun (page, ps) ->
          let owner =

@@ -19,7 +19,9 @@ val create : unit -> t
 val with_writer : t -> string -> (unit -> 'a) -> 'a
 (** Run [f] with the given subsystem name as the innermost writer;
     exception-safe (the context pops even if [f] raises, e.g. an injected
-    crash). *)
+    crash, and the exception is re-raised with its backtrace).  The scope
+    looks its subsystem's row up on its first write, so a scope that
+    writes nothing adds no row to {!subsystems}. *)
 
 val with_default_writer : t -> string -> (unit -> 'a) -> 'a
 (** Like {!with_writer} but only applies when no writer context is active —

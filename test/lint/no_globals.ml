@@ -1,8 +1,8 @@
 (* Fail when a toplevel binding in an .ml file under the given directories
-   is a mutable container: a [ref] cell, a [Hashtbl]/[Queue]/[Stack]/
-   [Buffer]/[Weak] created at module initialisation, or an [Atomic]/
-   [Mutex].  Such a value is shared by every system in the process; per-
-   system state belongs to the system's own store instead.
+   is a mutable container: a [ref] cell, a [Hashtbl]/[Int_tbl]/[Queue]/
+   [Stack]/[Buffer]/[Weak] created at module initialisation, or an
+   [Atomic]/[Mutex].  Such a value is shared by every system in the
+   process; per-system state belongs to the system's own store instead.
 
    A toplevel binding is a [let]/[and] at column 0 that binds a plain
    name (optionally type-annotated) without parameters; its right-hand
@@ -14,6 +14,7 @@ let constructors =
   [
     "ref";
     "Hashtbl.create";
+    "Int_tbl.create";
     "Queue.create";
     "Stack.create";
     "Buffer.create";

@@ -160,6 +160,84 @@ let mem_charges_time () =
   Kernel.touch_write k p ~vpn;
   check_bool "time passed" true (Clock.now (Kernel.clock k) > t0)
 
+(* ---- exact charges on the access path ---- *)
+
+(* Virtual ns that [f] charges. *)
+let elapsed k f =
+  let t0 = Clock.now (Kernel.clock k) in
+  f ();
+  Clock.now (Kernel.clock k) - t0
+
+let cachelines len = (len + 63) / 64
+
+let pte_of k p ~vpn = Option.get (Pagetable.lookup (Kernel.pagetable k p.Kernel.vms) ~vpn)
+
+let heap_region p = List.nth p.Kernel.vms.Kobj.vs_regions 2
+
+let mem_hit_charges_exact () =
+  let k = boot () in
+  let c = Kernel.cost k in
+  let p = Kernel.create_process k ~name:"app" ~threads:1 ~prio:5 in
+  let vpn = Kernel.grow_heap k p ~pages:1 in
+  let vaddr = (vpn * c.Cost.page_size) + 10 in
+  Kernel.touch_write k p ~vpn;
+  check_bool "mapped writable on NVM" true
+    (let pte = pte_of k p ~vpn in
+     pte.Pagetable.writable && Paddr.is_nvm pte.Pagetable.paddr);
+  let faults0 = (Kernel.stats k).Kernel.page_faults in
+  let len = 200 in
+  check_int "hit write" (cachelines len * c.Cost.nvm_write_ns)
+    (elapsed k (fun () -> Kernel.write_bytes k p ~vaddr (Bytes.make len 'w')));
+  check_int "hit read" (cachelines len * c.Cost.nvm_read_ns)
+    (elapsed k (fun () -> ignore (Kernel.read_bytes k p ~vaddr ~len)));
+  check_int "hit touch_write" (cachelines 8 * c.Cost.nvm_write_ns)
+    (elapsed k (fun () -> Kernel.touch_write k p ~vpn));
+  check_int "no fault on a hit" faults0 (Kernel.stats k).Kernel.page_faults
+
+let mem_straddle_charges_per_chunk () =
+  let k = boot () in
+  let c = Kernel.cost k in
+  let psz = c.Cost.page_size in
+  let p = Kernel.create_process k ~name:"app" ~threads:1 ~prio:5 in
+  let vpn = Kernel.grow_heap k p ~pages:2 in
+  Kernel.touch_write k p ~vpn;
+  Kernel.touch_write k p ~vpn:(vpn + 1);
+  let pmo = (heap_region p).Kobj.vr_pmo in
+  Kernel.clear_page_dirty k pmo ~pno:0;
+  Kernel.clear_page_dirty k pmo ~pno:1;
+  (* 30 bytes end the first page and 70 start the second: one cacheline
+     plus two, where one 100-byte access would be charged two *)
+  let vaddr = ((vpn + 1) * psz) - 30 in
+  check_int "two chunks charged apart" ((cachelines 30 + cachelines 70) * c.Cost.nvm_write_ns)
+    (elapsed k (fun () -> Kernel.write_bytes k p ~vaddr (Bytes.make 100 's')));
+  check_bool "first PTE dirty" true (pte_of k p ~vpn).Pagetable.dirty;
+  check_bool "second PTE dirty" true (pte_of k p ~vpn:(vpn + 1)).Pagetable.dirty;
+  check_int "read charged per chunk too" ((cachelines 30 + cachelines 70) * c.Cost.nvm_read_ns)
+    (elapsed k (fun () -> ignore (Kernel.read_bytes k p ~vaddr ~len:100)))
+
+let mem_reprotected_one_cow_fault () =
+  let sys = Treesls.System.boot () in
+  let k = Treesls.System.kernel sys in
+  let c = Kernel.cost k in
+  let p = Kernel.create_process k ~name:"app" ~threads:1 ~prio:5 in
+  let vpn = Kernel.grow_heap k p ~pages:1 in
+  let vaddr = (vpn * c.Cost.page_size) + 64 in
+  let data = Bytes.make 100 'c' in
+  Kernel.write_bytes k p ~vaddr data;
+  ignore (Treesls.System.checkpoint sys);
+  check_bool "checkpoint re-protected the page" false (pte_of k p ~vpn).Pagetable.writable;
+  let s = Kernel.stats k in
+  let faults0 = s.Kernel.page_faults and cow0 = s.Kernel.cow_faults in
+  let first = elapsed k (fun () -> Kernel.write_bytes k p ~vaddr data) in
+  check_int "first write: one CoW fault" (cow0 + 1) s.Kernel.cow_faults;
+  check_int "first write: one fault in all" (faults0 + 1) s.Kernel.page_faults;
+  let hit = cachelines 100 * c.Cost.nvm_write_ns in
+  check_bool "fault costs a trap on top of the hit" true (first >= hit + c.Cost.trap_ns);
+  check_bool "still on NVM" true (Paddr.is_nvm (pte_of k p ~vpn).Pagetable.paddr);
+  check_int "second write charges the hit" hit
+    (elapsed k (fun () -> Kernel.write_bytes k p ~vaddr data));
+  check_int "second write: no fault" (faults0 + 1) s.Kernel.page_faults
+
 let page_paddr_some () =
   let k = boot () in
   let p = Kernel.create_process k ~name:"app" ~threads:1 ~prio:5 in
@@ -168,8 +246,6 @@ let page_paddr_some () =
   check_bool "unmapped region is None" true (Kernel.page_paddr k p ~vpn:7777 = None)
 
 (* ---- migration support ---- *)
-
-let heap_region p = List.nth p.Kernel.vms.Kobj.vs_regions 2
 
 let remap_updates_all () =
   let k = boot () in
@@ -335,6 +411,11 @@ let () =
           Alcotest.test_case "read-only region" `Quick mem_readonly_region;
           Alcotest.test_case "lazy allocation counted" `Quick mem_lazy_alloc_counts;
           Alcotest.test_case "charges time" `Quick mem_charges_time;
+          Alcotest.test_case "hit charges exact ns" `Quick mem_hit_charges_exact;
+          Alcotest.test_case "straddling access charged per chunk" `Quick
+            mem_straddle_charges_per_chunk;
+          Alcotest.test_case "re-protected page: one CoW fault, then a hit" `Quick
+            mem_reprotected_one_cow_fault;
           Alcotest.test_case "page_paddr" `Quick page_paddr_some;
         ] );
       ( "migration",

@@ -149,6 +149,127 @@ let skew_and_gini () =
   (* gini of [1;1;1;97]: (2*(1*1+2*1+3*1+4*97))/(4*100) - 5/4 = 0.72 *)
   Alcotest.(check (float 1e-9)) "gini" 0.72 (Wearmap.gini wm2)
 
+(* ---- writer stack against a model ---- *)
+
+exception Boom
+
+(* A seeded program of nested [with_writer]/[with_default_writer] scopes,
+   some of which raise, with records, notes and resets at every depth, run
+   against a wearmap and against a model: a plain list of names plus
+   per-subsystem totals.  After every step the two must agree on the
+   current writer, each subsystem's writes and bytes, the totals and the
+   exact set of subsystem rows.  Scopes named "silent" record nothing, so
+   their row must never appear. *)
+let writer_stack_model () =
+  let wm = Wearmap.create () in
+  let rng = Treesls_util.Rng.create 22L in
+  let pick a = a.(Treesls_util.Rng.int rng (Array.length a)) in
+  let draw n = Treesls_util.Rng.int rng n in
+  let writers = [| "app"; "extsync"; "ckpt.cow"; "nvm.journal"; "silent" |] in
+  let noted = [| "app"; "meta"; "nvm.journal" |] in
+  let stack = ref [] in
+  let rows = Hashtbl.create 8 in
+  let total_writes = ref 0 and total_bytes = ref 0 in
+  let steps = ref 0 and silent_scopes = ref 0 in
+  let top () = match !stack with [] -> Wearmap.unattributed | w :: _ -> w in
+  let bump name bytes =
+    let w, b = Option.value (Hashtbl.find_opt rows name) ~default:(0, 0) in
+    Hashtbl.replace rows name (w + 1, b + bytes);
+    incr total_writes;
+    total_bytes := !total_bytes + bytes
+  in
+  let check () =
+    incr steps;
+    let at what = Printf.sprintf "%s (step %d)" what !steps in
+    check_string (at "current writer") (top ()) (Wearmap.current_writer wm);
+    Alcotest.(check (list (triple string int int)))
+      (at "subsystem rows")
+      (Hashtbl.fold (fun n (w, b) acc -> (n, w, b) :: acc) rows [] |> List.sort compare)
+      (Wearmap.subsystems wm);
+    Array.iter
+      (fun n ->
+        check_int (at ("bytes of " ^ n))
+          (match Hashtbl.find_opt rows n with Some (_, b) -> b | None -> 0)
+          (Wearmap.subsystem_bytes wm n))
+      (Array.append writers noted);
+    check_int (at "total writes") !total_writes (Wearmap.total_writes wm);
+    check_int (at "total bytes") !total_bytes (Wearmap.total_bytes wm)
+  in
+  (* the model's side of entering a scope; [default] scopes only push on
+     an empty stack *)
+  let enter ~default name =
+    let pushed = (not default) || !stack = [] in
+    if pushed then begin
+      stack := name :: !stack;
+      if name = "silent" then incr silent_scopes
+    end;
+    check ();
+    pushed
+  in
+  let leave pushed =
+    if pushed then stack := List.tl !stack;
+    check ()
+  in
+  let rec body depth =
+    for _ = 1 to 1 + draw 4 do
+      match draw (if depth < 4 then 9 else 4) with
+      | 0 | 1 ->
+        if top () <> "silent" then begin
+          let bytes = 1 + draw 4096 in
+          Wearmap.record wm ~page:(draw 64) ~bytes;
+          bump (top ()) bytes
+        end;
+        check ()
+      | 2 ->
+        let subsystem = pick noted and bytes = 1 + draw 512 in
+        Wearmap.note wm ~subsystem ~bytes;
+        bump subsystem bytes;
+        check ()
+      | 3 ->
+        if draw 8 = 0 then begin
+          Wearmap.reset wm;
+          Hashtbl.reset rows;
+          total_writes := 0;
+          total_bytes := 0
+        end;
+        check ()
+      | 4 | 5 ->
+        let name = pick writers in
+        let pushed = ref false in
+        Wearmap.with_writer wm name (fun () ->
+            pushed := enter ~default:false name;
+            body (depth + 1));
+        leave !pushed
+      | 6 ->
+        let name = pick writers in
+        let pushed = ref false in
+        Wearmap.with_default_writer wm name (fun () ->
+            pushed := enter ~default:true name;
+            body (depth + 1));
+        leave !pushed
+      | _ ->
+        (* a scope that raises after its body *)
+        let name = pick writers and default = Treesls_util.Rng.bool rng in
+        let pushed = ref false in
+        let scope = if default then Wearmap.with_default_writer else Wearmap.with_writer in
+        (match
+           scope wm name (fun () ->
+               pushed := enter ~default name;
+               body (depth + 1);
+               raise Boom)
+         with
+        | () -> Alcotest.fail "the scope did not raise"
+        | exception Boom -> ());
+        leave !pushed
+    done
+  in
+  while !steps < 2000 do
+    body 0
+  done;
+  check_bool "silent scopes were opened" true (!silent_scopes > 50);
+  check_bool "and added no row" false
+    (List.exists (fun (n, _, _) -> n = "silent") (Wearmap.subsystems wm))
+
 let export_round_trip () =
   let wm = Wearmap.create () in
   Wearmap.with_writer wm "app" (fun () ->
@@ -268,6 +389,7 @@ let () =
       ( "wearmap",
         [
           Alcotest.test_case "writer context stack" `Quick writer_context_stack;
+          Alcotest.test_case "writer stack matches a model" `Quick writer_stack_model;
           Alcotest.test_case "skew and gini" `Quick skew_and_gini;
           Alcotest.test_case "export round trip" `Quick export_round_trip;
         ] );
