@@ -119,6 +119,28 @@ let bechamel_tests () =
             ignore (Treesls_extsync.Ring.append ring (Bytes.of_string "m"));
             Treesls_extsync.Ring.on_checkpoint ring;
             ignore (Treesls_extsync.Ring.pop_visible ring)));
+    Test.make ~name:"tseries-sample-full-ring"
+      (Staged.stage
+         (* one black-box sample (registry read, tseries record, default
+            SLO rules) with 1,024 samples already retained *)
+         (let module Probe = Treesls_obs.Probe in
+          let module Tseries = Treesls_obs.Tseries in
+          let s = boot () in
+          let app = Kv_app.launch ~keys_hint:1_000 s Kv_app.Memcached in
+          for i = 0 to 1_999 do
+            Kv_app.set_i app (i mod 1_000);
+            ignore (System.tick s)
+          done;
+          let probe = System.obs s in
+          let ts = Probe.tseries probe in
+          let sample () =
+            Probe.tseries_sample probe ~version:(Tseries.total ts + 1) ~stw_ns:20_000
+              ~interval_ns:(Some 1_000_000)
+          in
+          while Tseries.length ts < Tseries.capacity ts do
+            sample ()
+          done;
+          sample));
   ]
 
 let run_bechamel () =

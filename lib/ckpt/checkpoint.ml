@@ -339,13 +339,13 @@ let settle_commit st (p : Drain.pending) =
   let probe = State.probe st in
   let stw_t1 = p.Drain.p_stw_t0 + p.Drain.p_report.Report.stw_ns in
   Probe.span_at probe "ckpt.drain" ~ts_ns:stw_t1 ~dur_ns:(now st - stw_t1)
-    ~args:
+    ~args:(fun () ->
       [
         ("version", string_of_int p.Drain.p_ver);
         ("deferred", string_of_int p.Drain.p_enqueued);
         ("drained", string_of_int p.Drain.p_drained);
         ("cow_faults", string_of_int p.Drain.p_cow_faults);
-      ];
+      ]);
   (* replies released by the publish attribute to the STW window that
      staged them *)
   ignore
@@ -494,14 +494,13 @@ let walk_tree st ~new_ver =
         (Live_tree.entries live));
   st.State.force_full <- false;
   let walk_ns = now st - walk0 in
-  Probe.exit probe tok
-    ~args:
+  Probe.exit probe tok ~args:(fun () ->
       [
         ("objects", string_of_int (List.length !dirty));
         ("full", string_of_int !fulls);
         ("skipped", string_of_int !skipped);
         ("snapshot_bytes", string_of_int !snap_bytes);
-      ];
+      ]);
   Crash_site.hit (State.crash_sites st) "ckpt.captree.done";
   {
     live;
@@ -538,12 +537,12 @@ let hybrid_copy st ~new_ver (w : walk) =
     if !worst > w.walk_ns then Clock.advance (Kernel.clock kernel) (!worst - w.walk_ns);
     (* explicit timestamps: the span overlaps ckpt.captree *)
     Probe.span_at probe "ckpt.hybrid_copy" ~ts_ns:w.walk0 ~dur_ns:!worst
-      ~args:
+      ~args:(fun () ->
         [
           ("dirty_copied", string_of_int !dirty_copied);
           ("migrated_in", string_of_int !migrated_in);
           ("migrated_out", string_of_int !migrated_out);
-        ];
+        ]);
     (!worst, !dirty_copied, !migrated_in, !migrated_out)
   end
 
@@ -595,7 +594,9 @@ let run st =
   let meta = Store.meta store in
   let new_ver = Global_meta.version meta + 1 in
   let t0 = now st in
-  let stw_tok = Probe.enter probe "ckpt.stw" ~args:[ ("version", string_of_int new_ver) ] in
+  let stw_tok =
+    Probe.enter probe "ckpt.stw" ~args:(fun () -> [ ("version", string_of_int new_ver) ])
+  in
   (* step 1: quiesce *)
   let quiesce_tok = Probe.enter probe "ckpt.quiesce" in
   let ipi_ns = Kernel.quiesce kernel in
@@ -634,7 +635,7 @@ let run st =
   let resume_ns = Kernel.resume_cores kernel in
   Probe.exit probe resume_tok;
   let stw_ns = now st - t0 in
-  Probe.exit probe stw_tok ~args:[ ("stw_ns", string_of_int stw_ns) ];
+  Probe.exit probe stw_tok ~args:(fun () -> [ ("stw_ns", string_of_int stw_ns) ]);
   let per_kind_ns, per_group = attribute st w in
   let report =
     {

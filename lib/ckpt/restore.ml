@@ -436,15 +436,14 @@ let run st =
   let tok = Probe.enter probe "restore" in
   match run_inner st with
   | r ->
-    Probe.exit probe tok
-      ~args:
+    Probe.exit probe tok ~args:(fun () ->
         [
           ("version", string_of_int r.version);
           ("restored_objects", string_of_int r.restored_objects);
           ("dropped_objects", string_of_int r.dropped_objects);
           ("pages_restored", string_of_int r.pages_restored);
           ("pages_dropped", string_of_int r.pages_dropped);
-        ];
+        ]);
     Probe.count probe "restore.runs" 1;
     Probe.count probe "restore.objects" r.restored_objects;
     Probe.observe probe "restore.ns" r.restore_ns;
@@ -456,5 +455,5 @@ let run st =
     (* failed attempt: nothing trustworthy to profile; the next attempt
        opens a fresh profile (the crash instant is kept) *)
     Probe.rto_abort probe;
-    Probe.exit probe tok ~args:[ ("failed", "true") ];
+    Probe.exit probe tok ~args:(fun () -> [ ("failed", "true") ]);
     raise e

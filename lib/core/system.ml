@@ -155,8 +155,8 @@ let reserve_backing t name ~instant ~bytes =
     let pmo = Kernel.make_eternal_pmo k ~pages in
     Probe.add_backing (obs t) name pmo.Treesls_cap.Kobj.pmo_id;
     Probe.instant (obs t) instant
-      ~args:
-        [ ("pmo", string_of_int pmo.Treesls_cap.Kobj.pmo_id); ("pages", string_of_int pages) ]
+      ~args:(fun () ->
+        [ ("pmo", string_of_int pmo.Treesls_cap.Kobj.pmo_id); ("pages", string_of_int pages) ])
   end
 
 (* trace ring: 64 bytes per slot *)

@@ -195,7 +195,7 @@ let on_checkpoint t =
   Probe.count (probe t) "extsync.published" newly;
   if newly > 0 then
     Probe.instant (probe t) "extsync.flush"
-      ~args:[ ("published", string_of_int newly); ("pmo", string_of_int t.pmo_id) ];
+      ~args:(fun () -> [ ("published", string_of_int newly); ("pmo", string_of_int t.pmo_id) ]);
   write_cursor t 16 w
 
 let on_restore t =

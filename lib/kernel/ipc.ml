@@ -35,8 +35,8 @@ let call k conn payload =
     let req = Probe.req_current probe in
     let tok =
       Probe.enter_v probe "ipc.call"
-        ~args:
-          (("conn", string_of_int conn.Kobj.ic_id)
+        ~args:(fun () ->
+          ("conn", string_of_int conn.Kobj.ic_id)
           :: (if req <> 0 then [ ("req", string_of_int req) ] else []))
     in
     Kernel.syscall k ~work_ns:c.Cost.syscall_ns;

@@ -90,7 +90,7 @@ let with_sink t sink f =
 let alloc_page t =
   charge t (t.cost.Cost.alloc_page_ns + t.cost.Cost.journal_entry_ns);
   Probe.count t.probe "nvm.alloc.pages" 1;
-  Probe.instant_v t.probe "nvm.alloc" ~args:[ ("kind", "page") ];
+  Probe.instant_v t.probe "nvm.alloc" ~args:(fun () -> [ ("kind", "page") ]);
   match Buddy.alloc t.buddy ~order:0 with
   | Some idx -> Paddr.nvm idx
   | None -> raise Out_of_memory
@@ -211,7 +211,8 @@ let ssd_slots_free t = List.length t.ssd_free
 let alloc_obj t ~size =
   charge t (t.cost.Cost.alloc_small_ns + t.cost.Cost.journal_entry_ns);
   Probe.count t.probe "nvm.alloc.objs" 1;
-  Probe.instant_v t.probe "nvm.alloc" ~args:[ ("kind", "obj"); ("size", string_of_int size) ];
+  Probe.instant_v t.probe "nvm.alloc" ~args:(fun () ->
+      [ ("kind", "obj"); ("size", string_of_int size) ]);
   match Slab.alloc t.slab ~size with
   | Some h -> h
   | None -> raise Out_of_memory

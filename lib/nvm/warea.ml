@@ -155,7 +155,7 @@ let commit t ~desc writes =
      journal wear reconciles exactly with the nvm.txn.words counter *)
   Wearmap.note (Probe.wearmap t.probe) ~subsystem:"nvm.journal" ~bytes:(16 * Array.length arr);
   Probe.instant_v t.probe "nvm.txn"
-    ~args:[ ("desc", desc); ("words", string_of_int (Array.length arr)) ]
+    ~args:(fun () -> [ ("desc", desc); ("words", string_of_int (Array.length arr)) ])
 
 let consume_point t ~desc =
   (* An empty transaction writes no journal record, so every crash phase

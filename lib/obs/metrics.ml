@@ -5,25 +5,34 @@ type t = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, int ref) Hashtbl.t;
   timers : (string, Histogram.t) Hashtbl.t;
+  mutable shape : int;  (* bumped on every new name and on reset *)
 }
 
 let create () =
-  { counters = Hashtbl.create 32; gauges = Hashtbl.create 16; timers = Hashtbl.create 16 }
+  {
+    counters = Hashtbl.create 32;
+    gauges = Hashtbl.create 16;
+    timers = Hashtbl.create 16;
+    shape = 0;
+  }
 
-let cell tbl name =
+let shape t = t.shape
+
+let cell t tbl name =
   match Hashtbl.find_opt tbl name with
   | Some r -> r
   | None ->
     let r = ref 0 in
     Hashtbl.replace tbl name r;
+    t.shape <- t.shape + 1;
     r
 
 let add t name n =
-  let r = cell t.counters name in
+  let r = cell t t.counters name in
   r := !r + n
 
 let set_gauge t name v =
-  let r = cell t.gauges name in
+  let r = cell t t.gauges name in
   r := v
 
 let timer t name =
@@ -32,6 +41,7 @@ let timer t name =
   | None ->
     let h = Histogram.create () in
     Hashtbl.replace t.timers name h;
+    t.shape <- t.shape + 1;
     h
 
 let observe t name ns = Histogram.add (timer t name) ns
@@ -78,10 +88,23 @@ let snapshot (t : t) =
           });
   }
 
+let columns (t : t) =
+  let read r () = !r in
+  List.map (fun (k, r) -> (k, read r)) (sorted_bindings t.counters Fun.id)
+  @ List.map (fun (k, r) -> (k, read r)) (sorted_bindings t.gauges Fun.id)
+  @ List.concat_map
+      (fun (k, h) ->
+        [
+          (k ^ ".n", fun () -> Histogram.count h);
+          (k ^ ".p99_ns", fun () -> Histogram.percentile h 99.0);
+        ])
+      (sorted_bindings t.timers Fun.id)
+
 let reset (t : t) =
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauges;
-  Hashtbl.reset t.timers
+  Hashtbl.reset t.timers;
+  t.shape <- t.shape + 1
 
 let pp_snapshot ppf s =
   Format.fprintf ppf "counters:@.";

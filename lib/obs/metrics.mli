@@ -46,6 +46,19 @@ type snapshot = {
 (** Point-in-time copy, each section sorted by name. *)
 
 val snapshot : t -> snapshot
+
+val columns : t -> (string * (unit -> int)) list
+(** The registry as flat integer columns, each with a reader of its live
+    value: every counter, every gauge, then each timer's sample count as
+    [NAME.n] and its p99 as [NAME.p99_ns]; each section sorted by name.
+    This is what a black-box sample records ({!Probe.tseries_sample}).
+    The list stays complete, and its readers live, while {!shape} does
+    not change. *)
+
+val shape : t -> int
+(** Changes whenever a name is first used or the registry is reset, so a
+    cached {!columns} list is current exactly while [shape] is. *)
+
 val reset : t -> unit
 val pp_snapshot : Format.formatter -> snapshot -> unit
 val snapshot_to_json : snapshot -> Treesls_util.Json.t

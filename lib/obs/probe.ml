@@ -2,6 +2,18 @@ module Clock = Treesls_sim.Clock
 
 module Histogram = Treesls_util.Histogram
 
+(* What a black-box sample records, resolved once per registry shape: the
+   registry's column readers, then the derived columns, with their
+   tseries column ids and one reused buffer of values. *)
+type plan = {
+  p_shape : int;  (* the Metrics.shape this plan was built for *)
+  p_layout : Tseries.layout;
+  p_read : (unit -> int) array;
+  p_vals : int array;  (* registry cells, then [derived_cols] *)
+}
+
+type args = unit -> (string * string) list
+
 type t = {
   clock : Clock.t;
   trace : Trace.t;
@@ -14,6 +26,7 @@ type t = {
   enq2vis_w : Histogram.Windowed.t;
       (* windowed enq2vis for the per-sample p50/p99 derived columns:
          fed on every release, rotated once per tseries sample *)
+  mutable plan : plan option;  (* built by the first sample *)
   mutable sample_hook : (unit -> unit) option;
       (* invoked after each tseries sample + SLO check (the adaptive
          interval controller's feedback edge; set by System.boot) *)
@@ -33,6 +46,7 @@ let create ~clock =
     tseries = Tseries.create ();
     slo = Slo.create ();
     enq2vis_w = Histogram.Windowed.create ~slices:4 ();
+    plan = None;
     sample_hook = None;
     tracing = false;
     verbose = false;
@@ -59,29 +73,36 @@ let set_sample_hook t f = t.sample_hook <- Some f
 (* --- trace emitters --------------------------------------------------- *)
 
 (* Emitters never advance the simulated clock, so observability cannot
-   perturb a measurement; the trace tiers cost one flag test when off. *)
+   perturb a measurement; the trace tiers cost one flag test when off.
+   Args come as a thunk, called only for an event that is recorded, so a
+   call site pays nothing to describe an event nobody records. *)
+
+let build = function Some f -> Some (f ()) | None -> None
 
 let enter t ?args name =
-  if t.tracing then Trace.begin_span t.trace ~now:(Clock.now t.clock) ?args name else 0
+  if t.tracing then Trace.begin_span t.trace ~now:(Clock.now t.clock) ?args:(build args) name
+  else 0
 
 let exit t ?args token =
-  if token <> 0 then Trace.end_span t.trace ~now:(Clock.now t.clock) ?args token
+  if token <> 0 then Trace.end_span t.trace ~now:(Clock.now t.clock) ?args:(build args) token
 
 let instant t ?args name =
-  if t.tracing then Trace.instant t.trace ~now:(Clock.now t.clock) ?args name
+  if t.tracing then Trace.instant t.trace ~now:(Clock.now t.clock) ?args:(build args) name
 
 let span_at t ?args name ~ts_ns ~dur_ns =
-  if t.tracing then Trace.complete t.trace ?args name ~ts_ns ~dur_ns
+  if t.tracing then Trace.complete t.trace ?args:(build args) name ~ts_ns ~dur_ns
 
 (* verbose tier: per-operation events (nvm.alloc, nvm.txn, ipc.call) that
    would otherwise flood the ring during a single checkpoint *)
 
 let enter_v t ?args name =
-  if t.tracing && t.verbose then Trace.begin_span t.trace ~now:(Clock.now t.clock) ?args name
+  if t.tracing && t.verbose then
+    Trace.begin_span t.trace ~now:(Clock.now t.clock) ?args:(build args) name
   else 0
 
 let instant_v t ?args name =
-  if t.tracing && t.verbose then Trace.instant t.trace ~now:(Clock.now t.clock) ?args name
+  if t.tracing && t.verbose then
+    Trace.instant t.trace ~now:(Clock.now t.clock) ?args:(build args) name
 
 let crash_mark t =
   let now = Clock.now t.clock in
@@ -217,32 +238,49 @@ let tseries_key_cols =
 
 let req_pending_enqueued t = Rtrace.pending_enqueued t.rtrace
 
+(* Derived signals, recorded after the registry: the STW of this commit
+   and the windowed enq2vis percentiles ([.n] = releases since the
+   previous sample; rotating after reading makes the window a 4-commit
+   sliding one). *)
+let derived_cols =
+  [
+    "ckpt.stw_ns"; "req.enq2vis.n"; "req.enq2vis.win_n"; "req.enq2vis.p50_ns"; "req.enq2vis.p99_ns";
+  ]
+
+let sample_plan t =
+  let shape = Metrics.shape t.metrics in
+  match t.plan with
+  | Some p when p.p_shape = shape -> p
+  | _ ->
+    let cols = Metrics.columns t.metrics in
+    let names = Array.of_list (List.map fst cols @ derived_cols) in
+    let p =
+      {
+        p_shape = shape;
+        p_layout = Tseries.layout t.tseries names;
+        p_read = Array.of_list (List.map snd cols);
+        p_vals = Array.make (Array.length names) 0;
+      }
+    in
+    t.plan <- Some p;
+    p
+
 let tseries_sample t ~version ~stw_ns ~interval_ns =
   let now = Clock.now t.clock in
   (* the full registry: counters and gauges as-is, timers as count+p99 *)
-  let snap = Metrics.snapshot t.metrics in
-  let registry =
-    snap.Metrics.counters @ snap.Metrics.gauges
-    @ List.concat_map
-        (fun (name, tm) ->
-          [ (name ^ ".n", tm.Metrics.tm_count); (name ^ ".p99_ns", tm.Metrics.tm_p99_ns) ])
-        snap.Metrics.timers
-  in
-  (* derived signals: the STW of this commit and the windowed enq2vis
-     percentiles ([.n] = releases since the previous sample; rotating
-     after reading makes the window a 4-commit sliding one) *)
-  let win = Histogram.Windowed.merged t.enq2vis_w in
-  let derived =
-    [
-      ("ckpt.stw_ns", stw_ns);
-      ("req.enq2vis.n", Histogram.count (Histogram.Windowed.current t.enq2vis_w));
-      ("req.enq2vis.win_n", Histogram.count win);
-      ("req.enq2vis.p50_ns", Histogram.percentile win 50.0);
-      ("req.enq2vis.p99_ns", Histogram.percentile win 99.0);
-    ]
-  in
-  Histogram.Windowed.rotate t.enq2vis_w;
-  Tseries.record t.tseries ~ts_ns:now ~version (registry @ derived);
+  let p = sample_plan t in
+  let nreg = Array.length p.p_read in
+  for i = 0 to nreg - 1 do
+    p.p_vals.(i) <- p.p_read.(i) ()
+  done;
+  let w = t.enq2vis_w in
+  p.p_vals.(nreg) <- stw_ns;
+  p.p_vals.(nreg + 1) <- Histogram.count (Histogram.Windowed.current w);
+  p.p_vals.(nreg + 2) <- Histogram.Windowed.count w;
+  p.p_vals.(nreg + 3) <- Histogram.Windowed.percentile w 50.0;
+  p.p_vals.(nreg + 4) <- Histogram.Windowed.percentile w 99.0;
+  Histogram.Windowed.rotate w;
+  Tseries.record_values t.tseries p.p_layout ~ts_ns:now ~version p.p_vals;
   (* live counter samples keep the black box on the shared trace/flight
      timeline when tracing is on *)
   if t.tracing then begin

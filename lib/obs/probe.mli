@@ -62,20 +62,24 @@ val backings : t -> (string * int) list
     each to be a reachable eternal PMO. *)
 
 (** {2 Trace emitters} — no-ops (returning 0 where applicable) unless
-    tracing is on. *)
+    tracing is on.  [args] is a thunk that an emitter calls only when it
+    records the event, so with tracing off no call site builds its args
+    (no [string_of_int] per IPC, journal commit or ring publish). *)
 
-val enter : t -> ?args:(string * string) list -> string -> int
-val exit : t -> ?args:(string * string) list -> int -> unit
+type args = unit -> (string * string) list
+
+val enter : t -> ?args:args -> string -> int
+val exit : t -> ?args:args -> int -> unit
 (** Open/close a nested span.  [exit 0] is a no-op, so call sites need no
     disabled-check of their own. *)
 
-val instant : t -> ?args:(string * string) list -> string -> unit
+val instant : t -> ?args:args -> string -> unit
 
-val span_at : t -> ?args:(string * string) list -> string -> ts_ns:int -> dur_ns:int -> unit
+val span_at : t -> ?args:args -> string -> ts_ns:int -> dur_ns:int -> unit
 (** Record a span with explicit timestamps (overlapping/parallel work). *)
 
-val enter_v : t -> ?args:(string * string) list -> string -> int
-val instant_v : t -> ?args:(string * string) list -> string -> unit
+val enter_v : t -> ?args:args -> string -> int
+val instant_v : t -> ?args:args -> string -> unit
 (** Verbose-tier variants: additionally gated on {!set_verbose}. *)
 
 val crash_mark : t -> unit
@@ -180,7 +184,15 @@ val tseries_sample : t -> version:int -> stw_ns:int -> interval_ns:int option ->
     ([interval_ns] is the current checkpoint interval, for rules using
     [interval]) and finally the sample hook.  Called by
     [Checkpoint.run] after commit, once the post-commit gauges are
-    set. *)
+    set.
+
+    Host cost: O(columns + window), whatever the retained history.  The
+    registry is read through {!Metrics.columns}, resolved to tseries
+    columns once per {!Metrics.shape} (the first sample builds that
+    plan, not {!create}); the windowed percentiles read
+    their slices in place; the SLO rules read only their windows.  A
+    sample allocates its own cells and what the rules read from their
+    windows, the same however long the retained history. *)
 
 (** {2 Metrics emitters} — always active. *)
 

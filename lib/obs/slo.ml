@@ -13,10 +13,14 @@ module Json = Treesls_util.Json
 type func = P50 | P99 | Value | Rate | Delta | Ewma | Max | Mean
 type cmp = Lt | Le | Gt | Ge | Eq
 
+(* A signal as written in the rule, resolved at parse time to the
+   tseries column its function reads and the scale applied to it. *)
+type signal = { sg_name : string; sg_col : string; sg_scale : float }
+
 type expr =
   | Num of float
   | Interval  (* the checkpoint interval, ns *)
-  | Apply of func * string  (* func over a signal name *)
+  | Apply of func * signal  (* func over a signal *)
   | Mul of expr * expr
 
 type rule = { r_text : string; r_lhs : expr; r_cmp : cmp; r_rhs : expr }
@@ -35,7 +39,11 @@ let aliases =
     ("pages_protected", ("ckpt.pages.protected.last", 1.0));
   ]
 
-let resolve name = match List.assoc_opt name aliases with Some cs -> cs | None -> (name, 1.0)
+(* p50/p99 read the derived percentile columns of the signal *)
+let signal f name =
+  let col, scale = match List.assoc_opt name aliases with Some cs -> cs | None -> (name, 1.0) in
+  let col = match f with P50 -> col ^ ".p50_ns" | P99 -> col ^ ".p99_ns" | _ -> col in
+  { sg_name = name; sg_col = col; sg_scale = scale }
 
 (* --- parser ------------------------------------------------------- *)
 
@@ -112,9 +120,9 @@ let rule_of_string text =
         | Some f, Some TLp -> (
           ignore (next ());
           match (next (), next ()) with
-          | TIdent arg, TRp -> Apply (f, arg)
+          | TIdent arg, TRp -> Apply (f, signal f arg)
           | _ -> fail (Printf.sprintf "expected '(name)' after %s" id))
-        | _ -> Apply (Value, id))
+        | _ -> Apply (Value, signal Value id))
       | TLp ->
         let e = expr () in
         (match next () with TRp -> e | _ -> fail "expected ')'")
@@ -150,8 +158,8 @@ let cmp_to_string = function Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">=" | E
 let rec expr_to_string = function
   | Num f -> if Float.is_integer f then string_of_int (int_of_float f) else string_of_float f
   | Interval -> "interval"
-  | Apply (Value, id) -> id
-  | Apply (f, id) -> Printf.sprintf "%s(%s)" (func_to_string f) id
+  | Apply (Value, sg) -> sg.sg_name
+  | Apply (f, sg) -> Printf.sprintf "%s(%s)" (func_to_string f) sg.sg_name
   | Mul (a, b) -> Printf.sprintf "%s*%s" (expr_to_string a) (expr_to_string b)
 
 let rule_to_string r =
@@ -187,18 +195,13 @@ let rec eval ts ~interval_ns e =
     match (eval ts ~interval_ns a, eval ts ~interval_ns b) with
     | Some x, Some y -> Some (x *. y)
     | _ -> None)
-  | Apply (f, id) -> (
-    let col, scale = resolve id in
+  | Apply (f, { sg_col = col; sg_scale = scale; _ }) -> (
     let scaled v = Some (v *. scale) in
-    let latest_col c =
+    match f with
+    | Value | P50 | P99 -> (
       match Tseries.latest ts with
       | None -> None
-      | Some s -> Option.map float_of_int (Tseries.value ts s c)
-    in
-    match f with
-    | Value -> Option.bind (latest_col col) scaled
-    | P50 -> Option.bind (latest_col (col ^ ".p50_ns")) scaled
-    | P99 -> Option.bind (latest_col (col ^ ".p99_ns")) scaled
+      | Some s -> Option.bind (Option.map float_of_int (Tseries.value ts s col)) scaled)
     | Rate -> Option.bind (Tseries.rate_per_s ts col ~n:2) scaled
     | Delta -> Option.bind (Option.map float_of_int (Tseries.delta ts col ~n:2)) scaled
     | Ewma -> Option.bind (Tseries.ewma ts col ~alpha:0.3) scaled

@@ -65,14 +65,13 @@ let dropped t = if t.total > t.cap then t.total - t.cap else 0
 let backing_bytes t = t.cap * slot_bytes ~max_cols:t.max_cols
 let cols_dropped t = t.cols_dropped
 
+(* Column id of [name], interned on first use; -1 once the budget is
+   spent (the caller counts the drop). *)
 let intern t name =
   match Hashtbl.find_opt t.col_ids name with
   | Some id -> id
   | None ->
-    if t.n_cols >= t.max_cols then begin
-      t.cols_dropped <- t.cols_dropped + 1;
-      -1
-    end
+    if t.n_cols >= t.max_cols then -1
     else begin
       let id = t.n_cols in
       if id >= Array.length t.col_names then begin
@@ -89,29 +88,49 @@ let intern t name =
 let columns t = List.init t.n_cols (fun i -> t.col_names.(i))
 let column_count t = t.n_cols
 
-let record t ~ts_ns ~version values =
-  let ids = List.map (fun (name, v) -> (intern t name, v)) values in
+type layout = {
+  l_ids : int array;  (* column id per name, -1 past the budget *)
+  l_over : int;  (* names past the budget *)
+}
+
+let layout t names =
+  let ids = Array.map (intern t) names in
+  { l_ids = ids; l_over = Array.fold_left (fun n id -> if id < 0 then n + 1 else n) 0 ids }
+
+(* Every name past the budget counts as one dropped interning per sample,
+   as if each sample interned its names afresh.  On duplicate names the
+   later value wins. *)
+let record_values t l ~ts_ns ~version values =
   let cells = Array.make t.n_cols absent in
-  List.iter (fun (id, v) -> if id >= 0 then cells.(id) <- (if v = absent then v + 1 else v)) ids;
+  for i = 0 to Array.length l.l_ids - 1 do
+    let id = l.l_ids.(i) and v = values.(i) in
+    if id >= 0 then cells.(id) <- (if v = absent then v + 1 else v)
+  done;
+  t.cols_dropped <- t.cols_dropped + l.l_over;
   t.buf.(t.total mod t.cap) <-
     Some { sp_seq = t.total; sp_version = version; sp_ts_ns = ts_ns; sp_values = cells };
   t.total <- t.total + 1
 
-let samples t =
-  let n = length t in
-  let first = t.total - n in
-  List.init n (fun i ->
-      match t.buf.((first + i) mod t.cap) with
-      | Some s -> s
-      | None -> assert false (* slots below [length] are always filled *))
+let record t ~ts_ns ~version values =
+  let l = layout t (Array.of_list (List.map fst values)) in
+  record_values t l ~ts_ns ~version (Array.of_list (List.map snd values))
 
-let latest t = if t.total = 0 then None else t.buf.((t.total - 1) mod t.cap)
+(* The retained sample with sequence number [seq]. *)
+let slot t seq =
+  match t.buf.(seq mod t.cap) with
+  | Some s -> s
+  | None -> assert false (* slots below [length] are always filled *)
+
+(* A window is the newest [n] retained samples: sequence numbers
+   [first_of t ~n] to [total - 1]. *)
+let first_of t ~n = t.total - max 0 (min n (length t))
 
 let window t ~n =
-  let keep = min n (length t) in
-  let all = samples t in
-  let skip = List.length all - keep in
-  List.filteri (fun i _ -> i >= skip) all
+  let first = first_of t ~n in
+  List.init (t.total - first) (fun i -> slot t (first + i))
+
+let samples t = window t ~n:(length t)
+let latest t = if t.total = 0 then None else t.buf.((t.total - 1) mod t.cap)
 
 let value t s name =
   match Hashtbl.find_opt t.col_ids name with
@@ -124,11 +143,21 @@ let value t s name =
     end
 
 (* ------------------------------------------------------------------ *)
-(* Query layer: every query runs over the newest [n] retained samples. *)
+(* Query layer: every query runs over the newest [n] retained samples.
+   [series] resolves the column once and reads only those [n] ring
+   slots, so a query costs O(n), whatever the retained history. *)
 
 let series t name ~n =
-  List.filter_map (fun s -> match value t s name with Some v -> Some (s, v) | None -> None)
-    (window t ~n)
+  match Hashtbl.find_opt t.col_ids name with
+  | None -> []
+  | Some id ->
+    let acc = ref [] in
+    for seq = t.total - 1 downto first_of t ~n do
+      let s = slot t seq in
+      if id < Array.length s.sp_values && s.sp_values.(id) <> absent then
+        acc := (s, s.sp_values.(id)) :: !acc
+    done;
+    !acc
 
 let delta t name ~n =
   match series t name ~n with

@@ -7,7 +7,9 @@
     records a sample at every checkpoint commit
     ({!Probe.tseries_sample}) from the full metrics registry plus the
     derived signals (dirty fraction, STW, windowed enq2vis p50/p99,
-    ring-drop rate, WAF).
+    ring-drop rate, WAF).  Queries cost O(n) in their window, so the
+    per-commit sample and SLO check do not grow with the retained
+    history.
 
     Invariant checked by the crashtest sweep: sequence numbers are
     consecutive, timestamps nondecreasing, and versions strictly
@@ -41,7 +43,22 @@ val backing_bytes : t -> int
 (** [capacity * slot_bytes] — what the eternal backing PMO reserves. *)
 
 val record : t -> ts_ns:int -> version:int -> (string * int) list -> unit
-(** Append one sample; unknown column names are interned on first use. *)
+(** Append one sample; unknown column names are interned on first use.
+    On a duplicate name the later value wins. *)
+
+type layout
+(** Column ids resolved once for a fixed list of names, so a recorder
+    that writes the same columns at every sample skips the by-name
+    interning. *)
+
+val layout : t -> string array -> layout
+(** Intern [names] in order (as {!record} would). *)
+
+val record_values : t -> layout -> ts_ns:int -> version:int -> int array -> unit
+(** Append one sample whose cell for [names.(i)] of the layout is
+    [values.(i)]: the same sample {!record} makes from that list of
+    pairs, including its {!cols_dropped} count, but with no lookup by
+    name.  Allocates only the sample. *)
 
 val capacity : t -> int
 val total : t -> int
@@ -59,12 +76,16 @@ val samples : t -> sample list
 
 val latest : t -> sample option
 val window : t -> n:int -> sample list
-(** Newest [n] retained samples, oldest first. *)
+(** Newest [n] retained samples, oldest first; built from those [n] ring
+    slots only. *)
 
 val value : t -> sample -> string -> int option
 (** [None] if the column is unknown or absent in this sample. *)
 
-(** {2 Query layer} — windowed over the newest [n] samples. *)
+(** {2 Query layer} — windowed over the newest [n] samples ([n <= 0]:
+    none).  A query resolves its column once and reads only the window's
+    ring slots: it costs O(n), whatever the length of the retained
+    history. *)
 
 val series : t -> string -> n:int -> (sample * int) list
 val delta : t -> string -> n:int -> int option

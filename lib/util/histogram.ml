@@ -35,10 +35,16 @@ let bucket_index t v =
     ((octave + 1) * t.sub_buckets) + sub
   end
 
+(* The bucket [v] lands in.  It grows with [v], so every bucket a sample
+   (or a merge) ever reached lies between those of [minv] and [maxv]; the
+   buckets outside that range are untouched. *)
+let bucket_of t v =
+  let idx = bucket_index t v in
+  if idx >= Array.length t.counts then Array.length t.counts - 1 else idx
+
 let add t v =
   let v = if v < 0 then 0 else v in
-  let idx = bucket_index t v in
-  let idx = if idx >= Array.length t.counts then Array.length t.counts - 1 else idx in
+  let idx = bucket_of t v in
   t.counts.(idx) <- t.counts.(idx) + 1;
   if v > t.bucket_max.(idx) then t.bucket_max.(idx) <- v;
   if v < t.bucket_min.(idx) then t.bucket_min.(idx) <- v;
@@ -53,29 +59,44 @@ let mean t = if t.n = 0 then 0.0 else float_of_int t.sum /. float_of_int t.n
 let max_value t = t.maxv
 let min_value t = if t.n = 0 then 0 else t.minv
 
-let percentile t p =
-  if t.n = 0 then 0
+(* The percentile of the union of [hs] (all with the same bucket layout),
+   read in place: per bucket, the counts add up and the largest recorded
+   value is the largest over [hs].  One histogram is a one-slice union.
+   The scan starts at the lowest bucket holding a sample. *)
+let percentile_of (hs : t array) ~n ~maxv p =
+  if n = 0 then 0
   else begin
-    let target = int_of_float (Float.ceil (p /. 100.0 *. float_of_int t.n)) in
+    let target = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) in
     let target = if target < 1 then 1 else target in
+    let lo =
+      Array.fold_left (fun lo h -> if h.n > 0 then min lo (bucket_of h h.minv) else lo) max_int hs
+    in
     let acc = ref 0 in
-    let result = ref t.maxv in
+    let result = ref maxv in
     (try
-       for i = 0 to Array.length t.counts - 1 do
-         acc := !acc + t.counts.(i);
+       for i = lo to Array.length hs.(0).counts - 1 do
+         for j = 0 to Array.length hs - 1 do
+           acc := !acc + hs.(j).counts.(i)
+         done;
          if !acc >= target then begin
            (* Report the largest *recorded* value in the bucket rather than
               the bucket's theoretical upper bound: with few samples the
               upper bound can overstate a p99 by a whole bucket width, while
               an observed value is off by at most the spread of samples
-              actually inside the bucket. *)
-           result := t.bucket_max.(i);
+              actually inside the bucket.  An empty bucket's max is 0, so
+              the max over [hs] is the max over those that hold samples. *)
+           result := 0;
+           for j = 0 to Array.length hs - 1 do
+             if hs.(j).bucket_max.(i) > !result then result := hs.(j).bucket_max.(i)
+           done;
            raise Exit
          end
        done
      with Exit -> ());
-    if !result > t.maxv then t.maxv else !result
+    if !result > maxv then maxv else !result
   end
+
+let percentile t p = percentile_of [| t |] ~n:t.n ~maxv:t.maxv p
 
 let merge ~into src =
   if into.sub_buckets <> src.sub_buckets then
@@ -94,10 +115,15 @@ let merge ~into src =
   if src.maxv > into.maxv then into.maxv <- src.maxv;
   if src.n > 0 && src.minv < into.minv then into.minv <- src.minv
 
+(* Only the buckets between [minv]'s and [maxv]'s can hold anything. *)
 let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  Array.fill t.bucket_max 0 (Array.length t.bucket_max) 0;
-  Array.fill t.bucket_min 0 (Array.length t.bucket_min) max_int;
+  if t.n > 0 then begin
+    let lo = bucket_of t t.minv in
+    let len = bucket_of t t.maxv - lo + 1 in
+    Array.fill t.counts lo len 0;
+    Array.fill t.bucket_max lo len 0;
+    Array.fill t.bucket_min lo len max_int
+  end;
   t.n <- 0;
   t.sum <- 0;
   t.maxv <- 0;
@@ -105,14 +131,12 @@ let clear t =
 
 (* A windowed histogram is a ring of [slices] plain histograms: samples land
    in the current slice, [rotate] retires the oldest slice, and every query
-   runs against the {!merge} of the retained slices.  This is the
+   reads the retained slices in place, as if they were merged.  This is the
    percentile-over-time primitive: rotate once per sampling interval and the
    window decays in whole-interval steps, with no per-sample cost beyond a
-   plain [add]. *)
+   plain [add] and no allocation per query. *)
 module Windowed = struct
   type h = t
-
-  let h_create = create
 
   type t = {
     slices : h array;
@@ -138,15 +162,14 @@ module Windowed = struct
     clear t.slices.(t.cur);
     t.rotations <- t.rotations + 1
 
-  let merged t =
-    let into = h_create ~sub_buckets:t.slices.(0).sub_buckets () in
-    Array.iter (fun h -> merge ~into h) t.slices;
-    into
-
   let count t = Array.fold_left (fun acc h -> acc + h.n) 0 t.slices
-  let percentile t p = percentile (merged t) p
-  let mean t = mean (merged t)
   let max_value t = Array.fold_left (fun acc h -> Stdlib.max acc h.maxv) 0 t.slices
+  let percentile t p = percentile_of t.slices ~n:(count t) ~maxv:(max_value t) p
+
+  let mean t =
+    let n = count t in
+    if n = 0 then 0.0
+    else float_of_int (Array.fold_left (fun acc h -> acc + h.sum) 0 t.slices) /. float_of_int n
 
   let clear t =
     Array.iter clear t.slices;

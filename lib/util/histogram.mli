@@ -49,10 +49,11 @@ val clear : t -> unit
     A ring of [slices] plain histograms: {!Windowed.add} lands in the
     current slice and {!Windowed.rotate} retires the oldest slice, so the
     window decays in whole-slice steps (rotate once per sampling interval
-    for an N-interval sliding window).  Queries run against the exact
-    {!merge} of the retained slices, so a windowed percentile equals the
-    percentile of a plain histogram that had observed only the retained
-    samples. *)
+    for an N-interval sliding window).  Queries read the retained slices
+    in place, bucket by bucket, and allocate nothing: a windowed count,
+    mean, max or percentile equals that of a plain histogram that had
+    observed only the retained samples.  A percentile costs one pass over
+    the buckets up to the one holding it, times the slice count. *)
 module Windowed : sig
   type h = t
   type t
@@ -63,9 +64,6 @@ module Windowed : sig
   val add : t -> int -> unit
   val rotate : t -> unit
   (** Advance the window: clear and reuse the oldest slice. *)
-
-  val merged : t -> h
-  (** Fresh histogram equal to the merge of all retained slices. *)
 
   val current : t -> h
   (** The slice receiving new samples (samples since the last [rotate]). *)

@@ -357,7 +357,7 @@ let trace_survives_crash () =
     Kv_app.set_i app i
   done;
   ignore (System.checkpoint sys);
-  Probe.instant (System.obs sys) ~args:[ ("witness", "42") ] "test.pre_crash_marker";
+  Probe.instant (System.obs sys) ~args:(fun () -> [ ("witness", "42") ]) "test.pre_crash_marker";
   ignore (System.crash_and_recover sys);
   Kv_app.refresh app;
   let tr = System.trace sys in
@@ -512,7 +512,7 @@ let rto_ttfr () =
 
 let rto_flight_roundtrip () =
   let sys, app = boot_live () in
-  Probe.instant (System.obs sys) ~args:[ ("w", "1") ] "test.flight_witness";
+  Probe.instant (System.obs sys) ~args:(fun () -> [ ("w", "1") ]) "test.flight_witness";
   ignore (System.crash_and_recover sys);
   Kv_app.refresh app;
   let flight =
@@ -570,7 +570,9 @@ let rto_ring_survives_cycles () =
   let sys, app = boot_live () in
   let cycles = 3 in
   for cycle = 1 to cycles do
-    Probe.instant (System.obs sys) ~args:[ ("cycle", string_of_int cycle) ] "test.cycle_witness";
+    Probe.instant (System.obs sys)
+      ~args:(fun () -> [ ("cycle", string_of_int cycle) ])
+      "test.cycle_witness";
     ignore (System.crash_and_recover sys);
     Kv_app.refresh app;
     (* some post-recovery work so later cycles crash a different state *)
@@ -609,6 +611,84 @@ let rto_ring_survives_cycles () =
         (List.assoc_opt "cycle" e.Trace.args))
     pre
 
+(* ---- the cost of observing ---- *)
+
+(* A probe whose registry looks like a serving system's: counters, gauges
+   and timers, with [retained] black-box samples already recorded. *)
+let sampled_probe ~retained =
+  let p = Probe.create ~clock:(Treesls_sim.Clock.create ()) in
+  for i = 0 to 39 do
+    Probe.count p (Printf.sprintf "c.%02d" i) i;
+    Probe.gauge p (Printf.sprintf "g.%02d" i) (i * 3)
+  done;
+  for i = 0 to 9 do
+    for v = 1 to 50 do
+      Probe.observe p (Printf.sprintf "t.%02d_ns" i) (v * 1_000 * (i + 1))
+    done
+  done;
+  for v = 0 to retained - 1 do
+    Probe.tseries_sample p ~version:(v + 1) ~stw_ns:10_000 ~interval_ns:(Some 1_000_000)
+  done;
+  p
+
+let allocated f =
+  let b0 = Gc.allocated_bytes () in
+  f ();
+  Gc.allocated_bytes () -. b0
+
+let sample_alloc p =
+  let version = Treesls_obs.Tseries.total (Probe.tseries p) + 1 in
+  allocated (fun () ->
+      Probe.tseries_sample p ~version ~stw_ns:10_000 ~interval_ns:(Some 1_000_000))
+
+(* One black-box sample costs the same with a full 1,024-sample ring as
+   with 16 samples: queries read only their window, and the windowed
+   percentiles read the slices in place instead of merging them into a
+   fresh 768-bucket histogram. *)
+let sample_allocation_bounded () =
+  let small = sampled_probe ~retained:16 and full = sampled_probe ~retained:1_100 in
+  check_int "ring is full" 1_024 (Treesls_obs.Tseries.length (Probe.tseries full));
+  let a_small = sample_alloc small and a_full = sample_alloc full in
+  if Float.abs (a_full -. a_small) > 64.0 then
+    Alcotest.failf "a sample allocates %.0f with 1,024 retained vs %.0f with 16" a_full a_small;
+  (* the sample, its cells and the SLO rules' windows: less than one
+     histogram *)
+  let a_hist =
+    allocated (fun () -> ignore (Sys.opaque_identity (Treesls_util.Histogram.create ())))
+  in
+  if a_full >= a_hist then
+    Alcotest.failf "a sample allocates %.0f, one histogram %.0f" a_full a_hist;
+  check_int "the watchdog ran at every sample" 1_101 (Treesls_obs.Slo.checks (Probe.slo full))
+
+(* Args that fail the test if they are ever built. *)
+let must_not_build () = Alcotest.fail "args built for an event that is not recorded"
+
+let untraced_args_never_built () =
+  let p = Probe.create ~clock:(Treesls_sim.Clock.create ()) in
+  let args = must_not_build in
+  let tok = Probe.enter p ~args "off.span" in
+  check_int "no token with tracing off" 0 tok;
+  Probe.exit p ~args tok;
+  Probe.instant p ~args "off.instant";
+  Probe.span_at p ~args "off.at" ~ts_ns:0 ~dur_ns:1;
+  Probe.exit p ~args (Probe.enter_v p ~args "off.v");
+  Probe.instant_v p ~args "off.instant_v";
+  (* tracing on, verbose off: the verbose tier still builds nothing *)
+  Probe.set_tracing p true;
+  Probe.exit p ~args (Probe.enter_v p ~args "quiet.v");
+  Probe.instant_v p ~args "quiet.instant_v";
+  check_int "nothing recorded" 0 (Trace.length (Probe.trace p));
+  (* a recorded event builds its args exactly once *)
+  let built = ref 0 in
+  Probe.instant p "on.instant" ~args:(fun () ->
+      incr built;
+      [ ("k", "v") ]);
+  check_int "args built once" 1 !built;
+  match Trace.events (Probe.trace p) with
+  | [ e ] ->
+    Alcotest.(check (list (pair string string))) "args recorded" [ ("k", "v") ] e.Trace.args
+  | evs -> Alcotest.failf "expected one event, got %d" (List.length evs)
+
 let () =
   Alcotest.run "obs"
     [
@@ -639,6 +719,12 @@ let () =
           Alcotest.test_case "spans reconcile with Report" `Quick reconcile_with_report;
           Alcotest.test_case "verbose tier gating" `Quick verbose_tier;
           Alcotest.test_case "disabled tracing is free" `Quick disabled_tracing_is_free;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "sample allocation bounded by the window" `Quick
+            sample_allocation_bounded;
+          Alcotest.test_case "untraced args are never built" `Quick untraced_args_never_built;
         ] );
       ( "rto",
         [

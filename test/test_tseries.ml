@@ -106,6 +106,168 @@ let perfetto_counter_points () =
   check_int "json carries the same samples" 3
     (match samples with Some (Json.Arr l) -> List.length l | _ -> -1)
 
+(* ---- Tseries: the query layer against a list-based reference ---- *)
+
+(* The query layer as first written: lists over [Tseries.samples].  The
+   ring's in-place queries must answer exactly as these do. *)
+module Ref = struct
+  let window ts ~n =
+    let all = Tseries.samples ts in
+    let keep = min n (List.length all) in
+    let skip = List.length all - keep in
+    List.filteri (fun i _ -> i >= skip) all
+
+  let series ts name ~n =
+    List.filter_map
+      (fun s -> match Tseries.value ts s name with Some v -> Some (s, v) | None -> None)
+      (window ts ~n)
+
+  let delta ts name ~n =
+    match series ts name ~n with
+    | [] | [ _ ] -> None
+    | (_, first) :: rest ->
+      let _, last = List.nth rest (List.length rest - 1) in
+      Some (last - first)
+
+  let rate_per_s ts name ~n =
+    match series ts name ~n with
+    | [] | [ _ ] -> None
+    | (s0, v0) :: rest ->
+      let sn, vn = List.nth rest (List.length rest - 1) in
+      let dt = sn.Tseries.sp_ts_ns - s0.Tseries.sp_ts_ns in
+      if dt <= 0 then None else Some (float_of_int (vn - v0) *. 1e9 /. float_of_int dt)
+
+  let ewma ts name ~alpha =
+    match series ts name ~n:(Tseries.length ts) with
+    | [] -> None
+    | (_, v0) :: rest ->
+      Some
+        (List.fold_left
+           (fun acc (_, v) -> (alpha *. float_of_int v) +. ((1.0 -. alpha) *. acc))
+           (float_of_int v0) rest)
+
+  let percentile_over ts name ~n ~p =
+    match List.map snd (series ts name ~n) with
+    | [] -> None
+    | vs ->
+      let a = Array.of_list vs in
+      Array.sort compare a;
+      let k = Array.length a in
+      let idx = int_of_float (Float.ceil (p /. 100.0 *. float_of_int k)) - 1 in
+      let idx = if idx < 0 then 0 else if idx >= k then k - 1 else idx in
+      Some a.(idx)
+
+  let mean_over ts name ~n =
+    match List.map snd (series ts name ~n) with
+    | [] -> None
+    | vs -> Some (float_of_int (List.fold_left ( + ) 0 vs) /. float_of_int (List.length vs))
+
+  let max_over ts name ~n =
+    match List.map snd (series ts name ~n) with
+    | [] -> None
+    | v :: vs -> Some (List.fold_left max v vs)
+end
+
+let exact_float = Alcotest.(option (float 0.0))
+let seqs ss = List.map (fun s -> s.Tseries.sp_seq) ss
+
+(* Seeded rings of capacity 1-16 holding 0-3x capacity samples.  Each
+   sample sets a random subset of four columns (so cells are absent, and
+   columns appear late), sometimes a name twice (the later value wins),
+   sometimes [min_int] (stored one above, as absent is [min_int]), and
+   timestamps repeat now and then (a zero-length window has no rate).
+   [samples] is checked against a model of what was recorded; every query
+   at n in {-1, 0, 1, 2, length, capacity + 3}, on every column and an
+   unknown one, against [Ref]. *)
+let queries_match_reference () =
+  let names = [| "a"; "b"; "c"; "d" |] in
+  for seed = 1 to 300 do
+    let rng = Treesls_util.Rng.create (Int64.of_int seed) in
+    let cap = 1 + Treesls_util.Rng.int rng 16 in
+    let ts = Tseries.create ~capacity:cap () in
+    let model = ref [] (* (seq, ts_ns, version, pairs), newest first *) in
+    let now = ref 0 in
+    for i = 0 to Treesls_util.Rng.int rng ((3 * cap) + 1) - 1 do
+      if Treesls_util.Rng.int rng 4 > 0 then now := !now + 1 + Treesls_util.Rng.int rng 1_000;
+      let value () =
+        if Treesls_util.Rng.int rng 25 = 0 then min_int
+        else Treesls_util.Rng.int rng 2_001 - 1_000
+      in
+      let pairs =
+        List.concat_map
+          (fun name ->
+            match Treesls_util.Rng.int rng 6 with
+            | 0 | 1 | 2 -> []
+            | 3 -> [ (name, value ()); (name, value ()) ]
+            | _ -> [ (name, value ()) ])
+          (Array.to_list names)
+      in
+      Tseries.record ts ~ts_ns:!now ~version:(i + 1) pairs;
+      model := (i, !now, i + 1, pairs) :: !model
+    done;
+    let label what = Printf.sprintf "seed %d cap %d: %s" seed cap what in
+    (* the ring holds the newest [cap] recorded samples, cell for cell *)
+    let kept = List.filteri (fun i _ -> i < cap) !model |> List.rev in
+    Alcotest.(check (list int)) (label "retained seqs")
+      (List.map (fun (seq, _, _, _) -> seq) kept)
+      (seqs (Tseries.samples ts));
+    List.iter2
+      (fun (_, ts_ns, version, pairs) s ->
+        check_int (label "ts") ts_ns s.Tseries.sp_ts_ns;
+        check_int (label "version") version s.Tseries.sp_version;
+        Array.iter
+          (fun name ->
+            let expect =
+              List.fold_left
+                (fun acc (k, v) ->
+                  if k = name then Some (if v = min_int then v + 1 else v) else acc)
+                None pairs
+            in
+            Alcotest.(check (option int)) (label ("cell " ^ name)) expect
+              (Tseries.value ts s name))
+          names)
+      kept (Tseries.samples ts);
+    Alcotest.(check (option int)) (label "latest")
+      (match List.rev (Tseries.samples ts) with s :: _ -> Some s.Tseries.sp_seq | [] -> None)
+      (Option.map (fun s -> s.Tseries.sp_seq) (Tseries.latest ts));
+    let len = Tseries.length ts in
+    List.iter
+      (fun n ->
+        let label what = label (Printf.sprintf "n=%d %s" n what) in
+        Alcotest.(check (list int)) (label "window") (seqs (Ref.window ts ~n))
+          (seqs (Tseries.window ts ~n));
+        List.iter
+          (fun name ->
+            let label what = label (Printf.sprintf "%s(%s)" what name) in
+            Alcotest.(check (list (pair int int)))
+              (label "series")
+              (List.map (fun (s, v) -> (s.Tseries.sp_seq, v)) (Ref.series ts name ~n))
+              (List.map (fun (s, v) -> (s.Tseries.sp_seq, v)) (Tseries.series ts name ~n));
+            Alcotest.(check (option int)) (label "delta") (Ref.delta ts name ~n)
+              (Tseries.delta ts name ~n);
+            Alcotest.check exact_float (label "rate") (Ref.rate_per_s ts name ~n)
+              (Tseries.rate_per_s ts name ~n);
+            List.iter
+              (fun p ->
+                Alcotest.(check (option int))
+                  (label (Printf.sprintf "p%g" p))
+                  (Ref.percentile_over ts name ~n ~p)
+                  (Tseries.percentile_over ts name ~n ~p))
+              [ 0.0; 50.0; 99.0; 100.0 ];
+            Alcotest.check exact_float (label "mean") (Ref.mean_over ts name ~n)
+              (Tseries.mean_over ts name ~n);
+            Alcotest.(check (option int)) (label "max") (Ref.max_over ts name ~n)
+              (Tseries.max_over ts name ~n);
+            List.iter
+              (fun alpha ->
+                Alcotest.check exact_float
+                  (label (Printf.sprintf "ewma %g" alpha))
+                  (Ref.ewma ts name ~alpha) (Tseries.ewma ts name ~alpha))
+              [ 0.3; 0.5 ])
+          (Array.to_list names @ [ "unknown" ]))
+      [ -1; 0; 1; 2; len; cap + 3 ]
+  done
+
 (* ---- Slo: rule grammar and evaluation ---- *)
 
 let rule_roundtrip () =
@@ -372,6 +534,7 @@ let () =
           Alcotest.test_case "fixed column budget" `Quick fixed_column_budget;
           Alcotest.test_case "csv export" `Quick csv_export;
           Alcotest.test_case "perfetto counter points reconcile" `Quick perfetto_counter_points;
+          Alcotest.test_case "queries match the list reference" `Quick queries_match_reference;
         ] );
       ( "slo",
         [

@@ -319,14 +319,80 @@ let windowed_merge_equivalence () =
         (Printf.sprintf "p%.0f equals direct" p)
         (Histogram.percentile direct p) (W.percentile w p))
     [ 1.0; 25.0; 50.0; 75.0; 90.0; 99.0; 100.0 ];
-  (* merged returns a standalone histogram with the same view *)
-  let m = W.merged w in
-  check_int "merged count" (W.count w) (Histogram.count m);
-  check_int "merged p99" (W.percentile w 99.0) (Histogram.percentile m 99.0);
   (* the current slice holds only the newest round *)
   check_int "current slice count" per_round (Histogram.count (W.current w));
+  (* keep rotating, to four times the slice count, with every fourth
+     round empty and values from 0 (and below) to past the last bucket:
+     after each round the window still reads exactly like a histogram of
+     the last [slices] rounds *)
+  let value () =
+    match Rng.int rng 20 with
+    | 0 -> 0
+    | 1 -> -5
+    | 2 -> (1 lsl 55) + Rng.int rng 1_000
+    | _ -> Rng.int rng 1_000_000
+  in
+  let extra =
+    Array.init (4 * slices) (fun i ->
+        if i mod 4 = 2 then [||] else Array.init (1 + Rng.int rng 300) (fun _ -> value ()))
+  in
+  let all = Array.append data extra in
+  Array.iteri
+    (fun k round ->
+      let i = rounds + k in
+      W.rotate w;
+      Array.iter (W.add w) round;
+      let direct = Histogram.create () in
+      for j = i - slices + 1 to i do
+        Array.iter (Histogram.add direct) all.(j)
+      done;
+      let label what = Printf.sprintf "round %d: %s equals direct" i what in
+      check_int (label "count") (Histogram.count direct) (W.count w);
+      check_float (label "mean") (Histogram.mean direct) (W.mean w);
+      check_int (label "max") (Histogram.max_value direct) (W.max_value w);
+      List.iter
+        (fun p ->
+          check_int
+            (label (Printf.sprintf "p%g" p))
+            (Histogram.percentile direct p) (W.percentile w p))
+        [ 0.0; 1.0; 50.0; 99.0; 99.9; 100.0 ])
+    extra;
+  check_int "rotations past the slice count" (rounds - 1 + (4 * slices)) (W.rotations w);
+  (* [slices] rotations with no samples leave an empty window *)
+  for _ = 1 to slices do
+    W.rotate w
+  done;
+  check_int "empty window count" 0 (W.count w);
+  check_float "empty window mean" 0.0 (W.mean w);
+  check_int "empty window max" 0 (W.max_value w);
+  check_int "empty window p50" 0 (W.percentile w 50.0);
+  check_int "empty window p99" 0 (W.percentile w 99.0);
+  W.add w 7;
+  check_int "one sample after an empty window" 7 (W.percentile w 99.0);
   W.clear w;
   check_int "clear empties" 0 (W.count w)
+
+(* [clear] resets only the buckets between the smallest and largest
+   sample; a cleared histogram must still read like a fresh one. *)
+let clear_then_reuse () =
+  let h = Histogram.create () in
+  List.iter (Histogram.add h) [ -3; 0; 17; 5_000; 1 lsl 40; 1 lsl 60 ];
+  Histogram.clear h;
+  check_int "cleared count" 0 (Histogram.count h);
+  check_int "cleared p99" 0 (Histogram.percentile h 99.0);
+  let fresh = Histogram.create () in
+  List.iter
+    (fun v ->
+      Histogram.add h v;
+      Histogram.add fresh v)
+    [ 3; 90; 1 lsl 30 ];
+  List.iter
+    (fun p ->
+      check_int (Printf.sprintf "p%g after clear" p) (Histogram.percentile fresh p)
+        (Histogram.percentile h p))
+    [ 0.0; 34.0; 50.0; 67.0; 100.0 ];
+  check_int "min after clear" 3 (Histogram.min_value h);
+  check_int "max after clear" (1 lsl 30) (Histogram.max_value h)
 
 let windowed_decay () =
   let module W = Histogram.Windowed in
@@ -570,6 +636,7 @@ let () =
         [
           Alcotest.test_case "merge equivalence" `Quick windowed_merge_equivalence;
           Alcotest.test_case "slices decay" `Quick windowed_decay;
+          Alcotest.test_case "clear then reuse" `Quick clear_then_reuse;
         ] );
       ( "bits",
         [
