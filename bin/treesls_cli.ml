@@ -875,6 +875,8 @@ let crashtest_cmd =
           sweep.C.commit_points;
         Printf.printf "crash sites:";
         List.iter (fun (s, n) -> Printf.printf " %s=%d" s n) sweep.C.site_hits;
+        Printf.printf "\nrecovery cut by:";
+        List.iter (fun (s, n, cut) -> Printf.printf " %s=%d/%d" s cut n) (C.restore_cuts sweep);
         Printf.printf "\nschedules: %d explored (%d commit-point x phase), %d passed, %d failed\n"
           n_results sweep.C.commit_schedules sweep.C.passed
           (List.length sweep.C.failed);

@@ -186,9 +186,13 @@ let hybrid_sublist st ~new_ver entries counters =
             e.Active_list.e_idle <- e.Active_list.e_idle + 1;
             if e.Active_list.e_idle > (Active_list.config st.State.active).Active_list.idle_limit
             then begin
-              (* cold: DRAM -> NVM demotion *)
-              let nvm_page = Ckpt_page.detach_runtime_slot store pages ~pno ~latest:(Some runtime) in
+              (* cold: DRAM -> NVM demotion.  The radix names the NVM page
+                 before the record lets go of it: a cut in between finds
+                 the page still in its CPP slot, not a lost DRAM frame. *)
+              let nvm_page = Ckpt_page.demotion_target store pages ~pno ~latest:runtime in
               Kernel.remap_page kernel pmo ~pno nvm_page;
+              Crash_site.hit (State.crash_sites st) "ckpt.hybrid.demoting";
+              Ckpt_page.detach_runtime_slot store pages ~pno;
               (* back on NVM: resume copy-on-write tracking *)
               List.iter
                 (fun (pt, vpn) -> Pagetable.protect pt ~vpn)
@@ -325,14 +329,15 @@ let drain_copies st (p : Drain.pending) ~limit =
    then apply the CoW restamps and drain-saved frames, and publish.  The
    bump comes first because applying frees the backups that held N-1: a
    cut before the bump must still find them, and a cut after it finds the
-   restamp/saved records, which restore's [drain_settle] rolls forward. *)
+   restamp/saved records, which restore rolls forward ([Drain.roll_forward]). *)
 let settle_commit st (p : Drain.pending) =
   let store = Kernel.store st.State.kernel in
   commit_version st ~visited:p.Drain.p_visited;
   let meter = ref 0 in
   with_writer st "ckpt.drain" (fun () ->
       Store.with_sink store (Store.Meter meter) (fun () ->
-          Drain.apply_settle store st.State.drain ~ver:p.Drain.p_ver));
+          Drain.apply_settle st.State.drain ~ver:p.Drain.p_ver
+          |> List.iter (Store.free_page store)));
   p.Drain.p_drain_ns <- p.Drain.p_drain_ns + !meter;
   Crash_site.hit (State.crash_sites st) "ckpt.drain.settled";
   Drain.clear_pending st.State.drain;

@@ -107,24 +107,29 @@ let attach_runtime_as_backup t ~pno ~old_runtime ~new_ver =
     cp.b2 <- Some old_runtime;
     cp.b2_ver <- new_ver
 
-let detach_runtime_slot store t ~pno ~latest =
+let demotion_target store t ~pno ~latest =
+  match Radix.get t.table pno with
+  | None -> invalid_arg "Ckpt_page.demotion_target: page has no record"
+  | Some cp -> (
+    match cp.b2 with
+    | None -> invalid_arg "Ckpt_page.demotion_target: not in CPP state"
+    | Some b2_page ->
+      (* Make sure the page becoming the runtime holds the latest data:
+         copy from the DRAM runtime if b2 is not the newest backup. *)
+      if cp.b2_ver < cp.b1_ver then Store.copy_page store ~src:latest ~dst:b2_page;
+      b2_page)
+
+let detach_runtime_slot store t ~pno =
   match Radix.get t.table pno with
   | None -> invalid_arg "Ckpt_page.detach_runtime_slot: page has no record"
   | Some cp -> (
     match cp.b2 with
     | None -> invalid_arg "Ckpt_page.detach_runtime_slot: not in CPP state"
     | Some b2_page ->
-      (* Make sure the page becoming the runtime holds the latest data:
-         copy from the DRAM runtime if b2 is not the newest backup. *)
-      (if cp.b2_ver < cp.b1_ver then
-         match latest with
-         | Some src -> Store.copy_page store ~src ~dst:b2_page
-         | None -> invalid_arg "Ckpt_page.detach_runtime_slot: stale b2 and no source");
       cp.b2 <- None;
       cp.b2_ver <- 0;
       (* the page returns to the runtime role and will be modified *)
-      Store.unseal_page store b2_page;
-      b2_page)
+      Store.unseal_page store b2_page)
 
 let valid_slots cp ~global =
   let s1 = match cp.b1 with Some p when cp.b1_ver <= global && cp.b1_ver > 0 -> Some (cp.b1_ver, p) | _ -> None in
@@ -157,30 +162,21 @@ let restore_choice cp ~global ~runtime =
       match runtime with Some p when Paddr.persistent p -> `Use p | Some _ | None -> `Drop)
 
 let normalize_after_restore store cp ~keep ~runtime =
-  (* Frames the record holds besides [keep]: keep ONE NVM frame as the
-     (invalid) backup buffer so the first post-restore CoW fault skips an
-     allocation, free the rest. A superseded SSD runtime slot is released
-     outright. Deduplicate: runtime may alias a slot. *)
-  (match runtime with
-  | Some p when Paddr.is_ssd p && not (Paddr.equal p keep) -> Store.free_ssd_page store p
-  | Some _ | None -> ());
-  let held = [ cp.b1; cp.b2; runtime ] in
+  (* Of the frames the record holds besides [keep], keep ONE NVM frame
+     (the lowest) as the (invalid) backup buffer so the first post-restore
+     CoW fault skips an allocation.  The others, and a superseded SSD
+     runtime slot, are named by nothing once this returns: restore's
+     allocator reconciliation frees them.  [runtime] may alias a slot. *)
   let spares =
-    List.sort_uniq Paddr.compare
-      (List.filter_map
-         (function
-           | Some p when Paddr.is_nvm p && not (Paddr.equal p keep) -> Some p
-           | Some _ | None -> None)
-         held)
+    List.filter_map
+      (function
+        | Some p when Paddr.is_nvm p && not (Paddr.equal p keep) -> Some p
+        | Some _ | None -> None)
+      [ cp.b1; cp.b2; runtime ]
+    |> List.sort Paddr.compare
   in
-  (match spares with
-  | [] ->
-    cp.b1 <- None;
-    cp.b1_ver <- 0
-  | spare :: rest ->
-    cp.b1 <- Some spare;
-    cp.b1_ver <- 0;
-    List.iter (fun p -> Store.free_page store p) rest);
+  cp.b1 <- (match spares with p :: _ -> Some p | [] -> None);
+  cp.b1_ver <- 0;
   cp.b2 <- None;
   cp.b2_ver <- 0;
   (* [keep] becomes the runtime page again *)

@@ -28,8 +28,9 @@
     so no slot in [(k, g]] implies the content never changed after [k]).
 
     [born_ver] records the first checkpoint that includes the page: pages
-    born after [g] are dropped (and their frames freed) on restore,
-    implementing the allocator rollback of in-flight page allocations. *)
+    born after [g] are dropped on restore (their frames, named by nothing
+    any more, are freed by its allocator reconciliation), implementing the
+    allocator rollback of in-flight page allocations. *)
 
 module Paddr = Treesls_nvm.Paddr
 module Store = Treesls_nvm.Store
@@ -68,26 +69,36 @@ val attach_runtime_as_backup : t -> pno:int -> old_runtime:Paddr.t -> new_ver:in
     the latest backup ([b2], stamped [new_ver]); the caller has already
     copied its content to DRAM and remapped. *)
 
-val detach_runtime_slot : Store.t -> t -> pno:int -> latest:Paddr.t option -> Paddr.t
-(** DRAM-to-NVM migration: make [b2] hold the latest content (copying from
-    [latest] if needed), clear it to the runtime-marker state and return
-    the NVM page that must become the runtime mapping. *)
+val demotion_target : Store.t -> t -> pno:int -> latest:Paddr.t -> Paddr.t
+(** DRAM-to-NVM migration, first step: make [b2] hold the latest content
+    (copying from the DRAM runtime [latest] if [b2] is not the newest
+    backup) and return it, the NVM page the runtime mapping must move to.
+    The record still names it as [b2]. *)
+
+val detach_runtime_slot : Store.t -> t -> pno:int -> unit
+(** DRAM-to-NVM migration, last step, once the radix names the page
+    {!demotion_target} returned: clear [b2] to the runtime-marker state
+    and unseal the page.  A cut before this leaves the page in both roles,
+    which restore reads as the CPP copy it still is. *)
 
 val restore_choice : cp -> global:int -> runtime:Paddr.t option -> [ `Drop | `Use of Paddr.t ]
 (** Apply the restore rule; [runtime] is the crash-time radix entry (only
     usable if on NVM). [`Drop] means the page was born after [global]. *)
 
 val normalize_after_restore : Store.t -> cp -> keep:Paddr.t -> runtime:Paddr.t option -> unit
-(** After restore adopted [keep] as the runtime page: free every other
-    frame held by the record and reset it to the CP state (no valid
-    backups). *)
+(** After restore adopted [keep] as the runtime page: reset the record to
+    the CP state (no valid backups), keeping one other NVM frame it held
+    as the spare [b1].  Frees nothing: the frames it lets go of are named
+    by nothing, and restore's allocator reconciliation frees them. *)
 
 val remove : t -> pno:int -> unit
-(** Drop a page's record (page born after the restored version). *)
+(** Drop a page's record (page born after the restored version); its
+    frames are left to restore's allocator reconciliation. *)
 
 val backup_frames : t -> int
 (** Number of NVM frames currently held as backups (checkpoint size). *)
 
 val free_all : Store.t -> t -> runtime_of:(int -> Paddr.t option) -> unit
-(** Free all backup frames and all NVM runtime frames (PMO garbage
-    collection after its object left the checkpoint). *)
+(** Free all backup frames and every runtime frame or swap slot
+    [runtime_of] names: the commit's garbage collection of a PMO that left
+    the checkpoint.  Restore never calls it. *)

@@ -26,13 +26,13 @@
    with a power failure ([note_crash]).  The restamp and saved records and
    the saved frames are NVM-resident and survive the cut.  If it came
    after the version bump, restore redoes the settle ([roll_forward]);
-   otherwise its [drain_settle] phase frees the saved frames ([abandon] —
-   the committed ORoots reference only slots stamped at or below the
-   restore target). *)
+   otherwise its [drain_settle] phase forgets the window ([abandon] — the
+   committed ORoots reference only slots stamped at or below the restore
+   target), and the saved frames, named by nothing, fall to its allocator
+   reconciliation. *)
 
 module Kobj = Treesls_cap.Kobj
 module Paddr = Treesls_nvm.Paddr
-module Store = Treesls_nvm.Store
 
 type policy = Lazy
 
@@ -101,26 +101,32 @@ let note_saved t key cp frame = Hashtbl.replace t.saved key (cp, frame)
 let saved_frames t = Hashtbl.fold (fun _ (_, f) acc -> f :: acc) t.saved []
 
 (* Settle bookkeeping: lift the clean-at-[ver] backups to the new stamp
-   and install the drain-saved frames, freeing the slots they supersede.
-   Runs once version [ver] is committed: at settle right after the bump,
-   or in restore ([roll_forward]) when a cut fell in between.  A saved
-   frame already installed is skipped, and the record points at the new
-   frame before the old one is freed, so a pass cut short and run again
-   applies each entry once (a frame whose free the cut tore is no longer
-   referenced, and restore's allocator reconciliation reclaims it). *)
-let apply_settle store t ~ver =
+   and install the drain-saved frames, returning the slots they
+   supersede, in table order, for the caller to free.  Runs once version
+   [ver] is committed: at settle right after the bump, or in restore
+   ([roll_forward]) when a cut fell in between.  A saved frame already
+   installed is skipped, and every record points at its new frame before
+   any old one is freed, so a pass cut short and run again applies each
+   entry once (a superseded frame whose free the cut prevented is no
+   longer referenced, and restore's allocator reconciliation reclaims
+   it). *)
+let apply_settle t ~ver =
   Hashtbl.iter (fun _ (cp : Ckpt_page.cp) -> cp.Ckpt_page.b1_ver <- ver) t.restamp;
-  Hashtbl.iter
-    (fun _ ((cp : Ckpt_page.cp), frame) ->
-      let old = cp.Ckpt_page.b1 in
-      if old <> Some frame then begin
-        cp.Ckpt_page.b1 <- Some frame;
-        cp.Ckpt_page.b1_ver <- ver;
-        Option.iter (Store.free_page store) old
-      end)
-    t.saved;
+  let superseded =
+    Hashtbl.fold
+      (fun _ ((cp : Ckpt_page.cp), frame) acc ->
+        let old = cp.Ckpt_page.b1 in
+        if old = Some frame then acc
+        else begin
+          cp.Ckpt_page.b1 <- Some frame;
+          cp.Ckpt_page.b1_ver <- ver;
+          match old with Some p -> p :: acc | None -> acc
+        end)
+      t.saved []
+  in
   Hashtbl.reset t.restamp;
-  Hashtbl.reset t.saved
+  Hashtbl.reset t.saved;
+  List.rev superseded
 
 let clear_pending t =
   t.pending <- None;
@@ -137,23 +143,20 @@ let note_crash t =
 (* Restore, right after the journal replay: a window whose staged version
    is already committed (the cut fell inside its settle, after the bump)
    has its settle redone with the rest of the committed work, and is
-   forgotten.  A no-op otherwise. *)
-let roll_forward store t ~committed =
+   forgotten.  The slots it supersedes are named by nothing afterwards:
+   restore's allocator reconciliation frees them.  A no-op otherwise. *)
+let roll_forward t ~committed =
   match t.pending with
   | Some p when p.p_ver <= committed ->
-    apply_settle store t ~ver:p.p_ver;
+    ignore (apply_settle t ~ver:p.p_ver);
     clear_pending t
   | Some _ | None -> ()
 
-(* Restore's [drain_settle]: the staged version is abandoned — free the
-   drain-saved frames and forget the window.  Returns the number of
-   frames dropped (they count as rolled-back pages). *)
-let abandon store t =
-  let n = Hashtbl.length t.saved in
-  Hashtbl.iter (fun _ (_, frame) -> Store.free_page store frame) t.saved;
+(* Restore's [drain_settle]: the staged version is abandoned — forget the
+   window.  Its drain-saved frames are then named by nothing, and
+   restore's allocator reconciliation frees them with every other orphan
+   frame. *)
+let abandon t =
   Hashtbl.reset t.saved;
   Hashtbl.reset t.restamp;
-  Hashtbl.reset t.index;
-  Queue.clear t.queue;
-  t.pending <- None;
-  n
+  clear_pending t

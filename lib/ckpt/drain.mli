@@ -13,7 +13,6 @@
 
 module Kobj = Treesls_cap.Kobj
 module Paddr = Treesls_nvm.Paddr
-module Store = Treesls_nvm.Store
 
 type policy = Lazy
 (** The one drain policy: copy [drain_batch] backlog pages per drain step
@@ -67,23 +66,27 @@ val note_saved : t -> int * int -> Ckpt_page.cp -> Paddr.t -> unit
 val saved_frames : t -> Paddr.t list
 (** In-flight drain-saved frames (for the audit's allocator census). *)
 
-val apply_settle : Store.t -> t -> ver:int -> unit
-(** Apply restamps and install saved frames (freeing superseded slots).
-    Called once version [ver] is committed; a saved frame already
-    installed is skipped, so a pass cut short can simply run again. *)
+val apply_settle : t -> ver:int -> Paddr.t list
+(** Apply restamps and install saved frames; returns the backup slots the
+    saved frames superseded, for the caller to free.  Called once version
+    [ver] is committed; a saved frame already installed is skipped, and
+    every record is updated before any slot is freed, so a pass cut short
+    can simply run again. *)
 
 val clear_pending : t -> unit
 val note_crash : t -> unit
 (** Power failure: drop the volatile backlog, keep the NVM-resident
     restamp/saved records and the pending stamp for restore. *)
 
-val roll_forward : Store.t -> t -> committed:int -> unit
+val roll_forward : t -> committed:int -> unit
 (** Restore, after the journal replay: a window whose staged version is at
     most [committed] had its version bump land before the cut, so its
-    settle is redone ({!apply_settle}) and the window cleared.  A no-op
+    settle is redone ({!apply_settle}) and the window cleared; the slots
+    it supersedes are left to restore's allocator reconciliation.  A no-op
     for any other window; idempotent. *)
 
-val abandon : Store.t -> t -> int
-(** Restore's [drain_settle] phase: free the drain-saved frames of the
-    abandoned staged version and clear the window. Returns the number of
-    frames freed; idempotent. *)
+val abandon : t -> unit
+(** Restore's [drain_settle] phase: forget the abandoned staged version's
+    window (saved and restamp records, backlog, pending stamp).  Frees
+    nothing: the drain-saved frames are then named by nothing, and
+    restore's allocator reconciliation frees them.  Idempotent. *)

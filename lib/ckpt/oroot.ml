@@ -43,6 +43,11 @@ let latest_le t ~version =
   | None, (Some _ as b) -> b
   | None, None -> None
 
+let runtime_page t pno =
+  match t.runtime with
+  | Some (Treesls_cap.Kobj.Pmo p) -> Treesls_cap.Radix.get p.Treesls_cap.Kobj.pmo_radix pno
+  | Some _ | None -> None
+
 let pages_exn t =
   match t.pages with
   | Some p -> p

@@ -38,4 +38,11 @@ val at : t -> version:int -> Snapshot.t option
 val latest_le : t -> version:int -> (int * Snapshot.t) option
 (** Newest snapshot stamped [<= version]. *)
 
+val runtime_page : t -> int -> Treesls_nvm.Paddr.t option
+(** The frame page [pno] of the runtime PMO maps, read through the
+    [runtime] pointer; [None] for a hole or a non-PMO object.  At restore
+    time this is the crash-time frame (restore moves the pointer to the
+    restored object only after the swap), for live and revoked PMOs
+    alike; later it is the live one. *)
+
 val pages_exn : t -> Ckpt_page.t

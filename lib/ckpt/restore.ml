@@ -28,42 +28,21 @@ type report = {
   version : int;
 }
 
-(* Radixes of every PMO reachable in a runtime tree. At restore time the
-   crash-time tree feeds the "use the runtime page" decisions; the state
-   auditor calls the same walk on the live tree. *)
-let tree_radixes root =
-  let tbl = Hashtbl.create 64 in
-  (match root with
-  | None -> ()
-  | Some root ->
-    Kobj.iter_tree ~root (fun obj ->
-        match obj with
-        | Kobj.Pmo p -> Hashtbl.replace tbl p.Kobj.pmo_id p.Kobj.pmo_radix
-        | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Vmspace _ | Kobj.Ipc_conn _
-        | Kobj.Notification _ | Kobj.Irq_notification _ -> ()));
-  tbl
-
 (* Read-only walk over every checkpointed-page record of every ORoot alive
    at [global], reporting the restore decision each record would produce
-   against [radixes]. Shared by the restore integrity pre-pass and the
-   state auditor ("would a restore right now succeed?"). *)
-let iter_restore_choices st ~radixes ~global f =
+   against the frame its ORoot's runtime PMO maps.  Shared by the restore
+   integrity pre-pass and the state auditor ("would a restore right now
+   succeed?"). *)
+let iter_restore_choices st ~global f =
   Hashtbl.iter
     (fun oid (oroot : Oroot.t) ->
       if oroot.Oroot.first_ver <= global then
-        match oroot.Oroot.pages with
-        | None -> ()
-        | Some cps ->
-          let runtime_of pno =
-            match Hashtbl.find_opt radixes oid with
-            | Some radix -> Radix.get radix pno
-            | None -> None
-          in
-          Ckpt_page.iter
-            (fun pno cp ->
-              f ~pmo_id:oid ~pno ~cp
-                ~choice:(Ckpt_page.restore_choice cp ~global ~runtime:(runtime_of pno)))
-            cps)
+        Option.iter
+          (Ckpt_page.iter (fun pno cp ->
+               f ~pmo_id:oid ~pno ~cp
+                 ~choice:
+                   (Ckpt_page.restore_choice cp ~global ~runtime:(Oroot.runtime_page oroot pno))))
+          oroot.Oroot.pages)
     st.State.oroots
 
 let charge_restore st (snap : Snapshot.t) =
@@ -84,11 +63,27 @@ let page_check_ns store =
   let c = Store.cost store in
   int_of_float (2.0 *. c.Cost.word_copy_nvm_ns)
 
+(* Recovery in three steps, with one free path:
+   - decide: pick the checkpointed objects and, page by page, the frame
+     each restored radix maps.  Reads the crash-time frames through the
+     ORoots' runtime pointers; frees nothing and rewrites no page record;
+   - swap: the restored tree becomes the runtime tree;
+   - clean up: move the runtime pointers to the restored objects, apply
+     the page-record decisions, drop the ORoots the restored tree does not
+     reach, then free, in the allocator reconciliation, every frame and
+     swap slot nothing names any more.
+   Crash sites in every step model a power cut during recovery itself.  A
+   second [recover] after one starts over and reaches the same state: up
+   to the swap nothing it reads has changed (the abandoned drain window
+   aside, which it would forget again); after it, a record's decision is
+   the same through the restored object's radix, and the reconciliation
+   frees only blocks still allocated and named by nothing. *)
 let run_inner st =
   let crashed_kernel = st.State.kernel in
   let store = Kernel.store crashed_kernel in
   let probe = Store.probe store in
   let clock = Store.clock store in
+  let sites = Store.crash_sites store in
   let t0 = Clock.now clock in
   Probe.rto_phase_begin probe "journal_replay";
   Store.recover store;
@@ -96,18 +91,12 @@ let run_inner st =
      version is committed, so its settle is redone here with the rest of
      the committed work — before the integrity pre-pass picks the backups
      the restore will use. *)
-  Drain.roll_forward store st.State.drain ~committed:(Global_meta.version (Store.meta store));
+  Drain.roll_forward st.State.drain ~committed:(Global_meta.version (Store.meta store));
   Probe.rto_phase_end probe;
-  (* Crash sites here model a power cut during recovery itself.  Only the
-     read-only prefix carries sites: journal replay and the integrity
-     pre-pass are idempotent, so a second [recover] after a crash at either
-     site simply starts over.  The mutating tail (oroot removal, page
-     frees) is not re-entrant and stays site-free. *)
-  Crash_site.hit (Store.crash_sites store) "restore.begin";
+  Crash_site.hit sites "restore.begin";
   Probe.rto_phase_begin probe "meta_validate";
   let g = Global_meta.version (Store.meta store) in
   if g = 0 then raise No_checkpoint;
-  let radixes = tree_radixes st.State.crashed_root in
   (* Integrity pre-pass (paper section 8): verify every sealed backup that
      the restore would use BEFORE mutating anything, so a detected
      corruption leaves the store untouched — the caller can repair the
@@ -116,96 +105,45 @@ let run_inner st =
      raise.  Keyed on the seal table, not the checksum switch: pages
      sealed before checksums were turned off are still checked. *)
   if Store.sealed_pages store > 0 then
-    iter_restore_choices st ~radixes ~global:g (fun ~pmo_id ~pno ~cp:_ ~choice ->
+    iter_restore_choices st ~global:g (fun ~pmo_id ~pno ~cp:_ ~choice ->
         match choice with
         | `Use keep when not (Store.verify_page store keep) ->
           raise (Corrupt_backup { pmo_id; pno; paddr = keep })
         | `Use _ | `Drop -> ());
   Probe.rto_phase_end probe;
-  Crash_site.hit (Store.crash_sites store) "restore.precheck";
+  Crash_site.hit sites "restore.precheck";
   (* A crash mid-drain abandoned a staged version: its DRAM backlog died
-     with the power and its CoW restamps are moot, but the drain-saved NVM
-     frames survived and are referenced by nothing at or below [g] — free
-     them here, before the allocator reconciliation counts claims.
-     Idempotent (the tables empty on the first pass), so a crash during
-     recovery itself replays it safely. *)
+     with the power and its CoW restamps are moot.  Forget the window; its
+     drain-saved frames are referenced by nothing at or below [g]. *)
   Probe.rto_phase_begin probe "drain_settle";
-  let drain_dropped = Drain.abandon store st.State.drain in
+  Drain.abandon st.State.drain;
   Probe.rto_phase_end probe;
   Probe.rto_phase_begin probe "oroot_select";
-  (* PMO ids known to the checkpoint manager before any rollback: pages of
-     any other PMO found in the crashed tree are in-flight allocations. *)
-  let known_pmos = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun oid (o : Oroot.t) -> if o.Oroot.kind = Kobj.Pmo_k then Hashtbl.replace known_pmos oid ())
-    st.State.oroots;
-  (* Select the objects that belong to checkpoint [g]; mutating a table
-     during iteration is undefined, so removals are collected first. *)
-  let live = ref [] and dropped = ref 0 and to_drop = ref [] in
-  Hashtbl.iter
-    (fun oid (oroot : Oroot.t) ->
-      if oroot.Oroot.first_ver > g then begin
-        (* Born inside an uncommitted checkpoint: roll back. *)
-        incr dropped;
-        (match oroot.Oroot.pages with
-        | Some pages ->
-          let runtime_of pno =
-            match Hashtbl.find_opt radixes oid with
-            | Some radix -> Radix.get radix pno
-            | None -> None
-          in
-          Ckpt_page.free_all store pages ~runtime_of
-        | None -> ());
-        to_drop := oid :: !to_drop
-      end
-      else
+  (* The objects of checkpoint [g]: every ORoot with a snapshot at or
+     below it.  The rest (born inside an uncommitted checkpoint, so every
+     snapshot they hold is stamped above [g]) are not materialised, and
+     the dead-ORoot GC after the swap drops them. *)
+  let live =
+    Hashtbl.fold
+      (fun oid oroot acc ->
         match Oroot.latest_le oroot ~version:g with
-        | Some (_, snap) -> live := (oid, oroot, snap) :: !live
-        | None ->
-          incr dropped;
-          to_drop := oid :: !to_drop)
-    st.State.oroots;
-  List.iter (Hashtbl.remove st.State.oroots) !to_drop;
+        | Some (_, snap) -> (oid, oroot, snap) :: acc
+        | None -> acc)
+      st.State.oroots []
+  in
   Probe.rto_phase_end probe;
-  (* Phase 1: materialise bare objects with their original ids. *)
+  Crash_site.hit sites "restore.selected";
+  (* Materialise bare objects with their original ids.  A normal PMO's
+     radix takes the frame each page record's restore rule picks; the
+     records themselves are rewritten only after the swap ([kept],
+     [unborn]). *)
   let stubs : (int, Kobj.t) Hashtbl.t = Hashtbl.create 256 in
-  let pages_restored = ref 0 and pages_dropped = ref drain_dropped in
-  (* Roll back page allocations of PMOs the checkpoint never saw (created
-     after the last commit): the paper's comparison of the crash-time
-     state against the checkpoint's state (§3, step 7). *)
-  Probe.rto_phase_begin probe "page_remap";
-  Hashtbl.iter
-    (fun pmo_id radix ->
-      if not (Hashtbl.mem known_pmos pmo_id) then
-        Radix.iter
-          (fun _ paddr ->
-            if Paddr.is_nvm paddr then begin
-              Store.free_page store paddr;
-              incr pages_dropped
-            end
-            else if Paddr.is_ssd paddr then begin
-              Store.free_ssd_page store paddr;
-              incr pages_dropped
-            end)
-          radix)
-    radixes;
-  Probe.rto_phase_end probe;
+  let pages_restored = ref 0 and kept = ref [] and unborn = ref [] in
   Probe.rto_phase_begin probe "materialize";
   List.iter
     (fun (oid, (oroot : Oroot.t), snap) ->
       let t_obj = Clock.now clock in
       charge_restore st snap;
-      (* Roll back walk state staged by an uncommitted checkpoint: snapshot
-         slots and last-seen stamps above [g] must not survive the restore,
-         or a later checkpoint of the same version would find its slot
-         already taken by a stale image. *)
-      (match oroot.Oroot.slot_a with
-      | Some (v, _) when v > g -> oroot.Oroot.slot_a <- None
-      | Some _ | None -> ());
-      (match oroot.Oroot.slot_b with
-      | Some (v, _) when v > g -> oroot.Oroot.slot_b <- None
-      | Some _ | None -> ());
-      if oroot.Oroot.last_seen_ver > g then oroot.Oroot.last_seen_ver <- g;
       let obj =
         match snap with
         | Snapshot.S_cap_group { name; _ } -> Kobj.Cap_group (Kobj.make_cap_group ~id:oid ~name)
@@ -228,51 +166,17 @@ let run_inner st =
                phase, subtracted from [materialize]'s exclusive time *)
             Probe.rto_phase_begin probe "page_remap";
             let cps = Oroot.pages_exn oroot in
-            let runtime_of pno =
-              match Hashtbl.find_opt radixes oid with
-              | Some radix -> Radix.get radix pno
-              | None -> None
-            in
-            let to_remove = ref [] in
             Ckpt_page.iter
               (fun pno cp ->
                 Store.charge store (page_check_ns store);
-                let runtime = runtime_of pno in
+                let runtime = Oroot.runtime_page oroot pno in
                 match Ckpt_page.restore_choice cp ~global:g ~runtime with
                 | `Use keep ->
                   Radix.set pmo.Kobj.pmo_radix pno keep;
-                  Ckpt_page.normalize_after_restore store cp ~keep ~runtime;
+                  kept := (cp, keep, runtime) :: !kept;
                   incr pages_restored
-                | `Drop ->
-                  incr pages_dropped;
-                  (match runtime with
-                  | Some p when Paddr.is_nvm p -> Store.free_page store p
-                  | Some p when Paddr.is_ssd p -> Store.free_ssd_page store p
-                  | Some _ | None -> ());
-                  (match cp.Ckpt_page.b1 with
-                  | Some p when Paddr.is_nvm p -> Store.free_page store p
-                  | Some _ | None -> ());
-                  (match cp.Ckpt_page.b2 with
-                  | Some p when Paddr.is_nvm p -> Store.free_page store p
-                  | Some _ | None -> ());
-                  to_remove := pno :: !to_remove)
+                | `Drop -> unborn := (cps, pno) :: !unborn)
               cps;
-            (* Runtime pages allocated after the last walk have no CP
-               record at all: roll their frames back too. Records of the
-               dropped pnos above are still in place here on purpose —
-               removing them first would make this sweep free the same
-               runtime frame a second time. *)
-            (match Hashtbl.find_opt radixes oid with
-            | Some radix ->
-              Radix.iter
-                (fun pno p ->
-                  if Ckpt_page.find cps pno = None && Paddr.is_nvm p then begin
-                    Store.free_page store p;
-                    incr pages_dropped
-                  end)
-                radix
-            | None -> ());
-            List.iter (fun pno -> Ckpt_page.remove cps ~pno) !to_remove;
             Probe.rto_phase_end probe;
             Kobj.Pmo pmo)
         | Snapshot.S_ipc { calls; _ } ->
@@ -289,18 +193,15 @@ let run_inner st =
           irq.Kobj.irq_pending <- pending;
           Kobj.Irq_notification irq
       in
-      (* Point the ORoot's runtime at the restored object: the crashed
-         object is gone, and a later dead-ORoot GC reads frames through
-         this pointer. *)
-      oroot.Oroot.runtime <- Some obj;
       Hashtbl.replace stubs oid obj;
       let dt = Clock.now clock - t_obj in
       Probe.rto_note_kind probe (Kobj.kind_name (Kobj.kind obj)) dt;
-      Stats.add (State.obj_cost st (Kobj.kind obj)).State.restore (float_of_int dt))
-    !live;
+      Stats.add (State.obj_cost st (Kobj.kind obj)).State.restore (float_of_int dt);
+      Crash_site.hit sites "restore.materialized")
+    live;
   Probe.rto_phase_end probe;
   Probe.rto_phase_begin probe "captree_rebuild";
-  (* Phase 2: stitch references by object id. *)
+  (* Stitch references by object id. *)
   let find_stub oid = Hashtbl.find_opt stubs oid in
   List.iter
     (fun (oid, _oroot, snap) ->
@@ -330,7 +231,7 @@ let run_inner st =
         | Some _ | None -> ())
       | (Snapshot.S_thread _ | Snapshot.S_pmo _ | Snapshot.S_notif _ | Snapshot.S_irq _), _ -> ()
       | _, _ -> ())
-    !live;
+    live;
   (* Adopt the restored tree. *)
   let root =
     match find_stub st.State.root_id with
@@ -360,29 +261,59 @@ let run_inner st =
   in
   st.State.kernel <- kernel;
   st.State.live_tree <- Some tree;
-  st.State.crashed_root <- None;
   Active_list.clear st.State.active;
   Hashtbl.reset st.State.pending_fresh;
   Probe.rto_phase_end probe;
+  Crash_site.hit sites "restore.swapped";
   Probe.rto_phase_begin probe "oroot_gc";
-  (* Redo the dead-ORoot GC the crash may have interrupted: a crash between
-     the version bump and [gc_dead_oroots] leaves ORoots of objects deleted
-     before [g] in the table, where they would shadow recycled ids and pin
-     their frames forever. Reachability from the restored root is the same
-     test the committed walk would have applied. *)
-  dropped := !dropped + State.gc_dead_oroots st ~live:(Live_tree.live tree);
+  List.iter
+    (fun (oid, (oroot : Oroot.t), _) ->
+      (* Roll back walk state staged by an uncommitted checkpoint: snapshot
+         slots and last-seen stamps above [g] must not survive the restore,
+         or a later checkpoint of the same version would find its slot
+         already taken by a stale image. *)
+      (match oroot.Oroot.slot_a with
+      | Some (v, _) when v > g -> oroot.Oroot.slot_a <- None
+      | Some _ | None -> ());
+      (match oroot.Oroot.slot_b with
+      | Some (v, _) when v > g -> oroot.Oroot.slot_b <- None
+      | Some _ | None -> ());
+      if oroot.Oroot.last_seen_ver > g then oroot.Oroot.last_seen_ver <- g;
+      (* The crashed object is gone: the runtime pointer names the
+         restored one, whose radix maps the kept frames, before any of its
+         records is normalised below. *)
+      oroot.Oroot.runtime <- find_stub oid)
+    live;
+  List.iter
+    (fun (cp, keep, runtime) -> Ckpt_page.normalize_after_restore store cp ~keep ~runtime)
+    !kept;
+  List.iter (fun (cps, pno) -> Ckpt_page.remove cps ~pno) !unborn;
+  (* Drop every ORoot the restored tree does not reach: those of objects
+     born after [g], and — redoing the dead-ORoot GC a crash between the
+     version bump and the commit's GC interrupted — those of objects
+     deleted before [g], which would shadow recycled ids and pin their
+     frames forever. *)
+  let dropped = List.length (State.drop_dead_oroots st ~live:(Live_tree.live tree)) in
   Probe.rto_phase_end probe;
   Probe.rto_phase_begin probe "buddy_reconcile";
-  (* Final allocator reconciliation (paper section 3, step 7: compare the
-     crash-time state with the checkpoint and reclaim): free every live
-     buddy block no surviving subsystem claims. The canonical orphan is a
-     frame whose buddy-alloc transaction committed — so the journal redo
-     preserved the allocation — but which the crash cut down before any
-     radix or backup slot ever referenced it. *)
+  (* The allocator reconciliation, the one place recovery frees (paper
+     §3, step 7: compare the crash-time state with the checkpoint and
+     reclaim): free every live buddy block and every used swap slot that
+     no restored radix, backup slot or slab names.  That is everything the
+     rollback let go of — frames of objects and pages born after [g],
+     runtime frames a restored page no longer maps, superseded backups,
+     the saved frames of an abandoned drain window — plus any frame whose
+     buddy-alloc transaction committed (so the journal redo preserved the
+     allocation) but which the crash cut down before anything referenced
+     it. *)
   (* one byte per NVM page; [Bytes.set] bounds-checks every claim *)
   let claimed = Bytes.make (Store.nvm_pages_total store) '\000' in
   let claim_idx i = Bytes.set claimed i '\001' in
-  let claim p = if Paddr.is_nvm p then claim_idx p.Paddr.idx in
+  let ssd_named = Hashtbl.create 16 in
+  let claim (p : Paddr.t) =
+    if Paddr.is_nvm p then claim_idx p.Paddr.idx
+    else if Paddr.is_ssd p then Hashtbl.replace ssd_named p.Paddr.idx ()
+  in
   List.iter claim_idx (Treesls_nvm.Slab.slab_pages (Store.slab store));
   Array.iter
     (fun (e : Live_tree.entry) ->
@@ -410,18 +341,23 @@ let run_inner st =
         if Bytes.get claimed i <> '\000' then any := true
       done;
       if not !any then orphans := (offset, order) :: !orphans);
+  let pages_dropped = ref 0 in
   List.iter
     (fun (offset, order) ->
       for i = offset + 1 to offset + (1 lsl order) - 1 do
         Store.unseal_page store (Paddr.nvm i)
       done;
       Store.free_page store (Paddr.nvm offset);
-      pages_dropped := !pages_dropped + (1 lsl order))
+      pages_dropped := !pages_dropped + (1 lsl order);
+      Crash_site.hit sites "restore.reclaimed")
     !orphans;
+  pages_dropped :=
+    !pages_dropped
+    + Store.reclaim_ssd_slots store ~named:(fun p -> Hashtbl.mem ssd_named p.Paddr.idx);
   Probe.rto_phase_end probe;
   {
-    restored_objects = List.length !live;
-    dropped_objects = !dropped;
+    restored_objects = List.length live;
+    dropped_objects = dropped;
     pages_restored = !pages_restored;
     pages_dropped = !pages_dropped;
     restore_ns = Clock.now clock - t0;

@@ -1,10 +1,23 @@
 (** Whole-system restore (step 7 of Figure 5).
 
     Entry point after a power failure: replays the allocator journal,
-    rolls in-flight page allocations back, revives the backup capability
-    tree at the last committed version into a fresh runtime tree (object
-    ids preserved), rebuilds derived state (scheduler queue, empty page
-    tables) and returns the recovered kernel.
+    revives the backup capability tree at the last committed version into
+    a fresh runtime tree (object ids preserved), rebuilds derived state
+    (scheduler queue, empty page tables), reclaims what the rollback let
+    go of and returns the recovered kernel.
+
+    It runs in three steps.  {e Decide}: pick the checkpointed objects and
+    the frame each restored page maps, reading the crash-time frames
+    through each ORoot ({!Oroot.runtime_page}); nothing is freed and no
+    page record rewritten.  {e Swap}: the restored tree becomes the
+    runtime tree.  {e Clean up}: move the ORoots' runtime pointers to the
+    restored objects, normalise or drop page records, drop the ORoots the
+    restored tree does not reach, and free — in the final allocator
+    reconciliation, the one place recovery frees — every NVM block and
+    swap slot nothing names any more.  After a power cut at any of its
+    crash sites ([restore.begin], [restore.precheck], [restore.selected],
+    [restore.materialized], [restore.swapped], [restore.reclaimed]), a
+    second {!run} reaches the same state.
 
     Eternal PMOs are revived with their crash-time page frames — their
     content is deliberately {e not} rolled back (§5). *)
@@ -28,7 +41,8 @@ type report = {
   restored_objects : int;
   dropped_objects : int;  (** objects born after the restored version *)
   pages_restored : int;
-  pages_dropped : int;  (** page frames rolled back and freed *)
+  pages_dropped : int;
+      (** NVM pages and swap slots the allocator reconciliation freed *)
   restore_ns : int;  (** simulated time the whole restore took *)
   version : int;  (** the version the system was rolled back to *)
 }
@@ -36,20 +50,15 @@ type report = {
 val run : State.t -> report
 (** Recover; on success [State.kernel] is the new runtime kernel. *)
 
-(** {2 Read-only walkers}
+(** {2 Read-only walker}
 
     The restore decision logic, exposed for inspection without mutating
     anything. The state auditor ([Treesls_audit]) replays the choices the
-    restore path {e would} make against the live tree to check that every
-    frame a rollback needs exists and verifies. *)
-
-val tree_radixes :
-  Treesls_cap.Kobj.cap_group option -> (int, Treesls_nvm.Paddr.t Treesls_cap.Radix.t) Hashtbl.t
-(** PMO id -> radix for every PMO reachable from [root] (empty on [None]). *)
+    restore path {e would} make to check that every frame a rollback
+    needs exists and verifies. *)
 
 val iter_restore_choices :
   State.t ->
-  radixes:(int, Treesls_nvm.Paddr.t Treesls_cap.Radix.t) Hashtbl.t ->
   global:int ->
   (pmo_id:int ->
   pno:int ->
@@ -58,4 +67,5 @@ val iter_restore_choices :
   unit) ->
   unit
 (** Visit every checkpointed-page record of every ORoot alive at [global]
-    with the restore decision it would produce. Pure read. *)
+    with the restore decision it would produce against the frame its
+    ORoot's runtime PMO maps ({!Oroot.runtime_page}). Pure read. *)

@@ -1,7 +1,6 @@
 module Kobj = Treesls_cap.Kobj
 module Kernel = Treesls_kernel.Kernel
 module Store = Treesls_nvm.Store
-module Radix = Treesls_cap.Radix
 module Probe = Treesls_obs.Probe
 module Stats = Treesls_util.Stats
 
@@ -27,7 +26,6 @@ type t = {
   obj_costs : (Kobj.kind, obj_cost) Hashtbl.t;
   mutable ckpt_callbacks : (unit -> unit) list;
   mutable page_archive_hook : (Kobj.pmo -> int -> Treesls_nvm.Paddr.t -> unit) option;
-  mutable crashed_root : Kobj.cap_group option;
   mutable interval_ns : int option;
   mutable next_ckpt_at : int;
   mutable last_report : Report.t option;
@@ -58,7 +56,6 @@ let create kernel active_cfg features =
     obj_costs = Hashtbl.create 8;
     ckpt_callbacks = [];
     page_archive_hook = None;
-    crashed_root = None;
     interval_ns = None;
     next_ckpt_at = 0;
     last_report = None;
@@ -113,7 +110,6 @@ let obj_cost t kind =
     c
 
 let note_crash t =
-  t.crashed_root <- Some (Kernel.root t.kernel);
   Active_list.clear t.active;
   Hashtbl.reset t.pending_fresh;
   t.ckpt_callbacks <- [];
@@ -144,32 +140,30 @@ let checkpoint_bytes t =
 
 (* An ORoot is dead when its object is not in [live] (the committed walk's
    traversal, or the restored tree): nothing can roll back to a state
-   containing the object any more, so free its backup frames and its
-   runtime frames (reachable through the runtime pointer the ORoot keeps)
-   and drop it.  Every live object has an ORoot, so the table holds a dead
-   one exactly when it is larger than the live set: the sweep runs only
-   then. *)
-let gc_dead_oroots t ~live =
-  if Hashtbl.length t.oroots <= Hashtbl.length live then 0
+   containing the object any more.  Every live object has an ORoot, so
+   the table holds a dead one exactly when it is larger than the live
+   set: the sweep runs only then. *)
+let drop_dead_oroots t ~live =
+  if Hashtbl.length t.oroots <= Hashtbl.length live then []
   else begin
-    let store = Kernel.store t.kernel in
     let dead =
-      Hashtbl.fold
-        (fun oid (o : Oroot.t) acc -> if Hashtbl.mem live oid then acc else (oid, o) :: acc)
-        t.oroots []
+      Hashtbl.fold (fun oid o acc -> if Hashtbl.mem live oid then acc else o :: acc) t.oroots []
     in
-    List.iter
-      (fun (oid, (o : Oroot.t)) ->
-        (match o.Oroot.pages with
-        | Some pages ->
-          let runtime_of pno =
-            match o.Oroot.runtime with
-            | Some (Kobj.Pmo p) -> Radix.get p.Kobj.pmo_radix pno
-            | Some _ | None -> None
-          in
-          Ckpt_page.free_all store pages ~runtime_of
-        | None -> ());
-        Hashtbl.remove t.oroots oid)
-      dead;
-    List.length dead
+    List.iter (fun (o : Oroot.t) -> Hashtbl.remove t.oroots o.Oroot.obj_id) dead;
+    dead
   end
+
+(* The commit's GC: drop the dead ORoots, then free their backup frames
+   and the runtime frames their runtime pointer still reaches.  A cut
+   among the frees leaves frames named by nothing, which restore's
+   allocator reconciliation reclaims. *)
+let gc_dead_oroots t ~live =
+  let store = Kernel.store t.kernel in
+  let dead = drop_dead_oroots t ~live in
+  List.iter
+    (fun (o : Oroot.t) ->
+      Option.iter
+        (fun pages -> Ckpt_page.free_all store pages ~runtime_of:(Oroot.runtime_page o))
+        o.Oroot.pages)
+    dead;
+  List.length dead

@@ -64,9 +64,6 @@ type t = {
           page whose content belongs to the committing version — dirty
           pages being re-protected, stop-and-copied DRAM pages, and every
           page of a first-time (full) PMO checkpoint *)
-  mutable crashed_root : Kobj.cap_group option;
-      (** set by {!note_crash}: the crash-time runtime tree, whose NVM page
-          pointers the restore consults *)
   mutable interval_ns : int option;
   mutable next_ckpt_at : int;
   mutable last_report : Report.t option;
@@ -105,13 +102,20 @@ val drain_fresh : t -> Kobj.pmo -> int list
 val obj_cost : t -> Kobj.kind -> obj_cost
 
 val note_crash : t -> unit
-(** Capture the crash-time runtime tree and drop volatile state. *)
+(** Drop volatile state.  The crash-time frames stay reachable through
+    each ORoot's runtime pointer ({!Oroot.runtime_page}), which is all
+    restore reads of the crashed tree. *)
 
 val checkpoint_bytes : t -> int
 (** Current checkpoint footprint: snapshot bytes + backup page frames. *)
 
+val drop_dead_oroots : t -> live:(int, unit) Hashtbl.t -> Oroot.t list
+(** Remove every ORoot whose object is not in [live] from the table and
+    return them; frees nothing.  Restore's [oroot_gc] phase (against the
+    restored tree) stops here: the frames they held are named by nothing
+    and its allocator reconciliation frees them. *)
+
 val gc_dead_oroots : t -> live:(int, unit) Hashtbl.t -> int
-(** Free and drop every ORoot whose object is not in [live] — its backup
-    frames and the runtime frames its runtime pointer still reaches.
-    Returns the number dropped.  Run by the commit (against the walk's
-    live set) and by restore (against the restored tree). *)
+(** The commit's GC, against the walk's live set: {!drop_dead_oroots},
+    then free the dropped ORoots' backup frames and the runtime frames
+    their runtime pointer still reaches.  Returns the number dropped. *)

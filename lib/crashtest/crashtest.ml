@@ -451,7 +451,12 @@ let parse_reproducer ?(base = default_config) s =
   | [ a; b; m; pt ] -> build a b (Option.bind (kv "mode" m) mode) pt
   | _ -> None
 
-type result = { point : point; outcome : outcome; recovery : Rto.record option }
+type result = {
+  point : point;
+  outcome : outcome;
+  recovery : Rto.record option;
+  recovery_cut : bool;  (* a restore site cut the first recovery attempt *)
+}
 
 type sweep = {
   config : config;
@@ -504,6 +509,17 @@ let enumerate cfg =
   let site_hits = Crash_site.counts sites in
   { p_ops = ops; first_point; last_point; site_hits }
 
+(* Every crash site of [Restore.run], in pipeline order. *)
+let restore_sites =
+  [
+    "restore.begin";
+    "restore.precheck";
+    "restore.selected";
+    "restore.materialized";
+    "restore.swapped";
+    "restore.reclaimed";
+  ]
+
 let schedules_of_plan cfg plan =
   let commits =
     List.init (plan.last_point - plan.first_point) (fun i -> plan.first_point + 1 + i)
@@ -521,7 +537,7 @@ let schedules_of_plan cfg plan =
         plan.site_hits
       @ List.concat_map
           (fun site -> List.map (fun k -> Restore_site (site, k)) op_indices)
-          [ "restore.begin"; "restore.precheck" ]
+          restore_sites
   in
   let op_crashes = if cfg.include_op_crashes then List.map (fun k -> Op_crash k) op_indices else [] in
   commits @ sites @ op_crashes
@@ -596,6 +612,7 @@ let run_schedule ~reference cfg point =
   (* Disarm leftovers: recovery must not re-fire a stale plan. *)
   Warea.set_crash_schedule w None;
   Crash_site.reset sites;
+  let recovery_cut = ref false in
   let wear_bytes_before = Treesls_obs.Wearmap.total_bytes (System.wearmap sys) in
   let tseries_before = tseries_mark sys in
   let outcome =
@@ -608,8 +625,11 @@ let run_schedule ~reference cfg point =
         match System.recover sys with
         | _ -> Ok ()
         | exception Warea.Crashed _ when (match point with Restore_site _ -> true | _ -> false) ->
-          (* the second power cut, mid-recovery: clean up and just retry *)
+          (* the second power cut, mid-recovery: DRAM and every volatile
+             structure die again, then recovery starts over *)
           Crash_site.reset sites;
+          recovery_cut := true;
+          System.crash sys;
           (match System.recover sys with
           | _ -> Ok ()
           | exception e -> Error ("retry: " ^ Printexc.to_string e))
@@ -652,7 +672,7 @@ let run_schedule ~reference cfg point =
         else None)
       (Metrics.timer_names m)
   in
-  ({ point; outcome; recovery }, rto_timers)
+  ({ point; outcome; recovery; recovery_cut = !recovery_cut }, rto_timers)
 
 let run_one_profiled cfg point = run_schedule ~reference:(lazy (reference cfg)) cfg point
 
@@ -705,6 +725,19 @@ let run ?(progress = fun _ _ -> ()) cfg =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) rto_acc []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b);
   }
+
+(* A restore-site schedule whose site is never reached passes without a
+   second cut, having tested nothing that its [Op_crash] twin does not. *)
+let restore_cuts sweep =
+  List.map
+    (fun site ->
+      let mine =
+        List.filter
+          (fun r -> match r.point with Restore_site (s, _) -> s = site | _ -> false)
+          sweep.results
+      in
+      (site, List.length mine, List.length (List.filter (fun r -> r.recovery_cut) mine)))
+    restore_sites
 
 (* ---- shrinking -------------------------------------------------------- *)
 

@@ -69,8 +69,9 @@ type point =
       (** tear journal commit point [n] at the given phase *)
   | Site of string * int  (** crash at the [n]th hit of a named crash site *)
   | Restore_site of string * int
-      (** DRAM loss after op [k], then a second crash at the named site
-          during the recovery that follows (re-entrancy check) *)
+      (** DRAM loss after op [k], then a second power cut at the first
+          hit of the named site during the recovery that follows, then a
+          second recovery (re-entrancy check) *)
   | Op_crash of int  (** DRAM loss after op [k] *)
 
 val point_to_string : point -> string
@@ -168,7 +169,12 @@ type result = {
   recovery : Treesls_obs.Rto.record option;
       (** the victim's sealed RTO record (phase breakdown, downtime,
           pages/objects restored); [None] only when no recovery completed
-          ([Did_not_fire], [Recovery_failed]) *)
+          ([Did_not_fire], [Recovery_failed]).  After a cut during
+          recovery its crash instant is that second cut's *)
+  recovery_cut : bool;
+      (** a [Restore_site] schedule's site fired: the first recovery
+          attempt was cut, DRAM was lost again ([System.crash]) and a
+          second [System.recover] ran *)
 }
 
 val run_one_profiled : config -> point -> result * (string * Treesls_util.Histogram.t) list
@@ -189,6 +195,15 @@ type sweep = {
           per-phase), merged across all schedules without re-observing
           raw samples; query min/mean/p99 via {!Treesls_util.Histogram} *)
 }
+
+val restore_sites : string list
+(** Every crash site of [Restore.run], in pipeline order; each is swept
+    as [Restore_site (site, k)] at the sampled op indices [k]. *)
+
+val restore_cuts : sweep -> (string * int * int) list
+(** Per restore site: its schedules in the sweep and how many of them
+    actually cut the recovery ([recovery_cut]).  A site that never fires
+    passes without testing anything. *)
 
 val run : ?progress:(int -> int -> unit) -> config -> sweep
 (** The full sweep: enumerate, then inject every schedule, judging each

@@ -208,6 +208,20 @@ let swap_in t ~slot =
 
 let ssd_slots_free t = List.length t.ssd_free
 
+let reclaim_ssd_slots t ~named =
+  let keep = Bytes.make (Device.pages t.ssd) '\000' in
+  List.iter (fun i -> Bytes.set keep i '\001') t.ssd_free;
+  let n = ref 0 in
+  Bytes.iteri
+    (fun i k ->
+      let slot = Paddr.ssd i in
+      if k = '\000' && not (named slot) then begin
+        free_ssd_page t slot;
+        incr n
+      end)
+    keep;
+  !n
+
 let alloc_obj t ~size =
   charge t (t.cost.Cost.alloc_small_ns + t.cost.Cost.journal_entry_ns);
   Probe.count t.probe "nvm.alloc.objs" 1;

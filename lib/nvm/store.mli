@@ -105,6 +105,11 @@ val free_ssd_page : t -> Paddr.t -> unit
 
 val ssd_slots_free : t -> int
 
+val reclaim_ssd_slots : t -> named:(Paddr.t -> bool) -> int
+(** Restore's allocator reconciliation for the swap device: free every
+    allocated slot for which [named] is false (no restored radix names
+    it), in slot order, and return how many were freed. *)
+
 (** {2 Small objects} *)
 
 val alloc_obj : t -> size:int -> Slab.handle

@@ -96,7 +96,6 @@ let run ?wear mgr =
   let root = Kernel.root kernel in
   let reachable : (int, Kobj.t) Hashtbl.t = Hashtbl.create 256 in
   Kobj.iter_tree ~root (fun obj -> Hashtbl.replace reachable (Kobj.id obj) obj);
-  let radixes = Restore.tree_radixes (Some root) in
 
   (* The walk's cached tree must still be the tree: a stale cache would
      skip objects that joined it and let GC free ones still in it. *)
@@ -150,17 +149,6 @@ let run ?wear mgr =
     match oroot.Oroot.pages with
     | None -> ()
     | Some cps ->
-      (* Prefer the live tree's radix: ORoot.runtime is only refreshed by
-         the checkpoint walk, so right after a restore it still points at
-         the discarded crash-time object. *)
-      let runtime_radix =
-        match Hashtbl.find_opt radixes oid with
-        | Some r -> Some r
-        | None -> (
-          match oroot.Oroot.runtime with
-          | Some (Kobj.Pmo p) -> Some p.Kobj.pmo_radix
-          | Some _ | None -> None)
-      in
       Ckpt_page.iter
         (fun pno (cp : Ckpt_page.cp) ->
           incr pages_checked;
@@ -178,10 +166,7 @@ let run ?wear mgr =
           in
           nvm_only "b1" cp.Ckpt_page.b1;
           nvm_only "b2" cp.Ckpt_page.b2;
-          let runtime =
-            match runtime_radix with Some r -> Radix.get r pno | None -> None
-          in
-          match runtime with
+          match Oroot.runtime_page oroot pno with
           | Some rp when Paddr.is_dram rp ->
             if cp.Ckpt_page.b1 = None || cp.Ckpt_page.b2 = None then
               add ~paddr:rp Error "DRAM-cached page missing a CPP backup half"
@@ -193,7 +178,7 @@ let run ?wear mgr =
 
   (* Replay the restore rule: every committed page must have a source,
      and sealed sources must still verify (data reliability, paper §8). *)
-  Restore.iter_restore_choices st ~radixes ~global:g (fun ~pmo_id ~pno ~cp ~choice ->
+  Restore.iter_restore_choices st ~global:g (fun ~pmo_id ~pno ~cp ~choice ->
     match choice with
     | `Use p ->
       if Paddr.is_nvm p && not (Store.verify_page store p) then

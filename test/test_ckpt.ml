@@ -259,8 +259,10 @@ let migration_cycle () =
   cp.Ckpt_page.b1_ver <- 2;
   let dram = Option.get (Store.alloc_dram_page store) in
   write_marker store dram "DD";
-  let back = Ckpt_page.detach_runtime_slot store t ~pno:0 ~latest:(Some dram) in
+  let back = Ckpt_page.demotion_target store t ~pno:0 ~latest:dram in
   check_bool "returns the b2 frame" true (Paddr.equal back runtime);
+  check_bool "b2 kept until the radix moves" true (cp.Ckpt_page.b2 = Some runtime);
+  Ckpt_page.detach_runtime_slot store t ~pno:0;
   check_bool "b2 cleared" true (cp.Ckpt_page.b2 = None);
   check_int "b2 ver zero" 0 cp.Ckpt_page.b2_ver;
   (* b2 was newest (3 > 2): content NOT recopied, stays at runtime image *)
@@ -278,7 +280,7 @@ let detach_copies_when_stale () =
   cp.Ckpt_page.b2_ver <- 2;
   let dram = Option.get (Store.alloc_dram_page store) in
   write_marker store dram "NW";
-  let back = Ckpt_page.detach_runtime_slot store t ~pno:0 ~latest:(Some dram) in
+  let back = Ckpt_page.demotion_target store t ~pno:0 ~latest:dram in
   Alcotest.(check string) "stale b2 refreshed from runtime" "NW" (read_marker store back)
 
 let normalize_keeps_spare () =

@@ -1,8 +1,10 @@
 (* Tests for the crash-schedule explorer (lib/crashtest): clean and
-   async sweeps over eight trace seeds must pass everywhere, the settle
-   cut they once caught replays as its own case, the crash-free reference
-   the sweeps judge against agrees with crash+recover at every version,
-   and a deliberately re-introduced journal recovery bug must be caught —
+   async sweeps over eight trace seeds must pass everywhere, with every
+   restore crash site cutting some recovery; the settle and demotion cuts
+   they once caught replay as their own cases; a cut during recovery is a
+   real second power cut; the crash-free reference the sweeps judge
+   against agrees with crash+recover at every version; and a deliberately
+   re-introduced journal recovery bug must be caught —
    the acceptance demonstration that the harness actually detects real
    recovery defects. *)
 
@@ -74,11 +76,32 @@ let check_sweep (sweep : C.sweep) =
   check_int "all schedules passed" (List.length sweep.C.results) sweep.C.passed;
   check_recoveries sweep
 
+(* Every restore site must actually cut recoveries across the seeds: a
+   site that is never reached passes its schedules without testing
+   anything.  Prints how many of each site's schedules cut. *)
+let check_restore_cuts ~mode cuts =
+  List.iter
+    (fun site ->
+      let n, cut =
+        List.fold_left
+          (fun (n, cut) (s, n', cut') -> if s = site then (n + n', cut + cut') else (n, cut))
+          (0, 0) cuts
+      in
+      Printf.printf "%s: %s cut %d of %d recoveries\n" mode site cut n;
+      check_bool (Printf.sprintf "%s: %s cut a recovery" mode site) true (cut > 0))
+    C.restore_sites
+
 let clean_sweep () =
-  List.iter (fun seed -> check_sweep (C.run (sweep_config ~async:false seed))) sweep_seeds
+  List.concat_map
+    (fun seed ->
+      let sweep = C.run (sweep_config ~async:false seed) in
+      check_sweep sweep;
+      C.restore_cuts sweep)
+    sweep_seeds
+  |> check_restore_cuts ~mode:"eager"
 
 let async_sweep () =
-  List.iter
+  List.concat_map
     (fun seed ->
       let sweep = C.run (sweep_config ~async:true seed) in
       check_sweep sweep;
@@ -87,19 +110,52 @@ let async_sweep () =
         (fun site ->
           check_bool (Printf.sprintf "seed %d reached %s" seed site) true
             (List.mem_assoc site sweep.C.site_hits))
-        [ "ckpt.drain.copied"; "ckpt.drain.settled"; "ckpt.cow_fault.resolved" ])
+        [ "ckpt.drain.copied"; "ckpt.drain.settled"; "ckpt.cow_fault.resolved" ];
+      C.restore_cuts sweep)
     sweep_seeds
+  |> check_restore_cuts ~mode:"async"
+
+let pinned_schedule_passes ~async repro =
+  match C.parse_reproducer repro with
+  | None -> Alcotest.failf "reproducer did not parse: %s" repro
+  | Some (cfg, point) ->
+    check_bool "replay mode" async cfg.C.async;
+    Alcotest.(check string) repro "passed" (C.outcome_to_string (C.run_one cfg point))
 
 (* A cut at an async window's settle must recover to exactly N-1 or N.
    This schedule fails (fingerprint mismatch @v5) when the settle frees
    N-1's backups before the version bump lands. *)
 let settle_cut_regression () =
-  let repro = "seed=2;ops=240;mode=async;site:ckpt.drain.settled:3" in
-  match C.parse_reproducer repro with
-  | None -> Alcotest.failf "reproducer did not parse: %s" repro
-  | Some (cfg, point) ->
-    check_bool "replays async" true cfg.C.async;
-    Alcotest.(check string) repro "passed" (C.outcome_to_string (C.run_one cfg point))
+  pinned_schedule_passes ~async:true "seed=2;ops=240;mode=async;site:ckpt.drain.settled:3"
+
+(* Hybrid copy's DRAM-to-NVM demotion points the radix at the NVM page
+   before the page record lets go of it.  In the other order a cut
+   between the two left the radix naming the lost DRAM frame, and restore
+   fell back to an older backup: fingerprint mismatch vs reference @v22. *)
+let demotion_cut_regression () =
+  pinned_schedule_passes ~async:false "seed=42;ops=240;mode=eager;site:ckpt.hybrid.demoting:1"
+
+(* A cut during recovery is a second power cut: DRAM and every volatile
+   structure die again before recovery starts over, so the crash instant
+   the sealed recovery record carries is that second cut's, which comes
+   after the first attempt charged time for the objects it materialised.
+   A retry that skipped [System.crash] kept the first cut's instant, the
+   one the same trace's plain DRAM-loss schedule records. *)
+let recovery_cut_is_a_power_cut () =
+  let cfg = sweep_config ~async:false 42 in
+  (* a cut after op 230 leaves frames for the reconciliation to free *)
+  let k = 230 in
+  let crash_ns point =
+    match C.run_one_profiled cfg point with
+    | { C.outcome = C.Passed; recovery = Some r; _ }, _ -> r.Treesls_obs.Rto.r_crash_ns
+    | r, _ -> Alcotest.failf "%s: %s" (C.reproducer cfg point) (C.outcome_to_string r.C.outcome)
+  in
+  let first_cut = crash_ns (C.Op_crash k) in
+  List.iter
+    (fun site ->
+      check_bool (site ^ " cut the recovery again") true
+        (crash_ns (C.Restore_site (site, k)) > first_cut))
+    [ "restore.materialized"; "restore.swapped"; "restore.reclaimed" ]
 
 (* The recovered version and fingerprint of a system that replays the
    trace up to the instant version [g] commits, then crashes and
@@ -245,6 +301,9 @@ let () =
           Alcotest.test_case "clean sweep has zero failures" `Slow clean_sweep;
           Alcotest.test_case "async sweep has zero failures" `Slow async_sweep;
           Alcotest.test_case "settle cut recovers to N-1 or N" `Quick settle_cut_regression;
+          Alcotest.test_case "demotion cut recovers" `Quick demotion_cut_regression;
+          Alcotest.test_case "a cut during recovery is a power cut" `Quick
+            recovery_cut_is_a_power_cut;
           Alcotest.test_case "reference equals crash+recover at every version" `Quick
             reference_matches_crash_recover;
           Alcotest.test_case "deliberate recovery bug is caught" `Slow recovery_bug_caught;

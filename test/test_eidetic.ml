@@ -209,7 +209,13 @@ let corruption_detected_after_checksums_off () =
     check_bool "corrupt frame" true (Treesls_nvm.Paddr.equal paddr frame));
   check_int "no frame freed" free0 (Store.nvm_pages_free store);
   check_int "no ORoot dropped" oroots0 (Hashtbl.length st.State.oroots);
-  check_bool "crashed tree kept for a retry" true (st.State.crashed_root <> None)
+  (* nothing the decision read has changed: a retry meets the same frame *)
+  match System.recover sys with
+  | _ -> Alcotest.fail "retry restored from the corrupt frame"
+  | exception Restore.Corrupt_backup { pmo_id = id; pno; paddr } ->
+    check_int "retry: corrupt PMO" pmo_id id;
+    check_int "retry: corrupt page" 0 pno;
+    check_bool "retry: corrupt frame" true (Treesls_nvm.Paddr.equal paddr frame)
 
 let corruption_repaired_from_archive () =
   let sys, k, proc, vpn, pmo_id, psz = setup () in

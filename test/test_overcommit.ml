@@ -60,6 +60,26 @@ let store_ssd_survives_crash () =
 
 (* ---- kernel eviction + transparent swap-in ---- *)
 
+(* After a recovery every swap slot is free or named by exactly one page
+   of the restored tree: restore's reconciliation freed each slot the
+   rollback let go of, once, and no other. *)
+let ssd_slots_accounted sys ~total =
+  let named = Hashtbl.create 16 and twice = ref false in
+  Kobj.iter_tree ~root:(Kernel.root (System.kernel sys)) (fun obj ->
+      match obj with
+      | Kobj.Pmo p ->
+        Radix.iter
+          (fun _ (paddr : Paddr.t) ->
+            if Paddr.is_ssd paddr then begin
+              if Hashtbl.mem named paddr.Paddr.idx then twice := true;
+              Hashtbl.replace named paddr.Paddr.idx ()
+            end)
+          p.Kobj.pmo_radix
+      | _ -> ());
+  (not !twice) && Store.ssd_slots_free (System.store sys) + Hashtbl.length named = total
+
+let ssd_total sys = Store.ssd_slots_free (System.store sys)
+
 let setup () =
   let sys = System.boot () in
   let k = System.kernel sys in
@@ -94,12 +114,14 @@ let swap_in_on_read () =
 
 let swap_in_on_write_with_cow () =
   let sys, k, proc, vpn, pmo, psz = setup () in
+  let total = ssd_total sys in
   Kernel.write_bytes k proc ~vaddr:(vpn * psz) (Bytes.of_string "original");
   ignore (System.checkpoint sys);
   check_bool "evicted" true (Kernel.evict_page k pmo ~pno:0);
   (* write: swap-in + CoW backup + modification *)
   Kernel.write_bytes k proc ~vaddr:(vpn * psz) (Bytes.of_string "MODIFIED");
   let _ = System.crash_and_recover sys in
+  check_bool "swap slots free or named once" true (ssd_slots_accounted sys ~total);
   let k = System.kernel sys in
   let proc = Option.get (Kernel.find_process k ~name:"swapper") in
   Alcotest.(check string) "rollback to pre-eviction content" "original"
@@ -107,11 +129,13 @@ let swap_in_on_write_with_cow () =
 
 let evicted_page_survives_crash () =
   let sys, k, proc, vpn, pmo, psz = setup () in
+  let total = ssd_total sys in
   Kernel.write_bytes k proc ~vaddr:(vpn * psz) (Bytes.of_string "ssd-safe");
   ignore (System.checkpoint sys);
   check_bool "evicted" true (Kernel.evict_page k pmo ~pno:0);
   (* the swapped slot is now the runtime copy; crash and recover *)
   let _ = System.crash_and_recover sys in
+  check_bool "swap slots free or named once" true (ssd_slots_accounted sys ~total);
   let k = System.kernel sys in
   let proc = Option.get (Kernel.find_process k ~name:"swapper") in
   Alcotest.(check string) "content restored from the swap slot" "ssd-safe"
@@ -158,6 +182,7 @@ let prop_eviction_crash_safe =
     QCheck.(pair (int_bound 10_000) (int_range 15 60))
     (fun (seed, steps) ->
       let sys = System.boot () in
+      let total = ssd_total sys in
       let k = System.kernel sys in
       let proc = Kernel.create_process k ~name:"pages" ~threads:1 ~prio:5 in
       let npages = 5 in
@@ -198,7 +223,7 @@ let prop_eviction_crash_safe =
             if got <> expected then ok := false
           end)
         !committed;
-      !ok)
+      !ok && ssd_slots_accounted sys ~total)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_eviction_crash_safe ]
 

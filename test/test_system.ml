@@ -85,16 +85,27 @@ let loses_at_most_one_interval () =
 
 (* ---- exited process reappears when rolling back past its exit ---- *)
 
+(* The exited process's heap page was written before the checkpoint and
+   never since, so its only copy is the crash-time runtime frame, which
+   restore reads through the PMO's ORoot: the revoked PMO is no longer in
+   the crash-time tree. *)
 let exit_rolled_back () =
   let sys = System.boot () in
   let k = System.kernel sys in
   let p = Kernel.create_process k ~name:"phoenix-proc" ~threads:1 ~prio:5 in
+  let vaddr = (Kernel.grow_heap k p ~pages:1) * (Kernel.cost k).Treesls_sim.Cost.page_size in
+  Kernel.write_bytes k p ~vaddr (Bytes.of_string "hello");
   ignore (System.checkpoint sys);
   Kernel.exit_process k p;
   check_bool "gone before crash" true (Kernel.find_process k ~name:"phoenix-proc" = None);
   let _ = System.crash_and_recover sys in
   let k = System.kernel sys in
-  check_bool "resurrected by rollback" true (Kernel.find_process k ~name:"phoenix-proc" <> None)
+  match Kernel.find_process k ~name:"phoenix-proc" with
+  | None -> Alcotest.fail "not resurrected by rollback"
+  | Some p ->
+    Alcotest.(check string) "heap page restored" "hello"
+      (Bytes.to_string (Kernel.read_bytes k p ~vaddr ~len:5));
+    check_int "audit clean" 0 (Treesls_audit.Audit.errors (System.audit sys))
 
 (* ---- exited process stays gone once the exit is checkpointed ---- *)
 
