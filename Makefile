@@ -41,6 +41,7 @@ bench-fresh:
 	dune exec bench/main.exe -- --exp async_drain --smoke --audit --json-dir $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp multitenant --smoke --json-dir $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp fig10 --smoke --json-dir $(BENCH_FRESH)
+	dune exec bench/main.exe -- --exp table3 --json-dir $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp fig11 --json-dir $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp fig14 --json-dir $(BENCH_FRESH)
 

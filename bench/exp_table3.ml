@@ -4,25 +4,21 @@
    Min/Max taken across all workloads, like the paper. *)
 
 open Exp_common
-module Oc = State
+
+let merge_range (a : State.cost_range) (b : State.cost_range) =
+  { State.n = a.State.n + b.State.n; min_ns = min a.min_ns b.min_ns; max_ns = max a.max_ns b.max_ns }
 
 let run () =
   let merged : (Kobj.kind, State.obj_cost) Hashtbl.t = Hashtbl.create 8 in
   let merge kind (c : State.obj_cost) =
     match Hashtbl.find_opt merged kind with
-    | None ->
-      Hashtbl.replace merged kind
-        {
-          State.full = Stats.merge c.State.full (Stats.create ());
-          incr = Stats.merge c.State.incr (Stats.create ());
-          restore = Stats.merge c.State.restore (Stats.create ());
-        }
+    | None -> Hashtbl.replace merged kind c
     | Some acc ->
       Hashtbl.replace merged kind
         {
-          State.full = Stats.merge acc.State.full c.State.full;
-          incr = Stats.merge acc.State.incr c.State.incr;
-          restore = Stats.merge acc.State.restore c.State.restore;
+          State.full = merge_range acc.State.full c.State.full;
+          incr = merge_range acc.State.incr c.State.incr;
+          restore = merge_range acc.State.restore c.State.restore;
         }
   in
   List.iter
@@ -38,10 +34,18 @@ let run () =
       app.refresh ();
       List.iter (fun (k, c) -> merge k c) (Manager.obj_costs (System.manager sys)))
     table2_workloads;
-  (* the [_opt] accessors return None on empty samples instead of raising,
-     so an object kind some workload never restores prints "n/a" *)
-  let fmt_stat s pick =
-    match pick s with None -> "n/a" | Some v -> Printf.sprintf "%.2f" (v /. 1e3)
+  (* an object kind some workload never restores prints "n/a" *)
+  let min_max (r : State.cost_range) =
+    if r.State.n = 0 then [ "n/a"; "n/a" ]
+    else List.map (fun ns -> Printf.sprintf "%.2f" (float_of_int ns /. 1e3)) [ r.min_ns; r.max_ns ]
+  in
+  (* one BENCH row per kind: each collector's count, and its min and max
+     in ns when it has samples *)
+  let metrics_of name (r : State.cost_range) =
+    (name ^ "_n", float_of_int r.State.n)
+    ::
+    (if r.State.n = 0 then []
+     else [ (name ^ "_min_ns", float_of_int r.min_ns); (name ^ "_max_ns", float_of_int r.max_ns) ])
   in
   let rows =
     List.filter_map
@@ -49,16 +53,16 @@ let run () =
         match Hashtbl.find_opt merged kind with
         | None -> None
         | Some c ->
+          emit_row
+            ~config:[ ("object", Kobj.kind_name kind) ]
+            ~metrics:
+              (metrics_of "incr" c.State.incr
+              @ metrics_of "full" c.State.full
+              @ metrics_of "restore" c.State.restore);
           Some
-            [
-              Kobj.kind_name kind;
-              fmt_stat c.State.incr Stats.min_opt;
-              fmt_stat c.State.incr Stats.max_opt;
-              fmt_stat c.State.full Stats.min_opt;
-              fmt_stat c.State.full Stats.max_opt;
-              fmt_stat c.State.restore Stats.min_opt;
-              fmt_stat c.State.restore Stats.max_opt;
-            ])
+            ((Kobj.kind_name kind :: min_max c.State.incr)
+            @ min_max c.State.full
+            @ min_max c.State.restore))
       Kobj.all_kinds
   in
   Table.print ~title:"Table 3: checkpoint/restore time of a single object (us)"

@@ -141,6 +141,15 @@ let bechamel_tests () =
             sample ()
           done;
           sample));
+    Test.make ~name:"restore-16-tenants"
+      (Staged.stage
+         (* one power cut and recovery of a 16-tenant KV system checkpointed
+            once; the serve service rebinds the tenants inside each recover *)
+         (let module Serve = Treesls_serve.Serve in
+          let s = boot () in
+          ignore (Serve.create s { Serve.default_cfg with Serve.tenants = 16 });
+          ignore (System.checkpoint s);
+          fun () -> ignore (System.crash_and_recover s)));
   ]
 
 let run_bechamel () =

@@ -205,11 +205,11 @@ let caps_count g = g.cg_used
 let slots_len g = Array.length g.cg_slots
 
 let iter_tree ~root f =
-  let seen = Hashtbl.create 256 in
+  let seen = Treesls_util.Int_tbl.create 256 in
   let rec visit obj =
     let oid = id obj in
-    if not (Hashtbl.mem seen oid) then begin
-      Hashtbl.add seen oid ();
+    if not (Treesls_util.Int_tbl.mem seen oid) then begin
+      Treesls_util.Int_tbl.add seen oid ();
       f obj;
       match obj with
       | Cap_group g -> iter_caps (fun _ c -> visit c.target) g

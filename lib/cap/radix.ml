@@ -1,101 +1,112 @@
 let bits = 6
 let fanout = 1 lsl bits
+let mask = fanout - 1
 
-type 'a slot = Empty | Leaf of 'a | Node of 'a node
-and 'a node = { slots : 'a slot array }
+(* A node is its slot array.  Interior nodes and the leaf nodes under them
+   are [fanout] wide; a height-0 root is only as wide as the power of two
+   above its largest key, so the many radixes that hold a handful of low
+   keys (most PMO page maps and page-record tables) cost a few words, and
+   walking them visits no run of empty slots. *)
+type 'a slot = Empty | Leaf of 'a | Node of 'a slot array
 
 type 'a t = {
-  mutable root : 'a node;
+  mutable root : 'a slot array;
   mutable height : int; (* levels below the root; 0 = root slots are leaves *)
   mutable cardinal : int;
   mutable nodes : int;
 }
 
-let new_node () = { slots = Array.make fanout Empty }
-
-let create () = { root = new_node (); height = 0; cardinal = 0; nodes = 1 }
+let create () = { root = [||]; height = 0; cardinal = 0; nodes = 1 }
 
 (* Max key representable with the current height. *)
 let capacity t = 1 lsl (bits * (t.height + 1))
 
+(* Widen a height-0 root in place to the power of two above [key]
+   ([key < fanout], at or past its width). *)
+let widen t key =
+  let root = Array.make (Treesls_util.Bits.next_power_of_two (key + 1)) Empty in
+  Array.blit t.root 0 root 0 (Array.length t.root);
+  t.root <- root
+
+(* Only a full-width root moves down a level. *)
 let grow t =
-  let parent = new_node () in
-  parent.slots.(0) <- Node t.root;
+  if t.height = 0 && Array.length t.root < fanout then widen t mask;
+  let parent = Array.make fanout Empty in
+  parent.(0) <- Node t.root;
   t.root <- parent;
   t.height <- t.height + 1;
   t.nodes <- t.nodes + 1
 
-let rec find_slot node level key =
-  let idx = (key lsr (bits * level)) land (fanout - 1) in
-  if level = 0 then (node, idx)
+(* The level-0 node on [key]'s path, or [[||]] when the path is absent. *)
+let rec leaves slots level key =
+  if level = 0 then slots
   else
-    match node.slots.(idx) with
-    | Node child -> find_slot child (level - 1) key
-    | Empty | Leaf _ -> (node, -1) (* path absent *)
+    match slots.((key lsr (bits * level)) land mask) with
+    | Node child -> leaves child (level - 1) key
+    | Empty | Leaf _ -> [||]
 
 let get t key =
   if key < 0 then invalid_arg "Radix.get: negative key";
   if key >= capacity t then None
   else
-    let node, idx = find_slot t.root t.height key in
-    if idx < 0 then None
-    else match node.slots.(idx) with Leaf v -> Some v | Empty | Node _ -> None
+    let slots = leaves t.root t.height key and idx = key land mask in
+    if idx >= Array.length slots then None
+    else match slots.(idx) with Leaf v -> Some v | Empty | Node _ -> None
 
 let mem t key = get t key <> None
+
+let rec set_in t slots level key v =
+  let idx = (key lsr (bits * level)) land mask in
+  if level = 0 then begin
+    (match slots.(idx) with
+    | Leaf _ -> ()
+    | Empty -> t.cardinal <- t.cardinal + 1
+    | Node _ -> invalid_arg "Radix.set: interior collision");
+    slots.(idx) <- Leaf v
+  end
+  else begin
+    let child =
+      match slots.(idx) with
+      | Node c -> c
+      | Empty ->
+        let c = Array.make fanout Empty in
+        slots.(idx) <- Node c;
+        t.nodes <- t.nodes + 1;
+        c
+      | Leaf _ -> invalid_arg "Radix.set: leaf collision"
+    in
+    set_in t child (level - 1) key v
+  end
 
 let set t key v =
   if key < 0 then invalid_arg "Radix.set: negative key";
   while key >= capacity t do
     grow t
   done;
-  let rec descend node level =
-    let idx = (key lsr (bits * level)) land (fanout - 1) in
-    if level = 0 then begin
-      (match node.slots.(idx) with
-      | Leaf _ -> ()
-      | Empty -> t.cardinal <- t.cardinal + 1
-      | Node _ -> invalid_arg "Radix.set: interior collision");
-      node.slots.(idx) <- Leaf v
-    end
-    else begin
-      let child =
-        match node.slots.(idx) with
-        | Node c -> c
-        | Empty ->
-          let c = new_node () in
-          node.slots.(idx) <- Node c;
-          t.nodes <- t.nodes + 1;
-          c
-        | Leaf _ -> invalid_arg "Radix.set: leaf collision"
-      in
-      descend child (level - 1)
-    end
-  in
-  descend t.root t.height
+  if t.height = 0 && key >= Array.length t.root then widen t key;
+  set_in t t.root t.height key v
 
 let remove t key =
   if key < 0 then invalid_arg "Radix.remove: negative key";
   if key < capacity t then begin
-    let node, idx = find_slot t.root t.height key in
-    if idx >= 0 then
-      match node.slots.(idx) with
+    let slots = leaves t.root t.height key and idx = key land mask in
+    if idx < Array.length slots then
+      match slots.(idx) with
       | Leaf _ ->
-        node.slots.(idx) <- Empty;
+        slots.(idx) <- Empty;
         t.cardinal <- t.cardinal - 1
       | Empty | Node _ -> ()
   end
 
-let iter f t =
-  let rec walk node level prefix =
-    Array.iteri
-      (fun i slot ->
-        match slot with
-        | Empty -> ()
-        | Leaf v -> f ((prefix lsl bits) lor i) v
-        | Node child -> walk child (level - 1) ((prefix lsl bits) lor i))
-      node.slots
-  in
-  walk t.root t.height 0
+let rec iter_slots f slots prefix =
+  for i = 0 to Array.length slots - 1 do
+    match slots.(i) with
+    | Empty -> ()
+    | Leaf v -> f ((prefix lsl bits) lor i) v
+    | Node child -> iter_slots f child ((prefix lsl bits) lor i)
+  done
+
+let iter f t = iter_slots f t.root 0
 
 let fold f t init =
   let acc = ref init in
@@ -105,22 +116,16 @@ let fold f t init =
 let cardinal t = t.cardinal
 let node_count t = t.nodes
 
+(* Leaves are immutable: the copy shares them with the original. *)
+let rec copy_slot = function
+  | Node child -> Node (Array.map copy_slot child)
+  | (Empty | Leaf _) as s -> s
+
 let copy t =
-  let rec copy_node node =
-    let fresh = new_node () in
-    Array.iteri
-      (fun i slot ->
-        match slot with
-        | Empty -> ()
-        | Leaf v -> fresh.slots.(i) <- Leaf v
-        | Node child -> fresh.slots.(i) <- Node (copy_node child))
-      node.slots;
-    fresh
-  in
-  { root = copy_node t.root; height = t.height; cardinal = t.cardinal; nodes = t.nodes }
+  { root = Array.map copy_slot t.root; height = t.height; cardinal = t.cardinal; nodes = t.nodes }
 
 let clear t =
-  t.root <- new_node ();
+  t.root <- [||];
   t.height <- 0;
   t.cardinal <- 0;
   t.nodes <- 1

@@ -9,7 +9,11 @@
 type 'a t
 
 val create : unit -> 'a t
-(** 6-bit fanout (64 slots per node); height grows on demand. *)
+(** 6-bit fanout (64 slots per node); height grows on demand.  A radix
+    whose keys are all below 64 is one root node, as wide as the power of
+    two above its largest key (empty at creation); only a full-width root
+    moves down when a larger key adds a level.  The width never shows in
+    {!node_count}, which counts that root as one node. *)
 
 val get : 'a t -> int -> 'a option
 val set : 'a t -> int -> 'a -> unit

@@ -8,7 +8,6 @@ module Global_meta = Treesls_nvm.Global_meta
 module Crash_site = Treesls_nvm.Crash_site
 module Cost = Treesls_sim.Cost
 module Clock = Treesls_sim.Clock
-module Stats = Treesls_util.Stats
 module Id_gen = Treesls_cap.Id_gen
 module Probe = Treesls_obs.Probe
 module Wearmap = Treesls_obs.Wearmap
@@ -580,8 +579,8 @@ let attribute st (w : walk) =
       g_ns := !g_ns + dt;
       incr g_objs;
       add g_kinds kind dt;
-      let cost_stats = State.obj_cost st kind in
-      Stats.add (if full then cost_stats.State.full else cost_stats.State.incr) (float_of_int dt))
+      let cost = State.obj_cost st kind in
+      State.note_cost (if full then cost.State.full else cost.State.incr) dt)
     w.dirty;
   ( pairs per_kind,
     Hashtbl.fold

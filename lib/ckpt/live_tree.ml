@@ -1,5 +1,6 @@
 module Kobj = Treesls_cap.Kobj
 module Kernel = Treesls_kernel.Kernel
+module Int_tbl = Treesls_util.Int_tbl
 
 (* An edge holder as the cache last saw it.  Cap-group slots change only
    through [Kobj.install]/[install_at]/[revoke], which bump the group's
@@ -16,7 +17,7 @@ type entry = { obj : Kobj.t; mutable oroot : Oroot.t option }
 type t = {
   root : Kobj.cap_group;
   entries : entry array;
-  live : (int, unit) Hashtbl.t;
+  live : unit Int_tbl.t;
   edges : edges array;
   mutable owners : (int, string) Hashtbl.t option;  (* object id -> process name *)
   regions : (int, Region_index.t) Hashtbl.t;
@@ -31,10 +32,10 @@ let valid t ~root = t.root == root && Array.for_all unchanged t.edges
 
 let build ~root ~oroots =
   let entries = ref [] and edges = ref [] in
-  let live = Hashtbl.create 1024 in
+  let live = Int_tbl.create 1024 in
   Kobj.iter_tree ~root (fun obj ->
       let oid = Kobj.id obj in
-      Hashtbl.replace live oid ();
+      Int_tbl.replace live oid ();
       entries := { obj; oroot = Hashtbl.find_opt oroots oid } :: !entries;
       match obj with
       | Kobj.Cap_group g -> edges := Slots (g, g.Kobj.cg_gen) :: !edges

@@ -39,7 +39,7 @@ val refresh :
 val entries : t -> entry array
 (** The reachable objects in {!Treesls_cap.Kobj.iter_tree} order. *)
 
-val live : t -> (int, unit) Hashtbl.t
+val live : t -> unit Treesls_util.Int_tbl.t
 (** The ids of {!entries}: the liveness set ORoot GC tests against. Never
     mutated after the cache is built. *)
 

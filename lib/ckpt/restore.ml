@@ -7,7 +7,7 @@ module Global_meta = Treesls_nvm.Global_meta
 module Crash_site = Treesls_nvm.Crash_site
 module Cost = Treesls_sim.Cost
 module Clock = Treesls_sim.Clock
-module Stats = Treesls_util.Stats
+module Int_tbl = Treesls_util.Int_tbl
 module Probe = Treesls_obs.Probe
 
 exception No_checkpoint
@@ -137,7 +137,7 @@ let run_inner st =
      radix takes the frame each page record's restore rule picks; the
      records themselves are rewritten only after the swap ([kept],
      [unborn]). *)
-  let stubs : (int, Kobj.t) Hashtbl.t = Hashtbl.create 256 in
+  let stubs : Kobj.t Int_tbl.t = Int_tbl.create (List.length live) in
   let pages_restored = ref 0 and kept = ref [] and unborn = ref [] in
   Probe.rto_phase_begin probe "materialize";
   List.iter
@@ -193,16 +193,16 @@ let run_inner st =
           irq.Kobj.irq_pending <- pending;
           Kobj.Irq_notification irq
       in
-      Hashtbl.replace stubs oid obj;
+      Int_tbl.replace stubs oid obj;
       let dt = Clock.now clock - t_obj in
       Probe.rto_note_kind probe (Kobj.kind_name (Kobj.kind obj)) dt;
-      Stats.add (State.obj_cost st (Kobj.kind obj)).State.restore (float_of_int dt);
+      State.note_cost (State.obj_cost st (Kobj.kind obj)).State.restore dt;
       Crash_site.hit sites "restore.materialized")
     live;
   Probe.rto_phase_end probe;
   Probe.rto_phase_begin probe "captree_rebuild";
   (* Stitch references by object id. *)
-  let find_stub oid = Hashtbl.find_opt stubs oid in
+  let find_stub oid = Int_tbl.find_opt stubs oid in
   List.iter
     (fun (oid, _oroot, snap) ->
       match (snap, find_stub oid) with
@@ -254,7 +254,7 @@ let run_inner st =
   in
   (* Never hand out an id an oroot still owns, even if the persisted
      high-water mark is older than this checkpoint (pre-fix stores). *)
-  let ids_hwm = Hashtbl.fold (fun oid _ acc -> max acc oid) stubs st.State.ids_hwm in
+  let ids_hwm = Int_tbl.fold (fun oid _ acc -> max acc oid) stubs st.State.ids_hwm in
   st.State.ids_hwm <- ids_hwm;
   let kernel =
     Kernel.rebuild ~store ~ncores:(Kernel.ncores crashed_kernel) ~root ~ids_hwm ~threads

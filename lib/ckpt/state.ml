@@ -2,7 +2,7 @@ module Kobj = Treesls_cap.Kobj
 module Kernel = Treesls_kernel.Kernel
 module Store = Treesls_nvm.Store
 module Probe = Treesls_obs.Probe
-module Stats = Treesls_util.Stats
+module Int_tbl = Treesls_util.Int_tbl
 
 type level = Off | Tree | Fault | Cow | Hybrid
 
@@ -13,7 +13,8 @@ type features = {
   mutable async_drain : bool;
 }
 
-type obj_cost = { full : Stats.t; incr : Stats.t; restore : Stats.t }
+type cost_range = { mutable n : int; mutable min_ns : int; mutable max_ns : int }
+type obj_cost = { full : cost_range; incr : cost_range; restore : cost_range }
 
 type t = {
   mutable kernel : Kernel.t;
@@ -105,9 +106,15 @@ let obj_cost t kind =
   match Hashtbl.find_opt t.obj_costs kind with
   | Some c -> c
   | None ->
-    let c = { full = Stats.create (); incr = Stats.create (); restore = Stats.create () } in
+    let range () = { n = 0; min_ns = max_int; max_ns = min_int } in
+    let c = { full = range (); incr = range (); restore = range () } in
     Hashtbl.replace t.obj_costs kind c;
     c
+
+let note_cost r ns =
+  r.n <- r.n + 1;
+  r.min_ns <- min r.min_ns ns;
+  r.max_ns <- max r.max_ns ns
 
 let note_crash t =
   Active_list.clear t.active;
@@ -144,10 +151,10 @@ let checkpoint_bytes t =
    the table holds a dead one exactly when it is larger than the live
    set: the sweep runs only then. *)
 let drop_dead_oroots t ~live =
-  if Hashtbl.length t.oroots <= Hashtbl.length live then []
+  if Hashtbl.length t.oroots <= Int_tbl.length live then []
   else begin
     let dead =
-      Hashtbl.fold (fun oid o acc -> if Hashtbl.mem live oid then acc else o :: acc) t.oroots []
+      Hashtbl.fold (fun oid o acc -> if Int_tbl.mem live oid then acc else o :: acc) t.oroots []
     in
     List.iter (fun (o : Oroot.t) -> Hashtbl.remove t.oroots o.Oroot.obj_id) dead;
     dead

@@ -42,10 +42,19 @@ type features = {
           takes effect only at level [Hybrid]) *)
 }
 
+(** Count and extremes of one kind's per-object cost, in simulated ns.
+    Table 3 reports only the min and max, so no sample is kept: a
+    collector's size does not grow with the objects it measures. *)
+type cost_range = {
+  mutable n : int;  (** objects measured *)
+  mutable min_ns : int;  (** [max_int] while [n = 0] *)
+  mutable max_ns : int;  (** [min_int] while [n = 0] *)
+}
+
 type obj_cost = {
-  full : Treesls_util.Stats.t;  (** per-object full checkpoint ns *)
-  incr : Treesls_util.Stats.t;  (** per-object incremental checkpoint ns *)
-  restore : Treesls_util.Stats.t;  (** per-object restore ns *)
+  full : cost_range;  (** per-object full checkpoint *)
+  incr : cost_range;  (** per-object incremental checkpoint *)
+  restore : cost_range;  (** per-object restore *)
 }
 
 type t = {
@@ -101,6 +110,9 @@ val note_fresh_page : t -> Kobj.pmo -> int -> unit
 val drain_fresh : t -> Kobj.pmo -> int list
 val obj_cost : t -> Kobj.kind -> obj_cost
 
+val note_cost : cost_range -> int -> unit
+(** Count one object's cost (ns) into the range. *)
+
 val note_crash : t -> unit
 (** Drop volatile state.  The crash-time frames stay reachable through
     each ORoot's runtime pointer ({!Oroot.runtime_page}), which is all
@@ -109,13 +121,13 @@ val note_crash : t -> unit
 val checkpoint_bytes : t -> int
 (** Current checkpoint footprint: snapshot bytes + backup page frames. *)
 
-val drop_dead_oroots : t -> live:(int, unit) Hashtbl.t -> Oroot.t list
+val drop_dead_oroots : t -> live:unit Treesls_util.Int_tbl.t -> Oroot.t list
 (** Remove every ORoot whose object is not in [live] from the table and
     return them; frees nothing.  Restore's [oroot_gc] phase (against the
     restored tree) stops here: the frames they held are named by nothing
     and its allocator reconciliation frees them. *)
 
-val gc_dead_oroots : t -> live:(int, unit) Hashtbl.t -> int
+val gc_dead_oroots : t -> live:unit Treesls_util.Int_tbl.t -> int
 (** The commit's GC, against the walk's live set: {!drop_dead_oroots},
     then free the dropped ORoots' backup frames and the runtime frames
     their runtime pointer still reaches.  Returns the number dropped. *)

@@ -456,6 +456,7 @@ type result = {
   outcome : outcome;
   recovery : Rto.record option;
   recovery_cut : bool;  (* a restore site cut the first recovery attempt *)
+  crashes : int;  (* power cuts the victim took *)
 }
 
 type sweep = {
@@ -672,7 +673,8 @@ let run_schedule ~reference cfg point =
         else None)
       (Metrics.timer_names m)
   in
-  ({ point; outcome; recovery; recovery_cut = !recovery_cut }, rto_timers)
+  let crashes = Metrics.counter_value m "crashes" in
+  ({ point; outcome; recovery; recovery_cut = !recovery_cut; crashes }, rto_timers)
 
 let run_one_profiled cfg point = run_schedule ~reference:(lazy (reference cfg)) cfg point
 

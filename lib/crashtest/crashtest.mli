@@ -170,11 +170,15 @@ type result = {
       (** the victim's sealed RTO record (phase breakdown, downtime,
           pages/objects restored); [None] only when no recovery completed
           ([Did_not_fire], [Recovery_failed]).  After a cut during
-          recovery its crash instant is that second cut's *)
+          recovery its crash instant is still the first cut's: the
+          outage spans both attempts *)
   recovery_cut : bool;
       (** a [Restore_site] schedule's site fired: the first recovery
           attempt was cut, DRAM was lost again ([System.crash]) and a
           second [System.recover] ran *)
+  crashes : int;
+      (** power cuts the victim took (its [crashes] counter): 0 when the
+          schedule did not fire, 2 after a cut during recovery *)
 }
 
 val run_one_profiled : config -> point -> result * (string * Treesls_util.Histogram.t) list

@@ -88,16 +88,25 @@ let snapshot (t : t) =
           });
   }
 
+(* A registry timer only ever gains samples, and [reset] drops it along
+   with the readers built on it, so its p99 can change only when its count
+   does: each reader recomputes it only then. *)
+let p99_reader h =
+  let seen = ref (-1) and p99 = ref 0 in
+  fun () ->
+    let n = Histogram.count h in
+    if n <> !seen then begin
+      seen := n;
+      p99 := Histogram.percentile h 99.0
+    end;
+    !p99
+
 let columns (t : t) =
   let read r () = !r in
   List.map (fun (k, r) -> (k, read r)) (sorted_bindings t.counters Fun.id)
   @ List.map (fun (k, r) -> (k, read r)) (sorted_bindings t.gauges Fun.id)
   @ List.concat_map
-      (fun (k, h) ->
-        [
-          (k ^ ".n", fun () -> Histogram.count h);
-          (k ^ ".p99_ns", fun () -> Histogram.percentile h 99.0);
-        ])
+      (fun (k, h) -> [ (k ^ ".n", fun () -> Histogram.count h); (k ^ ".p99_ns", p99_reader h) ])
       (sorted_bindings t.timers Fun.id)
 
 let reset (t : t) =

@@ -53,7 +53,8 @@ val columns : t -> (string * (unit -> int)) list
     [NAME.n] and its p99 as [NAME.p99_ns]; each section sorted by name.
     This is what a black-box sample records ({!Probe.tseries_sample}).
     The list stays complete, and its readers live, while {!shape} does
-    not change. *)
+    not change.  A p99 reader recomputes the percentile only when its
+    timer's count has moved since its last read. *)
 
 val shape : t -> int
 (** Changes whenever a name is first used or the registry is reset, so a

@@ -65,15 +65,22 @@ type t = {
   mutable last : record option;
   mutable restores : int;
   mutable crash_ns : int;
+  mutable outage : bool; (* a crash is marked and no recovery sealed since *)
   mutable awaiting_req : bool;
 }
 
-let create () = { cur = None; last = None; restores = 0; crash_ns = -1; awaiting_req = false }
+let create () =
+  { cur = None; last = None; restores = 0; crash_ns = -1; outage = false; awaiting_req = false }
 let last t = t.last
 let count t = t.restores
 
+(* A cut during recovery is part of the outage the first cut began: its
+   instant stays the crash instant until a recovery is sealed. *)
 let note_crash t ~now =
-  t.crash_ns <- now;
+  if not t.outage then begin
+    t.crash_ns <- now;
+    t.outage <- true
+  end;
   t.awaiting_req <- false
 
 let begin_restore t ~now ~pre_crash =
@@ -179,6 +186,7 @@ let recovered t ~now =
       in
       t.cur <- None;
       t.last <- Some r;
+      t.outage <- false;
       t.awaiting_req <- true;
       Some r)
 

@@ -25,7 +25,8 @@ type phase_span = { ps_name : string; ps_t0 : int; ps_t1 : int }
 type record = {
   r_index : int;  (** 1-based count of successful recoveries *)
   r_version : int;  (** checkpoint version restored to *)
-  r_crash_ns : int;  (** crash instant; -1 if no crash was marked *)
+  r_crash_ns : int;
+      (** the outage's first crash instant; -1 if no crash was marked *)
   r_begin_ns : int;  (** [Restore.run] entry *)
   r_end_ns : int;  (** recovery sealed (services re-set-up) *)
   r_total_ns : int;  (** [r_end_ns - r_begin_ns] *)
@@ -57,8 +58,11 @@ val count : t -> int
 (** {2 Lifecycle} — driven by [Probe]'s [rto_*] wrappers. *)
 
 val note_crash : t -> now:int -> unit
-(** The crash instant (from [Probe.crash_mark]); also stops any pending
-    time-to-first-request measurement. *)
+(** A power cut (from [Probe.crash_mark]); also stops any pending
+    time-to-first-request measurement.  The first cut since the last
+    sealed recovery sets the crash instant; a cut during a recovery
+    attempt keeps it, so the sealed record's downtime and TTFR cover the
+    whole outage, failed attempts included. *)
 
 val begin_restore : t -> now:int -> pre_crash:Trace.event list -> unit
 (** Open a building profile, capturing the pre-crash ring tail.  Replaces

@@ -89,6 +89,105 @@ let radix_model_check () =
   check_int "cardinal matches model" (Hashtbl.length model) (Radix.cardinal r);
   Hashtbl.iter (fun k v -> Alcotest.(check (option int)) "value" (Some v) (Radix.get r k)) model
 
+(* A reference radix: the bindings, and every key set since the last
+   clear.  Removing a key frees no node, so the node set is fixed by the
+   keys ever set: the root chain down the leftmost edge (a grown root
+   becomes child 0 of the new one), plus every set key's path, a node at
+   [l] levels above the leaves named by the key's prefix above its own
+   [6 * (l + 1)] low bits. *)
+module Int_map = Map.Make (Int)
+
+type model = { map : int Int_map.t; touched : unit Int_map.t }
+
+let model_nodes m =
+  let top = Int_map.fold (fun k () acc -> max k acc) m.touched 0 in
+  let height = ref 0 in
+  while top >= 1 lsl (6 * (!height + 1)) do
+    incr height
+  done;
+  let nodes = Hashtbl.create 16 in
+  for l = 0 to !height do
+    Hashtbl.replace nodes (l, 0) ()
+  done;
+  Int_map.iter
+    (fun k () ->
+      for l = 0 to !height - 1 do
+        Hashtbl.replace nodes (l, k lsr (6 * (l + 1))) ()
+      done)
+    m.touched;
+  Hashtbl.length nodes
+
+let check_against name r m =
+  check_int (name ^ ": cardinal") (Int_map.cardinal m.map) (Radix.cardinal r);
+  check_int (name ^ ": node count") (model_nodes m) (Radix.node_count r);
+  Alcotest.(check (list (pair int int)))
+    (name ^ ": iter ascending") (Int_map.bindings m.map)
+    (List.rev (Radix.fold (fun k v acc -> (k, v) :: acc) r []))
+
+(* Random set/remove/get/iter/fold/copy/clear sequences against the
+   reference, keys out of order and at every width and height edge. *)
+let radix_differential () =
+  let edges = [| 0; 1; 2; 3; 7; 8; 63; 64; 65; 4095; 4096; 4097; 262_143; 262_144; 1_000_000 |] in
+  List.iter
+    (fun seed ->
+      let rng = Rng.create seed in
+      let key () =
+        match Rng.int rng 3 with
+        | 0 -> edges.(Rng.int rng (Array.length edges))
+        | 1 -> Rng.int rng 130
+        | _ -> Rng.int rng 300_000
+      in
+      let r = ref (Radix.create ()) and m = ref { map = Int_map.empty; touched = Int_map.empty } in
+      let frozen = ref [] in
+      for step = 1 to 2_000 do
+        let name = Printf.sprintf "seed %Ld step %d" seed step in
+        (match Rng.int rng 16 with
+        | 0 | 1 | 2 | 3 | 4 | 5 ->
+          let k = key () and v = Rng.int rng 1_000 in
+          Radix.set !r k v;
+          m := { map = Int_map.add k v !m.map; touched = Int_map.add k () !m.touched }
+        | 6 | 7 | 8 ->
+          let k = key () in
+          Radix.remove !r k;
+          m := { !m with map = Int_map.remove k !m.map }
+        | 9 | 10 | 11 ->
+          let k = key () in
+          Alcotest.(check (option int)) (name ^ ": get") (Int_map.find_opt k !m.map) (Radix.get !r k);
+          check_bool (name ^ ": mem") (Int_map.mem k !m.map) (Radix.mem !r k)
+        | 12 ->
+          let seen = ref [] in
+          Radix.iter (fun k v -> seen := (k, v) :: !seen) !r;
+          Alcotest.(check (list (pair int int)))
+            (name ^ ": iter") (Int_map.bindings !m.map) (List.rev !seen)
+        | 13 ->
+          check_int (name ^ ": fold") (Int_map.fold (fun k v acc -> acc + k + v) !m.map 0)
+            (Radix.fold (fun k v acc -> acc + k + v) !r 0)
+        | 14 ->
+          (* keep working on either side; the other must never change *)
+          let c = Radix.copy !r in
+          if Rng.bool rng then frozen := (c, !m) :: !frozen
+          else begin
+            frozen := (!r, !m) :: !frozen;
+            r := c
+          end
+        | _ ->
+          if Rng.int rng 4 = 0 then begin
+            Radix.clear !r;
+            m := { map = Int_map.empty; touched = Int_map.empty }
+          end);
+        check_against name !r !m
+      done;
+      List.iteri (fun i (c, cm) -> check_against (Printf.sprintf "seed %Ld copy %d" seed i) c cm)
+        !frozen)
+    [ 1L; 7L; 42L ]
+
+(* A radix holding one low key is one narrow root, not a 64-slot node. *)
+let radix_small_root () =
+  let r = Radix.create () in
+  Radix.set r 0 17;
+  let words = Obj.reachable_words (Obj.repr r) in
+  check_bool (Printf.sprintf "key 0 alone: %d words <= 16" words) true (words <= 16)
+
 (* ---- Rights ---- *)
 
 let rights_subset () =
@@ -251,6 +350,8 @@ let () =
           Alcotest.test_case "clear" `Quick radix_clear;
           Alcotest.test_case "node count grows" `Quick radix_node_count_grows;
           Alcotest.test_case "model check" `Quick radix_model_check;
+          Alcotest.test_case "differential against a map" `Quick radix_differential;
+          Alcotest.test_case "one low key, one narrow root" `Quick radix_small_root;
         ] );
       ( "rights",
         [

@@ -136,25 +136,36 @@ let demotion_cut_regression () =
   pinned_schedule_passes ~async:false "seed=42;ops=240;mode=eager;site:ckpt.hybrid.demoting:1"
 
 (* A cut during recovery is a second power cut: DRAM and every volatile
-   structure die again before recovery starts over, so the crash instant
-   the sealed recovery record carries is that second cut's, which comes
-   after the first attempt charged time for the objects it materialised.
-   A retry that skipped [System.crash] kept the first cut's instant, the
-   one the same trace's plain DRAM-loss schedule records. *)
+   structure die again before recovery starts over, so the victim takes
+   two crashes (a retry that skipped [System.crash] took one).  Both
+   belong to one outage: the sealed record keeps the first cut's
+   instant, the one the same trace's plain DRAM-loss schedule records,
+   and its downtime runs from there, across the failed attempt, to the
+   end of the attempt that succeeded. *)
 let recovery_cut_is_a_power_cut () =
+  let module Rto = Treesls_obs.Rto in
   let cfg = sweep_config ~async:false 42 in
   (* a cut after op 230 leaves frames for the reconciliation to free *)
   let k = 230 in
-  let crash_ns point =
+  let run point =
     match C.run_one_profiled cfg point with
-    | { C.outcome = C.Passed; recovery = Some r; _ }, _ -> r.Treesls_obs.Rto.r_crash_ns
-    | r, _ -> Alcotest.failf "%s: %s" (C.reproducer cfg point) (C.outcome_to_string r.C.outcome)
+    | ({ C.outcome = C.Passed; recovery = Some r; _ } as res), _ -> (res, r)
+    | res, _ -> Alcotest.failf "%s: %s" (C.reproducer cfg point) (C.outcome_to_string res.C.outcome)
   in
-  let first_cut = crash_ns (C.Op_crash k) in
+  let plain, first = run (C.Op_crash k) in
+  check_int "a DRAM-loss schedule is one power cut" 1 plain.C.crashes;
   List.iter
     (fun site ->
-      check_bool (site ^ " cut the recovery again") true
-        (crash_ns (C.Restore_site (site, k)) > first_cut))
+      let res, r = run (C.Restore_site (site, k)) in
+      check_bool (site ^ " cut the recovery") true res.C.recovery_cut;
+      check_int (site ^ ": two power cuts") 2 res.C.crashes;
+      check_int (site ^ ": crash instant is the first cut") first.Rto.r_crash_ns r.Rto.r_crash_ns;
+      check_bool (site ^ ": the failed attempt ran before the sealed one") true
+        (r.Rto.r_begin_ns > r.Rto.r_crash_ns);
+      check_int (site ^ ": downtime runs from the first cut") (r.Rto.r_end_ns - r.Rto.r_crash_ns)
+        r.Rto.r_downtime_ns;
+      check_bool (site ^ ": downtime longer than the plain cut's") true
+        (r.Rto.r_downtime_ns > first.Rto.r_downtime_ns))
     [ "restore.materialized"; "restore.swapped"; "restore.reclaimed" ]
 
 (* The recovered version and fingerprint of a system that replays the

@@ -222,7 +222,7 @@ let live_tree_tracks_shape () =
   let t1 = live_tree sys in
   check_bool "install rebuilds" true (t1 != t0);
   check_int "new object cached" (size t0 + 1) (size t1);
-  check_bool "new object live" true (Hashtbl.mem (Live_tree.live t1) n2.Kobj.nt_id);
+  check_bool "new object live" true (Treesls_util.Int_tbl.mem (Live_tree.live t1) n2.Kobj.nt_id);
   audit_clean "install";
   (* a heap grows through a replaced region list (and a new PMO cap) *)
   ignore (Kernel.grow_heap k p ~pages:1);
@@ -236,7 +236,7 @@ let live_tree_tracks_shape () =
   let t3 = live_tree sys in
   check_bool "revoke rebuilds" true (t3 != t2);
   check_bool "exited objects leave the live set" false
-    (Hashtbl.mem (Live_tree.live t3) n2.Kobj.nt_id);
+    (Treesls_util.Int_tbl.mem (Live_tree.live t3) n2.Kobj.nt_id);
   check_bool "their ORoots are collected" true (Manager.find_oroot mgr n2.Kobj.nt_id = None);
   audit_clean "revoke";
   (* a crash drops the cache with the rest of DRAM; restore rebuilds it
