@@ -141,6 +141,9 @@ let bechamel_tests () =
             sample ()
           done;
           sample));
+    Test.make ~name:"boot"
+      (Staged.stage (* one system boot at the default NVM capacity *)
+         (fun () -> ignore (System.boot ())));
     Test.make ~name:"restore-16-tenants"
       (Staged.stage
          (* one power cut and recovery of a 16-tenant KV system checkpointed

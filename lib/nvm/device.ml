@@ -1,29 +1,61 @@
 type kind = Paddr.device
 
+(* Pages live in fixed-size chunks, each allocated on the first touch of
+   one of its pages: an untouched chunk is the shared empty array and an
+   untouched page the empty byte string, so a fresh device costs one
+   pointer per chunk whatever its capacity. *)
+let chunk_bits = 8
+let chunk_pages = 1 lsl chunk_bits
+
 type t = {
   kind : kind;
   page_size : int;
-  store : Bytes.t option array;
+  pages : int;
+  chunks : Bytes.t array array;
   mutable touched : int;
   wearmap : Treesls_obs.Wearmap.t;
 }
 
 let create ~wearmap ~kind ~pages ~page_size =
   assert (pages > 0 && page_size > 0);
-  { kind; page_size; store = Array.make pages None; touched = 0; wearmap }
+  {
+    kind;
+    page_size;
+    pages;
+    chunks = Array.make ((pages + chunk_pages - 1) lsr chunk_bits) [||];
+    touched = 0;
+    wearmap;
+  }
 
 let kind t = t.kind
-let pages t = Array.length t.store
+let pages t = t.pages
 let page_size t = t.page_size
 
+(* An explicit bound check: the last chunk may have slots past [pages]. *)
+let check t idx =
+  if idx < 0 || idx >= t.pages then invalid_arg "Device: page index out of bounds"
+
 let page t idx =
-  match t.store.(idx) with
-  | Some b -> b
-  | None ->
+  check t idx;
+  let k = idx lsr chunk_bits in
+  let c = t.chunks.(k) in
+  let c =
+    if Array.length c > 0 then c
+    else begin
+      let c = Array.make chunk_pages Bytes.empty in
+      t.chunks.(k) <- c;
+      c
+    end
+  in
+  let i = idx land (chunk_pages - 1) in
+  let b = c.(i) in
+  if Bytes.length b > 0 then b
+  else begin
     let b = Bytes.make t.page_size '\000' in
-    t.store.(idx) <- Some b;
+    c.(i) <- b;
     t.touched <- t.touched + 1;
     b
+  end
 
 let read_into t idx ~off ~len dst ~dst_off =
   assert (off >= 0 && len >= 0 && off + len <= t.page_size);
@@ -58,17 +90,20 @@ let copy_page ~src ~src_idx ~dst ~dst_idx =
   wear dst dst_idx ~bytes:dst.page_size
 
 let zero_page t idx =
-  match t.store.(idx) with
-  | None -> () (* lazily-materialised pages are already zero: no write *)
-  | Some b ->
+  check t idx;
+  let c = t.chunks.(idx lsr chunk_bits) in
+  let b = if Array.length c > 0 then c.(idx land (chunk_pages - 1)) else Bytes.empty in
+  (* lazily-materialised pages are already zero: no write *)
+  if Bytes.length b > 0 then begin
     Bytes.fill b 0 t.page_size '\000';
     wear t idx ~bytes:t.page_size
+  end
 
 let crash t =
   match t.kind with
   | Paddr.Nvm | Paddr.Ssd -> ()
   | Paddr.Dram ->
-    Array.iteri (fun i slot -> if slot <> None then t.store.(i) <- None) t.store;
+    Array.fill t.chunks 0 (Array.length t.chunks) [||];
     t.touched <- 0
 
 let touched t = t.touched

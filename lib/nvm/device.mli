@@ -1,9 +1,12 @@
 (** Simulated page devices.
 
-    A device is a flat array of fixed-size pages.  Page storage is allocated
-    lazily so that a large simulated NVM does not consume host memory until
-    pages are touched.  The NVM device survives {!crash}; the DRAM device
-    loses all content. *)
+    A device is an array of fixed-size pages.  Page storage is allocated
+    lazily, in 256-page chunks each allocated on the first touch of one of
+    its pages, so a fresh device costs one pointer per chunk and a large
+    simulated NVM consumes host memory only for what is touched.  Every
+    page index outside [\[0, pages)] raises [Invalid_argument], also one
+    that falls inside the last chunk.  The NVM device survives {!crash};
+    the DRAM device loses all content. *)
 
 type kind = Paddr.device
 
@@ -34,9 +37,12 @@ val copy_page : src:t -> src_idx:int -> dst:t -> dst_idx:int -> unit
 (** Whole-page copy between (possibly different) devices. *)
 
 val zero_page : t -> int -> unit
+(** Clear a page; an untouched page is already zero, so this writes,
+    materialises and wears nothing. *)
 
 val crash : t -> unit
-(** Power failure. DRAM content is discarded; NVM content is retained. *)
+(** Power failure. DRAM content is discarded (its chunks are dropped, in
+    time proportional to the chunk count); NVM content is retained. *)
 
 val touched : t -> int
 (** Number of pages whose storage has been materialised (for tests). *)

@@ -5,19 +5,44 @@ module Wearmap = Treesls_obs.Wearmap
 
 type sink = Clock_sink | Meter of int ref | Off
 
+(* A frame allocator: the frames from [next] up were never handed out and
+   come out in ascending order; [returned] stacks the frames given back
+   since, and is drawn first.  This hands out frames in exactly the order
+   of a free list that starts as [0; 1; ...] and takes frees at its head. *)
+type frames = { total : int; mutable next : int; mutable returned : int list }
+
+let frames total = { total; next = 0; returned = [] }
+
+let take f =
+  match f.returned with
+  | idx :: rest ->
+    f.returned <- rest;
+    Some idx
+  | [] when f.next < f.total ->
+    f.next <- f.next + 1;
+    Some (f.next - 1)
+  | [] -> None
+
+let give f idx = f.returned <- idx :: f.returned
+let available f = f.total - f.next + List.length f.returned
+
+(* [next] frames from the bottom have been handed out, none returned. *)
+let reset f ~next =
+  f.next <- next;
+  f.returned <- []
+
 type t = {
   cost : Cost.t;
   clock : Clock.t;
   nvm : Device.t;
   dram : Device.t;
   ssd : Device.t;
-  mutable ssd_free : int list; (* persistent swap-slot allocator (NVM metadata) *)
+  ssd_free : frames; (* persistent swap-slot allocator (NVM metadata) *)
   warea : Warea.t;
   buddy : Buddy.t;
   slab : Slab.t;
   meta : Global_meta.t;
-  mutable dram_free : int list; (* DRAM free list: volatile, rebuilt on recovery *)
-  mutable dram_free_count : int;
+  dram_free : frames; (* volatile: emptied by a crash, reset on recovery *)
   mutable sink : sink;
   seals : (Paddr.t, int) Hashtbl.t; (* NVM metadata: backup page checksums *)
   mutable checksums : bool; (* reliability mode (paper section 8), off by default *)
@@ -46,20 +71,18 @@ let create ?(cost = Cost.default) ?(ssd_pages = 4096) ~clock ~nvm_pages ~dram_pa
     Slab.format warea ~base:buddy_words ~buddy ~page_size:cost.Cost.page_size
       ~max_slabs_per_class
   in
-  let dram_free = List.init dram_pages (fun i -> i) in
   {
     cost;
     clock;
     nvm;
     dram;
     ssd;
-    ssd_free = List.init ssd_pages (fun i -> i);
+    ssd_free = frames ssd_pages;
     warea;
     buddy;
     slab;
     meta = Global_meta.create ~wearmap;
-    dram_free;
-    dram_free_count = dram_pages;
+    dram_free = frames dram_pages;
     sink = Clock_sink;
     seals = Hashtbl.create 256;
     checksums = false;
@@ -103,20 +126,17 @@ let free_page t addr =
   Buddy.free t.buddy ~offset:addr.Paddr.idx
 
 let alloc_dram_page t =
-  match t.dram_free with
-  | [] -> None
-  | idx :: rest ->
+  match take t.dram_free with
+  | None -> None
+  | Some idx ->
     charge t t.cost.Cost.alloc_page_ns;
-    t.dram_free <- rest;
-    t.dram_free_count <- t.dram_free_count - 1;
     Device.zero_page t.dram idx;
     Some (Paddr.dram idx)
 
 let free_dram_page t addr =
   if not (Paddr.is_dram addr) then invalid_arg "Store.free_dram_page: not a DRAM page";
   charge t t.cost.Cost.alloc_page_ns;
-  t.dram_free <- addr.Paddr.idx :: t.dram_free;
-  t.dram_free_count <- t.dram_free_count + 1
+  give t.dram_free addr.Paddr.idx
 
 let device t (addr : Paddr.t) =
   match addr.Paddr.dev with
@@ -166,17 +186,12 @@ let write_page t addr ~off src = write_from t addr ~off src ~src_off:0 ~len:(Byt
 
 (* --- SSD swap slots (memory over-commitment, paper section 8) --- *)
 
-let alloc_ssd_page t =
-  match t.ssd_free with
-  | [] -> None
-  | idx :: rest ->
-    t.ssd_free <- rest;
-    Some (Paddr.ssd idx)
+let alloc_ssd_page t = Option.map Paddr.ssd (take t.ssd_free)
 
 let free_ssd_page t addr =
   if not (Paddr.is_ssd addr) then invalid_arg "Store.free_ssd_page: not an SSD slot";
   Hashtbl.remove t.seals addr;
-  t.ssd_free <- addr.Paddr.idx :: t.ssd_free
+  give t.ssd_free addr.Paddr.idx
 
 (* One whole-page SSD transfer: submission latency + streaming. *)
 let ssd_page_ns t =
@@ -206,11 +221,13 @@ let swap_in t ~slot =
   free_ssd_page t slot;
   dst
 
-let ssd_slots_free t = List.length t.ssd_free
+let ssd_slots_free t = available t.ssd_free
 
+(* Slots at or past the high-water mark were never handed out. *)
 let reclaim_ssd_slots t ~named =
-  let keep = Bytes.make (Device.pages t.ssd) '\000' in
-  List.iter (fun i -> Bytes.set keep i '\001') t.ssd_free;
+  let f = t.ssd_free in
+  let free = Bytes.make f.next '\000' in
+  List.iter (fun i -> Bytes.set free i '\001') f.returned;
   let n = ref 0 in
   Bytes.iteri
     (fun i k ->
@@ -219,7 +236,7 @@ let reclaim_ssd_slots t ~named =
         free_ssd_page t slot;
         incr n
       end)
-    keep;
+    free;
   !n
 
 let alloc_obj t ~size =
@@ -239,8 +256,7 @@ let free_obj t h =
 let crash t =
   Device.crash t.dram;
   Device.crash t.nvm;
-  t.dram_free <- [];
-  t.dram_free_count <- 0;
+  reset t.dram_free ~next:t.dram_free.total;
   t.sink <- Clock_sink
 
 let recover t =
@@ -253,9 +269,7 @@ let recover t =
   if replayed > 0 then
     charge t (int_of_float (float_of_int replayed *. 2.0 *. t.cost.Cost.word_copy_nvm_ns));
   Global_meta.abort_in_flight t.meta;
-  let dram_pages = Device.pages t.dram in
-  t.dram_free <- List.init dram_pages (fun i -> i);
-  t.dram_free_count <- dram_pages
+  reset t.dram_free ~next:0
 
 (* FNV-1a over the page content: cheap and adequate to detect the bit
    corruption this models. *)
@@ -288,7 +302,7 @@ let nvm_pages_free t = Buddy.free_pages t.buddy
 let nvm_pages_total t = Buddy.total_pages t.buddy
 let nvm_pages_touched t = Device.touched t.nvm
 let dram_pages_touched t = Device.touched t.dram
-let dram_pages_free t = t.dram_free_count
+let dram_pages_free t = available t.dram_free
 let live_objects t = Slab.live t.slab
 let journal_in_flight t = Warea.in_flight t.warea
 let allocator_meta_words t = Warea.size t.warea

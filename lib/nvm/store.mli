@@ -61,7 +61,10 @@ val free_page : t -> Paddr.t -> unit
 (** Free an NVM page (must have been allocated with {!alloc_page}). *)
 
 val alloc_dram_page : t -> Paddr.t option
-(** Allocate one DRAM page; [None] when the DRAM cache is full. *)
+(** Allocate one DRAM page; [None] when the DRAM cache is full.  The most
+    recently freed frame comes out first, then the never-allocated frames
+    in ascending order: the order of a free list that starts as
+    [0; 1; ...] and takes frees at its head. *)
 
 val free_dram_page : t -> Paddr.t -> unit
 
@@ -108,7 +111,9 @@ val ssd_slots_free : t -> int
 val reclaim_ssd_slots : t -> named:(Paddr.t -> bool) -> int
 (** Restore's allocator reconciliation for the swap device: free every
     allocated slot for which [named] is false (no restored radix names
-    it), in slot order, and return how many were freed. *)
+    it), in slot order, and return how many were freed.  Only the slots
+    below the highest ever handed out are visited.  Swap slots are handed
+    out in {!alloc_dram_page}'s order. *)
 
 (** {2 Small objects} *)
 
@@ -125,8 +130,9 @@ val crash : t -> unit
     survive. *)
 
 val recover : t -> unit
-(** Replay the journal and reset the DRAM allocator. Must run before any
-    other operation after {!crash}. *)
+(** Replay the journal and reset the DRAM allocator (in constant time:
+    every frame is free again, handed out from frame 0 up). Must run
+    before any other operation after {!crash}. *)
 
 (** {2 Backup integrity (data reliability, paper section 8)} *)
 

@@ -1,8 +1,11 @@
+(* The bucket arrays cover the buckets from 0 to the highest one a sample
+   or a merge has reached: they start empty and double as needed, up to
+   the full [octaves * sub_buckets] layout. *)
 type t = {
   sub_buckets : int;
-  counts : int array; (* octave * sub_buckets + sub index *)
-  bucket_max : int array; (* largest recorded value per bucket *)
-  bucket_min : int array; (* smallest recorded value per bucket *)
+  mutable counts : int array; (* octave * sub_buckets + sub index *)
+  mutable bucket_max : int array; (* largest recorded value per bucket *)
+  mutable bucket_min : int array; (* smallest recorded value per bucket *)
   mutable n : int;
   mutable sum : int;
   mutable maxv : int;
@@ -14,9 +17,9 @@ let octaves = 48
 let create ?(sub_buckets = 16) () =
   {
     sub_buckets;
-    counts = Array.make (octaves * sub_buckets) 0;
-    bucket_max = Array.make (octaves * sub_buckets) 0;
-    bucket_min = Array.make (octaves * sub_buckets) max_int;
+    counts = [||];
+    bucket_max = [||];
+    bucket_min = [||];
     n = 0;
     sum = 0;
     maxv = 0;
@@ -39,12 +42,33 @@ let bucket_index t v =
    (or a merge) ever reached lies between those of [minv] and [maxv]; the
    buckets outside that range are untouched. *)
 let bucket_of t v =
+  let last = (octaves * t.sub_buckets) - 1 in
   let idx = bucket_index t v in
-  if idx >= Array.length t.counts then Array.length t.counts - 1 else idx
+  if idx > last then last else idx
+
+(* Widen the bucket arrays to hold bucket [idx]. *)
+let reach t idx =
+  let len = Array.length t.counts in
+  if idx >= len then begin
+    let width = ref (Stdlib.max len t.sub_buckets) in
+    while !width <= idx do
+      width := 2 * !width
+    done;
+    let width = Stdlib.min !width (octaves * t.sub_buckets) in
+    let widen a fill =
+      let b = Array.make width fill in
+      Array.blit a 0 b 0 len;
+      b
+    in
+    t.counts <- widen t.counts 0;
+    t.bucket_max <- widen t.bucket_max 0;
+    t.bucket_min <- widen t.bucket_min max_int
+  end
 
 let add t v =
   let v = if v < 0 then 0 else v in
   let idx = bucket_of t v in
+  reach t idx;
   t.counts.(idx) <- t.counts.(idx) + 1;
   if v > t.bucket_max.(idx) then t.bucket_max.(idx) <- v;
   if v < t.bucket_min.(idx) then t.bucket_min.(idx) <- v;
@@ -59,24 +83,31 @@ let mean t = if t.n = 0 then 0.0 else float_of_int t.sum /. float_of_int t.n
 let max_value t = t.maxv
 let min_value t = if t.n = 0 then 0 else t.minv
 
-(* The percentile of the union of [hs] (all with the same bucket layout),
-   read in place: per bucket, the counts add up and the largest recorded
-   value is the largest over [hs].  One histogram is a one-slice union.
-   The scan starts at the lowest bucket holding a sample. *)
+(* The percentile of the union of [hs] (all with the same bucket layout,
+   not necessarily as wide), read in place: per bucket, the counts add up
+   and the largest recorded value is the largest over [hs].  One histogram
+   is a one-slice union.  The scan runs from the lowest to the highest
+   bucket holding a sample; a slice too narrow to reach a bucket holds
+   nothing there. *)
 let percentile_of (hs : t array) ~n ~maxv p =
   if n = 0 then 0
   else begin
     let target = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) in
     let target = if target < 1 then 1 else target in
-    let lo =
-      Array.fold_left (fun lo h -> if h.n > 0 then min lo (bucket_of h h.minv) else lo) max_int hs
-    in
+    let lo = ref max_int and hi = ref (-1) in
+    for j = 0 to Array.length hs - 1 do
+      let h = hs.(j) in
+      if h.n > 0 then begin
+        lo := min !lo (bucket_of h h.minv);
+        hi := Stdlib.max !hi (bucket_of h h.maxv)
+      end
+    done;
     let acc = ref 0 in
     let result = ref maxv in
     (try
-       for i = lo to Array.length hs.(0).counts - 1 do
+       for i = !lo to !hi do
          for j = 0 to Array.length hs - 1 do
-           acc := !acc + hs.(j).counts.(i)
+           if i < Array.length hs.(j).counts then acc := !acc + hs.(j).counts.(i)
          done;
          if !acc >= target then begin
            (* Report the largest *recorded* value in the bucket rather than
@@ -87,7 +118,9 @@ let percentile_of (hs : t array) ~n ~maxv p =
               the max over [hs] is the max over those that hold samples. *)
            result := 0;
            for j = 0 to Array.length hs - 1 do
-             if hs.(j).bucket_max.(i) > !result then result := hs.(j).bucket_max.(i)
+             let h = hs.(j) in
+             if i < Array.length h.bucket_max && h.bucket_max.(i) > !result then
+               result := h.bucket_max.(i)
            done;
            raise Exit
          end
@@ -103,13 +136,17 @@ let merge ~into src =
     invalid_arg
       (Printf.sprintf "Histogram.merge: sub_buckets mismatch (%d vs %d)" into.sub_buckets
          src.sub_buckets);
-  for i = 0 to Array.length src.counts - 1 do
-    if src.counts.(i) > 0 then begin
-      into.counts.(i) <- into.counts.(i) + src.counts.(i);
-      if src.bucket_max.(i) > into.bucket_max.(i) then into.bucket_max.(i) <- src.bucket_max.(i);
-      if src.bucket_min.(i) < into.bucket_min.(i) then into.bucket_min.(i) <- src.bucket_min.(i)
-    end
-  done;
+  if src.n > 0 then begin
+    let hi = bucket_of src src.maxv in
+    reach into hi;
+    for i = bucket_of src src.minv to hi do
+      if src.counts.(i) > 0 then begin
+        into.counts.(i) <- into.counts.(i) + src.counts.(i);
+        if src.bucket_max.(i) > into.bucket_max.(i) then into.bucket_max.(i) <- src.bucket_max.(i);
+        if src.bucket_min.(i) < into.bucket_min.(i) then into.bucket_min.(i) <- src.bucket_min.(i)
+      end
+    done
+  end;
   into.n <- into.n + src.n;
   into.sum <- into.sum + src.sum;
   if src.maxv > into.maxv then into.maxv <- src.maxv;

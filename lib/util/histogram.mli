@@ -1,8 +1,13 @@
 (** Log-scaled latency histogram.
 
-    Fixed memory regardless of sample count, used where experiments record
-    millions of per-operation latencies.  Buckets are exponential with a
-    configurable number of sub-buckets per octave (HdrHistogram-style). *)
+    Bounded memory regardless of sample count, used where experiments
+    record millions of per-operation latencies.  Buckets are exponential
+    with a configurable number of sub-buckets per octave
+    (HdrHistogram-style), 48 octaves in all; values past the last bucket
+    land in it.  The bucket arrays start empty and grow, doubling, to the
+    highest bucket a sample or a merge has reached, so a histogram of
+    small values stays small; no count, total, mean, minimum, maximum or
+    percentile depends on the width reached. *)
 
 type t
 
@@ -38,11 +43,13 @@ val merge : into:t -> t -> unit
     without re-observing the raw values: bucket counts are summed and the
     per-bucket (and global) min/max are combined, so count/total/mean and
     every percentile of [into] afterwards equal those of a histogram that
-    had observed both sample streams directly.  [src] is unchanged.
+    had observed both sample streams directly.  [into] widens to [src]'s
+    highest bucket if it has to; [src] is unchanged.
     Raises [Invalid_argument] if the two histograms were created with
     different [sub_buckets]. *)
 
 val clear : t -> unit
+(** Forget every sample; the width reached is kept for reuse. *)
 
 (** Sliding-window histogram for percentile-over-time queries.
 

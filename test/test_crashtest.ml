@@ -1,5 +1,5 @@
 (* Tests for the crash-schedule explorer (lib/crashtest): clean and
-   async sweeps over eight trace seeds must pass everywhere, with every
+   async sweeps over eleven trace seeds must pass everywhere, with every
    restore crash site cutting some recovery; the settle and demotion cuts
    they once caught replay as their own cases; a cut during recovery is a
    real second power cut; the crash-free reference the sweeps judge
@@ -27,10 +27,10 @@ let small_config =
     op_cap = 3;
   }
 
-(* The wide sweeps: ops 240 over eight trace seeds.  The caps are the
+(* The wide sweeps: ops 240 over eleven trace seeds.  The caps are the
    smallest that still reach the settle-cut schedule below (a per-site
    cap of 3 samples past it). *)
-let sweep_seeds = [ 42; 1; 2; 3; 5; 7; 11; 13 ]
+let sweep_seeds = [ 42; 1; 2; 3; 5; 7; 11; 13; 17; 19; 23 ]
 
 let sweep_config ~async seed =
   {

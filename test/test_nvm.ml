@@ -72,6 +72,82 @@ let device_zero () =
   Alcotest.(check string) "zeroed" "\000\000\000"
     (Bytes.to_string (Device.read d 0 ~off:0 ~len:3))
 
+(* Pages live in 256-page chunks allocated on first touch; none of that
+   shows through the interface. *)
+let device_first_touch_one_page () =
+  let d = device ~kind:Paddr.Nvm ~pages:1000 ~page_size:32 in
+  Device.write d 700 ~off:0 (Bytes.of_string "x");
+  check_int "a first touch materialises one page" 1 (Device.touched d);
+  Device.write d 700 ~off:1 (Bytes.of_string "y");
+  check_int "a second touch none" 1 (Device.touched d);
+  Alcotest.(check string) "a chunk neighbour reads zeros" "\000\000"
+    (Bytes.to_string (Device.read d 701 ~off:0 ~len:2));
+  check_int "reading it materialises it" 2 (Device.touched d);
+  ignore (Device.page d 999);
+  check_int "last page" 3 (Device.touched d)
+
+let device_zero_untouched_no_wear () =
+  let wm = Wearmap.create () in
+  let d = Device.create ~wearmap:wm ~kind:Paddr.Nvm ~pages:600 ~page_size:64 in
+  Device.zero_page d 5;
+  Device.zero_page d 599;
+  check_int "no page materialised" 0 (Device.touched d);
+  check_int "no wear recorded" 0 (Wearmap.total_bytes wm);
+  Device.write d 5 ~off:0 (Bytes.of_string "ab");
+  Device.zero_page d 6;
+  check_int "an untouched chunk neighbour stays untouched" 1 (Device.touched d);
+  check_int "only the write's wear" 2 (Wearmap.total_bytes wm);
+  Device.zero_page d 5;
+  check_int "zeroing a written page wears it" (2 + 64) (Wearmap.total_bytes wm)
+
+let device_crash_drops_dram_chunks () =
+  let nvm = device ~kind:Paddr.Nvm ~pages:700 ~page_size:16 in
+  let dram = device ~kind:Paddr.Dram ~pages:700 ~page_size:16 in
+  List.iter
+    (fun i ->
+      Device.write nvm i ~off:0 (Bytes.of_string "keep");
+      Device.write dram i ~off:0 (Bytes.of_string "lose"))
+    [ 0; 255; 256; 699 ];
+  Device.crash nvm;
+  Device.crash dram;
+  check_int "nvm keeps its pages" 4 (Device.touched nvm);
+  check_int "dram forgets its pages" 0 (Device.touched dram);
+  List.iter
+    (fun i ->
+      Alcotest.(check string) "nvm content" "keep"
+        (Bytes.to_string (Device.read nvm i ~off:0 ~len:4));
+      Alcotest.(check string) "dram content" "\000\000\000\000"
+        (Bytes.to_string (Device.read dram i ~off:0 ~len:4)))
+    [ 0; 255; 256; 699 ];
+  check_int "dram reads materialise fresh pages" 4 (Device.touched dram)
+
+(* Index 8 of an 8-page device lies inside its only chunk, but past the
+   device: it must raise like index -1, for every entry point. *)
+let device_out_of_range_raises () =
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s did not raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (kind, pages) ->
+      let d = device ~kind ~pages ~page_size:16 in
+      let other = device ~kind:Paddr.Nvm ~pages:8 ~page_size:16 in
+      List.iter
+        (fun idx ->
+          let what op = Printf.sprintf "%s %d of %d pages" op idx pages in
+          raises (what "page") (fun () -> ignore (Device.page d idx));
+          raises (what "read") (fun () -> ignore (Device.read d idx ~off:0 ~len:1));
+          raises (what "write") (fun () -> Device.write d idx ~off:0 (Bytes.of_string "x"));
+          raises (what "zero_page") (fun () -> Device.zero_page d idx);
+          raises (what "copy from") (fun () ->
+              Device.copy_page ~src:d ~src_idx:idx ~dst:other ~dst_idx:0);
+          raises (what "copy to") (fun () ->
+              Device.copy_page ~src:other ~src_idx:0 ~dst:d ~dst_idx:idx))
+        [ -1; pages ];
+      check_int "nothing materialised" 0 (Device.touched d))
+    [ (Paddr.Dram, 8); (Paddr.Nvm, 8); (Paddr.Ssd, 300); (Paddr.Nvm, 512) ]
+
 (* ---- Warea ---- *)
 
 let warea_commit_read () =
@@ -693,6 +769,107 @@ let store_crash_recover () =
   Alcotest.(check string) "dram content lost" "\000\000\000\000"
     (Bytes.to_string (Store.read_page s d ~off:0 ~len:4))
 
+(* The DRAM and SSD free lists the store kept before its frame
+   allocators became a bump index plus a stack of returned frames: lists
+   seeded with every index in ascending order, popped at the head and
+   freed onto it.  A crash empties the DRAM list and recovery refills it;
+   the reconciliation frees, in slot order, every slot that is neither
+   in the SSD list nor named. *)
+module Free_lists = struct
+  type t = { dram_pages : int; mutable dram : int list; mutable ssd : int list }
+
+  let create ~dram_pages ~ssd_pages =
+    { dram_pages; dram = List.init dram_pages Fun.id; ssd = List.init ssd_pages Fun.id }
+
+  let pop l = match l with [] -> (None, []) | i :: rest -> (Some i, rest)
+
+  let alloc_dram t =
+    let i, rest = pop t.dram in
+    t.dram <- rest;
+    i
+
+  let free_dram t i = t.dram <- i :: t.dram
+
+  let alloc_ssd t =
+    let i, rest = pop t.ssd in
+    t.ssd <- rest;
+    i
+
+  let free_ssd t i = t.ssd <- i :: t.ssd
+  let crash t = t.dram <- []
+  let recover t = t.dram <- List.init t.dram_pages Fun.id
+
+  let reclaim t ~ssd_pages ~named =
+    let freed =
+      List.filter (fun i -> not (List.mem i t.ssd || named i)) (List.init ssd_pages Fun.id)
+    in
+    List.iter (free_ssd t) freed;
+    List.length freed
+end
+
+(* Seeded sequences of DRAM and swap traffic, crashes, recoveries and
+   reconciliations on small devices (so both run dry), against the
+   reference lists: the same frame out of every allocation, the same
+   count out of every reconciliation, and equal free counts after every
+   step. *)
+let store_frames_match_free_lists () =
+  for seed = 1 to 300 do
+    let rng = Rng.create (Int64.of_int seed) in
+    let dram_pages = 1 + Rng.int rng 24 and ssd_pages = 1 + Rng.int rng 24 in
+    let s = Store.create ~clock:(Clock.create ()) ~nvm_pages:256 ~dram_pages ~ssd_pages () in
+    let r = Free_lists.create ~dram_pages ~ssd_pages in
+    let dram = ref [] and slots = ref [] and crashed = ref false in
+    let pick l = List.nth l (Rng.int rng (List.length l)) in
+    let remove x l = List.filter (fun y -> y <> x) l in
+    let fail step what = Alcotest.failf "seed %d step %d: %s" seed step what in
+    for step = 1 to 200 do
+      (match Rng.int rng 10 with
+      | _ when !crashed ->
+        Store.recover s;
+        Free_lists.recover r;
+        crashed := false
+      | 0 | 1 | 2 -> (
+        match (Store.alloc_dram_page s, Free_lists.alloc_dram r) with
+        | None, None -> ()
+        | Some p, Some i when p.Paddr.idx = i && Paddr.is_dram p -> dram := i :: !dram
+        | _ -> fail step "alloc_dram_page hands out another frame")
+      | 3 | 4 when !dram <> [] ->
+        let i = pick !dram in
+        dram := remove i !dram;
+        Store.free_dram_page s (Paddr.dram i);
+        Free_lists.free_dram r i
+      | 5 -> (
+        let src = Store.alloc_page s in
+        match (Store.swap_out s ~src, Free_lists.alloc_ssd r) with
+        | None, None -> Store.free_page s src
+        | Some p, Some i when p.Paddr.idx = i && Paddr.is_ssd p -> slots := i :: !slots
+        | _ -> fail step "swap_out takes another slot")
+      | 6 when !slots <> [] ->
+        let i = pick !slots in
+        slots := remove i !slots;
+        Store.free_page s (Store.swap_in s ~slot:(Paddr.ssd i));
+        Free_lists.free_ssd r i
+      | 7 ->
+        let named = List.filter (fun _ -> Rng.bool rng) !slots in
+        let n = Store.reclaim_ssd_slots s ~named:(fun p -> List.mem p.Paddr.idx named) in
+        if n <> Free_lists.reclaim r ~ssd_pages ~named:(fun i -> List.mem i named) then
+          fail step "reclaim_ssd_slots frees another number of slots";
+        slots := named
+      | 8 when Rng.int rng 4 = 0 ->
+        Store.crash s;
+        Free_lists.crash r;
+        dram := [];
+        crashed := true
+      | _ -> ());
+      check_int
+        (Printf.sprintf "seed %d step %d: dram_pages_free" seed step)
+        (List.length r.Free_lists.dram) (Store.dram_pages_free s);
+      check_int
+        (Printf.sprintf "seed %d step %d: ssd_slots_free" seed step)
+        (List.length r.Free_lists.ssd) (Store.ssd_slots_free s)
+    done
+  done
+
 (* ---- qcheck: journaled allocator atomicity under random crashes ---- *)
 
 let prop_buddy_crash_consistency =
@@ -834,6 +1011,12 @@ let () =
           Alcotest.test_case "crash semantics" `Quick device_crash_semantics;
           Alcotest.test_case "cross-device copy" `Quick device_copy;
           Alcotest.test_case "zero page" `Quick device_zero;
+          Alcotest.test_case "a first touch materialises one page" `Quick
+            device_first_touch_one_page;
+          Alcotest.test_case "zeroing an untouched page records no wear" `Quick
+            device_zero_untouched_no_wear;
+          Alcotest.test_case "a DRAM crash drops its chunks" `Quick device_crash_drops_dram_chunks;
+          Alcotest.test_case "out-of-range indices raise" `Quick device_out_of_range_raises;
         ] );
       ( "warea",
         [
@@ -911,6 +1094,8 @@ let () =
           Alcotest.test_case "small objects" `Quick store_objects;
           Alcotest.test_case "crash and recover" `Quick store_crash_recover;
           Alcotest.test_case "format journals two words" `Quick store_format_journals_two_words;
+          Alcotest.test_case "frames match the free-list reference" `Quick
+            store_frames_match_free_lists;
         ] );
       ("properties", qsuite);
     ]

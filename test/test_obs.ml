@@ -641,6 +641,14 @@ let sample_alloc p =
   allocated (fun () ->
       Probe.tseries_sample p ~version ~stw_ns:10_000 ~interval_ns:(Some 1_000_000))
 
+(* A histogram with every bucket of its 48-octave, 16-sub-bucket layout:
+   three arrays of 768 ints and a header word each, allocated straight
+   into the major heap, which [Gc.allocated_bytes] counts in bytes.  This
+   is what one [Histogram.create] allocated before the bucket arrays grew
+   on demand, and what merging the windowed slices into a fresh histogram
+   used to cost. *)
+let full_histogram_bytes = 3 * ((48 * 16) + 1) * 8
+
 (* One black-box sample costs the same with a full 1,024-sample ring as
    with 16 samples: queries read only their window, and the windowed
    percentiles read the slices in place instead of merging them into a
@@ -652,12 +660,10 @@ let sample_allocation_bounded () =
   if Float.abs (a_full -. a_small) > 64.0 then
     Alcotest.failf "a sample allocates %.0f with 1,024 retained vs %.0f with 16" a_full a_small;
   (* the sample, its cells and the SLO rules' windows: less than one
-     histogram *)
-  let a_hist =
-    allocated (fun () -> ignore (Sys.opaque_identity (Treesls_util.Histogram.create ())))
-  in
-  if a_full >= a_hist then
-    Alcotest.failf "a sample allocates %.0f, one histogram %.0f" a_full a_hist;
+     full-width histogram *)
+  if a_full >= float_of_int full_histogram_bytes then
+    Alcotest.failf "a sample allocates %.0f, one full-width histogram %d" a_full
+      full_histogram_bytes;
   check_int "the watchdog ran at every sample" 1_101 (Treesls_obs.Slo.checks (Probe.slo full))
 
 (* Args that fail the test if they are ever built. *)

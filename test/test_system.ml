@@ -457,6 +457,29 @@ let two_systems_share_nothing () =
   check_int "A's scope records nothing in A" 0
     (Wearmap.subsystem_bytes (System.wearmap a) "scope.a")
 
+(* ---- boot does host work for what it touches, not for capacity ---- *)
+
+(* Page devices, frame allocators, allocator words and histograms are all
+   sized by use, so one boot allocates the same few tens of KiB at any NVM
+   capacity; only the chunk indexes grow with it (one pointer per 256
+   pages or words).  [Gc.allocated_bytes] counts minor-heap blocks in
+   words and major-heap ones in bytes: the bounds are in its units. *)
+let boot_is_capacity_independent () =
+  let allocated pages =
+    ignore (System.boot ~nvm_pages:pages ());
+    let b0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (System.boot ~nvm_pages:pages ()));
+    Gc.allocated_bytes () -. b0
+  in
+  let small = allocated (1 lsl 16) and large = allocated (1 lsl 18) in
+  let kib = 1024.0 in
+  if small > 128.0 *. kib || large > 128.0 *. kib then
+    Alcotest.failf "a boot allocates %.0f KiB at 2^16 pages and %.0f KiB at 2^18 (bound 128)"
+      (small /. kib) (large /. kib);
+  if large -. small > 32.0 *. kib then
+    Alcotest.failf "quadrupling the capacity adds %.0f KiB to a boot (bound 32)"
+      ((large -. small) /. kib)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_crash_equals_committed_model; prop_repeated_crashes ]
 
@@ -493,6 +516,9 @@ let () =
           Alcotest.test_case "Off-level interval does not hang" `Quick off_level_does_not_hang;
         ] );
       ("properties", qsuite);
+      ( "boot",
+        [ Alcotest.test_case "boot is capacity-independent" `Quick boot_is_capacity_independent ]
+      );
       ( "isolation",
         [ Alcotest.test_case "two systems share nothing" `Quick two_systems_share_nothing ] );
     ]

@@ -394,6 +394,194 @@ let clear_then_reuse () =
   check_int "min after clear" 3 (Histogram.min_value h);
   check_int "max after clear" (1 lsl 30) (Histogram.max_value h)
 
+(* The histogram as it was before its bucket arrays grew on demand: the
+   full 48-octave layout allocated up front.  The reference for
+   [hist_matches_fixed_layout]. *)
+module Fixed = struct
+  type t = {
+    counts : int array;
+    bucket_max : int array;
+    bucket_min : int array;
+    mutable n : int;
+    mutable sum : int;
+    mutable maxv : int;
+    mutable minv : int;
+  }
+
+  let sub_buckets = 16
+  let buckets = 48 * sub_buckets
+
+  let create () =
+    {
+      counts = Array.make buckets 0;
+      bucket_max = Array.make buckets 0;
+      bucket_min = Array.make buckets max_int;
+      n = 0;
+      sum = 0;
+      maxv = 0;
+      minv = max_int;
+    }
+
+  let bucket_of v =
+    let idx =
+      if v < sub_buckets then v
+      else begin
+        let bits = Bits.log2_int v and low_bits = Bits.log2_int sub_buckets in
+        ((bits - low_bits + 1) * sub_buckets) + (v lsr (bits - low_bits)) - sub_buckets
+      end
+    in
+    min idx (buckets - 1)
+
+  let add t v =
+    let v = max v 0 in
+    let i = bucket_of v in
+    t.counts.(i) <- t.counts.(i) + 1;
+    t.bucket_max.(i) <- max t.bucket_max.(i) v;
+    t.bucket_min.(i) <- min t.bucket_min.(i) v;
+    t.n <- t.n + 1;
+    t.sum <- t.sum + v;
+    t.maxv <- max t.maxv v;
+    t.minv <- min t.minv v
+
+  let merge ~into src =
+    for i = 0 to buckets - 1 do
+      into.counts.(i) <- into.counts.(i) + src.counts.(i);
+      into.bucket_max.(i) <- max into.bucket_max.(i) src.bucket_max.(i);
+      into.bucket_min.(i) <- min into.bucket_min.(i) src.bucket_min.(i)
+    done;
+    into.n <- into.n + src.n;
+    into.sum <- into.sum + src.sum;
+    into.maxv <- max into.maxv src.maxv;
+    into.minv <- min into.minv src.minv
+
+  let clear t =
+    Array.fill t.counts 0 buckets 0;
+    Array.fill t.bucket_max 0 buckets 0;
+    Array.fill t.bucket_min 0 buckets max_int;
+    t.n <- 0;
+    t.sum <- 0;
+    t.maxv <- 0;
+    t.minv <- max_int
+
+  (* The percentile of the union of [hs], scanning every bucket. *)
+  let percentile_of hs p =
+    let n = List.fold_left (fun a h -> a + h.n) 0 hs in
+    let maxv = List.fold_left (fun a h -> max a h.maxv) 0 hs in
+    if n = 0 then 0
+    else begin
+      let target = max 1 (int_of_float (Float.ceil (p /. 100.0 *. float_of_int n))) in
+      let rec scan i acc =
+        let acc = List.fold_left (fun a h -> a + h.counts.(i)) acc hs in
+        if acc >= target then min maxv (List.fold_left (fun a h -> max a h.bucket_max.(i)) 0 hs)
+        else if i = buckets - 1 then maxv
+        else scan (i + 1) acc
+      in
+      scan 0 0
+    end
+
+  let count hs = List.fold_left (fun a h -> a + h.n) 0 hs
+  let total hs = List.fold_left (fun a h -> a + h.sum) 0 hs
+end
+
+(* [total] and [min_value] are [None] for a windowed histogram, which
+   reads neither. *)
+let check_like_fixed label ~count ~total ~mean ~min_value ~max_value ~percentile hs =
+  let n = Fixed.count hs in
+  let l what = Printf.sprintf "%s: %s" label what in
+  check_int (l "count") n count;
+  Option.iter (check_int (l "total") (Fixed.total hs)) total;
+  check_float (l "mean")
+    (if n = 0 then 0.0 else float_of_int (Fixed.total hs) /. float_of_int n)
+    mean;
+  Option.iter
+    (check_int (l "min")
+       (if n = 0 then 0 else List.fold_left (fun a h -> min a h.Fixed.minv) max_int hs))
+    min_value;
+  check_int (l "max") (List.fold_left (fun a h -> max a h.Fixed.maxv) 0 hs) max_value;
+  List.iter
+    (fun p -> check_int (l (Printf.sprintf "p%g" p)) (Fixed.percentile_of hs p) (percentile p))
+    [ 0.0; 1.0; 50.0; 90.0; 99.0; 99.9; 100.0 ]
+
+(* Seeded samples (0, negatives, values in every octave and past the last
+   bucket), merges both ways between histograms of different widths,
+   [clear] and reuse, and a windowed histogram rotated to four times its
+   slice count: after every step each reads exactly like the fixed
+   layout. *)
+let hist_matches_fixed_layout () =
+  let rng = Rng.create 23L in
+  let value () =
+    match Rng.int rng 10 with
+    | 0 -> 0
+    | 1 -> -1 - Rng.int rng 1_000
+    | 2 -> (1 lsl 51) + Rng.int rng (1 lsl 40)
+    | 3 -> (1 lsl 61) + Rng.int rng 1_000
+    | 4 -> Rng.int rng 16
+    | _ -> (1 lsl Rng.int rng 50) + Rng.int rng 1_000
+  in
+  let a = Histogram.create () and fa = Fixed.create () in
+  let b = ref (Histogram.create ()) and fb = ref (Fixed.create ()) in
+  let check label h f =
+    check_like_fixed label ~count:(Histogram.count h) ~total:(Some (Histogram.total h))
+      ~mean:(Histogram.mean h) ~min_value:(Some (Histogram.min_value h))
+      ~max_value:(Histogram.max_value h) ~percentile:(Histogram.percentile h) [ f ]
+  in
+  for step = 1 to 400 do
+    (* [a] takes any value; [b] only values below 1,000 and is often
+       replaced, so it stays narrower than [a] until [a] is merged into it *)
+    (match Rng.int rng 12 with
+    | 0 ->
+      Histogram.merge ~into:a !b;
+      Fixed.merge ~into:fa !fb
+    | 1 ->
+      Histogram.merge ~into:!b a;
+      Fixed.merge ~into:!fb fa
+    | 2 ->
+      Histogram.clear a;
+      Fixed.clear fa
+    | 3 ->
+      Histogram.clear !b;
+      Fixed.clear !fb
+    | 4 ->
+      b := Histogram.create ();
+      fb := Fixed.create ()
+    | k ->
+      let h, f, v =
+        if k mod 2 = 0 then (a, fa, value) else (!b, !fb, fun () -> Rng.int rng 1_000)
+      in
+      for _ = 1 to 1 + Rng.int rng 20 do
+        let v = v () in
+        Histogram.add h v;
+        Fixed.add f v
+      done);
+    check (Printf.sprintf "step %d: a" step) a fa;
+    check (Printf.sprintf "step %d: b" step) !b !fb
+  done;
+  let module W = Histogram.Windowed in
+  let slices = 4 in
+  let w = W.create ~slices () in
+  let fw = Array.init slices (fun _ -> Fixed.create ()) and cur = ref 0 in
+  for round = 1 to 4 * slices do
+    if round > 1 then begin
+      W.rotate w;
+      cur := (!cur + 1) mod slices;
+      Fixed.clear fw.(!cur)
+    end;
+    (* some rounds stay empty; the first slice only ever holds values
+       below 64, so it stays narrower than the slices after it *)
+    let n = if round mod 5 = 3 then 0 else Rng.int rng 200 in
+    let small = !cur = 0 in
+    for _ = 1 to n do
+      let v = if small then Rng.int rng 64 else value () in
+      W.add w v;
+      Fixed.add fw.(!cur) v
+    done;
+    check_like_fixed
+      (Printf.sprintf "window round %d" round)
+      ~count:(W.count w) ~total:None ~mean:(W.mean w) ~min_value:None
+      ~max_value:(W.max_value w) ~percentile:(W.percentile w)
+      (Array.to_list fw)
+  done
+
 let windowed_decay () =
   let module W = Histogram.Windowed in
   let w = W.create ~slices:2 () in
@@ -631,6 +819,7 @@ let () =
           Alcotest.test_case "merge equals direct observation" `Quick hist_merge_equals_direct;
           Alcotest.test_case "merge empty cases" `Quick hist_merge_empty_cases;
           Alcotest.test_case "merge mismatched sub_buckets" `Quick hist_merge_mismatched_buckets;
+          Alcotest.test_case "matches the fixed layout" `Quick hist_matches_fixed_layout;
         ] );
       ( "windowed",
         [
