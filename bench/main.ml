@@ -153,6 +153,26 @@ let bechamel_tests () =
           ignore (Serve.create s { Serve.default_cfg with Serve.tenants = 16 });
           ignore (System.checkpoint s);
           fun () -> ignore (System.crash_and_recover s)));
+    (* the first checkpoint after a 16-tenant recovery: the eager walk of
+       every object through the cache the restore built, the owner index
+       and the attribution.  Each run starts from what a restore leaves
+       behind, a fresh live-tree cache (built before the clock starts) and
+       a forced full walk *)
+    (let module Serve = Treesls_serve.Serve in
+     let module Live_tree = Treesls_ckpt.Live_tree in
+     let s = boot () in
+     ignore (Serve.create s { Serve.default_cfg with Serve.tenants = 16 });
+     ignore (System.checkpoint s);
+     ignore (System.crash_and_recover s);
+     let st = Manager.state (System.manager s) in
+     Test.make_with_resource ~name:"ckpt-after-restore-16-tenants" Test.multiple
+       ~allocate:(fun () ->
+         Live_tree.refresh None ~root:(Kernel.root (System.kernel s)) ~oroots:st.State.oroots)
+       ~free:ignore
+       (Staged.stage (fun tree ->
+            st.State.live_tree <- Some tree;
+            st.State.force_full <- true;
+            ignore (System.checkpoint s))));
   ]
 
 let run_bechamel () =

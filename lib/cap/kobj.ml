@@ -108,6 +108,15 @@ let kind = function
   | Notification _ -> Notification_k
   | Irq_notification _ -> Irq_k
 
+let kind_index = function
+  | Cap_group_k -> 0
+  | Thread_k -> 1
+  | Vmspace_k -> 2
+  | Pmo_k -> 3
+  | Ipc_conn_k -> 4
+  | Notification_k -> 5
+  | Irq_k -> 6
+
 let kind_name = function
   | Cap_group_k -> "Cap Group"
   | Thread_k -> "Thread"
@@ -204,13 +213,11 @@ let iter_caps f g =
 let caps_count g = g.cg_used
 let slots_len g = Array.length g.cg_slots
 
-let iter_tree ~root f =
-  let seen = Treesls_util.Int_tbl.create 256 in
+let walk ~seen ~root f =
   let rec visit obj =
     let oid = id obj in
     if not (Treesls_util.Int_tbl.mem seen oid) then begin
-      Treesls_util.Int_tbl.add seen oid ();
-      f obj;
+      Treesls_util.Int_tbl.add seen oid (f obj);
       match obj with
       | Cap_group g -> iter_caps (fun _ c -> visit c.target) g
       | Vmspace vs -> List.iter (fun r -> visit (Pmo r.vr_pmo)) vs.vs_regions
@@ -221,3 +228,5 @@ let iter_tree ~root f =
     end
   in
   visit (Cap_group root)
+
+let iter_tree ~root f = walk ~seen:(Treesls_util.Int_tbl.create 256) ~root f

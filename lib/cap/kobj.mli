@@ -105,6 +105,10 @@ val gen : t -> int
 val kind_name : kind -> string
 val all_kinds : kind list
 
+val kind_index : kind -> int
+(** The kind's position in {!all_kinds}, [0..6]: an index for per-kind
+    arrays. *)
+
 val regs_count : int
 (** Register-file words saved per thread. *)
 
@@ -141,6 +145,14 @@ val slots_len : cap_group -> int
 
 (** {2 Traversal} *)
 
+val walk : seen:'a Treesls_util.Int_tbl.t -> root:cap_group -> (t -> 'a) -> unit
+(** Visit every object reachable from [root] whose id is not yet in [seen],
+    exactly once, in the same order as {!iter_tree}: [seen] maps each id
+    visited to what [f] returned for it.  An object already in [seen] is
+    not entered, so nothing reached only through it is visited either;
+    walks that share one [seen] visit each object at most once in all. *)
+
 val iter_tree : root:cap_group -> (t -> unit) -> unit
 (** Visit every object reachable from [root] exactly once (the tree can
-    share objects across cap groups; visits are deduplicated by id). *)
+    share objects across cap groups; visits are deduplicated by id):
+    {!walk} over a fresh visited set. *)

@@ -31,12 +31,19 @@ let charge_object_copy st obj ~full =
   else Store.charge store copy
 
 (* Checkpoint one object (step 2). Returns its ORoot, whether this was its
-   full (first) checkpoint, and the snapshot bytes. *)
-let checkpoint_object st live obj ~new_ver =
+   full (first) checkpoint, and the snapshot bytes.  The entry's cached
+   ORoot is the table's ([Live_tree.entry]): the table is looked up only
+   for an object the cache has not linked yet. *)
+let checkpoint_object st live (e : Live_tree.entry) ~new_ver =
   let kernel = st.State.kernel in
   let store = Kernel.store kernel in
   let c = Store.cost store in
-  let oroot, full = State.oroot_for st obj ~version:new_ver in
+  let obj = e.Live_tree.obj in
+  let oroot, full =
+    match e.Live_tree.oroot with
+    | Some o -> (o, false)
+    | None -> State.oroot_for st obj ~version:new_ver
+  in
   oroot.Oroot.last_seen_ver <- new_ver;
   oroot.Oroot.runtime <- Some obj;
   oroot.Oroot.saved_gen <- Kobj.gen obj;
@@ -488,7 +495,7 @@ let walk_tree st ~new_ver =
           if clean then incr skipped
           else begin
             let t_obj0 = now st in
-            let oroot, full, bytes = checkpoint_object st live obj ~new_ver in
+            let oroot, full, bytes = checkpoint_object st live e ~new_ver in
             e.Live_tree.oroot <- Some oroot;
             Crash_site.hit (State.crash_sites st) "ckpt.captree.obj";
             if full then incr fulls;
@@ -552,41 +559,53 @@ let hybrid_copy st ~new_ver (w : walk) =
 
 (* The walk's captree time by object kind and by owning process, and the
    per-object cost samples of Table 3: host-time bookkeeping, tallied after
-   the pause in walk order. *)
-let attribute st (w : walk) =
-  let add tbl k dt =
-    Hashtbl.replace tbl k (dt + Option.value ~default:0 (Hashtbl.find_opt tbl k))
-  in
-  let pairs tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-  let per_kind = Hashtbl.create 8 in
-  (* group name -> (ns, objects, per-kind ns) *)
-  let per_group : (string, int ref * int ref * (Kobj.kind, int) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
+   the pause in walk order into arrays indexed by kind and by group; the
+   report lists only kinds and groups some object landed in, kinds in
+   [Kobj.all_kinds] order and groups in group order. *)
+let attribute st live dirty =
+  let owners = Live_tree.owners live st.State.kernel in
+  let nk = List.length Kobj.all_kinds and ng = Live_tree.group_count owners in
+  let kind_ns = Array.make nk 0 and kind_n = Array.make nk 0 in
+  let group_ns = Array.make ng 0 and group_n = Array.make ng 0 in
+  (* group g, kind k at [(g * nk) + k] *)
+  let gk_ns = Array.make (ng * nk) 0 and gk_n = Array.make (ng * nk) 0 in
   List.iter
     (fun (obj, dt, full) ->
       let kind = Kobj.kind obj in
-      add per_kind kind dt;
-      let gname = Live_tree.owner w.live st.State.kernel (Kobj.id obj) in
-      let g_ns, g_objs, g_kinds =
-        match Hashtbl.find_opt per_group gname with
-        | Some g -> g
-        | None ->
-          let g = (ref 0, ref 0, Hashtbl.create 8) in
-          Hashtbl.add per_group gname g;
-          g
-      in
-      g_ns := !g_ns + dt;
-      incr g_objs;
-      add g_kinds kind dt;
+      let k = Kobj.kind_index kind in
+      let g = Live_tree.owner_group owners (Kobj.id obj) in
+      let gk = (g * nk) + k in
+      kind_ns.(k) <- kind_ns.(k) + dt;
+      kind_n.(k) <- kind_n.(k) + 1;
+      group_ns.(g) <- group_ns.(g) + dt;
+      group_n.(g) <- group_n.(g) + 1;
+      gk_ns.(gk) <- gk_ns.(gk) + dt;
+      gk_n.(gk) <- gk_n.(gk) + 1;
       let cost = State.obj_cost st kind in
       State.note_cost (if full then cost.State.full else cost.State.incr) dt)
-    w.dirty;
-  ( pairs per_kind,
-    Hashtbl.fold
-      (fun name (g_ns, g_objs, g_kinds) acc ->
-        (name, { Report.g_ns = !g_ns; g_objects = !g_objs; g_kinds = pairs g_kinds }) :: acc)
-      per_group [] )
+    dirty;
+  let kinds ns n ~base =
+    List.filter_map
+      (fun kind ->
+        let i = base + Kobj.kind_index kind in
+        if n.(i) = 0 then None else Some (kind, ns.(i)))
+      Kobj.all_kinds
+  in
+  let groups =
+    List.filter_map
+      (fun g ->
+        if group_n.(g) = 0 then None
+        else
+          Some
+            ( Live_tree.group_name owners g,
+              {
+                Report.g_ns = group_ns.(g);
+                g_objects = group_n.(g);
+                g_kinds = kinds gk_ns gk_n ~base:(g * nk);
+              } ))
+      (List.init ng Fun.id)
+  in
+  (kinds kind_ns kind_n ~base:0, groups)
 
 let run st =
   (* one staged version in flight, ever: a window still draining must
@@ -640,7 +659,7 @@ let run st =
   Probe.exit probe resume_tok;
   let stw_ns = now st - t0 in
   Probe.exit probe stw_tok ~args:(fun () -> [ ("stw_ns", string_of_int stw_ns) ]);
-  let per_kind_ns, per_group = attribute st w in
+  let per_kind_ns, per_group = attribute st w.live w.dirty in
   let report =
     {
       Report.zero with

@@ -26,6 +26,19 @@ val run : State.t -> Report.t
     in the settle step until the backlog drains.  Any window still pending when [run] is entered is
     force-settled first (one staged version in flight, ever). *)
 
+val attribute :
+  State.t ->
+  Live_tree.t ->
+  (Treesls_cap.Kobj.t * int * bool) list ->
+  (Treesls_cap.Kobj.kind * int) list * (string * Report.group_cost) list
+(** [attribute st live dirty] is how {!run} fills a report's [per_kind_ns]
+    and [per_group] from the objects its walk checkpointed, in walk order,
+    each with its simulated ns and whether it was a full checkpoint; each
+    object's ns also goes into its kind's Table 3 collector
+    ({!State.obj_cost}).  An object's group is its owner in [live]
+    ({!Live_tree.owners}).  Only kinds and groups some object landed in
+    are listed. *)
+
 val drain_step : State.t -> int
 (** One asynchronous drain step (called between operations): copy a batch
     of [drain_batch] backlog pages on the follower cores, settling the

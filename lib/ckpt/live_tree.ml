@@ -14,13 +14,21 @@ type edges =
 
 type entry = { obj : Kobj.t; mutable oroot : Oroot.t option }
 
+(* Attribution groups: one per distinct process name, in the order the
+   names first appear in [Kernel.processes], plus "kernel". *)
+type owners = {
+  names : string array;
+  group_of : int Int_tbl.t;  (* object id -> group, for objects some process holds *)
+  kernel : int;  (* the group of objects reachable only from the root *)
+}
+
 type t = {
   root : Kobj.cap_group;
   entries : entry array;
   live : unit Int_tbl.t;
   edges : edges array;
-  mutable owners : (int, string) Hashtbl.t option;  (* object id -> process name *)
-  regions : (int, Region_index.t) Hashtbl.t;
+  mutable owners : owners option;
+  regions : Region_index.t Int_tbl.t;
 }
 
 let unchanged = function
@@ -30,13 +38,14 @@ let unchanged = function
 
 let valid t ~root = t.root == root && Array.for_all unchanged t.edges
 
+(* One traversal, whose visited set is the live set itself: every object
+   reachable now has an ORoot once it has been checkpointed, so the ORoot
+   count is the size the set grows to. *)
 let build ~root ~oroots =
   let entries = ref [] and edges = ref [] in
-  let live = Int_tbl.create 1024 in
-  Kobj.iter_tree ~root (fun obj ->
-      let oid = Kobj.id obj in
-      Int_tbl.replace live oid ();
-      entries := { obj; oroot = Hashtbl.find_opt oroots oid } :: !entries;
+  let live = Int_tbl.create (Hashtbl.length oroots) in
+  Kobj.walk ~seen:live ~root (fun obj ->
+      entries := { obj; oroot = Hashtbl.find_opt oroots (Kobj.id obj) } :: !entries;
       match obj with
       | Kobj.Cap_group g -> edges := Slots (g, g.Kobj.cg_gen) :: !edges
       | Kobj.Vmspace vs -> edges := Regions (vs, vs.Kobj.vs_regions) :: !edges
@@ -48,7 +57,7 @@ let build ~root ~oroots =
     live;
     edges = Array.of_list !edges;
     owners = None;
-    regions = Hashtbl.create 16;
+    regions = Int_tbl.create 16;
   }
 
 let refresh cached ~root ~oroots =
@@ -61,39 +70,58 @@ let live t = t.live
 
 (* First process wins for objects shared across cap groups (e.g. IPC
    connections installed in both ends); objects reachable only from the
-   root stay "kernel".  Built on first use for this tree shape: a process
-   is created or exits only by installing or revoking its cap group in the
+   root stay "kernel".  The per-process walks share one visited set: when
+   a walk first reaches an object it also reaches all of that object's
+   descendants, so a later walk stopping there misses nothing it could
+   still own.  Built on first use for this tree shape: a process is
+   created or exits only by installing or revoking its cap group in the
    root, which retires the cache. *)
-let owner t kernel oid =
-  let owners =
-    match t.owners with
-    | Some o -> o
-    | None ->
-      let o = Hashtbl.create (Array.length t.entries) in
-      List.iter
-        (fun (p : Kernel.process) ->
-          Kobj.iter_tree ~root:p.Kernel.cg (fun obj ->
-              let oid = Kobj.id obj in
-              if not (Hashtbl.mem o oid) then Hashtbl.add o oid p.Kernel.pname))
-        (Kernel.processes kernel);
-      t.owners <- Some o;
-      o
-  in
-  Option.value ~default:"kernel" (Hashtbl.find_opt owners oid)
+let owners t kernel =
+  match t.owners with
+  | Some o -> o
+  | None ->
+    let index = Hashtbl.create 16 and names = ref [] in
+    let group name =
+      match Hashtbl.find_opt index name with
+      | Some g -> g
+      | None ->
+        let g = Hashtbl.length index in
+        Hashtbl.add index name g;
+        names := name :: !names;
+        g
+    in
+    let group_of = Int_tbl.create (Array.length t.entries) in
+    List.iter
+      (fun (p : Kernel.process) ->
+        let g = group p.Kernel.pname in
+        Kobj.walk ~seen:group_of ~root:p.Kernel.cg (fun _ -> g))
+      (Kernel.processes kernel);
+    let kernel = group "kernel" in
+    let o = { names = Array.of_list (List.rev !names); group_of; kernel } in
+    t.owners <- Some o;
+    o
+
+let group_count o = Array.length o.names
+let group_name o g = o.names.(g)
+
+let owner_group o oid =
+  match Int_tbl.find_opt o.group_of oid with Some g -> g | None -> o.kernel
 
 (* A region list change is an edge change, which retires this whole cache,
    so an index built for this tree never goes stale. *)
 let region_index t vms =
-  match Hashtbl.find_opt t.regions vms.Kobj.vs_id with
+  match Int_tbl.find_opt t.regions vms.Kobj.vs_id with
   | Some idx -> idx
   | None ->
     let idx = Region_index.build vms in
-    Hashtbl.replace t.regions vms.Kobj.vs_id idx;
+    Int_tbl.replace t.regions vms.Kobj.vs_id idx;
     idx
 
 (* Compared by id: [iter_tree] wraps PMOs and threads reached through
-   regions and IPC connections in fresh [Kobj.t] values at every call. *)
-let check t ~root =
+   regions and IPC connections in fresh [Kobj.t] values at every call.
+   The walk trusts each entry's ORoot link in place of a table lookup, so
+   a link must be, physically, the table's ORoot for that id. *)
+let check t ~root ~oroots =
   if not (valid t ~root) then None
   else begin
     let n = Array.length t.entries in
@@ -104,7 +132,24 @@ let check t ~root =
           first_diff := Some i;
         incr reached);
     match !first_diff with
-    | None when !reached = n -> None
+    | None when !reached = n -> (
+      let linked e =
+        match (e.oroot, Hashtbl.find_opt oroots (Kobj.id e.obj)) with
+        | None, _ -> true
+        | Some o, Some o' -> o == o'
+        | Some _, None -> false
+      in
+      let stale =
+        Array.fold_right
+          (fun e acc -> if linked e then acc else Kobj.id e.obj :: acc)
+          t.entries []
+      in
+      match stale with
+      | [] -> None
+      | first :: _ ->
+        Some
+          (Printf.sprintf "%d entries link an ORoot that is not the table's (first: object %d)"
+             (List.length stale) first))
     | d ->
       Some
         (Printf.sprintf "%d objects cached, %d reachable; first difference at visit %d" n

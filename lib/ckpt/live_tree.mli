@@ -24,7 +24,11 @@ type entry = {
   obj : Treesls_cap.Kobj.t;
   mutable oroot : Oroot.t option;
       (** the object's ORoot once it has one; the walk sets it when it
-          checkpoints the object *)
+          checkpoints the object, and checkpoints through it without a
+          table lookup.  It stays the table's ORoot for the object: only
+          [State.oroot_for] adds ORoots, and only [State.drop_dead_oroots]
+          removes them, always against the live set of the tree cached at
+          the time ({!check} audits the links) *)
 }
 
 type t
@@ -43,16 +47,34 @@ val live : t -> unit Treesls_util.Int_tbl.t
 (** The ids of {!entries}: the liveness set ORoot GC tests against. Never
     mutated after the cache is built. *)
 
-val owner : t -> Treesls_kernel.Kernel.t -> int -> string
-(** Name of the first process (in [Kernel.processes] order) whose subtree
-    holds the object, or ["kernel"]; for per-group STW attribution. *)
+type owners
+(** Per-object attribution groups for this tree shape. *)
+
+val owners : t -> Treesls_kernel.Kernel.t -> owners
+(** Built on first use for this tree shape, with one walk per process
+    sharing one visited set.  An object belongs to the first process in
+    [Kernel.processes] order whose subtree holds it; processes with the
+    same name share one group (reports key groups by name), and objects
+    reachable only from the root belong to ["kernel"]. *)
+
+val group_count : owners -> int
+(** Groups are numbered [0 .. group_count - 1]: the process names in order
+    of first appearance in [Kernel.processes], then ["kernel"] unless a
+    process already bears that name. *)
+
+val group_name : owners -> int -> string
+val owner_group : owners -> int -> int
+(** The group of an object id; ["kernel"]'s for any object no process
+    holds. *)
 
 val region_index : t -> Treesls_cap.Kobj.vmspace -> Region_index.t
 (** The VM space's region index, built on first use for this tree. *)
 
-val check : t -> root:Treesls_cap.Kobj.cap_group -> string option
+val check :
+  t -> root:Treesls_cap.Kobj.cap_group -> oroots:(int, Oroot.t) Hashtbl.t -> string option
 (** Coherence check for the state auditor: while the cache is still valid
     for [root], its entries must be exactly the objects a fresh traversal
-    reaches, in the same order.  [Some message] describes the first
-    difference; a stale cache (rebuilt before its next use) has nothing to
-    check. *)
+    reaches, in the same order, and every entry's cached ORoot must be,
+    physically, the one [oroots] holds for its id.  [Some message]
+    describes the first kind of difference found; a stale cache (rebuilt
+    before its next use) has nothing to check. *)

@@ -128,8 +128,12 @@ let find_oroot t oid = Hashtbl.find_opt t.st.State.oroots oid
 let checkpoint_bytes t = State.checkpoint_bytes t.st
 let last_report t = t.st.State.last_report
 
+(* the kinds some object was costed for, sorted by kind name *)
 let obj_costs t =
-  (* sorted by kind name: Hashtbl fold order must not leak into CLI output *)
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.st.State.obj_costs []
-  |> List.sort (fun (a, _) (b, _) ->
-         compare (Treesls_cap.Kobj.kind_name a) (Treesls_cap.Kobj.kind_name b))
+  List.filter_map
+    (fun kind ->
+      let c = State.obj_cost t.st kind in
+      if c.State.full.State.n + c.State.incr.State.n + c.State.restore.State.n = 0 then None
+      else Some (kind, c))
+    Kobj.all_kinds
+  |> List.sort (fun (a, _) (b, _) -> compare (Kobj.kind_name a) (Kobj.kind_name b))

@@ -94,3 +94,5 @@ val find_oroot : t -> int -> Oroot.t option
 val checkpoint_bytes : t -> int
 val last_report : t -> Report.t option
 val obj_costs : t -> (Treesls_cap.Kobj.kind * State.obj_cost) list
+(** Table 3's collectors: one per kind some object was checkpointed or
+    restored for, sorted by kind name. *)

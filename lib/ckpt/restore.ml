@@ -45,6 +45,23 @@ let iter_restore_choices st ~global f =
           oroot.Oroot.pages)
     st.State.oroots
 
+(* The objects of checkpoint [global]: every ORoot with a snapshot at or
+   below it, in table fold order (the order [restore.materialized] is hit
+   in).  The rest (born inside an uncommitted checkpoint, so every
+   snapshot they hold is stamped above [global]) are not materialised,
+   and the dead-ORoot GC after the swap drops them. *)
+let select st ~global =
+  Hashtbl.fold
+    (fun oid oroot acc ->
+      match Oroot.latest_le oroot ~version:global with
+      | Some (_, snap) -> (oid, oroot, snap) :: acc
+      | None -> acc)
+    st.State.oroots []
+
+let objects_to_materialize st =
+  let global = Global_meta.version (Store.meta (Kernel.store st.State.kernel)) in
+  List.length (select st ~global)
+
 let charge_restore st (snap : Snapshot.t) =
   let store = Kernel.store st.State.kernel in
   let c = Store.cost store in
@@ -119,26 +136,20 @@ let run_inner st =
   Drain.abandon st.State.drain;
   Probe.rto_phase_end probe;
   Probe.rto_phase_begin probe "oroot_select";
-  (* The objects of checkpoint [g]: every ORoot with a snapshot at or
-     below it.  The rest (born inside an uncommitted checkpoint, so every
-     snapshot they hold is stamped above [g]) are not materialised, and
-     the dead-ORoot GC after the swap drops them. *)
-  let live =
-    Hashtbl.fold
-      (fun oid oroot acc ->
-        match Oroot.latest_le oroot ~version:g with
-        | Some (_, snap) -> (oid, oroot, snap) :: acc
-        | None -> acc)
-      st.State.oroots []
-  in
+  let live = select st ~global:g in
   Probe.rto_phase_end probe;
   Crash_site.hit sites "restore.selected";
   (* Materialise bare objects with their original ids.  A normal PMO's
      radix takes the frame each page record's restore rule picks; the
      records themselves are rewritten only after the swap ([kept],
-     [unborn]). *)
+     [unborn]).  Time is tallied by kind (kinds in order of first
+     appearance) and the page remaps in one sum, and reported to the
+     profiler once the loop is done. *)
   let stubs : Kobj.t Int_tbl.t = Int_tbl.create (List.length live) in
   let pages_restored = ref 0 and kept = ref [] and unborn = ref [] in
+  let nk = List.length Kobj.all_kinds in
+  let kind_ns = Array.make nk 0 and kind_seen = Array.make nk false and kinds = ref [] in
+  let remap_ns = ref 0 and remapped = ref false in
   Probe.rto_phase_begin probe "materialize";
   List.iter
     (fun (oid, (oroot : Oroot.t), snap) ->
@@ -164,7 +175,7 @@ let run_inner st =
           | Kobj.Pmo_normal ->
             (* nested: CoW/page-table reconstruction charged to its own
                phase, subtracted from [materialize]'s exclusive time *)
-            Probe.rto_phase_begin probe "page_remap";
+            let t_remap = Clock.now clock in
             let cps = Oroot.pages_exn oroot in
             Ckpt_page.iter
               (fun pno cp ->
@@ -177,7 +188,8 @@ let run_inner st =
                   incr pages_restored
                 | `Drop -> unborn := (cps, pno) :: !unborn)
               cps;
-            Probe.rto_phase_end probe;
+            remap_ns := !remap_ns + (Clock.now clock - t_remap);
+            remapped := true;
             Kobj.Pmo pmo)
         | Snapshot.S_ipc { calls; _ } ->
           let c = Kobj.make_ipc_conn ~id:oid in
@@ -195,10 +207,20 @@ let run_inner st =
       in
       Int_tbl.replace stubs oid obj;
       let dt = Clock.now clock - t_obj in
-      Probe.rto_note_kind probe (Kobj.kind_name (Kobj.kind obj)) dt;
-      State.note_cost (State.obj_cost st (Kobj.kind obj)).State.restore dt;
+      let kind = Kobj.kind obj in
+      let k = Kobj.kind_index kind in
+      if not kind_seen.(k) then begin
+        kind_seen.(k) <- true;
+        kinds := kind :: !kinds
+      end;
+      kind_ns.(k) <- kind_ns.(k) + dt;
+      State.note_cost (State.obj_cost st kind).State.restore dt;
       Crash_site.hit sites "restore.materialized")
     live;
+  if !remapped then Probe.rto_phase_tally probe "page_remap" !remap_ns;
+  List.iter
+    (fun kind -> Probe.rto_note_kind probe (Kobj.kind_name kind) kind_ns.(Kobj.kind_index kind))
+    (List.rev !kinds);
   Probe.rto_phase_end probe;
   Probe.rto_phase_begin probe "captree_rebuild";
   (* Stitch references by object id. *)

@@ -50,6 +50,13 @@ type report = {
 val run : State.t -> report
 (** Recover; on success [State.kernel] is the new runtime kernel. *)
 
+val objects_to_materialize : State.t -> int
+(** How many objects a restore started now would materialise — the
+    number of times it hits the [restore.materialized] crash site: the
+    ORoots with a snapshot at or below the committed version.  Exact
+    after a power cut at an operation boundary, where no allocator
+    journal record is in flight for the replay to change. *)
+
 (** {2 Read-only walker}
 
     The restore decision logic, exposed for inspection without mutating

@@ -24,7 +24,7 @@ type t = {
   mutable ids_hwm : int;
   features : features;
   pending_fresh : (int, (Kobj.pmo * int list) ref) Hashtbl.t;
-  obj_costs : (Kobj.kind, obj_cost) Hashtbl.t;
+  obj_costs : obj_cost array;
   mutable ckpt_callbacks : (unit -> unit) list;
   mutable page_archive_hook : (Kobj.pmo -> int -> Treesls_nvm.Paddr.t -> unit) option;
   mutable interval_ns : int option;
@@ -54,7 +54,10 @@ let create kernel active_cfg features =
     ids_hwm = 0;
     features;
     pending_fresh = Hashtbl.create 64;
-    obj_costs = Hashtbl.create 8;
+    obj_costs =
+      Array.init (List.length Kobj.all_kinds) (fun _ ->
+          let range () = { n = 0; min_ns = max_int; max_ns = min_int } in
+          { full = range (); incr = range (); restore = range () });
     ckpt_callbacks = [];
     page_archive_hook = None;
     interval_ns = None;
@@ -102,14 +105,7 @@ let drain_fresh t pmo =
     Hashtbl.remove t.pending_fresh pmo.Kobj.pmo_id;
     pnos
 
-let obj_cost t kind =
-  match Hashtbl.find_opt t.obj_costs kind with
-  | Some c -> c
-  | None ->
-    let range () = { n = 0; min_ns = max_int; max_ns = min_int } in
-    let c = { full = range (); incr = range (); restore = range () } in
-    Hashtbl.replace t.obj_costs kind c;
-    c
+let obj_cost t kind = t.obj_costs.(Kobj.kind_index kind)
 
 let note_cost r ns =
   r.n <- r.n + 1;

@@ -66,7 +66,8 @@ type t = {
   features : features;
   pending_fresh : (int, (Kobj.pmo * int list) ref) Hashtbl.t;
       (** volatile: pmo id -> pages added since the last checkpoint walk *)
-  obj_costs : (Kobj.kind, obj_cost) Hashtbl.t;  (** measurement collectors *)
+  obj_costs : obj_cost array;
+      (** measurement collectors, indexed by {!Treesls_cap.Kobj.kind_index} *)
   mutable ckpt_callbacks : (unit -> unit) list;  (** volatile; §5 *)
   mutable page_archive_hook : (Kobj.pmo -> int -> Treesls_nvm.Paddr.t -> unit) option;
       (** eidetic extension (§8): invoked during the STW pause for every
@@ -109,6 +110,7 @@ val oroot_for : t -> Kobj.t -> version:int -> Oroot.t * bool
 val note_fresh_page : t -> Kobj.pmo -> int -> unit
 val drain_fresh : t -> Kobj.pmo -> int list
 val obj_cost : t -> Kobj.kind -> obj_cost
+(** The kind's collectors. *)
 
 val note_cost : cost_range -> int -> unit
 (** Count one object's cost (ns) into the range. *)

@@ -8,6 +8,7 @@ module Warea = Treesls_nvm.Warea
 module Crash_site = Treesls_nvm.Crash_site
 module Snapshot = Treesls_ckpt.Snapshot
 module Manager = Treesls_ckpt.Manager
+module Restore = Treesls_ckpt.Restore
 module Report = Treesls_ckpt.Report
 module Net_server = Treesls_extsync.Net_server
 module Audit = Treesls_audit.Audit
@@ -181,16 +182,25 @@ let fingerprint sys : fingerprint =
 
 (* ---- schedules -------------------------------------------------------- *)
 
+type restore_hit = First | Last
+
 type point =
   | Commit of int * Warea.crash_phase  (* journal commit point x phase *)
   | Site of string * int  (* nth hit of a named ckpt crash site *)
-  | Restore_site of string * int  (* crash at op k, then crash again at site during recovery *)
+  | Restore_site of string * int * restore_hit
+      (* crash at op k, then crash again at the site's first or last hit
+         during recovery *)
   | Op_crash of int  (* DRAM loss after op k *)
+
+(* The one site whose last hit the harness can compute before the
+   recovery runs: one hit per object the restore materialises. *)
+let last_hit_site = "restore.materialized"
 
 let point_to_string = function
   | Commit (p, ph) -> Printf.sprintf "commit:%d:%s" p (Warea.phase_name ph)
   | Site (s, n) -> Printf.sprintf "site:%s:%d" s n
-  | Restore_site (s, k) -> Printf.sprintf "restore:%s:%d" s k
+  | Restore_site (s, k, First) -> Printf.sprintf "restore:%s:%d" s k
+  | Restore_site (s, k, Last) -> Printf.sprintf "restore:%s:%d:last" s k
   | Op_crash k -> Printf.sprintf "op:%d" k
 
 let point_of_string s =
@@ -200,7 +210,10 @@ let point_of_string s =
     | Some p, Some ph -> Some (Commit (p, ph))
     | _ -> None)
   | [ "site"; site; n ] -> Option.map (fun n -> Site (site, n)) (int_of_string_opt n)
-  | [ "restore"; site; k ] -> Option.map (fun k -> Restore_site (site, k)) (int_of_string_opt k)
+  | [ "restore"; site; k ] ->
+    Option.map (fun k -> Restore_site (site, k, First)) (int_of_string_opt k)
+  | [ "restore"; site; k; "last" ] when site = last_hit_site ->
+    Option.map (fun k -> Restore_site (site, k, Last)) (int_of_string_opt k)
   | [ "op"; k ] -> Option.map (fun k -> Op_crash k) (int_of_string_opt k)
   | _ -> None
 
@@ -537,8 +550,9 @@ let schedules_of_plan cfg plan =
           |> List.map (fun h -> Site (site, h)))
         plan.site_hits
       @ List.concat_map
-          (fun site -> List.map (fun k -> Restore_site (site, k)) op_indices)
+          (fun site -> List.map (fun k -> Restore_site (site, k, First)) op_indices)
           restore_sites
+      @ List.map (fun k -> Restore_site (last_hit_site, k, Last)) op_indices
   in
   let op_crashes = if cfg.include_op_crashes then List.map (fun k -> Op_crash k) op_indices else [] in
   commits @ sites @ op_crashes
@@ -599,7 +613,7 @@ let run_schedule ~reference cfg point =
   | Site (s, n) -> Crash_site.arm sites ~site:s ~nth:n
   | Restore_site _ | Op_crash _ -> ());
   let fired = ref false in
-  let stop_at = match point with Restore_site (_, k) | Op_crash k -> Some k | _ -> None in
+  let stop_at = match point with Restore_site (_, k, _) | Op_crash k -> Some k | _ -> None in
   let shadow_a = ref 0 and shadow_b = ref 0 in
   (try
      replay ~delivered:(shadow_a, shadow_b) sys ops ~on_ckpt:ignore ~on_op:(fun i ->
@@ -620,8 +634,15 @@ let run_schedule ~reference cfg point =
     if not !fired then Did_not_fire
     else begin
       System.crash sys;
-      (* crash-during-recovery schedules arm their site only now *)
-      (match point with Restore_site (s, _) -> Crash_site.arm sites ~site:s ~nth:1 | _ -> ());
+      (* crash-during-recovery schedules arm their site only now; the
+         last materialised object is known once the cut is in, from the
+         ORoots the recovery will select *)
+      (match point with
+      | Restore_site (s, _, First) -> Crash_site.arm sites ~site:s ~nth:1
+      | Restore_site (s, _, Last) ->
+        Crash_site.arm sites ~site:s
+          ~nth:(Restore.objects_to_materialize (Manager.state (System.manager sys)))
+      | Commit _ | Site _ | Op_crash _ -> ());
       let recovered =
         match System.recover sys with
         | _ -> Ok ()
@@ -735,7 +756,7 @@ let restore_cuts sweep =
     (fun site ->
       let mine =
         List.filter
-          (fun r -> match r.point with Restore_site (s, _) -> s = site | _ -> false)
+          (fun r -> match r.point with Restore_site (s, _, _) -> s = site | _ -> false)
           sweep.results
       in
       (site, List.length mine, List.length (List.filter (fun r -> r.recovery_cut) mine)))

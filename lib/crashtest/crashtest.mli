@@ -64,18 +64,29 @@ val replay :
 
 (** {2 Schedules} *)
 
+(** Which hit of a restore site a [Restore_site] schedule cuts at. *)
+type restore_hit =
+  | First
+  | Last
+      (** the last: defined for ["restore.materialized"] only, the number
+          of objects the recovery materialises
+          ({!Treesls_ckpt.Restore.objects_to_materialize}), computed on
+          the victim once the first cut is in *)
+
 type point =
   | Commit of int * Warea.crash_phase
       (** tear journal commit point [n] at the given phase *)
   | Site of string * int  (** crash at the [n]th hit of a named crash site *)
-  | Restore_site of string * int
+  | Restore_site of string * int * restore_hit
       (** DRAM loss after op [k], then a second power cut at the first
-          hit of the named site during the recovery that follows, then a
-          second recovery (re-entrancy check) *)
+          (or last) hit of the named site during the recovery that
+          follows, then a second recovery (re-entrancy check) *)
   | Op_crash of int  (** DRAM loss after op [k] *)
 
 val point_to_string : point -> string
 val point_of_string : string -> point option
+(** [restore:SITE:K] cuts at the site's first hit; [restore:SITE:K:last]
+    at its last (["restore.materialized"] only). *)
 
 type outcome =
   | Passed
@@ -202,7 +213,8 @@ type sweep = {
 
 val restore_sites : string list
 (** Every crash site of [Restore.run], in pipeline order; each is swept
-    as [Restore_site (site, k)] at the sampled op indices [k]. *)
+    as [Restore_site (site, k, First)] at the sampled op indices [k], and
+    ["restore.materialized"] also as [Restore_site (site, k, Last)]. *)
 
 val restore_cuts : sweep -> (string * int * int) list
 (** Per restore site: its schedules in the sweep and how many of them

@@ -98,9 +98,12 @@ let run ?wear mgr =
   Kobj.iter_tree ~root (fun obj -> Hashtbl.replace reachable (Kobj.id obj) obj);
 
   (* The walk's cached tree must still be the tree: a stale cache would
-     skip objects that joined it and let GC free ones still in it. *)
+     skip objects that joined it and let GC free ones still in it, and a
+     stale ORoot link would checkpoint into an ORoot the table lost. *)
   Option.iter
-    (fun lt -> Option.iter (add Error Captree "live-tree cache: %s") (Live_tree.check lt ~root))
+    (fun lt ->
+      Option.iter (add Error Captree "live-tree cache: %s")
+        (Live_tree.check lt ~root ~oroots:st.State.oroots))
     st.State.live_tree;
 
   (* Captree: ORoot version sanity, snapshot restorability, references. *)

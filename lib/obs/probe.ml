@@ -130,6 +130,7 @@ let rto_begin_restore t =
 
 let rto_phase_begin t name = Rto.phase_begin t.rto ~now:(Clock.now t.clock) name
 let rto_phase_end t = Rto.phase_end t.rto ~now:(Clock.now t.clock)
+let rto_phase_tally t name ns = Rto.phase_tally t.rto name ns
 let rto_note_kind t name ns = Rto.note_kind t.rto name ns
 
 let rto_restore_done t ~version ~restored_objects ~dropped_objects ~pages_restored ~pages_dropped

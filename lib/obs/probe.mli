@@ -91,7 +91,8 @@ val crash_mark : t -> unit
 (** {2 RTO / flight-recorder emitters} — always active (like metrics);
     they read the simulated clock but never advance it.  Call sites:
     [Restore.run] opens/aborts/completes the profile, [Restore.run_inner]
-    brackets its phases, and [System.recover] brackets service re-setup
+    brackets its phases and tallies the page remap and the per-kind
+    split, and [System.recover] brackets service re-setup
     then seals the record (emitting the [restore.*] metrics family). *)
 
 val rto_begin_restore : t -> unit
@@ -100,7 +101,11 @@ val rto_begin_restore : t -> unit
 
 val rto_phase_begin : t -> string -> unit
 val rto_phase_end : t -> unit
-(** Bracket a named restore phase (phases nest; exclusive accounting). *)
+(** Bracket a named restore phase (one open at a time). *)
+
+val rto_phase_tally : t -> string -> int -> unit
+(** Charge nanoseconds of a step nested in the open phase to a named
+    phase of its own, without a span (exclusive accounting). *)
 
 val rto_note_kind : t -> string -> int -> unit
 (** Charge materialisation nanoseconds to an object-kind name. *)

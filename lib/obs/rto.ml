@@ -9,11 +9,13 @@
    - [begin_restore] (from [Restore.run]) opens a building profile and
      captures the pre-crash tail of the eternal trace ring before any
      recovery event can enter it;
-   - [phase_begin]/[phase_end] bracket the named restore phases.  Phases
-     nest (the per-PMO page remap runs inside object materialisation);
-     accounting is EXCLUSIVE — a parent's time excludes its children's —
-     so the recorded phases tile the recovery wall and their sum plus the
-     [r_untracked_ns] residue equals [r_total_ns] exactly;
+   - [phase_begin]/[phase_end] bracket the named restore phases, one open
+     at a time.  A step nested in a phase (the per-PMO page remap inside
+     object materialisation) is timed by its caller and reported once as a
+     tally ([phase_tally]).  Accounting is EXCLUSIVE — a phase's time
+     excludes the tallies reported inside it — so the recorded phases tile
+     the recovery wall and their sum plus the [r_untracked_ns] residue
+     equals [r_total_ns] exactly;
    - [recovered] (from [System.recover], after service re-setup) seals the
      profile into a [record].
 
@@ -51,7 +53,7 @@ type building = {
   b_t0 : int;
   b_crash_ns : int;
   b_pre_crash : Trace.event list;
-  mutable b_stack : frame list;
+  mutable b_open : frame option;
   b_excl : (string, int) Hashtbl.t;
   mutable b_order : string list; (* reverse order of first appearance *)
   b_kinds : (string, int) Hashtbl.t;
@@ -90,7 +92,7 @@ let begin_restore t ~now ~pre_crash =
         b_t0 = now;
         b_crash_ns = t.crash_ns;
         b_pre_crash = pre_crash;
-        b_stack = [];
+        b_open = None;
         b_excl = Hashtbl.create 16;
         b_order = [];
         b_kinds = Hashtbl.create 8;
@@ -109,22 +111,37 @@ let bump tbl order name ns =
 let phase_begin t ~now name =
   match t.cur with
   | None -> ()
-  | Some b -> b.b_stack <- { f_name = name; f_t0 = now; f_child_ns = 0 } :: b.b_stack
+  | Some b -> (
+    match b.b_open with
+    | Some f -> invalid_arg (Printf.sprintf "Rto.phase_begin %s: %s is open" name f.f_name)
+    | None -> b.b_open <- Some { f_name = name; f_t0 = now; f_child_ns = 0 })
 
 let phase_end t ~now =
   match t.cur with
   | None -> ()
   | Some b -> (
-    match b.b_stack with
-    | [] -> () (* unmatched end: ignore, like Trace.end_span *)
-    | f :: rest ->
-      b.b_stack <- rest;
-      let incl = now - f.f_t0 in
+    match b.b_open with
+    | None -> () (* unmatched end: ignore, like Trace.end_span *)
+    | Some f ->
+      b.b_open <- None;
       let order = ref b.b_order in
-      bump b.b_excl order f.f_name (incl - f.f_child_ns);
+      bump b.b_excl order f.f_name (now - f.f_t0 - f.f_child_ns);
       b.b_order <- !order;
-      (match rest with p :: _ -> p.f_child_ns <- p.f_child_ns + incl | [] -> ());
       b.b_spans <- { ps_name = f.f_name; ps_t0 = f.f_t0; ps_t1 = now } :: b.b_spans)
+
+(* The tally's time is inside the open phase: moved out of it, not added,
+   so the phases still tile the recovery. *)
+let phase_tally t name ns =
+  match t.cur with
+  | None -> ()
+  | Some b -> (
+    match b.b_open with
+    | None -> invalid_arg (Printf.sprintf "Rto.phase_tally %s: no phase is open" name)
+    | Some f ->
+      let order = ref b.b_order in
+      bump b.b_excl order name ns;
+      b.b_order <- !order;
+      f.f_child_ns <- f.f_child_ns + ns)
 
 let note_kind t name ns =
   match t.cur with
@@ -153,9 +170,7 @@ let recovered t ~now =
       t.cur <- None;
       None
     | Some (version, robj, dobj, pres, pdrop) ->
-      while b.b_stack <> [] do
-        phase_end t ~now
-      done;
+      phase_end t ~now;
       let total = now - b.b_t0 in
       let phases = List.rev_map (fun n -> (n, Hashtbl.find b.b_excl n)) b.b_order in
       let sum = List.fold_left (fun a (_, ns) -> a + ns) 0 phases in

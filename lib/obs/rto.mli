@@ -13,14 +13,15 @@
     simulated clock, so profiling cannot perturb the restore under
     measurement.
 
-    Phase accounting is exclusive: a nested phase's time is subtracted
-    from its parent, so [r_phases] plus [r_untracked_ns] sums to
+    Phase accounting is exclusive: a tally reported inside a phase is
+    subtracted from it, so [r_phases] plus [r_untracked_ns] sums to
     [r_total_ns] exactly (the 1%-untracked gate in [exp_rto] keeps the
     instrumentation honest as restore grows new steps). *)
 
 type phase_span = { ps_name : string; ps_t0 : int; ps_t1 : int }
 (** Inclusive [begin, end) interval of one phase execution, for the
-    flight timeline (a phase entered twice yields two spans). *)
+    flight timeline (a phase entered twice yields two spans; a tally
+    yields none). *)
 
 type record = {
   r_index : int;  (** 1-based count of successful recoveries *)
@@ -32,7 +33,8 @@ type record = {
   r_total_ns : int;  (** [r_end_ns - r_begin_ns] *)
   r_downtime_ns : int;  (** [r_end_ns - r_crash_ns] (total if no crash) *)
   r_phases : (string * int) list;
-      (** exclusive ns per phase, in first-entered order *)
+      (** exclusive ns per phase, in the order each first ended or was
+          first tallied *)
   r_untracked_ns : int;  (** [r_total_ns] minus the phase sum *)
   r_per_kind_ns : (string * int) list;  (** materialisation ns by object kind *)
   r_spans : phase_span list;  (** inclusive spans, oldest first *)
@@ -70,8 +72,16 @@ val begin_restore : t -> now:int -> pre_crash:Trace.event list -> unit
 
 val phase_begin : t -> now:int -> string -> unit
 val phase_end : t -> now:int -> unit
-(** Bracket a named phase.  Phases nest; [phase_end] closes the innermost
-    open one (unmatched ends are ignored). *)
+(** Bracket a named phase.  One phase is open at a time: [phase_begin]
+    while another is open raises [Invalid_argument]; an unmatched
+    [phase_end] is ignored. *)
+
+val phase_tally : t -> string -> int -> unit
+(** Charge [ns] of a step nested in the open phase, timed by the caller,
+    to the named phase: its exclusive time grows by [ns] and the open
+    phase's shrinks by as much.  No span is recorded: one call can stand
+    for many short steps (restore's per-PMO page remap).  Raises
+    [Invalid_argument] when no phase is open. *)
 
 val note_kind : t -> string -> int -> unit
 (** Charge [ns] of object materialisation to a kind name. *)

@@ -15,6 +15,7 @@ module Buddy = Treesls_nvm.Buddy
 module Manager = Treesls_ckpt.Manager
 module State = Treesls_ckpt.State
 module Oroot = Treesls_ckpt.Oroot
+module Live_tree = Treesls_ckpt.Live_tree
 module Ckpt_page = Treesls_ckpt.Ckpt_page
 module Report = Treesls_ckpt.Report
 module Eidetic = Treesls_ckpt.Eidetic
@@ -172,6 +173,16 @@ let bad_order_record_reported tag () =
 
 (* ---- fault injection: rollback state on an eternal PMO ---- *)
 
+(* Point the live-tree cache's entry for [oid] at [o]. *)
+let relink st oid o =
+  Option.iter
+    (fun lt ->
+      Array.iter
+        (fun (e : Live_tree.entry) ->
+          if Kobj.id e.Live_tree.obj = oid then e.Live_tree.oroot <- Some o)
+        (Live_tree.entries lt))
+    st.State.live_tree
+
 let eternal_rollback_state_detected () =
   let sys = System.boot () in
   let k = System.kernel sys in
@@ -179,7 +190,9 @@ let eternal_rollback_state_detected () =
   ignore (System.checkpoint sys);
   check_bool "baseline clean" true (Audit.ok (System.audit sys));
   (* rebuild the eternal PMO's ORoot with a (forbidden) page table; the
-     [pages] field is immutable, so the injection swaps the whole record *)
+     [pages] field is immutable, so the injection swaps the whole record,
+     in the table and in the live-tree entry that links it (a link the
+     table does not hold is a fault of its own) *)
   let st = Manager.state (System.manager sys) in
   let o = Hashtbl.find st.State.oroots p.Kobj.pmo_id in
   let o' =
@@ -191,6 +204,7 @@ let eternal_rollback_state_detected () =
   o'.Oroot.slot_b <- o.Oroot.slot_b;
   o'.Oroot.runtime <- o.Oroot.runtime;
   Hashtbl.replace st.State.oroots p.Kobj.pmo_id o';
+  relink st p.Kobj.pmo_id o';
   let r = System.audit sys in
   let v = the_violation r in
   check_bool "error severity" true (v.Audit.severity = Audit.Error);
@@ -270,6 +284,25 @@ let stale_live_tree_detected () =
   check_bool "announced change audits clean" true (Audit.ok (System.audit sys));
   ignore (System.checkpoint sys);
   check_bool "rebuilt cache audits clean" true (Audit.ok (System.audit sys))
+
+(* The walk checkpoints through each cache entry's ORoot link instead of
+   looking the table up: a link to any other ORoot than the table's would
+   save snapshots the table (and so restore) never sees. *)
+let stale_oroot_link_detected () =
+  let sys, _, proc, _, _, _ = setup () in
+  ignore (System.checkpoint sys);
+  check_bool "baseline clean" true (Audit.ok (System.audit sys));
+  let st = Manager.state (System.manager sys) in
+  let oid = proc.Kernel.cg.Kobj.cg_id in
+  let o = Hashtbl.find st.State.oroots oid in
+  relink st oid
+    (Oroot.create ~obj_id:oid ~kind:o.Oroot.kind ~version:o.Oroot.first_ver ~has_pages:false);
+  let v = the_violation (System.audit sys) in
+  check_bool "error severity" true (v.Audit.severity = Audit.Error);
+  check_string "subsystem" "captree" (Audit.subsystem_name v.Audit.subsystem);
+  check_bool "message" true (contains ~sub:"not the table's" v.Audit.message);
+  relink st oid o;
+  check_bool "relinked to the table's ORoot audits clean" true (Audit.ok (System.audit sys))
 
 (* ---- census ---- *)
 
@@ -400,6 +433,7 @@ let () =
             eternal_outside_root_detected;
           Alcotest.test_case "normal PMO as tseries backing detected" `Quick
             normal_pmo_backing_detected;
+          Alcotest.test_case "stale ORoot link detected" `Quick stale_oroot_link_detected;
         ] );
       ( "census",
         [ Alcotest.test_case "census balances" `Quick census_balances ] );

@@ -12,6 +12,10 @@ module C = Treesls_crashtest.Crashtest
 module System = Treesls.System
 module Manager = Treesls_ckpt.Manager
 module Warea = Treesls_nvm.Warea
+module Store = Treesls_nvm.Store
+module Crash_site = Treesls_nvm.Crash_site
+module Restore = Treesls_ckpt.Restore
+module Kv_app = Treesls_apps.Kv_app
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -74,7 +78,17 @@ let check_sweep (sweep : C.sweep) =
     sweep.C.failed;
   check_int "no failures" 0 (List.length sweep.C.failed);
   check_int "all schedules passed" (List.length sweep.C.results) sweep.C.passed;
-  check_recoveries sweep
+  check_recoveries sweep;
+  (* a last-hit schedule cuts after the recovery's last materialised
+     object, which every recovery reaches *)
+  List.iter
+    (fun (r : C.result) ->
+      match (r.C.point, r.C.outcome) with
+      | C.Restore_site (_, _, C.Last), C.Did_not_fire -> ()
+      | C.Restore_site (_, _, C.Last), _ ->
+        check_bool (C.reproducer cfg r.C.point ^ " cut the recovery") true r.C.recovery_cut
+      | _ -> ())
+    sweep.C.results
 
 (* Every restore site must actually cut recoveries across the seeds: a
    site that is never reached passes its schedules without testing
@@ -155,8 +169,9 @@ let recovery_cut_is_a_power_cut () =
   let plain, first = run (C.Op_crash k) in
   check_int "a DRAM-loss schedule is one power cut" 1 plain.C.crashes;
   List.iter
-    (fun site ->
-      let res, r = run (C.Restore_site (site, k)) in
+    (fun point ->
+      let site = C.point_to_string point in
+      let res, r = run point in
       check_bool (site ^ " cut the recovery") true res.C.recovery_cut;
       check_int (site ^ ": two power cuts") 2 res.C.crashes;
       check_int (site ^ ": crash instant is the first cut") first.Rto.r_crash_ns r.Rto.r_crash_ns;
@@ -166,7 +181,55 @@ let recovery_cut_is_a_power_cut () =
         r.Rto.r_downtime_ns;
       check_bool (site ^ ": downtime longer than the plain cut's") true
         (r.Rto.r_downtime_ns > first.Rto.r_downtime_ns))
-    [ "restore.materialized"; "restore.swapped"; "restore.reclaimed" ]
+    [
+      C.Restore_site ("restore.materialized", k, C.First);
+      C.Restore_site ("restore.materialized", k, C.Last);
+      C.Restore_site ("restore.swapped", k, C.First);
+      C.Restore_site ("restore.reclaimed", k, C.First);
+    ]
+
+(* A last-hit schedule arms [restore.materialized] at the count
+   [Restore.objects_to_materialize] gives right after the cut: that must
+   be exactly the recovery's last hit, so the site fires there and not one
+   hit later.  Restore is re-entrant, so one victim answers both: a cut at
+   the count, then a recovery armed one past it that completes and
+   materialises exactly that many objects.  Async: the cut leaves a drain
+   window pending, whose staged objects the recovery must not count. *)
+let materialize_count_is_the_last_hit () =
+  List.iter
+    (fun async ->
+      let sys = System.boot () in
+      if async then begin
+        let mgr = System.manager sys in
+        (Manager.features mgr).Treesls_ckpt.State.async_drain <- true;
+        Manager.set_drain_batch mgr 1
+      end;
+      let app = Kv_app.launch ~keys_hint:2_000 sys Kv_app.Memcached in
+      for i = 0 to 99 do
+        Kv_app.set_i app i;
+        if i mod 25 = 24 then ignore (System.checkpoint sys)
+      done;
+      Kv_app.set_i app 100;
+      ignore (System.checkpoint sys);
+      if async then
+        check_bool "a drain window is pending at the cut" true
+          (Manager.drain_pending_version (System.manager sys) <> None);
+      let sites = Store.crash_sites (System.store sys) in
+      let count () = Restore.objects_to_materialize (Manager.state (System.manager sys)) in
+      System.crash sys;
+      let n = count () in
+      Crash_site.arm sites ~site:"restore.materialized" ~nth:n;
+      check_bool "the count's hit fires" true
+        (match System.recover sys with _ -> false | exception Warea.Crashed _ -> true);
+      Crash_site.reset sites;
+      System.crash sys;
+      check_int "the count is unchanged by the cut" n (count ());
+      Crash_site.arm sites ~site:"restore.materialized" ~nth:(n + 1);
+      let r = System.recover sys in
+      Crash_site.reset sites;
+      check_int "the recovery materialises that many objects" n
+        r.Restore.restored_objects)
+    [ false; true ]
 
 (* The recovered version and fingerprint of a system that replays the
    trace up to the instant version [g] commits, then crashes and
@@ -257,7 +320,8 @@ let reproducer_roundtrip () =
         [
           C.Commit (57, Warea.Mid_apply);
           C.Site ("ckpt.publish", 2);
-          C.Restore_site ("restore.begin", 9);
+          C.Restore_site ("restore.begin", 9, C.First);
+          C.Restore_site ("restore.materialized", 9, C.Last);
           C.Op_crash 14;
         ])
     [ small_config; { small_config with C.async = true } ];
@@ -268,6 +332,10 @@ let reproducer_roundtrip () =
     check_int "seed" 42 cfg.C.seed;
     check_int "ops" 280 cfg.C.ops
   | _ -> Alcotest.fail "three-field reproducer did not parse");
+  (* restore-site strings from before the hit field cut at the first hit *)
+  (match C.parse_reproducer "seed=42;ops=240;mode=eager;restore:restore.materialized:9" with
+  | Some (_, C.Restore_site ("restore.materialized", 9, C.First)) -> ()
+  | _ -> Alcotest.fail "restore-site reproducer without a hit did not parse as the first hit");
   List.iter
     (fun s -> check_bool s true (C.parse_reproducer s = None))
     [ "seed=2;ops=240;mode=lazy;op:3"; "seed=2;ops=240;async;op:3"; "seed=2;mode=async;op:3" ]
@@ -275,7 +343,16 @@ let reproducer_roundtrip () =
 let point_string_rejects_garbage () =
   List.iter
     (fun s -> check_bool s true (C.point_of_string s = None))
-    [ ""; "commit:x:mid_apply"; "commit:3:nope"; "site:only_one"; "op:NaN"; "weird:1:2" ]
+    [
+      "";
+      "commit:x:mid_apply";
+      "commit:3:nope";
+      "site:only_one";
+      "op:NaN";
+      "weird:1:2";
+      "restore:restore.begin:3:last";
+      "restore:restore.materialized:3:first";
+    ]
 
 let shrink_finds_smaller_failure () =
   let cfg = { small_config with C.recovery_bug = true } in
@@ -319,6 +396,8 @@ let () =
             reference_matches_crash_recover;
           Alcotest.test_case "deliberate recovery bug is caught" `Slow recovery_bug_caught;
           Alcotest.test_case "single schedule replay" `Quick single_schedule_replay;
+          Alcotest.test_case "materialize count is the last hit" `Quick
+            materialize_count_is_the_last_hit;
         ] );
       ( "reproducers",
         [

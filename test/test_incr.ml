@@ -245,7 +245,10 @@ let live_tree_tracks_shape () =
   ignore (System.crash_and_recover sys);
   let t4 = live_tree sys in
   check_bool "restored cache matches the restored tree" true
-    (Live_tree.check t4 ~root:(Kernel.root (System.kernel sys)) = None);
+    (Live_tree.check t4
+       ~root:(Kernel.root (System.kernel sys))
+       ~oroots:(Manager.state mgr).State.oroots
+    = None);
   audit_clean "restore";
   let r4 = System.checkpoint sys in
   check_bool "first checkpoint after restore reuses the cache" true (live_tree sys == t4);

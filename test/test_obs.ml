@@ -498,6 +498,58 @@ let rto_phase_sum_exact () =
          (fun (p, _) -> Metrics.histogram m ("restore.phase." ^ p ^ "_ns") <> None)
          r.Rto.r_phases)
 
+(* The page remap is tallied, not bracketed: a record holds one span per
+   bracketed phase however many PMOs the recovery remaps, so its size
+   does not grow with the tenant count. *)
+let rto_record_size_independent_of_pmos () =
+  let module Manager = Treesls_ckpt.Manager in
+  let module Oroot = Treesls_ckpt.Oroot in
+  let module Kobj = Treesls_cap.Kobj in
+  let recover_with ~tenants =
+    let sys = System.boot () in
+    let apps =
+      List.init tenants (fun i ->
+          Kv_app.launch ~keys_hint:64 ~value_size:32 ~instance:(Printf.sprintf "t%d" i) sys
+            Kv_app.Shard)
+    in
+    List.iter (fun app -> for j = 0 to 7 do Kv_app.set_i app j done) apps;
+    ignore (System.checkpoint sys);
+    System.crash sys;
+    (* materialisation order: the restore selects the ORoots with a
+       committed snapshot in table order, consing each onto its list *)
+    let mgr = System.manager sys in
+    let g = Manager.version mgr in
+    let kinds = ref [] and pmo_pages = ref 0 in
+    Manager.iter_oroots mgr (fun _ (o : Oroot.t) ->
+        if Oroot.latest_le o ~version:g <> None then begin
+          kinds := Kobj.kind_name o.Oroot.kind :: !kinds;
+          Option.iter
+            (fun cps -> pmo_pages := !pmo_pages + Treesls_ckpt.Ckpt_page.cardinal cps)
+            o.Oroot.pages
+        end);
+    let first_seen =
+      List.fold_left (fun acc k -> if List.mem k acc then acc else k :: acc) [] !kinds |> List.rev
+    in
+    ignore (System.recover sys);
+    List.iter Kv_app.refresh apps;
+    let r = Option.get (System.last_recovery sys) in
+    let phase_names = List.map fst r.Rto.r_phases in
+    let span_names = List.map (fun s -> s.Rto.ps_name) r.Rto.r_spans in
+    check_bool "no page_remap span" false (List.mem "page_remap" span_names);
+    Alcotest.(check (list string))
+      "one span per bracketed phase"
+      (List.filter (fun n -> n <> "page_remap") phase_names)
+      span_names;
+    check_bool "normal PMO pages were restored" true (!pmo_pages > 0);
+    check_bool "page_remap > 0" true (List.assoc "page_remap" r.Rto.r_phases > 0);
+    check_int "exclusive phases + untracked = total exactly" r.Rto.r_total_ns
+      (phase_sum r + r.Rto.r_untracked_ns);
+    Alcotest.(check (list string))
+      "per-kind time in first-appearance order" first_seen (List.map fst r.Rto.r_per_kind_ns);
+    List.length r.Rto.r_spans
+  in
+  check_int "spans with 1 and 16 tenants" (recover_with ~tenants:1) (recover_with ~tenants:16)
+
 let rto_ttfr () =
   let sys, app = boot_live () in
   ignore (System.crash_and_recover sys);
@@ -739,5 +791,7 @@ let () =
           Alcotest.test_case "flight export round-trips" `Quick rto_flight_roundtrip;
           Alcotest.test_case "trace ring survives 3 crash cycles" `Quick
             rto_ring_survives_cycles;
+          Alcotest.test_case "record size independent of the PMO count" `Quick
+            rto_record_size_independent_of_pmos;
         ] );
     ]

@@ -15,6 +15,12 @@ module Serve = Treesls_serve.Serve
 module Rtrace = Treesls_obs.Rtrace
 module Probe = Treesls_obs.Probe
 module Ycsb = Treesls_workloads.Ycsb
+module Kobj = Treesls_cap.Kobj
+module Manager = Treesls_ckpt.Manager
+module State = Treesls_ckpt.State
+module Checkpoint = Treesls_ckpt.Checkpoint
+module Live_tree = Treesls_ckpt.Live_tree
+module Rng = Treesls_util.Rng
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -203,6 +209,213 @@ let per_group_shared_object_reattributed () =
     (List.mem_assoc "churn.keeper" r2.Report.per_group);
   assert_groups_live_and_exact sys r2
 
+(* ---- attribution against the original table-keyed code ---- *)
+
+(* The original owner map, kept as the oracle: one [iter_tree] per
+   process, each with a visited set of its own; the first process in
+   [Kernel.processes] order whose walk reaches an object owns it, and
+   objects no process reaches stay "kernel". *)
+let oracle_owner kernel =
+  let owners = Hashtbl.create 256 in
+  List.iter
+    (fun (p : Kernel.process) ->
+      Kobj.iter_tree ~root:p.Kernel.cg (fun obj ->
+          let oid = Kobj.id obj in
+          if not (Hashtbl.mem owners oid) then Hashtbl.add owners oid p.Kernel.pname))
+    (Kernel.processes kernel);
+  fun oid -> Option.value ~default:"kernel" (Hashtbl.find_opt owners oid)
+
+(* The original attribution, kept as the oracle: tallies in tables keyed
+   by kind and by group name, Table 3's collectors in [costs], keyed by
+   kind and created on first use. *)
+let oracle_attribute owner costs dirty =
+  let add tbl k dt = Hashtbl.replace tbl k (dt + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
+  let pairs tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
+  let per_kind = Hashtbl.create 8 in
+  let per_group : (string, int ref * int ref * (Kobj.kind, int) Hashtbl.t) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  List.iter
+    (fun (obj, dt, full) ->
+      let kind = Kobj.kind obj in
+      add per_kind kind dt;
+      let g_ns, g_objs, g_kinds =
+        match Hashtbl.find_opt per_group (owner (Kobj.id obj)) with
+        | Some g -> g
+        | None ->
+          let g = (ref 0, ref 0, Hashtbl.create 8) in
+          Hashtbl.add per_group (owner (Kobj.id obj)) g;
+          g
+      in
+      g_ns := !g_ns + dt;
+      incr g_objs;
+      add g_kinds kind dt;
+      let cost =
+        match Hashtbl.find_opt costs kind with
+        | Some c -> c
+        | None ->
+          let range () = { State.n = 0; min_ns = max_int; max_ns = min_int } in
+          let c = { State.full = range (); incr = range (); restore = range () } in
+          Hashtbl.replace costs kind c;
+          c
+      in
+      State.note_cost (if full then cost.State.full else cost.State.incr) dt)
+    dirty;
+  ( pairs per_kind,
+    Hashtbl.fold
+      (fun name (g_ns, g_objs, g_kinds) acc ->
+        (name, { Report.g_ns = !g_ns; g_objects = !g_objs; g_kinds = pairs g_kinds }) :: acc)
+      per_group [] )
+
+(* Order-free renderings: every consumer sorts or sums these lists. *)
+let kinds_str l =
+  List.map (fun (k, ns) -> Printf.sprintf "%s=%d" (Kobj.kind_name k) ns) l |> List.sort compare
+
+let groups_str l =
+  List.map
+    (fun (name, g) ->
+      Printf.sprintf "%s %dns/%d [%s]" name g.Report.g_ns g.Report.g_objects
+        (String.concat "; " (kinds_str g.Report.g_kinds)))
+    l
+  |> List.sort compare
+
+let costs_str l =
+  let r (c : State.cost_range) = Printf.sprintf "%d/%d/%d" c.State.n c.State.min_ns c.State.max_ns in
+  List.map
+    (fun (k, (c : State.obj_cost)) ->
+      Printf.sprintf "%s full=%s incr=%s restore=%s" (Kobj.kind_name k) (r c.State.full)
+        (r c.State.incr) (r c.State.restore))
+    l
+  |> List.sort compare
+
+(* A copy of the system's collectors, keyed by kind as the oracle keeps
+   them. *)
+let oracle_costs mgr =
+  let copy (c : State.cost_range) = { c with State.n = c.State.n } in
+  let t = Hashtbl.create 8 in
+  List.iter
+    (fun (k, (c : State.obj_cost)) ->
+      Hashtbl.replace t k
+        { State.full = copy c.State.full; incr = copy c.State.incr; restore = copy c.State.restore })
+    (Manager.obj_costs mgr);
+  t
+
+(* Attribute [dirty] through the system's own code and through the oracle,
+   from the same collectors, and compare everything both produce. *)
+let check_attribution sys dirty =
+  let mgr = System.manager sys in
+  let st = Manager.state mgr in
+  let live =
+    match st.State.live_tree with Some lt -> lt | None -> Alcotest.fail "no live-tree cache"
+  in
+  let costs = oracle_costs mgr in
+  let want_kinds, want_groups =
+    oracle_attribute (oracle_owner (System.kernel sys)) costs dirty
+  in
+  let kinds, groups = Checkpoint.attribute st live dirty in
+  let check_strs = Alcotest.(check (list string)) in
+  check_strs "per_kind_ns" (kinds_str want_kinds) (kinds_str kinds);
+  check_strs "per_group" (groups_str want_groups) (groups_str groups);
+  check_strs "obj_costs" (costs_str (Hashtbl.fold (fun k c acc -> (k, c) :: acc) costs []))
+    (costs_str (Manager.obj_costs mgr));
+  groups
+
+(* A seeded sample of the cached tree's objects, in walk order, as a walk
+   would checkpoint them: some with 0 ns, some full. *)
+let sample_dirty rng sys =
+  let st = Manager.state (System.manager sys) in
+  match st.State.live_tree with
+  | None -> Alcotest.fail "no live-tree cache"
+  | Some lt ->
+    Array.to_list (Live_tree.entries lt)
+    |> List.filter_map (fun (e : Live_tree.entry) ->
+           if Rng.int rng 3 = 0 then None
+           else
+             Some
+               ( e.Live_tree.obj,
+                 (if Rng.int rng 8 = 0 then 0 else Rng.int rng 5_000),
+                 Rng.int rng 4 = 0 ))
+
+let test_procs k =
+  List.filter
+    (fun (p : Kernel.process) -> String.length p.Kernel.pname > 2 && String.sub p.Kernel.pname 0 2 = "t.")
+    (Kernel.processes k)
+
+(* Seeded systems under churn: processes created (two names shared) and
+   exited, so re-created processes take lower root slots than older ones
+   while coming after them in [Kernel.processes]; IPC connections and
+   PMOs installed in two processes; eternal PMOs reachable only from the
+   root; now and then a crash and recovery, after which
+   [Kernel.processes] runs in slot order.  After every checkpoint the
+   system's attribution must equal the oracle's on a sample of the tree. *)
+let attribution_matches_the_oracle () =
+  List.iter
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let sys = System.boot () in
+      let names = [| "t.a"; "t.b"; "t.dup"; "t.dup"; "t.c" |] in
+      let spawn () =
+        ignore (Kernel.create_process (System.kernel sys) ~name:(Rng.pick rng names) ~threads:1 ~prio:1)
+      in
+      spawn ();
+      spawn ();
+      for step = 1 to 40 do
+        let k = System.kernel sys in
+        let procs = Array.of_list (test_procs k) in
+        let two () = (Rng.pick rng procs, Rng.pick rng procs) in
+        (match Rng.int rng 7 with
+        | 0 | 1 -> spawn ()
+        | 2 when Array.length procs > 1 -> Kernel.exit_process k (Rng.pick rng procs)
+        | 3 when Array.length procs > 0 ->
+          let client, server = two () in
+          ignore (Ipc.create_conn k ~client ~server)
+        | 4 when Array.length procs > 0 ->
+          let a, b = two () in
+          ignore (Kernel.grow_heap k a ~pages:1);
+          let heap = List.hd (List.rev a.Kernel.vms.Kobj.vs_regions) in
+          ignore (Kernel.map_shared k b heap.Kobj.vr_pmo ~writable:true)
+        | 5 -> ignore (Kernel.make_eternal_pmo k ~pages:1)
+        | _ when Array.length procs > 0 ->
+          ignore (Kernel.create_notification k (Rng.pick rng procs))
+        | _ -> spawn ());
+        ignore (System.checkpoint sys);
+        ignore (check_attribution sys (sample_dirty rng sys));
+        if step mod 13 = 0 then begin
+          ignore (System.crash_and_recover sys);
+          ignore (System.checkpoint sys);
+          ignore (check_attribution sys (sample_dirty rng sys))
+        end
+      done)
+    [ 1; 2; 3; 4; 5; 6 ]
+
+(* Pinned: C re-created into A's freed root slot sits below B in the
+   root, but after B in [Kernel.processes]; an object both hold is B's.
+   One walk from the root in slot order would hand it to C. *)
+let attribution_first_process_not_lowest_slot () =
+  let sys = System.boot () in
+  let k = System.kernel sys in
+  let a = Kernel.create_process k ~name:"pin.a" ~threads:1 ~prio:1 in
+  let b = Kernel.create_process k ~name:"pin.b" ~threads:1 ~prio:1 in
+  Kernel.exit_process k a;
+  let c = Kernel.create_process k ~name:"pin.c" ~threads:1 ~prio:1 in
+  let slot (p : Kernel.process) =
+    let s = ref (-1) in
+    Kobj.iter_caps
+      (fun i cap -> if Kobj.id cap.Kobj.target = p.Kernel.pid then s := i)
+      (Kernel.root k);
+    !s
+  in
+  check_bool "C holds the lower root slot" true (slot c < slot b);
+  Alcotest.(check (list string))
+    "B comes first in Kernel.processes" [ "pin.b"; "pin.c" ]
+    (List.filter_map
+       (fun (p : Kernel.process) -> if p == b || p == c then Some p.Kernel.pname else None)
+       (Kernel.processes k));
+  let conn = Ipc.create_conn k ~client:c ~server:b in
+  ignore (System.checkpoint sys);
+  let groups = check_attribution sys [ (Kobj.Ipc_conn conn, 1_000, false) ] in
+  Alcotest.(check (list string)) "the shared connection is B's" [ "pin.b" ] (List.map fst groups)
+
 (* ---- the serving harness end to end ---- *)
 
 let serve_cfg ~tenants ~ops =
@@ -275,6 +488,10 @@ let () =
           Alcotest.test_case "tenant churn leaves no stale groups" `Quick per_group_churn;
           Alcotest.test_case "shared object re-attributed on owner exit" `Quick
             per_group_shared_object_reattributed;
+          Alcotest.test_case "matches the table-keyed oracle" `Quick
+            attribution_matches_the_oracle;
+          Alcotest.test_case "first process wins, not the lowest slot" `Quick
+            attribution_first_process_not_lowest_slot;
         ] );
       ( "harness",
         [
