@@ -13,21 +13,10 @@ type t = {
 
 let psz k = (Kernel.cost k).Cost.page_size
 
-let read_u64 t va =
-  Int64.to_int (Bytes.get_int64_le (Kernel.read_bytes t.kernel t.proc ~vaddr:va ~len:8) 0)
-
-let write_u64 t va v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Kernel.write_bytes t.kernel t.proc ~vaddr:va b
-
-let read_u32 t va =
-  Int32.to_int (Bytes.get_int32_le (Kernel.read_bytes t.kernel t.proc ~vaddr:va ~len:4) 0)
-
-let write_u32 t va v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int v);
-  Kernel.write_bytes t.kernel t.proc ~vaddr:va b
+let read_u64 t va = Kernel.read_word t.kernel t.proc ~vaddr:va ~len:8
+let write_u64 t va v = Kernel.write_word t.kernel t.proc ~vaddr:va ~len:8 v
+let read_u32 t va = Kernel.read_word t.kernel t.proc ~vaddr:va ~len:4
+let write_u32 t va v = Kernel.write_word t.kernel t.proc ~vaddr:va ~len:4 v
 
 (* header offsets *)
 let off_buckets = 0

@@ -76,19 +76,26 @@ let id = function
   | Irq_notification i -> i.irq_id
 
 (* Generation epochs: every mutation of checkpointable object state bumps
-   the object's generation through {!touch}.  The incremental walk compares
-   an object's generation against the one recorded at its last checkpoint
-   (ORoot-side) and skips snapshot/copy/charge when they match, so the
-   bump must be placed on every state-mutating path — the constructors and
-   cap-slot operations below, plus the kernel/IPC mutators. *)
-let touch = function
+   the object's generation through {!touch}, which also logs the object's
+   id in its kernel's dirty log.  The incremental walk visits the logged
+   objects and skips snapshot/copy/charge for those whose generation still
+   matches the one recorded at their last checkpoint (ORoot-side), so the
+   bump must be placed on every state-mutating path — the kernel/IPC
+   mutators.  The cap-slot operations below bump a group's generation
+   unlogged: a slot change retires the walk's live-tree cache, and a fresh
+   cache is compared object by object. *)
+let touch log obj =
+  (match obj with
   | Cap_group g -> g.cg_gen <- g.cg_gen + 1
   | Thread th -> th.th_gen <- th.th_gen + 1
   | Vmspace vs -> vs.vs_gen <- vs.vs_gen + 1
   | Pmo p -> p.pmo_gen <- p.pmo_gen + 1
   | Ipc_conn c -> c.ic_gen <- c.ic_gen + 1
   | Notification n -> n.nt_gen <- n.nt_gen + 1
-  | Irq_notification i -> i.irq_gen <- i.irq_gen + 1
+  | Irq_notification i -> i.irq_gen <- i.irq_gen + 1);
+  Dirty_log.record log (id obj)
+
+let slots_changed g = g.cg_gen <- g.cg_gen + 1
 
 let gen = function
   | Cap_group g -> g.cg_gen
@@ -180,7 +187,7 @@ let install g cap =
   in
   g.cg_slots.(slot) <- Some cap;
   g.cg_used <- g.cg_used + 1;
-  touch (Cap_group g);
+  slots_changed g;
   slot
 
 let install_at g slot cap =
@@ -194,7 +201,7 @@ let install_at g slot cap =
   if g.cg_slots.(slot) <> None then invalid_arg "Kobj.install_at: slot occupied";
   g.cg_slots.(slot) <- Some cap;
   g.cg_used <- g.cg_used + 1;
-  touch (Cap_group g)
+  slots_changed g
 
 let lookup g slot =
   if slot < 0 || slot >= Array.length g.cg_slots then None else g.cg_slots.(slot)
@@ -205,7 +212,7 @@ let revoke g slot =
   | Some _ ->
     g.cg_slots.(slot) <- None;
     g.cg_used <- g.cg_used - 1;
-    touch (Cap_group g)
+    slots_changed g
 
 let iter_caps f g =
   Array.iteri (fun i slot -> match slot with Some c -> f i c | None -> ()) g.cg_slots

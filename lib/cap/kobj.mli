@@ -91,11 +91,12 @@ val kind : t -> kind
 
 (** {2 Generation epochs (incremental checkpoint walk)} *)
 
-val touch : t -> unit
-(** Bump the object's generation.  Must be called after every mutation of
-    checkpointable state; the provided helpers ({!install}, {!revoke}, the
-    kernel and IPC mutators) do so themselves — call it directly only when
-    assigning record fields by hand. *)
+val touch : Dirty_log.t -> t -> unit
+(** Bump the object's generation and record its id in the log (its
+    kernel's: [Kernel.dirty_log]).  Must be called after every mutation of
+    checkpointable state; the kernel and IPC mutators do so themselves —
+    call it directly only when assigning record fields by hand.  A bump
+    made any other way is one the incremental walk never sees. *)
 
 val gen : t -> int
 (** Current generation.  Constructors start at 1; the checkpoint walk
@@ -130,9 +131,10 @@ val make_irq_notification : id:int -> line:int -> irq_notification
 
 val install : cap_group -> cap -> int
 (** Install a capability in the first free slot; returns the slot.  Like
-    {!install_at} and {!revoke} it bumps the group's generation, which is
-    also how the checkpoint's live-tree cache notices that the tree's shape
-    changed: slots must not be written any other way. *)
+    {!install_at} and {!revoke} it bumps the group's generation without
+    logging it: that bump is how the checkpoint's live-tree cache notices
+    that the tree's shape changed, and a rebuilt cache compares every
+    object.  Slots must not be written any other way. *)
 
 val install_at : cap_group -> int -> cap -> unit
 (** Install at a specific slot (restore path; slot must be free). *)

@@ -9,6 +9,7 @@ module Crash_site = Treesls_nvm.Crash_site
 module Cost = Treesls_sim.Cost
 module Clock = Treesls_sim.Clock
 module Id_gen = Treesls_cap.Id_gen
+module Dirty_log = Treesls_cap.Dirty_log
 module Probe = Treesls_obs.Probe
 module Wearmap = Treesls_obs.Wearmap
 
@@ -105,8 +106,9 @@ let async_on st =
   let f = st.State.features in
   f.State.async_drain && f.State.level = State.Hybrid
 
-(* Step 3: one core's traversal of its sub-list of the active page list. *)
-let hybrid_sublist st ~new_ver entries counters =
+(* Step 3: one core's traversal of its sub-list of the active page list.
+   [live] is the walk's live set. *)
+let hybrid_sublist st ~new_ver ~live entries counters =
   let kernel = st.State.kernel in
   let store = Kernel.store kernel in
   let dirty_copied, migrated_in, migrated_out = counters in
@@ -115,6 +117,13 @@ let hybrid_sublist st ~new_ver entries counters =
       let pmo = e.Active_list.e_pmo and pno = e.Active_list.e_pno in
       match Radix.get pmo.Kobj.pmo_radix pno with
       | None -> Active_list.drop st.State.active e
+      | Some runtime when not (Treesls_util.Int_tbl.mem live pmo.Kobj.pmo_id) ->
+        (* the PMO left the tree (its process exited): its ORoot goes at
+           this commit, so the entry retires with it, and a DRAM frame it
+           cached goes back to the allocator (a crash loses that frame's
+           content anyway; recovery reads the NVM backups) *)
+        if e.Active_list.e_dram && Paddr.is_dram runtime then Store.free_dram_page store runtime;
+        Active_list.drop st.State.active e
       | Some runtime ->
         if not e.Active_list.e_dram then begin
           (* newly appended: NVM -> DRAM migration (swapped-out pages wait
@@ -468,48 +477,57 @@ type walk = {
    object whose generation still matches the one recorded at its last
    checkpoint has not been mutated, so its backups are already current —
    skip snapshot/copy/charge entirely.  The tree comes from the live-tree
-   cache, re-traversed only when its shape changed, so a clean object
-   costs one generation compare; all of it is host-time only.  The cache's
-   live set doubles as the liveness epoch: ORoots of unreached objects are
-   the dead ones, so skipped objects need no per-object liveness write. *)
+   cache, re-traversed only when its shape changed, and compared entry by
+   entry once: after that the walk visits only the entries the kernel's
+   dirty log names, in the same order, so a clean object costs nothing.
+   An eager walk, or one after the log overflowed, compares every entry;
+   all of it is host-time only.  The cache's live set doubles as the
+   liveness epoch: ORoots of unreached objects are the dead ones, so
+   skipped objects need no per-object liveness write. *)
 let walk_tree st ~new_ver =
   let probe = State.probe st in
   let tok = Probe.enter probe "ckpt.captree" in
   let walk0 = now st in
   let incremental = st.State.features.State.incremental_walk && not st.State.force_full in
   let root = Kernel.root st.State.kernel in
+  let log = Kernel.dirty_log st.State.kernel in
   let live = Live_tree.refresh st.State.live_tree ~root ~oroots:st.State.oroots in
   st.State.live_tree <- Some live;
-  let dirty = ref [] and fulls = ref 0 and skipped = ref 0 and snap_bytes = ref 0 in
+  let dirty = ref [] and fulls = ref 0 and snap_bytes = ref 0 in
+  let visit (e : Live_tree.entry) =
+    let obj = e.Live_tree.obj in
+    let clean =
+      incremental
+      &&
+      match e.Live_tree.oroot with
+      | Some o -> o.Oroot.saved_gen = Kobj.gen obj
+      | None -> false
+    in
+    if not clean then begin
+      let t_obj0 = now st in
+      let oroot, full, bytes = checkpoint_object st live e ~new_ver in
+      e.Live_tree.oroot <- Some oroot;
+      Crash_site.hit (State.crash_sites st) "ckpt.captree.obj";
+      if full then incr fulls;
+      snap_bytes := !snap_bytes + bytes;
+      dirty := (obj, now st - t_obj0, full) :: !dirty
+    end
+  in
   with_writer st "ckpt.captree" (fun () ->
-      Array.iter
-        (fun (e : Live_tree.entry) ->
-          let obj = e.Live_tree.obj in
-          let clean =
-            incremental
-            &&
-            match e.Live_tree.oroot with
-            | Some o -> o.Oroot.saved_gen = Kobj.gen obj
-            | None -> false
-          in
-          if clean then incr skipped
-          else begin
-            let t_obj0 = now st in
-            let oroot, full, bytes = checkpoint_object st live e ~new_ver in
-            e.Live_tree.oroot <- Some oroot;
-            Crash_site.hit (State.crash_sites st) "ckpt.captree.obj";
-            if full then incr fulls;
-            snap_bytes := !snap_bytes + bytes;
-            dirty := (obj, now st - t_obj0, full) :: !dirty
-          end)
-        (Live_tree.entries live));
+      if incremental && Live_tree.scanned live && not (Dirty_log.overflowed log) then
+        Live_tree.iter_logged live log visit
+      else Array.iter visit (Live_tree.entries live));
+  Dirty_log.clear log;
+  Live_tree.mark_scanned live;
   st.State.force_full <- false;
+  let walked = List.length !dirty in
+  let skipped = Array.length (Live_tree.entries live) - walked in
   let walk_ns = now st - walk0 in
   Probe.exit probe tok ~args:(fun () ->
       [
-        ("objects", string_of_int (List.length !dirty));
+        ("objects", string_of_int walked);
         ("full", string_of_int !fulls);
-        ("skipped", string_of_int !skipped);
+        ("skipped", string_of_int skipped);
         ("snapshot_bytes", string_of_int !snap_bytes);
       ]);
   Crash_site.hit (State.crash_sites st) "ckpt.captree.done";
@@ -517,7 +535,7 @@ let walk_tree st ~new_ver =
     live;
     dirty = List.rev !dirty;
     fulls = !fulls;
-    skipped = !skipped;
+    skipped;
     snap_bytes = !snap_bytes;
     walk0;
     walk_ns;
@@ -541,7 +559,7 @@ let hybrid_copy st ~new_ver (w : walk) =
         let meter = ref 0 in
         with_writer st "ckpt.hybrid" (fun () ->
             Store.with_sink store (Store.Meter meter) (fun () ->
-                hybrid_sublist st ~new_ver entries counters));
+                hybrid_sublist st ~new_ver ~live:(Live_tree.live w.live) entries counters));
         if !meter > !worst then worst := !meter)
       (Active_list.sublists st.State.active ~cores:(max 1 (Kernel.ncores kernel - 1)));
     Active_list.compact st.State.active;
@@ -559,53 +577,59 @@ let hybrid_copy st ~new_ver (w : walk) =
 
 (* The walk's captree time by object kind and by owning process, and the
    per-object cost samples of Table 3: host-time bookkeeping, tallied after
-   the pause in walk order into arrays indexed by kind and by group; the
-   report lists only kinds and groups some object landed in, kinds in
-   [Kobj.all_kinds] order and groups in group order. *)
+   the pause in walk order into the owners' arrays indexed by kind and by
+   group; the report lists only kinds and groups some object landed in,
+   kinds in [Kobj.all_kinds] order and groups in group order.  The arrays
+   are allocated once per tree shape, and every cell a walk fills is
+   zeroed again as it is read out. *)
 let attribute st live dirty =
   let owners = Live_tree.owners live st.State.kernel in
+  let ta = Live_tree.tallies owners in
   let nk = List.length Kobj.all_kinds and ng = Live_tree.group_count owners in
-  let kind_ns = Array.make nk 0 and kind_n = Array.make nk 0 in
-  let group_ns = Array.make ng 0 and group_n = Array.make ng 0 in
-  (* group g, kind k at [(g * nk) + k] *)
-  let gk_ns = Array.make (ng * nk) 0 and gk_n = Array.make (ng * nk) 0 in
   List.iter
     (fun (obj, dt, full) ->
       let kind = Kobj.kind obj in
       let k = Kobj.kind_index kind in
       let g = Live_tree.owner_group owners (Kobj.id obj) in
       let gk = (g * nk) + k in
-      kind_ns.(k) <- kind_ns.(k) + dt;
-      kind_n.(k) <- kind_n.(k) + 1;
-      group_ns.(g) <- group_ns.(g) + dt;
-      group_n.(g) <- group_n.(g) + 1;
-      gk_ns.(gk) <- gk_ns.(gk) + dt;
-      gk_n.(gk) <- gk_n.(gk) + 1;
+      ta.Live_tree.kind_ns.(k) <- ta.Live_tree.kind_ns.(k) + dt;
+      ta.Live_tree.kind_n.(k) <- ta.Live_tree.kind_n.(k) + 1;
+      ta.Live_tree.group_ns.(g) <- ta.Live_tree.group_ns.(g) + dt;
+      ta.Live_tree.group_n.(g) <- ta.Live_tree.group_n.(g) + 1;
+      ta.Live_tree.gk_ns.(gk) <- ta.Live_tree.gk_ns.(gk) + dt;
+      ta.Live_tree.gk_n.(gk) <- ta.Live_tree.gk_n.(gk) + 1;
       let cost = State.obj_cost st kind in
       State.note_cost (if full then cost.State.full else cost.State.incr) dt)
     dirty;
+  (* read out and zero the [nk] cells from [base] *)
   let kinds ns n ~base =
-    List.filter_map
-      (fun kind ->
-        let i = base + Kobj.kind_index kind in
-        if n.(i) = 0 then None else Some (kind, ns.(i)))
-      Kobj.all_kinds
+    let l =
+      List.filter_map
+        (fun kind ->
+          let i = base + Kobj.kind_index kind in
+          if n.(i) = 0 then None else Some (kind, ns.(i)))
+        Kobj.all_kinds
+    in
+    Array.fill ns base nk 0;
+    Array.fill n base nk 0;
+    l
   in
-  let groups =
-    List.filter_map
-      (fun g ->
-        if group_n.(g) = 0 then None
-        else
-          Some
-            ( Live_tree.group_name owners g,
-              {
-                Report.g_ns = group_ns.(g);
-                g_objects = group_n.(g);
-                g_kinds = kinds gk_ns gk_n ~base:(g * nk);
-              } ))
-      (List.init ng Fun.id)
-  in
-  (kinds kind_ns kind_n ~base:0, groups)
+  let groups = ref [] in
+  for g = ng - 1 downto 0 do
+    if ta.Live_tree.group_n.(g) > 0 then begin
+      let cost =
+        {
+          Report.g_ns = ta.Live_tree.group_ns.(g);
+          g_objects = ta.Live_tree.group_n.(g);
+          g_kinds = kinds ta.Live_tree.gk_ns ta.Live_tree.gk_n ~base:(g * nk);
+        }
+      in
+      ta.Live_tree.group_ns.(g) <- 0;
+      ta.Live_tree.group_n.(g) <- 0;
+      groups := (Live_tree.group_name owners g, cost) :: !groups
+    end
+  done;
+  (kinds ta.Live_tree.kind_ns ta.Live_tree.kind_n ~base:0, !groups)
 
 let run st =
   (* one staged version in flight, ever: a window still draining must

@@ -1,4 +1,5 @@
 module Kobj = Treesls_cap.Kobj
+module Dirty_log = Treesls_cap.Dirty_log
 module Kernel = Treesls_kernel.Kernel
 module Int_tbl = Treesls_util.Int_tbl
 
@@ -14,21 +15,36 @@ type edges =
 
 type entry = { obj : Kobj.t; mutable oroot : Oroot.t option }
 
+type tallies = {
+  kind_ns : int array;
+  kind_n : int array;
+  group_ns : int array;
+  group_n : int array;
+  gk_ns : int array;
+  gk_n : int array;
+}
+
 (* Attribution groups: one per distinct process name, in the order the
    names first appear in [Kernel.processes], plus "kernel". *)
 type owners = {
   names : string array;
   group_of : int Int_tbl.t;  (* object id -> group, for objects some process holds *)
   kernel : int;  (* the group of objects reachable only from the root *)
+  tallies : tallies;
 }
 
 type t = {
   root : Kobj.cap_group;
   entries : entry array;
-  live : unit Int_tbl.t;
+  live : int Int_tbl.t;  (* object id -> its index in [entries] *)
   edges : edges array;
   mutable owners : owners option;
   regions : Region_index.t Int_tbl.t;
+  mutable scanned : bool;
+  (* scratch of the logged visit, kept for this tree: a mark per entry
+     and room for the indices collected, grown to what a log needs *)
+  mutable marks : Bytes.t;
+  mutable order : int array;
 }
 
 let unchanged = function
@@ -42,15 +58,17 @@ let valid t ~root = t.root == root && Array.for_all unchanged t.edges
    reachable now has an ORoot once it has been checkpointed, so the ORoot
    count is the size the set grows to. *)
 let build ~root ~oroots =
-  let entries = ref [] and edges = ref [] in
+  let entries = ref [] and edges = ref [] and n = ref 0 in
   let live = Int_tbl.create (Hashtbl.length oroots) in
   Kobj.walk ~seen:live ~root (fun obj ->
       entries := { obj; oroot = Hashtbl.find_opt oroots (Kobj.id obj) } :: !entries;
-      match obj with
+      (match obj with
       | Kobj.Cap_group g -> edges := Slots (g, g.Kobj.cg_gen) :: !edges
       | Kobj.Vmspace vs -> edges := Regions (vs, vs.Kobj.vs_regions) :: !edges
       | Kobj.Ipc_conn c -> edges := Conn (c, c.Kobj.ic_server, c.Kobj.ic_shared) :: !edges
       | Kobj.Thread _ | Kobj.Pmo _ | Kobj.Notification _ | Kobj.Irq_notification _ -> ());
+      incr n;
+      !n - 1);
   {
     root;
     entries = Array.of_list (List.rev !entries);
@@ -58,6 +76,9 @@ let build ~root ~oroots =
     edges = Array.of_list !edges;
     owners = None;
     regions = Int_tbl.create 16;
+    scanned = false;
+    marks = Bytes.empty;
+    order = [||];
   }
 
 let refresh cached ~root ~oroots =
@@ -67,6 +88,63 @@ let refresh cached ~root ~oroots =
 
 let entries t = t.entries
 let live t = t.live
+let scanned t = t.scanned
+let mark_scanned t = t.scanned <- true
+
+(* In-place heapsort of [a.(0) .. a.(n - 1)]. *)
+let sort_prefix (a : int array) n =
+  let rec sift i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+      if a.(c) > a.(i) then begin
+        let x = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- x;
+        sift c len
+      end
+    end
+  in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift 0 last
+  done
+
+(* Ids the cache does not hold (objects outside the tree) are skipped: an
+   object joins the tree only through an edge change, which retires the
+   cache.  The marks are all clear again before [f] first runs. *)
+let iter_logged t log f =
+  let n = Array.length t.entries in
+  if Bytes.length t.marks <> n then t.marks <- Bytes.make n '\000';
+  (* at most one index per entry and per logged id *)
+  let need = min n (Dirty_log.length log) in
+  if Array.length t.order < need then
+    t.order <- Array.make (min n (max need (2 * Array.length t.order))) 0;
+  let marks = t.marks and order = t.order in
+  let k = ref 0 in
+  for j = 0 to Dirty_log.length log - 1 do
+    match Int_tbl.find t.live (Dirty_log.get log j) with
+    | i ->
+      if Bytes.get marks i = '\000' then begin
+        Bytes.set marks i '\001';
+        order.(!k) <- i;
+        incr k
+      end
+    | exception Not_found -> ()
+  done;
+  let k = !k in
+  sort_prefix order k;
+  for j = 0 to k - 1 do
+    Bytes.set marks order.(j) '\000'
+  done;
+  for j = 0 to k - 1 do
+    f t.entries.(order.(j))
+  done
 
 (* First process wins for objects shared across cap groups (e.g. IPC
    connections installed in both ends); objects reachable only from the
@@ -97,10 +175,22 @@ let owners t kernel =
         Kobj.walk ~seen:group_of ~root:p.Kernel.cg (fun _ -> g))
       (Kernel.processes kernel);
     let kernel = group "kernel" in
-    let o = { names = Array.of_list (List.rev !names); group_of; kernel } in
+    let nk = List.length Kobj.all_kinds and ng = Hashtbl.length index in
+    let tallies =
+      {
+        kind_ns = Array.make nk 0;
+        kind_n = Array.make nk 0;
+        group_ns = Array.make ng 0;
+        group_n = Array.make ng 0;
+        gk_ns = Array.make (ng * nk) 0;
+        gk_n = Array.make (ng * nk) 0;
+      }
+    in
+    let o = { names = Array.of_list (List.rev !names); group_of; kernel; tallies } in
     t.owners <- Some o;
     o
 
+let tallies o = o.tallies
 let group_count o = Array.length o.names
 let group_name o g = o.names.(g)
 
@@ -117,11 +207,42 @@ let region_index t vms =
     Int_tbl.replace t.regions vms.Kobj.vs_id idx;
     idx
 
+(* Once a walk has compared every entry, each one's generation matches its
+   ORoot's until a touch logs it: the logged walk visits nothing else.  An
+   entry that changed since (or has no ORoot) and is not logged would be
+   skipped with its change unsaved. *)
+let unlogged t log =
+  if (not t.scanned) || Dirty_log.overflowed log then None
+  else begin
+    let logged = Int_tbl.create (Dirty_log.length log) in
+    for j = 0 to Dirty_log.length log - 1 do
+      Int_tbl.replace logged (Dirty_log.get log j) ()
+    done;
+    let missed =
+      Array.fold_right
+        (fun e acc ->
+          let oid = Kobj.id e.obj in
+          let current =
+            match e.oroot with Some o -> o.Oroot.saved_gen = Kobj.gen e.obj | None -> false
+          in
+          if current || Int_tbl.mem logged oid then acc else oid :: acc)
+        t.entries []
+    in
+    match missed with
+    | [] -> None
+    | first :: _ ->
+      Some
+        (Printf.sprintf
+           "%d entries changed since their checkpoint but are not in the dirty log (first: \
+            object %d)"
+           (List.length missed) first)
+  end
+
 (* Compared by id: [iter_tree] wraps PMOs and threads reached through
    regions and IPC connections in fresh [Kobj.t] values at every call.
    The walk trusts each entry's ORoot link in place of a table lookup, so
    a link must be, physically, the table's ORoot for that id. *)
-let check t ~root ~oroots =
+let check t ~root ~log ~oroots =
   if not (valid t ~root) then None
   else begin
     let n = Array.length t.entries in
@@ -145,7 +266,7 @@ let check t ~root ~oroots =
           t.entries []
       in
       match stale with
-      | [] -> None
+      | [] -> unlogged t log
       | first :: _ ->
         Some
           (Printf.sprintf "%d entries link an ORoot that is not the table's (first: object %d)"

@@ -14,7 +14,12 @@
     as it saw them and compares them before each use, so an object can
     become reachable (or unreachable) only through a change the comparison
     sees.  Host-time bookkeeping only: building or reusing the cache
-    charges no simulated time.  DRAM state: dropped at a crash.  Restore
+    charges no simulated time.
+
+    The walk compares every entry's generation with its ORoot's once per
+    cache ({!scanned}); after that it needs to visit only the entries its
+    kernel's dirty log names ({!iter_logged}), since every generation bump
+    but a slot change is logged and a slot change retires the cache.  DRAM state: dropped at a crash.  Restore
     rebuilds it once from the restored tree, and that one walk serves the
     whole recovery: the scheduler, the dead-ORoot GC, the allocator
     reconciliation and the first checkpoint after the restore all read
@@ -43,12 +48,37 @@ val refresh :
 val entries : t -> entry array
 (** The reachable objects in {!Treesls_cap.Kobj.iter_tree} order. *)
 
-val live : t -> unit Treesls_util.Int_tbl.t
-(** The ids of {!entries}: the liveness set ORoot GC tests against. Never
-    mutated after the cache is built. *)
+val live : t -> int Treesls_util.Int_tbl.t
+(** The ids of {!entries}, each mapped to its index there: the liveness
+    set ORoot GC tests against. Never mutated after the cache is built. *)
+
+val scanned : t -> bool
+(** Whether a walk has compared every entry since the cache was built
+    (by {!refresh} or by restore). *)
+
+val mark_scanned : t -> unit
+(** Record that a walk compared every entry and cleared the dirty log. *)
+
+val iter_logged : t -> Treesls_cap.Dirty_log.t -> (entry -> unit) -> unit
+(** [iter_logged t log f] applies [f] to each entry whose id [log] holds,
+    once, in {!entries} order; ids of objects outside the cache are
+    skipped.  Allocates nothing per id: a mark per entry dedupes and the
+    indices are sorted in place. *)
 
 type owners
 (** Per-object attribution groups for this tree shape. *)
+
+type tallies = {
+  kind_ns : int array;  (** by [Kobj.kind_index] *)
+  kind_n : int array;
+  group_ns : int array;  (** by group *)
+  group_n : int array;
+  gk_ns : int array;  (** group [g], kind [k] at [(g * kinds) + k] *)
+  gk_n : int array;
+}
+(** Counters for attributing one walk's objects, allocated with the
+    owners; whoever fills them zeroes the cells it used before the next
+    walk. *)
 
 val owners : t -> Treesls_kernel.Kernel.t -> owners
 (** Built on first use for this tree shape, with one walk per process
@@ -56,6 +86,9 @@ val owners : t -> Treesls_kernel.Kernel.t -> owners
     [Kernel.processes] order whose subtree holds it; processes with the
     same name share one group (reports key groups by name), and objects
     reachable only from the root belong to ["kernel"]. *)
+
+val tallies : owners -> tallies
+(** All zero between two attributions. *)
 
 val group_count : owners -> int
 (** Groups are numbered [0 .. group_count - 1]: the process names in order
@@ -71,10 +104,17 @@ val region_index : t -> Treesls_cap.Kobj.vmspace -> Region_index.t
 (** The VM space's region index, built on first use for this tree. *)
 
 val check :
-  t -> root:Treesls_cap.Kobj.cap_group -> oroots:(int, Oroot.t) Hashtbl.t -> string option
+  t ->
+  root:Treesls_cap.Kobj.cap_group ->
+  log:Treesls_cap.Dirty_log.t ->
+  oroots:(int, Oroot.t) Hashtbl.t ->
+  string option
 (** Coherence check for the state auditor: while the cache is still valid
     for [root], its entries must be exactly the objects a fresh traversal
     reaches, in the same order, and every entry's cached ORoot must be,
-    physically, the one [oroots] holds for its id.  [Some message]
-    describes the first kind of difference found; a stale cache (rebuilt
-    before its next use) has nothing to check. *)
+    physically, the one [oroots] holds for its id.  Once the cache is
+    {!scanned}, and while [log] (the kernel's dirty log) has not
+    overflowed, every entry whose generation moved since its checkpoint
+    must be in [log].  [Some message] describes the first kind of
+    difference found; a stale cache (rebuilt before its next use) has
+    nothing to check. *)

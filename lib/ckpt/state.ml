@@ -3,6 +3,8 @@ module Kernel = Treesls_kernel.Kernel
 module Store = Treesls_nvm.Store
 module Probe = Treesls_obs.Probe
 module Int_tbl = Treesls_util.Int_tbl
+module Radix = Treesls_cap.Radix
+module Paddr = Treesls_nvm.Paddr
 
 type level = Off | Tree | Fault | Cow | Hybrid
 
@@ -159,7 +161,16 @@ let drop_dead_oroots t ~live =
 (* The commit's GC: drop the dead ORoots, then free their backup frames
    and the runtime frames their runtime pointer still reaches.  A cut
    among the frees leaves frames named by nothing, which restore's
-   allocator reconciliation reclaims. *)
+   allocator reconciliation reclaims.
+
+   Those frees reach only pages with a record.  The pages a dead PMO
+   gained after its last walk have none (nor has any page of a PMO born
+   and dead between two walks, which has no ORoot either); they are its
+   [pending_fresh] entry, kept because no walk reached the PMO to drain
+   it.  A PMO that existed at the walk ([ids_hwm]) and is not in its live
+   set is dead: its fresh runtime frames go too, and so does the entry.
+   A PMO born after the walk (a drain window settles later) waits for a
+   walk to judge it. *)
 let gc_dead_oroots t ~live =
   let store = Kernel.store t.kernel in
   let dead = drop_dead_oroots t ~live in
@@ -169,4 +180,27 @@ let gc_dead_oroots t ~live =
         (fun pages -> Ckpt_page.free_all store pages ~runtime_of:(Oroot.runtime_page o))
         o.Oroot.pages)
     dead;
+  let dead_fresh =
+    Hashtbl.fold
+      (fun id r acc -> if id <= t.ids_hwm && not (Int_tbl.mem live id) then (id, !r) :: acc else acc)
+      t.pending_fresh []
+  in
+  List.iter
+    (fun (id, (pmo, pnos)) ->
+      Hashtbl.remove t.pending_fresh id;
+      (* a page the hybrid copy gave a record went with the records *)
+      let recorded pno =
+        match List.find_opt (fun (o : Oroot.t) -> o.Oroot.obj_id = id) dead with
+        | Some { Oroot.pages = Some pages; _ } -> Ckpt_page.find pages pno <> None
+        | Some _ | None -> false
+      in
+      List.iter
+        (fun pno ->
+          if not (recorded pno) then
+            match Radix.get pmo.Kobj.pmo_radix pno with
+            | Some p when Paddr.is_nvm p -> Store.free_page store p
+            | Some p when Paddr.is_ssd p -> Store.free_ssd_page store p
+            | Some _ | None -> ())
+        (List.sort_uniq Int.compare pnos))
+    dead_fresh;
   List.length dead

@@ -123,13 +123,16 @@ val note_crash : t -> unit
 val checkpoint_bytes : t -> int
 (** Current checkpoint footprint: snapshot bytes + backup page frames. *)
 
-val drop_dead_oroots : t -> live:unit Treesls_util.Int_tbl.t -> Oroot.t list
+val drop_dead_oroots : t -> live:int Treesls_util.Int_tbl.t -> Oroot.t list
 (** Remove every ORoot whose object is not in [live] from the table and
     return them; frees nothing.  Restore's [oroot_gc] phase (against the
     restored tree) stops here: the frames they held are named by nothing
     and its allocator reconciliation frees them. *)
 
-val gc_dead_oroots : t -> live:unit Treesls_util.Int_tbl.t -> int
+val gc_dead_oroots : t -> live:int Treesls_util.Int_tbl.t -> int
 (** The commit's GC, against the walk's live set: {!drop_dead_oroots},
     then free the dropped ORoots' backup frames and the runtime frames
-    their runtime pointer still reaches.  Returns the number dropped. *)
+    their runtime pointer still reaches, and the runtime frames of the
+    pages noted fresh ({!note_fresh_page}) for PMOs that existed at the
+    walk ([ids_hwm]) but are not live, which have no page record.
+    Returns the number of ORoots dropped. *)

@@ -29,20 +29,13 @@ let pages_needed kernel ~slots ~slot_size =
   let psz = (Kernel.cost kernel).Cost.page_size in
   1 + (((slots * slot_size) + psz - 1) / psz)
 
-let int_to_bytes v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  b
-
-let read_cursor t off =
-  let b = Kernel.read_bytes t.kernel t.proc ~vaddr:(t.base + off) ~len:8 in
-  Int64.to_int (Bytes.get_int64_le b 0)
+let read_cursor t off = Kernel.read_word t.kernel t.proc ~vaddr:(t.base + off) ~len:8
 
 let write_cursor t off v =
   (* the ring lives in an eternal PMO on NVM: cursor writes are extsync
      wear, not app wear *)
   with_extsync_writer t @@ fun () ->
-  Kernel.write_bytes t.kernel t.proc ~vaddr:(t.base + off) (int_to_bytes v)
+  Kernel.write_word t.kernel t.proc ~vaddr:(t.base + off) ~len:8 v
 
 let reader t = read_cursor t 0
 let writer t = read_cursor t 8
@@ -65,8 +58,7 @@ let slot_vaddr t i =
 
 let write_name t name =
   with_extsync_writer t @@ fun () ->
-  Kernel.write_bytes t.kernel t.proc ~vaddr:(t.base + name_len_off)
-    (int_to_bytes (String.length name));
+  Kernel.write_word t.kernel t.proc ~vaddr:(t.base + name_len_off) ~len:8 (String.length name);
   Kernel.write_bytes t.kernel t.proc ~vaddr:(t.base + name_bytes_off)
     (Bytes.of_string name)
 
@@ -115,8 +107,7 @@ let stored_name kernel (p : Kobj.pmo) =
   | None -> None
   | Some paddr ->
     let store = Kernel.store kernel in
-    let len_b = Store.read_page store paddr ~off:name_len_off ~len:8 in
-    let len = Int64.to_int (Bytes.get_int64_le len_b 0) in
+    let len = Store.read_word store paddr ~off:name_len_off ~len:8 in
     if len <= 0 || len > max_name then None
     else
       Some (Bytes.to_string (Store.read_page store paddr ~off:name_bytes_off ~len))
@@ -166,10 +157,8 @@ let append ?(req = 0) t msg =
   end
   else begin
     let va = slot_vaddr t w in
-    let hdr = Bytes.create 4 in
-    Bytes.set_int32_le hdr 0 (Int32.of_int len);
     with_extsync_writer t (fun () ->
-        Kernel.write_bytes t.kernel t.proc ~vaddr:va hdr;
+        Kernel.write_word t.kernel t.proc ~vaddr:va ~len:4 len;
         Kernel.write_bytes t.kernel t.proc ~vaddr:(va + 4) msg);
     t.slot_req.(w mod t.slots) <- req;
     write_cursor t 8 (w + 1);
@@ -217,8 +206,7 @@ let pop_visible t =
   if r >= visible t then None
   else begin
     let va = slot_vaddr t r in
-    let hdr = Kernel.read_bytes t.kernel t.proc ~vaddr:va ~len:4 in
-    let len = Int32.to_int (Bytes.get_int32_le hdr 0) in
+    let len = Kernel.read_word t.kernel t.proc ~vaddr:va ~len:4 in
     let msg = Kernel.read_bytes t.kernel t.proc ~vaddr:(va + 4) ~len in
     write_cursor t 0 (r + 1);
     Some msg

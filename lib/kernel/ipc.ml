@@ -44,7 +44,7 @@ let call k conn payload =
     Probe.count probe "ipc.calls" 1;
     Probe.req_ipc probe;
     conn.Kobj.ic_calls <- conn.Kobj.ic_calls + 1;
-    Kobj.touch (Kobj.Ipc_conn conn);
+    Kobj.touch (Kernel.dirty_log k) (Kobj.Ipc_conn conn);
     let reply = h payload in
     Probe.req_handled probe;
     Probe.exit probe tok;
@@ -63,24 +63,24 @@ let notify k n =
           (fun th ->
             if th.Kobj.th_id = tid then begin
               th.Kobj.th_state <- Kobj.Ready;
-              Kobj.touch (Kobj.Thread th);
+              Kobj.touch (Kernel.dirty_log k) (Kobj.Thread th);
               Sched.enqueue (Kernel.sched k) th
             end)
           p.Kernel.threads)
       (Kernel.processes k));
-  Kobj.touch (Kobj.Notification n)
+  Kobj.touch (Kernel.dirty_log k) (Kobj.Notification n)
 
 let wait k n th =
   Kernel.syscall k ~work_ns:0;
   if n.Kobj.nt_count > 0 then begin
     n.Kobj.nt_count <- n.Kobj.nt_count - 1;
-    Kobj.touch (Kobj.Notification n);
+    Kobj.touch (Kernel.dirty_log k) (Kobj.Notification n);
     true
   end
   else begin
     th.Kobj.th_state <- Kobj.Blocked_notif n.Kobj.nt_id;
-    Kobj.touch (Kobj.Thread th);
+    Kobj.touch (Kernel.dirty_log k) (Kobj.Thread th);
     n.Kobj.nt_waiters <- n.Kobj.nt_waiters @ [ th.Kobj.th_id ];
-    Kobj.touch (Kobj.Notification n);
+    Kobj.touch (Kernel.dirty_log k) (Kobj.Notification n);
     false
   end

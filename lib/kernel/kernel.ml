@@ -2,6 +2,7 @@ module Paddr = Treesls_nvm.Paddr
 module Store = Treesls_nvm.Store
 module Kobj = Treesls_cap.Kobj
 module Id_gen = Treesls_cap.Id_gen
+module Dirty_log = Treesls_cap.Dirty_log
 module Radix = Treesls_cap.Radix
 module Cost = Treesls_sim.Cost
 module Clock = Treesls_sim.Clock
@@ -39,6 +40,7 @@ type stats = {
 type t = {
   store : Store.t;
   ids : Id_gen.t;
+  dirty : Dirty_log.t; (* objects touched since the last checkpoint walk *)
   ncores : int;
   root : Kobj.cap_group;
   mutable procs : process list;
@@ -58,6 +60,8 @@ let clock t = Store.clock t.store
 let cost t = Store.cost t.store
 let root t = t.root
 let ids t = t.ids
+let dirty_log t = t.dirty
+let touch t obj = Kobj.touch t.dirty obj
 let ncores t = t.ncores
 let sched t = t.sched
 let stats t = t.stats
@@ -110,11 +114,11 @@ let create_irq t proc ~line =
   install_obj proc.cg (Kobj.Irq_notification irq) Treesls_cap.Rights.full;
   irq
 
-let add_region proc pmo ~writable =
+let add_region t proc pmo ~writable =
   let vpn = proc.brk_vpn in
   let region = { Kobj.vr_vpn = vpn; vr_pages = pmo.Kobj.pmo_pages; vr_pmo = pmo; vr_writable = writable } in
   proc.vms.Kobj.vs_regions <- proc.vms.Kobj.vs_regions @ [ region ];
-  Kobj.touch (Kobj.Vmspace proc.vms);
+  touch t (Kobj.Vmspace proc.vms);
   proc.brk_vpn <- vpn + pmo.Kobj.pmo_pages;
   vpn
 
@@ -124,7 +128,7 @@ let add_thread t proc ~prio =
   (* one stack page per thread, like ChCore *)
   let stack = new_pmo t ~pages:1 ~kind:Kobj.Pmo_normal in
   install_obj proc.cg (Kobj.Pmo stack) Treesls_cap.Rights.rw;
-  ignore (add_region proc stack ~writable:true);
+  ignore (add_region t proc stack ~writable:true);
   proc.threads <- proc.threads @ [ th ];
   Sched.enqueue t.sched th;
   th
@@ -137,7 +141,7 @@ let create_process t ~name ~threads ~prio =
   let proc = { pid = cg.Kobj.cg_id; pname = name; cg; vms; threads = []; brk_vpn = 16 } in
   let code = new_pmo t ~pages:1 ~kind:Kobj.Pmo_normal in
   install_obj cg (Kobj.Pmo code) Treesls_cap.Rights.read_only;
-  ignore (add_region proc code ~writable:false);
+  ignore (add_region t proc code ~writable:false);
   for _ = 1 to threads do
     ignore (add_thread t proc ~prio)
   done;
@@ -148,7 +152,7 @@ let exit_process t proc =
   List.iter
     (fun th ->
       th.Kobj.th_state <- Kobj.Exited;
-      Kobj.touch (Kobj.Thread th))
+      touch t (Kobj.Thread th))
     proc.threads;
   (* revoke the cap from the root group so the subtree becomes unreachable *)
   Kobj.iter_caps
@@ -160,12 +164,12 @@ let exit_process t proc =
 let grow_heap t proc ~pages =
   let pmo = new_pmo t ~pages ~kind:Kobj.Pmo_normal in
   install_obj proc.cg (Kobj.Pmo pmo) Treesls_cap.Rights.rw;
-  add_region proc pmo ~writable:true
+  add_region t proc pmo ~writable:true
 
-let map_shared _t proc pmo ~writable =
+let map_shared t proc pmo ~writable =
   install_obj proc.cg (Kobj.Pmo pmo)
     (if writable then Treesls_cap.Rights.rw else Treesls_cap.Rights.read_only);
-  add_region proc pmo ~writable
+  add_region t proc pmo ~writable
 
 let make_eternal_pmo t ~pages =
   let pmo = new_pmo t ~pages ~kind:Kobj.Pmo_eternal in
@@ -176,7 +180,7 @@ let make_eternal_pmo t ~pages =
     let paddr = Store.alloc_page t.store in
     Radix.set pmo.Kobj.pmo_radix i paddr
   done;
-  Kobj.touch (Kobj.Pmo pmo);
+  touch t (Kobj.Pmo pmo);
   install_obj t.root (Kobj.Pmo pmo) Treesls_cap.Rights.rw;
   pmo
 
@@ -217,27 +221,27 @@ let raise_irq t irq =
           if (not !woken) && th.Kobj.th_state = Kobj.Blocked_notif (-irq.Kobj.irq_id) then begin
             woken := true;
             th.Kobj.th_state <- Kobj.Ready;
-            Kobj.touch (Kobj.Thread th);
+            touch t (Kobj.Thread th);
             Sched.enqueue t.sched th
           end)
         p.threads)
     t.procs;
   if !woken then irq.Kobj.irq_pending <- irq.Kobj.irq_pending - 1;
-  Kobj.touch (Kobj.Irq_notification irq)
+  touch t (Kobj.Irq_notification irq)
 
 let wait_irq t irq th =
   t.stats.syscalls <- t.stats.syscalls + 1;
   charge t (cost t).Cost.syscall_ns;
   if irq.Kobj.irq_pending > 0 then begin
     irq.Kobj.irq_pending <- irq.Kobj.irq_pending - 1;
-    Kobj.touch (Kobj.Irq_notification irq);
+    touch t (Kobj.Irq_notification irq);
     true
   end
   else begin
     (* blocked-on-IRQ is encoded as a negative notification id so that it
        survives checkpointing through the same thread-state snapshot *)
     th.Kobj.th_state <- Kobj.Blocked_notif (-irq.Kobj.irq_id);
-    Kobj.touch (Kobj.Thread th);
+    touch t (Kobj.Thread th);
     false
   end
 
@@ -300,7 +304,7 @@ let fault t proc pt ~vpn ~for_write found =
     Pagetable.make_writable pt ~vpn;
     (* the PTE just joined the pagetable's dirty list: the next checkpoint
        must run the protect pass over this vmspace, so mark it dirty *)
-    Kobj.touch (Kobj.Vmspace proc.vms);
+    touch t (Kobj.Vmspace proc.vms);
     (* the CoW hook may have migrated the page; reload *)
     (match Pagetable.lookup pt ~vpn with Some p -> p | None -> pte)
   | None -> (
@@ -327,7 +331,7 @@ let fault t proc pt ~vpn ~for_write found =
         | None -> paddr
       in
       let pte = map ~paddr ~writable:for_write in
-      if for_write then Kobj.touch (Kobj.Vmspace proc.vms);
+      if for_write then touch t (Kobj.Vmspace proc.vms);
       rmap_add t region.Kobj.vr_pmo pno pt vpn;
       pte
     | Some paddr ->
@@ -343,7 +347,7 @@ let fault t proc pt ~vpn ~for_write found =
           | None -> paddr
         in
         let pte = map ~paddr ~writable:true in
-        Kobj.touch (Kobj.Vmspace proc.vms);
+        touch t (Kobj.Vmspace proc.vms);
         rmap_add t region.Kobj.vr_pmo pno pt vpn;
         pte
       end
@@ -364,10 +368,10 @@ let fault t proc pt ~vpn ~for_write found =
       Radix.set region.Kobj.vr_pmo.Kobj.pmo_radix pno paddr;
       (* the fresh page needs a CP record at the next walk; the PMO must
          not be skipped before its pending-fresh list is drained *)
-      Kobj.touch (Kobj.Pmo region.Kobj.vr_pmo);
+      touch t (Kobj.Pmo region.Kobj.vr_pmo);
       (match t.fresh_hook with Some h -> h region.Kobj.vr_pmo pno | None -> ());
       let pte = map ~paddr ~writable:for_write in
-      if for_write then Kobj.touch (Kobj.Vmspace proc.vms);
+      if for_write then touch t (Kobj.Vmspace proc.vms);
       rmap_add t region.Kobj.vr_pmo pno pt vpn;
       pte)
 
@@ -420,6 +424,49 @@ let read_bytes t proc ~vaddr ~len =
   in
   loop vaddr 0 len;
   out
+
+(* A word inside one page is one [ensure_mapped], then one in-place device
+   access: the faults, charge, wear and dirty bit of the byte path, with
+   no buffer and no closure.  A word straddling two pages takes the byte
+   path, charged per chunk. *)
+let word_bytes ~len v =
+  let b = Bytes.create len in
+  if len = 8 then Bytes.set_int64_le b 0 (Int64.of_int v) else Bytes.set_int32_le b 0 (Int32.of_int v);
+  b
+
+let check_word len = if len <> 4 && len <> 8 then invalid_arg "Kernel: a word is 4 or 8 bytes"
+
+let read_word t proc ~vaddr ~len =
+  check_word len;
+  let psz = page_size t in
+  let off = vaddr mod psz in
+  if off + len > psz then begin
+    let b = read_bytes t proc ~vaddr ~len in
+    if len = 8 then Int64.to_int (Bytes.get_int64_le b 0) else Int32.to_int (Bytes.get_int32_le b 0)
+  end
+  else
+    let pte = ensure_mapped t proc ~vpn:(vaddr / psz) ~for_write:false in
+    Store.read_word t.store pte.Pagetable.paddr ~off ~len
+
+let write_word t proc ~vaddr ~len v =
+  check_word len;
+  let psz = page_size t in
+  let off = vaddr mod psz in
+  if off + len > psz then write_bytes t proc ~vaddr (word_bytes ~len v)
+  else begin
+    let wm = Probe.wearmap (probe t) in
+    let claimed = Wearmap.claim_default wm "app" in
+    match
+      let pte = ensure_mapped t proc ~vpn:(vaddr / psz) ~for_write:true in
+      Store.write_word t.store pte.Pagetable.paddr ~off ~len v;
+      pte.Pagetable.dirty <- true
+    with
+    | () -> if claimed then Wearmap.release_default wm
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      if claimed then Wearmap.release_default wm;
+      Printexc.raise_with_backtrace e bt
+  end
 
 let cookie = Bytes.make 8 '\x5a'
 
@@ -589,6 +636,7 @@ let rebuild ~store ~ncores ~root ~ids_hwm ~threads =
     {
       store;
       ids;
+      dirty = Dirty_log.create ids;
       ncores;
       root;
       procs = [];
@@ -630,6 +678,7 @@ let boot ?(cost = Cost.default) ?(ncores = 8) ?(nvm_pages = 1 lsl 16) ?(dram_pag
     {
       store;
       ids;
+      dirty = Dirty_log.create ids;
       ncores;
       root;
       procs = [];
@@ -653,7 +702,7 @@ let boot ?(cost = Cost.default) ?(ncores = 8) ?(nvm_pages = 1 lsl 16) ?(dram_pag
       kvms.Kobj.vs_regions
       @ [ { Kobj.vr_vpn = 1024 + i; vr_pages = 1; vr_pmo = buf; vr_writable = true } ]
   done;
-  Kobj.touch (Kobj.Vmspace kvms);
+  touch t (Kobj.Vmspace kvms);
   List.iter
     (fun (name, threads, extra_pmos, notifs, conns) ->
       let proc = create_process t ~name ~threads ~prio:10 in

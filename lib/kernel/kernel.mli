@@ -53,6 +53,12 @@ val clock : t -> Treesls_sim.Clock.t
 val cost : t -> Treesls_sim.Cost.t
 val root : t -> Kobj.cap_group
 val ids : t -> Treesls_cap.Id_gen.t
+
+val dirty_log : t -> Treesls_cap.Dirty_log.t
+(** The objects touched since the last checkpoint walk: every mutator here
+    and in {!Ipc} bumps generations through [Kobj.touch] on this log.  A
+    kernel built by {!boot} or {!rebuild} starts with an empty one. *)
+
 val ncores : t -> int
 val sched : t -> Sched.t
 val stats : t -> stats
@@ -125,6 +131,19 @@ val write_bytes : t -> process -> vaddr:int -> Bytes.t -> unit
     read-only regions. *)
 
 val read_bytes : t -> process -> vaddr:int -> len:int -> Bytes.t
+
+val read_word : t -> process -> vaddr:int -> len:int -> int
+(** The little-endian word of [len] bytes (4 or 8) at [vaddr]: what
+    {!read_bytes} of those bytes returns, decoded as [Bytes.get_int64_le]
+    or, sign-extended, [Bytes.get_int32_le] would, with the same faults
+    and charges.  A word inside one page allocates nothing; one that
+    straddles a page goes through {!read_bytes}. *)
+
+val write_word : t -> process -> vaddr:int -> len:int -> int -> unit
+(** {!write_bytes} of the low [len] bytes (4 or 8) of the int,
+    little-endian: the same faults, charges, wear (["app"] unless a writer
+    is active) and PTE dirty bit, and nothing allocated for a word inside
+    one page. *)
 
 val touch_write : t -> process -> vpn:int -> unit
 (** Dirty a whole page cheaply (writes an 8-byte cookie): the common idiom

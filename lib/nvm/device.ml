@@ -61,6 +61,17 @@ let read_into t idx ~off ~len dst ~dst_off =
   assert (off >= 0 && len >= 0 && off + len <= t.page_size);
   Bytes.blit (page t idx) off dst dst_off len
 
+(* Little-endian words of 4 or 8 bytes, read and written in place; a
+   4-byte read is sign-extended, as [Int32.to_int] does. *)
+let word_check t ~off ~len =
+  if len <> 4 && len <> 8 then invalid_arg "Device: a word is 4 or 8 bytes";
+  assert (off >= 0 && off + len <= t.page_size)
+
+let read_word t idx ~off ~len =
+  word_check t ~off ~len;
+  let b = page t idx in
+  if len = 8 then Int64.to_int (Bytes.get_int64_le b off) else Int32.to_int (Bytes.get_int32_le b off)
+
 let read t idx ~off ~len =
   let dst = Bytes.create len in
   read_into t idx ~off ~len dst ~dst_off:0;
@@ -81,6 +92,13 @@ let write_from t idx ~off src ~src_off ~len =
   wear t idx ~bytes:len
 
 let write t idx ~off src = write_from t idx ~off src ~src_off:0 ~len:(Bytes.length src)
+
+let write_word t idx ~off ~len v =
+  word_check t ~off ~len;
+  let b = page t idx in
+  if len = 8 then Bytes.set_int64_le b off (Int64.of_int v)
+  else Bytes.set_int32_le b off (Int32.of_int v);
+  wear t idx ~bytes:len
 
 let copy_page ~src ~src_idx ~dst ~dst_idx =
   assert (src.page_size = dst.page_size);

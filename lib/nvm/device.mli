@@ -33,6 +33,17 @@ val read_into : t -> int -> off:int -> len:int -> Bytes.t -> dst_off:int -> unit
 val write_from : t -> int -> off:int -> Bytes.t -> src_off:int -> len:int -> unit
 (** [write] of the [len] bytes of [src] at [src_off]: one blit. *)
 
+val read_word : t -> int -> off:int -> len:int -> int
+(** The little-endian word of [len] bytes (4 or 8) at [off], read in
+    place; a 4-byte word is sign-extended, as
+    [Int32.to_int (Bytes.get_int32_le _ _)] does.  An untouched page
+    materialises as it does for {!read_into}. *)
+
+val write_word : t -> int -> off:int -> len:int -> int -> unit
+(** Store the low [len] bytes (4 or 8) of the int at [off], little-endian,
+    in place: the bytes, materialisation and wear of {!write_from} of the
+    same bytes. *)
+
 val copy_page : src:t -> src_idx:int -> dst:t -> dst_idx:int -> unit
 (** Whole-page copy between (possibly different) devices. *)
 

@@ -184,6 +184,14 @@ let write_from t addr ~off src ~src_off ~len =
 
 let write_page t addr ~off src = write_from t addr ~off src ~src_off:0 ~len:(Bytes.length src)
 
+let read_word t addr ~off ~len =
+  charge t (access_ns t addr ~write:false ~len);
+  Device.read_word (device t addr) addr.Paddr.idx ~off ~len
+
+let write_word t addr ~off ~len v =
+  charge t (access_ns t addr ~write:true ~len);
+  Device.write_word (device t addr) addr.Paddr.idx ~off ~len v
+
 (* --- SSD swap slots (memory over-commitment, paper section 8) --- *)
 
 let alloc_ssd_page t = Option.map Paddr.ssd (take t.ssd_free)

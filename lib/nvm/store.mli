@@ -93,6 +93,15 @@ val write_from : t -> Paddr.t -> off:int -> Bytes.t -> src_off:int -> len:int ->
 (** {!write_page} of the [len] bytes of [src] at [src_off], with the same
     charge and wear: one blit into the device page. *)
 
+val read_word : t -> Paddr.t -> off:int -> len:int -> int
+(** The little-endian word of [len] bytes (4 or 8; 4 sign-extends) at
+    [off], read in place with the charge of {!read_into} of its bytes. *)
+
+val write_word : t -> Paddr.t -> off:int -> len:int -> int -> unit
+(** Store the low [len] bytes (4 or 8) of the int at [off], in place, with
+    the charge and wear (under the current writer) of {!write_from} of the
+    same bytes. *)
+
 (** {2 SSD swap (memory over-commitment, paper section 8)} *)
 
 val swap_out : t -> src:Paddr.t -> Paddr.t option

@@ -103,7 +103,7 @@ let run ?wear mgr =
   Option.iter
     (fun lt ->
       Option.iter (add Error Captree "live-tree cache: %s")
-        (Live_tree.check lt ~root ~oroots:st.State.oroots))
+        (Live_tree.check lt ~root ~log:(Kernel.dirty_log kernel) ~oroots:st.State.oroots))
     st.State.live_tree;
 
   (* Captree: ORoot version sanity, snapshot restorability, references. *)

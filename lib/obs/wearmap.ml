@@ -36,6 +36,9 @@ type t = {
   pages : page_stat Int_tbl.t;
   subs : (string, sub_stat) Hashtbl.t;
   mutable stack : frame list; (* writer context, innermost first *)
+  mutable idle : frame list;
+      (* the one-frame context of the last default claim, reused while the
+         same name is claimed *)
   mutable total_writes : int;
   mutable total_bytes : int;
   mutable copy_pages : int; (* whole-page NVM copies charged via Store *)
@@ -47,6 +50,7 @@ let create () =
     pages = Int_tbl.create 1024;
     subs = Hashtbl.create 16;
     stack = [];
+    idle = [];
     total_writes = 0;
     total_bytes = 0;
     copy_pages = 0;
@@ -74,9 +78,32 @@ let with_writer t name f =
 
 (* Outermost-wins variant for generic entry points (e.g. the kernel's
    write syscall claims "app" only when no more specific subsystem —
-   extsync, checkpoint — is already on the stack). *)
+   extsync, checkpoint — is already on the stack).  A claim on an empty
+   stack installs the kept one-frame context, so it allocates nothing and
+   the frame's row stays resolved from one claim to the next. *)
+let claim_default t name =
+  match t.stack with
+  | _ :: _ -> false
+  | [] ->
+    (match t.idle with
+    | [ f ] when String.equal f.name name -> ()
+    | _ -> t.idle <- [ { name; row = None } ]);
+    t.stack <- t.idle;
+    true
+
+let release_default t = t.stack <- []
+
 let with_default_writer t name f =
-  match t.stack with [] -> with_writer t name f | _ :: _ -> f ()
+  if not (claim_default t name) then f ()
+  else
+    match f () with
+    | v ->
+      release_default t;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      release_default t;
+      Printexc.raise_with_backtrace e bt
 
 (* --- recording --------------------------------------------------------- *)
 
@@ -132,6 +159,7 @@ let reset t =
   Hashtbl.reset t.subs;
   (* open frames must not keep writing into the dropped rows *)
   List.iter (fun f -> f.row <- None) t.stack;
+  List.iter (fun f -> f.row <- None) t.idle;
   t.total_writes <- 0;
   t.total_bytes <- 0;
   t.copy_pages <- 0;

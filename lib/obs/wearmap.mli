@@ -28,6 +28,15 @@ val with_default_writer : t -> string -> (unit -> 'a) -> 'a
     for generic entry points (the kernel write syscall claims ["app"]
     unless extsync/checkpoint/… already claimed the write). *)
 
+val claim_default : t -> string -> bool
+(** {!with_default_writer} without the closure, for per-word accesses:
+    when no writer context is active, make [name] the writer and return
+    [true]; the caller then ends the scope with {!release_default}, also
+    when it raises.  Allocates nothing while the same name is claimed. *)
+
+val release_default : t -> unit
+(** End the scope of a {!claim_default} that returned [true]. *)
+
 val current_writer : t -> string
 (** Innermost active writer, or {!unattributed} when none. *)
 

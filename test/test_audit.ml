@@ -3,7 +3,8 @@
    version, an orphaned CPP half, a leaked buddy block, a buddy order
    record outside the managed pages, rollback state on
    an eternal PMO, an eternal PMO missing from the root cap group, a
-   normal PMO registered as an observability backing —
+   normal PMO registered as an observability backing, a generation bump
+   the dirty log never saw —
    yields exactly the expected violation.  Also pins the
    Report.pp format (every field, including per_kind_ns). *)
 
@@ -200,6 +201,7 @@ let eternal_rollback_state_detected () =
       ~has_pages:true
   in
   o'.Oroot.last_seen_ver <- o.Oroot.last_seen_ver;
+  o'.Oroot.saved_gen <- o.Oroot.saved_gen;
   o'.Oroot.slot_a <- o.Oroot.slot_a;
   o'.Oroot.slot_b <- o.Oroot.slot_b;
   o'.Oroot.runtime <- o.Oroot.runtime;
@@ -280,10 +282,36 @@ let stale_live_tree_detected () =
   check_string "subsystem" "captree" (Audit.subsystem_name v.Audit.subsystem);
   check_bool "message" true (contains ~sub:"live-tree cache" v.Audit.message);
   (* once the write is announced the cache is stale, rebuilt at its next use *)
-  Kobj.touch (Kobj.Cap_group g);
+  Kobj.touch (Kernel.dirty_log k) (Kobj.Cap_group g);
   check_bool "announced change audits clean" true (Audit.ok (System.audit sys));
   ignore (System.checkpoint sys);
   check_bool "rebuilt cache audits clean" true (Audit.ok (System.audit sys))
+
+(* ---- fault injection: a generation bump the dirty log never saw ---- *)
+
+(* After its first walk the cache visits only logged objects: a raw
+   generation bump (no [Kobj.touch]) would leave the object's change out
+   of every later checkpoint.  Only the log-coverage check sees it. *)
+let unlogged_bump_detected () =
+  let sys, k, proc, _, _, _ = setup () in
+  let n = Kernel.create_notification k proc in
+  ignore (System.checkpoint sys);
+  check_bool "baseline clean" true (Audit.ok (System.audit sys));
+  n.Kobj.nt_count <- 5;
+  n.Kobj.nt_gen <- n.Kobj.nt_gen + 1;
+  let v = the_violation (System.audit sys) in
+  check_bool "error severity" true (v.Audit.severity = Audit.Error);
+  check_string "subsystem" "captree" (Audit.subsystem_name v.Audit.subsystem);
+  check_bool "message" true (contains ~sub:"not in the dirty log" v.Audit.message);
+  let st = Manager.state (System.manager sys) in
+  let saved () = (Hashtbl.find st.State.oroots n.Kobj.nt_id).Oroot.saved_gen in
+  ignore (System.checkpoint sys);
+  check_bool "the walk misses the unlogged change" true (saved () <> n.Kobj.nt_gen);
+  (* logged, the change is checkpointed and the audit is clean again *)
+  Kobj.touch (Kernel.dirty_log k) (Kobj.Notification n);
+  ignore (System.checkpoint sys);
+  check_int "the logged change is saved" n.Kobj.nt_gen (saved ());
+  check_bool "logged change audits clean" true (Audit.ok (System.audit sys))
 
 (* The walk checkpoints through each cache entry's ORoot link instead of
    looking the table up: a link to any other ORoot than the table's would
@@ -434,6 +462,7 @@ let () =
           Alcotest.test_case "normal PMO as tseries backing detected" `Quick
             normal_pmo_backing_detected;
           Alcotest.test_case "stale ORoot link detected" `Quick stale_oroot_link_detected;
+          Alcotest.test_case "unlogged generation bump detected" `Quick unlogged_bump_detected;
         ] );
       ( "census",
         [ Alcotest.test_case "census balances" `Quick census_balances ] );

@@ -59,10 +59,10 @@ let eidetic_object_history () =
   (* raw field writes bypass the kernel mutators, so bump the generation
      by hand or the incremental walk will (correctly) skip the object *)
   n.Kobj.nt_count <- 1;
-  Kobj.touch (Kobj.Notification n);
+  Kobj.touch (Kernel.dirty_log k) (Kobj.Notification n);
   ignore (System.checkpoint sys);
   n.Kobj.nt_count <- 2;
-  Kobj.touch (Kobj.Notification n);
+  Kobj.touch (Kernel.dirty_log k) (Kobj.Notification n);
   ignore (System.checkpoint sys);
   let count_at v =
     match Eidetic.object_at eid ~version:v ~obj_id:n.Kobj.nt_id with

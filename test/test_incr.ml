@@ -1,7 +1,9 @@
 (* Incremental capability-tree walk (DESIGN.md "Dirty-object tracking"):
    unit tests for the interval-indexed region resolver, fault injection
-   into the hybrid-copy undo path, skip accounting, and a property test
-   that a system checkpointed with skips restores byte-identically to an
+   into the hybrid-copy undo path, skip accounting, the live-tree cache,
+   every walk of seeded churn against a full-scan oracle, the pages of
+   PMOs that left the tree, and a property test that a system
+   checkpointed with skips restores byte-identically to an
    eagerly-walked twin driven by the same trace. *)
 
 module System = Treesls.System
@@ -247,6 +249,7 @@ let live_tree_tracks_shape () =
   check_bool "restored cache matches the restored tree" true
     (Live_tree.check t4
        ~root:(Kernel.root (System.kernel sys))
+       ~log:(Kernel.dirty_log (System.kernel sys))
        ~oroots:(Manager.state mgr).State.oroots
     = None);
   audit_clean "restore";
@@ -376,6 +379,212 @@ let prop_restore_equivalence =
          after a restore must resync eagerly, skipping nothing *)
       && (System.checkpoint sys_i).Report.objects_skipped = 0)
 
+(* ---- the pages of a PMO that left the tree are freed ---- *)
+
+(* The commit's GC frees a dead PMO's recorded pages through its ORoot;
+   the pages it gained after its last walk, a PMO born and dead between
+   two walks, and a page the hybrid copy cached in DRAM must go too. *)
+let dead_pmo_pages_freed () =
+  let audit_clean what sys = check_int (what ^ ": audit errors") 0 (Audit.errors (System.audit sys)) in
+  (* a fresh page written after the last walk, then the process exits *)
+  let sys = System.boot ~features:(feats ~incr:true) () in
+  let k = System.kernel sys in
+  let p = Kernel.create_process k ~name:"late" ~threads:1 ~prio:5 in
+  let vpn = Kernel.grow_heap k p ~pages:2 in
+  ignore (System.checkpoint sys);
+  Kernel.touch_write k p ~vpn;
+  Kernel.exit_process k p;
+  ignore (System.checkpoint sys);
+  audit_clean "fresh page after the last walk" sys;
+  (* a PMO born and dead between two walks *)
+  let p = Kernel.create_process k ~name:"brief" ~threads:1 ~prio:5 in
+  Kernel.touch_write k p ~vpn:(Kernel.grow_heap k p ~pages:1);
+  Kernel.exit_process k p;
+  ignore (System.checkpoint sys);
+  audit_clean "born and dead between walks" sys;
+  (* a DRAM-cached page: the entry retires and its frame is returned *)
+  let st = Manager.state (System.manager sys) in
+  let al = st.State.active in
+  let p = Kernel.create_process k ~name:"hot" ~threads:1 ~prio:5 in
+  let vpn = Kernel.grow_heap k p ~pages:1 in
+  Kernel.touch_write k p ~vpn;
+  ignore (System.checkpoint sys);
+  let pmo = (List.nth p.Kernel.vms.Kobj.vs_regions 2).Kobj.vr_pmo in
+  for _ = 1 to (Active_list.config al).Active_list.hot_threshold do
+    Active_list.record_fault al pmo 0
+  done;
+  ignore (System.checkpoint sys);
+  check_bool "page cached in DRAM" true
+    (match Radix.get pmo.Kobj.pmo_radix 0 with Some pa -> Paddr.is_dram pa | None -> false);
+  let cached = Active_list.cached_count al in
+  let free = Store.dram_pages_free (System.store sys) in
+  Kernel.exit_process k p;
+  for _ = 0 to (Active_list.config al).Active_list.idle_limit + 1 do
+    ignore (System.checkpoint sys)
+  done;
+  check_int "the entry retired" (cached - 1) (Active_list.cached_count al);
+  check_int "its DRAM frame returned" (free + 1) (Store.dram_pages_free (System.store sys));
+  check_bool "no entry of the dead PMO" false
+    (List.exists (fun e -> e.Active_list.e_pmo == pmo) (Active_list.entries al));
+  audit_clean "DRAM-cached page of an exited process" sys
+
+(* ---- the walk against a full-scan oracle, under seeded churn ---- *)
+
+(* The objects a full comparison would checkpoint now: every reachable
+   object when the walk is eager, else those with no ORoot or with a
+   generation their ORoot has not saved. *)
+let predicted sys =
+  let st = Manager.state (System.manager sys) in
+  let eager = st.State.force_full || not st.State.features.State.incremental_walk in
+  let s = Hashtbl.create 64 and reachable = ref [] in
+  Kobj.iter_tree ~root:(Kernel.root (System.kernel sys)) (fun obj ->
+      reachable := obj :: !reachable;
+      let stale =
+        match Hashtbl.find_opt st.State.oroots (Kobj.id obj) with
+        | Some o -> o.Oroot.saved_gen <> Kobj.gen obj
+        | None -> true
+      in
+      if eager || stale then Hashtbl.replace s (Kobj.id obj) ());
+  (s, !reachable)
+
+(* One checkpoint, checked against the oracle: exactly the predicted
+   objects carry the new version and their current generation. *)
+let checked_checkpoint sys what =
+  (* a pending window settles (and publishes) before the walk starts *)
+  System.drain_settle sys;
+  let s, reachable = predicted sys in
+  let r = System.checkpoint sys in
+  let st = Manager.state (System.manager sys) in
+  check_int (what ^ ": objects walked = predicted") (Hashtbl.length s) r.Report.objects_walked;
+  List.iter
+    (fun obj ->
+      let oid = Kobj.id obj in
+      let o =
+        match Hashtbl.find_opt st.State.oroots oid with
+        | Some o -> o
+        | None -> Alcotest.failf "%s: reachable object %d has no ORoot" what oid
+      in
+      let walked = o.Oroot.last_seen_ver = r.Report.version in
+      if Hashtbl.mem s oid then begin
+        if not walked then Alcotest.failf "%s: object %d predicted, not walked" what oid;
+        if o.Oroot.saved_gen <> Kobj.gen obj then
+          Alcotest.failf "%s: object %d saved generation %d, has %d" what oid o.Oroot.saved_gen
+            (Kobj.gen obj)
+      end
+      else if walked then Alcotest.failf "%s: object %d walked, not predicted" what oid)
+    reachable
+
+let pick rng = function [] -> None | l -> Some (List.nth l (Rng.int rng (List.length l)))
+
+let targets (p : Kernel.process) =
+  let acc = ref [] in
+  Kobj.iter_caps (fun _ c -> acc := c.Kobj.target :: !acc) p.Kernel.cg;
+  List.rev !acc
+
+let notifications p =
+  List.filter_map (function Kobj.Notification n -> Some n | _ -> None) (targets p)
+
+let irqs p = List.filter_map (function Kobj.Irq_notification i -> Some i | _ -> None) (targets p)
+let conns p = List.filter_map (function Kobj.Ipc_conn c -> Some c | _ -> None) (targets p)
+
+let writable_normal p =
+  List.filter
+    (fun r -> r.Kobj.vr_writable && r.Kobj.vr_pmo.Kobj.pmo_kind = Kobj.Pmo_normal)
+    p.Kernel.vms.Kobj.vs_regions
+
+(* Seeded churn over whatever the current tree holds (handles are looked
+   up afresh, so a restore in the middle breaks no handle):
+   IPC calls, notify/wait, IRQs, writes that take CoW and fresh-page
+   faults, heap growth, map_shared, process create/exit, drain steps,
+   crash/recover, and an oracle-checked checkpoint every few ops. *)
+let churn ~seed ~ops features =
+  let sys = System.boot ~features () in
+  let rng = Rng.create (Int64.of_int seed) in
+  let spawned = ref 0 and ckpts = ref 0 in
+  let k () = System.kernel sys in
+  let psz = (Kernel.cost (k ())).Treesls_sim.Cost.page_size in
+  let spawn () =
+    incr spawned;
+    let k = k () in
+    let p =
+      Kernel.create_process k ~name:(Printf.sprintf "churn%d" !spawned) ~threads:2 ~prio:5
+    in
+    ignore (Kernel.create_notification k p);
+    ignore (Kernel.create_irq k p ~line:!spawned);
+    ignore (Kernel.grow_heap k p ~pages:2);
+    match pick rng (List.filter (fun q -> q != p) (Kernel.processes k)) with
+    | Some server -> ignore (Ipc.create_conn k ~client:p ~server)
+    | None -> ()
+  in
+  let ckpt () =
+    incr ckpts;
+    checked_checkpoint sys (Printf.sprintf "seed %d, checkpoint %d" seed !ckpts)
+  in
+  spawn ();
+  spawn ();
+  ckpt ();
+  for _ = 1 to ops do
+    let k = k () in
+    match pick rng (Kernel.processes k) with
+    | None -> ()
+    | Some p -> (
+      let th () = pick rng p.Kernel.threads in
+      match Rng.int rng 16 with
+      | 0 -> Option.iter (Ipc.notify k) (pick rng (notifications p))
+      | 1 -> (
+        match (pick rng (notifications p), th ()) with
+        | Some n, Some th -> ignore (Ipc.wait k n th)
+        | _ -> ())
+      | 2 ->
+        Option.iter
+          (fun c ->
+            if not (Ipc.has_handler k c) then Ipc.register_handler k c (fun b -> b);
+            ignore (Ipc.call k c (Bytes.of_string "ping")))
+          (pick rng (conns p))
+      | 3 -> Option.iter (Kernel.raise_irq k) (pick rng (irqs p))
+      | 4 -> (
+        match (pick rng (irqs p), th ()) with
+        | Some i, Some th -> ignore (Kernel.wait_irq k i th)
+        | _ -> ())
+      | 5 | 6 | 7 ->
+        Option.iter
+          (fun r ->
+            let vaddr = ((r.Kobj.vr_vpn + Rng.int rng r.Kobj.vr_pages) * psz) + 64 in
+            Kernel.write_word k p ~vaddr ~len:8 (Rng.int rng 1_000_000))
+          (pick rng (writable_normal p))
+      | 8 -> ignore (Kernel.grow_heap k p ~pages:(1 + Rng.int rng 3))
+      | 9 -> (
+        match pick rng (Kernel.processes k) with
+        | Some q when q != p ->
+          Option.iter
+            (fun r -> ignore (Kernel.map_shared k p r.Kobj.vr_pmo ~writable:true))
+            (pick rng (writable_normal q))
+        | Some _ | None -> ())
+      | 10 -> spawn ()
+      | 11 -> (
+        match
+          pick rng
+            (List.filter
+               (fun q -> String.starts_with ~prefix:"churn" q.Kernel.pname)
+               (Kernel.processes k))
+        with
+        | Some q -> Kernel.exit_process k q
+        | None -> ())
+      | 12 -> System.drain_tick sys
+      | 13 -> if Rng.int rng 6 = 0 then ignore (System.crash_and_recover sys) else ckpt ()
+      | _ -> ckpt ())
+  done;
+  ckpt ();
+  check_int (Printf.sprintf "seed %d: audit errors" seed) 0 (Audit.errors (System.audit sys))
+
+let walk_matches_oracle () =
+  List.iter
+    (fun (incr, async) ->
+      let f = feats ~incr in
+      f.State.async_drain <- async;
+      List.iter (fun seed -> churn ~seed ~ops:400 f) [ 1; 2; 3; 4 ])
+    [ (true, false); (true, true); (false, false) ]
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ resolve_against_linear_model; prop_restore_equivalence ]
 
@@ -391,6 +600,10 @@ let () =
       ("hybrid-undo", [ Alcotest.test_case "undo retires the entry" `Quick hybrid_undo_drops_entry ]);
       ("accounting", [ Alcotest.test_case "conservation vs eager twin" `Quick conservation ]);
       ( "live-tree",
-        [ Alcotest.test_case "reused while the shape holds" `Quick live_tree_tracks_shape ] );
+        [
+          Alcotest.test_case "reused while the shape holds" `Quick live_tree_tracks_shape;
+          Alcotest.test_case "walk matches the full-scan oracle" `Quick walk_matches_oracle;
+          Alcotest.test_case "a dead PMO's pages are freed" `Quick dead_pmo_pages_freed;
+        ] );
       ("properties", qsuite);
     ]

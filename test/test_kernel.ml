@@ -192,6 +192,10 @@ let mem_hit_charges_exact () =
     (elapsed k (fun () -> ignore (Kernel.read_bytes k p ~vaddr ~len)));
   check_int "hit touch_write" (cachelines 8 * c.Cost.nvm_write_ns)
     (elapsed k (fun () -> Kernel.touch_write k p ~vpn));
+  check_int "hit write_word" (cachelines 8 * c.Cost.nvm_write_ns)
+    (elapsed k (fun () -> Kernel.write_word k p ~vaddr ~len:8 42));
+  check_int "hit read_word" (cachelines 4 * c.Cost.nvm_read_ns)
+    (elapsed k (fun () -> ignore (Kernel.read_word k p ~vaddr ~len:4)));
   check_int "no fault on a hit" faults0 (Kernel.stats k).Kernel.page_faults
 
 let mem_straddle_charges_per_chunk () =
@@ -213,7 +217,19 @@ let mem_straddle_charges_per_chunk () =
   check_bool "first PTE dirty" true (pte_of k p ~vpn).Pagetable.dirty;
   check_bool "second PTE dirty" true (pte_of k p ~vpn:(vpn + 1)).Pagetable.dirty;
   check_int "read charged per chunk too" ((cachelines 30 + cachelines 70) * c.Cost.nvm_read_ns)
-    (elapsed k (fun () -> ignore (Kernel.read_bytes k p ~vaddr ~len:100)))
+    (elapsed k (fun () -> ignore (Kernel.read_bytes k p ~vaddr ~len:100)));
+  (* a word across the boundary: 3 bytes, then 5, one cacheline each *)
+  Kernel.clear_page_dirty k pmo ~pno:0;
+  Kernel.clear_page_dirty k pmo ~pno:1;
+  let vaddr = ((vpn + 1) * psz) - 3 in
+  check_int "straddling word written per chunk" (2 * c.Cost.nvm_write_ns)
+    (elapsed k (fun () -> Kernel.write_word k p ~vaddr ~len:8 0x0102030405060708));
+  check_bool "first PTE dirty after the word" true (pte_of k p ~vpn).Pagetable.dirty;
+  check_bool "second PTE dirty after the word" true (pte_of k p ~vpn:(vpn + 1)).Pagetable.dirty;
+  let got = ref 0 in
+  check_int "straddling word read per chunk" (2 * c.Cost.nvm_read_ns)
+    (elapsed k (fun () -> got := Kernel.read_word k p ~vaddr ~len:8));
+  check_int "straddling word roundtrip" 0x0102030405060708 !got
 
 let mem_reprotected_one_cow_fault () =
   let sys = Treesls.System.boot () in
@@ -237,6 +253,127 @@ let mem_reprotected_one_cow_fault () =
   check_int "second write charges the hit" hit
     (elapsed k (fun () -> Kernel.write_bytes k p ~vaddr data));
   check_int "second write: no fault" (faults0 + 1) s.Kernel.page_faults
+
+(* ---- word accesses against the byte path ---- *)
+
+(* The word primitives and a byte access of the same bytes, driven through
+   the same steps on twin systems: every observation (value, ns, fault and
+   CoW counts, PTE dirty bits, device pages touched, wear per writer) must
+   agree.  The steps reach an untouched page, NVM hits, a page re-protected
+   by a checkpoint, a DRAM-cached page, a swapped-out page and a word
+   straddling two pages. *)
+type access = {
+  write : Kernel.t -> Kernel.process -> vaddr:int -> len:int -> int -> unit;
+  read : Kernel.t -> Kernel.process -> vaddr:int -> len:int -> int;
+}
+
+let by_words = { write = Kernel.write_word; read = Kernel.read_word }
+
+let by_bytes =
+  {
+    write =
+      (fun k p ~vaddr ~len v ->
+        let b = Bytes.create len in
+        if len = 8 then Bytes.set_int64_le b 0 (Int64.of_int v)
+        else Bytes.set_int32_le b 0 (Int32.of_int v);
+        Kernel.write_bytes k p ~vaddr b);
+    read =
+      (fun k p ~vaddr ~len ->
+        let b = Kernel.read_bytes k p ~vaddr ~len in
+        if len = 8 then Int64.to_int (Bytes.get_int64_le b 0)
+        else Int32.to_int (Bytes.get_int32_le b 0));
+  }
+
+let access_trace acc =
+  let module System = Treesls.System in
+  let module Manager = Treesls_ckpt.Manager in
+  let module State = Treesls_ckpt.State in
+  let module Active_list = Treesls_ckpt.Active_list in
+  let module Wearmap = Treesls_obs.Wearmap in
+  let sys = System.boot () in
+  let k () = System.kernel sys in
+  let p = Kernel.create_process (k ()) ~name:"app" ~threads:1 ~prio:5 in
+  let vpn = Kernel.grow_heap (k ()) p ~pages:4 in
+  let pmo = (heap_region p).Kobj.vr_pmo in
+  let psz = (Kernel.cost (k ())).Cost.page_size in
+  let va pg off = ((vpn + pg) * psz) + off in
+  let log = ref [] in
+  let observe what f =
+    let k = k () in
+    let s = Kernel.stats k in
+    let value = ref 0 in
+    let ns = elapsed k (fun () -> value := f k) in
+    let dirty pg =
+      match Pagetable.lookup (Kernel.pagetable k p.Kernel.vms) ~vpn:(vpn + pg) with
+      | Some pte -> if pte.Pagetable.dirty then "D" else "c"
+      | None -> "-"
+    in
+    let wear =
+      String.concat ","
+        (List.map
+           (fun (name, writes, bytes) -> Printf.sprintf "%s:%d/%d" name writes bytes)
+           (Wearmap.subsystems (System.wearmap sys)))
+    in
+    log :=
+      Printf.sprintf "%s: value %d, %d ns, faults %d cow %d alloc %d swap-in %d, dirty %s, \
+                      touched nvm %d dram %d, wear %s"
+        what !value ns s.Kernel.page_faults s.Kernel.cow_faults s.Kernel.alloc_faults
+        s.Kernel.swap_ins
+        (String.concat "" (List.map dirty [ 0; 1; 2; 3 ]))
+        (Store.nvm_pages_touched (Kernel.store k))
+        (Store.dram_pages_touched (Kernel.store k))
+        wear
+      :: !log
+  in
+  let write what ~pg ~off ~len v =
+    observe what (fun k ->
+        acc.write k p ~vaddr:(va pg off) ~len v;
+        0)
+  in
+  let read what ~pg ~off ~len = observe what (fun k -> acc.read k p ~vaddr:(va pg off) ~len) in
+  read "untouched page, read" ~pg:0 ~off:100 ~len:8;
+  write "untouched page, write" ~pg:1 ~off:200 ~len:8 0x1122334455667788;
+  write "NVM hit, 4 bytes" ~pg:1 ~off:300 ~len:4 (-2);
+  read "NVM hit, 4 bytes, sign-extended" ~pg:1 ~off:300 ~len:4;
+  read "NVM hit, 8 bytes" ~pg:1 ~off:200 ~len:8;
+  write "untouched page, 4 bytes" ~pg:2 ~off:0 ~len:4 0x7fffffff;
+  write "straddling word" ~pg:2 ~off:(psz - 3) ~len:8 0x0a0b0c0d0e0f1011;
+  read "straddling word, read" ~pg:2 ~off:(psz - 3) ~len:8;
+  ignore (System.checkpoint sys);
+  write "re-protected page: CoW" ~pg:1 ~off:200 ~len:8 7;
+  read "re-protected page, read" ~pg:1 ~off:200 ~len:8;
+  (* page 2 turns hot: the next checkpoint caches it in DRAM *)
+  let st = Manager.state (System.manager sys) in
+  for _ = 1 to (Active_list.config st.State.active).Active_list.hot_threshold do
+    Active_list.record_fault st.State.active pmo 2
+  done;
+  ignore (System.checkpoint sys);
+  check_bool "page 2 cached in DRAM" true
+    (match Radix.get pmo.Kobj.pmo_radix 2 with Some pa -> Paddr.is_dram pa | None -> false);
+  write "DRAM page, write" ~pg:2 ~off:64 ~len:8 (-9);
+  read "DRAM page, read" ~pg:2 ~off:64 ~len:8;
+  read "DRAM page, 4 bytes" ~pg:2 ~off:0 ~len:4;
+  (* page 0 was only read: clean, read-only, on NVM — cold enough to swap *)
+  check_bool "page 0 swapped out" true (Kernel.evict_page (k ()) pmo ~pno:0);
+  read "swapped-out page, read" ~pg:0 ~off:100 ~len:8;
+  check_bool "page 0 swapped out again" true
+    (ignore (System.checkpoint sys);
+     Kernel.evict_page (k ()) pmo ~pno:0);
+  write "swapped-out page, write" ~pg:0 ~off:8 ~len:8 99;
+  List.rev !log
+
+let words_match_bytes () =
+  Alcotest.(check (list string)) "word and byte accesses agree" (access_trace by_bytes)
+    (access_trace by_words)
+
+let word_length_checked () =
+  let k = boot () in
+  let p = Kernel.create_process k ~name:"app" ~threads:1 ~prio:5 in
+  let vaddr = Kernel.grow_heap k p ~pages:1 * (Kernel.cost k).Cost.page_size in
+  Alcotest.check_raises "2-byte word" (Invalid_argument "Kernel: a word is 4 or 8 bytes")
+    (fun () -> Kernel.write_word k p ~vaddr ~len:2 1);
+  Alcotest.check_raises "16-byte word" (Invalid_argument "Kernel: a word is 4 or 8 bytes")
+    (fun () -> ignore (Kernel.read_word k p ~vaddr ~len:16))
 
 let page_paddr_some () =
   let k = boot () in
@@ -416,6 +553,8 @@ let () =
             mem_straddle_charges_per_chunk;
           Alcotest.test_case "re-protected page: one CoW fault, then a hit" `Quick
             mem_reprotected_one_cow_fault;
+          Alcotest.test_case "words match the byte path" `Quick words_match_bytes;
+          Alcotest.test_case "word length checked" `Quick word_length_checked;
           Alcotest.test_case "page_paddr" `Quick page_paddr_some;
         ] );
       ( "migration",
