@@ -132,8 +132,8 @@ let run () =
         die "pool %d: eager and incremental restores differ" pool;
       audit_or_die sys_e ~where:(Printf.sprintf "incr_walk eager pool=%d post-restore" pool);
       audit_or_die sys_i ~where:(Printf.sprintf "incr_walk incr pool=%d post-restore" pool);
-      (* and a post-restore checkpoint on the incremental system must
-         resync eagerly (force_full), not skip against stale generations *)
+      (* and a post-restore checkpoint on the incremental system re-saves
+         the whole tree (force_full), skipping nothing *)
       let r = System.checkpoint sys_i in
       if r.Report.objects_skipped <> 0 then
         die "pool %d: first post-restore checkpoint skipped %d objects" pool

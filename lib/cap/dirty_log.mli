@@ -1,36 +1,46 @@
-(** The ids of the objects whose generation moved since the last
-    checkpoint walk.
+(** What changed since the last checkpoint walk: the ids of the objects
+    whose checkpointable state was written, and whether the capability
+    tree's shape changed.
 
-    Every {!Kobj.touch} records here, so the incremental walk can visit
-    the objects this log names instead of comparing the generation of
-    every object in the tree.  One log per kernel: DRAM state, so a
-    restored kernel starts with an empty one.
+    Every {!Kobj.touch} records an id here, and every cap-slot change
+    ({!Kobj.install}, {!Kobj.install_at}, {!Kobj.revoke}) records its
+    group and notes a shape change, so the log is the walk's only record
+    of change: an object with an ORoot that the log does not name is
+    clean, and the live-tree cache stays valid while no shape change is
+    noted.  One log per kernel: DRAM state, so a restored kernel starts
+    with an empty one.
 
-    Recording allocates nothing: the ids go into one int array, reused
-    from walk to walk, and an id equal to the last one recorded is
-    skipped.  The log holds at most as many entries as its id generator
-    has issued ids; a record past that bound drops the log instead
-    ({!overflowed}), and the next walk compares every object, which costs
-    no more than visiting that many entries. *)
+    The log holds each id once, in the order first recorded, and marks
+    it with a byte indexed by the id (grown to the largest id recorded),
+    so {!mem} is one read and recording allocates nothing once the
+    storage has grown.  It cannot overflow: it holds at most one entry
+    per id.  {!clear} unmarks only the ids it holds, so the walk empties
+    it in O(logged), never O(tree). *)
 
 type t
 
-val create : Id_gen.t -> t
-(** An empty log bounded by the ids [Id_gen] has issued. *)
+val create : unit -> t
+(** An empty log. *)
 
 val record : t -> int -> unit
-(** Note an object id. *)
+(** Note an object id (non-negative); an id already held is not added
+    again. *)
 
-val overflowed : t -> bool
-(** Whether a record found the log full since the last {!clear}: the ids
-    are lost and only a full comparison finds the changed objects. *)
+val mem : t -> int -> bool
+(** Whether the log holds the id. *)
+
+val note_shape_change : t -> unit
+(** Note that an edge of the tree changed: a cap slot, or a VM space's
+    region list. *)
+
+val shape_changed : t -> bool
+(** Whether a shape change was noted since the last {!clear}. *)
 
 val length : t -> int
-(** Entries held (0 once overflowed).  Ids may repeat, just never twice
-    in a row. *)
+(** Distinct ids held. *)
 
 val get : t -> int -> int
 (** [get t i] is the [i]-th id recorded, [0 <= i < length t]. *)
 
 val clear : t -> unit
-(** Empty the log and lift the overflow; keeps its storage. *)
+(** Empty the log and forget the shape change; keeps its storage. *)

@@ -16,7 +16,6 @@ and cap_group = {
   cg_name : string;
   mutable cg_slots : cap option array;
   mutable cg_used : int;
-  mutable cg_gen : int;
 }
 
 and thread_state = Ready | Blocked_notif of int | Exited
@@ -27,12 +26,11 @@ and thread = {
   mutable th_state : thread_state;
   mutable th_prio : int;
   mutable th_cursor : int;
-  mutable th_gen : int;
 }
 
 and vm_region = { vr_vpn : int; vr_pages : int; vr_pmo : pmo; vr_writable : bool }
 
-and vmspace = { vs_id : int; mutable vs_regions : vm_region list; mutable vs_gen : int }
+and vmspace = { vs_id : int; mutable vs_regions : vm_region list }
 
 and pmo_kind = Pmo_normal | Pmo_eternal
 
@@ -41,7 +39,6 @@ and pmo = {
   pmo_pages : int;
   pmo_kind : pmo_kind;
   pmo_radix : Treesls_nvm.Paddr.t Radix.t;
-  mutable pmo_gen : int;
 }
 
 and ipc_conn = {
@@ -49,21 +46,18 @@ and ipc_conn = {
   mutable ic_server : thread option;
   mutable ic_shared : pmo option;
   mutable ic_calls : int;
-  mutable ic_gen : int;
 }
 
 and notification = {
   nt_id : int;
   mutable nt_count : int;
   mutable nt_waiters : int list;
-  mutable nt_gen : int;
 }
 
 and irq_notification = {
   irq_id : int;
   irq_line : int;
   mutable irq_pending : int;
-  mutable irq_gen : int;
 }
 
 let id = function
@@ -75,36 +69,18 @@ let id = function
   | Notification n -> n.nt_id
   | Irq_notification i -> i.irq_id
 
-(* Generation epochs: every mutation of checkpointable object state bumps
-   the object's generation through {!touch}, which also logs the object's
-   id in its kernel's dirty log.  The incremental walk visits the logged
-   objects and skips snapshot/copy/charge for those whose generation still
-   matches the one recorded at their last checkpoint (ORoot-side), so the
-   bump must be placed on every state-mutating path — the kernel/IPC
-   mutators.  The cap-slot operations below bump a group's generation
-   unlogged: a slot change retires the walk's live-tree cache, and a fresh
-   cache is compared object by object. *)
-let touch log obj =
-  (match obj with
-  | Cap_group g -> g.cg_gen <- g.cg_gen + 1
-  | Thread th -> th.th_gen <- th.th_gen + 1
-  | Vmspace vs -> vs.vs_gen <- vs.vs_gen + 1
-  | Pmo p -> p.pmo_gen <- p.pmo_gen + 1
-  | Ipc_conn c -> c.ic_gen <- c.ic_gen + 1
-  | Notification n -> n.nt_gen <- n.nt_gen + 1
-  | Irq_notification i -> i.irq_gen <- i.irq_gen + 1);
-  Dirty_log.record log (id obj)
+(* Every mutation of checkpointable object state logs the object's id in
+   its kernel's dirty log through {!touch}: the incremental walk visits
+   the logged objects and skips every other object that has an ORoot, so
+   the touch must be placed on every state-mutating path — the kernel/IPC
+   mutators.  The cap-slot operations below log their group themselves
+   and note that the tree's shape changed, which retires the walk's
+   live-tree cache. *)
+let touch log obj = Dirty_log.record log (id obj)
 
-let slots_changed g = g.cg_gen <- g.cg_gen + 1
-
-let gen = function
-  | Cap_group g -> g.cg_gen
-  | Thread th -> th.th_gen
-  | Vmspace vs -> vs.vs_gen
-  | Pmo p -> p.pmo_gen
-  | Ipc_conn c -> c.ic_gen
-  | Notification n -> n.nt_gen
-  | Irq_notification i -> i.irq_gen
+let slots_changed log g =
+  Dirty_log.record log g.cg_id;
+  Dirty_log.note_shape_change log
 
 let kind = function
   | Cap_group _ -> Cap_group_k
@@ -147,10 +123,8 @@ let copy_bytes = function
   | Notification n -> 48 + (8 * List.length n.nt_waiters)
   | Irq_notification _ -> 48
 
-(* Constructors start at generation 1 (never 0): a fresh object can never
-   compare equal to an ORoot whose recorded generation was zeroed. *)
 let make_cap_group ~id ~name =
-  { cg_id = id; cg_name = name; cg_slots = Array.make 8 None; cg_used = 0; cg_gen = 1 }
+  { cg_id = id; cg_name = name; cg_slots = Array.make 8 None; cg_used = 0 }
 
 let make_thread ~id ~prio =
   {
@@ -159,20 +133,19 @@ let make_thread ~id ~prio =
     th_state = Ready;
     th_prio = prio;
     th_cursor = 0;
-    th_gen = 1;
   }
 
-let make_vmspace ~id = { vs_id = id; vs_regions = []; vs_gen = 1 }
+let make_vmspace ~id = { vs_id = id; vs_regions = [] }
 
 let make_pmo ~id ~pages ~kind =
   assert (pages > 0);
-  { pmo_id = id; pmo_pages = pages; pmo_kind = kind; pmo_radix = Radix.create (); pmo_gen = 1 }
+  { pmo_id = id; pmo_pages = pages; pmo_kind = kind; pmo_radix = Radix.create () }
 
-let make_ipc_conn ~id = { ic_id = id; ic_server = None; ic_shared = None; ic_calls = 0; ic_gen = 1 }
-let make_notification ~id = { nt_id = id; nt_count = 0; nt_waiters = []; nt_gen = 1 }
-let make_irq_notification ~id ~line = { irq_id = id; irq_line = line; irq_pending = 0; irq_gen = 1 }
+let make_ipc_conn ~id = { ic_id = id; ic_server = None; ic_shared = None; ic_calls = 0 }
+let make_notification ~id = { nt_id = id; nt_count = 0; nt_waiters = [] }
+let make_irq_notification ~id ~line = { irq_id = id; irq_line = line; irq_pending = 0 }
 
-let install g cap =
+let install log g cap =
   let len = Array.length g.cg_slots in
   let rec find i = if i >= len then -1 else if g.cg_slots.(i) = None then i else find (i + 1) in
   let slot = find 0 in
@@ -187,10 +160,10 @@ let install g cap =
   in
   g.cg_slots.(slot) <- Some cap;
   g.cg_used <- g.cg_used + 1;
-  slots_changed g;
+  slots_changed log g;
   slot
 
-let install_at g slot cap =
+let install_at log g slot cap =
   if slot < 0 then invalid_arg "Kobj.install_at: negative slot";
   let len = Array.length g.cg_slots in
   if slot >= len then begin
@@ -201,18 +174,18 @@ let install_at g slot cap =
   if g.cg_slots.(slot) <> None then invalid_arg "Kobj.install_at: slot occupied";
   g.cg_slots.(slot) <- Some cap;
   g.cg_used <- g.cg_used + 1;
-  slots_changed g
+  slots_changed log g
 
 let lookup g slot =
   if slot < 0 || slot >= Array.length g.cg_slots then None else g.cg_slots.(slot)
 
-let revoke g slot =
+let revoke log g slot =
   match lookup g slot with
   | None -> invalid_arg "Kobj.revoke: empty slot"
   | Some _ ->
     g.cg_slots.(slot) <- None;
     g.cg_used <- g.cg_used - 1;
-    slots_changed g
+    slots_changed log g
 
 let iter_caps f g =
   Array.iteri (fun i slot -> match slot with Some c -> f i c | None -> ()) g.cg_slots

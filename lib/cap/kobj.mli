@@ -26,7 +26,6 @@ and cap_group = {
   cg_name : string;
   mutable cg_slots : cap option array;
   mutable cg_used : int;
-  mutable cg_gen : int;  (** generation epoch, see {!touch} *)
 }
 
 and thread_state =
@@ -40,7 +39,6 @@ and thread = {
   mutable th_state : thread_state;
   mutable th_prio : int;
   mutable th_cursor : int;  (** scheduling context: remaining budget *)
-  mutable th_gen : int;
 }
 
 and vm_region = {
@@ -50,7 +48,13 @@ and vm_region = {
   vr_writable : bool;
 }
 
-and vmspace = { vs_id : int; mutable vs_regions : vm_region list; mutable vs_gen : int }
+and vmspace = {
+  vs_id : int;
+  mutable vs_regions : vm_region list;
+      (** replaced, never edited in place; a replacement outside
+          [Kernel.add_region] must note a shape change in the kernel's
+          dirty log *)
+}
 
 and pmo_kind =
   | Pmo_normal
@@ -61,47 +65,40 @@ and pmo = {
   pmo_pages : int;  (** size in pages *)
   pmo_kind : pmo_kind;
   pmo_radix : Treesls_nvm.Paddr.t Radix.t;  (** page number -> physical page *)
-  mutable pmo_gen : int;
 }
 
 and ipc_conn = {
   ic_id : int;
   mutable ic_server : thread option;
+      (** with [ic_shared], set before the connection is installed and
+          never changed after: no shape change is noted for them *)
   mutable ic_shared : pmo option;
   mutable ic_calls : int;  (** served call count (part of connection state) *)
-  mutable ic_gen : int;
 }
 
 and notification = {
   nt_id : int;
   mutable nt_count : int;
   mutable nt_waiters : int list;  (** blocked thread ids, FIFO *)
-  mutable nt_gen : int;
 }
 
 and irq_notification = {
   irq_id : int;
   irq_line : int;
   mutable irq_pending : int;
-  mutable irq_gen : int;
 }
 
 val id : t -> int
 val kind : t -> kind
 
-(** {2 Generation epochs (incremental checkpoint walk)} *)
+(** {2 Change logging (incremental checkpoint walk)} *)
 
 val touch : Dirty_log.t -> t -> unit
-(** Bump the object's generation and record its id in the log (its
-    kernel's: [Kernel.dirty_log]).  Must be called after every mutation of
-    checkpointable state; the kernel and IPC mutators do so themselves —
-    call it directly only when assigning record fields by hand.  A bump
-    made any other way is one the incremental walk never sees. *)
-
-val gen : t -> int
-(** Current generation.  Constructors start at 1; the checkpoint walk
-    records the generation it snapshotted and skips the object while the
-    two still match. *)
+(** Record the object's id in the log (its kernel's: [Kernel.dirty_log]).
+    Must be called after every mutation of checkpointable state; the
+    kernel and IPC mutators do so themselves — call it directly only when
+    assigning record fields by hand.  A change made without it is one the
+    incremental walk never sees. *)
 
 val kind_name : kind -> string
 val all_kinds : kind list
@@ -129,18 +126,18 @@ val make_irq_notification : id:int -> line:int -> irq_notification
 
 (** {2 Cap-group operations} *)
 
-val install : cap_group -> cap -> int
+val install : Dirty_log.t -> cap_group -> cap -> int
 (** Install a capability in the first free slot; returns the slot.  Like
-    {!install_at} and {!revoke} it bumps the group's generation without
-    logging it: that bump is how the checkpoint's live-tree cache notices
-    that the tree's shape changed, and a rebuilt cache compares every
-    object.  Slots must not be written any other way. *)
+    {!install_at} and {!revoke} it records the group in the log (its
+    snapshot changed) and notes a shape change, which is how the
+    checkpoint's live-tree cache learns that the tree changed.  Slots
+    must not be written any other way. *)
 
-val install_at : cap_group -> int -> cap -> unit
+val install_at : Dirty_log.t -> cap_group -> int -> cap -> unit
 (** Install at a specific slot (restore path; slot must be free). *)
 
 val lookup : cap_group -> int -> cap option
-val revoke : cap_group -> int -> unit
+val revoke : Dirty_log.t -> cap_group -> int -> unit
 val iter_caps : (int -> cap -> unit) -> cap_group -> unit
 val caps_count : cap_group -> int
 val slots_len : cap_group -> int

@@ -47,7 +47,6 @@ let checkpoint_object st live (e : Live_tree.entry) ~new_ver =
   in
   oroot.Oroot.last_seen_ver <- new_ver;
   oroot.Oroot.runtime <- Some obj;
-  oroot.Oroot.saved_gen <- Kobj.gen obj;
   charge_object_copy st obj ~full;
   let snap = Snapshot.take obj in
   Oroot.save oroot ~version:new_ver snap;
@@ -58,6 +57,9 @@ let checkpoint_object st live (e : Live_tree.entry) ~new_ver =
   (match obj with
   | Kobj.Pmo pmo when pmo.Kobj.pmo_kind = Kobj.Pmo_normal ->
     let pages = Oroot.pages_exn oroot in
+    (* drained either way: a full checkpoint records the fresh pages with
+       every other present page *)
+    let fresh = State.drain_fresh st pmo in
     if full then
       (* First checkpoint of this PMO: build a checkpointed-page record
          for every present page. Dominates full-PMO checkpoint time. *)
@@ -66,10 +68,7 @@ let checkpoint_object st live (e : Live_tree.entry) ~new_ver =
           ignore (Ckpt_page.ensure store pages ~pno ~born_ver:new_ver);
           archive_page st pmo pno paddr)
         pmo.Kobj.pmo_radix
-    else
-      List.iter
-        (fun pno -> ignore (Ckpt_page.ensure store pages ~pno ~born_ver:new_ver))
-        (State.drain_fresh st pmo)
+    else List.iter (fun pno -> ignore (Ckpt_page.ensure store pages ~pno ~born_ver:new_ver)) fresh
   | Kobj.Pmo _ | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Vmspace _ | Kobj.Ipc_conn _
   | Kobj.Notification _ | Kobj.Irq_notification _ -> ());
   (match obj with
@@ -474,13 +473,14 @@ type walk = {
 }
 
 (* Step 2: the leader walks the capability tree.  Incremental walk: an
-   object whose generation still matches the one recorded at its last
-   checkpoint has not been mutated, so its backups are already current —
-   skip snapshot/copy/charge entirely.  The tree comes from the live-tree
-   cache, re-traversed only when its shape changed, and compared entry by
-   entry once: after that the walk visits only the entries the kernel's
-   dirty log names, in the same order, so a clean object costs nothing.
-   An eager walk, or one after the log overflowed, compares every entry;
+   object that has an ORoot and that the kernel's dirty log does not name
+   has not been mutated since its last checkpoint, so its backups are
+   already current — skip snapshot/copy/charge entirely.  The tree comes
+   from the live-tree cache, re-traversed only when a shape change was
+   noted.  A walk over a cache it has just built visits every entry (an
+   object new to the tree has no ORoot, and no touch logged it); any
+   other incremental walk visits only the logged entries, in cache order,
+   so a clean object costs nothing.  An eager walk visits every entry;
    all of it is host-time only.  The cache's live set doubles as the
    liveness epoch: ORoots of unreached objects are the dead ones, so
    skipped objects need no per-object liveness write. *)
@@ -491,17 +491,15 @@ let walk_tree st ~new_ver =
   let incremental = st.State.features.State.incremental_walk && not st.State.force_full in
   let root = Kernel.root st.State.kernel in
   let log = Kernel.dirty_log st.State.kernel in
-  let live = Live_tree.refresh st.State.live_tree ~root ~oroots:st.State.oroots in
+  let cached = st.State.live_tree in
+  let live = Live_tree.refresh cached ~root ~log ~oroots:st.State.oroots in
   st.State.live_tree <- Some live;
+  let built = match cached with Some c -> c != live | None -> true in
   let dirty = ref [] and fulls = ref 0 and snap_bytes = ref 0 in
   let visit (e : Live_tree.entry) =
     let obj = e.Live_tree.obj in
     let clean =
-      incremental
-      &&
-      match e.Live_tree.oroot with
-      | Some o -> o.Oroot.saved_gen = Kobj.gen obj
-      | None -> false
+      incremental && Option.is_some e.Live_tree.oroot && not (Dirty_log.mem log (Kobj.id obj))
     in
     if not clean then begin
       let t_obj0 = now st in
@@ -514,11 +512,9 @@ let walk_tree st ~new_ver =
     end
   in
   with_writer st "ckpt.captree" (fun () ->
-      if incremental && Live_tree.scanned live && not (Dirty_log.overflowed log) then
-        Live_tree.iter_logged live log visit
+      if incremental && not built then Live_tree.iter_logged live log visit
       else Array.iter visit (Live_tree.entries live));
   Dirty_log.clear log;
-  Live_tree.mark_scanned live;
   st.State.force_full <- false;
   let walked = List.length !dirty in
   let skipped = Array.length (Live_tree.entries live) - walked in

@@ -3,16 +3,6 @@ module Dirty_log = Treesls_cap.Dirty_log
 module Kernel = Treesls_kernel.Kernel
 module Int_tbl = Treesls_util.Int_tbl
 
-(* An edge holder as the cache last saw it.  Cap-group slots change only
-   through [Kobj.install]/[install_at]/[revoke], which bump the group's
-   generation and nothing else does; region lists and IPC references are
-   replaced, never edited in place, so physical identity tells whether
-   they changed. *)
-type edges =
-  | Slots of Kobj.cap_group * int
-  | Regions of Kobj.vmspace * Kobj.vm_region list
-  | Conn of Kobj.ipc_conn * Kobj.thread option * Kobj.pmo option
-
 type entry = { obj : Kobj.t; mutable oroot : Oroot.t option }
 
 type tallies = {
@@ -37,59 +27,46 @@ type t = {
   root : Kobj.cap_group;
   entries : entry array;
   live : int Int_tbl.t;  (* object id -> its index in [entries] *)
-  edges : edges array;
   mutable owners : owners option;
   regions : Region_index.t Int_tbl.t;
-  mutable scanned : bool;
-  (* scratch of the logged visit, kept for this tree: a mark per entry
-     and room for the indices collected, grown to what a log needs *)
-  mutable marks : Bytes.t;
+  (* scratch of the logged visit, kept for this tree: room for the
+     indices collected, grown to what a log needs *)
   mutable order : int array;
 }
 
-let unchanged = function
-  | Slots (g, gen) -> g.Kobj.cg_gen = gen
-  | Regions (vs, l) -> vs.Kobj.vs_regions == l
-  | Conn (c, server, shared) -> c.Kobj.ic_server == server && c.Kobj.ic_shared == shared
-
-let valid t ~root = t.root == root && Array.for_all unchanged t.edges
+(* Edges live in cap-group slots, region lists and IPC connections'
+   references.  Every slot change and region-list replacement notes a
+   shape change in the log, which every walk clears after refreshing the
+   cache; a connection's references are set before it is installed and
+   never change after. *)
+let valid t ~root ~log = t.root == root && not (Dirty_log.shape_changed log)
 
 (* One traversal, whose visited set is the live set itself: every object
    reachable now has an ORoot once it has been checkpointed, so the ORoot
    count is the size the set grows to. *)
 let build ~root ~oroots =
-  let entries = ref [] and edges = ref [] and n = ref 0 in
+  let entries = ref [] and n = ref 0 in
   let live = Int_tbl.create (Hashtbl.length oroots) in
   Kobj.walk ~seen:live ~root (fun obj ->
       entries := { obj; oroot = Hashtbl.find_opt oroots (Kobj.id obj) } :: !entries;
-      (match obj with
-      | Kobj.Cap_group g -> edges := Slots (g, g.Kobj.cg_gen) :: !edges
-      | Kobj.Vmspace vs -> edges := Regions (vs, vs.Kobj.vs_regions) :: !edges
-      | Kobj.Ipc_conn c -> edges := Conn (c, c.Kobj.ic_server, c.Kobj.ic_shared) :: !edges
-      | Kobj.Thread _ | Kobj.Pmo _ | Kobj.Notification _ | Kobj.Irq_notification _ -> ());
       incr n;
       !n - 1);
   {
     root;
     entries = Array.of_list (List.rev !entries);
     live;
-    edges = Array.of_list !edges;
     owners = None;
     regions = Int_tbl.create 16;
-    scanned = false;
-    marks = Bytes.empty;
     order = [||];
   }
 
-let refresh cached ~root ~oroots =
+let refresh cached ~root ~log ~oroots =
   match cached with
-  | Some t when valid t ~root -> t
+  | Some t when valid t ~root ~log -> t
   | Some _ | None -> build ~root ~oroots
 
 let entries t = t.entries
 let live t = t.live
-let scanned t = t.scanned
-let mark_scanned t = t.scanned <- true
 
 (* In-place heapsort of [a.(0) .. a.(n - 1)]. *)
 let sort_prefix (a : int array) n =
@@ -116,32 +93,25 @@ let sort_prefix (a : int array) n =
   done
 
 (* Ids the cache does not hold (objects outside the tree) are skipped: an
-   object joins the tree only through an edge change, which retires the
-   cache.  The marks are all clear again before [f] first runs. *)
+   object joins the tree only through a shape change, which retires the
+   cache.  The log holds each id once, so each entry is collected once. *)
 let iter_logged t log f =
   let n = Array.length t.entries in
-  if Bytes.length t.marks <> n then t.marks <- Bytes.make n '\000';
   (* at most one index per entry and per logged id *)
   let need = min n (Dirty_log.length log) in
   if Array.length t.order < need then
     t.order <- Array.make (min n (max need (2 * Array.length t.order))) 0;
-  let marks = t.marks and order = t.order in
+  let order = t.order in
   let k = ref 0 in
   for j = 0 to Dirty_log.length log - 1 do
     match Int_tbl.find t.live (Dirty_log.get log j) with
     | i ->
-      if Bytes.get marks i = '\000' then begin
-        Bytes.set marks i '\001';
-        order.(!k) <- i;
-        incr k
-      end
+      order.(!k) <- i;
+      incr k
     | exception Not_found -> ()
   done;
   let k = !k in
   sort_prefix order k;
-  for j = 0 to k - 1 do
-    Bytes.set marks order.(j) '\000'
-  done;
   for j = 0 to k - 1 do
     f t.entries.(order.(j))
   done
@@ -153,7 +123,7 @@ let iter_logged t log f =
    descendants, so a later walk stopping there misses nothing it could
    still own.  Built on first use for this tree shape: a process is
    created or exits only by installing or revoking its cap group in the
-   root, which retires the cache. *)
+   root, a shape change, which retires the cache. *)
 let owners t kernel =
   match t.owners with
   | Some o -> o
@@ -197,8 +167,8 @@ let group_name o g = o.names.(g)
 let owner_group o oid =
   match Int_tbl.find_opt o.group_of oid with Some g -> g | None -> o.kernel
 
-(* A region list change is an edge change, which retires this whole cache,
-   so an index built for this tree never goes stale. *)
+(* A region-list replacement notes a shape change, which retires this
+   whole cache, so an index built for this tree never goes stale. *)
 let region_index t vms =
   match Int_tbl.find_opt t.regions vms.Kobj.vs_id with
   | Some idx -> idx
@@ -207,43 +177,43 @@ let region_index t vms =
     Int_tbl.replace t.regions vms.Kobj.vs_id idx;
     idx
 
-(* Once a walk has compared every entry, each one's generation matches its
-   ORoot's until a touch logs it: the logged walk visits nothing else.  An
-   entry that changed since (or has no ORoot) and is not logged would be
-   skipped with its change unsaved. *)
-let unlogged t log =
-  if (not t.scanned) || Dirty_log.overflowed log then None
-  else begin
-    let logged = Int_tbl.create (Dirty_log.length log) in
-    for j = 0 to Dirty_log.length log - 1 do
-      Int_tbl.replace logged (Dirty_log.get log j) ()
-    done;
-    let missed =
-      Array.fold_right
-        (fun e acc ->
-          let oid = Kobj.id e.obj in
-          let current =
-            match e.oroot with Some o -> o.Oroot.saved_gen = Kobj.gen e.obj | None -> false
-          in
-          if current || Int_tbl.mem logged oid then acc else oid :: acc)
-        t.entries []
-    in
-    match missed with
-    | [] -> None
-    | first :: _ ->
-      Some
-        (Printf.sprintf
-           "%d entries changed since their checkpoint but are not in the dirty log (first: \
-            object %d)"
-           (List.length missed) first)
-  end
+(* A walk checkpoints an entry with an ORoot only when the log names it,
+   so an unlogged entry's newest snapshot must be its current state, and
+   an unlogged entry without an ORoot would never get one.  A state
+   compare, not a flag: it also sees a field written without a touch. *)
+let unsaved t log =
+  let missed =
+    Array.fold_right
+      (fun e acc ->
+        let oid = Kobj.id e.obj in
+        let saved =
+          Dirty_log.mem log oid
+          ||
+          match e.oroot with
+          | Some o -> (
+            match Oroot.latest_le o ~version:max_int with
+            | Some (_, snap) -> snap = Snapshot.take e.obj
+            | None -> false)
+          | None -> false
+        in
+        if saved then acc else oid :: acc)
+      t.entries []
+  in
+  match missed with
+  | [] -> None
+  | first :: _ ->
+    Some
+      (Printf.sprintf
+         "%d entries changed since their checkpoint but are not in the dirty log (first: \
+          object %d)"
+         (List.length missed) first)
 
 (* Compared by id: [iter_tree] wraps PMOs and threads reached through
    regions and IPC connections in fresh [Kobj.t] values at every call.
    The walk trusts each entry's ORoot link in place of a table lookup, so
    a link must be, physically, the table's ORoot for that id. *)
 let check t ~root ~log ~oroots =
-  if not (valid t ~root) then None
+  if not (valid t ~root ~log) then None
   else begin
     let n = Array.length t.entries in
     let reached = ref 0 and first_diff = ref None in
@@ -266,7 +236,7 @@ let check t ~root ~log ~oroots =
           t.entries []
       in
       match stale with
-      | [] -> unlogged t log
+      | [] -> unsaved t log
       | first :: _ ->
         Some
           (Printf.sprintf "%d entries link an ORoot that is not the table's (first: object %d)"

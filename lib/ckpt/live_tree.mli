@@ -1,27 +1,30 @@
 (** The live capability tree, cached across checkpoints.
 
     {!Treesls_cap.Kobj.iter_tree} rediscovers the tree from the root with a
-    hash set per call.  The incremental walk needs only the objects whose
-    generation moved, but it used to re-traverse the whole tree at every
+    hash set per call.  The incremental walk needs only the objects that
+    changed, but it used to re-traverse the whole tree at every
     checkpoint to find them; at serving scale that is milliseconds of host
     time per checkpoint for a tree whose shape rarely changes between two
     of them.  This cache keeps a traversal's result: the reachable objects
     in visit order, each with its ORoot, and their id set.
 
-    The cache stays valid while no edge of the tree changes.  Edges live in
-    cap-group slots, VM-space region lists and IPC connections' server and
-    shared-PMO references; the cache records every reachable holder's edges
-    as it saw them and compares them before each use, so an object can
-    become reachable (or unreachable) only through a change the comparison
-    sees.  Host-time bookkeeping only: building or reusing the cache
-    charges no simulated time.
+    The cache stays valid while no edge of the tree changes.  Edges live
+    in cap-group slots, VM-space region lists and IPC connections' server
+    and shared-PMO references.  Every slot change and every region-list
+    replacement notes a shape change in the kernel's dirty log, and a
+    connection's references are set before it is installed and never
+    change after, so an object can become reachable (or unreachable) only
+    through a change the log notes.  Host-time bookkeeping only: building
+    or reusing the cache charges no simulated time.
 
-    The walk compares every entry's generation with its ORoot's once per
-    cache ({!scanned}); after that it needs to visit only the entries its
-    kernel's dirty log names ({!iter_logged}), since every generation bump
-    but a slot change is logged and a slot change retires the cache.  DRAM state: dropped at a crash.  Restore
-    rebuilds it once from the restored tree, and that one walk serves the
-    whole recovery: the scheduler, the dead-ORoot GC, the allocator
+    A walk over a cache it has just built visits every entry: an object
+    new to the tree has no ORoot, and no touch logged it.  After that it
+    visits only the entries its kernel's dirty log names
+    ({!iter_logged}).
+
+    DRAM state: dropped at a crash.  Restore rebuilds it once from the
+    restored tree ({!build}), and that one walk serves the whole
+    recovery: the scheduler, the dead-ORoot GC, the allocator
     reconciliation and the first checkpoint after the restore all read
     it. *)
 
@@ -38,12 +41,19 @@ type entry = {
 
 type t
 
-val refresh :
-  t option -> root:Treesls_cap.Kobj.cap_group -> oroots:(int, Oroot.t) Hashtbl.t -> t
-(** [refresh cached ~root ~oroots] is [cached] when it was built from
-    [root] and none of the edges it recorded has changed since; otherwise
-    a fresh traversal from [root], each entry linked to its ORoot in
+val build : root:Treesls_cap.Kobj.cap_group -> oroots:(int, Oroot.t) Hashtbl.t -> t
+(** A fresh traversal from [root], each entry linked to its ORoot in
     [oroots]. *)
+
+val refresh :
+  t option ->
+  root:Treesls_cap.Kobj.cap_group ->
+  log:Treesls_cap.Dirty_log.t ->
+  oroots:(int, Oroot.t) Hashtbl.t ->
+  t
+(** [refresh cached ~root ~log ~oroots] is [cached] when it was built
+    from [root] and [log] (the kernel's dirty log) notes no shape change;
+    otherwise {!build}.  Every walk refreshes before it clears the log. *)
 
 val entries : t -> entry array
 (** The reachable objects in {!Treesls_cap.Kobj.iter_tree} order. *)
@@ -52,18 +62,11 @@ val live : t -> int Treesls_util.Int_tbl.t
 (** The ids of {!entries}, each mapped to its index there: the liveness
     set ORoot GC tests against. Never mutated after the cache is built. *)
 
-val scanned : t -> bool
-(** Whether a walk has compared every entry since the cache was built
-    (by {!refresh} or by restore). *)
-
-val mark_scanned : t -> unit
-(** Record that a walk compared every entry and cleared the dirty log. *)
-
 val iter_logged : t -> Treesls_cap.Dirty_log.t -> (entry -> unit) -> unit
 (** [iter_logged t log f] applies [f] to each entry whose id [log] holds,
     once, in {!entries} order; ids of objects outside the cache are
-    skipped.  Allocates nothing per id: a mark per entry dedupes and the
-    indices are sorted in place. *)
+    skipped.  Allocates nothing per id: the indices are sorted in
+    place. *)
 
 type owners
 (** Per-object attribution groups for this tree shape. *)
@@ -110,11 +113,10 @@ val check :
   oroots:(int, Oroot.t) Hashtbl.t ->
   string option
 (** Coherence check for the state auditor: while the cache is still valid
-    for [root], its entries must be exactly the objects a fresh traversal
-    reaches, in the same order, and every entry's cached ORoot must be,
-    physically, the one [oroots] holds for its id.  Once the cache is
-    {!scanned}, and while [log] (the kernel's dirty log) has not
-    overflowed, every entry whose generation moved since its checkpoint
-    must be in [log].  [Some message] describes the first kind of
-    difference found; a stale cache (rebuilt before its next use) has
-    nothing to check. *)
+    for [root] and [log] (the kernel's dirty log), its entries must be
+    exactly the objects a fresh traversal reaches, in the same order,
+    every entry's cached ORoot must be, physically, the one [oroots]
+    holds for its id, and every entry [log] does not name must have an
+    ORoot whose newest snapshot equals a snapshot taken now.  [Some
+    message] describes the first kind of difference found; a stale cache
+    (rebuilt before its next use) has nothing to check. *)

@@ -6,7 +6,6 @@ type t = {
   mutable runtime : Treesls_cap.Kobj.t option;
   mutable slot_a : (int * Snapshot.t) option;
   mutable slot_b : (int * Snapshot.t) option;
-  mutable saved_gen : int;
   pages : Ckpt_page.t option;
 }
 
@@ -19,7 +18,6 @@ let create ~obj_id ~kind ~version ~has_pages =
     runtime = None;
     slot_a = None;
     slot_b = None;
-    saved_gen = 0;
     pages = (if has_pages then Some (Ckpt_page.create ()) else None);
   }
 

@@ -18,12 +18,11 @@ type t = {
           garbage collection to release the runtime frames of objects that
           left the tree *)
   mutable slot_a : (int * Snapshot.t) option;
+      (** the two snapshot slots.  The incremental walk skips an object
+          that has an ORoot and that its kernel's dirty log does not name:
+          its newest snapshot is then its current state, which the
+          auditor checks ([Live_tree.check]) *)
   mutable slot_b : (int * Snapshot.t) option;
-  mutable saved_gen : int;
-      (** {!Treesls_cap.Kobj.gen} of the runtime object when it was last
-          checkpointed; the incremental walk skips the object while the two
-          match.  0 (never equal to a live generation, which starts at 1)
-          until the first checkpoint. *)
   pages : Ckpt_page.t option;  (** Some for normal PMOs *)
 }
 

@@ -8,6 +8,7 @@ module Crash_site = Treesls_nvm.Crash_site
 module Cost = Treesls_sim.Cost
 module Clock = Treesls_sim.Clock
 module Int_tbl = Treesls_util.Int_tbl
+module Dirty_log = Treesls_cap.Dirty_log
 module Probe = Treesls_obs.Probe
 
 exception No_checkpoint
@@ -223,8 +224,11 @@ let run_inner st =
     (List.rev !kinds);
   Probe.rto_phase_end probe;
   Probe.rto_phase_begin probe "captree_rebuild";
-  (* Stitch references by object id. *)
+  (* Stitch references by object id.  The slot installs log into a log of
+     their own, dropped with them: the restored kernel starts with an
+     empty one, and the cache built below is the tree they stitched. *)
   let find_stub oid = Int_tbl.find_opt stubs oid in
+  let stitched = Dirty_log.create () in
   List.iter
     (fun (oid, _oroot, snap) ->
       match (snap, find_stub oid) with
@@ -232,7 +236,7 @@ let run_inner st =
         List.iter
           (fun (slot, target_id, rights) ->
             match find_stub target_id with
-            | Some target -> Kobj.install_at cg slot { Kobj.target; rights }
+            | Some target -> Kobj.install_at stitched cg slot { Kobj.target; rights }
             | None -> () (* referent dropped (born after g): dangling cap removed *))
           slots
       | Snapshot.S_vmspace { regions }, Some (Kobj.Vmspace vs) ->
@@ -263,8 +267,9 @@ let run_inner st =
   (* The one walk of the restored tree (paper §3, step 7), kept as the
      live-tree cache: the scheduler, the dead-ORoot GC and the allocator
      reconciliation below read it, and the first checkpoint after the
-     restore reuses it while the tree's edges stay as they are now. *)
-  let tree = Live_tree.refresh None ~root ~oroots:st.State.oroots in
+     restore reuses it while the restored kernel's log notes no shape
+     change. *)
+  let tree = Live_tree.build ~root ~oroots:st.State.oroots in
   let threads =
     Array.fold_right
       (fun (e : Live_tree.entry) acc ->

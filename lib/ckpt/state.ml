@@ -118,8 +118,9 @@ let note_crash t =
   Active_list.clear t.active;
   Hashtbl.reset t.pending_fresh;
   t.ckpt_callbacks <- [];
-  (* restored objects carry fresh generations that could collide with the
-     pre-crash saved_gen values, so the first post-restore walk is eager *)
+  (* a policy, not a guard: a restored object equals its ORoot's newest
+     snapshot and the restored kernel's log is empty, so a logged walk
+     would be exact; the first post-restore walk re-saves every object *)
   t.force_full <- true;
   t.live_tree <- None;
   (* the drain backlog and restamp tables die with DRAM; drain-saved NVM

@@ -30,7 +30,8 @@ type level =
 type features = {
   mutable level : level;
   mutable incremental_walk : bool;
-      (** skip clean objects (generation unchanged) during the STW walk *)
+      (** skip clean objects (an ORoot, and not in the kernel's dirty
+          log) during the STW walk *)
   mutable adaptive_interval : bool;
       (** let the PID-style controller retune the checkpoint interval
           against a latency SLO at every commit (default off; see
@@ -79,9 +80,13 @@ type t = {
   mutable last_report : Report.t option;
   mutable force_full : bool;
       (** eager-walk override for the next checkpoint: set at creation and
-          by {!note_crash}, cleared by [Checkpoint.run] — the first walk
-          after boot or restore must visit every object to (re)seed the
-          per-object saved generations *)
+          by {!note_crash}, cleared by [Checkpoint.run].  After boot the
+          first walk must give every object its ORoot; after a restore
+          the eager walk is a policy, not a correctness guard — restored
+          objects equal their ORoots' newest snapshots and the restored
+          kernel's dirty log is empty, so a logged walk would miss
+          nothing — kept so the first post-restore checkpoint re-saves
+          the whole tree *)
   mutable live_tree : Live_tree.t option;
       (** volatile: the capability tree as the last walk found it, reused
           while its shape is unchanged (see {!Live_tree}) *)

@@ -14,12 +14,9 @@ let create_conn k ~client ~server =
       ~pages:1 ~kind:Kobj.Pmo_normal
   in
   conn.Kobj.ic_shared <- Some shared;
-  ignore
-    (Kobj.install client.Kernel.cg
-       { Kobj.target = Kobj.Ipc_conn conn; rights = Treesls_cap.Rights.full });
-  ignore
-    (Kobj.install server.Kernel.cg
-       { Kobj.target = Kobj.Ipc_conn conn; rights = Treesls_cap.Rights.full });
+  let cap = { Kobj.target = Kobj.Ipc_conn conn; rights = Treesls_cap.Rights.full } in
+  ignore (Kobj.install (Kernel.dirty_log k) client.Kernel.cg cap);
+  ignore (Kobj.install (Kernel.dirty_log k) server.Kernel.cg cap);
   conn
 
 let register_handler k conn h = Hashtbl.replace (Kernel.ipc_handlers k) conn.Kobj.ic_id h

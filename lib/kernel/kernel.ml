@@ -96,8 +96,8 @@ let rmap_live t pmo pno =
 let set_cow_hook t h = t.cow_hook <- h
 let set_fresh_hook t h = t.fresh_hook <- h
 
-let install_obj owner obj rights =
-  ignore (Kobj.install owner { Kobj.target = obj; rights })
+let install_obj t owner obj rights =
+  ignore (Kobj.install t.dirty owner { Kobj.target = obj; rights })
 
 (* --- object creation ------------------------------------------------- *)
 
@@ -106,12 +106,12 @@ let new_pmo t ~pages ~kind =
 
 let create_notification t proc =
   let n = Kobj.make_notification ~id:(Id_gen.next t.ids) in
-  install_obj proc.cg (Kobj.Notification n) Treesls_cap.Rights.full;
+  install_obj t proc.cg (Kobj.Notification n) Treesls_cap.Rights.full;
   n
 
 let create_irq t proc ~line =
   let irq = Kobj.make_irq_notification ~id:(Id_gen.next t.ids) ~line in
-  install_obj proc.cg (Kobj.Irq_notification irq) Treesls_cap.Rights.full;
+  install_obj t proc.cg (Kobj.Irq_notification irq) Treesls_cap.Rights.full;
   irq
 
 let add_region t proc pmo ~writable =
@@ -119,15 +119,16 @@ let add_region t proc pmo ~writable =
   let region = { Kobj.vr_vpn = vpn; vr_pages = pmo.Kobj.pmo_pages; vr_pmo = pmo; vr_writable = writable } in
   proc.vms.Kobj.vs_regions <- proc.vms.Kobj.vs_regions @ [ region ];
   touch t (Kobj.Vmspace proc.vms);
+  Dirty_log.note_shape_change t.dirty;
   proc.brk_vpn <- vpn + pmo.Kobj.pmo_pages;
   vpn
 
 let add_thread t proc ~prio =
   let th = Kobj.make_thread ~id:(Id_gen.next t.ids) ~prio in
-  install_obj proc.cg (Kobj.Thread th) Treesls_cap.Rights.full;
+  install_obj t proc.cg (Kobj.Thread th) Treesls_cap.Rights.full;
   (* one stack page per thread, like ChCore *)
   let stack = new_pmo t ~pages:1 ~kind:Kobj.Pmo_normal in
-  install_obj proc.cg (Kobj.Pmo stack) Treesls_cap.Rights.rw;
+  install_obj t proc.cg (Kobj.Pmo stack) Treesls_cap.Rights.rw;
   ignore (add_region t proc stack ~writable:true);
   proc.threads <- proc.threads @ [ th ];
   Sched.enqueue t.sched th;
@@ -135,12 +136,12 @@ let add_thread t proc ~prio =
 
 let create_process t ~name ~threads ~prio =
   let cg = Kobj.make_cap_group ~id:(Id_gen.next t.ids) ~name in
-  install_obj t.root (Kobj.Cap_group cg) Treesls_cap.Rights.full;
+  install_obj t t.root (Kobj.Cap_group cg) Treesls_cap.Rights.full;
   let vms = Kobj.make_vmspace ~id:(Id_gen.next t.ids) in
-  install_obj cg (Kobj.Vmspace vms) Treesls_cap.Rights.full;
+  install_obj t cg (Kobj.Vmspace vms) Treesls_cap.Rights.full;
   let proc = { pid = cg.Kobj.cg_id; pname = name; cg; vms; threads = []; brk_vpn = 16 } in
   let code = new_pmo t ~pages:1 ~kind:Kobj.Pmo_normal in
-  install_obj cg (Kobj.Pmo code) Treesls_cap.Rights.read_only;
+  install_obj t cg (Kobj.Pmo code) Treesls_cap.Rights.read_only;
   ignore (add_region t proc code ~writable:false);
   for _ = 1 to threads do
     ignore (add_thread t proc ~prio)
@@ -156,18 +157,18 @@ let exit_process t proc =
     proc.threads;
   (* revoke the cap from the root group so the subtree becomes unreachable *)
   Kobj.iter_caps
-    (fun slot c -> if Kobj.id c.Kobj.target = proc.pid then Kobj.revoke t.root slot)
+    (fun slot c -> if Kobj.id c.Kobj.target = proc.pid then Kobj.revoke t.dirty t.root slot)
     t.root;
   t.procs <- List.filter (fun p -> p.pid <> proc.pid) t.procs;
   Int_tbl.remove t.pagetables proc.vms.Kobj.vs_id
 
 let grow_heap t proc ~pages =
   let pmo = new_pmo t ~pages ~kind:Kobj.Pmo_normal in
-  install_obj proc.cg (Kobj.Pmo pmo) Treesls_cap.Rights.rw;
+  install_obj t proc.cg (Kobj.Pmo pmo) Treesls_cap.Rights.rw;
   add_region t proc pmo ~writable:true
 
 let map_shared t proc pmo ~writable =
-  install_obj proc.cg (Kobj.Pmo pmo)
+  install_obj t proc.cg (Kobj.Pmo pmo)
     (if writable then Treesls_cap.Rights.rw else Treesls_cap.Rights.read_only);
   add_region t proc pmo ~writable
 
@@ -181,7 +182,7 @@ let make_eternal_pmo t ~pages =
     Radix.set pmo.Kobj.pmo_radix i paddr
   done;
   touch t (Kobj.Pmo pmo);
-  install_obj t.root (Kobj.Pmo pmo) Treesls_cap.Rights.rw;
+  install_obj t t.root (Kobj.Pmo pmo) Treesls_cap.Rights.rw;
   pmo
 
 (* --- memory paths ------------------------------------------------------ *)
@@ -207,7 +208,7 @@ let grant t ~from_proc ~to_proc ~slot ~rights =
       invalid_arg "Kernel.grant: rights may only shrink";
     t.stats.syscalls <- t.stats.syscalls + 1;
     charge t (cost t).Cost.syscall_ns;
-    Kobj.install to_proc.cg { Kobj.target = cap.Kobj.target; rights }
+    Kobj.install t.dirty to_proc.cg { Kobj.target = cap.Kobj.target; rights }
 
 let raise_irq t irq =
   charge t (cost t).Cost.trap_ns;
@@ -636,7 +637,7 @@ let rebuild ~store ~ncores ~root ~ids_hwm ~threads =
     {
       store;
       ids;
-      dirty = Dirty_log.create ids;
+      dirty = Dirty_log.create ();
       ncores;
       root;
       procs = [];
@@ -678,7 +679,7 @@ let boot ?(cost = Cost.default) ?(ncores = 8) ?(nvm_pages = 1 lsl 16) ?(dram_pag
     {
       store;
       ids;
-      dirty = Dirty_log.create ids;
+      dirty = Dirty_log.create ();
       ncores;
       root;
       procs = [];
@@ -694,15 +695,16 @@ let boot ?(cost = Cost.default) ?(ncores = 8) ?(nvm_pages = 1 lsl 16) ?(dram_pag
   in
   (* kernel VM space + kernel buffer PMOs, reachable as special nodes *)
   let kvms = Kobj.make_vmspace ~id:(Id_gen.next ids) in
-  install_obj root (Kobj.Vmspace kvms) Treesls_cap.Rights.full;
+  install_obj t root (Kobj.Vmspace kvms) Treesls_cap.Rights.full;
   for i = 0 to 15 do
     let buf = new_pmo t ~pages:1 ~kind:Kobj.Pmo_normal in
-    install_obj root (Kobj.Pmo buf) Treesls_cap.Rights.rw;
+    install_obj t root (Kobj.Pmo buf) Treesls_cap.Rights.rw;
     kvms.Kobj.vs_regions <-
       kvms.Kobj.vs_regions
       @ [ { Kobj.vr_vpn = 1024 + i; vr_pages = 1; vr_pmo = buf; vr_writable = true } ]
   done;
   touch t (Kobj.Vmspace kvms);
+  Dirty_log.note_shape_change t.dirty;
   List.iter
     (fun (name, threads, extra_pmos, notifs, conns) ->
       let proc = create_process t ~name ~threads ~prio:10 in
@@ -717,7 +719,7 @@ let boot ?(cost = Cost.default) ?(ncores = 8) ?(nvm_pages = 1 lsl 16) ?(dram_pag
         conn.Kobj.ic_server <- (match proc.threads with th :: _ -> Some th | [] -> None);
         let shared = new_pmo t ~pages:1 ~kind:Kobj.Pmo_normal in
         conn.Kobj.ic_shared <- Some shared;
-        install_obj proc.cg (Kobj.Ipc_conn conn) Treesls_cap.Rights.full
+        install_obj t proc.cg (Kobj.Ipc_conn conn) Treesls_cap.Rights.full
       done)
     service_spec;
   t

@@ -55,9 +55,11 @@ val root : t -> Kobj.cap_group
 val ids : t -> Treesls_cap.Id_gen.t
 
 val dirty_log : t -> Treesls_cap.Dirty_log.t
-(** The objects touched since the last checkpoint walk: every mutator here
-    and in {!Ipc} bumps generations through [Kobj.touch] on this log.  A
-    kernel built by {!boot} or {!rebuild} starts with an empty one. *)
+(** What changed since the last checkpoint walk: every mutator here and
+    in {!Ipc} records the objects it writes through [Kobj.touch] on this
+    log, every cap-slot change records its group and notes a shape
+    change, and so does every region-list replacement.  A kernel built by
+    {!boot} or {!rebuild} starts with an empty one. *)
 
 val ncores : t -> int
 val sched : t -> Sched.t

@@ -17,6 +17,7 @@ module Global_meta = Treesls_nvm.Global_meta
 module Probe = Treesls_obs.Probe
 module Wearmap = Treesls_obs.Wearmap
 module Json = Treesls_util.Json
+module Int_tbl = Treesls_util.Int_tbl
 
 type severity = Info | Warning | Error
 type subsystem = Meta | Journal | Captree | Pages | Allocator | Eternal | Wear
@@ -92,10 +93,11 @@ let run ?wear mgr =
   if Store.journal_in_flight store then
     add Error Journal "allocator journal holds an un-truncated record outside a checkpoint";
 
-  (* The runtime tree, by object id. *)
+  (* The runtime tree, by object id: one traversal whose visited set is
+     the table itself, sized like the tree it checkpoints. *)
   let root = Kernel.root kernel in
-  let reachable : (int, Kobj.t) Hashtbl.t = Hashtbl.create 256 in
-  Kobj.iter_tree ~root (fun obj -> Hashtbl.replace reachable (Kobj.id obj) obj);
+  let reachable : Kobj.t Int_tbl.t = Int_tbl.create (Hashtbl.length st.State.oroots) in
+  Kobj.walk ~seen:reachable ~root Fun.id;
 
   (* The walk's cached tree must still be the tree: a stale cache would
      skip objects that joined it and let GC free ones still in it, and a
@@ -121,7 +123,7 @@ let run ?wear mgr =
         oroot.Oroot.last_seen_ver g
     else if
       oroot.Oroot.last_seen_ver < g
-      && (not (Hashtbl.mem reachable oid))
+      && (not (Int_tbl.mem reachable oid))
       && pending_ver = None
     then
       (* live objects may legitimately carry a stale last_seen_ver: the
@@ -194,14 +196,14 @@ let run ?wear mgr =
 
   (* Eternal PMOs: excluded from rollback (§5), and installed in the root
      cap group, whose slots are all that ring reattachment searches. *)
-  let in_root = Hashtbl.create 16 in
-  Kobj.iter_caps (fun _ c -> Hashtbl.replace in_root (Kobj.id c.Kobj.target) ()) root;
-  Hashtbl.iter
+  let in_root = Int_tbl.create 16 in
+  Kobj.iter_caps (fun _ c -> Int_tbl.replace in_root (Kobj.id c.Kobj.target) ()) root;
+  Int_tbl.iter
     (fun oid obj ->
       match obj with
       | Kobj.Pmo p when p.Kobj.pmo_kind = Kobj.Pmo_eternal ->
         let add ?pno ?paddr sev fmt = add ~obj_id:oid ?pno ?paddr sev Eternal fmt in
-        if not (Hashtbl.mem in_root oid) then
+        if not (Int_tbl.mem in_root oid) then
           add Error "eternal PMO holds no capability in the root cap group";
         Radix.iter
           (fun pno paddr ->
@@ -232,7 +234,7 @@ let run ?wear mgr =
      a reachable eternal PMO. *)
   List.iter
     (fun (name, id) ->
-      match Hashtbl.find_opt reachable id with
+      match Int_tbl.find_opt reachable id with
       | Some (Kobj.Pmo p) when p.Kobj.pmo_kind = Kobj.Pmo_eternal -> ()
       | Some _ -> add ~obj_id:id Error Eternal "%s backing object is not an eternal PMO" name
       | None -> add ~obj_id:id Error Eternal "%s backing PMO is not reachable from the root" name)
@@ -272,13 +274,13 @@ let run ?wear mgr =
    with Failure m -> add Error Allocator "buddy invariant violated: %s" m);
   (try Slab.check_invariants slab
    with Failure m -> add Error Allocator "slab invariant violated: %s" m);
-  let roles : (int, string) Hashtbl.t = Hashtbl.create 512 in
+  let roles : string Int_tbl.t = Int_tbl.create 512 in
   let claim ?obj_id ?pno idx role =
-    match Hashtbl.find_opt roles idx with
+    match Int_tbl.find_opt roles idx with
     | Some other ->
       add ?obj_id ?pno ~paddr:(Paddr.nvm idx) Error Allocator
         "NVM page claimed as both %s and %s" other role
-    | None -> Hashtbl.replace roles idx role
+    | None -> Int_tbl.replace roles idx role
   in
   List.iter (fun off -> claim off "slab page") (Slab.slab_pages slab);
   (* In-flight drain frames: version-N content saved by CoW faults during a
@@ -292,7 +294,7 @@ let run ?wear mgr =
       (fun pno paddr -> if Paddr.is_nvm paddr then claim ~obj_id ~pno paddr.Paddr.idx role)
       radix
   in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun oid obj ->
       match obj with
       | Kobj.Pmo p ->
@@ -304,7 +306,7 @@ let run ?wear mgr =
     reachable;
   Manager.iter_oroots mgr (fun oid (oroot : Oroot.t) ->
     (match oroot.Oroot.runtime with
-    | Some (Kobj.Pmo p) when not (Hashtbl.mem reachable oid) ->
+    | Some (Kobj.Pmo p) when not (Int_tbl.mem reachable oid) ->
       claim_radix ~obj_id:oid p.Kobj.pmo_radix "detached runtime page"
     | Some _ | None -> ());
     match oroot.Oroot.pages with
@@ -319,20 +321,20 @@ let run ?wear mgr =
           backup cp.Ckpt_page.b1;
           backup cp.Ckpt_page.b2)
         cps);
-  let live : (int, unit) Hashtbl.t = Hashtbl.create 512 in
+  let live : unit Int_tbl.t = Int_tbl.create 512 in
   Buddy.iter_live buddy (fun ~offset ~order ->
     for i = offset to offset + (1 lsl order) - 1 do
-      Hashtbl.replace live i ()
+      Int_tbl.replace live i ()
     done);
-  Hashtbl.iter
+  Int_tbl.iter
     (fun idx () ->
-      if not (Hashtbl.mem roles idx) then
+      if not (Int_tbl.mem roles idx) then
         add ~paddr:(Paddr.nvm idx) Error Allocator
           "live NVM block reachable from no subsystem (leak)")
     live;
-  Hashtbl.iter
+  Int_tbl.iter
     (fun idx role ->
-      if not (Hashtbl.mem live idx) then
+      if not (Int_tbl.mem live idx) then
         add ~paddr:(Paddr.nvm idx) Error Allocator
           "%s is not a live buddy allocation (dangling frame)" role)
     roles;

@@ -3,8 +3,8 @@
    version, an orphaned CPP half, a leaked buddy block, a buddy order
    record outside the managed pages, rollback state on
    an eternal PMO, an eternal PMO missing from the root cap group, a
-   normal PMO registered as an observability backing, a generation bump
-   the dirty log never saw —
+   normal PMO registered as an observability backing, a change the dirty
+   log never saw —
    yields exactly the expected violation.  Also pins the
    Report.pp format (every field, including per_kind_ns). *)
 
@@ -201,7 +201,6 @@ let eternal_rollback_state_detected () =
       ~has_pages:true
   in
   o'.Oroot.last_seen_ver <- o.Oroot.last_seen_ver;
-  o'.Oroot.saved_gen <- o.Oroot.saved_gen;
   o'.Oroot.slot_a <- o.Oroot.slot_a;
   o'.Oroot.slot_b <- o.Oroot.slot_b;
   o'.Oroot.runtime <- o.Oroot.runtime;
@@ -236,7 +235,7 @@ let eternal_outside_root_detected () =
     (fun i c -> if Kobj.id c.Kobj.target = ring_pmo.Kobj.pmo_id then slots := i :: !slots)
     root;
   check_int "one root slot" 1 (List.length !slots);
-  Kobj.revoke root (List.hd !slots);
+  Kobj.revoke (Kernel.dirty_log k) root (List.hd !slots);
   let v = the_violation (System.audit sys) in
   check_bool "error severity" true (v.Audit.severity = Audit.Error);
   check_string "subsystem" "eternal" (Audit.subsystem_name v.Audit.subsystem);
@@ -261,56 +260,79 @@ let normal_pmo_backing_detected () =
   check_string "message" "tseries backing object is not an eternal PMO" v.Audit.message;
   check_bool "locates the PMO" true (v.Audit.obj_id = Some pmo_id)
 
-(* ---- fault injection: a slot written behind the live-tree cache ---- *)
+(* ---- fault injection: edges written behind the live-tree cache ---- *)
 
+(* A raw slot write skips [Kobj.install] and a raw region-list
+   replacement skips [Kernel.add_region], so neither notes a shape change
+   and the cache stays in use.  Only the auditor's traversal compare sees
+   them; announced as those mutators do (the holder logged, a shape
+   change noted), the cache is rebuilt at its next use. *)
 let stale_live_tree_detected () =
   let sys, k, proc, _, _, _ = setup () in
   ignore (System.checkpoint sys);
   check_bool "baseline clean" true (Audit.ok (System.audit sys));
-  (* a raw slot write skips Kobj.install, so the group's generation — the
-     cache's shape check — does not move *)
-  let g = proc.Kernel.cg in
-  let slot =
-    let rec free i = if g.Kobj.cg_slots.(i) = None then i else free (i + 1) in
-    free 0
+  let log = Kernel.dirty_log k in
+  let detected what write announce =
+    write ();
+    let v = the_violation (System.audit sys) in
+    check_bool (what ^ ": error severity") true (v.Audit.severity = Audit.Error);
+    check_string (what ^ ": subsystem") "captree" (Audit.subsystem_name v.Audit.subsystem);
+    check_bool (what ^ ": message") true (contains ~sub:"live-tree cache" v.Audit.message);
+    Kobj.touch log announce;
+    Treesls_cap.Dirty_log.note_shape_change log;
+    check_bool (what ^ ": announced change audits clean") true (Audit.ok (System.audit sys));
+    ignore (System.checkpoint sys);
+    check_bool (what ^ ": rebuilt cache audits clean") true (Audit.ok (System.audit sys))
   in
-  let stray = Kobj.make_notification ~id:(Treesls_cap.Id_gen.next (Kernel.ids k)) in
-  g.Kobj.cg_slots.(slot) <-
-    Some { Kobj.target = Kobj.Notification stray; rights = Treesls_cap.Rights.full };
-  let v = the_violation (System.audit sys) in
-  check_bool "error severity" true (v.Audit.severity = Audit.Error);
-  check_string "subsystem" "captree" (Audit.subsystem_name v.Audit.subsystem);
-  check_bool "message" true (contains ~sub:"live-tree cache" v.Audit.message);
-  (* once the write is announced the cache is stale, rebuilt at its next use *)
-  Kobj.touch (Kernel.dirty_log k) (Kobj.Cap_group g);
-  check_bool "announced change audits clean" true (Audit.ok (System.audit sys));
-  ignore (System.checkpoint sys);
-  check_bool "rebuilt cache audits clean" true (Audit.ok (System.audit sys))
+  let g = proc.Kernel.cg in
+  detected "raw slot write"
+    (fun () ->
+      let slot =
+        let rec free i = if g.Kobj.cg_slots.(i) = None then i else free (i + 1) in
+        free 0
+      in
+      let stray = Kobj.make_notification ~id:(Treesls_cap.Id_gen.next (Kernel.ids k)) in
+      g.Kobj.cg_slots.(slot) <-
+        Some { Kobj.target = Kobj.Notification stray; rights = Treesls_cap.Rights.full })
+    (Kobj.Cap_group g);
+  let vms = proc.Kernel.vms in
+  detected "raw region-list replacement"
+    (fun () ->
+      let id = Treesls_cap.Id_gen.next (Kernel.ids k) in
+      let pmo = Kobj.make_pmo ~id ~pages:1 ~kind:Kobj.Pmo_normal in
+      vms.Kobj.vs_regions <-
+        vms.Kobj.vs_regions
+        @ [ { Kobj.vr_vpn = 4096; vr_pages = 1; vr_pmo = pmo; vr_writable = true } ])
+    (Kobj.Vmspace vms)
 
-(* ---- fault injection: a generation bump the dirty log never saw ---- *)
+(* ---- fault injection: a change the dirty log never saw ---- *)
 
-(* After its first walk the cache visits only logged objects: a raw
-   generation bump (no [Kobj.touch]) would leave the object's change out
-   of every later checkpoint.  Only the log-coverage check sees it. *)
-let unlogged_bump_detected () =
+(* The walk visits only logged objects once its cache is built: a field
+   written without [Kobj.touch] would stay out of every later checkpoint.
+   Only the log-coverage check sees it, by comparing each unlogged
+   entry's state with its ORoot's newest snapshot. *)
+let unlogged_change_detected () =
   let sys, k, proc, _, _, _ = setup () in
   let n = Kernel.create_notification k proc in
   ignore (System.checkpoint sys);
   check_bool "baseline clean" true (Audit.ok (System.audit sys));
   n.Kobj.nt_count <- 5;
-  n.Kobj.nt_gen <- n.Kobj.nt_gen + 1;
   let v = the_violation (System.audit sys) in
   check_bool "error severity" true (v.Audit.severity = Audit.Error);
   check_string "subsystem" "captree" (Audit.subsystem_name v.Audit.subsystem);
   check_bool "message" true (contains ~sub:"not in the dirty log" v.Audit.message);
   let st = Manager.state (System.manager sys) in
-  let saved () = (Hashtbl.find st.State.oroots n.Kobj.nt_id).Oroot.saved_gen in
+  let saved_count () =
+    match Oroot.latest_le (Hashtbl.find st.State.oroots n.Kobj.nt_id) ~version:max_int with
+    | Some (_, Treesls_ckpt.Snapshot.S_notif { count; _ }) -> count
+    | Some _ | None -> Alcotest.fail "no notification snapshot"
+  in
   ignore (System.checkpoint sys);
-  check_bool "the walk misses the unlogged change" true (saved () <> n.Kobj.nt_gen);
+  check_int "the walk misses the unlogged change" 0 (saved_count ());
   (* logged, the change is checkpointed and the audit is clean again *)
   Kobj.touch (Kernel.dirty_log k) (Kobj.Notification n);
   ignore (System.checkpoint sys);
-  check_int "the logged change is saved" n.Kobj.nt_gen (saved ());
+  check_int "the logged change is saved" 5 (saved_count ());
   check_bool "logged change audits clean" true (Audit.ok (System.audit sys))
 
 (* The walk checkpoints through each cache entry's ORoot link instead of
@@ -462,7 +484,7 @@ let () =
           Alcotest.test_case "normal PMO as tseries backing detected" `Quick
             normal_pmo_backing_detected;
           Alcotest.test_case "stale ORoot link detected" `Quick stale_oroot_link_detected;
-          Alcotest.test_case "unlogged generation bump detected" `Quick unlogged_bump_detected;
+          Alcotest.test_case "unlogged change detected" `Quick unlogged_change_detected;
         ] );
       ( "census",
         [ Alcotest.test_case "census balances" `Quick census_balances ] );

@@ -4,6 +4,7 @@ module Radix = Treesls_cap.Radix
 module Kobj = Treesls_cap.Kobj
 module Rights = Treesls_cap.Rights
 module Id_gen = Treesls_cap.Id_gen
+module Dirty_log = Treesls_cap.Dirty_log
 module Census = Treesls_cap.Census
 module Rng = Treesls_util.Rng
 
@@ -214,15 +215,16 @@ let idgen_monotonic () =
 
 let ids = Id_gen.create ()
 let fresh () = Id_gen.next ids
+let log = Dirty_log.create ()
 
 let cap_group_slots () =
   let g = Kobj.make_cap_group ~id:(fresh ()) ~name:"g" in
   let th = Kobj.Thread (Kobj.make_thread ~id:(fresh ()) ~prio:1) in
-  let s0 = Kobj.install g { Kobj.target = th; rights = Rights.full } in
+  let s0 = Kobj.install log g { Kobj.target = th; rights = Rights.full } in
   check_int "first slot" 0 s0;
   check_int "count" 1 (Kobj.caps_count g);
   check_bool "lookup" true (Kobj.lookup g s0 <> None);
-  Kobj.revoke g s0;
+  Kobj.revoke log g s0;
   check_int "after revoke" 0 (Kobj.caps_count g);
   check_bool "slot empty" true (Kobj.lookup g s0 = None)
 
@@ -230,7 +232,7 @@ let cap_group_grows () =
   let g = Kobj.make_cap_group ~id:(fresh ()) ~name:"g" in
   for i = 0 to 19 do
     let th = Kobj.Thread (Kobj.make_thread ~id:(fresh ()) ~prio:1) in
-    check_int "dense slots" i (Kobj.install g { Kobj.target = th; rights = Rights.full })
+    check_int "dense slots" i (Kobj.install log g { Kobj.target = th; rights = Rights.full })
   done;
   check_int "twenty caps" 20 (Kobj.caps_count g);
   check_bool "array grew" true (Kobj.slots_len g >= 20)
@@ -238,26 +240,65 @@ let cap_group_grows () =
 let cap_group_reuses_slots () =
   let g = Kobj.make_cap_group ~id:(fresh ()) ~name:"g" in
   let mk () = Kobj.Thread (Kobj.make_thread ~id:(fresh ()) ~prio:1) in
-  let s0 = Kobj.install g { Kobj.target = mk (); rights = Rights.full } in
-  ignore (Kobj.install g { Kobj.target = mk (); rights = Rights.full });
-  Kobj.revoke g s0;
-  check_int "freed slot reused" s0 (Kobj.install g { Kobj.target = mk (); rights = Rights.full })
+  let s0 = Kobj.install log g { Kobj.target = mk (); rights = Rights.full } in
+  ignore (Kobj.install log g { Kobj.target = mk (); rights = Rights.full });
+  Kobj.revoke log g s0;
+  check_int "freed slot reused" s0 (Kobj.install log g { Kobj.target = mk (); rights = Rights.full })
 
 let install_at_specific () =
   let g = Kobj.make_cap_group ~id:(fresh ()) ~name:"g" in
   let th = Kobj.Thread (Kobj.make_thread ~id:(fresh ()) ~prio:1) in
-  Kobj.install_at g 13 { Kobj.target = th; rights = Rights.rw };
+  Kobj.install_at log g 13 { Kobj.target = th; rights = Rights.rw };
   check_bool "slot 13 filled" true (Kobj.lookup g 13 <> None);
   Alcotest.check_raises "occupied" (Invalid_argument "Kobj.install_at: slot occupied")
-    (fun () -> Kobj.install_at g 13 { Kobj.target = th; rights = Rights.rw })
+    (fun () -> Kobj.install_at log g 13 { Kobj.target = th; rights = Rights.rw })
+
+(* ---- Dirty_log ---- *)
+
+let dirty_log_each_id_once () =
+  let l = Dirty_log.create () in
+  List.iter (Dirty_log.record l) [ 7; 3; 7; 500; 3; 0 ];
+  Alcotest.(check (list int))
+    "first-recording order, no repeats" [ 7; 3; 500; 0 ]
+    (List.init (Dirty_log.length l) (Dirty_log.get l));
+  check_bool "mem" true (Dirty_log.mem l 500);
+  check_bool "not recorded" false (Dirty_log.mem l 4);
+  check_bool "past the marks" false (Dirty_log.mem l 100_000);
+  check_bool "no shape change yet" false (Dirty_log.shape_changed l);
+  Dirty_log.note_shape_change l;
+  Dirty_log.clear l;
+  check_int "cleared" 0 (Dirty_log.length l);
+  check_bool "marks cleared" false (List.exists (Dirty_log.mem l) [ 7; 3; 500; 0 ]);
+  check_bool "shape change forgotten" false (Dirty_log.shape_changed l);
+  Dirty_log.record l 3;
+  check_int "recorded again after clear" 1 (Dirty_log.length l)
+
+(* every slot change records its group and notes a shape change *)
+let slot_changes_logged () =
+  let g = Kobj.make_cap_group ~id:(fresh ()) ~name:"g" in
+  let th = Kobj.Thread (Kobj.make_thread ~id:(fresh ()) ~prio:1) in
+  let logged name f =
+    let l = Dirty_log.create () in
+    f l;
+    check_bool (name ^ ": group logged") true (Dirty_log.mem l g.Kobj.cg_id);
+    check_bool (name ^ ": shape change") true (Dirty_log.shape_changed l)
+  in
+  let slot = ref 0 in
+  logged "install" (fun l -> slot := Kobj.install l g { Kobj.target = th; rights = Rights.full });
+  logged "revoke" (fun l -> Kobj.revoke l g !slot);
+  logged "install_at" (fun l -> Kobj.install_at l g 5 { Kobj.target = th; rights = Rights.full });
+  let l = Dirty_log.create () in
+  Kobj.touch l th;
+  check_bool "touch logs" true (Dirty_log.mem l (Kobj.id th));
+  check_bool "touch is no shape change" false (Dirty_log.shape_changed l)
 
 let iter_tree_dedup () =
   let root = Kobj.make_cap_group ~id:(fresh ()) ~name:"root" in
   let shared = Kobj.Pmo (Kobj.make_pmo ~id:(fresh ()) ~pages:1 ~kind:Kobj.Pmo_normal) in
   let child = Kobj.make_cap_group ~id:(fresh ()) ~name:"child" in
-  ignore (Kobj.install root { Kobj.target = shared; rights = Rights.rw });
-  ignore (Kobj.install root { Kobj.target = Kobj.Cap_group child; rights = Rights.full });
-  ignore (Kobj.install child { Kobj.target = shared; rights = Rights.read_only });
+  ignore (Kobj.install log root { Kobj.target = shared; rights = Rights.rw });
+  ignore (Kobj.install log root { Kobj.target = Kobj.Cap_group child; rights = Rights.full });
+  ignore (Kobj.install log child { Kobj.target = shared; rights = Rights.read_only });
   let visits = ref 0 in
   Kobj.iter_tree ~root (fun obj -> if Kobj.id obj = Kobj.id shared then incr visits);
   check_int "shared object visited once" 1 !visits
@@ -268,7 +309,7 @@ let iter_tree_reaches_regions () =
   let pmo = Kobj.make_pmo ~id:(fresh ()) ~pages:2 ~kind:Kobj.Pmo_normal in
   vms.Kobj.vs_regions <-
     [ { Kobj.vr_vpn = 0; vr_pages = 2; vr_pmo = pmo; vr_writable = true } ];
-  ignore (Kobj.install root { Kobj.target = Kobj.Vmspace vms; rights = Rights.full });
+  ignore (Kobj.install log root { Kobj.target = Kobj.Vmspace vms; rights = Rights.full });
   let found = ref false in
   Kobj.iter_tree ~root (fun obj -> if Kobj.id obj = pmo.Kobj.pmo_id then found := true);
   check_bool "pmo reachable via region" true !found
@@ -278,7 +319,7 @@ let copy_bytes_monotonic () =
   let large = Kobj.make_cap_group ~id:(fresh ()) ~name:"l" in
   for _ = 1 to 30 do
     let th = Kobj.Thread (Kobj.make_thread ~id:(fresh ()) ~prio:1) in
-    ignore (Kobj.install large { Kobj.target = th; rights = Rights.full })
+    ignore (Kobj.install log large { Kobj.target = th; rights = Rights.full })
   done;
   check_bool "more caps, more bytes" true
     (Kobj.copy_bytes (Kobj.Cap_group large) > Kobj.copy_bytes (Kobj.Cap_group small))
@@ -295,8 +336,8 @@ let census_counts () =
   let pmo = Kobj.make_pmo ~id:(fresh ()) ~pages:4 ~kind:Kobj.Pmo_normal in
   Radix.set pmo.Kobj.pmo_radix 0 (Treesls_nvm.Paddr.nvm 1);
   Radix.set pmo.Kobj.pmo_radix 2 (Treesls_nvm.Paddr.nvm 2);
-  ignore (Kobj.install root { Kobj.target = Kobj.Thread th; rights = Rights.full });
-  ignore (Kobj.install root { Kobj.target = Kobj.Pmo pmo; rights = Rights.rw });
+  ignore (Kobj.install log root { Kobj.target = Kobj.Thread th; rights = Rights.full });
+  ignore (Kobj.install log root { Kobj.target = Kobj.Pmo pmo; rights = Rights.rw });
   let c = Census.collect ~root in
   check_int "cap groups" 1 c.Census.cap_groups;
   check_int "threads" 1 c.Census.threads;
@@ -359,12 +400,14 @@ let () =
           Alcotest.test_case "pretty printing" `Quick rights_pp;
         ] );
       ("id_gen", [ Alcotest.test_case "monotonic + restore" `Quick idgen_monotonic ]);
+      ("dirty_log", [ Alcotest.test_case "each id once" `Quick dirty_log_each_id_once ]);
       ( "kobj",
         [
           Alcotest.test_case "cap group slots" `Quick cap_group_slots;
           Alcotest.test_case "cap group growth" `Quick cap_group_grows;
           Alcotest.test_case "slot reuse" `Quick cap_group_reuses_slots;
           Alcotest.test_case "install_at" `Quick install_at_specific;
+          Alcotest.test_case "slot changes logged" `Quick slot_changes_logged;
           Alcotest.test_case "iter_tree dedup" `Quick iter_tree_dedup;
           Alcotest.test_case "iter_tree reaches regions" `Quick iter_tree_reaches_regions;
           Alcotest.test_case "copy_bytes monotonic" `Quick copy_bytes_monotonic;

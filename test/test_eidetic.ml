@@ -56,8 +56,8 @@ let eidetic_object_history () =
   let k = System.kernel sys in
   let p = Kernel.create_process k ~name:"subject" ~threads:1 ~prio:5 in
   let n = Kernel.create_notification k p in
-  (* raw field writes bypass the kernel mutators, so bump the generation
-     by hand or the incremental walk will (correctly) skip the object *)
+  (* raw field writes bypass the kernel mutators, so log the object by
+     hand or the incremental walk will (correctly) skip it *)
   n.Kobj.nt_count <- 1;
   Kobj.touch (Kernel.dirty_log k) (Kobj.Notification n);
   ignore (System.checkpoint sys);

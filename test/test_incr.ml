@@ -16,6 +16,8 @@ module Oroot = Treesls_ckpt.Oroot
 module Ckpt_page = Treesls_ckpt.Ckpt_page
 module Active_list = Treesls_ckpt.Active_list
 module Snapshot = Treesls_ckpt.Snapshot
+module Pagetable = Treesls_kernel.Pagetable
+module Dirty_log = Treesls_cap.Dirty_log
 module Report = Treesls_ckpt.Report
 module Audit = Treesls_audit.Audit
 module Kobj = Treesls_cap.Kobj
@@ -55,7 +57,6 @@ let resolve_overlapping () =
     {
       Kobj.vs_id = 910_001;
       vs_regions = [ region a 100 4; region b 102 4; region c 106 2 ];
-      vs_gen = 1;
     }
   in
   check_resolve "below all regions" vms 99 None;
@@ -73,7 +74,7 @@ let resolve_overlapping () =
 let resolve_list_order_and_invalidation () =
   let a = mk_pmo 9011 8 and b = mk_pmo 9012 4 in
   let vms =
-    { Kobj.vs_id = 910_002; vs_regions = [ region a 100 8; region b 102 4 ]; vs_gen = 1 }
+    { Kobj.vs_id = 910_002; vs_regions = [ region a 100 8; region b 102 4 ] }
   in
   check_resolve "a shadows b entirely" vms 103 (Some (9011, 3));
   (* replace the region list: the cached index must not serve stale
@@ -95,7 +96,7 @@ let resolve_against_linear_model =
         List.init nregions (fun i ->
             region (mk_pmo (9100 + i) 16) (Rng.int rng 40) (1 + Rng.int rng 16))
       in
-      let vms = { Kobj.vs_id = 920_000 + seed; vs_regions = regions; vs_gen = 1 } in
+      let vms = { Kobj.vs_id = 920_000 + seed; vs_regions = regions } in
       let model vpn =
         match
           List.find_opt
@@ -207,10 +208,20 @@ let live_tree_tracks_shape () =
   let mgr = System.manager sys in
   let p = Kernel.create_process k ~name:"shape" ~threads:1 ~prio:5 in
   let n = Kernel.create_notification k p in
+  let vpn = Kernel.grow_heap k p ~pages:1 in
+  Kernel.touch_write k p ~vpn;
+  let server = Kernel.create_process k ~name:"server" ~threads:1 ~prio:5 in
+  let conn = Ipc.create_conn k ~client:p ~server in
+  Ipc.register_handler k conn (fun b -> b);
   ignore (System.checkpoint sys);
   let t0 = live_tree sys in
   let size t = Array.length (Live_tree.entries t) in
   let audit_clean what = check_int (what ^ ": audit errors") 0 (Audit.errors (System.audit sys)) in
+  let walked_at (r : Report.t) oid =
+    match Manager.find_oroot mgr oid with
+    | Some o -> o.Oroot.last_seen_ver = r.Report.version
+    | None -> false
+  in
   (* object state changes leave the shape alone: same cache, nothing rebuilt *)
   Ipc.notify k n;
   let r = System.checkpoint sys in
@@ -218,6 +229,20 @@ let live_tree_tracks_shape () =
   check_int "walked + skipped = cached objects" (size t0)
     (r.Report.objects_walked + r.Report.objects_skipped);
   audit_clean "reused";
+  (* a CoW fault on the page the checkpoint protected logs the VM space,
+     and an IPC call the connection: neither changes an edge *)
+  let cow = (Kernel.stats k).Kernel.cow_faults in
+  Kernel.touch_write k p ~vpn;
+  check_int "one CoW fault" (cow + 1) (Kernel.stats k).Kernel.cow_faults;
+  let r = System.checkpoint sys in
+  check_bool "CoW fault reuses the cache" true (live_tree sys == t0);
+  check_bool "the VM space is walked" true (walked_at r p.Kernel.vms.Kobj.vs_id);
+  audit_clean "CoW fault";
+  ignore (Ipc.call k conn (Bytes.of_string "ping"));
+  let r = System.checkpoint sys in
+  check_bool "IPC call reuses the cache" true (live_tree sys == t0);
+  check_bool "the connection is walked" true (walked_at r conn.Kobj.ic_id);
+  audit_clean "IPC call";
   (* a new capability changes a cap group's slots *)
   let n2 = Kernel.create_notification k p in
   ignore (System.checkpoint sys);
@@ -375,8 +400,8 @@ let prop_restore_equivalence =
       && skipped_e = 0
       && Audit.errors (System.audit sys_e) = 0
       && Audit.errors (System.audit sys_i) = 0
-      (* post-restore generations are untrusted: the first checkpoint
-         after a restore must resync eagerly, skipping nothing *)
+      (* the first checkpoint after a restore re-saves the whole tree,
+         skipping nothing *)
       && (System.checkpoint sys_i).Report.objects_skipped = 0)
 
 (* ---- the pages of a PMO that left the tree are freed ---- *)
@@ -430,49 +455,73 @@ let dead_pmo_pages_freed () =
 
 (* ---- the walk against a full-scan oracle, under seeded churn ---- *)
 
-(* The objects a full comparison would checkpoint now: every reachable
-   object when the walk is eager, else those with no ORoot or with a
-   generation their ORoot has not saved. *)
-let predicted sys =
+(* What the next walk owes, from state alone: every reachable object when
+   the walk is eager; otherwise every reachable object with no ORoot or a
+   snapshot unequal to its ORoot's newest, every VM space whose page
+   table holds dirty pages to re-protect, and every PMO whose fresh pages
+   wait for their page records. *)
+let owed sys ~eager =
+  let k = System.kernel sys in
   let st = Manager.state (System.manager sys) in
-  let eager = st.State.force_full || not st.State.features.State.incremental_walk in
+  let protects = st.State.features.State.level >= State.Fault in
   let s = Hashtbl.create 64 and reachable = ref [] in
-  Kobj.iter_tree ~root:(Kernel.root (System.kernel sys)) (fun obj ->
+  Kobj.iter_tree ~root:(Kernel.root k) (fun obj ->
       reachable := obj :: !reachable;
-      let stale =
-        match Hashtbl.find_opt st.State.oroots (Kobj.id obj) with
-        | Some o -> o.Oroot.saved_gen <> Kobj.gen obj
+      let oid = Kobj.id obj in
+      let unsaved =
+        match Hashtbl.find_opt st.State.oroots oid with
+        | Some o -> (
+          match Oroot.latest_le o ~version:max_int with
+          | Some (_, snap) -> snap <> Snapshot.take obj
+          | None -> true)
         | None -> true
       in
-      if eager || stale then Hashtbl.replace s (Kobj.id obj) ());
+      let pending =
+        match obj with
+        | Kobj.Vmspace vms -> protects && Pagetable.dirty_count (Kernel.pagetable k vms) > 0
+        | Kobj.Pmo p -> Hashtbl.mem st.State.pending_fresh p.Kobj.pmo_id
+        | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Ipc_conn _ | Kobj.Notification _
+        | Kobj.Irq_notification _ -> false
+      in
+      if eager || unsaved || pending then Hashtbl.replace s oid ());
   (s, !reachable)
 
-(* One checkpoint, checked against the oracle: exactly the predicted
-   objects carry the new version and their current generation. *)
+(* One checkpoint, checked against the oracle: everything owed is walked;
+   the walk is exactly the reachable objects that were logged or had no
+   ORoot (all of them when eager); and afterwards nothing is owed. *)
 let checked_checkpoint sys what =
   (* a pending window settles (and publishes) before the walk starts *)
   System.drain_settle sys;
-  let s, reachable = predicted sys in
-  let r = System.checkpoint sys in
   let st = Manager.state (System.manager sys) in
-  check_int (what ^ ": objects walked = predicted") (Hashtbl.length s) r.Report.objects_walked;
+  let log = Kernel.dirty_log (System.kernel sys) in
+  let eager = st.State.force_full || not st.State.features.State.incremental_walk in
+  let owed_before, reachable = owed sys ~eager in
+  let expected = Hashtbl.create 64 in
   List.iter
     (fun obj ->
       let oid = Kobj.id obj in
-      let o =
-        match Hashtbl.find_opt st.State.oroots oid with
-        | Some o -> o
-        | None -> Alcotest.failf "%s: reachable object %d has no ORoot" what oid
-      in
-      let walked = o.Oroot.last_seen_ver = r.Report.version in
-      if Hashtbl.mem s oid then begin
-        if not walked then Alcotest.failf "%s: object %d predicted, not walked" what oid;
-        if o.Oroot.saved_gen <> Kobj.gen obj then
-          Alcotest.failf "%s: object %d saved generation %d, has %d" what oid o.Oroot.saved_gen
-            (Kobj.gen obj)
-      end
-      else if walked then Alcotest.failf "%s: object %d walked, not predicted" what oid)
-    reachable
+      if eager || Dirty_log.mem log oid || not (Hashtbl.mem st.State.oroots oid) then
+        Hashtbl.replace expected oid ())
+    reachable;
+  let r = System.checkpoint sys in
+  let walked oid =
+    match Hashtbl.find_opt st.State.oroots oid with
+    | Some o -> o.Oroot.last_seen_ver = r.Report.version
+    | None -> false
+  in
+  List.iter
+    (fun obj ->
+      let oid = Kobj.id obj in
+      if Hashtbl.mem owed_before oid && not (walked oid) then
+        Alcotest.failf "%s: object %d owed, not walked" what oid;
+      match (walked oid, Hashtbl.mem expected oid) with
+      | true, false -> Alcotest.failf "%s: object %d walked, neither logged nor new" what oid
+      | false, true -> Alcotest.failf "%s: object %d logged or new, not walked" what oid
+      | true, true | false, false -> ())
+    reachable;
+  check_int (what ^ ": objects walked") (Hashtbl.length expected) r.Report.objects_walked;
+  let owed_after, _ = owed sys ~eager:false in
+  Hashtbl.iter (fun oid () -> Alcotest.failf "%s: object %d still owed" what oid) owed_after
 
 let pick rng = function [] -> None | l -> Some (List.nth l (Rng.int rng (List.length l)))
 
