@@ -480,7 +480,10 @@ type walk = {
    noted.  A walk over a cache it has just built visits every entry (an
    object new to the tree has no ORoot, and no touch logged it); any
    other incremental walk visits only the logged entries, in cache order,
-   so a clean object costs nothing.  An eager walk visits every entry;
+   so a clean object costs nothing.  So does the first walk after a
+   restore, over the cache restore built: every restored object equals
+   its ORoot's newest snapshot, and the restored kernel's log starts
+   empty.  An eager walk ([incremental_walk] off) visits every entry;
    all of it is host-time only.  The cache's live set doubles as the
    liveness epoch: ORoots of unreached objects are the dead ones, so
    skipped objects need no per-object liveness write. *)
@@ -488,7 +491,7 @@ let walk_tree st ~new_ver =
   let probe = State.probe st in
   let tok = Probe.enter probe "ckpt.captree" in
   let walk0 = now st in
-  let incremental = st.State.features.State.incremental_walk && not st.State.force_full in
+  let incremental = st.State.features.State.incremental_walk in
   let root = Kernel.root st.State.kernel in
   let log = Kernel.dirty_log st.State.kernel in
   let cached = st.State.live_tree in
@@ -515,7 +518,6 @@ let walk_tree st ~new_ver =
       if incremental && not built then Live_tree.iter_logged live log visit
       else Array.iter visit (Live_tree.entries live));
   Dirty_log.clear log;
-  st.State.force_full <- false;
   let walked = List.length !dirty in
   let skipped = Array.length (Live_tree.entries live) - walked in
   let walk_ns = now st - walk0 in

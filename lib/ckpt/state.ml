@@ -32,7 +32,6 @@ type t = {
   mutable interval_ns : int option;
   mutable next_ckpt_at : int;
   mutable last_report : Report.t option;
-  mutable force_full : bool;
   mutable live_tree : Live_tree.t option;
   mutable wear_mark : int;
   drain : Drain.t;
@@ -65,7 +64,6 @@ let create kernel active_cfg features =
     interval_ns = None;
     next_ckpt_at = 0;
     last_report = None;
-    force_full = true;
     live_tree = None;
     (* the system's own boot (allocator format, service setup) is already
        in the wearmap; the first commit's WAF numerator starts after it *)
@@ -118,10 +116,6 @@ let note_crash t =
   Active_list.clear t.active;
   Hashtbl.reset t.pending_fresh;
   t.ckpt_callbacks <- [];
-  (* a policy, not a guard: a restored object equals its ORoot's newest
-     snapshot and the restored kernel's log is empty, so a logged walk
-     would be exact; the first post-restore walk re-saves every object *)
-  t.force_full <- true;
   t.live_tree <- None;
   (* the drain backlog and restamp tables die with DRAM; drain-saved NVM
      frames survive for Restore's drain_settle phase *)

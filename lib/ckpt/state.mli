@@ -78,15 +78,6 @@ type t = {
   mutable interval_ns : int option;
   mutable next_ckpt_at : int;
   mutable last_report : Report.t option;
-  mutable force_full : bool;
-      (** eager-walk override for the next checkpoint: set at creation and
-          by {!note_crash}, cleared by [Checkpoint.run].  After boot the
-          first walk must give every object its ORoot; after a restore
-          the eager walk is a policy, not a correctness guard — restored
-          objects equal their ORoots' newest snapshots and the restored
-          kernel's dirty log is empty, so a logged walk would miss
-          nothing — kept so the first post-restore checkpoint re-saves
-          the whole tree *)
   mutable live_tree : Live_tree.t option;
       (** volatile: the capability tree as the last walk found it, reused
           while its shape is unchanged (see {!Live_tree}) *)
