@@ -58,6 +58,27 @@ ci:
 	$(MAKE) bench-diff
 	cp $(BENCH_FRESH)/BENCH_*.json .
 
+# Sampled host-time profile of one benchmark workload (not part of `make
+# ci`): tools/profile/pcprof.so, preloaded, records the interrupted PC
+# and its backtrace at every SIGPROF tick of CPU time, and folded.exe
+# symbolises them into folded stacks (top self frames on stderr).  The
+# runner is started directly, not under `dune exec`, so the samples are
+# its own.  Example: make profile W=serve_write SEED=1 SECS=25
+W ?= serve_write
+SEED ?= 1
+SECS ?= 10
+PROFILE_DIR := _build/profile
+
+profile:
+	dune build benchmark/run.exe tools/profile/folded.exe
+	mkdir -p $(PROFILE_DIR)
+	cc -O2 -shared -fPIC -o $(PROFILE_DIR)/pcprof.so tools/profile/pcprof.c
+	PCPROF_OUT=$(PROFILE_DIR)/$(W).samples LD_PRELOAD=$(PROFILE_DIR)/pcprof.so \
+		_build/default/benchmark/run.exe --workload $(W) --seed $(SEED) --seconds $(SECS) --trace 0
+	_build/default/tools/profile/folded.exe _build/default/benchmark/run.exe \
+		$(PROFILE_DIR)/$(W).samples > $(PROFILE_DIR)/$(W).folded
+	@echo "folded stacks: $(PROFILE_DIR)/$(W).folded"
+
 # Full evaluation sweep; drops one BENCH_<exp>.json per experiment.
 bench:
 	dune exec bench/main.exe -- --json-dir .
@@ -66,4 +87,4 @@ bench:
 bench-audit:
 	dune exec bench/main.exe -- --audit
 
-.PHONY: all test fmt ci bench bench-fresh bench-diff bench-audit
+.PHONY: all test fmt ci bench bench-fresh bench-diff bench-audit profile

@@ -109,9 +109,7 @@ let ablate_pagetables () =
         run_ops sys ~n:6_000 app.step;
         let k = System.kernel sys in
         let mapped =
-          List.fold_left
-            (fun acc p -> acc + Pagetable.mapped_count (Kernel.pagetable k p.Kernel.vms))
-            0 (Kernel.processes k)
+          List.fold_left (fun acc p -> acc + Pagetable.mapped_count p.Kernel.pt) 0 (Kernel.processes k)
         in
         let reports = collect_reports sys ~n:2_000 app.step in
         let dirty = avg_reports reports (fun r -> r.Report.pages_protected) in

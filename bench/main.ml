@@ -218,6 +218,23 @@ let bechamel_suites : (unit -> Bechamel.Test.t list) list =
     (fun () ->
       let s = boot () in
       let k = System.kernel s in
+      let p = Kernel.create_process k ~name:"words" ~threads:1 ~prio:5 in
+      let vaddr = Kernel.grow_heap k p ~pages:1 * (Kernel.cost k).Treesls_sim.Cost.page_size in
+      Kernel.write_word k p ~vaddr ~len:8 1;
+      [
+        (* hits on a mapped, writable NVM page: the page-table load, the
+           device access and, for the write, the wear record *)
+        Test.make_grouped ~name:"kernel"
+          [
+            Test.make ~name:"read_word"
+              (Staged.stage (fun () -> ignore (Kernel.read_word k p ~vaddr ~len:8)));
+            Test.make ~name:"write_word"
+              (Staged.stage (fun () -> Kernel.write_word k p ~vaddr ~len:8 42));
+          ];
+      ]);
+    (fun () ->
+      let s = boot () in
+      let k = System.kernel s in
       let p = Kernel.create_process k ~name:"kv" ~threads:1 ~prio:5 in
       let kv = Kvstore.create k p ~buckets:1024 ~pages:64 in
       let key i = Printf.sprintf "key%05d" i in

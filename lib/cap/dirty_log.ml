@@ -19,11 +19,7 @@ let record t id =
       t.marks <- bigger
     end;
     Bytes.set t.marks id '\001';
-    if t.len = Array.length t.ids then begin
-      let bigger = Array.make (2 * t.len) 0 in
-      Array.blit t.ids 0 bigger 0 t.len;
-      t.ids <- bigger
-    end;
+    if t.len = Array.length t.ids then t.ids <- Treesls_util.Arr.grow t.ids t.len 0;
     t.ids.(t.len) <- id;
     t.len <- t.len + 1
   end

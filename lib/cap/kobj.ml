@@ -152,9 +152,7 @@ let install log g cap =
   let slot =
     if slot >= 0 then slot
     else begin
-      let bigger = Array.make (2 * len) None in
-      Array.blit g.cg_slots 0 bigger 0 len;
-      g.cg_slots <- bigger;
+      g.cg_slots <- Treesls_util.Arr.grow g.cg_slots len None;
       len
     end
   in
@@ -165,12 +163,7 @@ let install log g cap =
 
 let install_at log g slot cap =
   if slot < 0 then invalid_arg "Kobj.install_at: negative slot";
-  let len = Array.length g.cg_slots in
-  if slot >= len then begin
-    let bigger = Array.make (max (slot + 1) (2 * len)) None in
-    Array.blit g.cg_slots 0 bigger 0 len;
-    g.cg_slots <- bigger
-  end;
+  if slot >= Array.length g.cg_slots then g.cg_slots <- Treesls_util.Arr.grow g.cg_slots slot None;
   if g.cg_slots.(slot) <> None then invalid_arg "Kobj.install_at: slot occupied";
   g.cg_slots.(slot) <- Some cap;
   g.cg_used <- g.cg_used + 1;

@@ -77,23 +77,22 @@ let checkpoint_object st live (e : Live_tree.entry) ~new_ver =
        read-only again. DRAM-cached pages stay writable — they are covered
        by stop-and-copy, and leaving them writable is precisely how hybrid
        copy eliminates their faults. *)
-    let pt = Kernel.pagetable kernel vms in
-    let regions = Live_tree.region_index live vms in
-    let protected_n =
-      Pagetable.protect_dirty pt (fun vpn pte ->
-          (match Region_index.resolve regions vpn with
-          | Some (pmo, pno) -> archive_page st pmo pno pte.Pagetable.paddr
-          | None -> ());
-          if Paddr.is_dram pte.Pagetable.paddr then false
-          else begin
-            Store.charge store c.Cost.mark_ro_ns;
-            (* clear the hardware dirty bit along with re-protection: the
-               page is now exactly as cold as its checkpoint *)
-            pte.Pagetable.dirty <- false;
-            true
-          end)
-    in
-    ignore protected_n
+    Kernel.pagetable kernel vms
+    |> Option.iter (fun pt ->
+           let regions = Live_tree.region_index live vms in
+           ignore
+             (Pagetable.protect_dirty pt (fun vpn pte ->
+                  (match Region_index.resolve regions vpn with
+                  | Some (pmo, pno) -> archive_page st pmo pno pte.Pagetable.paddr
+                  | None -> ());
+                  if Paddr.is_dram pte.Pagetable.paddr then false
+                  else begin
+                    Store.charge store c.Cost.mark_ro_ns;
+                    (* clear the hardware dirty bit along with re-protection:
+                       the page is now exactly as cold as its checkpoint *)
+                    pte.Pagetable.dirty <- false;
+                    true
+                  end)))
   | Kobj.Vmspace _ | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Pmo _ | Kobj.Ipc_conn _
   | Kobj.Notification _ | Kobj.Irq_notification _ -> ());
   (oroot, full, Snapshot.bytes snap)
@@ -651,7 +650,7 @@ let run st =
   (* the dirty pages step 2 re-protects, counted before it clears them *)
   let pages_protected =
     List.fold_left
-      (fun acc p -> acc + Pagetable.dirty_count (Kernel.pagetable kernel p.Kernel.vms))
+      (fun acc p -> acc + Pagetable.dirty_count p.Kernel.pt)
       0 (Kernel.processes kernel)
   in
   let w = walk_tree st ~new_ver in

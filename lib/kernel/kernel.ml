@@ -8,21 +8,13 @@ module Cost = Treesls_sim.Cost
 module Clock = Treesls_sim.Clock
 module Probe = Treesls_obs.Probe
 module Wearmap = Treesls_obs.Wearmap
-module Int_tbl = Treesls_util.Int_tbl
-
-(* Reverse-map key: (PMO id, page index). *)
-module Page_tbl = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal (a, b) (c, d) = Int.equal a c && Int.equal b d
-  let hash (pmo_id, pno) = (pmo_id * 65_599) + pno
-end)
 
 type process = {
   pid : int;
   pname : string;
   cg : Kobj.cap_group;
   vms : Kobj.vmspace;
+  pt : Pagetable.t;
   mutable threads : Kobj.thread list;
   mutable brk_vpn : int;
 }
@@ -44,8 +36,8 @@ type t = {
   ncores : int;
   root : Kobj.cap_group;
   mutable procs : process list;
-  pagetables : Pagetable.t Int_tbl.t; (* by vmspace id *)
-  rmap : (Pagetable.t * int) list ref Page_tbl.t;
+  mutable rmap : (Pagetable.t * int) list array array;
+      (* reverse map: by PMO id, then page, every (table, vpn) mapping it *)
   sched : Sched.t;
   mutable cow_hook : (Kobj.pmo -> int -> unit) option;
   mutable fresh_hook : (Kobj.pmo -> int -> unit) option;
@@ -69,29 +61,21 @@ let ipc_handlers t = t.ipc_handlers
 let processes t = t.procs
 let find_process t ~name = List.find_opt (fun p -> p.pname = name) t.procs
 
-let pagetable t vms =
-  match Int_tbl.find_opt t.pagetables vms.Kobj.vs_id with
-  | Some pt -> pt
-  | None ->
-    let pt = Pagetable.create () in
-    Int_tbl.replace t.pagetables vms.Kobj.vs_id pt;
-    pt
+let pagetable t vms = List.find_map (fun p -> if p.vms == vms then Some p.pt else None) t.procs
+
+(* The PMO's mappings by page; [[||]] for a PMO nothing mapped. *)
+let rmap_pages t pmo = if pmo.Kobj.pmo_id < Array.length t.rmap then t.rmap.(pmo.Kobj.pmo_id) else [||]
+
+let mappings_of_page t pmo ~pno =
+  let pages = rmap_pages t pmo in
+  if pno < Array.length pages then pages.(pno) else []
 
 let rmap_add t pmo pno pt vpn =
-  let key = (pmo.Kobj.pmo_id, pno) in
-  match Page_tbl.find_opt t.rmap key with
-  | Some l -> l := (pt, vpn) :: !l
-  | None -> Page_tbl.replace t.rmap key (ref [ (pt, vpn) ])
-
-(* Mappings whose PTE still exists; prunes stale entries lazily. *)
-let rmap_live t pmo pno =
-  let key = (pmo.Kobj.pmo_id, pno) in
-  match Page_tbl.find_opt t.rmap key with
-  | None -> []
-  | Some l ->
-    let live = List.filter (fun (pt, vpn) -> Pagetable.lookup pt ~vpn <> None) !l in
-    l := live;
-    live
+  let id = pmo.Kobj.pmo_id in
+  if id >= Array.length t.rmap then t.rmap <- Treesls_util.Arr.grow t.rmap id [||];
+  if Array.length t.rmap.(id) = 0 then t.rmap.(id) <- Array.make pmo.Kobj.pmo_pages [];
+  let pages = t.rmap.(id) in
+  pages.(pno) <- (pt, vpn) :: pages.(pno)
 
 let set_cow_hook t h = t.cow_hook <- h
 let set_fresh_hook t h = t.fresh_hook <- h
@@ -134,12 +118,15 @@ let add_thread t proc ~prio =
   Sched.enqueue t.sched th;
   th
 
+let process cg vms ~threads ~brk_vpn =
+  { pid = cg.Kobj.cg_id; pname = cg.Kobj.cg_name; cg; vms; pt = Pagetable.create (); threads; brk_vpn }
+
 let create_process t ~name ~threads ~prio =
   let cg = Kobj.make_cap_group ~id:(Id_gen.next t.ids) ~name in
   install_obj t t.root (Kobj.Cap_group cg) Treesls_cap.Rights.full;
   let vms = Kobj.make_vmspace ~id:(Id_gen.next t.ids) in
   install_obj t cg (Kobj.Vmspace vms) Treesls_cap.Rights.full;
-  let proc = { pid = cg.Kobj.cg_id; pname = name; cg; vms; threads = []; brk_vpn = 16 } in
+  let proc = process cg vms ~threads:[] ~brk_vpn:16 in
   let code = new_pmo t ~pages:1 ~kind:Kobj.Pmo_normal in
   install_obj t cg (Kobj.Pmo code) Treesls_cap.Rights.read_only;
   ignore (add_region t proc code ~writable:false);
@@ -160,7 +147,13 @@ let exit_process t proc =
     (fun slot c -> if Kobj.id c.Kobj.target = proc.pid then Kobj.revoke t.dirty t.root slot)
     t.root;
   t.procs <- List.filter (fun p -> p.pid <> proc.pid) t.procs;
-  Int_tbl.remove t.pagetables proc.vms.Kobj.vs_id
+  (* its mappings go with it: left in the reverse map, one would keep a
+     page it shared writable, and so never evictable *)
+  List.iter
+    (fun r ->
+      let pages = rmap_pages t r.Kobj.vr_pmo and kept (pt, _) = pt != proc.pt in
+      Array.iteri (fun pno maps -> pages.(pno) <- List.filter kept maps) pages)
+    proc.vms.Kobj.vs_regions
 
 let grow_heap t proc ~pages =
   let pmo = new_pmo t ~pages ~kind:Kobj.Pmo_normal in
@@ -188,13 +181,8 @@ let make_eternal_pmo t ~pages =
 (* --- memory paths ------------------------------------------------------ *)
 
 let region_of proc vpn =
-  let rec find = function
-    | [] -> None
-    | r :: rest ->
-      if vpn >= r.Kobj.vr_vpn && vpn < r.Kobj.vr_vpn + r.Kobj.vr_pages then Some r
-      else find rest
-  in
-  find proc.vms.Kobj.vs_regions
+  let inside r = vpn >= r.Kobj.vr_vpn && vpn < r.Kobj.vr_vpn + r.Kobj.vr_pages in
+  List.find_opt inside proc.vms.Kobj.vs_regions
 
 let charge t ns = Store.charge t.store ns
 
@@ -257,13 +245,14 @@ let swap_in_page t pmo ~pno slot =
   Probe.count (probe t) "kernel.faults.major" 1;
   let fresh = Store.swap_in t.store ~slot in
   Radix.set pmo.Kobj.pmo_radix pno fresh;
-  List.iter (fun (pt, vpn) -> Pagetable.remap pt ~vpn ~paddr:fresh) (rmap_live t pmo pno);
+  List.iter (fun (pt, vpn) -> Pagetable.remap pt ~vpn ~paddr:fresh) (mappings_of_page t pmo ~pno);
   fresh
 
 (* The fault paths: swap-in, copy-on-write upgrade, first mapping.
-   [found] is the PTE [ensure_mapped] looked up.  Returns the PTE left
-   installed, present and, when [for_write], writable. *)
-let fault t proc pt ~vpn ~for_write found =
+   Returns the PTE left installed, present and, when [for_write],
+   writable. *)
+let fault t proc ~vpn ~for_write =
+  let pt = proc.pt in
   let cow_upgrade region pno =
     (match region.Kobj.vr_pmo.Kobj.pmo_kind with
     | Kobj.Pmo_eternal -> ()
@@ -273,19 +262,19 @@ let fault t proc pt ~vpn ~for_write found =
   (* install a mapping and return its PTE *)
   let map ~paddr ~writable =
     Pagetable.map pt ~vpn ~paddr ~writable;
-    Option.get (Pagetable.lookup pt ~vpn)
+    Pagetable.find pt ~vpn
   in
   (* swapped-out pages fault back in before anything else *)
   let found =
-    match found with
-    | Some pte when Paddr.is_ssd pte.Pagetable.paddr -> (
+    match Pagetable.lookup pt ~vpn with
+    | Some pte as found when Paddr.is_ssd pte.Pagetable.paddr -> (
       match region_of proc vpn with
       | Some region ->
         let pno = vpn - region.Kobj.vr_vpn in
         ignore (swap_in_page t region.Kobj.vr_pmo ~pno pte.Pagetable.paddr);
         Pagetable.lookup pt ~vpn
       | None -> found)
-    | Some _ | None -> found
+    | found -> found
   in
   match found with
   | Some pte when (not for_write) || pte.Pagetable.writable -> pte
@@ -377,17 +366,13 @@ let fault t proc pt ~vpn ~for_write found =
       pte)
 
 (* The PTE mapping [vpn], present and, when [for_write], writable.  A hit
-   (mapped, not swapped out, writable if need be) costs one page-table
-   lookup; anything else takes the fault paths. *)
+   (mapped, not swapped out, writable if need be) is one load from the
+   process's page table; anything else takes the fault paths. *)
 let ensure_mapped t proc ~vpn ~for_write =
   assert t.alive;
-  let pt = pagetable t proc.vms in
-  match Pagetable.lookup pt ~vpn with
-  | Some pte as found ->
-    if (for_write && not pte.Pagetable.writable) || Paddr.is_ssd pte.Pagetable.paddr then
-      fault t proc pt ~vpn ~for_write found
-    else pte
-  | None -> fault t proc pt ~vpn ~for_write None
+  let pte = Pagetable.find proc.pt ~vpn in
+  let present = pte != Pagetable.absent && not (Paddr.is_ssd pte.Pagetable.paddr) in
+  if present && ((not for_write) || pte.Pagetable.writable) then pte else fault t proc ~vpn ~for_write
 
 let page_size t = (cost t).Cost.page_size
 
@@ -491,25 +476,15 @@ let syscall t ~work_ns =
 
 let remap_page t pmo ~pno paddr =
   Radix.set pmo.Kobj.pmo_radix pno paddr;
-  List.iter (fun (pt, vpn) -> Pagetable.remap pt ~vpn ~paddr) (rmap_live t pmo pno)
+  List.iter (fun (pt, vpn) -> Pagetable.remap pt ~vpn ~paddr) (mappings_of_page t pmo ~pno)
 
 let page_dirty t pmo ~pno =
-  List.exists
-    (fun (pt, vpn) ->
-      match Pagetable.lookup pt ~vpn with
-      | Some pte -> pte.Pagetable.dirty
-      | None -> false)
-    (rmap_live t pmo pno)
+  List.exists (fun (pt, vpn) -> (Pagetable.find pt ~vpn).Pagetable.dirty) (mappings_of_page t pmo ~pno)
 
 let clear_page_dirty t pmo ~pno =
   List.iter
-    (fun (pt, vpn) ->
-      match Pagetable.lookup pt ~vpn with
-      | Some pte -> pte.Pagetable.dirty <- false
-      | None -> ())
-    (rmap_live t pmo pno)
-
-let mappings_of_page t pmo ~pno = rmap_live t pmo pno
+    (fun (pt, vpn) -> (Pagetable.find pt ~vpn).Pagetable.dirty <- false)
+    (mappings_of_page t pmo ~pno)
 
 (* --- cold-page eviction (memory over-commitment, paper section 8) ----- *)
 
@@ -523,11 +498,8 @@ let evictable t pmo ~pno =
      | None -> false)
   && (not (page_dirty t pmo ~pno))
   && List.for_all
-       (fun (pt, vpn) ->
-         match Pagetable.lookup pt ~vpn with
-         | Some pte -> not pte.Pagetable.writable
-         | None -> true)
-       (rmap_live t pmo pno)
+       (fun (pt, vpn) -> not (Pagetable.find pt ~vpn).Pagetable.writable)
+       (mappings_of_page t pmo ~pno)
 
 let evict_page t pmo ~pno =
   if not (evictable t pmo ~pno) then false
@@ -537,7 +509,7 @@ let evict_page t pmo ~pno =
       match Store.swap_out t.store ~src with
       | Some slot ->
         Radix.set pmo.Kobj.pmo_radix pno slot;
-        List.iter (fun (pt, vpn) -> Pagetable.remap pt ~vpn ~paddr:slot) (rmap_live t pmo pno);
+        List.iter (fun (pt, vpn) -> Pagetable.remap pt ~vpn ~paddr:slot) (mappings_of_page t pmo ~pno);
         t.stats.swap_outs <- t.stats.swap_outs + 1;
         true
       | None -> false)
@@ -582,8 +554,7 @@ let resume_cores t =
 let crash t =
   Store.crash t.store;
   Hashtbl.reset t.ipc_handlers;
-  Int_tbl.reset t.pagetables;
-  Page_tbl.reset t.rmap;
+  t.rmap <- [||];
   Sched.clear t.sched;
   t.procs <- [];
   t.alive <- false
@@ -622,9 +593,7 @@ let derive_processes root =
               (fun acc r -> max acc (r.Kobj.vr_vpn + r.Kobj.vr_pages))
               16 vms.Kobj.vs_regions
           in
-          procs :=
-            !procs
-            @ [ { pid = cg.Kobj.cg_id; pname = cg.Kobj.cg_name; cg; vms; threads = !threads; brk_vpn = brk } ])
+          procs := !procs @ [ process cg vms ~threads:!threads ~brk_vpn:brk ])
       | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Vmspace _ | Kobj.Pmo _ | Kobj.Ipc_conn _
       | Kobj.Notification _ | Kobj.Irq_notification _ -> ())
     root;
@@ -641,8 +610,7 @@ let rebuild ~store ~ncores ~root ~ids_hwm ~threads =
       ncores;
       root;
       procs = [];
-      pagetables = Int_tbl.create 16;
-      rmap = Page_tbl.create 256;
+      rmap = [||];
       sched = Sched.create ();
       cow_hook = None;
       fresh_hook = None;
@@ -683,8 +651,7 @@ let boot ?(cost = Cost.default) ?(ncores = 8) ?(nvm_pages = 1 lsl 16) ?(dram_pag
       ncores;
       root;
       procs = [];
-      pagetables = Int_tbl.create 16;
-      rmap = Page_tbl.create 256;
+      rmap = [||];
       sched = Sched.create ();
       cow_hook = None;
       fresh_hook = None;

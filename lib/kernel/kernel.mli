@@ -21,6 +21,7 @@ type process = {
   pname : string;
   cg : Kobj.cap_group;
   vms : Kobj.vmspace;
+  pt : Pagetable.t;  (** the page table of [vms] (DRAM), created with the process *)
   mutable threads : Kobj.thread list;
   mutable brk_vpn : int;  (** next unused virtual page number *)
 }
@@ -68,8 +69,10 @@ val processes : t -> process list
 
 val find_process : t -> name:string -> process option
 
-val pagetable : t -> Kobj.vmspace -> Pagetable.t
-(** The (DRAM) page table of a VM space, created empty on first use. *)
+val pagetable : t -> Kobj.vmspace -> Pagetable.t option
+(** The page table of the live process whose VM space this is; [None]
+    for a VM space no process holds (the kernel's own, which nothing
+    maps). *)
 
 (** {2 Hooks installed by the checkpoint manager} *)
 
@@ -86,7 +89,8 @@ val create_process : t -> name:string -> threads:int -> prio:int -> process
     per-thread 1-page stack PMOs, [threads] ready threads. *)
 
 val exit_process : t -> process -> unit
-(** Marks threads exited and revokes the process's cap from the root. *)
+(** Marks threads exited, revokes the process's cap from the root and
+    drops its page table's mappings from the reverse map. *)
 
 val grant : t -> from_proc:process -> to_proc:process -> slot:int -> rights:Treesls_cap.Rights.t -> int
 (** Capability derivation: copy the capability in [from_proc]'s [slot]
@@ -181,7 +185,8 @@ val clear_page_dirty : t -> Kobj.pmo -> pno:int -> unit
 (** Clear the dirty bit in every PTE mapping the page (checkpoint time). *)
 
 val mappings_of_page : t -> Kobj.pmo -> pno:int -> (Pagetable.t * int) list
-(** Live (page table, vpn) pairs currently mapping the page. *)
+(** The (page table, vpn) pairs mapping the page in live processes,
+    newest first. *)
 
 val ipc_handlers : t -> (int, Bytes.t -> Bytes.t) Hashtbl.t
 (** Volatile registry of IPC handler closures, keyed by connection object

@@ -1,52 +1,52 @@
-module Int_tbl = Treesls_util.Int_tbl
-
 type pte = { mutable paddr : Treesls_nvm.Paddr.t; mutable writable : bool; mutable dirty : bool }
 
-type t = { entries : pte Int_tbl.t; mutable dirty : int list; mutable dirty_n : int }
+(* Unmapped slots hold [absent]; the array grows to the highest vpn
+   mapped, since a process carves its regions upward from vpn 16. *)
+type t = { mutable entries : pte array; mutable dirty : int list; mutable dirty_n : int }
 
-let create () = { entries = Int_tbl.create 64; dirty = []; dirty_n = 0 }
+let absent = { paddr = Treesls_nvm.Paddr.nvm 0; writable = false; dirty = false }
+
+let create () = { entries = [||]; dirty = []; dirty_n = 0 }
+
+let find t ~vpn = if vpn >= 0 && vpn < Array.length t.entries then t.entries.(vpn) else absent
+
+let lookup t ~vpn =
+  let pte = find t ~vpn in
+  if pte == absent then None else Some pte
 
 let mark_dirty t vpn =
   t.dirty <- vpn :: t.dirty;
   t.dirty_n <- t.dirty_n + 1
 
 let map t ~vpn ~paddr ~writable =
-  (match Int_tbl.find_opt t.entries vpn with
-  | Some _ -> invalid_arg "Pagetable.map: already mapped"
-  | None -> ());
-  Int_tbl.replace t.entries vpn { paddr; writable; dirty = false };
+  if find t ~vpn != absent then invalid_arg "Pagetable.map: already mapped";
+  if vpn >= Array.length t.entries then t.entries <- Treesls_util.Arr.grow t.entries vpn absent;
+  t.entries.(vpn) <- { paddr; writable; dirty = false };
   if writable then mark_dirty t vpn
 
-let unmap t ~vpn = Int_tbl.remove t.entries vpn
-
-let lookup t ~vpn = Int_tbl.find_opt t.entries vpn
-
 let protect t ~vpn =
-  match Int_tbl.find_opt t.entries vpn with
-  | None -> ()
-  | Some pte -> pte.writable <- false
+  let pte = find t ~vpn in
+  if pte != absent then pte.writable <- false
 
 (* Drop CoW protection without entering the dirty-tracking list: the drain
    uses this to reopen pages whose copy is already banked, where
    [make_writable] would wrongly nominate them for the next protect pass. *)
 let unprotect t ~vpn =
-  match Int_tbl.find_opt t.entries vpn with
-  | None -> ()
-  | Some pte -> pte.writable <- true
+  let pte = find t ~vpn in
+  if pte != absent then pte.writable <- true
 
 let make_writable t ~vpn =
-  match Int_tbl.find_opt t.entries vpn with
-  | None -> invalid_arg "Pagetable.make_writable: unmapped"
-  | Some pte ->
-    if not pte.writable then begin
-      pte.writable <- true;
-      mark_dirty t vpn
-    end
+  let pte = find t ~vpn in
+  if pte == absent then invalid_arg "Pagetable.make_writable: unmapped";
+  if not pte.writable then begin
+    pte.writable <- true;
+    mark_dirty t vpn
+  end
 
 let remap t ~vpn ~paddr =
-  match Int_tbl.find_opt t.entries vpn with
-  | None -> invalid_arg "Pagetable.remap: unmapped"
-  | Some pte -> pte.paddr <- paddr
+  let pte = find t ~vpn in
+  if pte == absent then invalid_arg "Pagetable.remap: unmapped";
+  pte.paddr <- paddr
 
 let dirty_count t = t.dirty_n
 
@@ -54,16 +54,14 @@ let protect_dirty t f =
   let n = ref 0 in
   List.iter
     (fun vpn ->
-      match Int_tbl.find_opt t.entries vpn with
-      | Some pte when pte.writable ->
-        if f vpn pte then begin
-          pte.writable <- false;
-          incr n
-        end
-      | Some _ | None -> ())
+      let pte = find t ~vpn in
+      if pte.writable && f vpn pte then begin
+        pte.writable <- false;
+        incr n
+      end)
     t.dirty;
   t.dirty <- [];
   t.dirty_n <- 0;
   !n
 
-let mapped_count t = Int_tbl.length t.entries
+let mapped_count t = Array.fold_left (fun n pte -> if pte == absent then n else n + 1) 0 t.entries

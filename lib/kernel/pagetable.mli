@@ -10,7 +10,11 @@
     checkpointing: a PTE made writable since the last checkpoint is exactly
     a page modified since the last checkpoint.  The dirty list makes the
     checkpoint-time "mark newly-changed pages read-only" pass proportional
-    to the number of dirty pages, not mapped pages. *)
+    to the number of dirty pages, not mapped pages.
+
+    A table is an array of PTEs indexed by vpn, grown to the highest vpn
+    mapped: a process carves its regions upward from vpn 16, so vpns are
+    dense.  A mapping is never removed; a crash drops whole tables. *)
 
 type pte = {
   mutable paddr : Treesls_nvm.Paddr.t;
@@ -25,7 +29,14 @@ val create : unit -> t
 val map : t -> vpn:int -> paddr:Treesls_nvm.Paddr.t -> writable:bool -> unit
 (** Installs a mapping. A writable mapping is recorded as dirty. *)
 
-val unmap : t -> vpn:int -> unit
+val absent : pte
+(** What {!find} returns for an unmapped vpn, the same PTE for every
+    table (compare with [==]).  It is never writable, and nothing may
+    write to it. *)
+
+val find : t -> vpn:int -> pte
+(** The PTE mapping [vpn], or {!absent}: one array load, no allocation. *)
+
 val lookup : t -> vpn:int -> pte option
 
 val protect : t -> vpn:int -> unit

@@ -7,7 +7,9 @@
    by the code that is about to write — so the device layer never needs to
    know who is calling it.  A frame looks its subsystem's row up on its
    first write and keeps it: a scope that writes nothing adds no row, and
-   a scope that writes often pays for one lookup.
+   a scope that writes often pays for one lookup.  The rows are a short
+   list searched by the name's address first: writers name themselves
+   with string literals, so a lookup compares no strings.
 
    Two accounting channels:
    - [record]: a physical write to an identified NVM page (from
@@ -21,20 +23,26 @@
    NVM-resident state: [System.ensure_wear_backing] reserves an eternal PMO
    sized for the per-page counters so the audit sees the residency, and the
    counters survive crash/restore because nothing ever rolls them back —
-   totals are monotone across a system's lifetime. *)
+   totals are monotone across a system's lifetime.
+
+   The per-page counters live in 256-page chunks, as [Device] keeps its
+   pages: a chunk is allocated on the first write to one of its pages and
+   holds each page's write count at [2i] and bytes at [2i + 1]. *)
 
 module Json = Treesls_util.Json
-module Int_tbl = Treesls_util.Int_tbl
 
-type page_stat = { mutable p_writes : int; mutable p_bytes : int }
+let chunk_bits = 8
+let chunk_pages = 1 lsl chunk_bits
+
 type sub_stat = { mutable s_writes : int; mutable s_bytes : int }
 
 (* [row] is [name]'s row in [subs], resolved on the frame's first write *)
 type frame = { name : string; mutable row : sub_stat option }
 
 type t = {
-  pages : page_stat Int_tbl.t;
-  subs : (string, sub_stat) Hashtbl.t;
+  mutable chunks : int array array; (* [||] for a chunk never written *)
+  mutable tracked : int; (* pages written at least once *)
+  mutable subs : (string * sub_stat) list; (* newest first *)
   mutable stack : frame list; (* writer context, innermost first *)
   mutable idle : frame list;
       (* the one-frame context of the last default claim, reused while the
@@ -47,8 +55,9 @@ type t = {
 
 let create () =
   {
-    pages = Int_tbl.create 1024;
-    subs = Hashtbl.create 16;
+    chunks = [||];
+    tracked = 0;
+    subs = [];
     stack = [];
     idle = [];
     total_writes = 0;
@@ -107,12 +116,17 @@ let with_default_writer t name f =
 
 (* --- recording --------------------------------------------------------- *)
 
+let find_sub name subs =
+  match List.find_opt (fun (n, _) -> n == name) subs with
+  | Some (_, s) -> Some s
+  | None -> Option.map snd (List.find_opt (fun (n, _) -> String.equal n name) subs)
+
 let sub t name =
-  match Hashtbl.find_opt t.subs name with
+  match find_sub name t.subs with
   | Some s -> s
   | None ->
     let s = { s_writes = 0; s_bytes = 0 } in
-    Hashtbl.add t.subs name s;
+    t.subs <- (name, s) :: t.subs;
     s
 
 let writer_row t =
@@ -126,17 +140,18 @@ let writer_row t =
       f.row <- Some s;
       s)
 
+let chunk t page =
+  let k = page lsr chunk_bits in
+  if k >= Array.length t.chunks then t.chunks <- Treesls_util.Arr.grow t.chunks k [||];
+  if Array.length t.chunks.(k) = 0 then t.chunks.(k) <- Array.make (2 * chunk_pages) 0;
+  t.chunks.(k)
+
 let record t ~page ~bytes =
-  (let ps =
-     match Int_tbl.find_opt t.pages page with
-     | Some ps -> ps
-     | None ->
-       let ps = { p_writes = 0; p_bytes = 0 } in
-       Int_tbl.add t.pages page ps;
-       ps
-   in
-   ps.p_writes <- ps.p_writes + 1;
-   ps.p_bytes <- ps.p_bytes + bytes);
+  let c = chunk t page in
+  let i = 2 * (page land (chunk_pages - 1)) in
+  if c.(i) = 0 then t.tracked <- t.tracked + 1;
+  c.(i) <- c.(i) + 1;
+  c.(i + 1) <- c.(i + 1) + bytes;
   let s = writer_row t in
   s.s_writes <- s.s_writes + 1;
   s.s_bytes <- s.s_bytes + bytes;
@@ -155,8 +170,9 @@ let copy_charged t ~ns =
   t.copy_ns <- t.copy_ns + ns
 
 let reset t =
-  Int_tbl.reset t.pages;
-  Hashtbl.reset t.subs;
+  t.chunks <- [||];
+  t.tracked <- 0;
+  t.subs <- [];
   (* open frames must not keep writing into the dropped rows *)
   List.iter (fun f -> f.row <- None) t.stack;
   List.iter (fun f -> f.row <- None) t.idle;
@@ -171,32 +187,41 @@ let total_writes t = t.total_writes
 let total_bytes t = t.total_bytes
 let copy_pages t = t.copy_pages
 let copy_ns t = t.copy_ns
-let pages_tracked t = Int_tbl.length t.pages
+let pages_tracked t = t.tracked
+
+(* [f page writes bytes acc] over the written pages, highest page first,
+   so a fold that conses lists them in page order *)
+let fold_pages f t init =
+  let acc = ref init in
+  for k = Array.length t.chunks - 1 downto 0 do
+    let c = t.chunks.(k) in
+    for i = Array.length c / 2 - 1 downto 0 do
+      if c.(2 * i) > 0 then acc := f ((k lsl chunk_bits) + i) c.(2 * i) c.((2 * i) + 1) !acc
+    done
+  done;
+  !acc
 
 let subsystem_bytes t name =
-  match Hashtbl.find_opt t.subs name with Some s -> s.s_bytes | None -> 0
+  match find_sub name t.subs with Some s -> s.s_bytes | None -> 0
 
 (* sorted by name so every consumer (CLI, JSON, metrics) is deterministic *)
 let subsystems t =
-  Hashtbl.fold (fun name s acc -> (name, s.s_writes, s.s_bytes) :: acc) t.subs []
+  List.map (fun (name, s) -> (name, s.s_writes, s.s_bytes)) t.subs
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
 let top t ~n =
-  Int_tbl.fold (fun page ps acc -> (page, ps.p_writes, ps.p_bytes) :: acc) t.pages []
+  fold_pages (fun page w b acc -> (page, w, b) :: acc) t []
   |> List.sort (fun (pa, wa, ba) (pb, wb, bb) ->
          match Int.compare wb wa with
          | 0 -> ( match Int.compare bb ba with 0 -> Int.compare pa pb | c -> c)
          | c -> c)
   |> fun l -> List.filteri (fun i _ -> i < n) l
 
-let max_writes t = Int_tbl.fold (fun _ ps m -> max m ps.p_writes) t.pages 0
+let max_writes t = fold_pages (fun _ w _ m -> max m w) t 0
 
 let mean_writes t =
-  let n = Int_tbl.length t.pages in
-  if n = 0 then 0.0
-  else
-    float_of_int (Int_tbl.fold (fun _ ps acc -> acc + ps.p_writes) t.pages 0)
-    /. float_of_int n
+  let n = t.tracked in
+  if n = 0 then 0.0 else float_of_int (fold_pages (fun _ w _ acc -> acc + w) t 0) /. float_of_int n
 
 (* max-over-mean wear skew: 1.0 = perfectly even, large = a few pages are
    absorbing most of the endurance budget *)
@@ -209,8 +234,7 @@ let skew t =
    the wear is where wear happens). 0 = uniform, →1 = concentrated. *)
 let gini t =
   let xs =
-    Int_tbl.fold (fun _ ps acc -> ps.p_writes :: acc) t.pages []
-    |> List.sort Int.compare
+    fold_pages (fun _ w _ acc -> w :: acc) t [] |> List.sort Int.compare
   in
   let n = List.length xs in
   if n = 0 then 0.0
@@ -235,16 +259,14 @@ let gini t =
 let to_csv ?owners t =
   let b = Buffer.create 256 in
   Buffer.add_string b "page,writes,bytes,owner\n";
-  Int_tbl.fold (fun page ps acc -> (page, ps) :: acc) t.pages []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.iter (fun (page, ps) ->
+  fold_pages (fun page w bytes acc -> (page, w, bytes) :: acc) t []
+  |> List.iter (fun (page, w, bytes) ->
          let owner =
            match owners with
            | None -> ""
            | Some f -> ( match f page with Some o -> o | None -> "")
          in
-         Buffer.add_string b
-           (Printf.sprintf "%d,%d,%d,%s\n" page ps.p_writes ps.p_bytes owner));
+         Buffer.add_string b (Printf.sprintf "%d,%d,%d,%s\n" page w bytes owner));
   Buffer.contents b
 
 let to_json ?owners ?(top_n = 20) t =

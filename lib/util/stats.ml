@@ -7,11 +7,7 @@ type t = {
 let create () = { data = Array.make 64 0.0; len = 0; sorted = true }
 
 let add t x =
-  if t.len = Array.length t.data then begin
-    let bigger = Array.make (2 * t.len) 0.0 in
-    Array.blit t.data 0 bigger 0 t.len;
-    t.data <- bigger
-  end;
+  if t.len = Array.length t.data then t.data <- Arr.grow t.data t.len 0.0;
   t.data.(t.len) <- x;
   t.len <- t.len + 1;
   t.sorted <- false

@@ -504,7 +504,9 @@ let owed sys ~eager =
       in
       let pending =
         match obj with
-        | Kobj.Vmspace vms -> protects && Pagetable.dirty_count (Kernel.pagetable k vms) > 0
+        | Kobj.Vmspace vms -> (
+          protects
+          && match Kernel.pagetable k vms with Some pt -> Pagetable.dirty_count pt > 0 | None -> false)
         | Kobj.Pmo p -> Hashtbl.mem st.State.pending_fresh p.Kobj.pmo_id
         | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Ipc_conn _ | Kobj.Notification _
         | Kobj.Irq_notification _ -> false

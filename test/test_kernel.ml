@@ -29,8 +29,11 @@ let pt_map_lookup () =
     check_bool "ro" false pte.Pagetable.writable
   | None -> Alcotest.fail "not mapped");
   check_int "mapped count" 1 (Pagetable.mapped_count pt);
-  Pagetable.unmap pt ~vpn:4;
-  check_bool "unmapped" true (Pagetable.lookup pt ~vpn:4 = None)
+  List.iter
+    (fun vpn ->
+      check_bool "unmapped: None" true (Pagetable.lookup pt ~vpn = None);
+      check_bool "unmapped: absent" true (Pagetable.find pt ~vpn == Pagetable.absent))
+    [ -1; 0; 3; 5; 1_000 ]
 
 let pt_double_map () =
   let pt = Pagetable.create () in
@@ -170,7 +173,7 @@ let elapsed k f =
 
 let cachelines len = (len + 63) / 64
 
-let pte_of k p ~vpn = Option.get (Pagetable.lookup (Kernel.pagetable k p.Kernel.vms) ~vpn)
+let pte_of p ~vpn = Option.get (Pagetable.lookup p.Kernel.pt ~vpn)
 
 let heap_region p = List.nth p.Kernel.vms.Kobj.vs_regions 2
 
@@ -182,7 +185,7 @@ let mem_hit_charges_exact () =
   let vaddr = (vpn * c.Cost.page_size) + 10 in
   Kernel.touch_write k p ~vpn;
   check_bool "mapped writable on NVM" true
-    (let pte = pte_of k p ~vpn in
+    (let pte = pte_of p ~vpn in
      pte.Pagetable.writable && Paddr.is_nvm pte.Pagetable.paddr);
   let faults0 = (Kernel.stats k).Kernel.page_faults in
   let len = 200 in
@@ -214,8 +217,8 @@ let mem_straddle_charges_per_chunk () =
   let vaddr = ((vpn + 1) * psz) - 30 in
   check_int "two chunks charged apart" ((cachelines 30 + cachelines 70) * c.Cost.nvm_write_ns)
     (elapsed k (fun () -> Kernel.write_bytes k p ~vaddr (Bytes.make 100 's')));
-  check_bool "first PTE dirty" true (pte_of k p ~vpn).Pagetable.dirty;
-  check_bool "second PTE dirty" true (pte_of k p ~vpn:(vpn + 1)).Pagetable.dirty;
+  check_bool "first PTE dirty" true (pte_of p ~vpn).Pagetable.dirty;
+  check_bool "second PTE dirty" true (pte_of p ~vpn:(vpn + 1)).Pagetable.dirty;
   check_int "read charged per chunk too" ((cachelines 30 + cachelines 70) * c.Cost.nvm_read_ns)
     (elapsed k (fun () -> ignore (Kernel.read_bytes k p ~vaddr ~len:100)));
   (* a word across the boundary: 3 bytes, then 5, one cacheline each *)
@@ -224,8 +227,8 @@ let mem_straddle_charges_per_chunk () =
   let vaddr = ((vpn + 1) * psz) - 3 in
   check_int "straddling word written per chunk" (2 * c.Cost.nvm_write_ns)
     (elapsed k (fun () -> Kernel.write_word k p ~vaddr ~len:8 0x0102030405060708));
-  check_bool "first PTE dirty after the word" true (pte_of k p ~vpn).Pagetable.dirty;
-  check_bool "second PTE dirty after the word" true (pte_of k p ~vpn:(vpn + 1)).Pagetable.dirty;
+  check_bool "first PTE dirty after the word" true (pte_of p ~vpn).Pagetable.dirty;
+  check_bool "second PTE dirty after the word" true (pte_of p ~vpn:(vpn + 1)).Pagetable.dirty;
   let got = ref 0 in
   check_int "straddling word read per chunk" (2 * c.Cost.nvm_read_ns)
     (elapsed k (fun () -> got := Kernel.read_word k p ~vaddr ~len:8));
@@ -241,7 +244,7 @@ let mem_reprotected_one_cow_fault () =
   let data = Bytes.make 100 'c' in
   Kernel.write_bytes k p ~vaddr data;
   ignore (Treesls.System.checkpoint sys);
-  check_bool "checkpoint re-protected the page" false (pte_of k p ~vpn).Pagetable.writable;
+  check_bool "checkpoint re-protected the page" false (pte_of p ~vpn).Pagetable.writable;
   let s = Kernel.stats k in
   let faults0 = s.Kernel.page_faults and cow0 = s.Kernel.cow_faults in
   let first = elapsed k (fun () -> Kernel.write_bytes k p ~vaddr data) in
@@ -249,7 +252,7 @@ let mem_reprotected_one_cow_fault () =
   check_int "first write: one fault in all" (faults0 + 1) s.Kernel.page_faults;
   let hit = cachelines 100 * c.Cost.nvm_write_ns in
   check_bool "fault costs a trap on top of the hit" true (first >= hit + c.Cost.trap_ns);
-  check_bool "still on NVM" true (Paddr.is_nvm (pte_of k p ~vpn).Pagetable.paddr);
+  check_bool "still on NVM" true (Paddr.is_nvm (pte_of p ~vpn).Pagetable.paddr);
   check_int "second write charges the hit" hit
     (elapsed k (fun () -> Kernel.write_bytes k p ~vaddr data));
   check_int "second write: no fault" (faults0 + 1) s.Kernel.page_faults
@@ -304,7 +307,7 @@ let access_trace acc =
     let value = ref 0 in
     let ns = elapsed k (fun () -> value := f k) in
     let dirty pg =
-      match Pagetable.lookup (Kernel.pagetable k p.Kernel.vms) ~vpn:(vpn + pg) with
+      match Pagetable.lookup p.Kernel.pt ~vpn:(vpn + pg) with
       | Some pte -> if pte.Pagetable.dirty then "D" else "c"
       | None -> "-"
     in
@@ -395,8 +398,7 @@ let remap_updates_all () =
   (match Radix.get pmo.Kobj.pmo_radix 0 with
   | Some pa -> check_bool "radix updated" true (Paddr.equal pa new_paddr)
   | None -> Alcotest.fail "page missing");
-  let pt = Kernel.pagetable k p.Kernel.vms in
-  match Pagetable.lookup pt ~vpn with
+  match Pagetable.lookup p.Kernel.pt ~vpn with
   | Some pte -> check_bool "pte updated" true (Paddr.equal pte.Pagetable.paddr new_paddr)
   | None -> Alcotest.fail "pte missing"
 
@@ -410,6 +412,241 @@ let dirty_bit_via_rmap () =
   Kernel.clear_page_dirty k pmo ~pno:0;
   check_bool "cleared" false (Kernel.page_dirty k pmo ~pno:0);
   check_int "one mapping" 1 (List.length (Kernel.mappings_of_page k pmo ~pno:0))
+
+(* ---- translation structures against a reference model ---- *)
+
+(* A seeded mix of read and write faults, CoW upgrades, checkpoints (the
+   protect pass and DRAM-cache migrations), drains, [evict_cold] and the
+   swap-ins after it, [map_shared] across processes and exits, checked
+   after every op against a model kept here: which (process, vpn) pairs
+   are mapped, each PTE's writable and dirty bits, and every page's
+   bytes.  The model knows the rules, not the structures: a read maps a
+   page read-only and clean, a write leaves its PTE writable and dirty, a
+   checkpoint cleans every PTE and leaves writable only one whose page
+   stayed in DRAM through it and, under the async drain, was clean (a
+   dirty one stays protected until the drain copies it or a write
+   faults on it, which reopens every mapping of the page).  Every PTE
+   must point where its PMO's radix does, [mappings_of_page] must list
+   exactly the live mappings, and [evict_cold] must take only pages the
+   model finds cold, and every such page while under its limit. *)
+type mpte = { mutable mw : bool; mutable md : bool }
+
+let translation_trace ~async ~steps seed =
+  let module System = Treesls.System in
+  let module State = Treesls_ckpt.State in
+  let module Active_list = Treesls_ckpt.Active_list in
+  let module Rng = Treesls_util.Rng in
+  let features = State.default_features () in
+  features.State.async_drain <- async;
+  let active_cfg = { Active_list.default_config with Active_list.idle_limit = 1 } in
+  let sys = System.boot ~features ~active_cfg () in
+  let k = System.kernel sys in
+  let psz = (Kernel.cost k).Cost.page_size in
+  let rng = Rng.create (Int64.of_int seed) in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let fail step fmt =
+    Printf.ksprintf (fun m -> Alcotest.failf "async %b seed %d step %d: %s" async seed step m) fmt
+  in
+  let live = ref [] and spawned = ref 0 in
+  let spawn () =
+    let p = Kernel.create_process k ~name:(Printf.sprintf "p%d" !spawned) ~threads:1 ~prio:5 in
+    incr spawned;
+    ignore (Kernel.grow_heap k p ~pages:3);
+    live := !live @ [ p ];
+    p
+  in
+  let owner = spawn () in
+  ignore (spawn ());
+  ignore (spawn ());
+  (* the owner never exits: its heap is the PMO the others map *)
+  let shared = (heap_region owner).Kobj.vr_pmo in
+  (* (vpn, pmo, pno) of every page of a process's regions *)
+  let pages p =
+    List.concat_map
+      (fun r -> List.init r.Kobj.vr_pages (fun i -> (r.Kobj.vr_vpn + i, r.Kobj.vr_pmo, i, r)))
+      p.Kernel.vms.Kobj.vs_regions
+  in
+  let ptes : (int * int, mpte) Hashtbl.t = Hashtbl.create 64 (* by (pid, vpn) *) in
+  let bytes : (int * int, Bytes.t) Hashtbl.t = Hashtbl.create 64 (* by (PMO id, page) *) in
+  (* async: the pages whose copy the drain owes, by (PMO id, page) *)
+  let pending : (int * int, Kobj.pmo) Hashtbl.t = Hashtbl.create 8 in
+  let content pmo pno =
+    let key = (pmo.Kobj.pmo_id, pno) in
+    match Hashtbl.find_opt bytes key with
+    | Some b -> b
+    | None ->
+      let b = Bytes.make psz '\000' in
+      Hashtbl.replace bytes key b;
+      b
+  in
+  let maps pmo pno =
+    List.concat_map
+      (fun p ->
+        List.filter_map
+          (fun (vpn, pmo', pno', _) ->
+            if pmo' == pmo && pno' = pno && Hashtbl.mem ptes (p.Kernel.pid, vpn) then
+              Some (p.Kernel.pid, vpn)
+            else None)
+          (pages p))
+      !live
+    |> List.sort compare
+  in
+  let in_dram pmo pno =
+    match Radix.get pmo.Kobj.pmo_radix pno with Some pa -> Paddr.is_dram pa | None -> false
+  in
+  let reopen pmo pno = List.iter (fun pv -> (Hashtbl.find ptes pv).mw <- true) (maps pmo pno) in
+  (* the drain copies every owed page and reopens its mappings *)
+  let drained () =
+    Hashtbl.iter (fun (_, pno) pmo -> if in_dram pmo pno then reopen pmo pno) pending;
+    Hashtbl.reset pending
+  in
+  let check step =
+    List.iter
+      (fun p ->
+        List.iter
+          (fun (vpn, pmo, pno, _) ->
+            let pid = p.Kernel.pid in
+            (match (Pagetable.lookup p.Kernel.pt ~vpn, Hashtbl.find_opt ptes (pid, vpn)) with
+            | None, None -> ()
+            | Some _, None -> fail step "pid %d vpn %d mapped, not in the model" pid vpn
+            | None, Some _ -> fail step "pid %d vpn %d in the model, not mapped" pid vpn
+            | Some pte, Some m ->
+              if pte.Pagetable.writable <> m.mw then
+                fail step "pid %d vpn %d writable %b, model %b" pid vpn pte.Pagetable.writable m.mw;
+              if pte.Pagetable.dirty <> m.md then
+                fail step "pid %d vpn %d dirty %b, model %b" pid vpn pte.Pagetable.dirty m.md;
+              if
+                not
+                  (match Radix.get pmo.Kobj.pmo_radix pno with
+                  | Some pa -> Paddr.equal pa pte.Pagetable.paddr
+                  | None -> false)
+              then fail step "pid %d vpn %d points away from its PMO's page" pid vpn);
+            let got =
+              List.map
+                (fun (pt, vpn) ->
+                  match List.find_opt (fun q -> q.Kernel.pt == pt) !live with
+                  | Some q -> (q.Kernel.pid, vpn)
+                  | None -> fail step "PMO %d page %d mapped by a dead table" pmo.Kobj.pmo_id pno)
+                (Kernel.mappings_of_page k pmo ~pno)
+            in
+            if List.sort compare got <> maps pmo pno then
+              fail step "PMO %d page %d: reverse map disagrees" pmo.Kobj.pmo_id pno)
+          (pages p))
+      !live
+  in
+  for step = 1 to steps do
+    (match Rng.int rng 20 with
+    | 0 | 1 | 2 | 3 | 4 | 5 ->
+      let p = pick !live in
+      let vpn, pmo, pno, _ = pick (pages p) in
+      let off = Rng.int rng (psz - 8) in
+      let got = Kernel.read_bytes k p ~vaddr:((vpn * psz) + off) ~len:8 in
+      if not (Bytes.equal got (Bytes.sub (content pmo pno) off 8)) then
+        fail step "pid %d vpn %d: read back other bytes" p.Kernel.pid vpn;
+      if not (Hashtbl.mem ptes (p.Kernel.pid, vpn)) then
+        Hashtbl.replace ptes (p.Kernel.pid, vpn) { mw = false; md = false }
+    | 6 | 7 | 8 | 9 | 10 | 11 ->
+      let p = pick !live in
+      let vpn, pmo, pno, _ = pick (List.filter (fun (_, _, _, r) -> r.Kobj.vr_writable) (pages p)) in
+      let off = Rng.int rng (psz - 8) in
+      let data = Bytes.init 8 (fun _ -> Char.chr (Rng.int rng 256)) in
+      Kernel.write_bytes k p ~vaddr:((vpn * psz) + off) data;
+      Bytes.blit data 0 (content pmo pno) off 8;
+      let m =
+        match Hashtbl.find_opt ptes (p.Kernel.pid, vpn) with
+        | Some m -> m
+        | None ->
+          let m = { mw = false; md = false } in
+          Hashtbl.replace ptes (p.Kernel.pid, vpn) m;
+          m
+      in
+      (* a write fault on a page the drain owes copies it now *)
+      let key = (pmo.Kobj.pmo_id, pno) in
+      if (not m.mw) && Hashtbl.mem pending key then begin
+        Hashtbl.remove pending key;
+        reopen pmo pno
+      end;
+      m.mw <- true;
+      m.md <- true
+    | 12 | 13 | 14 ->
+      (* a checkpoint first settles the window still draining *)
+      drained ();
+      let before =
+        Hashtbl.fold
+          (fun (pid, vpn) m acc ->
+            let p = List.find (fun q -> q.Kernel.pid = pid) !live in
+            let _, pmo, pno, _ = List.find (fun (v, _, _, _) -> v = vpn) (pages p) in
+            let dirty = List.exists (fun pv -> (Hashtbl.find ptes pv).md) (maps pmo pno) in
+            (m, pmo, pno, in_dram pmo pno, dirty) :: acc)
+          ptes []
+      in
+      ignore (System.checkpoint sys);
+      List.iter
+        (fun (m, pmo, pno, dram0, dirty0) ->
+          let owed = async && dram0 && dirty0 in
+          if owed then Hashtbl.replace pending (pmo.Kobj.pmo_id, pno) pmo;
+          m.mw <- m.mw && dram0 && in_dram pmo pno && not owed;
+          m.md <- false)
+        before
+    | 15 ->
+      System.drain_settle sys;
+      drained ()
+    | 16 ->
+      (* every page of a live region, once, by (PMO id, page) *)
+      let all = Hashtbl.create 64 in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun (_, pmo, pno, _) -> Hashtbl.replace all (pmo.Kobj.pmo_id, pno) (pmo, pno))
+            (pages p))
+        !live;
+      let on dev (pmo, pno) =
+        match Radix.get pmo.Kobj.pmo_radix pno with Some pa -> pa.Paddr.dev = dev | None -> false
+      in
+      let cold (pmo, pno) =
+        on Paddr.Nvm (pmo, pno)
+        && List.for_all
+             (fun pv ->
+               let m = Hashtbl.find ptes pv in
+               not (m.mw || m.md))
+             (maps pmo pno)
+      in
+      let select f = Hashtbl.fold (fun key pg acc -> if f pg then key :: acc else acc) all [] in
+      let candidates = select cold and ssd0 = select (on Paddr.Ssd) in
+      let limit = 1 + Rng.int rng 3 in
+      let n = Kernel.evict_cold k ~limit in
+      let evicted =
+        List.filter (fun key -> not (List.mem key ssd0)) (select (on Paddr.Ssd))
+      in
+      if List.length evicted <> n then
+        fail step "evict_cold counted %d, moved %d" n (List.length evicted);
+      if List.exists (fun key -> not (List.mem key candidates)) evicted then
+        fail step "evicted a page the model finds warm";
+      if n < limit && n <> List.length candidates then
+        fail step "evicted %d of %d cold pages under a limit of %d" n (List.length candidates) limit
+    | 17 ->
+      let others = List.filter (fun q -> q != owner) !live in
+      if others <> [] then ignore (Kernel.map_shared k (pick others) shared ~writable:(Rng.bool rng))
+    | 18 -> if List.length !live < 5 then ignore (spawn ())
+    | _ -> (
+      match List.filter (fun q -> q != owner) !live with
+      | [] | [ _ ] -> ()
+      | others ->
+        let p = pick others in
+        Kernel.exit_process k p;
+        live := List.filter (fun q -> q != p) !live;
+        Hashtbl.filter_map_inplace
+          (fun (pid, _) m -> if pid = p.Kernel.pid then None else Some m)
+          ptes));
+    check step
+  done
+
+let translation_differential () =
+  List.iter
+    (fun seed ->
+      translation_trace ~async:false ~steps:400 seed;
+      translation_trace ~async:true ~steps:400 seed)
+    [ 1; 2; 3; 4; 5; 6 ]
 
 (* ---- eternal PMOs ---- *)
 
@@ -527,7 +764,7 @@ let () =
     [
       ( "pagetable",
         [
-          Alcotest.test_case "map/lookup/unmap" `Quick pt_map_lookup;
+          Alcotest.test_case "map/lookup" `Quick pt_map_lookup;
           Alcotest.test_case "double map rejected" `Quick pt_double_map;
           Alcotest.test_case "dirty tracking" `Quick pt_dirty_tracking;
           Alcotest.test_case "protect can skip" `Quick pt_protect_skip;
@@ -561,6 +798,8 @@ let () =
         [
           Alcotest.test_case "remap updates radix and PTEs" `Quick remap_updates_all;
           Alcotest.test_case "dirty bit via rmap" `Quick dirty_bit_via_rmap;
+          Alcotest.test_case "differential against a reference model" `Quick
+            translation_differential;
         ] );
       ("eternal", [ Alcotest.test_case "eager materialisation" `Quick eternal_eager ]);
       ("quiesce", [ Alcotest.test_case "cost scales with cores" `Quick quiesce_cost_scales ]);

@@ -151,6 +151,29 @@ let evict_cold_sweep () =
   check_int "evicted up to limit" 3 n;
   check_int "stat" 3 (Kernel.stats k).Kernel.swap_outs
 
+(* A process that exits takes its mappings with it: a page it mapped
+   shared and wrote evicts like a page shared with a process still alive,
+   which the checkpoint's protect pass re-protects. *)
+let exit_drops_shared_mappings () =
+  let sys, k, a, vpn, pmo, psz = setup () in
+  let b = Kernel.create_process k ~name:"leaver" ~threads:1 ~prio:5 in
+  let c = Kernel.create_process k ~name:"stayer" ~threads:1 ~prio:5 in
+  let bvpn = Kernel.map_shared k b pmo ~writable:true in
+  let cvpn = Kernel.map_shared k c pmo ~writable:true in
+  Kernel.write_bytes k a ~vaddr:(vpn * psz) (Bytes.of_string "a0");
+  Kernel.write_bytes k a ~vaddr:((vpn + 1) * psz) (Bytes.of_string "a1");
+  Kernel.write_bytes k b ~vaddr:(bvpn * psz) (Bytes.of_string "b0");
+  Kernel.write_bytes k c ~vaddr:((cvpn + 1) * psz) (Bytes.of_string "c1");
+  Kernel.exit_process k b;
+  check_int "the leaver's mapping is gone" 1 (List.length (Kernel.mappings_of_page k pmo ~pno:0));
+  check_int "the stayer's mapping is kept" 2 (List.length (Kernel.mappings_of_page k pmo ~pno:1));
+  ignore (System.checkpoint sys);
+  ignore (System.checkpoint sys);
+  check_bool "page shared with a live process evicts" true (Kernel.evict_page k pmo ~pno:1);
+  check_bool "page shared with an exited process evicts" true (Kernel.evict_page k pmo ~pno:0);
+  Alcotest.(check string) "swapped back in" "b0"
+    (Bytes.to_string (Kernel.read_bytes k a ~vaddr:(vpn * psz) ~len:2))
+
 (* ---- policy ---- *)
 
 let policy_relieves_pressure () =
@@ -244,6 +267,7 @@ let () =
           Alcotest.test_case "swap-in on write + CoW" `Quick swap_in_on_write_with_cow;
           Alcotest.test_case "evicted page survives crash" `Quick evicted_page_survives_crash;
           Alcotest.test_case "cold sweep" `Quick evict_cold_sweep;
+          Alcotest.test_case "exit drops shared mappings" `Quick exit_drops_shared_mappings;
         ] );
       ( "policy",
         [ Alcotest.test_case "relieves pressure" `Quick policy_relieves_pressure ] );
