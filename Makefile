@@ -61,13 +61,17 @@ ci:
 # Sampled host-time profile of one benchmark workload (not part of `make
 # ci`): tools/profile/pcprof.so, preloaded, records the interrupted PC
 # and its backtrace at every SIGPROF tick of CPU time, and folded.exe
-# symbolises them into folded stacks (top self frames on stderr).  The
-# runner is started directly, not under `dune exec`, so the samples are
-# its own.  Example: make profile W=serve_write SEED=1 SECS=25
+# symbolises them into folded stacks.  The runner is started directly,
+# not under `dune exec`, so the samples are its own.  The .folded file
+# keeps every sample; the tables on stderr (top self frames, top library
+# frames inclusive) count only the stacks outside PROFILE_OUTSIDE: the
+# runner's calibration loop, its percentile sort and its set-up, none of
+# which host_ops_per_s counts.  Example: make profile W=serve_write SEED=1 SECS=25
 W ?= serve_write
 SEED ?= 1
 SECS ?= 10
 PROFILE_DIR := _build/profile
+PROFILE_OUTSIDE := Reference.time Workload.pct_inner Workload.timed_setup
 
 profile:
 	dune build benchmark/run.exe tools/profile/folded.exe
@@ -76,7 +80,7 @@ profile:
 	PCPROF_OUT=$(PROFILE_DIR)/$(W).samples LD_PRELOAD=$(PROFILE_DIR)/pcprof.so \
 		_build/default/benchmark/run.exe --workload $(W) --seed $(SEED) --seconds $(SECS) --trace 0
 	_build/default/tools/profile/folded.exe _build/default/benchmark/run.exe \
-		$(PROFILE_DIR)/$(W).samples > $(PROFILE_DIR)/$(W).folded
+		$(PROFILE_DIR)/$(W).samples $(addprefix --outside ,$(PROFILE_OUTSIDE)) > $(PROFILE_DIR)/$(W).folded
 	@echo "folded stacks: $(PROFILE_DIR)/$(W).folded"
 
 # Full evaluation sweep; drops one BENCH_<exp>.json per experiment.

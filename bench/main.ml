@@ -234,6 +234,25 @@ let bechamel_suites : (unit -> Bechamel.Test.t list) list =
       ]);
     (fun () ->
       let s = boot () in
+      let app = Kv_app.launch ~keys_hint:2_000 ~value_size:1024 s Kv_app.Memcached in
+      for i = 0 to 999 do
+        Kv_app.set_i app i
+      done;
+      let rng = Rng.create 79L in
+      [
+        (* one served request on a resident key with a 1 KiB value: the
+           request built, staged, called over IPC and served; no
+           checkpoint runs, so no page faults *)
+        Test.make_grouped ~name:"kv_app"
+          [
+            Test.make ~name:"set_i-1KiB"
+              (Staged.stage (fun () -> Kv_app.set_i app (Rng.int rng 1_000)));
+            Test.make ~name:"get_i-1KiB"
+              (Staged.stage (fun () -> ignore (Kv_app.get_i app (Rng.int rng 1_000))));
+          ];
+      ]);
+    (fun () ->
+      let s = boot () in
       let k = System.kernel s in
       let p = Kernel.create_process k ~name:"kv" ~threads:1 ~prio:5 in
       let kv = Kvstore.create k p ~buckets:1024 ~pages:64 in

@@ -167,22 +167,23 @@ let aggregate_reports reports =
         others_ns = acc.Report.others_ns + r.Report.others_ns;
         hybrid_ns = acc.Report.hybrid_ns + r.Report.hybrid_ns;
         per_kind_ns = merge_assoc r.Report.per_kind_ns acc.Report.per_kind_ns;
-        per_group =
-          List.fold_left
-            (fun groups (name, g) ->
-              let prev =
-                Option.value
-                  ~default:{ Report.g_ns = 0; g_objects = 0; g_kinds = [] }
-                  (List.assoc_opt name groups)
-              in
-              ( name,
-                {
-                  Report.g_ns = prev.Report.g_ns + g.Report.g_ns;
-                  g_objects = prev.Report.g_objects + g.Report.g_objects;
-                  g_kinds = merge_assoc g.Report.g_kinds prev.Report.g_kinds;
-                } )
-              :: List.remove_assoc name groups)
-            acc.Report.per_group r.Report.per_group;
+        groups =
+          Report.groups_of_list
+            (List.fold_left
+               (fun groups (name, g) ->
+                 let prev =
+                   Option.value
+                     ~default:{ Report.g_ns = 0; g_objects = 0; g_kinds = [] }
+                     (List.assoc_opt name groups)
+                 in
+                 ( name,
+                   {
+                     Report.g_ns = prev.Report.g_ns + g.Report.g_ns;
+                     g_objects = prev.Report.g_objects + g.Report.g_objects;
+                     g_kinds = merge_assoc g.Report.g_kinds prev.Report.g_kinds;
+                   } )
+                 :: List.remove_assoc name groups)
+               (Report.per_group acc) (Report.per_group r));
         objects_walked = acc.Report.objects_walked + r.Report.objects_walked;
         pages_drained = acc.Report.pages_drained + r.Report.pages_drained;
         cow_faults = acc.Report.cow_faults + r.Report.cow_faults;

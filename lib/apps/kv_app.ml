@@ -3,6 +3,8 @@ module System = Treesls.System
 module Ipc = Treesls_kernel.Ipc
 module Kobj = Treesls_cap.Kobj
 module Cost = Treesls_sim.Cost
+module Probe = Treesls_obs.Probe
+module Rtrace = Treesls_obs.Rtrace
 
 type profile = Memcached | Redis | Shard
 
@@ -22,7 +24,10 @@ type t = {
   profile : profile;
   server_name : string;
   client_name : string;
-  origin_prefix : string;
+  (* request origins, resolved once at launch *)
+  origin_set : Rtrace.origin;
+  origin_get : Rtrace.origin;
+  origin_del : Rtrace.origin;
   mutable server_p : Kernel.process;
   mutable client_p : Kernel.process;
   mutable kv : Kvstore.t;
@@ -36,22 +41,28 @@ type t = {
 
 let psz sys = (Kernel.cost (System.kernel sys)).Cost.page_size
 
+(* Requests are 'S' key '\x00' value, 'G' key and 'D' key.  The handler
+   reads them in place: only the key is copied out, and a set's value goes
+   to the store straight from the payload. *)
 let handler kv payload =
-  let s = Bytes.to_string payload in
-  let op = s.[0] in
-  let rest = String.sub s 1 (String.length s - 1) in
-  match op with
+  let len = Bytes.length payload in
+  match Bytes.get payload 0 with
   | 'S' ->
-    let i = String.index rest '\x00' in
-    let key = String.sub rest 0 i in
-    let value = String.sub rest (i + 1) (String.length rest - i - 1) in
-    Kvstore.put kv ~key ~value;
+    let i = Bytes.index_from payload 1 '\x00' in
+    Kvstore.put_sub kv ~key:(Bytes.sub_string payload 1 (i - 1)) payload ~off:(i + 1)
+      ~len:(len - i - 1);
     Bytes.of_string "+OK"
   | 'G' -> (
-    match Kvstore.get kv ~key:rest with
-    | Some v -> Bytes.of_string ("+" ^ v)
+    match Kvstore.get kv ~key:(Bytes.sub_string payload 1 (len - 1)) with
+    | Some v ->
+      let reply = Bytes.create (1 + String.length v) in
+      Bytes.set reply 0 '+';
+      Bytes.blit_string v 0 reply 1 (String.length v);
+      reply
     | None -> Bytes.of_string "-")
-  | 'D' -> Bytes.of_string (if Kvstore.delete kv ~key:rest then "+1" else "+0")
+  | 'D' ->
+    let deleted = Kvstore.delete kv ~key:(Bytes.sub_string payload 1 (len - 1)) in
+    Bytes.of_string (if deleted then "+1" else "+0")
   | _ -> Bytes.of_string "-ERR"
 
 let register t = Ipc.register_handler (System.kernel t.sys) t.conn (handler t.kv)
@@ -64,6 +75,7 @@ let launch ?(keys_hint = 100_000) ?(value_size = 100) ?instance sys profile =
   let suffix = match instance with Some s -> "." ^ s | None -> "" in
   let sname = sname ^ suffix and cname = cname ^ suffix in
   let origin_prefix = match instance with Some s -> s ^ "/" | None -> "" in
+  let origin op = Probe.req_origin (System.obs sys) (origin_prefix ^ op) in
   let server_p = Launchpad.make_proc sys ~name:sname ~threads:sth ~ipcs:sipc ~notifs:snot ~extra_pmos:spmo in
   let client_p = Launchpad.make_proc sys ~name:cname ~threads:cth ~ipcs:cipc ~notifs:cnot ~extra_pmos:cpmo in
   let k = System.kernel sys in
@@ -81,7 +93,9 @@ let launch ?(keys_hint = 100_000) ?(value_size = 100) ?instance sys profile =
       profile;
       server_name = sname;
       client_name = cname;
-      origin_prefix;
+      origin_set = origin "kv.set";
+      origin_get = origin "kv.get";
+      origin_del = origin "kv.del";
       server_p;
       client_p;
       kv;
@@ -123,44 +137,88 @@ let client_stage t payload =
   Kernel.write_bytes k t.client_p ~vaddr:((t.buf_vpn * p) + t.buf_cursor) payload;
   t.buf_cursor <- t.buf_cursor + ((len + 63) / 64 * 64)
 
-let origin_of payload =
-  if Bytes.length payload = 0 then "kv.op"
-  else
-    match Bytes.get payload 0 with
-    | 'S' -> "kv.set"
-    | 'G' -> "kv.get"
-    | 'D' -> "kv.del"
-    | _ -> "kv.op"
-
-let call t payload =
+let call t origin payload =
   (* each client op is an externally-driven request: id assigned here,
      carried implicitly through Ipc.call and any Net_server.send *)
-  ignore
-    (Treesls_obs.Probe.req_arrive (System.obs t.sys) ~origin:(t.origin_prefix ^ origin_of payload));
+  ignore (Probe.req_arrive (System.obs t.sys) ~origin);
   client_stage t payload;
   Ipc.call (System.kernel t.sys) t.conn payload
 
-let set t ~key ~value =
-  let reply = call t (Bytes.of_string ("S" ^ key ^ "\x00" ^ value)) in
-  assert (Bytes.length reply > 0 && Bytes.get reply 0 = '+')
+(* A request buffer: [op], then [key], then [extra] bytes to fill. *)
+let request op key ~extra =
+  let klen = String.length key in
+  let b = Bytes.create (1 + klen + extra) in
+  Bytes.set b 0 op;
+  Bytes.blit_string key 0 b 1 klen;
+  b
 
-let get t ~key =
-  let reply = call t (Bytes.of_string ("G" ^ key)) in
-  let s = Bytes.to_string reply in
-  if String.length s > 0 && s.[0] = '+' then Some (String.sub s 1 (String.length s - 1))
+let expect_ok reply = assert (Bytes.length reply > 0 && Bytes.get reply 0 = '+')
+
+let reply_value reply =
+  if Bytes.length reply > 0 && Bytes.get reply 0 = '+' then
+    Some (Bytes.sub_string reply 1 (Bytes.length reply - 1))
   else None
 
-let del t ~key =
-  let reply = call t (Bytes.of_string ("D" ^ key)) in
-  Bytes.to_string reply = "+1"
+let set t ~key ~value =
+  let klen = String.length key and vlen = String.length value in
+  let b = request 'S' key ~extra:(1 + vlen) in
+  Bytes.set b (1 + klen) '\x00';
+  Bytes.blit_string value 0 b (2 + klen) vlen;
+  expect_ok (call t t.origin_set b)
 
-let value_for t i =
-  let base = Printf.sprintf "v%08d-" i in
-  let reps = (t.value_size / String.length base) + 1 in
-  String.sub (String.concat "" (List.init reps (fun _ -> base))) 0 t.value_size
+let get t ~key = reply_value (call t t.origin_get (request 'G' key ~extra:0))
+let del t ~key = Bytes.unsafe_to_string (call t t.origin_del (request 'D' key ~extra:0)) = "+1"
 
-let set_i t i = set t ~key:(Printf.sprintf "key%08d" i) ~value:(value_for t i)
-let get_i t i = get t ~key:(Printf.sprintf "key%08d" i)
+(* Key [i] is "key%08d" and its value "v%08d-" repeated and cut to
+   [value_size] bytes; both are written straight into the request. *)
+
+(* The number of digits "%08d" prints for [i >= 0]. *)
+let width i =
+  let rec digits n d = if n < 10 then d else digits (n / 10) (d + 1) in
+  if i < 0 then invalid_arg "Kv_app: negative key index";
+  Int.max 8 (digits i 1)
+
+(* [i] zero-padded to [w] digits at [pos], leaving out any digit at or
+   past [stop]. *)
+let put_digits b ~pos ~w ~stop i =
+  let n = ref i in
+  for j = pos + w - 1 downto pos do
+    if j < stop then Bytes.set b j (Char.unsafe_chr (Char.code '0' + (!n mod 10)));
+    n := !n / 10
+  done
+
+(* [op] then key [i] of [w] digits, with [extra] bytes to fill. *)
+let request_i op i ~w ~extra =
+  let b = Bytes.create (4 + w + extra) in
+  Bytes.set b 0 op;
+  Bytes.blit_string "key" 0 b 1 3;
+  put_digits b ~pos:4 ~w ~stop:(4 + w) i;
+  b
+
+(* The value of key [i] in [b] from [pos]: one period written, then the
+   written prefix doubled until [size] bytes are filled. *)
+let put_value b ~pos ~size ~w i =
+  let period = w + 2 and stop = pos + size in
+  if size > 0 then Bytes.set b pos 'v';
+  put_digits b ~pos:(pos + 1) ~w ~stop i;
+  if size >= period then begin
+    Bytes.set b (pos + period - 1) '-';
+    let filled = ref period in
+    while !filled < size do
+      let n = Int.min !filled (size - !filled) in
+      Bytes.blit b pos b (pos + !filled) n;
+      filled := !filled + n
+    done
+  end
+
+let set_i t i =
+  let w = width i in
+  let b = request_i 'S' i ~w ~extra:(1 + t.value_size) in
+  Bytes.set b (4 + w) '\x00';
+  put_value b ~pos:(5 + w) ~size:t.value_size ~w i;
+  expect_ok (call t t.origin_set b)
+
+let get_i t i = reply_value (call t t.origin_get (request_i 'G' i ~w:(width i) ~extra:0))
 
 let server t = t.server_p
 let client t = t.client_p

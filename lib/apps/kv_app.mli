@@ -4,7 +4,10 @@
     process, reproducing the workload's Table 2 object census.  Operations
     travel the real path: the client dirties its request buffer, makes a
     synchronous IPC call, and the server executes the operation against its
-    PMO-resident {!Kvstore}.
+    PMO-resident {!Kvstore}.  A request is built once, as one buffer, and
+    the server reads it in place; the only copies of a value the
+    simulation does not charge are that buffer and, for a get, the reply
+    and the returned string.
 
     Persistence is entirely transparent: neither server nor client contains
     any persistence code. After a crash, {!refresh} re-derives handles and
@@ -47,7 +50,10 @@ val get : t -> key:string -> string option
 val del : t -> key:string -> bool
 
 val set_i : t -> int -> unit
-(** [set_i t i] stores key ["key<i>"] with a deterministic value of
-    [value_size] bytes (benchmark convenience). *)
+(** [set_i t i] stores key [Printf.sprintf "key%08d" i] with the value
+    ["v%08d-"] of [i] repeated and cut to [value_size] bytes (benchmark
+    convenience); both are written straight into the request.  Raises
+    [Invalid_argument] when [i < 0]. *)
 
 val get_i : t -> int -> string option
+(** {!get} of the key {!set_i} stores for [i]. *)

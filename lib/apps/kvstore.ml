@@ -87,7 +87,7 @@ let e_vlen = 16
 let e_key = 24
 
 let entry_key t va klen =
-  Bytes.to_string (Kernel.read_bytes t.kernel t.proc ~vaddr:(va + e_key) ~len:klen)
+  Bytes.unsafe_to_string (Kernel.read_bytes t.kernel t.proc ~vaddr:(va + e_key) ~len:klen)
 
 let find_entry t ~key =
   let h = fnv_hash key mod t.buckets in
@@ -104,36 +104,50 @@ let find_entry t ~key =
 
 let round16 v = (v + 15) / 16 * 16
 
-let put t ~key ~value =
-  let klen = String.length key and vlen = String.length value in
+(* The value is [len] bytes of [buf] from [off], written to the region
+   straight from the caller's buffer. *)
+let put_sub t ~key buf ~off ~len:vlen =
+  let klen = String.length key in
   let h, found = find_entry t ~key in
   match found with
   | Some (_, va) when read_u32 t (va + e_vcap) >= vlen ->
-    Kernel.write_bytes t.kernel t.proc ~vaddr:(va + e_key + read_u32 t (va + e_klen))
-      (Bytes.of_string value);
+    let vaddr = va + e_key + read_u32 t (va + e_klen) in
+    Kernel.write_sub t.kernel t.proc ~vaddr buf ~off ~len:vlen;
     write_u32 t (va + e_vlen) vlen
   | (Some _ | None) as found ->
     (* the value outgrew its entry (or the key is new): unlink any stale
        entry first, then prepend a fresh one — leaving the old entry in
        the chain would resurrect it if the new head is later deleted *)
-    (match found with
-    | Some (prev, va) ->
-      let next = read_u64 t (va + e_next) in
-      if prev = 0 then write_u64 t (bucket_va t h) next else write_u64 t (prev + e_next) next
-    | None -> ());
+    let link =
+      match found with
+      | Some (prev, va) ->
+        let next = read_u64 t (va + e_next) in
+        let link = if prev = 0 then bucket_va t h else prev + e_next in
+        write_u64 t link next;
+        Some (link, va)
+      | None -> None
+    in
     let size = round16 (e_key + klen + vlen) in
     let cur = read_u64 t (t.base + off_cursor) in
-    if cur + size > t.limit then raise Full;
+    if cur + size > t.limit then begin
+      (* no room: link the old entry back, so the key keeps its value *)
+      Option.iter (fun (link, va) -> write_u64 t link va) link;
+      raise Full
+    end;
     write_u64 t (t.base + off_cursor) (cur + size);
     let head = read_u64 t (bucket_va t h) in
     write_u64 t (cur + e_next) head;
     write_u32 t (cur + e_klen) klen;
     write_u32 t (cur + e_vcap) vlen;
     write_u32 t (cur + e_vlen) vlen;
-    Kernel.write_bytes t.kernel t.proc ~vaddr:(cur + e_key) (Bytes.of_string key);
-    Kernel.write_bytes t.kernel t.proc ~vaddr:(cur + e_key + klen) (Bytes.of_string value);
+    Kernel.write_bytes t.kernel t.proc ~vaddr:(cur + e_key) (Bytes.unsafe_of_string key);
+    Kernel.write_sub t.kernel t.proc ~vaddr:(cur + e_key + klen) buf ~off ~len:vlen;
     write_u64 t (bucket_va t h) cur;
-    if found = None then write_u64 t (t.base + off_count) (read_u64 t (t.base + off_count) + 1)
+    if Option.is_none found then
+      write_u64 t (t.base + off_count) (read_u64 t (t.base + off_count) + 1)
+
+let put t ~key ~value =
+  put_sub t ~key (Bytes.unsafe_of_string value) ~off:0 ~len:(String.length value)
 
 let get t ~key =
   match snd (find_entry t ~key) with
@@ -141,7 +155,9 @@ let get t ~key =
   | Some (_, va) ->
     let klen = read_u32 t (va + e_klen) in
     let vlen = read_u32 t (va + e_vlen) in
-    Some (Bytes.to_string (Kernel.read_bytes t.kernel t.proc ~vaddr:(va + e_key + klen) ~len:vlen))
+    (* the buffer the read filled is the value: nothing else holds it *)
+    let value = Kernel.read_bytes t.kernel t.proc ~vaddr:(va + e_key + klen) ~len:vlen in
+    Some (Bytes.unsafe_to_string value)
 
 let delete t ~key =
   let h, found = find_entry t ~key in

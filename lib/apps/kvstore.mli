@@ -29,12 +29,25 @@ val attach : Kernel.t -> Kernel.process -> vpn:int -> t
 (** Re-open a store previously created at [vpn] (post-restore). *)
 
 val base_vpn : t -> int
+
 val put : t -> key:string -> value:string -> unit
+(** Store [value] under [key], writing the string's own bytes: the
+    simulated write is the value's only copy.  Raises {!Full}, leaving
+    the store as it was, when a new or grown entry finds no room. *)
+
+val put_sub : t -> key:string -> Bytes.t -> off:int -> len:int -> unit
+(** {!put} of the [len] bytes of the buffer from [off] (e.g. the value
+    inside a request payload), written in place; the buffer is only
+    read. *)
+
 val get : t -> key:string -> string option
+(** The value, as the simulated read returned it (no second copy). *)
+
 val delete : t -> key:string -> bool
 val mem : t -> key:string -> bool
 val count : t -> int
 val bytes_used : t -> int
 
 exception Full
-(** Raised by {!put} when the region's entry space is exhausted. *)
+(** Raised by {!put} when the region's entry space is exhausted; the key
+    keeps its previous value, if it had one. *)

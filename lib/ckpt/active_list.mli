@@ -33,7 +33,9 @@ val config : t -> config
 
 val record_fault : t -> Kobj.pmo -> int -> unit
 (** Bump hotness; append to the list once the threshold is crossed (and
-    the cache cap is not exceeded). *)
+    the cache cap is not exceeded).  Hotness and entries are kept in
+    arrays by PMO id and page, as the kernel's reverse map is: a fault
+    hashes nothing. *)
 
 val entries : t -> entry list
 (** Live entries in append order. *)
@@ -51,4 +53,5 @@ val compact : t -> unit
 (** Remove dead entries from the backing list (called once per checkpoint). *)
 
 val clear : t -> unit
-(** Crash/restore: forget everything. *)
+(** Crash/restore: forget everything.  The forgotten entries are dead
+    ([e_live] false), so a later {!drop} of one changes nothing. *)

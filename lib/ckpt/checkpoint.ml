@@ -576,9 +576,10 @@ let hybrid_copy st ~new_ver (w : walk) =
    per-object cost samples of Table 3: host-time bookkeeping, tallied after
    the pause in walk order into the owners' arrays indexed by kind and by
    group; the report lists only kinds and groups some object landed in,
-   kinds in [Kobj.all_kinds] order and groups in group order.  The arrays
-   are allocated once per tree shape, and every cell a walk fills is
-   zeroed again as it is read out. *)
+   kinds in [Kobj.all_kinds] order, and keeps the groups as the tally's
+   nonzero cells ([Report.groups_of_tally]).  The arrays are allocated
+   once per tree shape, and every cell a walk fills is zeroed again once
+   it is read out. *)
 let attribute st live dirty =
   let owners = Live_tree.owners live st.State.kernel in
   let ta = Live_tree.tallies owners in
@@ -598,35 +599,28 @@ let attribute st live dirty =
       let cost = State.obj_cost st kind in
       State.note_cost (if full then cost.State.full else cost.State.incr) dt)
     dirty;
-  (* read out and zero the [nk] cells from [base] *)
-  let kinds ns n ~base =
-    let l =
-      List.filter_map
-        (fun kind ->
-          let i = base + Kobj.kind_index kind in
-          if n.(i) = 0 then None else Some (kind, ns.(i)))
-        Kobj.all_kinds
-    in
-    Array.fill ns base nk 0;
-    Array.fill n base nk 0;
-    l
+  let per_kind_ns =
+    List.filter_map
+      (fun kind ->
+        let k = Kobj.kind_index kind in
+        if ta.Live_tree.kind_n.(k) = 0 then None else Some (kind, ta.Live_tree.kind_ns.(k)))
+      Kobj.all_kinds
   in
-  let groups = ref [] in
-  for g = ng - 1 downto 0 do
+  let groups =
+    Report.groups_of_tally ~names:(Live_tree.group_names owners) ~group_n:ta.Live_tree.group_n
+      ~gk_n:ta.Live_tree.gk_n ~gk_ns:ta.Live_tree.gk_ns
+  in
+  Array.fill ta.Live_tree.kind_ns 0 nk 0;
+  Array.fill ta.Live_tree.kind_n 0 nk 0;
+  for g = 0 to ng - 1 do
     if ta.Live_tree.group_n.(g) > 0 then begin
-      let cost =
-        {
-          Report.g_ns = ta.Live_tree.group_ns.(g);
-          g_objects = ta.Live_tree.group_n.(g);
-          g_kinds = kinds ta.Live_tree.gk_ns ta.Live_tree.gk_n ~base:(g * nk);
-        }
-      in
+      Array.fill ta.Live_tree.gk_ns (g * nk) nk 0;
+      Array.fill ta.Live_tree.gk_n (g * nk) nk 0;
       ta.Live_tree.group_ns.(g) <- 0;
-      ta.Live_tree.group_n.(g) <- 0;
-      groups := (Live_tree.group_name owners g, cost) :: !groups
+      ta.Live_tree.group_n.(g) <- 0
     end
   done;
-  (kinds ta.Live_tree.kind_ns ta.Live_tree.kind_n ~base:0, !groups)
+  (per_kind_ns, groups)
 
 let run st =
   (* one staged version in flight, ever: a window still draining must
@@ -680,7 +674,7 @@ let run st =
   Probe.exit probe resume_tok;
   let stw_ns = now st - t0 in
   Probe.exit probe stw_tok ~args:(fun () -> [ ("stw_ns", string_of_int stw_ns) ]);
-  let per_kind_ns, per_group = attribute st w.live w.dirty in
+  let per_kind_ns, groups = attribute st w.live w.dirty in
   let report =
     {
       Report.zero with
@@ -691,7 +685,7 @@ let run st =
       others_ns;
       hybrid_ns;
       per_kind_ns;
-      per_group;
+      groups;
       objects_walked = List.length w.dirty;
       full_objects = w.fulls;
       objects_skipped = w.skipped;

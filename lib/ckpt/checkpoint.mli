@@ -30,9 +30,9 @@ val attribute :
   State.t ->
   Live_tree.t ->
   (Treesls_cap.Kobj.t * int * bool) list ->
-  (Treesls_cap.Kobj.kind * int) list * (string * Report.group_cost) list
+  (Treesls_cap.Kobj.kind * int) list * Report.groups
 (** [attribute st live dirty] is how {!run} fills a report's [per_kind_ns]
-    and [per_group] from the objects its walk checkpointed, in walk order,
+    and [groups] from the objects its walk checkpointed, in walk order,
     each with its simulated ns and whether it was a full checkpoint; each
     object's ns also goes into its kind's Table 3 collector
     ({!State.obj_cost}).  An object's group is its owner in [live]

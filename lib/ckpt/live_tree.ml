@@ -162,7 +162,7 @@ let owners t kernel =
 
 let tallies o = o.tallies
 let group_count o = Array.length o.names
-let group_name o g = o.names.(g)
+let group_names o = o.names
 
 let owner_group o oid =
   match Int_tbl.find_opt o.group_of oid with Some g -> g | None -> o.kernel

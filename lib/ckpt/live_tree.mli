@@ -98,7 +98,10 @@ val group_count : owners -> int
     of first appearance in [Kernel.processes], then ["kernel"] unless a
     process already bears that name. *)
 
-val group_name : owners -> int -> string
+val group_names : owners -> string array
+(** Every group's name, by group: the owners' own array, not a copy, and
+    never changed after the owners are built. *)
+
 val owner_group : owners -> int -> int
 (** The group of an object id; ["kernel"]'s for any object no process
     holds. *)

@@ -1,8 +1,18 @@
-type group_cost = {
-  g_ns : int;
-  g_objects : int;
-  g_kinds : (Treesls_cap.Kobj.kind * int) list;
-}
+module Kobj = Treesls_cap.Kobj
+
+type group_cost = { g_ns : int; g_objects : int; g_kinds : (Kobj.kind * int) list }
+
+(* A checkpoint's groups are the nonzero cells of its walk's (group ×
+   kind) tally, 16 bytes each in cell order: the cell index [g * kinds + k]
+   and its object count as 32-bit words, then its ns as a 64-bit word.
+   Callers keep every report a run takes, so a report holds 2 words per
+   cell where the lists it expands to take ~20 per group, and nothing in
+   it for the GC to scan. *)
+type groups =
+  | Listed of (string * group_cost) list
+  | Cells of { names : string array; cells : Bytes.t }
+
+let cell_bytes = 16
 
 type t = {
   version : int;
@@ -11,8 +21,8 @@ type t = {
   captree_ns : int;
   others_ns : int;
   hybrid_ns : int;
-  per_kind_ns : (Treesls_cap.Kobj.kind * int) list;
-  per_group : (string * group_cost) list;
+  per_kind_ns : (Kobj.kind * int) list;
+  groups : groups;
   objects_walked : int;
   full_objects : int;
   objects_skipped : int;
@@ -43,7 +53,7 @@ let zero =
     others_ns = 0;
     hybrid_ns = 0;
     per_kind_ns = [];
-    per_group = [];
+    groups = Listed [];
     objects_walked = 0;
     full_objects = 0;
     objects_skipped = 0;
@@ -60,12 +70,65 @@ let zero =
     drain_ns = 0;
   }
 
+let groups_of_list l = Listed l
+
+let groups_of_tally ~names ~group_n ~gk_n ~gk_ns =
+  let nk = List.length Kobj.all_kinds in
+  (* [f i] for each cell index [i] with objects, ascending *)
+  let iter f =
+    Array.iteri
+      (fun g n ->
+        if n > 0 then
+          for i = g * nk to (g * nk) + nk - 1 do
+            if gk_n.(i) > 0 then f i
+          done)
+      group_n
+  in
+  let count = ref 0 in
+  iter (fun _ -> incr count);
+  let cells = Bytes.create (!count * cell_bytes) and off = ref 0 in
+  iter (fun i ->
+      Bytes.set_int32_le cells !off (Int32.of_int i);
+      Bytes.set_int32_le cells (!off + 4) (Int32.of_int gk_n.(i));
+      Bytes.set_int64_le cells (!off + 8) (Int64.of_int gk_ns.(i));
+      off := !off + cell_bytes);
+  Cells { names; cells }
+
+(* A group's cells are consecutive: cell indices ascend, and a row holds
+   one group's kinds in [Kobj.all_kinds] order. *)
+let group_list = function
+  | Listed l -> l
+  | Cells { names; cells } ->
+    let kinds = Array.of_list Kobj.all_kinds in
+    let nk = Array.length kinds and count = Bytes.length cells / cell_bytes in
+    let index c = Int32.to_int (Bytes.get_int32_le cells (c * cell_bytes)) in
+    let rec group c acc =
+      if c = count then List.rev acc
+      else begin
+        let g = index c / nk in
+        let rec row c ns objects ks =
+          if c < count && index c / nk = g then begin
+            let off = c * cell_bytes in
+            let n = Int32.to_int (Bytes.get_int32_le cells (off + 4)) in
+            let cns = Int64.to_int (Bytes.get_int64_le cells (off + 8)) in
+            row (c + 1) (ns + cns) (objects + n) ((kinds.(index c mod nk), cns) :: ks)
+          end
+          else (c, { g_ns = ns; g_objects = objects; g_kinds = List.rev ks })
+        in
+        let c, cost = row c 0 0 [] in
+        group c ((names.(g), cost) :: acc)
+      end
+    in
+    group 0 []
+
+let per_group t = group_list t.groups
+
 (* costliest subtree first; name breaks ties so output is deterministic *)
 let sorted_groups t =
   List.sort
     (fun (na, a) (nb, b) ->
       match Int.compare b.g_ns a.g_ns with 0 -> compare na nb | c -> c)
-    t.per_group
+    (per_group t)
 
 (* Collapsed-stack ("folded") lines for flamegraph tooling: one line per
    leaf stack, space-separated value, ';'-separated frames.  Frames must
@@ -78,7 +141,7 @@ let folded_lines t =
         match
           List.sort
             (fun (a, _) (b, _) ->
-              compare (Treesls_cap.Kobj.kind_name a) (Treesls_cap.Kobj.kind_name b))
+              compare (Kobj.kind_name a) (Kobj.kind_name b))
             g.g_kinds
         with
         | [] -> [ Printf.sprintf "ckpt;captree;%s %d" (frame name) g.g_ns ]
@@ -86,13 +149,13 @@ let folded_lines t =
           List.map
             (fun (k, ns) ->
               Printf.sprintf "ckpt;captree;%s;%s %d" (frame name)
-                (frame (Treesls_cap.Kobj.kind_name k))
+                (frame (Kobj.kind_name k))
                 ns)
             kinds)
       (sorted_groups t)
   in
   let phase name ns = if ns > 0 then [ Printf.sprintf "ckpt;%s %d" name ns ] else [] in
-  let attributed = List.fold_left (fun acc (_, g) -> acc + g.g_ns) 0 t.per_group in
+  let attributed = List.fold_left (fun acc (_, g) -> acc + g.g_ns) 0 (per_group t) in
   phase "ipi" t.ipi_ns
   @ captree
   @ phase "captree;unattributed" (max 0 (t.captree_ns - attributed))
@@ -121,7 +184,7 @@ let pp ppf t =
   (match
      List.sort
        (fun (a, _) (b, _) ->
-         compare (Treesls_cap.Kobj.kind_name a) (Treesls_cap.Kobj.kind_name b))
+         compare (Kobj.kind_name a) (Kobj.kind_name b))
        t.per_kind_ns
    with
   | [] -> ()
@@ -129,7 +192,7 @@ let pp ppf t =
     Format.fprintf ppf " kinds=[%s]"
       (String.concat "; "
          (List.map
-            (fun (k, ns) -> Printf.sprintf "%s=%dns" (Treesls_cap.Kobj.kind_name k) ns)
+            (fun (k, ns) -> Printf.sprintf "%s=%dns" (Kobj.kind_name k) ns)
             kinds)));
   match sorted_groups t with
   | [] -> ()

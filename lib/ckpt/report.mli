@@ -8,6 +8,11 @@ type group_cost = {
 (** STW cost of one capability subtree — the objects owned by one process
     group ("kernel" for objects reachable only from the root). *)
 
+type groups
+(** A report's cap-tree time by owning subtree, read with {!per_group}.  A
+    checkpoint packs it as the nonzero cells of its walk's (group × kind)
+    tally, 16 bytes a cell, so the reports a run keeps stay small. *)
+
 type t = {
   version : int;  (** version this checkpoint committed *)
   stw_ns : int;  (** total stop-the-world pause *)
@@ -16,7 +21,7 @@ type t = {
   others_ns : int;  (** leader: commit, GC, callbacks, bookkeeping *)
   hybrid_ns : int;  (** max per-core parallel hybrid-copy time *)
   per_kind_ns : (Treesls_cap.Kobj.kind * int) list;  (** cap-tree time by type *)
-  per_group : (string * group_cost) list;  (** cap-tree time by owning subtree *)
+  groups : groups;  (** cap-tree time by owning subtree *)
   objects_walked : int;
   full_objects : int;  (** objects checkpointed for the first time *)
   objects_skipped : int;  (** clean objects the incremental walk skipped *)
@@ -52,8 +57,28 @@ val waf : t -> float
     here — an eager walk re-writes every object snapshot each interval
     and amplifies accordingly; the incremental walk should not. *)
 
+val groups_of_list : (string * group_cost) list -> groups
+(** Groups exactly as listed, in that order. *)
+
+val groups_of_tally :
+  names:string array -> group_n:int array -> gk_n:int array -> gk_ns:int array -> groups
+(** The groups of one walk's tally ({!Live_tree.tallies}): group [g] is
+    [names.(g)], its object count [group_n.(g)], and its kind [k]'s objects
+    and ns are [gk_n] and [gk_ns] at [(g * kinds) + k], [kinds] the length
+    of [Kobj.all_kinds].  Only cells with objects are kept; [names] is
+    shared, not copied.  The arrays are only read. *)
+
+val group_list : groups -> (string * group_cost) list
+(** Packed groups expand to the subtrees some object landed in, in group
+    order, each with the kinds it holds in [Kobj.all_kinds] order and its
+    [g_ns] and [g_objects] the sums over them; {!groups_of_list} gives back
+    its list. *)
+
+val per_group : t -> (string * group_cost) list
+(** [group_list t.groups]. *)
+
 val sorted_groups : t -> (string * group_cost) list
-(** [per_group] sorted costliest first (name breaks ties). *)
+(** {!per_group} sorted costliest first (name breaks ties). *)
 
 val folded_lines : t -> string list
 (** Collapsed-stack lines ([frame;frame;leaf value]) for flamegraph

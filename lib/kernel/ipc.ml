@@ -19,11 +19,11 @@ let create_conn k ~client ~server =
   ignore (Kobj.install (Kernel.dirty_log k) server.Kernel.cg cap);
   conn
 
-let register_handler k conn h = Hashtbl.replace (Kernel.ipc_handlers k) conn.Kobj.ic_id h
-let has_handler k conn = Hashtbl.mem (Kernel.ipc_handlers k) conn.Kobj.ic_id
+let register_handler k conn h = Kernel.register_ipc_handler k ~conn_id:conn.Kobj.ic_id h
+let has_handler k conn = Option.is_some (Kernel.ipc_handler k ~conn_id:conn.Kobj.ic_id)
 
 let call k conn payload =
-  match Hashtbl.find_opt (Kernel.ipc_handlers k) conn.Kobj.ic_id with
+  match Kernel.ipc_handler k ~conn_id:conn.Kobj.ic_id with
   | None -> invalid_arg "Ipc.call: no handler registered (service not recovered?)"
   | Some h ->
     (* two crossings: call into the server, return to the client *)
@@ -37,8 +37,7 @@ let call k conn payload =
           :: (if req <> 0 then [ ("req", string_of_int req) ] else []))
     in
     Kernel.syscall k ~work_ns:c.Cost.syscall_ns;
-    (Kernel.stats k).Kernel.ipc_calls <- (Kernel.stats k).Kernel.ipc_calls + 1;
-    Probe.count probe "ipc.calls" 1;
+    Kernel.note_ipc_call k;
     Probe.req_ipc probe;
     conn.Kobj.ic_calls <- conn.Kobj.ic_calls + 1;
     Kobj.touch (Kernel.dirty_log k) (Kobj.Ipc_conn conn);

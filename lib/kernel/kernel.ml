@@ -7,6 +7,7 @@ module Radix = Treesls_cap.Radix
 module Cost = Treesls_sim.Cost
 module Clock = Treesls_sim.Clock
 module Probe = Treesls_obs.Probe
+module Metrics = Treesls_obs.Metrics
 module Wearmap = Treesls_obs.Wearmap
 
 type process = {
@@ -29,6 +30,25 @@ type stats = {
   mutable swap_outs : int;
 }
 
+(* Handles on the metrics a syscall, an IPC call or a fault samples. *)
+type counters = {
+  m_syscalls : Metrics.counter;
+  m_ipc_calls : Metrics.counter;
+  m_faults_cow : Metrics.counter;
+  m_faults_alloc : Metrics.counter;
+  m_faults_major : Metrics.counter;
+}
+
+let counters store =
+  let c = Metrics.counter (Probe.metrics (Store.probe store)) in
+  {
+    m_syscalls = c "kernel.syscalls";
+    m_ipc_calls = c "ipc.calls";
+    m_faults_cow = c "kernel.faults.cow";
+    m_faults_alloc = c "kernel.faults.alloc";
+    m_faults_major = c "kernel.faults.major";
+  }
+
 type t = {
   store : Store.t;
   ids : Id_gen.t;
@@ -42,7 +62,8 @@ type t = {
   mutable cow_hook : (Kobj.pmo -> int -> unit) option;
   mutable fresh_hook : (Kobj.pmo -> int -> unit) option;
   stats : stats;
-  ipc_handlers : (int, Bytes.t -> Bytes.t) Hashtbl.t;
+  m : counters;
+  mutable ipc_handlers : (Bytes.t -> Bytes.t) option array;  (* by connection id *)
   mutable alive : bool;
 }
 
@@ -57,7 +78,14 @@ let touch t obj = Kobj.touch t.dirty obj
 let ncores t = t.ncores
 let sched t = t.sched
 let stats t = t.stats
-let ipc_handlers t = t.ipc_handlers
+let ipc_handler t ~conn_id =
+  if conn_id < Array.length t.ipc_handlers then t.ipc_handlers.(conn_id) else None
+
+let register_ipc_handler t ~conn_id h =
+  if conn_id >= Array.length t.ipc_handlers then
+    t.ipc_handlers <- Treesls_util.Arr.grow t.ipc_handlers conn_id None;
+  t.ipc_handlers.(conn_id) <- Some h
+
 let processes t = t.procs
 let find_process t ~name = List.find_opt (fun p -> p.pname = name) t.procs
 
@@ -242,7 +270,7 @@ let swap_in_page t pmo ~pno slot =
   charge t (cost t).Cost.trap_ns;
   t.stats.page_faults <- t.stats.page_faults + 1;
   t.stats.swap_ins <- t.stats.swap_ins + 1;
-  Probe.count (probe t) "kernel.faults.major" 1;
+  Metrics.count t.m.m_faults_major 1;
   let fresh = Store.swap_in t.store ~slot in
   Radix.set pmo.Kobj.pmo_radix pno fresh;
   List.iter (fun (pt, vpn) -> Pagetable.remap pt ~vpn ~paddr:fresh) (mappings_of_page t pmo ~pno);
@@ -289,7 +317,7 @@ let fault t proc ~vpn ~for_write =
     charge t (cost t).Cost.trap_ns;
     t.stats.page_faults <- t.stats.page_faults + 1;
     t.stats.cow_faults <- t.stats.cow_faults + 1;
-    Probe.count (probe t) "kernel.faults.cow" 1;
+    Metrics.count t.m.m_faults_cow 1;
     cow_upgrade region (vpn - region.Kobj.vr_vpn);
     Pagetable.make_writable pt ~vpn;
     (* the PTE just joined the pagetable's dirty list: the next checkpoint
@@ -349,7 +377,7 @@ let fault t proc ~vpn ~for_write =
     | None ->
       (* first touch: allocate the page on NVM *)
       t.stats.alloc_faults <- t.stats.alloc_faults + 1;
-      Probe.count (probe t) "kernel.faults.alloc" 1;
+      Metrics.count t.m.m_faults_alloc 1;
       let paddr = Store.alloc_page t.store in
       (* a recycled frame still holds its previous owner's bytes (freed by
          a restore or by GC after an exit); fresh pages must read zero *)
@@ -380,21 +408,23 @@ let page_size t = (cost t).Cost.page_size
    default: when a more specific subsystem (extsync ring, checkpoint) is
    already on the wearmap's writer stack, its attribution wins.  Each
    chunk sets the hardware dirty bit on the PTE it wrote through. *)
-let write_bytes t proc ~vaddr (data : Bytes.t) =
+let write_sub t proc ~vaddr (data : Bytes.t) ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length data then invalid_arg "Kernel.write_sub";
   Wearmap.with_default_writer (Probe.wearmap (probe t)) "app" @@ fun () ->
   let psz = page_size t in
-  let len = Bytes.length data in
   let rec loop vaddr src_off remaining =
     if remaining > 0 then begin
       let vpn = vaddr / psz and off = vaddr mod psz in
-      let chunk = min remaining (psz - off) in
+      let chunk = Int.min remaining (psz - off) in
       let pte = ensure_mapped t proc ~vpn ~for_write:true in
       Store.write_from t.store pte.Pagetable.paddr ~off data ~src_off ~len:chunk;
       pte.Pagetable.dirty <- true;
       loop (vaddr + chunk) (src_off + chunk) (remaining - chunk)
     end
   in
-  loop vaddr 0 len
+  loop vaddr off len
+
+let write_bytes t proc ~vaddr data = write_sub t proc ~vaddr data ~off:0 ~len:(Bytes.length data)
 
 let read_bytes t proc ~vaddr ~len =
   let psz = page_size t in
@@ -402,7 +432,7 @@ let read_bytes t proc ~vaddr ~len =
   let rec loop vaddr dst_off remaining =
     if remaining > 0 then begin
       let vpn = vaddr / psz and off = vaddr mod psz in
-      let chunk = min remaining (psz - off) in
+      let chunk = Int.min remaining (psz - off) in
       let pte = ensure_mapped t proc ~vpn ~for_write:false in
       Store.read_into t.store pte.Pagetable.paddr ~off ~len:chunk out ~dst_off;
       loop (vaddr + chunk) (dst_off + chunk) (remaining - chunk)
@@ -469,8 +499,12 @@ let page_paddr t proc ~vpn =
 
 let syscall t ~work_ns =
   t.stats.syscalls <- t.stats.syscalls + 1;
-  Probe.count (probe t) "kernel.syscalls" 1;
+  Metrics.count t.m.m_syscalls 1;
   charge t ((cost t).Cost.syscall_ns + work_ns)
+
+let note_ipc_call t =
+  t.stats.ipc_calls <- t.stats.ipc_calls + 1;
+  Metrics.count t.m.m_ipc_calls 1
 
 (* --- page migration support --------------------------------------------- *)
 
@@ -553,7 +587,7 @@ let resume_cores t =
 
 let crash t =
   Store.crash t.store;
-  Hashtbl.reset t.ipc_handlers;
+  t.ipc_handlers <- [||];
   t.rmap <- [||];
   Sched.clear t.sched;
   t.procs <- [];
@@ -615,7 +649,8 @@ let rebuild ~store ~ncores ~root ~ids_hwm ~threads =
       cow_hook = None;
       fresh_hook = None;
       stats = fresh_stats ();
-      ipc_handlers = Hashtbl.create 16;
+      m = counters store;
+      ipc_handlers = [||];
       alive = true;
     }
   in
@@ -656,7 +691,8 @@ let boot ?(cost = Cost.default) ?(ncores = 8) ?(nvm_pages = 1 lsl 16) ?(dram_pag
       cow_hook = None;
       fresh_hook = None;
       stats = fresh_stats ();
-      ipc_handlers = Hashtbl.create 16;
+      m = counters store;
+      ipc_handlers = [||];
       alive = true;
     }
   in

@@ -136,6 +136,11 @@ val write_bytes : t -> process -> vaddr:int -> Bytes.t -> unit
     charging access costs. Raises [Invalid_argument] on unmapped regions or
     read-only regions. *)
 
+val write_sub : t -> process -> vaddr:int -> Bytes.t -> off:int -> len:int -> unit
+(** {!write_bytes} of the [len] bytes of the buffer from [off], with no
+    intermediate copy: how a server stores a slice of a request in
+    place.  The buffer is only read. *)
+
 val read_bytes : t -> process -> vaddr:int -> len:int -> Bytes.t
 
 val read_word : t -> process -> vaddr:int -> len:int -> int
@@ -161,6 +166,9 @@ val page_paddr : t -> process -> vpn:int -> Paddr.t option
 
 val syscall : t -> work_ns:int -> unit
 (** Charge a syscall crossing plus [work_ns] of kernel work. *)
+
+val note_ipc_call : t -> unit
+(** Count one IPC call in {!stats} and in the [ipc.calls] metric. *)
 
 (** {2 Memory over-commitment (paper section 8)} *)
 
@@ -188,10 +196,12 @@ val mappings_of_page : t -> Kobj.pmo -> pno:int -> (Pagetable.t * int) list
 (** The (page table, vpn) pairs mapping the page in live processes,
     newest first. *)
 
-val ipc_handlers : t -> (int, Bytes.t -> Bytes.t) Hashtbl.t
-(** Volatile registry of IPC handler closures, keyed by connection object
-    id. Lost on {!crash}; services re-register in their restore callbacks
-    (used by {!Ipc}). *)
+val register_ipc_handler : t -> conn_id:int -> (Bytes.t -> Bytes.t) -> unit
+
+val ipc_handler : t -> conn_id:int -> (Bytes.t -> Bytes.t) option
+(** Volatile registry of IPC handler closures, an array indexed by
+    connection object id (a call hashes nothing).  Lost on {!crash};
+    services re-register in their restore callbacks (used by {!Ipc}). *)
 
 (** {2 Quiescence (checkpoint step 1/5 of Figure 5)} *)
 

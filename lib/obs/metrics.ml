@@ -6,6 +6,7 @@ type t = {
   gauges : (string, int ref) Hashtbl.t;
   timers : (string, Histogram.t) Hashtbl.t;
   mutable shape : int;  (* bumped on every new name and on reset *)
+  mutable resets : int;  (* bumped on reset: handles re-resolve their name *)
 }
 
 let create () =
@@ -14,6 +15,7 @@ let create () =
     gauges = Hashtbl.create 16;
     timers = Hashtbl.create 16;
     shape = 0;
+    resets = 0;
   }
 
 let shape t = t.shape
@@ -35,7 +37,7 @@ let set_gauge t name v =
   let r = cell t t.gauges name in
   r := v
 
-let timer t name =
+let timer_hist t name =
   match Hashtbl.find_opt t.timers name with
   | Some h -> h
   | None ->
@@ -44,7 +46,34 @@ let timer t name =
     t.shape <- t.shape + 1;
     h
 
-let observe t name ns = Histogram.add (timer t name) ns
+let observe t name ns = Histogram.add (timer_hist t name) ns
+
+(* A handle caches its name's cell, resolved by the first sample after its
+   creation or after a reset (resolving is what registers the name), so a
+   sample through it is one compare and one store. *)
+type counter = { c_reg : t; c_name : string; mutable c_cell : int ref; mutable c_resets : int }
+
+let counter t name = { c_reg = t; c_name = name; c_cell = ref 0; c_resets = -1 }
+
+let count c n =
+  let t = c.c_reg in
+  if c.c_resets <> t.resets then begin
+    c.c_cell <- cell t t.counters c.c_name;
+    c.c_resets <- t.resets
+  end;
+  c.c_cell := !(c.c_cell) + n
+
+type timer = { t_reg : t; t_name : string; mutable t_hist : Histogram.t; mutable t_resets : int }
+
+let timer t name = { t_reg = t; t_name = name; t_hist = Histogram.create (); t_resets = -1 }
+
+let record tm ns =
+  let t = tm.t_reg in
+  if tm.t_resets <> t.resets then begin
+    tm.t_hist <- timer_hist t tm.t_name;
+    tm.t_resets <- t.resets
+  end;
+  Histogram.add tm.t_hist ns
 
 let counter_value t name = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 let histogram t name = Hashtbl.find_opt t.timers name
@@ -113,7 +142,8 @@ let reset (t : t) =
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauges;
   Hashtbl.reset t.timers;
-  t.shape <- t.shape + 1
+  t.shape <- t.shape + 1;
+  t.resets <- t.resets + 1
 
 let pp_snapshot ppf s =
   Format.fprintf ppf "counters:@.";

@@ -17,6 +17,30 @@ val observe : t -> string -> int -> unit
 (** Record a duration (ns) into the named {!Treesls_util.Histogram}-backed
     timer. *)
 
+(** {2 Handles}
+
+    The by-name calls above hash the name on every sample; a hot emitter
+    resolves a handle once and samples through it.  A handle registers
+    nothing when it is made: its name enters the registry at its first
+    sample, as with {!add} or {!observe}, and again at its first sample
+    after a {!reset}. *)
+
+type counter
+
+val counter : t -> string -> counter
+(** A handle on the named counter. *)
+
+val count : counter -> int -> unit
+(** {!add} through a handle. *)
+
+type timer
+
+val timer : t -> string -> timer
+(** A handle on the named timer. *)
+
+val record : timer -> int -> unit
+(** {!observe} through a handle. *)
+
 val counter_value : t -> string -> int
 val gauge_value : t -> string -> int
 (** 0 when the name was never touched. *)

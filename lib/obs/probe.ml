@@ -26,6 +26,9 @@ type t = {
   enq2vis_w : Histogram.Windowed.t;
       (* windowed enq2vis for the per-sample p50/p99 derived columns:
          fed on every release, rotated once per tseries sample *)
+  m_released : Metrics.counter;
+  m_enq2vis : Metrics.timer;
+  m_e2e : Metrics.timer;
   mutable plan : plan option;  (* built by the first sample *)
   mutable sample_hook : (unit -> unit) option;
       (* invoked after each tseries sample + SLO check (the adaptive
@@ -36,16 +39,20 @@ type t = {
 }
 
 let create ~clock =
+  let metrics = Metrics.create () in
   {
     clock;
     trace = Trace.create ();
-    metrics = Metrics.create ();
+    metrics;
     rtrace = Rtrace.create ();
     wearmap = Wearmap.create ();
     rto = Rto.create ();
     tseries = Tseries.create ();
     slo = Slo.create ();
     enq2vis_w = Histogram.Windowed.create ~slices:4 ();
+    m_released = Metrics.counter metrics "req.released";
+    m_enq2vis = Metrics.timer metrics "req.enq2vis_ns";
+    m_e2e = Metrics.timer metrics "req.e2e_ns";
     plan = None;
     sample_hook = None;
     tracing = false;
@@ -159,8 +166,11 @@ let rto_recovered t =
 (* --- request-causality emitters --------------------------------------- *)
 
 (* Like metrics, request tracking is always on: it costs host time only
-   (hash-table + histogram updates), never simulated time, and the latency
-   observatory must not require the trace ring to be recording. *)
+   (a table by request id, histogram updates and counters through
+   handles), never simulated time, and the latency observatory must not
+   require the trace ring to be recording. *)
+
+let req_origin t name = Rtrace.origin t.rtrace name
 
 let req_arrive t ~origin =
   let now = Clock.now t.clock in
@@ -185,10 +195,10 @@ let req_released t ~id ~version =
   match Rtrace.released t.rtrace ~now ~id ~version with
   | None -> ()
   | Some rq ->
-    Metrics.add t.metrics "req.released" 1;
-    Metrics.observe t.metrics "req.enq2vis_ns" (rq.Rtrace.rq_visible_ns - rq.Rtrace.rq_enqueued_ns);
+    Metrics.count t.m_released 1;
+    Metrics.record t.m_enq2vis (rq.Rtrace.rq_visible_ns - rq.Rtrace.rq_enqueued_ns);
     Histogram.Windowed.add t.enq2vis_w (rq.Rtrace.rq_visible_ns - rq.Rtrace.rq_enqueued_ns);
-    Metrics.observe t.metrics "req.e2e_ns" (rq.Rtrace.rq_visible_ns - rq.Rtrace.rq_arrive_ns);
+    Metrics.record t.m_e2e (rq.Rtrace.rq_visible_ns - rq.Rtrace.rq_arrive_ns);
     if t.tracing then begin
       (* Retroactive request slice plus a flow arrow from its enqueue
          point to the interior of the ckpt.stw slice that released it.
@@ -198,7 +208,7 @@ let req_released t ~id ~version =
         ~args:
           [
             ("req", string_of_int rq.Rtrace.rq_id);
-            ("origin", rq.Rtrace.rq_origin);
+            ("origin", Rtrace.origin_name rq.Rtrace.rq_origin);
             ("commit", "v" ^ string_of_int version);
           ]
         ~ts_ns:rq.Rtrace.rq_arrive_ns ~dur_ns:dur;

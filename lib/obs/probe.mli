@@ -135,7 +135,11 @@ val rto_recovered : t -> unit
     enqueue/shed, and [Ring.on_checkpoint] marks release with the
     committing version. *)
 
-val req_arrive : t -> origin:string -> int
+val req_origin : t -> string -> Rtrace.origin
+(** {!Rtrace.origin} of this probe's tracker: a request source resolved
+    once by name (e.g. per op and tenant, when an app launches). *)
+
+val req_arrive : t -> origin:Rtrace.origin -> int
 (** New externally-driven request becomes the system's current one;
     returns its id. *)
 
@@ -156,7 +160,8 @@ val req_dropped : t -> id:int -> unit
 
 val req_released : t -> id:int -> version:int -> unit
 (** Checkpoint [version]'s commit made request [id]'s reply visible.
-    Feeds [req.enq2vis_ns]/[req.e2e_ns] metrics; with tracing on, also
+    Feeds [req.released] and the [req.enq2vis_ns]/[req.e2e_ns] metrics
+    through handles made with the probe; with tracing on, also
     emits a retroactive ["req"] span and a ["req.flow"] flow arrow ending
     inside the releasing [ckpt.stw] slice. *)
 
@@ -199,7 +204,9 @@ val tseries_sample : t -> version:int -> stw_ns:int -> interval_ns:int option ->
     sample allocates its own cells and what the rules read from their
     windows, the same however long the retained history. *)
 
-(** {2 Metrics emitters} — always active. *)
+(** {2 Metrics emitters} — always active.  These look the name up on
+    every call; an emitter on a per-request or per-fault path samples
+    through a {!Metrics.counter} or {!Metrics.timer} handle instead. *)
 
 val count : t -> string -> int -> unit
 val gauge : t -> string -> int -> unit

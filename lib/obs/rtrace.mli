@@ -20,9 +20,16 @@ type outcome =
   | Shed  (** ring full; reply dropped at enqueue (client must retry) *)
   | Dropped  (** lost to a crash before its releasing commit *)
 
+type origin
+(** Where requests come from (e.g. ["kv.set"], or ["t3/kv.set"] for
+    tenant 3), resolved once by name with {!origin}; requests carry the
+    handle, so neither an arrival nor a release looks up a name. *)
+
+val origin_name : origin -> string
+
 type req = {
   rq_id : int;
-  rq_origin : string;  (** e.g. ["kv.set"] *)
+  rq_origin : origin;
   rq_arrive_ns : int;
   mutable rq_handled_ns : int;  (** -1 until the IPC handler returned *)
   mutable rq_enqueued_ns : int;  (** -1 until the reply hit the ring *)
@@ -39,9 +46,15 @@ val create : unit -> t
     inspection holds the newest 1024.  Histograms and counters aggregate
     over {e all} requests regardless. *)
 
-val arrive : t -> now:int -> origin:string -> int
+val origin : t -> string -> origin
+(** The handle of the named origin, the same one for every call with the
+    same name.  An origin is listed by {!origins} only once a request
+    from it is released. *)
+
+val arrive : t -> now:int -> origin:origin -> int
 (** Start a new request and make it current.  A previous current request
-    that never enqueued output is finalized as [Internal]. *)
+    that never enqueued output is finalized as [Internal].  Live requests
+    are kept by id, and the current one by reference. *)
 
 val current_id : t -> int
 (** Id of the ambient current request; 0 when none. *)
@@ -66,7 +79,9 @@ val drop : t -> id:int -> bool
 
 val on_crash : t -> unit
 (** Finalize every pending request as [Dropped] (post-crash state rolls
-    back to the last commit; unreleased output never existed). *)
+    back to the last commit; unreleased output never existed), in
+    ascending id order: oldest first, so {!completed} lists the newest
+    lost request first. *)
 
 val on_commit : t -> version:int -> stw_t0:int -> stw_t1:int -> unit
 (** Note the most recent checkpoint commit and its STW window, so release
@@ -80,7 +95,8 @@ val live_count : t -> int
 val pending_enqueued : t -> int
 (** Live requests whose reply is parked on an extsync ring awaiting the
     next commit — the burst-pressure signal the adaptive
-    checkpoint-interval controller polls between operations. *)
+    checkpoint-interval controller polls between operations.  A count
+    kept as requests enqueue and finish, not a scan. *)
 
 val released_count : t -> int
 val internal_count : t -> int

@@ -98,7 +98,7 @@ let group_totals t =
           in
           Hashtbl.replace tbl g
             (ns + gc.Report.g_ns, objs + gc.Report.g_objects))
-        r.Report.per_group)
+        (Report.per_group r))
     t.reports;
   tbl
 
@@ -143,7 +143,7 @@ let attribution_exact t =
   List.for_all
     (fun (r : Report.t) ->
       let sum =
-        List.fold_left (fun acc (_, gc) -> acc + gc.Report.g_ns) 0 r.Report.per_group
+        List.fold_left (fun acc (_, gc) -> acc + gc.Report.g_ns) 0 (Report.per_group r)
       in
       sum = r.Report.captree_ns)
     t.reports

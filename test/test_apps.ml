@@ -10,6 +10,10 @@ module Kv_app = Treesls_apps.Kv_app
 module Lsm = Treesls_apps.Lsm
 module Sqlite = Treesls_apps.Sqlite
 module Phoenix = Treesls_apps.Phoenix
+module Net_server = Treesls_extsync.Net_server
+module Probe = Treesls_obs.Probe
+module Rtrace = Treesls_obs.Rtrace
+module Wearmap = Treesls_obs.Wearmap
 module Rng = Treesls_util.Rng
 
 let check_int = Alcotest.(check int)
@@ -102,6 +106,29 @@ let kv_full () =
         Kvstore.put kv ~key:(Printf.sprintf "k%d" i) ~value:(String.make 64 'v')
       done)
 
+(* regression: an update that outgrows its entry and finds the region full
+   must leave the key, its value and the count as they were *)
+let kv_full_keeps_grown_key () =
+  let sys = boot () in
+  let k = System.kernel sys in
+  let p = Kernel.create_process k ~name:"fullgrow" ~threads:1 ~prio:5 in
+  let kv = Kvstore.create k p ~buckets:64 ~pages:3 in
+  let filler i = Printf.sprintf "f%02d" i and big = String.make 100 'x' in
+  Kvstore.put kv ~key:"k" ~value:"small";
+  for i = 0 to 30 do
+    Kvstore.put kv ~key:(filler i) ~value:big
+  done;
+  Alcotest.check_raises "no room to grow" Kvstore.Full (fun () ->
+      Kvstore.put kv ~key:"k" ~value:(String.make 2_000 'L'));
+  check_str_opt "old value kept" (Some "small") (Kvstore.get kv ~key:"k");
+  check_int "count" 32 (Kvstore.count kv);
+  for i = 0 to 30 do
+    check_str_opt "filler intact" (Some big) (Kvstore.get kv ~key:(filler i))
+  done;
+  (* an update that fits still goes in place *)
+  Kvstore.put kv ~key:"k" ~value:"tiny";
+  check_str_opt "updated in place" (Some "tiny") (Kvstore.get kv ~key:"k")
+
 let kv_attach_roundtrip () =
   let sys = boot () in
   let k, p, kv = mk_kv sys in
@@ -165,6 +192,123 @@ let app_refresh_after_crash () =
   (* the app continues to work after recovery *)
   Kv_app.set_i app 3;
   check_bool "works after recovery" true (Kv_app.get_i app 3 <> None)
+
+(* ---- Kv_app against the old request encoding ---- *)
+
+(* Keys, values and set payloads as they were built before requests were
+   written in place, kept as the reference: [sprintf] keys, values by
+   concatenation, string payloads. *)
+let ref_key i = Printf.sprintf "key%08d" i
+
+let ref_value_for ~value_size i =
+  let base = Printf.sprintf "v%08d-" i in
+  let reps = (value_size / String.length base) + 1 in
+  String.sub (String.concat "" (List.init reps (fun _ -> base))) 0 value_size
+
+let ref_set_payload ~key ~value = Bytes.of_string ("S" ^ key ^ "\x00" ^ value)
+
+(* A tenant-like KV app on a system of its own: every op is followed by a
+   reply on its ring, so requests are released by checkpoints. *)
+type twin = { sys : System.t; app : Kv_app.t; net : Net_server.t }
+
+let twin ~value_size =
+  let sys = boot () in
+  let app = Kv_app.launch ~keys_hint:64 ~value_size ~instance:"t0" sys Kv_app.Shard in
+  let net =
+    Net_server.create ~slots:64 ~slot_size:64 ~name:"netsrv.t0" (System.kernel sys)
+      (System.manager sys) ~proc:(Kv_app.server app)
+      ~deliver:(fun ~client:_ ~sent_ns:_ ~payload:_ -> ())
+  in
+  { sys; app; net }
+
+(* The staged copy of the newest request in the client's buffer: the
+   buffer is the client's last region, and requests are staged 64-byte
+   aligned from its start. *)
+let client_region tw =
+  let p = Kv_app.client tw.app in
+  List.nth p.Kernel.vms.Treesls_cap.Kobj.vs_regions
+    (List.length p.Kernel.vms.Treesls_cap.Kobj.vs_regions - 1)
+
+(* One seeded mix on twin systems: [cur] builds its requests in place
+   ([set_i]/[get_i]), [old] sends the reference keys and values through
+   the string API.  They must agree on every reply and on everything the
+   simulation charges or records. *)
+let app_matches_old_encoding () =
+  List.iter
+    (fun value_size ->
+      let cur = twin ~value_size and old = twin ~value_size in
+      let rng = Rng.create (Int64.of_int (1_000 + value_size)) in
+      let pool =
+        Array.concat
+          [
+            Array.init 12 Fun.id;
+            Array.init 7 (fun j -> 99_999_997 + j);
+            [| 999_999_999; 1_000_000_007; 123_456_789_012 |];
+          ]
+      in
+      let model = Hashtbl.create 64 in
+      let at op i = Printf.sprintf "size %d %s %d" value_size op i in
+      for step = 1 to 400 do
+        let i = Rng.pick rng pool in
+        (match Rng.int rng 100 with
+        | r when r < 40 ->
+          Kv_app.set_i cur.app i;
+          Kv_app.set old.app ~key:(ref_key i) ~value:(ref_value_for ~value_size i);
+          Hashtbl.replace model i (ref_value_for ~value_size i)
+        | r when r < 75 ->
+          let want = Hashtbl.find_opt model i in
+          check_str_opt (at "get" i) want (Kv_app.get_i cur.app i);
+          check_str_opt (at "old get" i) want (Kv_app.get old.app ~key:(ref_key i))
+        | r when r < 90 ->
+          let want = Hashtbl.mem model i in
+          Hashtbl.remove model i;
+          check_bool (at "del" i) want (Kv_app.del cur.app ~key:(ref_key i));
+          check_bool (at "old del" i) want (Kv_app.del old.app ~key:(ref_key i))
+        | _ ->
+          let missing = 5_000 + Rng.int rng 1_000 in
+          check_str_opt (at "missing" missing) None (Kv_app.get_i cur.app missing);
+          check_str_opt (at "old missing" missing) None
+            (Kv_app.get old.app ~key:(ref_key missing)));
+        List.iter
+          (fun tw -> ignore (Net_server.send tw.net ~client:0 (Bytes.of_string "+OK")))
+          [ cur; old ];
+        if step mod 16 = 0 then
+          List.iter (fun tw -> ignore (System.checkpoint tw.sys)) [ cur; old ];
+        check_int (Printf.sprintf "size %d step %d: virtual clock" value_size step)
+          (System.now_ns old.sys) (System.now_ns cur.sys)
+      done;
+      (* the last set's staged payload is the reference string payload *)
+      let i = Rng.pick rng pool in
+      Kv_app.set_i cur.app i;
+      let r = client_region cur in
+      let k = System.kernel cur.sys in
+      let psz = (Kernel.cost k).Treesls_sim.Cost.page_size in
+      let want = ref_set_payload ~key:(ref_key i) ~value:(ref_value_for ~value_size i) in
+      let first = r.Treesls_cap.Kobj.vr_vpn * psz in
+      let stop = first + (r.Treesls_cap.Kobj.vr_pages * psz) in
+      let staged =
+        Array.init ((stop - first) / 64) (fun slot -> first + (slot * 64))
+        |> Array.exists (fun vaddr ->
+               vaddr + Bytes.length want <= stop
+               && Bytes.equal want
+                    (Kernel.read_bytes k (Kv_app.client cur.app) ~vaddr ~len:(Bytes.length want)))
+      in
+      check_bool (Printf.sprintf "size %d: staged payload" value_size) true staged;
+      Kv_app.set old.app ~key:(ref_key i) ~value:(ref_value_for ~value_size i);
+      List.iter (fun tw -> ignore (System.checkpoint tw.sys)) [ cur; old ];
+      let stats tw = Kernel.stats (System.kernel tw.sys) in
+      let wear tw = Wearmap.subsystems (System.wearmap tw.sys) in
+      let rt tw = Probe.rtrace (System.obs tw.sys) in
+      check_bool "kernel stats" true (stats cur = stats old);
+      check_bool "wear per writer" true (wear cur = wear old);
+      Alcotest.(check (list string)) "origins" (Rtrace.origins (rt old)) (Rtrace.origins (rt cur));
+      check_bool "origins released" true (Rtrace.origins (rt cur) <> []);
+      List.iter
+        (fun prefix ->
+          check_bool ("summaries " ^ prefix) true
+            (Rtrace.summaries_prefix (rt cur) ~prefix = Rtrace.summaries_prefix (rt old) ~prefix))
+        [ ""; "t0/"; "t0/kv.set"; "t0/kv.get"; "t0/kv.del" ])
+    [ 1; 9; 10; 11; 64; 1_024 ]
 
 (* ---- Lsm ---- *)
 
@@ -321,6 +465,7 @@ let () =
           Alcotest.test_case "delete" `Quick kv_delete;
           Alcotest.test_case "hash collisions" `Quick kv_collisions;
           Alcotest.test_case "region full" `Quick kv_full;
+          Alcotest.test_case "full grown update keeps the key" `Quick kv_full_keeps_grown_key;
           Alcotest.test_case "attach roundtrip" `Quick kv_attach_roundtrip;
           Alcotest.test_case "persists across crash" `Quick kv_persists_across_crash;
         ] );
@@ -332,6 +477,7 @@ let () =
             (app_census Kv_app.Redis (2, 77, 60, 6, 262, 2));
           Alcotest.test_case "operations" `Quick app_ops;
           Alcotest.test_case "refresh after crash" `Quick app_refresh_after_crash;
+          Alcotest.test_case "matches the old request encoding" `Quick app_matches_old_encoding;
         ] );
       ( "lsm",
         [

@@ -419,11 +419,12 @@ let report_pp_pinned () =
       others_ns = 400;
       hybrid_ns = 9_500;
       per_kind_ns = [ (Kobj.Pmo_k, 4_200); (Kobj.Thread_k, 800); (Kobj.Cap_group_k, 1_500) ];
-      per_group =
-        [
-          ("shell", { Report.g_ns = 1_200; g_objects = 9; g_kinds = [ (Kobj.Pmo_k, 1_200) ] });
-          ("memcached", { Report.g_ns = 5_100; g_objects = 20; g_kinds = [] });
-        ];
+      groups =
+        Report.groups_of_list
+          [
+            ("shell", { Report.g_ns = 1_200; g_objects = 9; g_kinds = [ (Kobj.Pmo_k, 1_200) ] });
+            ("memcached", { Report.g_ns = 5_100; g_objects = 20; g_kinds = [] });
+          ];
       objects_walked = 42;
       full_objects = 5;
       objects_skipped = 78;

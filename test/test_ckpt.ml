@@ -343,6 +343,135 @@ let active_drop_and_compact () =
   Active_list.record_fault al pmo 0;
   check_int "needs re-warming" 1 (List.length (Active_list.entries al))
 
+(* The active list as it was, with hotness and entries in hash tables
+   keyed by (PMO id, page), kept as the oracle for the one indexed by PMO
+   id and page. *)
+module Table_active = struct
+  type entry = {
+    pmo : Kobj.pmo;
+    pno : int;
+    mutable hot : int;
+    mutable dram : bool;
+    mutable listed : bool;
+  }
+
+  type t = {
+    cfg : Active_list.config;
+    index : (int * int, entry) Hashtbl.t;
+    hotness : (int * int, int) Hashtbl.t;
+    mutable list : entry list;
+    mutable live : int;
+  }
+
+  let create cfg =
+    { cfg; index = Hashtbl.create 16; hotness = Hashtbl.create 16; list = []; live = 0 }
+
+  let record_fault t pmo pno =
+    let key = (pmo.Kobj.pmo_id, pno) in
+    match Hashtbl.find_opt t.index key with
+    | Some e -> e.hot <- e.hot + 1
+    | None ->
+      let h = 1 + Option.value ~default:0 (Hashtbl.find_opt t.hotness key) in
+      if h >= t.cfg.Active_list.hot_threshold && t.live < t.cfg.Active_list.max_cached then begin
+        Hashtbl.remove t.hotness key;
+        let e = { pmo; pno; hot = h; dram = false; listed = true } in
+        Hashtbl.replace t.index key e;
+        t.list <- e :: t.list;
+        t.live <- t.live + 1
+      end
+      else Hashtbl.replace t.hotness key h
+
+  let entries t = List.rev (List.filter (fun e -> e.listed) t.list)
+  let cached_count t = List.length (List.filter (fun e -> e.listed && e.dram) t.list)
+
+  let drop t e =
+    if e.listed then begin
+      e.listed <- false;
+      t.live <- t.live - 1;
+      Hashtbl.remove t.index (e.pmo.Kobj.pmo_id, e.pno)
+    end
+
+  let compact t = t.list <- List.filter (fun e -> e.listed) t.list
+
+  let clear t =
+    Hashtbl.reset t.index;
+    Hashtbl.reset t.hotness;
+    t.list <- [];
+    t.live <- 0
+end
+
+(* Seeded faults, demotions, DRAM marks, compactions and clears on both
+   lists, over PMOs whose ids arrive out of order and past the end of
+   the arrays grown so far: the same entries, in the same order, with the
+   same hotness after every step. *)
+let active_matches_table () =
+  List.iter
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let cfg =
+        {
+          Active_list.hot_threshold = 1 + Rng.int rng 3;
+          idle_limit = 4;
+          max_cached = 6 + Rng.int rng 20;
+        }
+      in
+      let al = Active_list.create cfg and model = Table_active.create cfg in
+      let pmos = ref [||] in
+      let new_pmo () =
+        let id =
+          Rng.pick rng [| 1 + Rng.int rng 8; 40 + Rng.int rng 200; 1_000 + Rng.int rng 5_000 |]
+        in
+        if not (Array.exists (fun p -> p.Kobj.pmo_id = id) !pmos) then
+          let pages = 1 + Rng.int rng 12 in
+          pmos := Array.append !pmos [| Kobj.make_pmo ~id ~pages ~kind:Kobj.Pmo_normal |]
+      in
+      new_pmo ();
+      let key e = (e.Active_list.e_pmo.Kobj.pmo_id, e.Active_list.e_pno) in
+      let view () =
+        List.map (fun e -> (key e, e.Active_list.e_hotness)) (Active_list.entries al)
+      and model_view () =
+        List.map
+          (fun e -> ((e.Table_active.pmo.Kobj.pmo_id, e.Table_active.pno), e.Table_active.hot))
+          (Table_active.entries model)
+      in
+      for step = 1 to 1_500 do
+        (match Rng.int rng 100 with
+        | r when r < 70 ->
+          let pmo = Rng.pick rng !pmos in
+          let pno = Rng.int rng pmo.Kobj.pmo_pages in
+          Active_list.record_fault al pmo pno;
+          Table_active.record_fault model pmo pno
+        | r when r < 78 -> new_pmo ()
+        | r when r < 88 -> (
+          match (Active_list.entries al, Table_active.entries model) with
+          | [], [] -> ()
+          | es, ms ->
+            let i = Rng.int rng (List.length es) in
+            Active_list.drop al (List.nth es i);
+            Table_active.drop model (List.nth ms i))
+        | r when r < 94 -> (
+          match (Active_list.entries al, Table_active.entries model) with
+          | [], [] -> ()
+          | es, ms ->
+            let i = Rng.int rng (List.length es) in
+            let dram = Rng.bool rng in
+            (List.nth es i).Active_list.e_dram <- dram;
+            (List.nth ms i).Table_active.dram <- dram)
+        | r when r < 98 ->
+          Active_list.compact al;
+          Table_active.compact model
+        | _ ->
+          Active_list.clear al;
+          Table_active.clear model);
+        let at = Printf.sprintf "seed %d step %d" seed step in
+        check_bool (at ^ ": entries") true (view () = model_view ());
+        check_int (at ^ ": cached") (Table_active.cached_count model) (Active_list.cached_count al)
+      done;
+      let dealt = Array.to_list (Active_list.sublists al ~cores:3) |> List.concat_map (List.map key) in
+      check_bool "sublists cover the entries" true
+        (List.sort compare dealt = List.sort compare (List.map fst (model_view ()))))
+    [ 1; 2; 3; 4; 5; 6 ]
+
 (* ---- STW checkpoint integration ---- *)
 
 let ckpt_version_and_reports () =
@@ -742,6 +871,7 @@ let () =
           Alcotest.test_case "cache cap" `Quick active_cap;
           Alcotest.test_case "sublists partition" `Quick active_sublists_partition;
           Alcotest.test_case "drop and compact" `Quick active_drop_and_compact;
+          Alcotest.test_case "matches the table-keyed oracle" `Quick active_matches_table;
         ] );
       ( "checkpoint",
         [

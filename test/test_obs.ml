@@ -15,6 +15,7 @@ module Kernel = Treesls_kernel.Kernel
 module Net_server = Treesls_extsync.Net_server
 module Kv_app = Treesls_apps.Kv_app
 module Json = Treesls_util.Json
+module Rng = Treesls_util.Rng
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -180,7 +181,7 @@ let perfetto_counter_escaping () =
 
 let rtrace_lifecycle () =
   let rt = Rtrace.create () in
-  let id = Rtrace.arrive rt ~now:100 ~origin:"kv.set" in
+  let id = Rtrace.arrive rt ~now:100 ~origin:(Rtrace.origin rt "kv.set") in
   check_int "ids start at 1" 1 id;
   check_int "current" id (Rtrace.current_id rt);
   Rtrace.note_ipc rt;
@@ -213,28 +214,28 @@ let rtrace_internal_finalized () =
   let rt = Rtrace.create () in
   (* enqueue with no current request: internally generated send, id 0 *)
   check_int "no ambient current yet" 0 (Rtrace.enqueued rt ~now:0);
-  ignore (Rtrace.arrive rt ~now:0 ~origin:"kv.get");
+  ignore (Rtrace.arrive rt ~now:0 ~origin:(Rtrace.origin rt "kv.get"));
   (* next arrival finalizes the previous current: it produced no external
      output, so it is Internal, not leaked as live forever *)
-  let id2 = Rtrace.arrive rt ~now:10 ~origin:"kv.set" in
+  let id2 = Rtrace.arrive rt ~now:10 ~origin:(Rtrace.origin rt "kv.set") in
   check_int "internal finalized" 1 (Rtrace.internal_count rt);
   check_int "only new one live" 1 (Rtrace.live_count rt);
   check_int "current moved on" id2 (Rtrace.current_id rt);
   ignore (Rtrace.enqueued rt ~now:20);
   (* an enqueued request is NOT internal: the next arrival leaves it live,
      waiting for its releasing commit *)
-  ignore (Rtrace.arrive rt ~now:30 ~origin:"kv.set");
+  ignore (Rtrace.arrive rt ~now:30 ~origin:(Rtrace.origin rt "kv.set"));
   check_int "enqueued one still live" 2 (Rtrace.live_count rt);
   check_int "internal count unchanged" 1 (Rtrace.internal_count rt)
 
 let rtrace_shed_and_crash () =
   let rt = Rtrace.create () in
-  let a = Rtrace.arrive rt ~now:0 ~origin:"kv.set" in
+  let a = Rtrace.arrive rt ~now:0 ~origin:(Rtrace.origin rt "kv.set") in
   ignore (Rtrace.enqueued rt ~now:5);
   check_bool "shed known id" true (Rtrace.shed rt ~id:a);
   check_int "shed counted" 1 (Rtrace.shed_count rt);
   check_bool "shed unknown id" false (Rtrace.shed rt ~id:999);
-  let b = Rtrace.arrive rt ~now:10 ~origin:"kv.set" in
+  let b = Rtrace.arrive rt ~now:10 ~origin:(Rtrace.origin rt "kv.set") in
   ignore (Rtrace.enqueued rt ~now:15);
   Rtrace.on_crash rt;
   check_int "pending dropped by crash" 1 (Rtrace.dropped_count rt);
@@ -245,6 +246,80 @@ let rtrace_shed_and_crash () =
     check_bool "outcome dropped" true (newest.Rtrace.rq_outcome = Rtrace.Dropped)
   | [] -> Alcotest.fail "no completed records");
   check_int "completed_total" 2 (Rtrace.completed_total rt)
+
+(* Live requests are kept in a ring by id: a seeded mix of arrivals,
+   enqueues, releases, sheds, drops and crashes against a table of live
+   ids, with the ring outgrowing its first 256 slots between crashes. *)
+let rtrace_live_by_id () =
+  let rt = Rtrace.create () in
+  let origin = Rtrace.origin rt "kv.set" in
+  let rng = Rng.create 11L in
+  let live = Hashtbl.create 64 (* id -> reply enqueued *) and current = ref 0 in
+  let finish id =
+    Hashtbl.remove live id;
+    if !current = id then current := 0
+  in
+  let live_ids () = Hashtbl.fold (fun id _ acc -> id :: acc) live [] |> List.sort compare in
+  let pick () =
+    match live_ids () with [] -> None | l -> Some (List.nth l (Rng.int rng (List.length l)))
+  in
+  let most = ref 0 in
+  for step = 1 to 6_000 do
+    (match Rng.int rng 100 with
+    | r when r < 50 ->
+      (match Hashtbl.find_opt live !current with Some false -> finish !current | _ -> ());
+      let id = Rtrace.arrive rt ~now:step ~origin in
+      Hashtbl.replace live id false;
+      current := id
+    | r when r < 94 ->
+      let id = Rtrace.enqueued rt ~now:step in
+      check_int "enqueue names the current request" !current id;
+      if id <> 0 then Hashtbl.replace live id true
+    | r when r < 98 -> (
+      match pick () with
+      | Some id ->
+        let enqueued = Hashtbl.find live id in
+        check_bool "released iff enqueued" enqueued
+          (Rtrace.released rt ~now:step ~id ~version:step <> None);
+        if enqueued then finish id
+      | None -> ())
+    | r when r < 99 ->
+      Option.iter
+        (fun id ->
+          check_bool "shed" true (Rtrace.shed rt ~id);
+          finish id)
+        (pick ())
+    | _ ->
+      Option.iter
+        (fun id ->
+          check_bool "drop" true (Rtrace.drop rt ~id);
+          finish id)
+        (pick ()));
+    if step mod 2_000 = 0 then begin
+      let lost = live_ids () and total = Rtrace.completed_total rt in
+      Rtrace.on_crash rt;
+      check_int "crash finishes every live request" (total + List.length lost)
+        (Rtrace.completed_total rt);
+      check_bool "dropped oldest first" true
+        (List.filteri (fun i _ -> i < List.length lost) (Rtrace.completed rt)
+         |> List.map (fun r -> r.Rtrace.rq_id)
+        = List.rev lost);
+      Hashtbl.reset live;
+      current := 0
+    end;
+    most := max !most (Hashtbl.length live);
+    check_int "live count" (Hashtbl.length live) (Rtrace.live_count rt);
+    check_int "current" !current (Rtrace.current_id rt);
+    check_int "parked replies"
+      (Hashtbl.fold (fun _ enq n -> if enq then n + 1 else n) live 0)
+      (Rtrace.pending_enqueued rt);
+    if step mod 97 = 0 then
+      for id = 0 to step + 2 do
+        check_bool "find_live" (Hashtbl.mem live id)
+          (match Rtrace.find_live rt id with Some r -> r.Rtrace.rq_id = id | None -> false)
+      done
+  done;
+  check_bool "the ring grew past 256 live requests" true (!most > 256)
 
 (* end to end: external requests flow through app -> ring -> checkpoint and
    the Perfetto export links each request span to the releasing ckpt.stw
@@ -344,6 +419,39 @@ let metrics_snapshot_reset () =
   let s2 = Metrics.snapshot m in
   check_bool "reset empties everything" true
     (s2.Metrics.counters = [] && s2.Metrics.gauges = [] && s2.Metrics.timers = [])
+
+(* A handle registers its name at its first sample, shares the cell with
+   the by-name calls, and re-registers after a reset. *)
+let metrics_handles () =
+  let m = Metrics.create () in
+  let c = Metrics.counter m "h.count" and tm = Metrics.timer m "h.ns" in
+  let shape0 = Metrics.shape m in
+  check_bool "made, nothing registered" true
+    ((Metrics.snapshot m).Metrics.counters = [] && Metrics.timer_names m = []);
+  check_int "shape unchanged" shape0 (Metrics.shape m);
+  Metrics.count c 2;
+  Metrics.add m "h.count" 3;
+  Metrics.count c 1;
+  check_int "one cell" 6 (Metrics.counter_value m "h.count");
+  check_bool "first sample registered it" true (Metrics.shape m <> shape0);
+  Metrics.record tm 100;
+  Metrics.observe m "h.ns" 300;
+  (match Metrics.histogram m "h.ns" with
+  | Some h -> check_int "one timer" 2 (Treesls_util.Histogram.count h)
+  | None -> Alcotest.fail "timer not registered");
+  Metrics.reset m;
+  check_int "reset" 0 (Metrics.counter_value m "h.count");
+  let shape1 = Metrics.shape m in
+  Metrics.count c 5;
+  Metrics.record tm 7;
+  check_int "handle re-registered" 5 (Metrics.counter_value m "h.count");
+  check_bool "re-registering moves the shape" true (Metrics.shape m <> shape1);
+  check_bool "columns see it" true (List.mem_assoc "h.count" (Metrics.columns m));
+  match Metrics.histogram m "h.ns" with
+  | Some h ->
+    check_int "timer after reset" 1 (Treesls_util.Histogram.count h);
+    check_int "its sample" 7 (Treesls_util.Histogram.max_value h)
+  | None -> Alcotest.fail "timer not re-registered"
 
 (* ---- whole-system: crash survival, reconciliation, zero cost ---- *)
 
@@ -768,9 +876,14 @@ let () =
           Alcotest.test_case "request lifecycle" `Quick rtrace_lifecycle;
           Alcotest.test_case "internal requests finalized" `Quick rtrace_internal_finalized;
           Alcotest.test_case "shed and crash-drop" `Quick rtrace_shed_and_crash;
+          Alcotest.test_case "live requests by id" `Quick rtrace_live_by_id;
           Alcotest.test_case "flows link requests to stw" `Quick rtrace_flows_end_to_end;
         ] );
-      ("metrics", [ Alcotest.test_case "snapshot and reset" `Quick metrics_snapshot_reset ]);
+      ( "metrics",
+        [
+          Alcotest.test_case "snapshot and reset" `Quick metrics_snapshot_reset;
+          Alcotest.test_case "handles across reset" `Quick metrics_handles;
+        ] );
       ( "system",
         [
           Alcotest.test_case "trace survives crash+restore" `Quick trace_survives_crash;

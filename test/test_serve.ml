@@ -132,7 +132,7 @@ let mix_draws_inserted_keys () =
 (* ---- per_group attribution under tenant churn (ISSUE 10 satellite 4) ---- *)
 
 let group_sum r =
-  List.fold_left (fun acc (_, g) -> acc + g.Report.g_ns) 0 r.Report.per_group
+  List.fold_left (fun acc (_, g) -> acc + g.Report.g_ns) 0 (Report.per_group r)
 
 let assert_groups_live_and_exact sys (r : Report.t) =
   let live = List.map (fun p -> p.Kernel.pname) (Kernel.processes (System.kernel sys)) in
@@ -140,8 +140,8 @@ let assert_groups_live_and_exact sys (r : Report.t) =
     (fun (g, _) ->
       check_bool (Printf.sprintf "group %S is a live process or kernel" g) true
         (g = "kernel" || List.mem g live))
-    r.Report.per_group;
-  check_bool "no unattributed group" true (not (List.mem_assoc "unattributed" r.Report.per_group));
+    (Report.per_group r);
+  check_bool "no unattributed group" true (not (List.mem_assoc "unattributed" (Report.per_group r)));
   check_int "per-group sum = captree" r.Report.captree_ns (group_sum r)
 
 let per_group_churn () =
@@ -160,7 +160,7 @@ let per_group_churn () =
   List.iter
     (fun app ->
       check_bool (Kv_app.server_name app ^ " attributed") true
-        (List.mem_assoc (Kv_app.server_name app) r1.Report.per_group))
+        (List.mem_assoc (Kv_app.server_name app) (Report.per_group r1)))
     apps;
   assert_groups_live_and_exact sys r1;
   (* destroy half the tenants -> checkpoint: their groups must vanish
@@ -178,12 +178,12 @@ let per_group_churn () =
   List.iter
     (fun app ->
       check_bool (Kv_app.server_name app ^ " no stale group") false
-        (List.mem_assoc (Kv_app.server_name app) r2.Report.per_group))
+        (List.mem_assoc (Kv_app.server_name app) (Report.per_group r2)))
     doomed;
   List.iter
     (fun app ->
       check_bool (Kv_app.server_name app ^ " still attributed") true
-        (List.mem_assoc (Kv_app.server_name app) r2.Report.per_group))
+        (List.mem_assoc (Kv_app.server_name app) (Report.per_group r2)))
     kept;
   assert_groups_live_and_exact sys r2
 
@@ -199,14 +199,14 @@ let per_group_shared_object_reattributed () =
   ignore (Ipc.call k conn (Bytes.of_string "x"));
   let r1 = System.checkpoint sys in
   check_bool "conn first attributed to its creator" true
-    (List.mem_assoc "churn.doomed" r1.Report.per_group);
+    (List.mem_assoc "churn.doomed" (Report.per_group r1));
   Kernel.exit_process k doomed;
   ignore (Ipc.call k conn (Bytes.of_string "y"));
   let r2 = System.checkpoint sys in
   check_bool "dead owner no longer charged" false
-    (List.mem_assoc "churn.doomed" r2.Report.per_group);
+    (List.mem_assoc "churn.doomed" (Report.per_group r2));
   check_bool "surviving owner charged instead" true
-    (List.mem_assoc "churn.keeper" r2.Report.per_group);
+    (List.mem_assoc "churn.keeper" (Report.per_group r2));
   assert_groups_live_and_exact sys r2
 
 (* ---- attribution against the original table-keyed code ---- *)
@@ -313,6 +313,7 @@ let check_attribution sys dirty =
     oracle_attribute (oracle_owner (System.kernel sys)) costs dirty
   in
   let kinds, groups = Checkpoint.attribute st live dirty in
+  let groups = Report.group_list groups in
   let check_strs = Alcotest.(check (list string)) in
   check_strs "per_kind_ns" (kinds_str want_kinds) (kinds_str kinds);
   check_strs "per_group" (groups_str want_groups) (groups_str groups);

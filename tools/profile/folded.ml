@@ -1,12 +1,21 @@
 (* Symbolise pcprof.so samples into folded stacks ("outer;...;leaf N" per
    line, most frequent first), the input of flame-graph tools, and print
-   the top frames by self samples (the interrupted PC) to stderr.
+   two tables to stderr: the top frames by self samples (the interrupted
+   PC), and the top library frames by inclusive samples (stacks holding
+   the frame at least once).
 
-     folded.exe EXE SAMPLES > OUT.folded
+     folded.exe EXE SAMPLES [--outside FRAME]... > OUT.folded
 
    EXE is the profiled executable: its addresses are resolved with
    [nm -n], relative to where the samples' memory map says it was loaded;
-   addresses in shared libraries are labelled [library]. *)
+   addresses in shared libraries are labelled [library].  The folded
+   output holds every sample; the tables count only the samples whose
+   stack holds none of the [--outside] frames, so work the measurement
+   leaves out (a harness's own calibration, say) does not rank.  A frame
+   is named as its symbol reads, or by its last module path components
+   ([Reference.time] matches [Dune__exe__Reference.time]).  A library
+   frame is one of a dune library's modules: neither the executable's
+   own ([Dune__exe__]) nor the standard library's. *)
 
 type map = { lo : int; hi : int; path : string }
 
@@ -66,13 +75,34 @@ let symbols exe =
   ignore (Unix.close_process_in ic);
   Array.of_list (List.rev !syms)
 
+let matches frame name =
+  frame = name || String.ends_with ~suffix:("__" ^ name) frame
+
+(* whether [s] holds "__" at or after [i], before index [stop] *)
+let rec mangled s i stop =
+  i + 1 < stop && ((s.[i] = '_' && s.[i + 1] = '_') || mangled s (i + 1) stop)
+
+let is_library frame =
+  (match String.index_opt frame '.' with Some dot -> mangled frame 0 dot | None -> false)
+  && not
+       (String.starts_with ~prefix:"Stdlib__" frame
+       || String.starts_with ~prefix:"Dune__exe__" frame)
+
+let usage () =
+  prerr_endline "usage: folded.exe EXE SAMPLES [--outside FRAME]...";
+  exit 2
+
 let () =
-  let exe, samples_path =
-    match Sys.argv with
-    | [| _; exe; samples |] -> (exe, samples)
-    | _ ->
-      prerr_endline "usage: folded.exe EXE SAMPLES";
-      exit 2
+  let exe, samples_path, outside =
+    match Array.to_list Sys.argv with
+    | _ :: exe :: samples :: rest ->
+      let rec frames = function
+        | "--outside" :: f :: rest -> f :: frames rest
+        | [] -> []
+        | _ -> usage ()
+      in
+      (exe, samples, frames rest)
+    | _ -> usage ()
   in
   let samples, maps = read_samples samples_path in
   let syms = symbols exe in
@@ -94,8 +124,9 @@ let () =
     | Some m -> "[" ^ Filename.basename m.path ^ "]"
     | None -> "[?]"
   in
-  let stacks = Hashtbl.create 1024 and self = Hashtbl.create 256 in
+  let stacks = Hashtbl.create 1024 and self = Hashtbl.create 256 and incl = Hashtbl.create 256 in
   let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)) in
+  let measured = ref 0 in
   List.iter
     (fun (pc, frames) ->
       (* frames run handler, signal trampoline, then the interrupted PC and
@@ -105,16 +136,28 @@ let () =
       let leaf = name pc in
       let path = List.rev_map (fun ra -> name (ra - 1)) (callers frames) @ [ leaf ] in
       bump stacks (String.concat ";" path);
-      bump self leaf)
+      if not (List.exists (fun f -> List.exists (matches f) outside) path) then begin
+        incr measured;
+        bump self leaf;
+        List.iter (bump incl) (List.sort_uniq compare (List.filter is_library path))
+      end)
     samples;
   let sorted tbl = List.sort (fun (_, a) (_, b) -> compare b a) (List.of_seq (Hashtbl.to_seq tbl)) in
   List.iter (fun (stack, n) -> Printf.printf "%s %d\n" stack n) (sorted stacks);
-  let total = List.length samples in
-  Printf.eprintf "%d samples; top frames by self samples:\n" total;
-  List.iteri
-    (fun i (leaf, n) ->
-      if i < 25 then
-        Printf.eprintf "  %5.1f%% %6d  %s\n"
-          (100. *. float_of_int n /. float_of_int (max 1 total))
-          n leaf)
-    (sorted self)
+  let total = List.length samples and measured = !measured in
+  let table title tbl =
+    Printf.eprintf "top frames by %s samples:\n" title;
+    List.iteri
+      (fun i (frame, n) ->
+        if i < 25 then
+          Printf.eprintf "  %5.1f%% %6d  %s\n"
+            (100. *. float_of_int n /. float_of_int (max 1 measured))
+            n frame)
+      (sorted tbl)
+  in
+  Printf.eprintf "%d samples, %d (%.1f%%) outside the frames %s; the tables count those.\n" total
+    measured
+    (100. *. float_of_int measured /. float_of_int (max 1 total))
+    (match outside with [] -> "(none)" | l -> String.concat ", " l);
+  table "self" self;
+  table "inclusive library" incl
