@@ -30,6 +30,8 @@ BENCH_FRESH := _build/bench-fresh
 # copies stay untouched until `make ci` promotes them).  fig11 and fig14
 # run at full scale (a few seconds each): they pin the callers of the
 # virtual-time driver (`System.advance_to`) that no smoke run covers.
+# ablate (~2 s) pins the design ablations: the eidetic archive fed by the
+# protect pass, and the eager against the incremental walk.
 bench-fresh:
 	rm -rf $(BENCH_FRESH) && mkdir -p $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp extsync_lat --smoke --json-dir $(BENCH_FRESH)
@@ -44,6 +46,7 @@ bench-fresh:
 	dune exec bench/main.exe -- --exp table3 --json-dir $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp fig11 --json-dir $(BENCH_FRESH)
 	dune exec bench/main.exe -- --exp fig14 --json-dir $(BENCH_FRESH)
+	dune exec bench/main.exe -- --exp ablate --json-dir $(BENCH_FRESH)
 
 # Per-metric deltas of the fresh results vs the committed copies
 # (informational; the self-gating experiments above are what fail).

@@ -7,7 +7,13 @@
        the interval shrinks.
    (3) Rebuild-vs-checkpoint page tables: measured PTE population versus
        the dirty set, showing what checkpointing page tables would add to
-       every STW pause. *)
+       every STW pause.
+
+   Each table's rows are also emitted ([--json-dir] writes
+   BENCH_ablate.json), one row per (ablation, configuration), all in
+   virtual time: the eidetic archive and the two walks pin the protect
+   pass and the walk that a refactor of the capture path must leave
+   unchanged. *)
 
 open Exp_common
 module Pagetable = Treesls_kernel.Pagetable
@@ -26,14 +32,18 @@ let ablate_copy () =
     let faults = (Kernel.stats k).Kernel.cow_faults - f0 in
     let stw = avg_reports reports (fun r -> r.Report.stw_ns) /. 1e3 in
     let hybrid = avg_reports reports (fun r -> r.Report.hybrid_ns) /. 1e3 in
-    [
-      name;
-      f1 dt;
-      f1 stw;
-      f1 hybrid;
-      string_of_int faults;
-      f1 (avg_reports reports (fun r -> r.Report.dram_dirty_copied));
-    ]
+    let copies = avg_reports reports (fun r -> r.Report.dram_dirty_copied) in
+    emit_row
+      ~config:[ ("ablation", "copy"); ("config", name) ]
+      ~metrics:
+        [
+          ("run_ms", dt);
+          ("stw_us", stw);
+          ("hybrid_us", hybrid);
+          ("cow_faults", float_of_int faults);
+          ("stop_and_copies_per_ckpt", copies);
+        ];
+    [ name; f1 dt; f1 stw; f1 hybrid; string_of_int faults; f1 copies ]
   in
   let rows =
     [
@@ -55,13 +65,20 @@ let ablate_walk () =
     let app = launch sys rng W_memcached in
     run_ops sys ~n:3_000 app.step;
     let reports = collect_reports sys ~n:6_000 app.step in
-    [
-      name;
-      f1 (avg_reports reports (fun r -> r.Report.objects_walked));
-      f1 (avg_reports reports (fun r -> r.Report.objects_skipped));
-      f1 (avg_reports reports (fun r -> r.Report.captree_ns) /. 1e3);
-      f1 (avg_reports reports (fun r -> r.Report.stw_ns) /. 1e3);
-    ]
+    let walked = avg_reports reports (fun r -> r.Report.objects_walked) in
+    let skipped = avg_reports reports (fun r -> r.Report.objects_skipped) in
+    let captree = avg_reports reports (fun r -> r.Report.captree_ns) /. 1e3 in
+    let stw = avg_reports reports (fun r -> r.Report.stw_ns) /. 1e3 in
+    emit_row
+      ~config:[ ("ablation", "walk"); ("config", name) ]
+      ~metrics:
+        [
+          ("objects_walked_per_ckpt", walked);
+          ("objects_skipped_per_ckpt", skipped);
+          ("captree_us", captree);
+          ("stw_us", stw);
+        ];
+    [ name; f1 walked; f1 skipped; f1 captree; f1 stw ]
   in
   let rows =
     [
@@ -86,8 +103,18 @@ let ablate_frequency () =
         let dt_ms = float_of_int (System.now_ns sys - t0) /. 1e6 in
         let stw = avg_reports reports (fun r -> r.Report.stw_ns) /. 1e3 in
         let mib = float_of_int (Manager.checkpoint_bytes (System.manager sys)) /. (1024. *. 1024.) in
+        let interval = Printf.sprintf "%g ms" (float_of_int interval_us /. 1e3) in
+        emit_row
+          ~config:[ ("ablation", "interval"); ("config", interval) ]
+          ~metrics:
+            [
+              ("ckpts", float_of_int (List.length reports));
+              ("stw_us", stw);
+              ("run_ms", dt_ms);
+              ("ckpt_mib", mib);
+            ];
         [
-          Printf.sprintf "%g ms" (float_of_int interval_us /. 1e3);
+          interval;
           string_of_int (List.length reports);
           f1 stw;
           f1 dt_ms;
@@ -121,6 +148,15 @@ let ablate_pagetables () =
           *. c.Treesls_sim.Cost.word_copy_nvm_ns *. 2.0 /. 1e3
         in
         let mark_us = dirty *. float_of_int c.Treesls_sim.Cost.mark_ro_ns /. 1e3 in
+        emit_row
+          ~config:[ ("ablation", "pagetables"); ("config", workload_name w) ]
+          ~metrics:
+            [
+              ("mapped_ptes", float_of_int mapped);
+              ("dirty_per_ckpt", dirty);
+              ("copy_pts_us", pte_copy_us);
+              ("remark_us", mark_us);
+            ];
         [ workload_name w; string_of_int mapped; f1 dirty; f1 pte_copy_us; f1 mark_us ])
       [ W_memcached; W_redis; W_kmeans ]
   in
@@ -156,6 +192,15 @@ let ablate_eidetic () =
       | None -> 2 (* the normal double-buffered backups *)
       | Some e -> List.length (Treesls_ckpt.Eidetic.versions e)
     in
+    emit_row
+      ~config:[ ("ablation", "eidetic"); ("config", name) ]
+      ~metrics:
+        [
+          ("versions", float_of_int versions);
+          ("stw_us", stw);
+          ("run_ms", dt_ms);
+          ("archive_mib", space);
+        ];
     [ name; string_of_int versions; f1 stw; f1 dt_ms; f2 space ]
   in
   let rows =
@@ -199,6 +244,15 @@ let ablate_overcommit () =
      with Out_of_memory -> out_of_memory := true);
     let dt_ms = float_of_int (System.now_ns sys - t0) /. 1e6 in
     let st = Kernel.stats k in
+    emit_row
+      ~config:[ ("ablation", "overcommit"); ("config", name) ]
+      ~metrics:
+        [
+          ("oom", if !out_of_memory then 1.0 else 0.0);
+          ("swap_outs", float_of_int st.Kernel.swap_outs);
+          ("swap_ins", float_of_int st.Kernel.swap_ins);
+          ("run_ms", dt_ms);
+        ];
     [
       name;
       (if !out_of_memory then "OOM" else "ok");

@@ -188,8 +188,7 @@ let bechamel_suites : (unit -> Bechamel.Test.t list) list =
       let st = Manager.state (System.manager s) in
       [
         Test.make_with_resource ~name:"ckpt-after-restore-16-tenants" Test.multiple
-          ~allocate:(fun () ->
-            Live_tree.build ~root:(Kernel.root (System.kernel s)) ~oroots:st.State.oroots)
+          ~allocate:(fun () -> Live_tree.build ~root:(Kernel.root (System.kernel s)))
           ~free:ignore
           (Staged.stage (fun tree ->
                st.State.live_tree <- Some tree;

@@ -31,21 +31,13 @@ let charge_object_copy st obj ~full =
   if full then Store.charge store (c.Cost.alloc_small_ns + (3 * copy))
   else Store.charge store copy
 
-(* Checkpoint one object (step 2). Returns its ORoot, whether this was its
-   full (first) checkpoint, and the snapshot bytes.  The entry's cached
-   ORoot is the table's ([Live_tree.entry]): the table is looked up only
-   for an object the cache has not linked yet. *)
-let checkpoint_object st live (e : Live_tree.entry) ~new_ver =
+(* Checkpoint one object (step 2). Returns whether this was its full
+   (first) checkpoint, and the snapshot bytes. *)
+let checkpoint_object st obj ~new_ver =
   let kernel = st.State.kernel in
   let store = Kernel.store kernel in
   let c = Store.cost store in
-  let obj = e.Live_tree.obj in
-  let oroot, full =
-    match e.Live_tree.oroot with
-    | Some o -> (o, false)
-    | None -> State.oroot_for st obj ~version:new_ver
-  in
-  oroot.Oroot.last_seen_ver <- new_ver;
+  let oroot, full = State.oroot_for st obj ~version:new_ver in
   oroot.Oroot.runtime <- Some obj;
   charge_object_copy st obj ~full;
   let snap = Snapshot.take obj in
@@ -79,11 +71,14 @@ let checkpoint_object st live (e : Live_tree.entry) ~new_ver =
        copy eliminates their faults. *)
     Kernel.pagetable kernel vms
     |> Option.iter (fun pt ->
-           let regions = Live_tree.region_index live vms in
            ignore
              (Pagetable.protect_dirty pt (fun vpn pte ->
-                  (match Region_index.resolve regions vpn with
-                  | Some (pmo, pno) -> archive_page st pmo pno pte.Pagetable.paddr
+                  (* only the archive needs the page behind a dirty vpn *)
+                  (match st.State.page_archive_hook with
+                  | Some h ->
+                    Option.iter
+                      (fun r -> h r.Kobj.vr_pmo (vpn - r.Kobj.vr_vpn) pte.Pagetable.paddr)
+                      (Kernel.region_of vms vpn)
                   | None -> ());
                   if Paddr.is_dram pte.Pagetable.paddr then false
                   else begin
@@ -95,7 +90,7 @@ let checkpoint_object st live (e : Live_tree.entry) ~new_ver =
                   end)))
   | Kobj.Vmspace _ | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Pmo _ | Kobj.Ipc_conn _
   | Kobj.Notification _ | Kobj.Irq_notification _ -> ());
-  (oroot, full, Snapshot.bytes snap)
+  (full, Snapshot.bytes snap)
 
 (* The asynchronous drain rides on the hybrid/CoW machinery: below level
    [Hybrid] there is no DRAM cache whose copies could be deferred, so the
@@ -271,9 +266,9 @@ let emit_commit_probes st (r : Report.t) =
 
 (* Step 4, the atomic commit: bump the version — THE durability point —
    then free the backups of objects the walk did not reach.  The walk's
-   live set, not last_seen_ver, decides: the incremental walk leaves the
-   last_seen_ver of skipped (but live) objects stale on purpose.  Runs
-   inside the pause when nothing was deferred, at settle otherwise. *)
+   live set decides: the incremental walk saves nothing for skipped (but
+   live) objects.  Runs inside the pause when nothing was deferred, at
+   settle otherwise. *)
 let commit_version st ~visited =
   Global_meta.commit_checkpoint (Store.meta (Kernel.store st.State.kernel));
   Crash_site.hit (State.crash_sites st) "ckpt.version_bump";
@@ -424,7 +419,7 @@ let resolve_cow_fault st pmo pno =
     | None -> (
       (* NVM page protected at the STW: its backup must serve two masters —
          a crash mid-window restores to N-1, a settled window to N. *)
-      match Hashtbl.find_opt st.State.oroots pmo.Kobj.pmo_id with
+      match State.find_oroot st pmo.Kobj.pmo_id with
       | None -> ()
       | Some oroot -> (
         match (oroot.Oroot.pages, Radix.get pmo.Kobj.pmo_radix pno) with
@@ -494,19 +489,18 @@ let walk_tree st ~new_ver =
   let root = Kernel.root st.State.kernel in
   let log = Kernel.dirty_log st.State.kernel in
   let cached = st.State.live_tree in
-  let live = Live_tree.refresh cached ~root ~log ~oroots:st.State.oroots in
+  let live = Live_tree.refresh cached ~root ~log in
   st.State.live_tree <- Some live;
   let built = match cached with Some c -> c != live | None -> true in
   let dirty = ref [] and fulls = ref 0 and snap_bytes = ref 0 in
-  let visit (e : Live_tree.entry) =
-    let obj = e.Live_tree.obj in
+  let visit obj =
+    let oid = Kobj.id obj in
     let clean =
-      incremental && Option.is_some e.Live_tree.oroot && not (Dirty_log.mem log (Kobj.id obj))
+      incremental && Option.is_some (State.find_oroot st oid) && not (Dirty_log.mem log oid)
     in
     if not clean then begin
       let t_obj0 = now st in
-      let oroot, full, bytes = checkpoint_object st live e ~new_ver in
-      e.Live_tree.oroot <- Some oroot;
+      let full, bytes = checkpoint_object st obj ~new_ver in
       Crash_site.hit (State.crash_sites st) "ckpt.captree.obj";
       if full then incr fulls;
       snap_bytes := !snap_bytes + bytes;

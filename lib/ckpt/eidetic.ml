@@ -27,15 +27,13 @@ let on_commit t () =
     let st = Manager.state t.mgr in
     let version = Global_meta.version (Store.meta (Kernel.store st.State.kernel)) in
     let objects = Hashtbl.create 256 in
-    Hashtbl.iter
-      (fun oid (oroot : Oroot.t) ->
+    State.iter_oroots st (fun oid (oroot : Oroot.t) ->
         (* newest-at-or-before rather than exact: the incremental walk does
            not re-snapshot clean objects, whose state at [version] is their
            last saved snapshot *)
         match Oroot.latest_le oroot ~version with
         | Some (_, snap) -> Hashtbl.replace objects oid snap
-        | None -> ())
-      st.State.oroots;
+        | None -> ());
     let record = { objects; pages = t.pending_pages } in
     t.pending_pages <- Hashtbl.create 64;
     Hashtbl.replace t.history version record;

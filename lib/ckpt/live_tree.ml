@@ -3,8 +3,6 @@ module Dirty_log = Treesls_cap.Dirty_log
 module Kernel = Treesls_kernel.Kernel
 module Int_tbl = Treesls_util.Int_tbl
 
-type entry = { obj : Kobj.t; mutable oroot : Oroot.t option }
-
 type tallies = {
   kind_ns : int array;
   kind_n : int array;
@@ -25,10 +23,9 @@ type owners = {
 
 type t = {
   root : Kobj.cap_group;
-  entries : entry array;
+  entries : Kobj.t array;
   live : int Int_tbl.t;  (* object id -> its index in [entries] *)
   mutable owners : owners option;
-  regions : Region_index.t Int_tbl.t;
   (* scratch of the logged visit, kept for this tree: room for the
      indices collected, grown to what a log needs *)
   mutable order : int array;
@@ -41,29 +38,20 @@ type t = {
    never change after. *)
 let valid t ~root ~log = t.root == root && not (Dirty_log.shape_changed log)
 
-(* One traversal, whose visited set is the live set itself: every object
-   reachable now has an ORoot once it has been checkpointed, so the ORoot
-   count is the size the set grows to. *)
-let build ~root ~oroots =
+(* One traversal, whose visited set is the live set itself. *)
+let build ~root =
   let entries = ref [] and n = ref 0 in
-  let live = Int_tbl.create (Hashtbl.length oroots) in
+  let live = Int_tbl.create 256 in
   Kobj.walk ~seen:live ~root (fun obj ->
-      entries := { obj; oroot = Hashtbl.find_opt oroots (Kobj.id obj) } :: !entries;
+      entries := obj :: !entries;
       incr n;
       !n - 1);
-  {
-    root;
-    entries = Array.of_list (List.rev !entries);
-    live;
-    owners = None;
-    regions = Int_tbl.create 16;
-    order = [||];
-  }
+  { root; entries = Array.of_list (List.rev !entries); live; owners = None; order = [||] }
 
-let refresh cached ~root ~log ~oroots =
+let refresh cached ~root ~log =
   match cached with
   | Some t when valid t ~root ~log -> t
-  | Some _ | None -> build ~root ~oroots
+  | Some _ | None -> build ~root
 
 let entries t = t.entries
 let live t = t.live
@@ -167,32 +155,22 @@ let group_names o = o.names
 let owner_group o oid =
   match Int_tbl.find_opt o.group_of oid with Some g -> g | None -> o.kernel
 
-(* A region-list replacement notes a shape change, which retires this
-   whole cache, so an index built for this tree never goes stale. *)
-let region_index t vms =
-  match Int_tbl.find_opt t.regions vms.Kobj.vs_id with
-  | Some idx -> idx
-  | None ->
-    let idx = Region_index.build vms in
-    Int_tbl.replace t.regions vms.Kobj.vs_id idx;
-    idx
-
 (* A walk checkpoints an entry with an ORoot only when the log names it,
    so an unlogged entry's newest snapshot must be its current state, and
    an unlogged entry without an ORoot would never get one.  A state
    compare, not a flag: it also sees a field written without a touch. *)
-let unsaved t log =
+let unsaved t ~log ~oroot =
   let missed =
     Array.fold_right
-      (fun e acc ->
-        let oid = Kobj.id e.obj in
+      (fun obj acc ->
+        let oid = Kobj.id obj in
         let saved =
           Dirty_log.mem log oid
           ||
-          match e.oroot with
+          match oroot oid with
           | Some o -> (
             match Oroot.latest_le o ~version:max_int with
-            | Some (_, snap) -> snap = Snapshot.take e.obj
+            | Some (_, snap) -> snap = Snapshot.take obj
             | None -> false)
           | None -> false
         in
@@ -209,38 +187,19 @@ let unsaved t log =
          (List.length missed) first)
 
 (* Compared by id: [iter_tree] wraps PMOs and threads reached through
-   regions and IPC connections in fresh [Kobj.t] values at every call.
-   The walk trusts each entry's ORoot link in place of a table lookup, so
-   a link must be, physically, the table's ORoot for that id. *)
-let check t ~root ~log ~oroots =
+   regions and IPC connections in fresh [Kobj.t] values at every call. *)
+let check t ~root ~log ~oroot =
   if not (valid t ~root ~log) then None
   else begin
     let n = Array.length t.entries in
     let reached = ref 0 and first_diff = ref None in
     Kobj.iter_tree ~root (fun obj ->
         let i = !reached in
-        if !first_diff = None && (i >= n || Kobj.id t.entries.(i).obj <> Kobj.id obj) then
+        if !first_diff = None && (i >= n || Kobj.id t.entries.(i) <> Kobj.id obj) then
           first_diff := Some i;
         incr reached);
     match !first_diff with
-    | None when !reached = n -> (
-      let linked e =
-        match (e.oroot, Hashtbl.find_opt oroots (Kobj.id e.obj)) with
-        | None, _ -> true
-        | Some o, Some o' -> o == o'
-        | Some _, None -> false
-      in
-      let stale =
-        Array.fold_right
-          (fun e acc -> if linked e then acc else Kobj.id e.obj :: acc)
-          t.entries []
-      in
-      match stale with
-      | [] -> unsaved t log
-      | first :: _ ->
-        Some
-          (Printf.sprintf "%d entries link an ORoot that is not the table's (first: object %d)"
-             (List.length stale) first))
+    | None when !reached = n -> unsaved t ~log ~oroot
     | d ->
       Some
         (Printf.sprintf "%d objects cached, %d reachable; first difference at visit %d" n

@@ -6,7 +6,10 @@
     checkpoint to find them; at serving scale that is milliseconds of host
     time per checkpoint for a tree whose shape rarely changes between two
     of them.  This cache keeps a traversal's result: the reachable objects
-    in visit order, each with its ORoot, and their id set.
+    in visit order and their id set.  It holds nothing else: an object's
+    ORoot is looked up in the ORoot table ([State.find_oroot]), and the
+    region behind a dirty page is resolved from the VM space
+    ([Kernel.region_of]) only when an eidetic archive needs it.
 
     The cache stays valid while no edge of the tree changes.  Edges live
     in cap-group slots, VM-space region lists and IPC connections' server
@@ -28,41 +31,24 @@
     reconciliation and the first checkpoint after the restore all read
     it. *)
 
-type entry = {
-  obj : Treesls_cap.Kobj.t;
-  mutable oroot : Oroot.t option;
-      (** the object's ORoot once it has one; the walk sets it when it
-          checkpoints the object, and checkpoints through it without a
-          table lookup.  It stays the table's ORoot for the object: only
-          [State.oroot_for] adds ORoots, and only [State.drop_dead_oroots]
-          removes them, always against the live set of the tree cached at
-          the time ({!check} audits the links) *)
-}
-
 type t
 
-val build : root:Treesls_cap.Kobj.cap_group -> oroots:(int, Oroot.t) Hashtbl.t -> t
-(** A fresh traversal from [root], each entry linked to its ORoot in
-    [oroots]. *)
+val build : root:Treesls_cap.Kobj.cap_group -> t
+(** A fresh traversal from [root]. *)
 
-val refresh :
-  t option ->
-  root:Treesls_cap.Kobj.cap_group ->
-  log:Treesls_cap.Dirty_log.t ->
-  oroots:(int, Oroot.t) Hashtbl.t ->
-  t
-(** [refresh cached ~root ~log ~oroots] is [cached] when it was built
-    from [root] and [log] (the kernel's dirty log) notes no shape change;
-    otherwise {!build}.  Every walk refreshes before it clears the log. *)
+val refresh : t option -> root:Treesls_cap.Kobj.cap_group -> log:Treesls_cap.Dirty_log.t -> t
+(** [refresh cached ~root ~log] is [cached] when it was built from [root]
+    and [log] (the kernel's dirty log) notes no shape change; otherwise
+    {!build}.  Every walk refreshes before it clears the log. *)
 
-val entries : t -> entry array
+val entries : t -> Treesls_cap.Kobj.t array
 (** The reachable objects in {!Treesls_cap.Kobj.iter_tree} order. *)
 
 val live : t -> int Treesls_util.Int_tbl.t
 (** The ids of {!entries}, each mapped to its index there: the liveness
     set ORoot GC tests against. Never mutated after the cache is built. *)
 
-val iter_logged : t -> Treesls_cap.Dirty_log.t -> (entry -> unit) -> unit
+val iter_logged : t -> Treesls_cap.Dirty_log.t -> (Treesls_cap.Kobj.t -> unit) -> unit
 (** [iter_logged t log f] applies [f] to each entry whose id [log] holds,
     once, in {!entries} order; ids of objects outside the cache are
     skipped.  Allocates nothing per id: the indices are sorted in
@@ -106,20 +92,16 @@ val owner_group : owners -> int -> int
 (** The group of an object id; ["kernel"]'s for any object no process
     holds. *)
 
-val region_index : t -> Treesls_cap.Kobj.vmspace -> Region_index.t
-(** The VM space's region index, built on first use for this tree. *)
-
 val check :
   t ->
   root:Treesls_cap.Kobj.cap_group ->
   log:Treesls_cap.Dirty_log.t ->
-  oroots:(int, Oroot.t) Hashtbl.t ->
+  oroot:(int -> Oroot.t option) ->
   string option
 (** Coherence check for the state auditor: while the cache is still valid
     for [root] and [log] (the kernel's dirty log), its entries must be
-    exactly the objects a fresh traversal reaches, in the same order,
-    every entry's cached ORoot must be, physically, the one [oroots]
-    holds for its id, and every entry [log] does not name must have an
-    ORoot whose newest snapshot equals a snapshot taken now.  [Some
-    message] describes the first kind of difference found; a stale cache
-    (rebuilt before its next use) has nothing to check. *)
+    exactly the objects a fresh traversal reaches, in the same order, and
+    every entry [log] does not name must have an ORoot ([oroot] looks one
+    up by object id) whose newest snapshot equals a snapshot taken now.
+    [Some message] describes the first kind of difference found; a stale
+    cache (rebuilt before its next use) has nothing to check. *)

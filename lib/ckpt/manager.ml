@@ -22,7 +22,7 @@ let install_hooks st =
          let level = st.State.features.State.level in
          (if level >= State.Cow then
             if not (Checkpoint.resolve_cow_fault st pmo pno) then
-              match Hashtbl.find_opt st.State.oroots pmo.Kobj.pmo_id with
+              match State.find_oroot st pmo.Kobj.pmo_id with
               | Some oroot -> (
                 match (oroot.Oroot.pages, Radix.get pmo.Kobj.pmo_radix pno) with
                 | Some pages, Some runtime ->
@@ -122,8 +122,8 @@ let recover t =
 
 (* --- read-only walkers (state auditor) -------------------------------- *)
 
-let iter_oroots t f = Hashtbl.iter f t.st.State.oroots
-let find_oroot t oid = Hashtbl.find_opt t.st.State.oroots oid
+let iter_oroots t f = State.iter_oroots t.st f
+let find_oroot t oid = State.find_oroot t.st oid
 
 let checkpoint_bytes t = State.checkpoint_bytes t.st
 let last_report t = t.st.State.last_report

@@ -87,7 +87,8 @@ val recover : t -> Restore.report
     simulated time. *)
 
 val iter_oroots : t -> (int -> Oroot.t -> unit) -> unit
-(** Visit every ORoot (live and not-yet-GC'd), keyed by object id. *)
+(** Visit every ORoot (live and not-yet-GC'd) with its object id, by
+    ascending id. *)
 
 val find_oroot : t -> int -> Oroot.t option
 

@@ -2,7 +2,6 @@ type t = {
   obj_id : int;
   kind : Treesls_cap.Kobj.kind;
   mutable first_ver : int;
-  mutable last_seen_ver : int;
   mutable runtime : Treesls_cap.Kobj.t option;
   mutable slot_a : (int * Snapshot.t) option;
   mutable slot_b : (int * Snapshot.t) option;
@@ -14,7 +13,6 @@ let create ~obj_id ~kind ~version ~has_pages =
     obj_id;
     kind;
     first_ver = version;
-    last_seen_ver = version;
     runtime = None;
     slot_a = None;
     slot_b = None;

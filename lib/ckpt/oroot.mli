@@ -11,17 +11,18 @@ type t = {
   obj_id : int;
   kind : Treesls_cap.Kobj.kind;
   mutable first_ver : int;  (** first checkpoint version including this object *)
-  mutable last_seen_ver : int;  (** last checkpoint walk that reached it *)
   mutable runtime : Treesls_cap.Kobj.t option;
       (** the runtime object ("ORoot records the addresses of the runtime
           object and the corresponding backup objects", §4.1); needed by
           garbage collection to release the runtime frames of objects that
           left the tree *)
   mutable slot_a : (int * Snapshot.t) option;
-      (** the two snapshot slots.  The incremental walk skips an object
-          that has an ORoot and that its kernel's dirty log does not name:
-          its newest snapshot is then its current state, which the
-          auditor checks ([Live_tree.check]) *)
+      (** the two snapshot slots.  A slot's stamp is the version of the
+          walk that saved it: an object was walked at version [v] exactly
+          when {!at} [v] finds a snapshot.  The incremental walk skips an
+          object that has an ORoot and that its kernel's dirty log does
+          not name: its newest snapshot is then its current state, which
+          the auditor checks ([Live_tree.check]) *)
   mutable slot_b : (int * Snapshot.t) option;
   pages : Ckpt_page.t option;  (** Some for normal PMOs *)
 }

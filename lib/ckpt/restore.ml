@@ -35,8 +35,7 @@ type report = {
    integrity pre-pass and the state auditor ("would a restore right now
    succeed?"). *)
 let iter_restore_choices st ~global f =
-  Hashtbl.iter
-    (fun oid (oroot : Oroot.t) ->
+  State.iter_oroots st (fun oid (oroot : Oroot.t) ->
       if oroot.Oroot.first_ver <= global then
         Option.iter
           (Ckpt_page.iter (fun pno cp ->
@@ -44,20 +43,18 @@ let iter_restore_choices st ~global f =
                  ~choice:
                    (Ckpt_page.restore_choice cp ~global ~runtime:(Oroot.runtime_page oroot pno))))
           oroot.Oroot.pages)
-    st.State.oroots
 
 (* The objects of checkpoint [global]: every ORoot with a snapshot at or
-   below it, in table fold order (the order [restore.materialized] is hit
+   below it, by ascending id (the order [restore.materialized] is hit
    in).  The rest (born inside an uncommitted checkpoint, so every
    snapshot they hold is stamped above [global]) are not materialised,
    and the dead-ORoot GC after the swap drops them. *)
 let select st ~global =
-  Hashtbl.fold
-    (fun oid oroot acc ->
-      match Oroot.latest_le oroot ~version:global with
-      | Some (_, snap) -> (oid, oroot, snap) :: acc
-      | None -> acc)
-    st.State.oroots []
+  let selected = ref [] in
+  State.iter_oroots st (fun oid oroot ->
+      Oroot.latest_le oroot ~version:global
+      |> Option.iter (fun (_, snap) -> selected := (oid, oroot, snap) :: !selected));
+  List.rev !selected
 
 let objects_to_materialize st =
   let global = Global_meta.version (Store.meta (Kernel.store st.State.kernel)) in
@@ -143,13 +140,13 @@ let run_inner st =
   (* Materialise bare objects with their original ids.  A normal PMO's
      radix takes the frame each page record's restore rule picks; the
      records themselves are rewritten only after the swap ([kept],
-     [unborn]).  Time is tallied by kind (kinds in order of first
-     appearance) and the page remaps in one sum, and reported to the
-     profiler once the loop is done. *)
+     [unborn]).  Time is tallied by kind and the page remaps in one sum,
+     and reported to the profiler once the loop is done, kinds in
+     [Kobj.all_kinds] order. *)
   let stubs : Kobj.t Int_tbl.t = Int_tbl.create (List.length live) in
   let pages_restored = ref 0 and kept = ref [] and unborn = ref [] in
   let nk = List.length Kobj.all_kinds in
-  let kind_ns = Array.make nk 0 and kind_seen = Array.make nk false and kinds = ref [] in
+  let kind_ns = Array.make nk 0 and kind_n = Array.make nk 0 in
   let remap_ns = ref 0 and remapped = ref false in
   Probe.rto_phase_begin probe "materialize";
   List.iter
@@ -210,18 +207,17 @@ let run_inner st =
       let dt = Clock.now clock - t_obj in
       let kind = Kobj.kind obj in
       let k = Kobj.kind_index kind in
-      if not kind_seen.(k) then begin
-        kind_seen.(k) <- true;
-        kinds := kind :: !kinds
-      end;
+      kind_n.(k) <- kind_n.(k) + 1;
       kind_ns.(k) <- kind_ns.(k) + dt;
       State.note_cost (State.obj_cost st kind).State.restore dt;
       Crash_site.hit sites "restore.materialized")
     live;
   if !remapped then Probe.rto_phase_tally probe "page_remap" !remap_ns;
   List.iter
-    (fun kind -> Probe.rto_note_kind probe (Kobj.kind_name kind) kind_ns.(Kobj.kind_index kind))
-    (List.rev !kinds);
+    (fun kind ->
+      let k = Kobj.kind_index kind in
+      if kind_n.(k) > 0 then Probe.rto_note_kind probe (Kobj.kind_name kind) kind_ns.(k))
+    Kobj.all_kinds;
   Probe.rto_phase_end probe;
   Probe.rto_phase_begin probe "captree_rebuild";
   (* Stitch references by object id.  The slot installs log into a log of
@@ -269,11 +265,11 @@ let run_inner st =
      reconciliation below read it, and the first checkpoint after the
      restore reuses it while the restored kernel's log notes no shape
      change. *)
-  let tree = Live_tree.build ~root ~oroots:st.State.oroots in
+  let tree = Live_tree.build ~root in
   let threads =
     Array.fold_right
-      (fun (e : Live_tree.entry) acc ->
-        match e.Live_tree.obj with
+      (fun obj acc ->
+        match obj with
         | Kobj.Thread th -> th :: acc
         | Kobj.Cap_group _ | Kobj.Vmspace _ | Kobj.Pmo _ | Kobj.Ipc_conn _ | Kobj.Notification _
         | Kobj.Irq_notification _ -> acc)
@@ -296,16 +292,15 @@ let run_inner st =
   List.iter
     (fun (oid, (oroot : Oroot.t), _) ->
       (* Roll back walk state staged by an uncommitted checkpoint: snapshot
-         slots and last-seen stamps above [g] must not survive the restore,
-         or a later checkpoint of the same version would find its slot
-         already taken by a stale image. *)
+         slots stamped above [g] must not survive the restore, or a later
+         checkpoint of the same version would find its slot already taken
+         by a stale image. *)
       (match oroot.Oroot.slot_a with
       | Some (v, _) when v > g -> oroot.Oroot.slot_a <- None
       | Some _ | None -> ());
       (match oroot.Oroot.slot_b with
       | Some (v, _) when v > g -> oroot.Oroot.slot_b <- None
       | Some _ | None -> ());
-      if oroot.Oroot.last_seen_ver > g then oroot.Oroot.last_seen_ver <- g;
       (* The crashed object is gone: the runtime pointer names the
          restored one, whose radix maps the kept frames, before any of its
          records is normalised below. *)
@@ -343,14 +338,12 @@ let run_inner st =
   in
   List.iter claim_idx (Treesls_nvm.Slab.slab_pages (Store.slab store));
   Array.iter
-    (fun (e : Live_tree.entry) ->
-      match e.Live_tree.obj with
+    (function
       | Kobj.Pmo p -> Radix.iter (fun _ paddr -> claim paddr) p.Kobj.pmo_radix
       | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Vmspace _ | Kobj.Ipc_conn _ | Kobj.Notification _
       | Kobj.Irq_notification _ -> ())
     (Live_tree.entries tree);
-  Hashtbl.iter
-    (fun _ (o : Oroot.t) ->
+  State.iter_oroots st (fun _ (o : Oroot.t) ->
       match o.Oroot.pages with
       | None -> ()
       | Some cps ->
@@ -358,8 +351,7 @@ let run_inner st =
           (fun _ cp ->
             (match cp.Ckpt_page.b1 with Some p -> claim p | None -> ());
             match cp.Ckpt_page.b2 with Some p -> claim p | None -> ())
-          cps)
-    st.State.oroots;
+          cps);
   let buddy = Store.buddy store in
   let orphans = ref [] in
   Treesls_nvm.Buddy.iter_live buddy (fun ~offset ~order ->

@@ -20,7 +20,8 @@ type obj_cost = { full : cost_range; incr : cost_range; restore : cost_range }
 
 type t = {
   mutable kernel : Kernel.t;
-  oroots : (int, Oroot.t) Hashtbl.t;
+  mutable oroots : Oroot.t option array;
+  mutable oroot_count : int;
   active : Active_list.t;
   mutable root_id : int;
   mutable ids_hwm : int;
@@ -49,7 +50,8 @@ let default_features () =
 let create kernel active_cfg features =
   {
     kernel;
-    oroots = Hashtbl.create 512;
+    oroots = [||];
+    oroot_count = 0;
     active = Active_list.create active_cfg;
     root_id = Kobj.id (Kobj.Cap_group (Kernel.root kernel));
     ids_hwm = 0;
@@ -75,9 +77,13 @@ let create kernel active_cfg features =
 let probe t = Store.probe (Kernel.store t.kernel)
 let crash_sites t = Store.crash_sites (Kernel.store t.kernel)
 
+let find_oroot t oid = if oid < Array.length t.oroots then t.oroots.(oid) else None
+
+let iter_oroots t f = Array.iteri (fun oid -> function Some o -> f oid o | None -> ()) t.oroots
+
 let oroot_for t obj ~version =
   let oid = Kobj.id obj in
-  match Hashtbl.find_opt t.oroots oid with
+  match find_oroot t oid with
   | Some o -> (o, false)
   | None ->
     let has_pages =
@@ -87,7 +93,9 @@ let oroot_for t obj ~version =
       | Kobj.Notification _ | Kobj.Irq_notification _ -> false
     in
     let o = Oroot.create ~obj_id:oid ~kind:(Kobj.kind obj) ~version ~has_pages in
-    Hashtbl.replace t.oroots oid o;
+    if oid >= Array.length t.oroots then t.oroots <- Treesls_util.Arr.grow t.oroots oid None;
+    t.oroots.(oid) <- Some o;
+    t.oroot_count <- t.oroot_count + 1;
     (o, true)
 
 let note_fresh_page t pmo pno =
@@ -104,6 +112,18 @@ let drain_fresh t pmo =
     let _, pnos = !r in
     Hashtbl.remove t.pending_fresh pmo.Kobj.pmo_id;
     pnos
+
+(* Named by the note alone: no page record, no runtime pointer. *)
+let iter_fresh_awaiting_gc t ~reachable f =
+  Hashtbl.iter
+    (fun id r ->
+      if (not (reachable id)) && find_oroot t id = None then begin
+        let pmo, pnos = !r in
+        List.iter
+          (fun pno -> Option.iter (f pmo pno) (Radix.get pmo.Kobj.pmo_radix pno))
+          (List.sort_uniq Int.compare pnos)
+      end)
+    t.pending_fresh
 
 let obj_cost t kind = t.obj_costs.(Kobj.kind_index kind)
 
@@ -123,8 +143,8 @@ let note_crash t =
 
 let checkpoint_bytes t =
   let page_size = (Kernel.cost t.kernel).Treesls_sim.Cost.page_size in
-  Hashtbl.fold
-    (fun _ (o : Oroot.t) acc ->
+  let total = ref 0 in
+  iter_oroots t (fun _ (o : Oroot.t) ->
       let snap_bytes =
         match (o.Oroot.slot_a, o.Oroot.slot_b) with
         | Some (_, s), _ | None, Some (_, s) -> Snapshot.bytes s
@@ -135,8 +155,8 @@ let checkpoint_bytes t =
         | Some pages -> (Ckpt_page.backup_frames pages * page_size) + (Ckpt_page.cardinal pages * 40)
         | None -> 0
       in
-      acc + snap_bytes + page_bytes)
-    t.oroots 0
+      total := !total + snap_bytes + page_bytes);
+  !total
 
 (* An ORoot is dead when its object is not in [live] (the committed walk's
    traversal, or the restored tree): nothing can roll back to a state
@@ -144,13 +164,16 @@ let checkpoint_bytes t =
    the table holds a dead one exactly when it is larger than the live
    set: the sweep runs only then. *)
 let drop_dead_oroots t ~live =
-  if Hashtbl.length t.oroots <= Int_tbl.length live then []
+  if t.oroot_count <= Int_tbl.length live then []
   else begin
-    let dead =
-      Hashtbl.fold (fun oid o acc -> if Int_tbl.mem live oid then acc else o :: acc) t.oroots []
-    in
-    List.iter (fun (o : Oroot.t) -> Hashtbl.remove t.oroots o.Oroot.obj_id) dead;
-    dead
+    let dead = ref [] in
+    iter_oroots t (fun oid o ->
+        if not (Int_tbl.mem live oid) then begin
+          t.oroots.(oid) <- None;
+          t.oroot_count <- t.oroot_count - 1;
+          dead := o :: !dead
+        end);
+    !dead
   end
 
 (* The commit's GC: drop the dead ORoots, then free their backup frames

@@ -60,7 +60,10 @@ type obj_cost = {
 
 type t = {
   mutable kernel : Kernel.t;
-  oroots : (int, Oroot.t) Hashtbl.t;  (** NVM: object id -> ORoot *)
+  mutable oroots : Oroot.t option array;
+      (** NVM: the ORoots, indexed by object id (a slot per id handed out,
+          grown by doubling); read through {!find_oroot}, {!iter_oroots} *)
+  mutable oroot_count : int;  (** the [Some] slots of [oroots] *)
   active : Active_list.t;  (** volatile *)
   mutable root_id : int;  (** NVM: object id of the root cap group *)
   mutable ids_hwm : int;  (** NVM: id counter at the last committed checkpoint *)
@@ -99,12 +102,25 @@ val probe : t -> Treesls_obs.Probe.t
 val crash_sites : t -> Treesls_nvm.Crash_site.t
 (** The store's per-system probe and crash-site table. *)
 
+val find_oroot : t -> int -> Oroot.t option
+(** The ORoot of an object id, if it has one. *)
+
+val iter_oroots : t -> (int -> Oroot.t -> unit) -> unit
+(** Every ORoot with its object id, by ascending id. *)
+
 val oroot_for : t -> Kobj.t -> version:int -> Oroot.t * bool
 (** The object's ORoot, creating it if absent; the flag is [true] when this
     is the object's first checkpoint (full checkpoint). *)
 
 val note_fresh_page : t -> Kobj.pmo -> int -> unit
 val drain_fresh : t -> Kobj.pmo -> int list
+
+val iter_fresh_awaiting_gc :
+  t -> reachable:(int -> bool) -> (Kobj.pmo -> int -> Treesls_nvm.Paddr.t -> unit) -> unit
+(** [f pmo pno frame] for every page noted fresh ({!note_fresh_page}) for
+    a PMO with no ORoot that [reachable] rejects: frames nothing else
+    names until the commit's GC ({!gc_dead_oroots}) frees them. *)
+
 val obj_cost : t -> Kobj.kind -> obj_cost
 (** The kind's collectors. *)
 

@@ -208,11 +208,20 @@ let make_eternal_pmo t ~pages =
 
 (* --- memory paths ------------------------------------------------------ *)
 
-let region_of proc vpn =
+let region_of vms vpn =
   let inside r = vpn >= r.Kobj.vr_vpn && vpn < r.Kobj.vr_vpn + r.Kobj.vr_pages in
-  List.find_opt inside proc.vms.Kobj.vs_regions
+  List.find_opt inside vms.Kobj.vs_regions
 
 let charge t ns = Store.charge t.store ns
+
+(* Each event bumps its [stats] field and its metrics counter together. *)
+let count_syscall t =
+  t.stats.syscalls <- t.stats.syscalls + 1;
+  Metrics.count t.m.m_syscalls 1
+
+let count_cow_fault t =
+  t.stats.cow_faults <- t.stats.cow_faults + 1;
+  Metrics.count t.m.m_faults_cow 1
 
 let grant t ~from_proc ~to_proc ~slot ~rights =
   match Kobj.lookup from_proc.cg slot with
@@ -222,7 +231,7 @@ let grant t ~from_proc ~to_proc ~slot ~rights =
       invalid_arg "Kernel.grant: source capability lacks the grant right";
     if not (Treesls_cap.Rights.subset rights ~of_:cap.Kobj.rights) then
       invalid_arg "Kernel.grant: rights may only shrink";
-    t.stats.syscalls <- t.stats.syscalls + 1;
+    count_syscall t;
     charge t (cost t).Cost.syscall_ns;
     Kobj.install t.dirty to_proc.cg { Kobj.target = cap.Kobj.target; rights }
 
@@ -247,7 +256,7 @@ let raise_irq t irq =
   touch t (Kobj.Irq_notification irq)
 
 let wait_irq t irq th =
-  t.stats.syscalls <- t.stats.syscalls + 1;
+  count_syscall t;
   charge t (cost t).Cost.syscall_ns;
   if irq.Kobj.irq_pending > 0 then begin
     irq.Kobj.irq_pending <- irq.Kobj.irq_pending - 1;
@@ -296,7 +305,7 @@ let fault t proc ~vpn ~for_write =
   let found =
     match Pagetable.lookup pt ~vpn with
     | Some pte as found when Paddr.is_ssd pte.Pagetable.paddr -> (
-      match region_of proc vpn with
+      match region_of proc.vms vpn with
       | Some region ->
         let pno = vpn - region.Kobj.vr_vpn in
         ignore (swap_in_page t region.Kobj.vr_pmo ~pno pte.Pagetable.paddr);
@@ -309,15 +318,14 @@ let fault t proc ~vpn ~for_write =
   | Some pte ->
     (* write to a read-only mapping: copy-on-write fault *)
     let region =
-      match region_of proc vpn with
+      match region_of proc.vms vpn with
       | Some r -> r
       | None -> invalid_arg "Kernel: mapping without region"
     in
     if not region.Kobj.vr_writable then invalid_arg "Kernel: write to read-only region";
     charge t (cost t).Cost.trap_ns;
     t.stats.page_faults <- t.stats.page_faults + 1;
-    t.stats.cow_faults <- t.stats.cow_faults + 1;
-    Metrics.count t.m.m_faults_cow 1;
+    count_cow_fault t;
     cow_upgrade region (vpn - region.Kobj.vr_vpn);
     Pagetable.make_writable pt ~vpn;
     (* the PTE just joined the pagetable's dirty list: the next checkpoint
@@ -327,7 +335,7 @@ let fault t proc ~vpn ~for_write =
     (match Pagetable.lookup pt ~vpn with Some p -> p | None -> pte)
   | None -> (
     let region =
-      match region_of proc vpn with
+      match region_of proc.vms vpn with
       | Some r -> r
       | None -> invalid_arg (Printf.sprintf "Kernel: fault on unmapped vpn %d" vpn)
     in
@@ -340,7 +348,7 @@ let fault t proc ~vpn ~for_write =
     | Some slot when Paddr.is_ssd slot ->
       let paddr = swap_in_page t region.Kobj.vr_pmo ~pno slot in
       if for_write then begin
-        t.stats.cow_faults <- t.stats.cow_faults + 1;
+        count_cow_fault t;
         cow_upgrade region pno
       end;
       let paddr =
@@ -356,7 +364,7 @@ let fault t proc ~vpn ~for_write =
       (* present in the PMO, just not in this page table (e.g. after a
          restore rebuilt page tables empty) *)
       if for_write then begin
-        t.stats.cow_faults <- t.stats.cow_faults + 1;
+        count_cow_fault t;
         cow_upgrade region pno;
         (* reload: the hook may migrate *)
         let paddr =
@@ -493,13 +501,12 @@ let touch_write t proc ~vpn =
   pte.Pagetable.dirty <- true
 
 let page_paddr t proc ~vpn =
-  match region_of proc vpn with
+  match region_of proc.vms vpn with
   | None -> None
   | Some _ -> Some (ensure_mapped t proc ~vpn ~for_write:false).Pagetable.paddr
 
 let syscall t ~work_ns =
-  t.stats.syscalls <- t.stats.syscalls + 1;
-  Metrics.count t.m.m_syscalls 1;
+  count_syscall t;
   charge t ((cost t).Cost.syscall_ns + work_ns)
 
 let note_ipc_call t =

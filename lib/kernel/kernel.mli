@@ -74,6 +74,10 @@ val pagetable : t -> Kobj.vmspace -> Pagetable.t option
     for a VM space no process holds (the kernel's own, which nothing
     maps). *)
 
+val region_of : Kobj.vmspace -> int -> Kobj.vm_region option
+(** The region backing a vpn: the first one in region-list order that
+    covers it, as every fault resolves it. *)
+
 (** {2 Hooks installed by the checkpoint manager} *)
 
 val set_cow_hook : t -> (Kobj.pmo -> int -> unit) option -> unit

@@ -96,42 +96,31 @@ let run ?wear mgr =
   (* The runtime tree, by object id: one traversal whose visited set is
      the table itself, sized like the tree it checkpoints. *)
   let root = Kernel.root kernel in
-  let reachable : Kobj.t Int_tbl.t = Int_tbl.create (Hashtbl.length st.State.oroots) in
+  let reachable : Kobj.t Int_tbl.t = Int_tbl.create st.State.oroot_count in
   Kobj.walk ~seen:reachable ~root Fun.id;
 
   (* The walk's cached tree must still be the tree: a stale cache would
-     skip objects that joined it and let GC free ones still in it, and a
-     stale ORoot link would checkpoint into an ORoot the table lost. *)
+     skip objects that joined it and let GC free ones still in it. *)
   Option.iter
     (fun lt ->
       Option.iter (add Error Captree "live-tree cache: %s")
-        (Live_tree.check lt ~root ~log:(Kernel.dirty_log kernel) ~oroots:st.State.oroots))
+        (Live_tree.check lt ~root ~log:(Kernel.dirty_log kernel) ~oroot:(State.find_oroot st)))
     st.State.live_tree;
 
   (* Captree: ORoot version sanity, snapshot restorability, references. *)
   Manager.iter_oroots mgr (fun oid (oroot : Oroot.t) ->
     incr objects_checked;
     let add ?pno ?paddr sev fmt = add ~obj_id:oid ?pno ?paddr sev Captree fmt in
-    if oroot.Oroot.first_ver > oroot.Oroot.last_seen_ver then
-      add Error "ORoot first_ver v%d above last_seen_ver v%d" oroot.Oroot.first_ver
-        oroot.Oroot.last_seen_ver;
     if oroot.Oroot.first_ver > limit then
       add Error "ORoot born in uncommitted checkpoint v%d (committed v%d)"
         oroot.Oroot.first_ver g;
-    if oroot.Oroot.last_seen_ver > limit then
-      add Error "ORoot walked by uncommitted checkpoint v%d (committed v%d)"
-        oroot.Oroot.last_seen_ver g
-    else if
-      oroot.Oroot.last_seen_ver < g
-      && (not (Int_tbl.mem reachable oid))
-      && pending_ver = None
-    then
-      (* live objects may legitimately carry a stale last_seen_ver: the
-         incremental walk skips clean objects without refreshing it — only
-         an *unreachable* object with a surviving ORoot was missed by GC
-         (deferred to settle while a drain window is pending) *)
-      add Warning "stale ORoot missed by GC (last walked v%d, committed v%d)"
-        oroot.Oroot.last_seen_ver g;
+    (* the last commit's GC (or restore's drop) ran against the cached
+       tree, and every ORoot since came from a walk of that tree; a
+       pending drain window defers its GC to settle *)
+    (match (pending_ver, st.State.live_tree) with
+    | None, Some lt when not (Int_tbl.mem (Live_tree.live lt) oid) ->
+      add Warning "stale ORoot missed by GC (outside the tree the last GC ran against, v%d)" g
+    | _, _ -> ());
     let slot name = function
       | Some (v, _) when v > limit ->
         add Error "snapshot slot %s stamped v%d above committed v%d" name v g
@@ -304,6 +293,9 @@ let run ?wear mgr =
         claim_radix ~obj_id:oid p.Kobj.pmo_radix role
       | _ -> ())
     reachable;
+  State.iter_fresh_awaiting_gc st ~reachable:(Int_tbl.mem reachable) (fun pmo pno paddr ->
+      if Paddr.is_nvm paddr then
+        claim ~obj_id:pmo.Kobj.pmo_id ~pno paddr.Paddr.idx "fresh page awaiting GC");
   Manager.iter_oroots mgr (fun oid (oroot : Oroot.t) ->
     (match oroot.Oroot.runtime with
     | Some (Kobj.Pmo p) when not (Int_tbl.mem reachable oid) ->

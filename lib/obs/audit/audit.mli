@@ -7,11 +7,11 @@
     - {b Meta/Journal}: no checkpoint marked in flight, allocator journal
       truncated (both must hold whenever the system is not inside the STW
       pause).
-    - {b Captree}: every ORoot's versions are sane ([first_ver <=
-      last_seen_ver], no snapshot stamped above the committed global
-      version [g]); every object committed at [g] has a restorable
-      snapshot whose references resolve to ORoots; no ORoot missed by
-      garbage collection.
+    - {b Captree}: every ORoot's versions are sane (no birth or snapshot
+      stamped above the committed global version [g]); every object
+      committed at [g] has a restorable snapshot whose references
+      resolve to ORoots; no ORoot missed by garbage collection (outside
+      the live set of the cached tree the last GC ran against).
     - {b Pages}: checkpointed-page records respect the CP/CPP state
       machine — a DRAM-cached runtime keeps both NVM backup halves, an
       NVM (or swapped-out) runtime keeps [b2 = None]; no backup or birth
@@ -20,8 +20,9 @@
       sealed sources still verify.
     - {b Allocator}: buddy/slab internal invariants hold, and every live
       buddy block is claimed by exactly one subsystem (runtime page,
-      backup frame, eternal frame, slab page) — unclaimed blocks are
-      leaks, claims without a live block are dangling frames.
+      backup frame, eternal frame, slab page, a dead PMO's fresh page
+      awaiting GC) — unclaimed blocks are leaks, claims without a live
+      block are dangling frames.
     - {b Eternal}: eternal PMOs carry no rollback page records ([§5]:
       they are excluded from rollback), their frames are NVM-resident,
       each reachable one holds a capability in the root cap group's own

@@ -49,6 +49,10 @@ let collect mgr =
     match obj with
     | Kobj.Pmo p -> count_nvm_frames p.Kobj.pmo_radix (counter_for p)
     | _ -> ());
+  (* a dead PMO's fresh pages wait for the commit's GC, named only by its
+     note; the auditor claims them the same way *)
+  Treesls_ckpt.State.iter_fresh_awaiting_gc (Manager.state mgr) ~reachable:(Hashtbl.mem reachable)
+    (fun p _ paddr -> if Paddr.is_nvm paddr then incr (counter_for p));
   let cp_frames = ref 0 and cpp_frames = ref 0 and cp_records = ref 0 in
   let snapshot_slots = ref 0 and snapshot_bytes = ref 0 in
   Manager.iter_oroots mgr (fun oid (oroot : Oroot.t) ->

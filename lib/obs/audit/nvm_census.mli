@@ -19,7 +19,8 @@ type t = {
   free_pages : int;
   runtime_pages : int;
       (** NVM frames serving runtime pages of normal PMOs (live in the
-          tree, or not yet reclaimed by ORoot GC) *)
+          tree, or of a dead PMO the commit's GC has not reclaimed yet,
+          through its ORoot or its fresh-page note) *)
   eternal_pages : int;  (** frames of eternal PMOs (never rolled back) *)
   backup_cp_frames : int;
       (** single-backup (CP) frames: pages whose runtime copy lives on

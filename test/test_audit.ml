@@ -4,9 +4,10 @@
    record outside the managed pages, rollback state on
    an eternal PMO, an eternal PMO missing from the root cap group, a
    normal PMO registered as an observability backing, a change the dirty
-   log never saw —
-   yields exactly the expected violation.  Also pins the
-   Report.pp format (every field, including per_kind_ns). *)
+   log never saw, an ORoot the GC missed —
+   yields exactly the expected violation, and the states a GC has yet to
+   clean up (exited processes, a dead PMO's fresh pages) audit clean.
+   Also pins the Report.pp format (every field, including per_kind_ns). *)
 
 module System = Treesls.System
 module Kernel = Treesls_kernel.Kernel
@@ -16,7 +17,6 @@ module Buddy = Treesls_nvm.Buddy
 module Manager = Treesls_ckpt.Manager
 module State = Treesls_ckpt.State
 module Oroot = Treesls_ckpt.Oroot
-module Live_tree = Treesls_ckpt.Live_tree
 module Ckpt_page = Treesls_ckpt.Ckpt_page
 module Report = Treesls_ckpt.Report
 module Eidetic = Treesls_ckpt.Eidetic
@@ -45,7 +45,7 @@ let write_epoch sys k proc vpn psz epoch =
 
 let find_cp sys pmo_id pno =
   let st = Manager.state (System.manager sys) in
-  let oroot = Hashtbl.find st.State.oroots pmo_id in
+  let oroot = Option.get (State.find_oroot st pmo_id) in
   match Ckpt_page.find (Oroot.pages_exn oroot) pno with
   | Some cp -> cp
   | None -> Alcotest.fail "no checkpointed-page record"
@@ -174,16 +174,6 @@ let bad_order_record_reported tag () =
 
 (* ---- fault injection: rollback state on an eternal PMO ---- *)
 
-(* Point the live-tree cache's entry for [oid] at [o]. *)
-let relink st oid o =
-  Option.iter
-    (fun lt ->
-      Array.iter
-        (fun (e : Live_tree.entry) ->
-          if Kobj.id e.Live_tree.obj = oid then e.Live_tree.oroot <- Some o)
-        (Live_tree.entries lt))
-    st.State.live_tree
-
 let eternal_rollback_state_detected () =
   let sys = System.boot () in
   let k = System.kernel sys in
@@ -191,21 +181,18 @@ let eternal_rollback_state_detected () =
   ignore (System.checkpoint sys);
   check_bool "baseline clean" true (Audit.ok (System.audit sys));
   (* rebuild the eternal PMO's ORoot with a (forbidden) page table; the
-     [pages] field is immutable, so the injection swaps the whole record,
-     in the table and in the live-tree entry that links it (a link the
-     table does not hold is a fault of its own) *)
+     [pages] field is immutable, so the injection swaps the whole record
+     in the table *)
   let st = Manager.state (System.manager sys) in
-  let o = Hashtbl.find st.State.oroots p.Kobj.pmo_id in
+  let o = Option.get (State.find_oroot st p.Kobj.pmo_id) in
   let o' =
     Oroot.create ~obj_id:o.Oroot.obj_id ~kind:o.Oroot.kind ~version:o.Oroot.first_ver
       ~has_pages:true
   in
-  o'.Oroot.last_seen_ver <- o.Oroot.last_seen_ver;
   o'.Oroot.slot_a <- o.Oroot.slot_a;
   o'.Oroot.slot_b <- o.Oroot.slot_b;
   o'.Oroot.runtime <- o.Oroot.runtime;
-  Hashtbl.replace st.State.oroots p.Kobj.pmo_id o';
-  relink st p.Kobj.pmo_id o';
+  st.State.oroots.(p.Kobj.pmo_id) <- Some o';
   let r = System.audit sys in
   let v = the_violation r in
   check_bool "error severity" true (v.Audit.severity = Audit.Error);
@@ -323,7 +310,7 @@ let unlogged_change_detected () =
   check_bool "message" true (contains ~sub:"not in the dirty log" v.Audit.message);
   let st = Manager.state (System.manager sys) in
   let saved_count () =
-    match Oroot.latest_le (Hashtbl.find st.State.oroots n.Kobj.nt_id) ~version:max_int with
+    match Oroot.latest_le (Option.get (State.find_oroot st n.Kobj.nt_id)) ~version:max_int with
     | Some (_, Treesls_ckpt.Snapshot.S_notif { count; _ }) -> count
     | Some _ | None -> Alcotest.fail "no notification snapshot"
   in
@@ -335,24 +322,75 @@ let unlogged_change_detected () =
   check_int "the logged change is saved" 5 (saved_count ());
   check_bool "logged change audits clean" true (Audit.ok (System.audit sys))
 
-(* The walk checkpoints through each cache entry's ORoot link instead of
-   looking the table up: a link to any other ORoot than the table's would
-   save snapshots the table (and so restore) never sees. *)
-let stale_oroot_link_detected () =
-  let sys, _, proc, _, _, _ = setup () in
+(* ---- the GC's own invariant: no ORoot outside its live set ---- *)
+
+(* An exited process leaves ORoots behind until the next commit's GC; they
+   are all in the tree that GC will run against, which is the tree the
+   last one ran against, so they are not a fault, however long ago their
+   objects were last walked. *)
+let exited_process_audits_clean () =
+  let sys = System.boot () in
+  let k = System.kernel sys in
+  let p = Kernel.create_process k ~name:"brief" ~threads:1 ~prio:5 in
+  ignore (System.checkpoint sys);
+  let r = System.checkpoint sys in
+  check_bool "the second checkpoint skips the process" true (r.Report.objects_skipped > 0);
+  Kernel.exit_process k p;
+  let r = System.audit sys in
+  if not (Audit.ok r) then Alcotest.failf "exited process:@\n%a" Audit.pp r;
+  ignore (System.checkpoint sys);
+  check_bool "its ORoots are collected" true
+    (Manager.find_oroot (System.manager sys) p.Kernel.pid = None);
+  check_bool "clean after the next commit" true (Audit.ok (System.audit sys))
+
+(* An ORoot planted after a commit, for an id outside the live set that
+   commit's GC ran against, is one the GC missed. *)
+let missed_oroot_detected () =
+  let sys = System.boot () in
+  let k = System.kernel sys in
   ignore (System.checkpoint sys);
   check_bool "baseline clean" true (Audit.ok (System.audit sys));
   let st = Manager.state (System.manager sys) in
-  let oid = proc.Kernel.cg.Kobj.cg_id in
-  let o = Hashtbl.find st.State.oroots oid in
-  relink st oid
-    (Oroot.create ~obj_id:oid ~kind:o.Oroot.kind ~version:o.Oroot.first_ver ~has_pages:false);
+  let n = Kobj.make_notification ~id:(Treesls_cap.Id_gen.next (Kernel.ids k)) in
+  let o, fresh = State.oroot_for st (Kobj.Notification n) ~version:(System.version sys) in
+  check_bool "planted" true fresh;
+  o.Oroot.runtime <- Some (Kobj.Notification n);
+  Oroot.save o ~version:(System.version sys) (Treesls_ckpt.Snapshot.take (Kobj.Notification n));
   let v = the_violation (System.audit sys) in
-  check_bool "error severity" true (v.Audit.severity = Audit.Error);
+  check_bool "warning severity" true (v.Audit.severity = Audit.Warning);
   check_string "subsystem" "captree" (Audit.subsystem_name v.Audit.subsystem);
-  check_bool "message" true (contains ~sub:"not the table's" v.Audit.message);
-  relink st oid o;
-  check_bool "relinked to the table's ORoot audits clean" true (Audit.ok (System.audit sys))
+  check_bool "message" true (contains ~sub:"missed by GC" v.Audit.message);
+  check_bool "locates the ORoot" true (v.Audit.obj_id = Some n.Kobj.nt_id)
+
+(* ---- a dead PMO's fresh pages ---- *)
+
+(* A page a PMO gained after its last walk, or a PMO born after the last
+   walk, has no page record; when its process exits, only the PMO's
+   pending-fresh note names the frame until the next commit's GC frees
+   it.  The auditor and the census count it as the GC will free it. *)
+let dead_fresh_pages_claimed () =
+  let audited what sys =
+    let r = System.audit sys in
+    if not (Audit.ok r) then Alcotest.failf "%s:@\n%a" what Audit.pp r;
+    check_int (what ^ ": census unaccounted") 0 (Census.unaccounted_pages r.Audit.census)
+  in
+  let sys = System.boot () in
+  let k = System.kernel sys in
+  (* a heap grown and written after the process's last walk *)
+  let p = Kernel.create_process k ~name:"late" ~threads:1 ~prio:5 in
+  ignore (System.checkpoint sys);
+  Kernel.touch_write k p ~vpn:(Kernel.grow_heap k p ~pages:1);
+  Kernel.exit_process k p;
+  audited "grown after the last walk" sys;
+  ignore (System.checkpoint sys);
+  audited "grown after the last walk, collected" sys;
+  (* a process spawned and exited between two walks *)
+  let p = Kernel.create_process k ~name:"brief" ~threads:1 ~prio:5 in
+  Kernel.touch_write k p ~vpn:(Kernel.grow_heap k p ~pages:1);
+  Kernel.exit_process k p;
+  audited "born and dead between walks" sys;
+  ignore (System.checkpoint sys);
+  audited "born and dead between walks, collected" sys
 
 (* ---- census ---- *)
 
@@ -484,7 +522,10 @@ let () =
             eternal_outside_root_detected;
           Alcotest.test_case "normal PMO as tseries backing detected" `Quick
             normal_pmo_backing_detected;
-          Alcotest.test_case "stale ORoot link detected" `Quick stale_oroot_link_detected;
+          Alcotest.test_case "exited process audits clean" `Quick exited_process_audits_clean;
+          Alcotest.test_case "stale ORoot missed by GC detected" `Quick missed_oroot_detected;
+          Alcotest.test_case "a dead PMO's fresh pages are claimed" `Quick
+            dead_fresh_pages_claimed;
           Alcotest.test_case "unlogged change detected" `Quick unlogged_change_detected;
         ] );
       ( "census",

@@ -528,7 +528,7 @@ let ckpt_eternal_not_tracked () =
   ignore cow0;
   let mgr = System.manager sys in
   let st = Manager.state mgr in
-  match Hashtbl.find_opt st.State.oroots pmo.Kobj.pmo_id with
+  match State.find_oroot st pmo.Kobj.pmo_id with
   | Some o -> check_bool "no page table for eternal pmo" true (o.Oroot.pages = None)
   | None -> Alcotest.fail "eternal pmo not checkpointed"
 
@@ -551,7 +551,7 @@ let ckpt_fresh_page_born_version () =
   ignore (System.checkpoint sys);
   let st = Manager.state (System.manager sys) in
   let region = List.nth p.Kernel.vms.Kobj.vs_regions 2 in
-  let oroot = Hashtbl.find st.State.oroots region.Kobj.vr_pmo.Kobj.pmo_id in
+  let oroot = Option.get (State.find_oroot st region.Kobj.vr_pmo.Kobj.pmo_id) in
   match Ckpt_page.find (Oroot.pages_exn oroot) 0 with
   | Some cp -> check_int "born at v2" 2 cp.Ckpt_page.born_ver
   | None -> Alcotest.fail "no cp record"

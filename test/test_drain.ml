@@ -11,7 +11,6 @@ module Kernel = Treesls_kernel.Kernel
 module Ipc = Treesls_kernel.Ipc
 module Manager = Treesls_ckpt.Manager
 module State = Treesls_ckpt.State
-module Region_index = Treesls_ckpt.Region_index
 module Active_list = Treesls_ckpt.Active_list
 module Snapshot = Treesls_ckpt.Snapshot
 module Report = Treesls_ckpt.Report
@@ -49,8 +48,9 @@ let make_hot_pages sys n =
   System.drain_settle sys;
   let al = st.State.active in
   for i = 0 to n - 1 do
-    match Region_index.resolve (Region_index.build p.Kernel.vms) (vpn0 + i) with
-    | Some (pmo, pno) ->
+    match Kernel.region_of p.Kernel.vms (vpn0 + i) with
+    | Some { Kobj.vr_pmo = pmo; vr_vpn; _ } ->
+      let pno = vpn0 + i - vr_vpn in
       for _ = 1 to (Active_list.config al).Active_list.hot_threshold do
         Active_list.record_fault al pmo pno
       done

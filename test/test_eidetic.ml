@@ -161,7 +161,7 @@ module State = Treesls_ckpt.State
 (* Find the CoW backup frame of page 0 of the process's heap PMO. *)
 let backup_frame sys pmo_id =
   let st = Manager.state (System.manager sys) in
-  let oroot = Hashtbl.find st.State.oroots pmo_id in
+  let oroot = Option.get (State.find_oroot st pmo_id) in
   match Ckpt_page.find (Oroot.pages_exn oroot) 0 with
   | Some cp -> cp.Ckpt_page.b1
   | None -> None
@@ -200,7 +200,7 @@ let corruption_detected_after_checksums_off () =
   Store.corrupt_page store frame;
   System.crash sys;
   let st = Manager.state (System.manager sys) in
-  let free0 = Store.nvm_pages_free store and oroots0 = Hashtbl.length st.State.oroots in
+  let free0 = Store.nvm_pages_free store and oroots0 = st.State.oroot_count in
   (match System.recover sys with
   | _ -> Alcotest.fail "corruption not detected"
   | exception Restore.Corrupt_backup { pmo_id = id; pno; paddr } ->
@@ -208,7 +208,7 @@ let corruption_detected_after_checksums_off () =
     check_int "corrupt page" 0 pno;
     check_bool "corrupt frame" true (Treesls_nvm.Paddr.equal paddr frame));
   check_int "no frame freed" free0 (Store.nvm_pages_free store);
-  check_int "no ORoot dropped" oroots0 (Hashtbl.length st.State.oroots);
+  check_int "no ORoot dropped" oroots0 st.State.oroot_count;
   (* nothing the decision read has changed: a retry meets the same frame *)
   match System.recover sys with
   | _ -> Alcotest.fail "retry restored from the corrupt frame"

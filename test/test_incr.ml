@@ -1,18 +1,17 @@
 (* Incremental capability-tree walk (DESIGN.md "Dirty-object tracking"):
-   unit tests for the interval-indexed region resolver, fault injection
-   into the hybrid-copy undo path, skip accounting, the live-tree cache,
-   every walk of seeded churn against a full-scan oracle, the pages of
-   PMOs that left the tree, and a property test that a system
-   checkpointed with skips restores byte-identically to an
-   eagerly-walked twin driven by the same traces, across two
-   restores. *)
+   unit tests for the region resolver the protect pass archives through,
+   fault injection into the hybrid-copy undo path, skip accounting, the
+   live-tree cache, every walk of seeded churn against a full-scan oracle
+   (audited after every operation), the pages of PMOs that left the tree,
+   and a property test that a system checkpointed with skips restores
+   byte-identically to an eagerly-walked twin driven by the same traces,
+   across two restores. *)
 
 module System = Treesls.System
 module Kernel = Treesls_kernel.Kernel
 module Ipc = Treesls_kernel.Ipc
 module Manager = Treesls_ckpt.Manager
 module State = Treesls_ckpt.State
-module Region_index = Treesls_ckpt.Region_index
 module Oroot = Treesls_ckpt.Oroot
 module Ckpt_page = Treesls_ckpt.Ckpt_page
 module Active_list = Treesls_ckpt.Active_list
@@ -44,8 +43,8 @@ let region pmo vpn pages =
 
 let check_resolve msg vms vpn expect =
   let got =
-    match Region_index.resolve (Region_index.build vms) vpn with
-    | Some (p, pno) -> Some (p.Kobj.pmo_id, pno)
+    match Kernel.region_of vms vpn with
+    | Some r -> Some (r.Kobj.vr_pmo.Kobj.pmo_id, vpn - r.Kobj.vr_vpn)
     | None -> None
   in
   Alcotest.(check (option (pair int int))) msg expect got
@@ -78,8 +77,7 @@ let resolve_list_order_and_invalidation () =
     { Kobj.vs_id = 910_002; vs_regions = [ region a 100 8; region b 102 4 ] }
   in
   check_resolve "a shadows b entirely" vms 103 (Some (9011, 3));
-  (* replace the region list: the cached index must not serve stale
-     answers for the old list *)
+  (* replace the region list: the answers follow the new list *)
   vms.Kobj.vs_regions <- [ region b 102 4; region a 100 8 ];
   check_resolve "b first now" vms 103 (Some (9012, 1));
   check_resolve "b covers 102..105" vms 105 (Some (9012, 3));
@@ -87,36 +85,6 @@ let resolve_list_order_and_invalidation () =
   check_resolve "a below b's start" vms 100 (Some (9011, 0));
   vms.Kobj.vs_regions <- [];
   check_resolve "emptied region list" vms 103 None
-
-let resolve_against_linear_model =
-  QCheck.Test.make ~name:"resolve_region = first-match linear scan" ~count:200
-    QCheck.(pair (int_bound 10_000) (int_range 1 12))
-    (fun (seed, nregions) ->
-      let rng = Rng.create (Int64.of_int seed) in
-      let regions =
-        List.init nregions (fun i ->
-            region (mk_pmo (9100 + i) 16) (Rng.int rng 40) (1 + Rng.int rng 16))
-      in
-      let vms = { Kobj.vs_id = 920_000 + seed; vs_regions = regions } in
-      let model vpn =
-        match
-          List.find_opt
-            (fun r -> vpn >= r.Kobj.vr_vpn && vpn < r.Kobj.vr_vpn + r.Kobj.vr_pages)
-            regions
-        with
-        | Some r -> Some (r.Kobj.vr_pmo.Kobj.pmo_id, vpn - r.Kobj.vr_vpn)
-        | None -> None
-      in
-      let ok = ref true in
-      for vpn = 0 to 60 do
-        let got =
-          match Region_index.resolve (Region_index.build vms) vpn with
-          | Some (p, pno) -> Some (p.Kobj.pmo_id, pno)
-          | None -> None
-        in
-        if got <> model vpn then ok := false
-      done;
-      !ok)
 
 (* ---- hybrid copy: unexpected-CPP-state undo retires the entry ---- *)
 
@@ -129,8 +97,8 @@ let hybrid_undo_drops_entry () =
   Kernel.touch_write k p ~vpn;
   ignore (System.checkpoint sys);
   let pmo, pno =
-    match Region_index.resolve (Region_index.build p.Kernel.vms) vpn with
-    | Some r -> r
+    match Kernel.region_of p.Kernel.vms vpn with
+    | Some r -> (r.Kobj.vr_pmo, vpn - r.Kobj.vr_vpn)
     | None -> Alcotest.fail "heap page not resolved"
   in
   let runtime = Option.get (Radix.get pmo.Kobj.pmo_radix pno) in
@@ -150,7 +118,7 @@ let hybrid_undo_drops_entry () =
   (* Fault injection: give the CP record a second backup slot while the
      runtime still lives on NVM — the CP invariant (runtime-on-NVM implies
      b2 = None) no longer holds, so the migration must be undone. *)
-  let oroot = Hashtbl.find st.State.oroots (Kobj.id (Kobj.Pmo pmo)) in
+  let oroot = Option.get (State.find_oroot st pmo.Kobj.pmo_id) in
   let cp = Option.get (Ckpt_page.find (Oroot.pages_exn oroot) pno) in
   cp.Ckpt_page.b2 <- Some (Store.alloc_page (System.store sys));
   ignore (System.checkpoint sys);
@@ -220,7 +188,7 @@ let live_tree_tracks_shape () =
   let audit_clean what = check_int (what ^ ": audit errors") 0 (Audit.errors (System.audit sys)) in
   let walked_at (r : Report.t) oid =
     match Manager.find_oroot mgr oid with
-    | Some o -> o.Oroot.last_seen_ver = r.Report.version
+    | Some o -> Oroot.at o ~version:r.Report.version <> None
     | None -> false
   in
   (* object state changes leave the shape alone: same cache, nothing rebuilt *)
@@ -278,7 +246,7 @@ let live_tree_tracks_shape () =
     (Live_tree.check t4
        ~root:(Kernel.root (System.kernel sys))
        ~log:(Kernel.dirty_log (System.kernel sys))
-       ~oroots:(Manager.state mgr).State.oroots
+       ~oroot:(Manager.find_oroot mgr)
     = None);
   audit_clean "restore";
   let r4 = System.checkpoint sys in
@@ -288,8 +256,7 @@ let live_tree_tracks_shape () =
   let restored_notif =
     match
       Array.find_map
-        (fun (e : Live_tree.entry) ->
-          match e.Live_tree.obj with Kobj.Notification n -> Some n | _ -> None)
+        (function Kobj.Notification n -> Some n | _ -> None)
         (Live_tree.entries t4)
     with
     | Some n -> n
@@ -495,7 +462,7 @@ let owed sys ~eager =
       reachable := obj :: !reachable;
       let oid = Kobj.id obj in
       let unsaved =
-        match Hashtbl.find_opt st.State.oroots oid with
+        match State.find_oroot st oid with
         | Some o -> (
           match Oroot.latest_le o ~version:max_int with
           | Some (_, snap) -> snap <> Snapshot.take obj
@@ -528,13 +495,14 @@ let checked_checkpoint sys what =
   List.iter
     (fun obj ->
       let oid = Kobj.id obj in
-      if eager || Dirty_log.mem log oid || not (Hashtbl.mem st.State.oroots oid) then
+      if eager || Dirty_log.mem log oid || State.find_oroot st oid = None then
         Hashtbl.replace expected oid ())
     reachable;
   let r = System.checkpoint sys in
+  (* a walk stamps each snapshot it saves with its version *)
   let walked oid =
-    match Hashtbl.find_opt st.State.oroots oid with
-    | Some o -> o.Oroot.last_seen_ver = r.Report.version
+    match State.find_oroot st oid with
+    | Some o -> Oroot.at o ~version:r.Report.version <> None
     | None -> false
   in
   List.iter
@@ -573,13 +541,19 @@ let writable_normal p =
    up afresh, so a restore in the middle breaks no handle):
    IPC calls, notify/wait, IRQs, writes that take CoW and fresh-page
    faults, heap growth, map_shared, process create/exit, drain steps,
-   crash/recover, and an oracle-checked checkpoint every few ops. *)
+   crash/recover, and an oracle-checked checkpoint every few ops.  The
+   whole state is audited after every operation: any violation, a
+   warning included, fails with the seed and the operation. *)
 let churn ~seed ~ops features =
   let sys = System.boot ~features () in
   let rng = Rng.create (Int64.of_int seed) in
   let spawned = ref 0 and ckpts = ref 0 in
   let k () = System.kernel sys in
   let psz = (Kernel.cost (k ())).Treesls_sim.Cost.page_size in
+  let audited what =
+    let r = System.audit sys in
+    if not (Audit.ok r) then Alcotest.failf "seed %d, %s:@\n%a" seed what Audit.pp r
+  in
   let spawn () =
     incr spawned;
     let k = k () in
@@ -600,59 +574,83 @@ let churn ~seed ~ops features =
   spawn ();
   spawn ();
   ckpt ();
-  for _ = 1 to ops do
+  audited "set-up";
+  for i = 1 to ops do
     let k = k () in
-    match pick rng (Kernel.processes k) with
-    | None -> ()
-    | Some p -> (
-      let th () = pick rng p.Kernel.threads in
-      match Rng.int rng 16 with
-      | 0 -> Option.iter (Ipc.notify k) (pick rng (notifications p))
-      | 1 -> (
-        match (pick rng (notifications p), th ()) with
-        | Some n, Some th -> ignore (Ipc.wait k n th)
-        | _ -> ())
-      | 2 ->
-        Option.iter
-          (fun c ->
-            if not (Ipc.has_handler k c) then Ipc.register_handler k c (fun b -> b);
-            ignore (Ipc.call k c (Bytes.of_string "ping")))
-          (pick rng (conns p))
-      | 3 -> Option.iter (Kernel.raise_irq k) (pick rng (irqs p))
-      | 4 -> (
-        match (pick rng (irqs p), th ()) with
-        | Some i, Some th -> ignore (Kernel.wait_irq k i th)
-        | _ -> ())
-      | 5 | 6 | 7 ->
-        Option.iter
-          (fun r ->
-            let vaddr = ((r.Kobj.vr_vpn + Rng.int rng r.Kobj.vr_pages) * psz) + 64 in
-            Kernel.write_word k p ~vaddr ~len:8 (Rng.int rng 1_000_000))
-          (pick rng (writable_normal p))
-      | 8 -> ignore (Kernel.grow_heap k p ~pages:(1 + Rng.int rng 3))
-      | 9 -> (
-        match pick rng (Kernel.processes k) with
-        | Some q when q != p ->
+    let op =
+      match pick rng (Kernel.processes k) with
+      | None -> "no process"
+      | Some p -> (
+        let th () = pick rng p.Kernel.threads in
+        match Rng.int rng 16 with
+        | 0 ->
+          Option.iter (Ipc.notify k) (pick rng (notifications p));
+          "notify"
+        | 1 ->
+          (match (pick rng (notifications p), th ()) with
+          | Some n, Some th -> ignore (Ipc.wait k n th)
+          | _ -> ());
+          "wait"
+        | 2 ->
           Option.iter
-            (fun r -> ignore (Kernel.map_shared k p r.Kobj.vr_pmo ~writable:true))
-            (pick rng (writable_normal q))
-        | Some _ | None -> ())
-      | 10 -> spawn ()
-      | 11 -> (
-        match
-          pick rng
-            (List.filter
-               (fun q -> String.starts_with ~prefix:"churn" q.Kernel.pname)
-               (Kernel.processes k))
-        with
-        | Some q -> Kernel.exit_process k q
-        | None -> ())
-      | 12 -> System.drain_tick sys
-      | 13 -> if Rng.int rng 6 = 0 then ignore (System.crash_and_recover sys) else ckpt ()
-      | _ -> ckpt ())
+            (fun c ->
+              if not (Ipc.has_handler k c) then Ipc.register_handler k c (fun b -> b);
+              ignore (Ipc.call k c (Bytes.of_string "ping")))
+            (pick rng (conns p));
+          "IPC call"
+        | 3 ->
+          Option.iter (Kernel.raise_irq k) (pick rng (irqs p));
+          "raise_irq"
+        | 4 ->
+          (match (pick rng (irqs p), th ()) with
+          | Some i, Some th -> ignore (Kernel.wait_irq k i th)
+          | _ -> ());
+          "wait_irq"
+        | 5 | 6 | 7 ->
+          Option.iter
+            (fun r ->
+              let vaddr = ((r.Kobj.vr_vpn + Rng.int rng r.Kobj.vr_pages) * psz) + 64 in
+              Kernel.write_word k p ~vaddr ~len:8 (Rng.int rng 1_000_000))
+            (pick rng (writable_normal p));
+          "write"
+        | 8 ->
+          ignore (Kernel.grow_heap k p ~pages:(1 + Rng.int rng 3));
+          "grow_heap"
+        | 9 ->
+          (match pick rng (Kernel.processes k) with
+          | Some q when q != p ->
+            Option.iter
+              (fun r -> ignore (Kernel.map_shared k p r.Kobj.vr_pmo ~writable:true))
+              (pick rng (writable_normal q))
+          | Some _ | None -> ());
+          "map_shared"
+        | 10 ->
+          spawn ();
+          "spawn"
+        | 11 ->
+          (match
+             pick rng
+               (List.filter
+                  (fun q -> String.starts_with ~prefix:"churn" q.Kernel.pname)
+                  (Kernel.processes k))
+           with
+          | Some q -> Kernel.exit_process k q
+          | None -> ());
+          "exit_process"
+        | 12 ->
+          System.drain_tick sys;
+          "drain step"
+        | 13 when Rng.int rng 6 = 0 ->
+          ignore (System.crash_and_recover sys);
+          "crash and recover"
+        | _ ->
+          ckpt ();
+          Printf.sprintf "checkpoint %d" !ckpts)
+    in
+    audited (Printf.sprintf "op %d (%s)" i op)
   done;
   ckpt ();
-  check_int (Printf.sprintf "seed %d: audit errors" seed) 0 (Audit.errors (System.audit sys))
+  audited "final checkpoint"
 
 let walk_matches_oracle () =
   List.iter
@@ -662,8 +660,7 @@ let walk_matches_oracle () =
       List.iter (fun seed -> churn ~seed ~ops:400 f) [ 1; 2; 3; 4 ])
     [ (true, false); (true, true); (false, false) ]
 
-let qsuite =
-  List.map QCheck_alcotest.to_alcotest [ resolve_against_linear_model; prop_restore_equivalence ]
+let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_restore_equivalence ]
 
 let () =
   Alcotest.run "incr"

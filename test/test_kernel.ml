@@ -257,6 +257,60 @@ let mem_reprotected_one_cow_fault () =
     (elapsed k (fun () -> Kernel.write_bytes k p ~vaddr data));
   check_int "second write: no fault" (faults0 + 1) s.Kernel.page_faults
 
+(* Every syscall and CoW fault [Kernel.stats] counts is also counted in
+   the metrics registry: the first write to a restored page (no PTE yet)
+   and to a swapped-out page, [wait_irq] and [grant]. *)
+let stats_match_metrics () =
+  let module System = Treesls.System in
+  let module Metrics = Treesls_obs.Metrics in
+  let sys = System.boot () in
+  let k = System.kernel sys in
+  let p = Kernel.create_process k ~name:"app" ~threads:1 ~prio:5 in
+  ignore (Kernel.create_process k ~name:"peer" ~threads:1 ~prio:5);
+  let vpn = Kernel.grow_heap k p ~pages:2 in
+  Kernel.touch_write k p ~vpn;
+  Kernel.touch_write k p ~vpn:(vpn + 1);
+  ignore (Kernel.create_irq k p ~line:3);
+  ignore (System.checkpoint sys);
+  ignore (System.crash_and_recover sys);
+  let k = System.kernel sys in
+  let find name = Option.get (Kernel.find_process k ~name) in
+  let p = find "app" and q = find "peer" in
+  let m = Treesls_obs.Probe.metrics (System.obs sys) in
+  let counted what ~cow ~syscalls event =
+    let s = Kernel.stats k in
+    let cow0 = s.Kernel.cow_faults and sys0 = s.Kernel.syscalls in
+    let mcow0 = Metrics.counter_value m "kernel.faults.cow"
+    and msys0 = Metrics.counter_value m "kernel.syscalls" in
+    event ();
+    check_int (what ^ ": stats CoW faults") cow (s.Kernel.cow_faults - cow0);
+    check_int (what ^ ": kernel.faults.cow") cow
+      (Metrics.counter_value m "kernel.faults.cow" - mcow0);
+    check_int (what ^ ": stats syscalls") syscalls (s.Kernel.syscalls - sys0);
+    check_int (what ^ ": kernel.syscalls") syscalls
+      (Metrics.counter_value m "kernel.syscalls" - msys0)
+  in
+  counted "write to a restored page" ~cow:1 ~syscalls:0 (fun () -> Kernel.touch_write k p ~vpn);
+  let heap = (List.nth p.Kernel.vms.Kobj.vs_regions 2).Kobj.vr_pmo in
+  check_bool "restored page swapped out" true (Kernel.evict_page k heap ~pno:1);
+  counted "write to a swapped-out page" ~cow:1 ~syscalls:0 (fun () ->
+      Kernel.touch_write k p ~vpn:(vpn + 1));
+  let irq = ref None and irq_slot = ref (-1) in
+  Kobj.iter_caps
+    (fun slot c ->
+      match c.Kobj.target with
+      | Kobj.Irq_notification i ->
+        irq := Some i;
+        irq_slot := slot
+      | _ -> ())
+    p.Kernel.cg;
+  let irq = Option.get !irq in
+  counted "wait_irq" ~cow:0 ~syscalls:1 (fun () ->
+      ignore (Kernel.wait_irq k irq (List.hd p.Kernel.threads)));
+  counted "grant" ~cow:0 ~syscalls:1 (fun () ->
+      ignore
+        (Kernel.grant k ~from_proc:p ~to_proc:q ~slot:!irq_slot ~rights:Treesls_cap.Rights.full))
+
 (* ---- word accesses against the byte path ---- *)
 
 (* The word primitives and a byte access of the same bytes, driven through
@@ -790,6 +844,8 @@ let () =
             mem_straddle_charges_per_chunk;
           Alcotest.test_case "re-protected page: one CoW fault, then a hit" `Quick
             mem_reprotected_one_cow_fault;
+          Alcotest.test_case "stats and metrics count the same events" `Quick
+            stats_match_metrics;
           Alcotest.test_case "words match the byte path" `Quick words_match_bytes;
           Alcotest.test_case "word length checked" `Quick word_length_checked;
           Alcotest.test_case "page_paddr" `Quick page_paddr_some;

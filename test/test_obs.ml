@@ -623,20 +623,22 @@ let rto_record_size_independent_of_pmos () =
     List.iter (fun app -> for j = 0 to 7 do Kv_app.set_i app j done) apps;
     ignore (System.checkpoint sys);
     System.crash sys;
-    (* materialisation order: the restore selects the ORoots with a
-       committed snapshot in table order, consing each onto its list *)
+    (* the kinds the restore materialises: those of the ORoots with a
+       committed snapshot *)
     let mgr = System.manager sys in
     let g = Manager.version mgr in
     let kinds = ref [] and pmo_pages = ref 0 in
     Manager.iter_oroots mgr (fun _ (o : Oroot.t) ->
         if Oroot.latest_le o ~version:g <> None then begin
-          kinds := Kobj.kind_name o.Oroot.kind :: !kinds;
+          kinds := o.Oroot.kind :: !kinds;
           Option.iter
             (fun cps -> pmo_pages := !pmo_pages + Treesls_ckpt.Ckpt_page.cardinal cps)
             o.Oroot.pages
         end);
-    let first_seen =
-      List.fold_left (fun acc k -> if List.mem k acc then acc else k :: acc) [] !kinds |> List.rev
+    let restored_kinds =
+      List.filter_map
+        (fun kind -> if List.mem kind !kinds then Some (Kobj.kind_name kind) else None)
+        Kobj.all_kinds
     in
     ignore (System.recover sys);
     List.iter Kv_app.refresh apps;
@@ -653,7 +655,7 @@ let rto_record_size_independent_of_pmos () =
     check_int "exclusive phases + untracked = total exactly" r.Rto.r_total_ns
       (phase_sum r + r.Rto.r_untracked_ns);
     Alcotest.(check (list string))
-      "per-kind time in first-appearance order" first_seen (List.map fst r.Rto.r_per_kind_ns);
+      "per-kind time in kind order" restored_kinds (List.map fst r.Rto.r_per_kind_ns);
     List.length r.Rto.r_spans
   in
   check_int "spans with 1 and 16 tenants" (recover_with ~tenants:1) (recover_with ~tenants:16)

@@ -329,11 +329,11 @@ let sample_dirty rng sys =
   | None -> Alcotest.fail "no live-tree cache"
   | Some lt ->
     Array.to_list (Live_tree.entries lt)
-    |> List.filter_map (fun (e : Live_tree.entry) ->
+    |> List.filter_map (fun obj ->
            if Rng.int rng 3 = 0 then None
            else
              Some
-               ( e.Live_tree.obj,
+               ( obj,
                  (if Rng.int rng 8 = 0 then 0 else Rng.int rng 5_000),
                  Rng.int rng 4 = 0 ))
 
