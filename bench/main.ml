@@ -188,7 +188,9 @@ let bechamel_suites : (unit -> Bechamel.Test.t list) list =
       let st = Manager.state (System.manager s) in
       [
         Test.make_with_resource ~name:"ckpt-after-restore-16-tenants" Test.multiple
-          ~allocate:(fun () -> Live_tree.build ~root:(Kernel.root (System.kernel s)))
+          ~allocate:(fun () ->
+            Live_tree.refresh None ~root:(Kernel.root (System.kernel s))
+              ~log:(Kernel.dirty_log (System.kernel s)))
           ~free:ignore
           (Staged.stage (fun tree ->
                st.State.live_tree <- Some tree;

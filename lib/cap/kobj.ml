@@ -186,13 +186,14 @@ let iter_caps f g =
 let caps_count g = g.cg_used
 let slots_len g = Array.length g.cg_slots
 
-let walk ~seen ~root f =
+let walk ~root first =
   let rec visit obj =
-    let oid = id obj in
-    if not (Treesls_util.Int_tbl.mem seen oid) then begin
-      Treesls_util.Int_tbl.add seen oid (f obj);
+    if first obj then begin
       match obj with
-      | Cap_group g -> iter_caps (fun _ c -> visit c.target) g
+      | Cap_group g ->
+        for i = 0 to Array.length g.cg_slots - 1 do
+          match g.cg_slots.(i) with Some c -> visit c.target | None -> ()
+        done
       | Vmspace vs -> List.iter (fun r -> visit (Pmo r.vr_pmo)) vs.vs_regions
       | Ipc_conn c -> (
         (match c.ic_server with Some th -> visit (Thread th) | None -> ());
@@ -202,4 +203,15 @@ let walk ~seen ~root f =
   in
   visit (Cap_group root)
 
-let iter_tree ~root f = walk ~seen:(Treesls_util.Int_tbl.create 256) ~root f
+let iter_tree ~root f =
+  let seen = Treesls_util.Int_tbl.create 256 in
+  walk ~root (fun obj ->
+      let oid = id obj in
+      (not (Treesls_util.Int_tbl.mem seen oid))
+      && begin
+           f obj;
+           Treesls_util.Int_tbl.add seen oid ();
+           true
+         end)
+
+let absent = Notification (make_notification ~id:(-1))

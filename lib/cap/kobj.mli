@@ -144,14 +144,21 @@ val slots_len : cap_group -> int
 
 (** {2 Traversal} *)
 
-val walk : seen:'a Treesls_util.Int_tbl.t -> root:cap_group -> (t -> 'a) -> unit
-(** Visit every object reachable from [root] whose id is not yet in [seen],
-    exactly once, in the same order as {!iter_tree}: [seen] maps each id
-    visited to what [f] returned for it.  An object already in [seen] is
-    not entered, so nothing reached only through it is visited either;
-    walks that share one [seen] visit each object at most once in all. *)
+val walk : root:cap_group -> (t -> bool) -> unit
+(** [walk ~root first] offers [first] every object reached from [root],
+    in {!iter_tree} order, and follows an object's references only when
+    [first] returns [true].  [first] keeps the visited set: it records an
+    id and answers [true] the first time it sees it, [false] after.  So
+    each object is entered once, an object already seen hides what is
+    reachable only through it, and walks that share one visited set enter
+    each object at most once in all.  The set is the caller's: a hash set,
+    or an array indexed by id. *)
 
 val iter_tree : root:cap_group -> (t -> unit) -> unit
 (** Visit every object reachable from [root] exactly once (the tree can
     share objects across cap groups; visits are deduplicated by id):
     {!walk} over a fresh visited set. *)
+
+val absent : t
+(** No object: one shared value that fills the unused cells of arrays of
+    objects, compared by [==].  No tree reaches it. *)

@@ -12,6 +12,7 @@ module Id_gen = Treesls_cap.Id_gen
 module Dirty_log = Treesls_cap.Dirty_log
 module Probe = Treesls_obs.Probe
 module Wearmap = Treesls_obs.Wearmap
+module Metrics = Treesls_obs.Metrics
 
 let now st = Clock.now (Kernel.clock st.State.kernel)
 let with_writer st name f = Wearmap.with_writer (Probe.wearmap (State.probe st)) name f
@@ -110,7 +111,7 @@ let hybrid_sublist st ~new_ver ~live entries counters =
       let pmo = e.Active_list.e_pmo and pno = e.Active_list.e_pno in
       match Radix.get pmo.Kobj.pmo_radix pno with
       | None -> Active_list.drop st.State.active e
-      | Some runtime when not (Treesls_util.Int_tbl.mem live pmo.Kobj.pmo_id) ->
+      | Some runtime when not (Live_tree.mem live pmo.Kobj.pmo_id) ->
         (* the PMO left the tree (its process exited): its ORoot goes at
            this commit, so the entry retires with it, and a DRAM frame it
            cached goes back to the allocator (a crash loses that frame's
@@ -222,41 +223,41 @@ let hybrid_sublist st ~new_ver ~live entries counters =
 let emit_commit_probes st (r : Report.t) =
   let store = Kernel.store st.State.kernel in
   let probe = State.probe st in
-  Probe.count probe "ckpt.runs" 1;
-  Probe.count probe "ckpt.objects_walked" r.Report.objects_walked;
-  Probe.count probe "ckpt.objects_skipped" r.Report.objects_skipped;
-  Probe.count probe "ckpt.full_objects" r.Report.full_objects;
-  Probe.gauge probe "ckpt.dirty_fraction_pct"
+  let m = st.State.commit_metrics in
+  Metrics.count m.Report.runs 1;
+  Metrics.count m.Report.walked r.Report.objects_walked;
+  Metrics.count m.Report.skipped r.Report.objects_skipped;
+  Metrics.count m.Report.fulls r.Report.full_objects;
+  Metrics.set m.Report.dirty_fraction
     (100 * r.Report.objects_walked / max 1 (r.Report.objects_walked + r.Report.objects_skipped));
-  Probe.count probe "ckpt.pages.protected" r.Report.pages_protected;
-  Probe.count probe "ckpt.pages.dirty_copied" r.Report.dram_dirty_copied;
-  Probe.count probe "ckpt.pages.migrated_in" r.Report.migrated_in;
-  Probe.count probe "ckpt.pages.migrated_out" r.Report.migrated_out;
-  Probe.gauge probe "ckpt.cached_pages" r.Report.cached_pages;
-  Probe.gauge probe "ckpt.version" r.Report.version;
-  Probe.observe probe "ckpt.stw_ns" r.Report.stw_ns;
-  Probe.observe probe "ckpt.captree_ns" r.Report.captree_ns;
-  Probe.observe probe "ckpt.hybrid_ns" r.Report.hybrid_ns;
-  Probe.observe probe "ckpt.others_ns" r.Report.others_ns;
+  Metrics.count m.Report.protected r.Report.pages_protected;
+  Metrics.count m.Report.dirty_copied r.Report.dram_dirty_copied;
+  Metrics.count m.Report.migrated_in r.Report.migrated_in;
+  Metrics.count m.Report.migrated_out r.Report.migrated_out;
+  Metrics.set m.Report.cached r.Report.cached_pages;
+  Metrics.set m.Report.version_g r.Report.version;
+  Metrics.record m.Report.stw r.Report.stw_ns;
+  Metrics.record m.Report.captree r.Report.captree_ns;
+  Metrics.record m.Report.hybrid r.Report.hybrid_ns;
+  Metrics.record m.Report.others r.Report.others_ns;
   (* drain telemetry: the per-window backlog (0 when eager, so the gauge —
      and its tseries column — exists in both modes), the total protection
      flips the window rode on, and the resolved copy/fault counts *)
-  Probe.gauge probe "ckpt.drain.backlog" r.Report.pages_drained;
-  Probe.gauge probe "ckpt.pages.protected.last" (r.Report.pages_protected + r.Report.pages_drained);
-  if r.Report.pages_drained > 0 then Probe.count probe "ckpt.drain.pages" r.Report.pages_drained;
-  if r.Report.cow_faults > 0 then Probe.count probe "ckpt.drain.cow_faults" r.Report.cow_faults;
-  if r.Report.drain_ns > 0 then Probe.observe probe "ckpt.drain_ns" r.Report.drain_ns;
+  Metrics.set m.Report.backlog r.Report.pages_drained;
+  Metrics.set m.Report.protected_last (r.Report.pages_protected + r.Report.pages_drained);
+  if r.Report.pages_drained > 0 then Metrics.count m.Report.drained r.Report.pages_drained;
+  if r.Report.cow_faults > 0 then Metrics.count m.Report.drain_cow_faults r.Report.cow_faults;
+  if r.Report.drain_ns > 0 then Metrics.record m.Report.drain r.Report.drain_ns;
   (* wear telemetry: WAF ×100 (integer gauge), per-subsystem cumulative
      bytes, device materialisation watermarks, and — with tracing on — a
      Perfetto counter-track sample of the same per-subsystem series *)
-  Probe.gauge probe "ckpt.nvm.waf"
+  Metrics.set m.Report.waf_g
     (100 * r.Report.nvm_bytes_written / max 1 r.Report.logical_dirty_bytes);
-  Probe.count probe "ckpt.nvm.bytes" r.Report.nvm_bytes_written;
-  List.iter
-    (fun (name, _writes, bytes) -> Probe.gauge probe ("nvm.bytes_written." ^ name) bytes)
-    (Wearmap.subsystems (Probe.wearmap probe));
-  Probe.gauge probe "nvm.pages_touched" (Store.nvm_pages_touched store);
-  Probe.gauge probe "dram.pages_touched" (Store.dram_pages_touched store);
+  Metrics.count m.Report.nvm_bytes r.Report.nvm_bytes_written;
+  Wearmap.iter_subsystems (Probe.wearmap probe) (fun name bytes ->
+      Metrics.set (Report.wear_gauge m (Probe.metrics probe) name) bytes);
+  Metrics.set m.Report.nvm_touched (Store.nvm_pages_touched store);
+  Metrics.set m.Report.dram_touched (Store.dram_pages_touched store);
   Probe.wear_counter_sample probe;
   (* black-box sample last, once every post-commit gauge above is in the
      registry: one tseries sample per committed version, then the SLO
@@ -550,7 +551,7 @@ let hybrid_copy st ~new_ver (w : walk) =
         let meter = ref 0 in
         with_writer st "ckpt.hybrid" (fun () ->
             Store.with_sink store (Store.Meter meter) (fun () ->
-                hybrid_sublist st ~new_ver ~live:(Live_tree.live w.live) entries counters));
+                hybrid_sublist st ~new_ver ~live:w.live entries counters));
         if !meter > !worst then worst := !meter)
       (Active_list.sublists st.State.active ~cores:(max 1 (Kernel.ncores kernel - 1)));
     Active_list.compact st.State.active;
@@ -658,7 +659,7 @@ let run st =
      still-committed N-1. *)
   Crash_site.hit (State.crash_sites st) "ckpt.publish";
   let enqueued = Drain.backlog st.State.drain in
-  if enqueued = 0 then commit_version st ~visited:(Live_tree.live w.live);
+  if enqueued = 0 then commit_version st ~visited:w.live;
   Store.charge store (Store.cost store).Cost.tlb_shootdown_ns;
   let others_ns = now st - others0 in
   Probe.exit probe others_tok;
@@ -696,11 +697,11 @@ let run st =
     (* async: the STW only staged version N — the drain owes [enqueued]
        copies, and the commit with everything downstream of it moves to
        [settle_commit].  The partial report carries the STW-side truth. *)
-    Probe.gauge probe "ckpt.drain.backlog" enqueued;
+    Metrics.set st.State.commit_metrics.Report.backlog enqueued;
     Drain.publish st.State.drain
       {
         Drain.p_ver = new_ver;
-        p_visited = Live_tree.live w.live;
+        p_visited = w.live;
         p_stw_t0 = t0;
         p_enqueued = enqueued;
         p_report = report;

@@ -161,21 +161,21 @@ let restore_choice cp ~global ~runtime =
     | None, None -> (
       match runtime with Some p when Paddr.persistent p -> `Use p | Some _ | None -> `Drop)
 
+(* The lower of [best] and [frame] as a spare besides [keep]: an NVM
+   frame other than [keep], returned as the option it came in. *)
+let lower_spare ~keep best frame =
+  match frame with
+  | Some p when Paddr.is_nvm p && not (Paddr.equal p keep) -> (
+    match best with Some b when Paddr.compare b p <= 0 -> best | Some _ | None -> frame)
+  | Some _ | None -> best
+
 let normalize_after_restore store cp ~keep ~runtime =
   (* Of the frames the record holds besides [keep], keep ONE NVM frame
      (the lowest) as the (invalid) backup buffer so the first post-restore
      CoW fault skips an allocation.  The others, and a superseded SSD
      runtime slot, are named by nothing once this returns: restore's
      allocator reconciliation frees them.  [runtime] may alias a slot. *)
-  let spares =
-    List.filter_map
-      (function
-        | Some p when Paddr.is_nvm p && not (Paddr.equal p keep) -> Some p
-        | Some _ | None -> None)
-      [ cp.b1; cp.b2; runtime ]
-    |> List.sort Paddr.compare
-  in
-  cp.b1 <- (match spares with p :: _ -> Some p | [] -> None);
+  cp.b1 <- lower_spare ~keep (lower_spare ~keep (lower_spare ~keep None cp.b1) cp.b2) runtime;
   cp.b1_ver <- 0;
   cp.b2 <- None;
   cp.b2_ver <- 0;

@@ -40,7 +40,7 @@ type entry = { d_pmo : Kobj.pmo; d_cps : Ckpt_page.t; d_pno : int }
 
 type pending = {
   p_ver : int;  (* the staged (uncommitted) version *)
-  p_visited : int Treesls_util.Int_tbl.t;  (* the walk's liveness epoch, for the deferred GC *)
+  p_visited : Live_tree.t;  (* the walk's liveness epoch, for the deferred GC *)
   p_stw_t0 : int;
   p_enqueued : int;  (* backlog size at publish = pages deferred *)
   p_report : Report.t;  (* STW-side partial report, finalised at settle *)

@@ -26,7 +26,7 @@ type entry = { d_pmo : Kobj.pmo; d_cps : Ckpt_page.t; d_pno : int }
 
 type pending = {
   p_ver : int;  (** the staged (uncommitted) version *)
-  p_visited : int Treesls_util.Int_tbl.t;
+  p_visited : Live_tree.t;
       (** the walk's liveness epoch, for the GC deferred to settle *)
   p_stw_t0 : int;  (** the STW's start; it ended [p_report.stw_ns] later *)
   p_enqueued : int;  (** backlog size at publish = pages deferred *)

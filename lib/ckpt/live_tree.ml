@@ -1,7 +1,7 @@
 module Kobj = Treesls_cap.Kobj
 module Dirty_log = Treesls_cap.Dirty_log
 module Kernel = Treesls_kernel.Kernel
-module Int_tbl = Treesls_util.Int_tbl
+module Arr = Treesls_util.Arr
 
 type tallies = {
   kind_ns : int array;
@@ -16,7 +16,7 @@ type tallies = {
    names first appear in [Kernel.processes], plus "kernel". *)
 type owners = {
   names : string array;
-  group_of : int Int_tbl.t;  (* object id -> group, for objects some process holds *)
+  group_of : int array;  (* object id -> group; -1 for objects no process holds *)
   kernel : int;  (* the group of objects reachable only from the root *)
   tallies : tallies;
 }
@@ -24,7 +24,7 @@ type owners = {
 type t = {
   root : Kobj.cap_group;
   entries : Kobj.t array;
-  live : int Int_tbl.t;  (* object id -> its index in [entries] *)
+  index : int array;  (* object id -> its index in [entries]; -1 outside the tree *)
   mutable owners : owners option;
   (* scratch of the logged visit, kept for this tree: room for the
      indices collected, grown to what a log needs *)
@@ -38,23 +38,38 @@ type t = {
    never change after. *)
 let valid t ~root ~log = t.root == root && not (Dirty_log.shape_changed log)
 
-(* One traversal, whose visited set is the live set itself. *)
-let build ~root =
-  let entries = ref [] and n = ref 0 in
-  let live = Int_tbl.create 256 in
-  Kobj.walk ~seen:live ~root (fun obj ->
-      entries := obj :: !entries;
-      incr n;
-      !n - 1);
-  { root; entries = Array.of_list (List.rev !entries); live; owners = None; order = [||] }
+(* One traversal, whose visited set is the index itself.  The entries
+   start as [objects] cells of [Kobj.absent], an old block, so even a
+   large array is made without a minor collection; they are cut to the
+   objects reached only when the guess missed.  Both arrays grow by
+   doubling. *)
+let build ~objects ~ids ~root =
+  let entries = ref (Array.make (max 1 objects) Kobj.absent) and n = ref 0 in
+  let index = ref (Array.make (max 1 ids) (-1)) in
+  Kobj.walk ~root (fun obj ->
+      let oid = Kobj.id obj in
+      if oid < Array.length !index && !index.(oid) >= 0 then false
+      else begin
+        if oid >= Array.length !index then index := Arr.grow !index oid (-1);
+        if !n = Array.length !entries then entries := Arr.grow !entries !n Kobj.absent;
+        !entries.(!n) <- obj;
+        !index.(oid) <- !n;
+        incr n;
+        true
+      end);
+  let entries = if !n = Array.length !entries then !entries else Array.sub !entries 0 !n in
+  { root; entries; index = !index; owners = None; order = [||] }
 
+(* A rebuild expects the tree it replaces, give or take a shape change. *)
 let refresh cached ~root ~log =
   match cached with
   | Some t when valid t ~root ~log -> t
-  | Some _ | None -> build ~root
+  | Some t -> build ~objects:(Array.length t.entries) ~ids:(Array.length t.index) ~root
+  | None -> build ~objects:64 ~ids:64 ~root
 
 let entries t = t.entries
-let live t = t.live
+let index t oid = if oid >= 0 && oid < Array.length t.index then t.index.(oid) else -1
+let mem t oid = index t oid >= 0
 
 (* In-place heapsort of [a.(0) .. a.(n - 1)]. *)
 let sort_prefix (a : int array) n =
@@ -92,11 +107,11 @@ let iter_logged t log f =
   let order = t.order in
   let k = ref 0 in
   for j = 0 to Dirty_log.length log - 1 do
-    match Int_tbl.find t.live (Dirty_log.get log j) with
-    | i ->
+    let i = index t (Dirty_log.get log j) in
+    if i >= 0 then begin
       order.(!k) <- i;
       incr k
-    | exception Not_found -> ()
+    end
   done;
   let k = !k in
   sort_prefix order k;
@@ -106,34 +121,43 @@ let iter_logged t log f =
 
 (* First process wins for objects shared across cap groups (e.g. IPC
    connections installed in both ends); objects reachable only from the
-   root stay "kernel".  The per-process walks share one visited set: when
-   a walk first reaches an object it also reaches all of that object's
-   descendants, so a later walk stopping there misses nothing it could
-   still own.  Built on first use for this tree shape: a process is
-   created or exits only by installing or revoking its cap group in the
-   root, a shape change, which retires the cache. *)
+   root stay "kernel".  The per-process walks share one visited set, the
+   group array itself: when a walk first reaches an object it also
+   reaches all of that object's descendants, so a later walk stopping
+   there misses nothing it could still own.  Built on first use for this
+   tree shape: a process is created or exits only by installing or
+   revoking its cap group in the root, a shape change, which retires the
+   cache. *)
 let owners t kernel =
   match t.owners with
   | Some o -> o
   | None ->
-    let index = Hashtbl.create 16 and names = ref [] in
+    let by_name = Hashtbl.create 16 and names = ref [] in
     let group name =
-      match Hashtbl.find_opt index name with
+      match Hashtbl.find_opt by_name name with
       | Some g -> g
       | None ->
-        let g = Hashtbl.length index in
-        Hashtbl.add index name g;
+        let g = Hashtbl.length by_name in
+        Hashtbl.add by_name name g;
         names := name :: !names;
         g
     in
-    let group_of = Int_tbl.create (Array.length t.entries) in
+    let group_of = ref (Array.make (Array.length t.index) (-1)) in
     List.iter
       (fun (p : Kernel.process) ->
         let g = group p.Kernel.pname in
-        Kobj.walk ~seen:group_of ~root:p.Kernel.cg (fun _ -> g))
+        Kobj.walk ~root:p.Kernel.cg (fun obj ->
+            let oid = Kobj.id obj in
+            if oid >= Array.length !group_of then group_of := Arr.grow !group_of oid (-1);
+            !group_of.(oid) < 0
+            && begin
+                 !group_of.(oid) <- g;
+                 true
+               end))
       (Kernel.processes kernel);
+    let group_of = !group_of in
     let kernel = group "kernel" in
-    let nk = List.length Kobj.all_kinds and ng = Hashtbl.length index in
+    let nk = List.length Kobj.all_kinds and ng = Hashtbl.length by_name in
     let tallies =
       {
         kind_ns = Array.make nk 0;
@@ -153,7 +177,8 @@ let group_count o = Array.length o.names
 let group_names o = o.names
 
 let owner_group o oid =
-  match Int_tbl.find_opt o.group_of oid with Some g -> g | None -> o.kernel
+  if oid >= 0 && oid < Array.length o.group_of && o.group_of.(oid) >= 0 then o.group_of.(oid)
+  else o.kernel
 
 (* A walk checkpoints an entry with an ORoot only when the log names it,
    so an unlogged entry's newest snapshot must be its current state, and

@@ -6,10 +6,13 @@
     checkpoint to find them; at serving scale that is milliseconds of host
     time per checkpoint for a tree whose shape rarely changes between two
     of them.  This cache keeps a traversal's result: the reachable objects
-    in visit order and their id set.  It holds nothing else: an object's
-    ORoot is looked up in the ORoot table ([State.find_oroot]), and the
-    region behind a dirty page is resolved from the VM space
-    ([Kernel.region_of]) only when an eidetic archive needs it.
+    in visit order, and an array indexed by object id that gives each
+    one's position (ids are dense: the kernel hands them out in order, so
+    the array is as long as the ids handed out).  It holds nothing else:
+    an object's ORoot is looked up in the ORoot table
+    ([State.find_oroot]), and the region behind a dirty page is resolved
+    from the VM space ([Kernel.region_of]) only when an eidetic archive
+    needs it.
 
     The cache stays valid while no edge of the tree changes.  Edges live
     in cap-group slots, VM-space region lists and IPC connections' server
@@ -33,20 +36,30 @@
 
 type t
 
-val build : root:Treesls_cap.Kobj.cap_group -> t
-(** A fresh traversal from [root]. *)
+val build : objects:int -> ids:int -> root:Treesls_cap.Kobj.cap_group -> t
+(** A fresh traversal from [root], its arrays sized up front for
+    [objects] objects with ids below [ids] (both grow if the tree is
+    larger).  Restore passes the objects it selected and the id above the
+    highest; a rebuild, the tree it replaces.  Allocates the two arrays,
+    and a copy of the entries only when [objects] was not the count. *)
 
 val refresh : t option -> root:Treesls_cap.Kobj.cap_group -> log:Treesls_cap.Dirty_log.t -> t
 (** [refresh cached ~root ~log] is [cached] when it was built from [root]
     and [log] (the kernel's dirty log) notes no shape change; otherwise
-    {!build}.  Every walk refreshes before it clears the log. *)
+    {!build}, sized like [cached].  Every walk refreshes before it clears
+    the log. *)
 
 val entries : t -> Treesls_cap.Kobj.t array
 (** The reachable objects in {!Treesls_cap.Kobj.iter_tree} order. *)
 
-val live : t -> int Treesls_util.Int_tbl.t
-(** The ids of {!entries}, each mapped to its index there: the liveness
-    set ORoot GC tests against. Never mutated after the cache is built. *)
+val index : t -> int -> int
+(** [index t oid] is the position of object [oid] in {!entries}, or [-1]
+    when the tree does not hold it (any id, negative or past the array,
+    may be asked). *)
+
+val mem : t -> int -> bool
+(** Whether the tree holds the object: the liveness set ORoot GC tests
+    against.  Never changes after the cache is built. *)
 
 val iter_logged : t -> Treesls_cap.Dirty_log.t -> (Treesls_cap.Kobj.t -> unit) -> unit
 (** [iter_logged t log f] applies [f] to each entry whose id [log] holds,
@@ -71,10 +84,11 @@ type tallies = {
 
 val owners : t -> Treesls_kernel.Kernel.t -> owners
 (** Built on first use for this tree shape, with one walk per process
-    sharing one visited set.  An object belongs to the first process in
-    [Kernel.processes] order whose subtree holds it; processes with the
-    same name share one group (reports key groups by name), and objects
-    reachable only from the root belong to ["kernel"]. *)
+    sharing one visited set: an array of groups indexed by object id.  An
+    object belongs to the first process in [Kernel.processes] order whose
+    subtree holds it; processes with the same name share one group
+    (reports key groups by name), and objects reachable only from the root
+    belong to ["kernel"]. *)
 
 val tallies : owners -> tallies
 (** All zero between two attributions. *)

@@ -31,13 +31,14 @@ let at t ~version =
   | _, Some (v, s) when v = version -> Some s
   | _, _ -> None
 
+(* The slot itself, not a copy: a restore reads every ORoot three times. *)
 let latest_le t ~version =
-  let pick = function Some (v, s) when v <= version -> Some (v, s) | _ -> None in
-  match (pick t.slot_a, pick t.slot_b) with
-  | (Some (va, _) as a), Some (vb, sb) -> if vb > va then Some (vb, sb) else a
-  | (Some _ as a), None -> a
-  | None, (Some _ as b) -> b
-  | None, None -> None
+  match (t.slot_a, t.slot_b) with
+  | (Some (va, _) as a), (Some (vb, _) as b) when va <= version && vb <= version ->
+    if vb > va then b else a
+  | (Some (va, _) as a), _ when va <= version -> a
+  | _, (Some (vb, _) as b) when vb <= version -> b
+  | _, _ -> None
 
 let runtime_page t pno =
   match t.runtime with

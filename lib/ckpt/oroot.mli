@@ -36,7 +36,9 @@ val at : t -> version:int -> Snapshot.t option
 (** Snapshot stamped exactly [version]. *)
 
 val latest_le : t -> version:int -> (int * Snapshot.t) option
-(** Newest snapshot stamped [<= version]. *)
+(** Newest snapshot stamped [<= version], [slot_a] on a tie: the slot
+    itself ([==] to [slot_a] or [slot_b]), so a lookup allocates
+    nothing. *)
 
 val runtime_page : t -> int -> Treesls_nvm.Paddr.t option
 (** The frame page [pno] of the runtime PMO maps, read through the

@@ -1,4 +1,5 @@
 module Kobj = Treesls_cap.Kobj
+module Metrics = Treesls_obs.Metrics
 
 type group_cost = { g_ns : int; g_objects : int; g_kinds : (Kobj.kind * int) list }
 
@@ -200,3 +201,72 @@ let pp ppf t =
     Format.fprintf ppf " groups=[%s]"
       (String.concat "; "
          (List.map (fun (name, g) -> Printf.sprintf "%s=%dns/%d" name g.g_ns g.g_objects) groups))
+
+type metrics = {
+  runs : Metrics.counter;
+  walked : Metrics.counter;
+  skipped : Metrics.counter;
+  fulls : Metrics.counter;
+  dirty_fraction : Metrics.gauge;
+  protected : Metrics.counter;
+  dirty_copied : Metrics.counter;
+  migrated_in : Metrics.counter;
+  migrated_out : Metrics.counter;
+  cached : Metrics.gauge;
+  version_g : Metrics.gauge;
+  stw : Metrics.timer;
+  captree : Metrics.timer;
+  hybrid : Metrics.timer;
+  others : Metrics.timer;
+  backlog : Metrics.gauge;
+  protected_last : Metrics.gauge;
+  drained : Metrics.counter;
+  drain_cow_faults : Metrics.counter;
+  drain : Metrics.timer;
+  waf_g : Metrics.gauge;
+  nvm_bytes : Metrics.counter;
+  nvm_touched : Metrics.gauge;
+  dram_touched : Metrics.gauge;
+  mutable wear : (string * Metrics.gauge) list;
+}
+
+let metrics m =
+  let c = Metrics.counter m and g = Metrics.gauge m and tm = Metrics.timer m in
+  {
+    runs = c "ckpt.runs";
+    walked = c "ckpt.objects_walked";
+    skipped = c "ckpt.objects_skipped";
+    fulls = c "ckpt.full_objects";
+    dirty_fraction = g "ckpt.dirty_fraction_pct";
+    protected = c "ckpt.pages.protected";
+    dirty_copied = c "ckpt.pages.dirty_copied";
+    migrated_in = c "ckpt.pages.migrated_in";
+    migrated_out = c "ckpt.pages.migrated_out";
+    cached = g "ckpt.cached_pages";
+    version_g = g "ckpt.version";
+    stw = tm "ckpt.stw_ns";
+    captree = tm "ckpt.captree_ns";
+    hybrid = tm "ckpt.hybrid_ns";
+    others = tm "ckpt.others_ns";
+    backlog = g "ckpt.drain.backlog";
+    protected_last = g "ckpt.pages.protected.last";
+    drained = c "ckpt.drain.pages";
+    drain_cow_faults = c "ckpt.drain.cow_faults";
+    drain = tm "ckpt.drain_ns";
+    waf_g = g "ckpt.nvm.waf";
+    nvm_bytes = c "ckpt.nvm.bytes";
+    nvm_touched = g "nvm.pages_touched";
+    dram_touched = g "dram.pages_touched";
+    wear = [];
+  }
+
+let wear_gauge t m subsystem =
+  let rec find = function
+    | (name, gauge) :: _ when String.equal name subsystem -> gauge
+    | _ :: rest -> find rest
+    | [] ->
+      let gauge = Metrics.gauge m ("nvm.bytes_written." ^ subsystem) in
+      t.wear <- (subsystem, gauge) :: t.wear;
+      gauge
+  in
+  find t.wear

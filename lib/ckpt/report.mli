@@ -84,3 +84,47 @@ val folded_lines : t -> string list
 (** Collapsed-stack lines ([frame;frame;leaf value]) for flamegraph
     tooling — per-group, per-kind captree cost plus the other STW phases;
     spaces in frames are replaced with ['_']. *)
+
+(** {2 The metrics a commit publishes}
+
+    Handles on every registry name [Checkpoint] updates at a commit,
+    resolved once per state ([State.commit_metrics]): a by-name update
+    hashes its name, and a commit makes some twenty-five of them.  Like
+    any {!Treesls_obs.Metrics} handle, each registers its name at its
+    first sample. *)
+
+type metrics = {
+  runs : Treesls_obs.Metrics.counter;  (** [ckpt.runs] *)
+  walked : Treesls_obs.Metrics.counter;  (** [ckpt.objects_walked] *)
+  skipped : Treesls_obs.Metrics.counter;  (** [ckpt.objects_skipped] *)
+  fulls : Treesls_obs.Metrics.counter;  (** [ckpt.full_objects] *)
+  dirty_fraction : Treesls_obs.Metrics.gauge;  (** [ckpt.dirty_fraction_pct] *)
+  protected : Treesls_obs.Metrics.counter;  (** [ckpt.pages.protected] *)
+  dirty_copied : Treesls_obs.Metrics.counter;  (** [ckpt.pages.dirty_copied] *)
+  migrated_in : Treesls_obs.Metrics.counter;  (** [ckpt.pages.migrated_in] *)
+  migrated_out : Treesls_obs.Metrics.counter;  (** [ckpt.pages.migrated_out] *)
+  cached : Treesls_obs.Metrics.gauge;  (** [ckpt.cached_pages] *)
+  version_g : Treesls_obs.Metrics.gauge;  (** [ckpt.version] *)
+  stw : Treesls_obs.Metrics.timer;  (** [ckpt.stw_ns] *)
+  captree : Treesls_obs.Metrics.timer;  (** [ckpt.captree_ns] *)
+  hybrid : Treesls_obs.Metrics.timer;  (** [ckpt.hybrid_ns] *)
+  others : Treesls_obs.Metrics.timer;  (** [ckpt.others_ns] *)
+  backlog : Treesls_obs.Metrics.gauge;  (** [ckpt.drain.backlog] *)
+  protected_last : Treesls_obs.Metrics.gauge;  (** [ckpt.pages.protected.last] *)
+  drained : Treesls_obs.Metrics.counter;  (** [ckpt.drain.pages] *)
+  drain_cow_faults : Treesls_obs.Metrics.counter;  (** [ckpt.drain.cow_faults] *)
+  drain : Treesls_obs.Metrics.timer;  (** [ckpt.drain_ns] *)
+  waf_g : Treesls_obs.Metrics.gauge;  (** [ckpt.nvm.waf] *)
+  nvm_bytes : Treesls_obs.Metrics.counter;  (** [ckpt.nvm.bytes] *)
+  nvm_touched : Treesls_obs.Metrics.gauge;  (** [nvm.pages_touched] *)
+  dram_touched : Treesls_obs.Metrics.gauge;  (** [dram.pages_touched] *)
+  mutable wear : (string * Treesls_obs.Metrics.gauge) list;
+      (** [nvm.bytes_written.SUBSYSTEM], by subsystem, made on first use *)
+}
+
+val metrics : Treesls_obs.Metrics.t -> metrics
+(** Handles on the registry's names; registers nothing. *)
+
+val wear_gauge : metrics -> Treesls_obs.Metrics.t -> string -> Treesls_obs.Metrics.gauge
+(** The [nvm.bytes_written.SUBSYSTEM] gauge of a wearmap subsystem, made
+    (in [m]) the first time the subsystem is asked for. *)

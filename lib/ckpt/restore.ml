@@ -7,7 +7,6 @@ module Global_meta = Treesls_nvm.Global_meta
 module Crash_site = Treesls_nvm.Crash_site
 module Cost = Treesls_sim.Cost
 module Clock = Treesls_sim.Clock
-module Int_tbl = Treesls_util.Int_tbl
 module Dirty_log = Treesls_cap.Dirty_log
 module Probe = Treesls_obs.Probe
 
@@ -44,21 +43,27 @@ let iter_restore_choices st ~global f =
                    (Ckpt_page.restore_choice cp ~global ~runtime:(Oroot.runtime_page oroot pno))))
           oroot.Oroot.pages)
 
-(* The objects of checkpoint [global]: every ORoot with a snapshot at or
-   below it, by ascending id (the order [restore.materialized] is hit
-   in).  The rest (born inside an uncommitted checkpoint, so every
-   snapshot they hold is stamped above [global]) are not materialised,
-   and the dead-ORoot GC after the swap drops them. *)
-let select st ~global =
-  let selected = ref [] in
+(* The objects of checkpoint [global] are the ORoots with a snapshot at
+   or below it ([Oroot.latest_le]).  The rest (born inside an uncommitted
+   checkpoint, so every snapshot they hold is stamped above [global]) are
+   not materialised, and the dead-ORoot GC after the swap drops them.
+   Each pass of the restore selects them again as it scans the ORoot
+   table, by ascending id (the order [restore.materialized] is hit in):
+   no list of them is built.  This counts them and finds the highest id. *)
+let count_selected st ~global =
+  let n = ref 0 and top_id = ref (-1) in
   State.iter_oroots st (fun oid oroot ->
-      Oroot.latest_le oroot ~version:global
-      |> Option.iter (fun (_, snap) -> selected := (oid, oroot, snap) :: !selected));
-  List.rev !selected
+      match Oroot.latest_le oroot ~version:global with
+      | Some _ ->
+        incr n;
+        top_id := oid
+      | None -> ());
+  (!n, !top_id)
 
 let objects_to_materialize st =
-  let global = Global_meta.version (Store.meta (Kernel.store st.State.kernel)) in
-  List.length (select st ~global)
+  fst
+    (count_selected st
+       ~global:(Global_meta.version (Store.meta (Kernel.store st.State.kernel))))
 
 let charge_restore st (snap : Snapshot.t) =
   let store = Kernel.store st.State.kernel in
@@ -78,15 +83,40 @@ let page_check_ns store =
   let c = Store.cost store in
   int_of_float (2.0 *. c.Cost.word_copy_nvm_ns)
 
+(* Apply the page-record decisions after the swap: a record whose page
+   the restored radix [pmo] maps keeps that frame as its runtime page (the
+   crash-time frame, still read through the ORoot's runtime pointer, may
+   stay as a spare); one it does not map was born after the restored
+   version, and goes.  No cut lands inside restore's [oroot_gc] phase, so
+   the records settle before the runtime pointer moves. *)
+let settle_records store oroot cps (pmo : Kobj.pmo) =
+  Ckpt_page.iter
+    (fun pno cp ->
+      match Radix.get pmo.Kobj.pmo_radix pno with
+      | Some keep ->
+        Ckpt_page.normalize_after_restore store cp ~keep ~runtime:(Oroot.runtime_page oroot pno)
+      | None -> ())
+    cps;
+  if Ckpt_page.cardinal cps > Radix.cardinal pmo.Kobj.pmo_radix then begin
+    let unborn = ref [] in
+    Ckpt_page.iter
+      (fun pno _ -> if not (Radix.mem pmo.Kobj.pmo_radix pno) then unborn := pno :: !unborn)
+      cps;
+    List.iter (fun pno -> Ckpt_page.remove cps ~pno) !unborn
+  end
+
 (* Recovery in three steps, with one free path:
    - decide: pick the checkpointed objects and, page by page, the frame
      each restored radix maps.  Reads the crash-time frames through the
      ORoots' runtime pointers; frees nothing and rewrites no page record;
    - swap: the restored tree becomes the runtime tree;
-   - clean up: move the runtime pointers to the restored objects, apply
-     the page-record decisions, drop the ORoots the restored tree does not
-     reach, then free, in the allocator reconciliation, every frame and
-     swap slot nothing names any more.
+   - clean up: apply the page-record decisions and move the runtime
+     pointers to the restored objects, drop the ORoots the restored tree
+     does not reach, then free, in the allocator reconciliation, every
+     frame and swap slot nothing names any more.
+   The decide, stitch and clean-up passes each select the objects again
+   by scanning the ORoot table: the restore allocates the objects it
+   restores, arrays by id and little else.
    Crash sites in every step model a power cut during recovery itself.  A
    second [recover] after one starts over and reaches the same state: up
    to the swap nothing it reads has changed (the abandoned drain window
@@ -134,84 +164,90 @@ let run_inner st =
   Drain.abandon st.State.drain;
   Probe.rto_phase_end probe;
   Probe.rto_phase_begin probe "oroot_select";
-  let live = select st ~global:g in
+  let selected, top_id = count_selected st ~global:g in
   Probe.rto_phase_end probe;
   Crash_site.hit sites "restore.selected";
-  (* Materialise bare objects with their original ids.  A normal PMO's
-     radix takes the frame each page record's restore rule picks; the
-     records themselves are rewritten only after the swap ([kept],
-     [unborn]).  Time is tallied by kind and the page remaps in one sum,
-     and reported to the profiler once the loop is done, kinds in
-     [Kobj.all_kinds] order. *)
-  let stubs : Kobj.t Int_tbl.t = Int_tbl.create (List.length live) in
-  let pages_restored = ref 0 and kept = ref [] and unborn = ref [] in
+  (* Materialise bare objects with their original ids, into [stubs]
+     (indexed by id, [Kobj.absent] where nothing was selected).  A normal
+     PMO's radix takes the frame each page record's restore rule picks;
+     the records themselves are rewritten only after the swap.  Time is
+     tallied by kind and the page remaps in one sum, and reported to the
+     profiler once the loop is done, kinds in [Kobj.all_kinds] order. *)
+  let stubs = Array.make (top_id + 1) Kobj.absent in
+  let find_stub oid = if oid >= 0 && oid <= top_id then stubs.(oid) else Kobj.absent in
+  let pages_restored = ref 0 in
   let nk = List.length Kobj.all_kinds in
   let kind_ns = Array.make nk 0 and kind_n = Array.make nk 0 in
   let remap_ns = ref 0 and remapped = ref false in
   Probe.rto_phase_begin probe "materialize";
-  List.iter
-    (fun (oid, (oroot : Oroot.t), snap) ->
-      let t_obj = Clock.now clock in
-      charge_restore st snap;
-      let obj =
-        match snap with
-        | Snapshot.S_cap_group { name; _ } -> Kobj.Cap_group (Kobj.make_cap_group ~id:oid ~name)
-        | Snapshot.S_thread { regs; state; prio; cursor } ->
-          let th = Kobj.make_thread ~id:oid ~prio in
-          th.Kobj.th_regs <- Array.copy regs;
-          th.Kobj.th_state <- state;
-          th.Kobj.th_cursor <- cursor;
-          Kobj.Thread th
-        | Snapshot.S_vmspace _ -> Kobj.Vmspace (Kobj.make_vmspace ~id:oid)
-        | Snapshot.S_pmo { pages; kind; eternal_frames } -> (
-          let pmo = Kobj.make_pmo ~id:oid ~pages ~kind in
-          match kind with
-          | Kobj.Pmo_eternal ->
-            (* Eternal: revive the fixed frame set; content untouched. *)
-            List.iter (fun (pno, paddr) -> Radix.set pmo.Kobj.pmo_radix pno paddr) eternal_frames;
-            Kobj.Pmo pmo
-          | Kobj.Pmo_normal ->
-            (* nested: CoW/page-table reconstruction charged to its own
-               phase, subtracted from [materialize]'s exclusive time *)
-            let t_remap = Clock.now clock in
-            let cps = Oroot.pages_exn oroot in
-            Ckpt_page.iter
-              (fun pno cp ->
-                Store.charge store (page_check_ns store);
-                let runtime = Oroot.runtime_page oroot pno in
-                match Ckpt_page.restore_choice cp ~global:g ~runtime with
-                | `Use keep ->
-                  Radix.set pmo.Kobj.pmo_radix pno keep;
-                  kept := (cp, keep, runtime) :: !kept;
-                  incr pages_restored
-                | `Drop -> unborn := (cps, pno) :: !unborn)
-              cps;
-            remap_ns := !remap_ns + (Clock.now clock - t_remap);
-            remapped := true;
-            Kobj.Pmo pmo)
-        | Snapshot.S_ipc { calls; _ } ->
-          let c = Kobj.make_ipc_conn ~id:oid in
-          c.Kobj.ic_calls <- calls;
-          Kobj.Ipc_conn c
-        | Snapshot.S_notif { count; waiters } ->
-          let n = Kobj.make_notification ~id:oid in
-          n.Kobj.nt_count <- count;
-          n.Kobj.nt_waiters <- waiters;
-          Kobj.Notification n
-        | Snapshot.S_irq { line; pending } ->
-          let irq = Kobj.make_irq_notification ~id:oid ~line in
-          irq.Kobj.irq_pending <- pending;
-          Kobj.Irq_notification irq
-      in
-      Int_tbl.replace stubs oid obj;
-      let dt = Clock.now clock - t_obj in
-      let kind = Kobj.kind obj in
-      let k = Kobj.kind_index kind in
-      kind_n.(k) <- kind_n.(k) + 1;
-      kind_ns.(k) <- kind_ns.(k) + dt;
-      State.note_cost (State.obj_cost st kind).State.restore dt;
-      Crash_site.hit sites "restore.materialized")
-    live;
+  State.iter_oroots st (fun oid (oroot : Oroot.t) ->
+      match Oroot.latest_le oroot ~version:g with
+      | None -> ()
+      | Some (_, snap) ->
+        let t_obj = Clock.now clock in
+        charge_restore st snap;
+        let obj =
+          match snap with
+          | Snapshot.S_cap_group { name; _ } -> Kobj.Cap_group (Kobj.make_cap_group ~id:oid ~name)
+          | Snapshot.S_thread { regs; state; prio; cursor } ->
+            Kobj.Thread
+              {
+                Kobj.th_id = oid;
+                th_regs = Array.copy regs;
+                th_state = state;
+                th_prio = prio;
+                th_cursor = cursor;
+              }
+          | Snapshot.S_vmspace _ -> Kobj.Vmspace (Kobj.make_vmspace ~id:oid)
+          | Snapshot.S_pmo { pages; kind; eternal_frames } -> (
+            let pmo = Kobj.make_pmo ~id:oid ~pages ~kind in
+            match kind with
+            | Kobj.Pmo_eternal ->
+              (* Eternal: revive the fixed frame set; content untouched. *)
+              List.iter (fun (pno, paddr) -> Radix.set pmo.Kobj.pmo_radix pno paddr) eternal_frames;
+              Kobj.Pmo pmo
+            | Kobj.Pmo_normal ->
+              (* nested: CoW/page-table reconstruction charged to its own
+                 phase, subtracted from [materialize]'s exclusive time *)
+              let t_remap = Clock.now clock in
+              let cps = Oroot.pages_exn oroot in
+              if Ckpt_page.cardinal cps > 0 then
+                Ckpt_page.iter
+                  (fun pno cp ->
+                    Store.charge store (page_check_ns store);
+                    match
+                      Ckpt_page.restore_choice cp ~global:g ~runtime:(Oroot.runtime_page oroot pno)
+                    with
+                    | `Use keep ->
+                      Radix.set pmo.Kobj.pmo_radix pno keep;
+                      incr pages_restored
+                    | `Drop -> ())
+                  cps;
+              remap_ns := !remap_ns + (Clock.now clock - t_remap);
+              remapped := true;
+              Kobj.Pmo pmo)
+          | Snapshot.S_ipc { calls; _ } ->
+            let c = Kobj.make_ipc_conn ~id:oid in
+            c.Kobj.ic_calls <- calls;
+            Kobj.Ipc_conn c
+          | Snapshot.S_notif { count; waiters } ->
+            let n = Kobj.make_notification ~id:oid in
+            n.Kobj.nt_count <- count;
+            n.Kobj.nt_waiters <- waiters;
+            Kobj.Notification n
+          | Snapshot.S_irq { line; pending } ->
+            let irq = Kobj.make_irq_notification ~id:oid ~line in
+            irq.Kobj.irq_pending <- pending;
+            Kobj.Irq_notification irq
+        in
+        stubs.(oid) <- obj;
+        let dt = Clock.now clock - t_obj in
+        let kind = Kobj.kind obj in
+        let k = Kobj.kind_index kind in
+        kind_n.(k) <- kind_n.(k) + 1;
+        kind_ns.(k) <- kind_ns.(k) + dt;
+        State.note_cost (State.obj_cost st kind).State.restore dt;
+        Crash_site.hit sites "restore.materialized");
   if !remapped then Probe.rto_phase_tally probe "page_remap" !remap_ns;
   List.iter
     (fun kind ->
@@ -223,49 +259,55 @@ let run_inner st =
   (* Stitch references by object id.  The slot installs log into a log of
      their own, dropped with them: the restored kernel starts with an
      empty one, and the cache built below is the tree they stitched. *)
-  let find_stub oid = Int_tbl.find_opt stubs oid in
   let stitched = Dirty_log.create () in
-  List.iter
-    (fun (oid, _oroot, snap) ->
-      match (snap, find_stub oid) with
-      | Snapshot.S_cap_group { slots; _ }, Some (Kobj.Cap_group cg) ->
-        List.iter
-          (fun (slot, target_id, rights) ->
-            match find_stub target_id with
-            | Some target -> Kobj.install_at stitched cg slot { Kobj.target; rights }
-            | None -> () (* referent dropped (born after g): dangling cap removed *))
-          slots
-      | Snapshot.S_vmspace { regions }, Some (Kobj.Vmspace vs) ->
-        vs.Kobj.vs_regions <-
-          List.filter_map
-            (fun (vpn, pages, pmo_id, writable) ->
+  State.iter_oroots st (fun oid oroot ->
+      match Oroot.latest_le oroot ~version:g with
+      | None -> ()
+      | Some (_, snap) -> (
+        match (snap, stubs.(oid)) with
+        | Snapshot.S_cap_group { slots; _ }, Kobj.Cap_group cg ->
+          List.iter
+            (fun (slot, target_id, rights) ->
+              let target = find_stub target_id in
+              (* a referent dropped (born after g): dangling cap removed *)
+              if target != Kobj.absent then
+                Kobj.install_at stitched cg slot { Kobj.target; rights })
+            slots
+        | Snapshot.S_vmspace { regions }, Kobj.Vmspace vs ->
+          let rec restored = function
+            | [] -> []
+            | (vpn, pages, pmo_id, writable) :: rest -> (
               match find_stub pmo_id with
-              | Some (Kobj.Pmo pmo) ->
-                Some { Kobj.vr_vpn = vpn; vr_pages = pages; vr_pmo = pmo; vr_writable = writable }
-              | Some _ | None -> None)
-            regions
-      | Snapshot.S_ipc { server_tid; shared_pmo; _ }, Some (Kobj.Ipc_conn conn) ->
-        (match Option.map find_stub server_tid with
-        | Some (Some (Kobj.Thread th)) -> conn.Kobj.ic_server <- Some th
-        | Some _ | None -> ());
-        (match Option.map find_stub shared_pmo with
-        | Some (Some (Kobj.Pmo p)) -> conn.Kobj.ic_shared <- Some p
-        | Some _ | None -> ())
-      | (Snapshot.S_thread _ | Snapshot.S_pmo _ | Snapshot.S_notif _ | Snapshot.S_irq _), _ -> ()
-      | _, _ -> ())
-    live;
+              | Kobj.Pmo pmo ->
+                { Kobj.vr_vpn = vpn; vr_pages = pages; vr_pmo = pmo; vr_writable = writable }
+                :: restored rest
+              | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Vmspace _ | Kobj.Ipc_conn _
+              | Kobj.Notification _ | Kobj.Irq_notification _ -> restored rest)
+          in
+          vs.Kobj.vs_regions <- restored regions
+        | Snapshot.S_ipc { server_tid; shared_pmo; _ }, Kobj.Ipc_conn conn ->
+          Option.iter
+            (fun tid ->
+              match find_stub tid with Kobj.Thread th -> conn.Kobj.ic_server <- Some th | _ -> ())
+            server_tid;
+          Option.iter
+            (fun pid ->
+              match find_stub pid with Kobj.Pmo p -> conn.Kobj.ic_shared <- Some p | _ -> ())
+            shared_pmo
+        | _, _ -> ()));
   (* Adopt the restored tree. *)
   let root =
     match find_stub st.State.root_id with
-    | Some (Kobj.Cap_group cg) -> cg
-    | Some _ | None -> failwith "Restore: root cap group missing from checkpoint"
+    | Kobj.Cap_group cg -> cg
+    | _ -> failwith "Restore: root cap group missing from checkpoint"
   in
   (* The one walk of the restored tree (paper §3, step 7), kept as the
      live-tree cache: the scheduler, the dead-ORoot GC and the allocator
      reconciliation below read it, and the first checkpoint after the
      restore reuses it while the restored kernel's log notes no shape
-     change. *)
-  let tree = Live_tree.build ~root in
+     change.  Sized for the objects selected: the tree holds at most
+     those. *)
+  let tree = Live_tree.build ~objects:selected ~ids:(top_id + 1) ~root in
   let threads =
     Array.fold_right
       (fun obj acc ->
@@ -277,7 +319,7 @@ let run_inner st =
   in
   (* Never hand out an id an oroot still owns, even if the persisted
      high-water mark is older than this checkpoint (pre-fix stores). *)
-  let ids_hwm = Int_tbl.fold (fun oid _ acc -> max acc oid) stubs st.State.ids_hwm in
+  let ids_hwm = max st.State.ids_hwm top_id in
   st.State.ids_hwm <- ids_hwm;
   let kernel =
     Kernel.rebuild ~store ~ncores:(Kernel.ncores crashed_kernel) ~root ~ids_hwm ~threads
@@ -289,33 +331,34 @@ let run_inner st =
   Probe.rto_phase_end probe;
   Crash_site.hit sites "restore.swapped";
   Probe.rto_phase_begin probe "oroot_gc";
-  List.iter
-    (fun (oid, (oroot : Oroot.t), _) ->
-      (* Roll back walk state staged by an uncommitted checkpoint: snapshot
-         slots stamped above [g] must not survive the restore, or a later
-         checkpoint of the same version would find its slot already taken
-         by a stale image. *)
-      (match oroot.Oroot.slot_a with
-      | Some (v, _) when v > g -> oroot.Oroot.slot_a <- None
-      | Some _ | None -> ());
-      (match oroot.Oroot.slot_b with
-      | Some (v, _) when v > g -> oroot.Oroot.slot_b <- None
-      | Some _ | None -> ());
-      (* The crashed object is gone: the runtime pointer names the
-         restored one, whose radix maps the kept frames, before any of its
-         records is normalised below. *)
-      oroot.Oroot.runtime <- find_stub oid)
-    live;
-  List.iter
-    (fun (cp, keep, runtime) -> Ckpt_page.normalize_after_restore store cp ~keep ~runtime)
-    !kept;
-  List.iter (fun (cps, pno) -> Ckpt_page.remove cps ~pno) !unborn;
+  State.iter_oroots st (fun oid (oroot : Oroot.t) ->
+      match Oroot.latest_le oroot ~version:g with
+      | None -> ()
+      | Some _ ->
+        (* Roll back walk state staged by an uncommitted checkpoint:
+           snapshot slots stamped above [g] must not survive the restore,
+           or a later checkpoint of the same version would find its slot
+           already taken by a stale image. *)
+        (match oroot.Oroot.slot_a with
+        | Some (v, _) when v > g -> oroot.Oroot.slot_a <- None
+        | Some _ | None -> ());
+        (match oroot.Oroot.slot_b with
+        | Some (v, _) when v > g -> oroot.Oroot.slot_b <- None
+        | Some _ | None -> ());
+        let obj = stubs.(oid) in
+        (match (oroot.Oroot.pages, obj) with
+        | Some cps, Kobj.Pmo pmo when Ckpt_page.cardinal cps > 0 ->
+          settle_records store oroot cps pmo
+        | _, _ -> ());
+        (* The crashed object is gone: the runtime pointer names the
+           restored one, whose radix maps the kept frames. *)
+        oroot.Oroot.runtime <- Some obj);
   (* Drop every ORoot the restored tree does not reach: those of objects
      born after [g], and — redoing the dead-ORoot GC a crash between the
      version bump and the commit's GC interrupted — those of objects
      deleted before [g], which would shadow recycled ids and pin their
      frames forever. *)
-  let dropped = List.length (State.drop_dead_oroots st ~live:(Live_tree.live tree)) in
+  let dropped = List.length (State.drop_dead_oroots st ~live:tree) in
   Probe.rto_phase_end probe;
   Probe.rto_phase_begin probe "buddy_reconcile";
   (* The allocator reconciliation, the one place recovery frees (paper
@@ -328,30 +371,32 @@ let run_inner st =
      buddy-alloc transaction committed (so the journal redo preserved the
      allocation) but which the crash cut down before anything referenced
      it. *)
-  (* one byte per NVM page; [Bytes.set] bounds-checks every claim *)
-  let claimed = Bytes.make (Store.nvm_pages_total store) '\000' in
+  (* one byte per NVM page, the state's buffer cleared; [Bytes.set]
+     bounds-checks every claim *)
+  let npages = Store.nvm_pages_total store in
+  if Bytes.length st.State.claimed <> npages then st.State.claimed <- Bytes.create npages;
+  let claimed = st.State.claimed in
+  Bytes.fill claimed 0 npages '\000';
   let claim_idx i = Bytes.set claimed i '\001' in
   let ssd_named = Hashtbl.create 16 in
   let claim (p : Paddr.t) =
     if Paddr.is_nvm p then claim_idx p.Paddr.idx
     else if Paddr.is_ssd p then Hashtbl.replace ssd_named p.Paddr.idx ()
   in
+  let claim_mapped _ paddr = claim paddr in
+  let claim_backups _ (cp : Ckpt_page.cp) =
+    (match cp.Ckpt_page.b1 with Some p -> claim p | None -> ());
+    match cp.Ckpt_page.b2 with Some p -> claim p | None -> ()
+  in
   List.iter claim_idx (Treesls_nvm.Slab.slab_pages (Store.slab store));
   Array.iter
     (function
-      | Kobj.Pmo p -> Radix.iter (fun _ paddr -> claim paddr) p.Kobj.pmo_radix
+      | Kobj.Pmo p -> Radix.iter claim_mapped p.Kobj.pmo_radix
       | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Vmspace _ | Kobj.Ipc_conn _ | Kobj.Notification _
       | Kobj.Irq_notification _ -> ())
     (Live_tree.entries tree);
   State.iter_oroots st (fun _ (o : Oroot.t) ->
-      match o.Oroot.pages with
-      | None -> ()
-      | Some cps ->
-        Ckpt_page.iter
-          (fun _ cp ->
-            (match cp.Ckpt_page.b1 with Some p -> claim p | None -> ());
-            match cp.Ckpt_page.b2 with Some p -> claim p | None -> ())
-          cps);
+      match o.Oroot.pages with None -> () | Some cps -> Ckpt_page.iter claim_backups cps);
   let buddy = Store.buddy store in
   let orphans = ref [] in
   Treesls_nvm.Buddy.iter_live buddy (fun ~offset ~order ->
@@ -375,7 +420,7 @@ let run_inner st =
     + Store.reclaim_ssd_slots store ~named:(fun p -> Hashtbl.mem ssd_named p.Paddr.idx);
   Probe.rto_phase_end probe;
   {
-    restored_objects = List.length live;
+    restored_objects = selected;
     dropped_objects = dropped;
     pages_restored = !pages_restored;
     pages_dropped = !pages_dropped;

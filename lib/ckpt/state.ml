@@ -2,7 +2,6 @@ module Kobj = Treesls_cap.Kobj
 module Kernel = Treesls_kernel.Kernel
 module Store = Treesls_nvm.Store
 module Probe = Treesls_obs.Probe
-module Int_tbl = Treesls_util.Int_tbl
 module Radix = Treesls_cap.Radix
 module Paddr = Treesls_nvm.Paddr
 
@@ -37,6 +36,8 @@ type t = {
   mutable wear_mark : int;
   drain : Drain.t;
   mutable drain_batch : int;  (* backlog pages copied per drain step *)
+  mutable claimed : Bytes.t;  (* restore's reconciliation map, one byte per NVM page *)
+  commit_metrics : Report.metrics;
 }
 
 let default_features () =
@@ -72,6 +73,8 @@ let create kernel active_cfg features =
     wear_mark = Treesls_obs.Wearmap.total_bytes (Probe.wearmap (Store.probe (Kernel.store kernel)));
     drain = Drain.create ();
     drain_batch = 8;
+    claimed = Bytes.empty;
+    commit_metrics = Report.metrics (Probe.metrics (Store.probe (Kernel.store kernel)));
   }
 
 let probe t = Store.probe (Kernel.store t.kernel)
@@ -164,11 +167,11 @@ let checkpoint_bytes t =
    the table holds a dead one exactly when it is larger than the live
    set: the sweep runs only then. *)
 let drop_dead_oroots t ~live =
-  if t.oroot_count <= Int_tbl.length live then []
+  if t.oroot_count <= Array.length (Live_tree.entries live) then []
   else begin
     let dead = ref [] in
     iter_oroots t (fun oid o ->
-        if not (Int_tbl.mem live oid) then begin
+        if not (Live_tree.mem live oid) then begin
           t.oroots.(oid) <- None;
           t.oroot_count <- t.oroot_count - 1;
           dead := o :: !dead
@@ -200,7 +203,8 @@ let gc_dead_oroots t ~live =
     dead;
   let dead_fresh =
     Hashtbl.fold
-      (fun id r acc -> if id <= t.ids_hwm && not (Int_tbl.mem live id) then (id, !r) :: acc else acc)
+      (fun id r acc ->
+        if id <= t.ids_hwm && not (Live_tree.mem live id) then (id, !r) :: acc else acc)
       t.pending_fresh []
   in
   List.iter

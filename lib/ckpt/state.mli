@@ -93,6 +93,12 @@ type t = {
       (** asynchronous-drain window state: backlog of owed page copies,
           CoW restamp/saved tables, and the staged (pending) version *)
   mutable drain_batch : int;  (** backlog pages copied per drain step *)
+  mutable claimed : Bytes.t;
+      (** volatile: restore's allocator reconciliation marks the NVM pages
+          something names here, one byte per page; made at the first
+          recovery and cleared at every one after *)
+  commit_metrics : Report.metrics;
+      (** handles on the metrics a commit publishes, in the store's probe *)
 }
 
 val default_features : unit -> features
@@ -135,13 +141,13 @@ val note_crash : t -> unit
 val checkpoint_bytes : t -> int
 (** Current checkpoint footprint: snapshot bytes + backup page frames. *)
 
-val drop_dead_oroots : t -> live:int Treesls_util.Int_tbl.t -> Oroot.t list
-(** Remove every ORoot whose object is not in [live] from the table and
+val drop_dead_oroots : t -> live:Live_tree.t -> Oroot.t list
+(** Remove every ORoot whose object [live] does not hold from the table and
     return them; frees nothing.  Restore's [oroot_gc] phase (against the
     restored tree) stops here: the frames they held are named by nothing
     and its allocator reconciliation frees them. *)
 
-val gc_dead_oroots : t -> live:int Treesls_util.Int_tbl.t -> int
+val gc_dead_oroots : t -> live:Live_tree.t -> int
 (** The commit's GC, against the walk's live set: {!drop_dead_oroots},
     then free the dropped ORoots' backup frames and the runtime frames
     their runtime pointer still reaches, and the runtime frames of the

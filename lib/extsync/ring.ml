@@ -20,9 +20,16 @@ type t = {
      anyway, so persisting the ids would buy nothing. *)
   slot_req : int array;
   mutable dropped : int;
+  published : Treesls_obs.Metrics.counter;  (* extsync.published *)
 }
 
 let probe t = Store.probe (Kernel.store t.kernel)
+
+let published_counter kernel =
+  Treesls_obs.Metrics.counter
+    (Probe.metrics (Store.probe (Kernel.store kernel)))
+    "extsync.published"
+
 let with_extsync_writer t f = Wearmap.with_writer (Probe.wearmap (probe t)) "extsync" f
 
 let pages_needed kernel ~slots ~slot_size =
@@ -72,7 +79,8 @@ let create kernel proc ~name ~slots ~slot_size =
   let vpn = Kernel.map_shared kernel proc pmo ~writable:true in
   let t =
     { kernel; proc; base = vpn * (Kernel.cost kernel).Cost.page_size; slots; slot_size;
-      pmo_id = pmo.Kobj.pmo_id; slot_req = Array.make slots 0; dropped = 0 }
+      pmo_id = pmo.Kobj.pmo_id; slot_req = Array.make slots 0; dropped = 0;
+      published = published_counter kernel }
   in
   write_cursor t 0 0;
   write_cursor t 8 0;
@@ -143,7 +151,8 @@ let reattach kernel proc ~name ~slots ~slot_size =
     | None -> Kernel.map_shared kernel proc pmo ~writable:true
   in
   { kernel; proc; base = vpn * (Kernel.cost kernel).Cost.page_size; slots; slot_size;
-    pmo_id = pmo.Kobj.pmo_id; slot_req = Array.make slots 0; dropped = 0 }
+    pmo_id = pmo.Kobj.pmo_id; slot_req = Array.make slots 0; dropped = 0;
+    published = published_counter kernel }
 
 let append ?(req = 0) t msg =
   let len = Bytes.length msg in
@@ -181,7 +190,7 @@ let on_checkpoint t =
       end
     done
   end;
-  Probe.count (probe t) "extsync.published" newly;
+  Treesls_obs.Metrics.count t.published newly;
   if newly > 0 then
     Probe.instant (probe t) "extsync.flush"
       ~args:(fun () -> [ ("published", string_of_int newly); ("pmo", string_of_int t.pmo_id) ]);

@@ -97,7 +97,13 @@ let run ?wear mgr =
      the table itself, sized like the tree it checkpoints. *)
   let root = Kernel.root kernel in
   let reachable : Kobj.t Int_tbl.t = Int_tbl.create st.State.oroot_count in
-  Kobj.walk ~seen:reachable ~root Fun.id;
+  Kobj.walk ~root (fun obj ->
+      let oid = Kobj.id obj in
+      (not (Int_tbl.mem reachable oid))
+      && begin
+           Int_tbl.add reachable oid obj;
+           true
+         end);
 
   (* The walk's cached tree must still be the tree: a stale cache would
      skip objects that joined it and let GC free ones still in it. *)
@@ -118,7 +124,7 @@ let run ?wear mgr =
        tree, and every ORoot since came from a walk of that tree; a
        pending drain window defers its GC to settle *)
     (match (pending_ver, st.State.live_tree) with
-    | None, Some lt when not (Int_tbl.mem (Live_tree.live lt) oid) ->
+    | None, Some lt when not (Live_tree.mem lt oid) ->
       add Warning "stale ORoot missed by GC (outside the tree the last GC ran against, v%d)" g
     | _, _ -> ());
     let slot name = function

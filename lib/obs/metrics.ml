@@ -63,6 +63,18 @@ let count c n =
   end;
   c.c_cell := !(c.c_cell) + n
 
+type gauge = { g_reg : t; g_name : string; mutable g_cell : int ref; mutable g_resets : int }
+
+let gauge t name = { g_reg = t; g_name = name; g_cell = ref 0; g_resets = -1 }
+
+let set g v =
+  let t = g.g_reg in
+  if g.g_resets <> t.resets then begin
+    g.g_cell <- cell t t.gauges g.g_name;
+    g.g_resets <- t.resets
+  end;
+  g.g_cell := v
+
 type timer = { t_reg : t; t_name : string; mutable t_hist : Histogram.t; mutable t_resets : int }
 
 let timer t name = { t_reg = t; t_name = name; t_hist = Histogram.create (); t_resets = -1 }

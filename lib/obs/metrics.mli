@@ -33,6 +33,14 @@ val counter : t -> string -> counter
 val count : counter -> int -> unit
 (** {!add} through a handle. *)
 
+type gauge
+
+val gauge : t -> string -> gauge
+(** A handle on the named gauge. *)
+
+val set : gauge -> int -> unit
+(** {!set_gauge} through a handle. *)
+
 type timer
 
 val timer : t -> string -> timer

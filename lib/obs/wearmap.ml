@@ -204,6 +204,8 @@ let fold_pages f t init =
 let subsystem_bytes t name =
   match find_sub name t.subs with Some s -> s.s_bytes | None -> 0
 
+let iter_subsystems t f = List.iter (fun (name, s) -> f name s.s_bytes) t.subs
+
 (* sorted by name so every consumer (CLI, JSON, metrics) is deterministic *)
 let subsystems t =
   List.map (fun (name, s) -> (name, s.s_writes, s.s_bytes)) t.subs

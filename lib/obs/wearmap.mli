@@ -77,6 +77,10 @@ val subsystems : t -> (string * int * int) list
 
 val subsystem_bytes : t -> string -> int
 
+val iter_subsystems : t -> (string -> int -> unit) -> unit
+(** [f name bytes] for every subsystem, in no set order, allocating
+    nothing per row. *)
+
 val top : t -> n:int -> (int * int * int) list
 (** Top-[n] hottest pages as [(page, writes, bytes)], most-written first. *)
 

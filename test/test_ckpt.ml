@@ -114,7 +114,39 @@ let oroot_latest_le () =
   (match Oroot.latest_le o ~version:9 with
   | Some (v, _) -> check_int "picks 7" 7 v
   | None -> Alcotest.fail "none");
-  check_bool "below both" true (Oroot.latest_le o ~version:3 = None)
+  check_bool "below both" true (Oroot.latest_le o ~version:3 = None);
+  (* every pair of slot states (empty, stamped below, at or above the
+     version asked, equal stamps included) against the allocating
+     function [latest_le] replaced; the result is the picked slot itself,
+     [slot_a] on a tie *)
+  let oracle (o : Oroot.t) ~version =
+    let pick = function Some (v, s) when v <= version -> Some (v, s) | _ -> None in
+    match (pick o.Oroot.slot_a, pick o.Oroot.slot_b) with
+    | (Some (va, _) as a), Some (vb, sb) -> if vb > va then Some (vb, sb) else a
+    | (Some _ as a), None -> a
+    | None, (Some _ as b) -> b
+    | None, None -> None
+  in
+  let slot = function None -> None | Some v -> Some (v, snap v) in
+  let states = [ None; Some 4; Some 5; Some 6 ] in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          o.Oroot.slot_a <- slot a;
+          o.Oroot.slot_b <- slot b;
+          let got = Oroot.latest_le o ~version:5 in
+          let stamp = function None -> "-" | Some v -> string_of_int v in
+          let what = Printf.sprintf "slots %s/%s" (stamp a) (stamp b) in
+          check_bool (what ^ ": as before") true (got = oracle o ~version:5);
+          match got with
+          | None -> ()
+          | Some (v, _) ->
+            let tie = a = Some v && b = Some v in
+            check_bool (what ^ ": the slot itself") true
+              (if tie then got == o.Oroot.slot_a else got == o.Oroot.slot_a || got == o.Oroot.slot_b))
+        states)
+    states
 
 let oroot_pages_exn () =
   let o = Oroot.create ~obj_id:1 ~kind:Kobj.Pmo_k ~version:1 ~has_pages:true in

@@ -218,7 +218,7 @@ let live_tree_tracks_shape () =
   let t1 = live_tree sys in
   check_bool "install rebuilds" true (t1 != t0);
   check_int "new object cached" (size t0 + 1) (size t1);
-  check_bool "new object live" true (Treesls_util.Int_tbl.mem (Live_tree.live t1) n2.Kobj.nt_id);
+  check_bool "new object live" true (Live_tree.mem t1 n2.Kobj.nt_id);
   audit_clean "install";
   (* a heap grows through a replaced region list (and a new PMO cap) *)
   ignore (Kernel.grow_heap k p ~pages:1);
@@ -232,7 +232,7 @@ let live_tree_tracks_shape () =
   let t3 = live_tree sys in
   check_bool "revoke rebuilds" true (t3 != t2);
   check_bool "exited objects leave the live set" false
-    (Treesls_util.Int_tbl.mem (Live_tree.live t3) n2.Kobj.nt_id);
+    (Live_tree.mem t3 n2.Kobj.nt_id);
   check_bool "their ORoots are collected" true (Manager.find_oroot mgr n2.Kobj.nt_id = None);
   audit_clean "revoke";
   (* a crash drops the cache with the rest of DRAM; restore rebuilds it
@@ -543,8 +543,9 @@ let writable_normal p =
    faults, heap growth, map_shared, process create/exit, drain steps,
    crash/recover, and an oracle-checked checkpoint every few ops.  The
    whole state is audited after every operation: any violation, a
-   warning included, fails with the seed and the operation. *)
-let churn ~seed ~ops features =
+   warning included, fails with the seed and the operation; [after] then
+   checks more. *)
+let churn ?(after = fun _ _ -> ()) ~seed ~ops features =
   let sys = System.boot ~features () in
   let rng = Rng.create (Int64.of_int seed) in
   let spawned = ref 0 and ckpts = ref 0 in
@@ -647,7 +648,9 @@ let churn ~seed ~ops features =
           ckpt ();
           Printf.sprintf "checkpoint %d" !ckpts)
     in
-    audited (Printf.sprintf "op %d (%s)" i op)
+    let what = Printf.sprintf "seed %d, op %d (%s)" seed i op in
+    audited what;
+    after sys what
   done;
   ckpt ();
   audited "final checkpoint"
@@ -659,6 +662,70 @@ let walk_matches_oracle () =
       f.State.async_drain <- async;
       List.iter (fun seed -> churn ~seed ~ops:400 f) [ 1; 2; 3; 4 ])
     [ (true, false); (true, true); (false, false) ]
+
+(* The live set and the owner map, arrays by object id, against what they
+   replaced: a fresh traversal's positions in a hash table, and the
+   per-process walks into one shared hash table (first process in
+   [Kernel.processes] order wins; processes of one name share a group).
+   Checked on the cache the last walk left while it is still current, and
+   on a fresh build (grown from the smallest arrays), for every id up to
+   past the arrays' ends. *)
+let live_tree_agrees sys what =
+  let k = System.kernel sys in
+  let root = Kernel.root k and log = Kernel.dirty_log k in
+  let pos = Treesls_util.Int_tbl.create 256 and n = ref 0 in
+  Kobj.iter_tree ~root (fun obj ->
+      Treesls_util.Int_tbl.add pos (Kobj.id obj) !n;
+      incr n);
+  let group_of = Treesls_util.Int_tbl.create 256 and by_name = Hashtbl.create 16 in
+  let group name =
+    match Hashtbl.find_opt by_name name with
+    | Some g -> g
+    | None ->
+      let g = Hashtbl.length by_name in
+      Hashtbl.add by_name name g;
+      g
+  in
+  List.iter
+    (fun (p : Kernel.process) ->
+      let g = group p.Kernel.pname in
+      Kobj.walk ~root:p.Kernel.cg (fun obj ->
+          let oid = Kobj.id obj in
+          (not (Treesls_util.Int_tbl.mem group_of oid))
+          && begin
+               Treesls_util.Int_tbl.add group_of oid g;
+               true
+             end))
+    (Kernel.processes k);
+  let kernel_group = group "kernel" in
+  let ids = Treesls_cap.Id_gen.current (Kernel.ids k) + 100 in
+  let agrees lt which =
+    check_int (Printf.sprintf "%s, %s: size" what which) !n (Array.length (Live_tree.entries lt));
+    let owners = Live_tree.owners lt k in
+    for oid = -1 to ids do
+      let want = Option.value (Treesls_util.Int_tbl.find_opt pos oid) ~default:(-1) in
+      if Live_tree.index lt oid <> want || Live_tree.mem lt oid <> (want >= 0) then
+        Alcotest.failf "%s, %s: object %d at %d, the traversal has it at %d" what which oid
+          (Live_tree.index lt oid) want;
+      let want = Option.value (Treesls_util.Int_tbl.find_opt group_of oid) ~default:kernel_group in
+      if Live_tree.owner_group owners oid <> want then
+        Alcotest.failf "%s, %s: object %d in group %d, the walks put it in %d" what which oid
+          (Live_tree.owner_group owners oid) want
+    done
+  in
+  let st = Manager.state (System.manager sys) in
+  (match st.State.live_tree with
+  | Some lt when Live_tree.refresh (Some lt) ~root ~log == lt -> agrees lt "cached"
+  | Some _ | None -> ());
+  agrees (Live_tree.refresh None ~root ~log) "fresh"
+
+let live_set_and_owners_by_id () =
+  List.iter
+    (fun async ->
+      let f = feats ~incr:true in
+      f.State.async_drain <- async;
+      List.iter (fun seed -> churn ~after:live_tree_agrees ~seed ~ops:200 f) [ 5; 6 ])
+    [ false; true ]
 
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_restore_equivalence ]
 
@@ -677,6 +744,8 @@ let () =
         [
           Alcotest.test_case "reused while the shape holds" `Quick live_tree_tracks_shape;
           Alcotest.test_case "walk matches the full-scan oracle" `Quick walk_matches_oracle;
+          Alcotest.test_case "live set and owners by id match the oracle" `Quick
+            live_set_and_owners_by_id;
           Alcotest.test_case "a dead PMO's pages are freed" `Quick dead_pmo_pages_freed;
         ] );
       ("properties", qsuite);

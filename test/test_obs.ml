@@ -793,6 +793,10 @@ let sampled_probe ~retained =
   done;
   p
 
+(* In [Gc.allocated_bytes]'s units: on OCaml 5.1 it counts the minor-heap
+   words allocated since the last minor collection at one eighth of their
+   number, and blocks allocated straight into the major heap in bytes.
+   Compare readings only with each other. *)
 let allocated f =
   let b0 = Gc.allocated_bytes () in
   f ();

@@ -462,8 +462,10 @@ let two_systems_share_nothing () =
 (* Page devices, frame allocators, allocator words and histograms are all
    sized by use, so one boot allocates the same few tens of KiB at any NVM
    capacity; only the chunk indexes grow with it (one pointer per 256
-   pages or words).  [Gc.allocated_bytes] counts minor-heap blocks in
-   words and major-heap ones in bytes: the bounds are in its units. *)
+   pages or words).  [Gc.allocated_bytes] reads [Gc.counters], which on
+   OCaml 5.1 counts the minor-heap words allocated since the last minor
+   collection at one eighth of their number, and major-heap blocks in
+   bytes: the bounds are in its units. *)
 let boot_is_capacity_independent () =
   let allocated pages =
     ignore (System.boot ~nvm_pages:pages ());
@@ -479,6 +481,32 @@ let boot_is_capacity_independent () =
   if large -. small > 32.0 *. kib then
     Alcotest.failf "quadrupling the capacity adds %.0f KiB to a boot (bound 32)"
       ((large -. small) /. kib)
+
+(* ---- a recovery allocates what it restores ---- *)
+
+(* A 16-tenant serving system, checkpointed and recovered once to warm
+   up; one more recovery allocates a small multiple of the tree it
+   restores ([Obj.reachable_words] of the restored root): the objects,
+   the live-tree cache, the kernel that adopts them and the services'
+   set-up.  Read through [Gc.minor_words], which counts every word
+   allocated on the minor heap: [Gc.allocated_bytes] would count the
+   words since the last minor collection at one eighth (OCaml 5.1), and a
+   recovery spans a minor collection.  Blocks allocated straight into the
+   major heap count in neither.  A restore that kept a list of selection
+   tuples, hash-table stubs and per-page option lists read 4.7x here;
+   selecting by ORoot-table scan into arrays by id reads 1.9x. *)
+let recovery_allocates_what_it_restores () =
+  let sys = System.boot ~interval_us:1000 () in
+  ignore (Treesls_serve.Serve.create sys { Treesls_serve.Serve.default_cfg with tenants = 16 });
+  ignore (System.checkpoint sys);
+  ignore (System.crash_and_recover sys);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (System.crash_and_recover sys));
+  let minor = Gc.minor_words () -. w0 in
+  let tree = float_of_int (Obj.reachable_words (Obj.repr (Kernel.root (System.kernel sys)))) in
+  if minor > 3.0 *. tree then
+    Alcotest.failf "a recovery allocates %.0f minor words for a %.0f-word tree (%.1fx, bound 3x)"
+      minor tree (minor /. tree)
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_crash_equals_committed_model; prop_repeated_crashes ]
@@ -519,6 +547,11 @@ let () =
       ( "boot",
         [ Alcotest.test_case "boot is capacity-independent" `Quick boot_is_capacity_independent ]
       );
+      ( "recovery",
+        [
+          Alcotest.test_case "a recovery allocates what it restores" `Quick
+            recovery_allocates_what_it_restores;
+        ] );
       ( "isolation",
         [ Alcotest.test_case "two systems share nothing" `Quick two_systems_share_nothing ] );
     ]

@@ -15,7 +15,12 @@
    is named as its symbol reads, or by its last module path components
    ([Reference.time] matches [Dune__exe__Reference.time]).  A library
    frame is one of a dune library's modules: neither the executable's
-   own ([Dune__exe__]) nor the standard library's. *)
+   own ([Dune__exe__]) nor the standard library's.
+
+   A sample whose stack holds one of the OCaml collector's entry points
+   ([collector]) was spent collecting; the frames above it only
+   allocated the block that triggered the collection.  The tables say how
+   many measured samples that is, in all and for each library frame. *)
 
 type map = { lo : int; hi : int; path : string }
 
@@ -88,6 +93,15 @@ let is_library frame =
        (String.starts_with ~prefix:"Stdlib__" frame
        || String.starts_with ~prefix:"Dune__exe__" frame)
 
+(* minor collections, major slices, major-heap allocation and the
+   remembered set's growth; the rest of the collector runs below these *)
+let collector =
+  [ "caml_empty_minor_heap"; "caml_minor_collection"; "caml_major_collection_slice";
+    "caml_alloc_shr"; "caml_realloc_ref_table" ]
+
+let in_collector path =
+  List.exists (fun f -> List.exists (fun c -> String.starts_with ~prefix:c f) collector) path
+
 let usage () =
   prerr_endline "usage: folded.exe EXE SAMPLES [--outside FRAME]...";
   exit 2
@@ -125,6 +139,7 @@ let () =
     | None -> "[?]"
   in
   let stacks = Hashtbl.create 1024 and self = Hashtbl.create 256 and incl = Hashtbl.create 256 in
+  let incl_gc = Hashtbl.create 256 and collecting = ref 0 in
   let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)) in
   let measured = ref 0 in
   List.iter
@@ -139,25 +154,36 @@ let () =
       if not (List.exists (fun f -> List.exists (matches f) outside) path) then begin
         incr measured;
         bump self leaf;
-        List.iter (bump incl) (List.sort_uniq compare (List.filter is_library path))
+        let libs = List.sort_uniq compare (List.filter is_library path) in
+        List.iter (bump incl) libs;
+        if in_collector path then begin
+          incr collecting;
+          List.iter (bump incl_gc) libs
+        end
       end)
     samples;
   let sorted tbl = List.sort (fun (_, a) (_, b) -> compare b a) (List.of_seq (Hashtbl.to_seq tbl)) in
   List.iter (fun (stack, n) -> Printf.printf "%s %d\n" stack n) (sorted stacks);
   let total = List.length samples and measured = !measured in
-  let table title tbl =
-    Printf.eprintf "top frames by %s samples:\n" title;
+  let pct n = 100. *. float_of_int n /. float_of_int (max 1 measured) in
+  let table ?gc title tbl =
+    Printf.eprintf "top frames by %s samples%s:\n" title
+      (if gc = None then "" else " (then those in the collector)");
     List.iteri
       (fun i (frame, n) ->
         if i < 25 then
-          Printf.eprintf "  %5.1f%% %6d  %s\n"
-            (100. *. float_of_int n /. float_of_int (max 1 measured))
-            n frame)
+          match gc with
+          | None -> Printf.eprintf "  %5.1f%% %6d  %s\n" (pct n) n frame
+          | Some g ->
+            let c = Option.value ~default:0 (Hashtbl.find_opt g frame) in
+            Printf.eprintf "  %5.1f%% %6d  %5.1f%% %6d  %s\n" (pct n) n (pct c) c frame)
       (sorted tbl)
   in
   Printf.eprintf "%d samples, %d (%.1f%%) outside the frames %s; the tables count those.\n" total
     measured
     (100. *. float_of_int measured /. float_of_int (max 1 total))
     (match outside with [] -> "(none)" | l -> String.concat ", " l);
+  Printf.eprintf "%d measured samples (%.1f%%) in the collector (%s*).\n" !collecting
+    (pct !collecting) (String.concat "*, " collector);
   table "self" self;
-  table "inclusive library" incl
+  table ~gc:incl_gc "inclusive library" incl
