@@ -25,9 +25,3 @@ let find_proc sys ~name =
   match Kernel.find_process (System.kernel sys) ~name with
   | Some p -> p
   | None -> raise Not_found
-
-let region_vpn proc ~index =
-  let regions = proc.Kernel.vms.Treesls_cap.Kobj.vs_regions in
-  match List.nth_opt regions index with
-  | Some r -> r.Treesls_cap.Kobj.vr_vpn
-  | None -> invalid_arg "Launchpad.region_vpn: no such region"

@@ -22,6 +22,3 @@ val make_proc :
 val find_proc : System.t -> name:string -> Kernel.process
 (** Re-derive a process handle after recovery; raises [Not_found]. *)
 
-val region_vpn : Kernel.process -> index:int -> int
-(** First vpn of the [index]-th region (creation order is preserved by
-    checkpoint/restore, so indices remain valid across recovery). *)

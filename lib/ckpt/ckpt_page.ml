@@ -18,12 +18,14 @@ let find t pno = Radix.get t.table pno
 let cardinal t = Radix.cardinal t.table
 let iter f t = Radix.iter f t.table
 
+let record_bytes = 40
+
 (* Building one checkpointed-page entry: a slab-sized record write. This
    per-entry cost, times the page count, is what makes the full checkpoint
    of a large PMO take milliseconds (Table 3). *)
 let entry_build_ns (store : Store.t) =
   let c = Store.cost store in
-  c.Cost.alloc_small_ns + Cost.object_copy_ns c ~to_nvm:true ~bytes_len:40
+  c.Cost.alloc_small_ns + Cost.object_copy_ns c ~to_nvm:true ~bytes_len:record_bytes
 
 let ensure store t ~pno ~born_ver =
   match Radix.get t.table pno with

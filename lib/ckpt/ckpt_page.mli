@@ -45,6 +45,11 @@ type cp = {
 
 type t
 
+val record_bytes : int
+(** Bytes of one checkpointed-page record, a slab object on NVM (40): what
+    building one charges, and what the footprint and the NVM census count
+    per record. *)
+
 val create : unit -> t
 val find : t -> int -> cp option
 val cardinal : t -> int

@@ -98,7 +98,7 @@ let publish t p =
 
 let note_restamp t key cp = Hashtbl.replace t.restamp key cp
 let note_saved t key cp frame = Hashtbl.replace t.saved key (cp, frame)
-let saved_frames t = Hashtbl.fold (fun _ (_, f) acc -> f :: acc) t.saved []
+let iter_saved t f = Hashtbl.iter (fun (pmo_id, pno) (_, frame) -> f pmo_id pno frame) t.saved
 
 (* Settle bookkeeping: lift the clean-at-[ver] backups to the new stamp
    and install the drain-saved frames, returning the slots they

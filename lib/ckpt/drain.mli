@@ -9,7 +9,8 @@
     Crash discipline: the backlog models DRAM-resident bookkeeping and
     dies with a power failure ({!note_crash}); the restamp and saved
     records are NVM-resident and survive until restore redoes the settle
-    ({!roll_forward}) or abandons the window ({!abandon}). *)
+    ({!roll_forward}) or abandons the window ({!abandon}).  Until then
+    the saved table alone names the saved frames ({!iter_saved}). *)
 
 module Kobj = Treesls_cap.Kobj
 module Paddr = Treesls_nvm.Paddr
@@ -63,8 +64,9 @@ val note_saved : t -> int * int -> Ckpt_page.cp -> Paddr.t -> unit
 (** The page was dirty at the staged version and its fault saved the
     staged content into [frame]: settle installs it as the new backup. *)
 
-val saved_frames : t -> Paddr.t list
-(** In-flight drain-saved frames (for the audit's allocator census). *)
+val iter_saved : t -> (int -> int -> Paddr.t -> unit) -> unit
+(** [f pmo_id pno frame] for every drain-saved frame; read through
+    [State.iter_named_frames]. *)
 
 val apply_settle : t -> ver:int -> Paddr.t list
 (** Apply restamps and install saved frames; returns the backup slots the

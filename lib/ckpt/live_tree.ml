@@ -211,23 +211,21 @@ let unsaved t ~log ~oroot =
           object %d)"
          (List.length missed) first)
 
-(* Compared by id: [iter_tree] wraps PMOs and threads reached through
-   regions and IPC connections in fresh [Kobj.t] values at every call. *)
-let check t ~root ~log ~oroot =
-  if not (valid t ~root ~log) then None
+(* Compared by id: a traversal wraps PMOs and threads reached through
+   regions and IPC connections in fresh [Kobj.t] values. *)
+let check t ~fresh ~log ~oroot =
+  if not (valid t ~root:fresh.root ~log) then None
   else begin
-    let n = Array.length t.entries in
-    let reached = ref 0 and first_diff = ref None in
-    Kobj.iter_tree ~root (fun obj ->
-        let i = !reached in
-        if !first_diff = None && (i >= n || Kobj.id t.entries.(i) <> Kobj.id obj) then
-          first_diff := Some i;
-        incr reached);
-    match !first_diff with
-    | None when !reached = n -> unsaved t ~log ~oroot
+    let n = Array.length t.entries and m = Array.length fresh.entries in
+    let rec first_diff i =
+      if i = m then None
+      else if i >= n || Kobj.id t.entries.(i) <> Kobj.id fresh.entries.(i) then Some i
+      else first_diff (i + 1)
+    in
+    match first_diff 0 with
+    | None when m = n -> unsaved t ~log ~oroot
     | d ->
       Some
-        (Printf.sprintf "%d objects cached, %d reachable; first difference at visit %d" n
-           !reached
-           (Option.value d ~default:!reached))
+        (Printf.sprintf "%d objects cached, %d reachable; first difference at visit %d" n m
+           (Option.value d ~default:m))
   end

@@ -108,14 +108,15 @@ val owner_group : owners -> int -> int
 
 val check :
   t ->
-  root:Treesls_cap.Kobj.cap_group ->
+  fresh:t ->
   log:Treesls_cap.Dirty_log.t ->
   oroot:(int -> Oroot.t option) ->
   string option
 (** Coherence check for the state auditor: while the cache is still valid
-    for [root] and [log] (the kernel's dirty log), its entries must be
-    exactly the objects a fresh traversal reaches, in the same order, and
-    every entry [log] does not name must have an ORoot ([oroot] looks one
-    up by object id) whose newest snapshot equals a snapshot taken now.
-    [Some message] describes the first kind of difference found; a stale
-    cache (rebuilt before its next use) has nothing to check. *)
+    for [fresh]'s root and [log] (the kernel's dirty log), its entries
+    must be exactly [fresh]'s (a traversal just built, {!build}), by id
+    and in the same order, and every entry [log] does not name must have
+    an ORoot ([oroot] looks one up by object id) whose newest snapshot
+    equals a snapshot taken now.  [Some message] describes the first kind
+    of difference found; a stale cache (rebuilt before its next use) has
+    nothing to check. *)

@@ -91,7 +91,6 @@ let drain_step t = Checkpoint.drain_step t.st
 let drain_settle t = Checkpoint.settle t.st
 let drain_backlog t = Drain.backlog t.st.State.drain
 let drain_pending_version t = Drain.pending_version t.st.State.drain
-let drain_saved_frames t = Drain.saved_frames t.st.State.drain
 let set_drain_policy _ Drain.Lazy = ()
 let set_drain_batch t n = t.st.State.drain_batch <- max 1 n
 

@@ -61,7 +61,6 @@ val drain_settle : t -> unit
 
 val drain_backlog : t -> int
 val drain_pending_version : t -> int option
-val drain_saved_frames : t -> Treesls_nvm.Paddr.t list
 val set_drain_policy : t -> Drain.policy -> unit
 (** No-op: [Lazy] is the only policy. *)
 

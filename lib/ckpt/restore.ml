@@ -364,13 +364,13 @@ let run_inner st =
   (* The allocator reconciliation, the one place recovery frees (paper
      §3, step 7: compare the crash-time state with the checkpoint and
      reclaim): free every live buddy block and every used swap slot that
-     no restored radix, backup slot or slab names.  That is everything the
-     rollback let go of — frames of objects and pages born after [g],
-     runtime frames a restored page no longer maps, superseded backups,
-     the saved frames of an abandoned drain window — plus any frame whose
-     buddy-alloc transaction committed (so the journal redo preserved the
-     allocation) but which the crash cut down before anything referenced
-     it. *)
+     nothing names by the auditor's rule ([State.iter_named_frames]).
+     That is everything the rollback let go of — frames of objects and
+     pages born after [g], runtime frames a restored page no longer maps,
+     superseded backups, the saved frames of an abandoned drain window —
+     plus any frame whose buddy-alloc transaction committed (so the
+     journal redo preserved the allocation) but which the crash cut down
+     before anything referenced it. *)
   (* one byte per NVM page, the state's buffer cleared; [Bytes.set]
      bounds-checks every claim *)
   let npages = Store.nvm_pages_total store in
@@ -379,24 +379,13 @@ let run_inner st =
   Bytes.fill claimed 0 npages '\000';
   let claim_idx i = Bytes.set claimed i '\001' in
   let ssd_named = Hashtbl.create 16 in
-  let claim (p : Paddr.t) =
-    if Paddr.is_nvm p then claim_idx p.Paddr.idx
-    else if Paddr.is_ssd p then Hashtbl.replace ssd_named p.Paddr.idx ()
-  in
-  let claim_mapped _ paddr = claim paddr in
-  let claim_backups _ (cp : Ckpt_page.cp) =
-    (match cp.Ckpt_page.b1 with Some p -> claim p | None -> ());
-    match cp.Ckpt_page.b2 with Some p -> claim p | None -> ()
-  in
-  List.iter claim_idx (Treesls_nvm.Slab.slab_pages (Store.slab store));
-  Array.iter
-    (function
-      | Kobj.Pmo p -> Radix.iter claim_mapped p.Kobj.pmo_radix
-      | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Vmspace _ | Kobj.Ipc_conn _ | Kobj.Notification _
-      | Kobj.Irq_notification _ -> ())
-    (Live_tree.entries tree);
-  State.iter_oroots st (fun _ (o : Oroot.t) ->
-      match o.Oroot.pages with None -> () | Some cps -> Ckpt_page.iter claim_backups cps);
+  (* After the ORoot GC every ORoot's runtime pointer names a restored
+     object, the fresh-page notes are reset and the drain window is
+     forgotten: the frames named are the slab's, the restored radixes'
+     and the backups. *)
+  State.iter_named_frames st ~live:tree (fun _ _ _ (p : Paddr.t) ->
+      if Paddr.is_nvm p then claim_idx p.Paddr.idx
+      else if Paddr.is_ssd p then Hashtbl.replace ssd_named p.Paddr.idx ());
   let buddy = Store.buddy store in
   let orphans = ref [] in
   Treesls_nvm.Buddy.iter_live buddy (fun ~offset ~order ->

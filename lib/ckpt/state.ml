@@ -116,17 +116,58 @@ let drain_fresh t pmo =
     Hashtbl.remove t.pending_fresh pmo.Kobj.pmo_id;
     pnos
 
-(* Named by the note alone: no page record, no runtime pointer. *)
-let iter_fresh_awaiting_gc t ~reachable f =
+type frame_role =
+  | Slab_page
+  | Drain_saved
+  | Runtime
+  | Eternal
+  | Fresh
+  | Detached
+  | Cp_backup
+  | Cpp_backup
+
+(* A dead PMO's radix is read in key order, so a page noted fresh twice
+   comes once. *)
+let iter_named_frames t ~live f =
+  Treesls_nvm.Slab.iter_pages
+    (Store.slab (Kernel.store t.kernel))
+    (fun off -> f Slab_page (-1) (-1) (Paddr.nvm off));
+  Drain.iter_saved t.drain (fun pmo_id pno frame -> f Drain_saved pmo_id pno frame);
+  Array.iter
+    (function
+      | Kobj.Pmo p ->
+        let role = if p.Kobj.pmo_kind = Kobj.Pmo_eternal then Eternal else Runtime in
+        Radix.iter (fun pno frame -> f role p.Kobj.pmo_id pno frame) p.Kobj.pmo_radix
+      | Kobj.Cap_group _ | Kobj.Thread _ | Kobj.Vmspace _ | Kobj.Ipc_conn _ | Kobj.Notification _
+      | Kobj.Irq_notification _ -> ())
+    (Live_tree.entries live);
   Hashtbl.iter
     (fun id r ->
-      if (not (reachable id)) && find_oroot t id = None then begin
+      if (not (Live_tree.mem live id)) && Option.is_none (find_oroot t id) then begin
         let pmo, pnos = !r in
-        List.iter
-          (fun pno -> Option.iter (f pmo pno) (Radix.get pmo.Kobj.pmo_radix pno))
-          (List.sort_uniq Int.compare pnos)
+        Radix.iter
+          (fun pno frame -> if List.mem pno pnos then f Fresh id pno frame)
+          pmo.Kobj.pmo_radix
       end)
-    t.pending_fresh
+    t.pending_fresh;
+  iter_oroots t (fun oid (o : Oroot.t) ->
+      (match o.Oroot.runtime with
+      | Some (Kobj.Pmo p) when not (Live_tree.mem live oid) ->
+        Radix.iter (fun pno frame -> f Detached oid pno frame) p.Kobj.pmo_radix
+      | Some _ | None -> ());
+      match o.Oroot.pages with
+      | None -> ()
+      | Some cps ->
+        Ckpt_page.iter
+          (fun pno (cp : Ckpt_page.cp) ->
+            let role = if cp.Ckpt_page.b2 = None then Cp_backup else Cpp_backup in
+            (match cp.Ckpt_page.b1 with Some p -> f role oid pno p | None -> ());
+            match cp.Ckpt_page.b2 with Some p -> f role oid pno p | None -> ())
+          cps)
+
+let fresh_tree t =
+  Live_tree.build ~objects:t.oroot_count ~ids:(Array.length t.oroots)
+    ~root:(Kernel.root t.kernel)
 
 let obj_cost t kind = t.obj_costs.(Kobj.kind_index kind)
 
@@ -155,7 +196,9 @@ let checkpoint_bytes t =
       in
       let page_bytes =
         match o.Oroot.pages with
-        | Some pages -> (Ckpt_page.backup_frames pages * page_size) + (Ckpt_page.cardinal pages * 40)
+        | Some pages ->
+          (Ckpt_page.backup_frames pages * page_size)
+          + (Ckpt_page.cardinal pages * Ckpt_page.record_bytes)
         | None -> 0
       in
       total := !total + snap_bytes + page_bytes);

@@ -121,11 +121,34 @@ val oroot_for : t -> Kobj.t -> version:int -> Oroot.t * bool
 val note_fresh_page : t -> Kobj.pmo -> int -> unit
 val drain_fresh : t -> Kobj.pmo -> int list
 
-val iter_fresh_awaiting_gc :
-  t -> reachable:(int -> bool) -> (Kobj.pmo -> int -> Treesls_nvm.Paddr.t -> unit) -> unit
-(** [f pmo pno frame] for every page noted fresh ({!note_fresh_page}) for
-    a PMO with no ORoot that [reachable] rejects: frames nothing else
-    names until the commit's GC ({!gc_dead_oroots}) frees them. *)
+(** What names a frame: the subsystem that keeps it allocated. *)
+type frame_role =
+  | Slab_page  (** a buddy page carved into small-object slabs *)
+  | Drain_saved  (** saved by a CoW fault in a pending drain window *)
+  | Runtime  (** a page of a normal PMO in the tree *)
+  | Eternal  (** a frame of an eternal PMO in the tree *)
+  | Fresh
+      (** a page noted fresh ({!note_fresh_page}) for a PMO outside the
+          tree without an ORoot, until the commit's GC frees it *)
+  | Detached  (** a page of an ORoot's runtime PMO outside the tree *)
+  | Cp_backup  (** a backup of a page whose runtime is not DRAM-cached *)
+  | Cpp_backup  (** either half of a DRAM-cached page's backup pair *)
+
+val iter_named_frames :
+  t -> live:Live_tree.t -> (frame_role -> int -> int -> Treesls_nvm.Paddr.t -> unit) -> unit
+(** [f role oid pno frame] for every frame something names, on every
+    device, with [live] as the tree: the one rule restore's allocator
+    reconciliation, the auditor, the NVM census and the wear heatmap
+    read.  [oid] and [pno] name the object and page ([-1] for a slab
+    page).  Claim order: slab pages, drain-saved frames, [live]'s PMOs in
+    entry order, dead PMOs' fresh pages, then by ascending ORoot id its
+    detached pages and its backups.  A frame named twice comes twice.
+    Allocates nothing per frame but a slab page's address. *)
+
+val fresh_tree : t -> Live_tree.t
+(** A fresh traversal of the kernel's tree ({!Live_tree.build}), sized
+    like the ORoot table; never the cache.  The auditor, the NVM census
+    and the wear heatmap read it as the live set. *)
 
 val obj_cost : t -> Kobj.kind -> obj_cost
 (** The kind's collectors. *)

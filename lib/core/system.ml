@@ -186,7 +186,8 @@ let interval_ctl t = t.ctl
 (* --- state audit (slsfsck) -------------------------------------------- *)
 
 let audit ?wear t = Treesls_audit.Audit.run ?wear t.mgr
-let nvm_census t = Treesls_audit.Nvm_census.collect t.mgr
+let nvm_census t =
+  Treesls_audit.Nvm_census.collect t.mgr ~live:(Treesls_ckpt.State.fresh_tree (Manager.state t.mgr))
 
 let export_trace ?pid ?tid t = Trace.to_perfetto_json ?pid ?tid (Probe.trace (obs t))
 

@@ -124,12 +124,6 @@ let free t handle =
   Txn.write txn t.live_word (Txn.read txn t.live_word - 1);
   Txn.commit txn ~desc:"slab-free"
 
-let page_of t handle =
-  check_handle t handle;
-  let pw = Warea.read t.area (page_word t handle.cls handle.slot) in
-  if pw = 0 then invalid_arg "Slab.page_of: dead handle";
-  pw - 1
-
 let live t = Warea.read t.area t.live_word
 
 (* [f cls slot pw bm] for every slot with a non-zero word, ascending; a
@@ -146,10 +140,7 @@ let iter_slots t f =
           (Warea.read t.area (bitmap_word t cls slot))
       end)
 
-let slab_pages t =
-  let acc = ref [] in
-  iter_slots t (fun _ _ pw _ -> if pw <> 0 then acc := (pw - 1) :: !acc);
-  List.rev !acc
+let iter_pages t f = iter_slots t (fun _ _ pw _ -> if pw <> 0 then f (pw - 1))
 
 let live_in_class t cls =
   if cls < 0 || cls >= nclasses then invalid_arg "Slab.live_in_class";

@@ -35,16 +35,13 @@ val alloc : t -> size:int -> handle option
 val free : t -> handle -> unit
 (** Raises [Invalid_argument] if the handle is not live. *)
 
-val page_of : t -> handle -> int
-(** NVM page offset holding the object. *)
-
 val live : t -> int
 (** Number of live objects across all classes. *)
 
-val slab_pages : t -> int list
-(** Buddy page offsets currently held as slabs, in slot order (a read-only
-    walk of the written slab words; the state auditor counts them against
-    the buddy's live allocations). *)
+val iter_pages : t -> (int -> unit) -> unit
+(** [f offset] for every buddy page currently held as a slab, in slot
+    order (a read-only walk of the written slab words; the state auditor
+    counts them against the buddy's live allocations). *)
 
 val live_in_class : t -> int -> int
 

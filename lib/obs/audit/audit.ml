@@ -52,6 +52,16 @@ let subsystem_name = function
 
 let severity_rank = function Error -> 2 | Warning -> 1 | Info -> 0
 
+(* how the allocator check names a frame's role *)
+let role_name = function
+  | State.Slab_page -> "slab page"
+  | State.Drain_saved -> "drain-saved frame"
+  | State.Runtime -> "runtime page"
+  | State.Eternal -> "eternal frame"
+  | State.Fresh -> "fresh page awaiting GC"
+  | State.Detached -> "detached runtime page"
+  | State.Cp_backup | State.Cpp_backup -> "backup frame"
+
 (* Wear-health thresholds (doctor): warn when a checkpoint interval's
    write amplification or the per-page wear skew crosses these.  Opt-in —
    [run] performs the checks only when thresholds are passed, so a plain
@@ -93,24 +103,19 @@ let run ?wear mgr =
   if Store.journal_in_flight store then
     add Error Journal "allocator journal holds an un-truncated record outside a checkpoint";
 
-  (* The runtime tree, by object id: one traversal whose visited set is
-     the table itself, sized like the tree it checkpoints. *)
-  let root = Kernel.root kernel in
-  let reachable : Kobj.t Int_tbl.t = Int_tbl.create st.State.oroot_count in
-  Kobj.walk ~root (fun obj ->
-      let oid = Kobj.id obj in
-      (not (Int_tbl.mem reachable oid))
-      && begin
-           Int_tbl.add reachable oid obj;
-           true
-         end);
+  (* The runtime tree: the audit's one traversal, read for reachability,
+     the cache check, the eternal and backing checks, the allocator
+     reconciliation and the census. *)
+  let live = State.fresh_tree st in
+  let entries = Live_tree.entries live in
 
   (* The walk's cached tree must still be the tree: a stale cache would
      skip objects that joined it and let GC free ones still in it. *)
   Option.iter
     (fun lt ->
       Option.iter (add Error Captree "live-tree cache: %s")
-        (Live_tree.check lt ~root ~log:(Kernel.dirty_log kernel) ~oroot:(State.find_oroot st)))
+        (Live_tree.check lt ~fresh:live ~log:(Kernel.dirty_log kernel)
+           ~oroot:(State.find_oroot st)))
     st.State.live_tree;
 
   (* Captree: ORoot version sanity, snapshot restorability, references. *)
@@ -192,11 +197,13 @@ let run ?wear mgr =
   (* Eternal PMOs: excluded from rollback (§5), and installed in the root
      cap group, whose slots are all that ring reattachment searches. *)
   let in_root = Int_tbl.create 16 in
-  Kobj.iter_caps (fun _ c -> Int_tbl.replace in_root (Kobj.id c.Kobj.target) ()) root;
-  Int_tbl.iter
-    (fun oid obj ->
-      match obj with
+  Kobj.iter_caps
+    (fun _ c -> Int_tbl.replace in_root (Kobj.id c.Kobj.target) ())
+    (Kernel.root kernel);
+  Array.iter
+    (function
       | Kobj.Pmo p when p.Kobj.pmo_kind = Kobj.Pmo_eternal ->
+        let oid = p.Kobj.pmo_id in
         let add ?pno ?paddr sev fmt = add ~obj_id:oid ?pno ?paddr sev Eternal fmt in
         if not (Int_tbl.mem in_root oid) then
           add Error "eternal PMO holds no capability in the root cap group";
@@ -223,16 +230,19 @@ let run ?wear mgr =
               eternal_frames
           | Some _ | None -> ()))
       | _ -> ())
-    reachable;
+    entries;
 
   (* Every observability backing (trace ring, wearmap, black box) must be
      a reachable eternal PMO. *)
   List.iter
     (fun (name, id) ->
-      match Int_tbl.find_opt reachable id with
-      | Some (Kobj.Pmo p) when p.Kobj.pmo_kind = Kobj.Pmo_eternal -> ()
-      | Some _ -> add ~obj_id:id Error Eternal "%s backing object is not an eternal PMO" name
-      | None -> add ~obj_id:id Error Eternal "%s backing PMO is not reachable from the root" name)
+      let i = Live_tree.index live id in
+      if i < 0 then
+        add ~obj_id:id Error Eternal "%s backing PMO is not reachable from the root" name
+      else
+        match entries.(i) with
+        | Kobj.Pmo p when p.Kobj.pmo_kind = Kobj.Pmo_eternal -> ()
+        | _ -> add ~obj_id:id Error Eternal "%s backing object is not an eternal PMO" name)
     (Probe.backings probe);
 
   (* Wear health (doctor, opt-in): write-amplification and wear-skew
@@ -269,72 +279,31 @@ let run ?wear mgr =
    with Failure m -> add Error Allocator "buddy invariant violated: %s" m);
   (try Slab.check_invariants slab
    with Failure m -> add Error Allocator "slab invariant violated: %s" m);
-  let roles : string Int_tbl.t = Int_tbl.create 512 in
-  let claim ?obj_id ?pno idx role =
-    match Int_tbl.find_opt roles idx with
-    | Some other ->
-      add ?obj_id ?pno ~paddr:(Paddr.nvm idx) Error Allocator
-        "NVM page claimed as both %s and %s" other role
-    | None -> Int_tbl.replace roles idx role
-  in
-  List.iter (fun off -> claim off "slab page") (Slab.slab_pages slab);
-  (* In-flight drain frames: version-N content saved by CoW faults during a
-     pending window, referenced only by the drain's saved table until
-     settle installs them (or restore frees them). *)
-  List.iter
-    (fun (p : Paddr.t) -> claim p.Paddr.idx "drain-saved frame")
-    (Manager.drain_saved_frames mgr);
-  let claim_radix ~obj_id radix role =
-    Radix.iter
-      (fun pno paddr -> if Paddr.is_nvm paddr then claim ~obj_id ~pno paddr.Paddr.idx role)
-      radix
-  in
-  Int_tbl.iter
-    (fun oid obj ->
-      match obj with
-      | Kobj.Pmo p ->
-        let role =
-          if p.Kobj.pmo_kind = Kobj.Pmo_eternal then "eternal frame" else "runtime page"
-        in
-        claim_radix ~obj_id:oid p.Kobj.pmo_radix role
-      | _ -> ())
-    reachable;
-  State.iter_fresh_awaiting_gc st ~reachable:(Int_tbl.mem reachable) (fun pmo pno paddr ->
-      if Paddr.is_nvm paddr then
-        claim ~obj_id:pmo.Kobj.pmo_id ~pno paddr.Paddr.idx "fresh page awaiting GC");
-  Manager.iter_oroots mgr (fun oid (oroot : Oroot.t) ->
-    (match oroot.Oroot.runtime with
-    | Some (Kobj.Pmo p) when not (Int_tbl.mem reachable oid) ->
-      claim_radix ~obj_id:oid p.Kobj.pmo_radix "detached runtime page"
-    | Some _ | None -> ());
-    match oroot.Oroot.pages with
-    | None -> ()
-    | Some cps ->
-      Ckpt_page.iter
-        (fun pno (cp : Ckpt_page.cp) ->
-          let backup = function
-            | Some p when Paddr.is_nvm p -> claim ~obj_id:oid ~pno p.Paddr.idx "backup frame"
-            | Some _ | None -> ()
-          in
-          backup cp.Ckpt_page.b1;
-          backup cp.Ckpt_page.b2)
-        cps);
-  let live : unit Int_tbl.t = Int_tbl.create 512 in
+  let roles : State.frame_role Int_tbl.t = Int_tbl.create 512 in
+  State.iter_named_frames st ~live (fun role oid pno (frame : Paddr.t) ->
+      if Paddr.is_nvm frame then
+        match Int_tbl.find_opt roles frame.Paddr.idx with
+        | Some other ->
+          let obj_id, pno = if oid < 0 then (None, None) else (Some oid, Some pno) in
+          add ?obj_id ?pno ~paddr:frame Error Allocator "NVM page claimed as both %s and %s"
+            (role_name other) (role_name role)
+        | None -> Int_tbl.replace roles frame.Paddr.idx role);
+  let allocated : unit Int_tbl.t = Int_tbl.create 512 in
   Buddy.iter_live buddy (fun ~offset ~order ->
     for i = offset to offset + (1 lsl order) - 1 do
-      Int_tbl.replace live i ()
+      Int_tbl.replace allocated i ()
     done);
   Int_tbl.iter
     (fun idx () ->
       if not (Int_tbl.mem roles idx) then
         add ~paddr:(Paddr.nvm idx) Error Allocator
           "live NVM block reachable from no subsystem (leak)")
-    live;
+    allocated;
   Int_tbl.iter
     (fun idx role ->
-      if not (Int_tbl.mem live idx) then
+      if not (Int_tbl.mem allocated idx) then
         add ~paddr:(Paddr.nvm idx) Error Allocator
-          "%s is not a live buddy allocation (dangling frame)" role)
+          "%s is not a live buddy allocation (dangling frame)" (role_name role))
     roles;
 
   let violations =
@@ -353,7 +322,7 @@ let run ?wear mgr =
     objects_checked = !objects_checked;
     pages_checked = !pages_checked;
     violations;
-    census = Nvm_census.collect mgr;
+    census = Nvm_census.collect mgr ~live;
   }
 
 let ok r = r.violations = []

@@ -19,10 +19,12 @@
       rule over every record finds a source for every committed page, and
       sealed sources still verify.
     - {b Allocator}: buddy/slab internal invariants hold, and every live
-      buddy block is claimed by exactly one subsystem (runtime page,
-      backup frame, eternal frame, slab page, a dead PMO's fresh page
-      awaiting GC) — unclaimed blocks are leaks, claims without a live
-      block are dangling frames.
+      buddy block is claimed by exactly one subsystem (slab page,
+      drain-saved frame, runtime page, eternal frame, a dead PMO's fresh
+      page awaiting GC, detached runtime page, backup frame: the roles
+      of [State.iter_named_frames]) — unclaimed blocks are leaks, claims
+      without a live block are dangling frames, a second claim is a
+      double-claim reported with the first role.
     - {b Eternal}: eternal PMOs carry no rollback page records ([§5]:
       they are excluded from rollback), their frames are NVM-resident,
       each reachable one holds a capability in the root cap group's own
@@ -30,10 +32,12 @@
       backing PMO (trace ring, wearmap, black box; each once reserved) is
       a reachable eternal PMO.
 
-    Every failed check yields a structured {!violation}; a clean system
-    yields none.  The same walk prices NVM by subsystem ({!Nvm_census})
-    and, with an {!Treesls_ckpt.Eidetic} archive attached, {!diff}
-    explains what changed between two committed versions.
+    One fresh traversal of the runtime tree ([State.fresh_tree]) serves
+    every check and the census.  Every failed check yields a structured
+    {!violation}; a clean system yields none.  The same traversal and
+    roles price NVM by subsystem ({!Nvm_census}) and, with an
+    {!Treesls_ckpt.Eidetic} archive attached, {!diff} explains what
+    changed between two committed versions.
 
     The audit is a pure read: it charges no simulated time and mutates
     nothing, so paranoid callers (bench [--audit]) can run it after every

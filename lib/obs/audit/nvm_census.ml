@@ -1,7 +1,8 @@
 module Kobj = Treesls_cap.Kobj
-module Radix = Treesls_cap.Radix
 module Kernel = Treesls_kernel.Kernel
 module Manager = Treesls_ckpt.Manager
+module State = Treesls_ckpt.State
+module Live_tree = Treesls_ckpt.Live_tree
 module Oroot = Treesls_ckpt.Oroot
 module Ckpt_page = Treesls_ckpt.Ckpt_page
 module Snapshot = Treesls_ckpt.Snapshot
@@ -28,60 +29,44 @@ type t = {
   allocator_meta_bytes : int;
 }
 
-(* The checkpointed-page record itself is a 40-byte slab object (the size
-   Ckpt_page charges when building one). *)
-let cp_record_bytes = 40
-
-let count_nvm_frames radix counter =
-  Radix.iter (fun _ paddr -> if Paddr.is_nvm paddr then incr counter) radix
-
-let collect mgr =
-  let kernel = Manager.kernel mgr in
-  let store = Kernel.store kernel in
+let collect mgr ~live =
+  let st = Manager.state mgr in
+  let store = Kernel.store st.State.kernel in
   let page_size = (Store.cost store).Treesls_sim.Cost.page_size in
-  let runtime_pages = ref 0 and eternal_pages = ref 0 in
-  let counter_for (p : Kobj.pmo) =
-    if p.Kobj.pmo_kind = Kobj.Pmo_eternal then eternal_pages else runtime_pages
+  let runtime_pages = ref 0 and eternal_pages = ref 0 and slab_pages = ref 0 in
+  let cp_frames = ref 0 and cpp_frames = ref 0 in
+  (* a detached PMO's pages count with its kind; a fresh page is a normal
+     PMO's, since an eternal PMO's radix is complete at creation *)
+  let detached_counter oid =
+    match State.find_oroot st oid with
+    | Some { Oroot.runtime = Some (Kobj.Pmo p); _ } when p.Kobj.pmo_kind = Kobj.Pmo_eternal ->
+      eternal_pages
+    | Some _ | None -> runtime_pages
   in
-  let reachable = Hashtbl.create 256 in
-  Kobj.iter_tree ~root:(Kernel.root kernel) (fun obj ->
-    Hashtbl.replace reachable (Kobj.id obj) ();
-    match obj with
-    | Kobj.Pmo p -> count_nvm_frames p.Kobj.pmo_radix (counter_for p)
-    | _ -> ());
-  (* a dead PMO's fresh pages wait for the commit's GC, named only by its
-     note; the auditor claims them the same way *)
-  Treesls_ckpt.State.iter_fresh_awaiting_gc (Manager.state mgr) ~reachable:(Hashtbl.mem reachable)
-    (fun p _ paddr -> if Paddr.is_nvm paddr then incr (counter_for p));
-  let cp_frames = ref 0 and cpp_frames = ref 0 and cp_records = ref 0 in
-  let snapshot_slots = ref 0 and snapshot_bytes = ref 0 in
-  Manager.iter_oroots mgr (fun oid (oroot : Oroot.t) ->
-    (* objects that left the tree but were not yet GC'd still hold their
-       runtime frames; count them with the live runtimes *)
-    (match oroot.Oroot.runtime with
-    | Some (Kobj.Pmo p) when not (Hashtbl.mem reachable oid) ->
-      count_nvm_frames p.Kobj.pmo_radix (counter_for p)
-    | Some _ | None -> ());
-    let slot = function
-      | Some (_, s) ->
-        incr snapshot_slots;
-        snapshot_bytes := !snapshot_bytes + Snapshot.bytes s
-      | None -> ()
-    in
-    slot oroot.Oroot.slot_a;
-    slot oroot.Oroot.slot_b;
-    match oroot.Oroot.pages with
-    | None -> ()
-    | Some cps ->
-      Ckpt_page.iter
-        (fun _pno (cp : Ckpt_page.cp) ->
-          incr cp_records;
-          let nvm = function Some p when Paddr.is_nvm p -> 1 | Some _ | None -> 0 in
-          let frames = nvm cp.Ckpt_page.b1 + nvm cp.Ckpt_page.b2 in
-          if cp.Ckpt_page.b2 = None then cp_frames := !cp_frames + frames
-          else cpp_frames := !cpp_frames + frames)
-        cps);
-  let slab = Store.slab store in
+  State.iter_named_frames st ~live (fun role oid _ frame ->
+      if Paddr.is_nvm frame then
+        incr
+          (match role with
+          | State.Slab_page -> slab_pages
+          | State.Runtime | State.Fresh -> runtime_pages
+          | State.Eternal -> eternal_pages
+          | State.Detached -> detached_counter oid
+          (* settle installs a drain-saved frame as a CP backup *)
+          | State.Cp_backup | State.Drain_saved -> cp_frames
+          | State.Cpp_backup -> cpp_frames));
+  let cp_records = ref 0 and snapshot_slots = ref 0 and snapshot_bytes = ref 0 in
+  State.iter_oroots st (fun _ (oroot : Oroot.t) ->
+      let slot = function
+        | Some (_, s) ->
+          incr snapshot_slots;
+          snapshot_bytes := !snapshot_bytes + Snapshot.bytes s
+        | None -> ()
+      in
+      slot oroot.Oroot.slot_a;
+      slot oroot.Oroot.slot_b;
+      Option.iter
+        (fun cps -> cp_records := !cp_records + Ckpt_page.cardinal cps)
+        oroot.Oroot.pages);
   {
     version = Global_meta.version (Store.meta store);
     page_size;
@@ -91,8 +76,8 @@ let collect mgr =
     eternal_pages = !eternal_pages;
     backup_cp_frames = !cp_frames;
     backup_cpp_frames = !cpp_frames;
-    slab_pages = List.length (Slab.slab_pages slab);
-    slab_objects = Slab.live slab;
+    slab_pages = !slab_pages;
+    slab_objects = Slab.live (Store.slab store);
     cp_records = !cp_records;
     snapshot_slots = !snapshot_slots;
     snapshot_bytes = !snapshot_bytes;
@@ -100,55 +85,26 @@ let collect mgr =
     allocator_meta_bytes = 8 * Store.allocator_meta_words store;
   }
 
-(* NVM page index -> human-readable owner label, for wear-heatmap
-   attribution: role (runtime/eternal/backup/detached/slab), owning
-   process subtree, and object id.  Same claim order as the audit's roles
-   table (slab, reachable PMOs, detached runtimes, backup frames) with
-   first-claim-wins for pages shared between views. *)
+(* First claim wins, as the auditor reports the first role of a frame
+   named twice. *)
 let page_owners mgr =
-  let kernel = Manager.kernel mgr in
-  let store = Kernel.store kernel in
-  let owners : (int, string) Hashtbl.t = Hashtbl.create 256 in
-  let claim idx label = if not (Hashtbl.mem owners idx) then Hashtbl.add owners idx label in
-  let claim_radix radix label =
-    Radix.iter (fun _ paddr -> if Paddr.is_nvm paddr then claim paddr.Paddr.idx label) radix
+  let st = Manager.state mgr in
+  let live = State.fresh_tree st in
+  let groups = Live_tree.owners live st.State.kernel in
+  let owner oid = (Live_tree.group_names groups).(Live_tree.owner_group groups oid) in
+  let label role oid =
+    match role with
+    | State.Slab_page -> "slab"
+    | State.Runtime -> Printf.sprintf "runtime/%s/pmo%d" (owner oid) oid
+    | State.Eternal -> Printf.sprintf "eternal/%s/pmo%d" (owner oid) oid
+    | State.Fresh | State.Detached -> Printf.sprintf "detached/pmo%d" oid
+    | State.Drain_saved | State.Cp_backup | State.Cpp_backup ->
+      Printf.sprintf "backup/%s/obj%d" (owner oid) oid
   in
-  List.iter (fun off -> claim off "slab") (Slab.slab_pages (Store.slab store));
-  (* object id -> owning process name (first process wins for shared
-     objects; objects reachable only from the root stay "kernel") *)
-  let proc_of = Hashtbl.create 256 in
-  List.iter
-    (fun (p : Kernel.process) ->
-      Kobj.iter_tree ~root:p.Kernel.cg (fun obj ->
-          let oid = Kobj.id obj in
-          if not (Hashtbl.mem proc_of oid) then Hashtbl.add proc_of oid p.Kernel.pname))
-    (Kernel.processes kernel);
-  let owner_of oid = Option.value ~default:"kernel" (Hashtbl.find_opt proc_of oid) in
-  Kobj.iter_tree ~root:(Kernel.root kernel) (fun obj ->
-      match obj with
-      | Kobj.Pmo p ->
-        let role = if p.Kobj.pmo_kind = Kobj.Pmo_eternal then "eternal" else "runtime" in
-        claim_radix p.Kobj.pmo_radix
-          (Printf.sprintf "%s/%s/pmo%d" role (owner_of (Kobj.id obj)) p.Kobj.pmo_id)
-      | _ -> ());
-  Manager.iter_oroots mgr (fun oid (oroot : Oroot.t) ->
-      (match oroot.Oroot.runtime with
-      | Some (Kobj.Pmo p) ->
-        claim_radix p.Kobj.pmo_radix (Printf.sprintf "detached/pmo%d" p.Kobj.pmo_id)
-      | Some _ | None -> ());
-      match oroot.Oroot.pages with
-      | None -> ()
-      | Some cps ->
-        Ckpt_page.iter
-          (fun _pno (cp : Ckpt_page.cp) ->
-            let backup = function
-              | Some pa when Paddr.is_nvm pa ->
-                claim pa.Paddr.idx (Printf.sprintf "backup/%s/obj%d" (owner_of oid) oid)
-              | Some _ | None -> ()
-            in
-            backup cp.Ckpt_page.b1;
-            backup cp.Ckpt_page.b2)
-          cps);
+  let owners : (int, string) Hashtbl.t = Hashtbl.create 256 in
+  State.iter_named_frames st ~live (fun role oid _ (frame : Paddr.t) ->
+      if Paddr.is_nvm frame && not (Hashtbl.mem owners frame.Paddr.idx) then
+        Hashtbl.add owners frame.Paddr.idx (label role oid));
   owners
 
 let accounted_pages t =
@@ -184,7 +140,7 @@ let rows t =
     ("eternal PMO pages", t.eternal_pages, t.eternal_pages * t.page_size);
     ("slab pages", t.slab_pages, t.slab_pages * t.page_size);
     ("object snapshots", t.snapshot_slots, t.snapshot_bytes);
-    ("page records", t.cp_records, t.cp_records * cp_record_bytes);
+    ("page records", t.cp_records, t.cp_records * Ckpt_page.record_bytes);
     ("allocator metadata (words)", t.allocator_meta_bytes / 8, t.allocator_meta_bytes);
     ("free pages", t.free_pages, t.free_pages * t.page_size);
     ("unaccounted pages", unaccounted_pages t, unaccounted_pages t * t.page_size);

@@ -1,12 +1,12 @@
 (** Per-subsystem census of NVM consumption.
 
-    One read-only walk over the runtime tree, the ORoot/backup tree and
-    the allocators, bucketing every NVM page (and the metadata byte
-    streams) by the subsystem that owns it — the paper's Table 2 ("NVM
-    usage by kind") turned into a queryable structure.  The same buckets
-    are what the auditor ({!Audit}) reconciles against the buddy
-    allocator's live-block walk, so a page that shows up in no bucket is
-    a leak and a page in two buckets is a double-claim.
+    Buckets every NVM page (and the metadata byte streams) by the
+    subsystem that owns it — the paper's Table 2 ("NVM usage by kind")
+    turned into a queryable structure.  A page's bucket is its role in
+    [State.iter_named_frames], the enumerator the auditor ({!Audit})
+    reconciles against the buddy allocator's live-block walk, so these
+    are the auditor's buckets: a page that shows up in no bucket is a
+    leak and a page in two buckets is a double-claim.
 
     [diff] subtracts two censuses field-wise; the CLI's
     [census --baseline] uses it to show what a workload added on top of
@@ -24,7 +24,8 @@ type t = {
   eternal_pages : int;  (** frames of eternal PMOs (never rolled back) *)
   backup_cp_frames : int;
       (** single-backup (CP) frames: pages whose runtime copy lives on
-          NVM/SSD and doubles as the consistent copy *)
+          NVM/SSD and doubles as the consistent copy, and the frames a
+          pending drain window saved, which its settle installs as such *)
   backup_cpp_frames : int;
       (** backup-pair (CPP) frames: both NVM halves kept for
           DRAM-cached runtime pages *)
@@ -37,14 +38,20 @@ type t = {
   allocator_meta_bytes : int;  (** journaled word area (buddy + slab) *)
 }
 
-val collect : Treesls_ckpt.Manager.t -> t
-(** Walk a quiesced system. Pure read; charges no simulated time. *)
+val collect : Treesls_ckpt.Manager.t -> live:Treesls_ckpt.Live_tree.t -> t
+(** Count a quiesced system with [live] as its tree (a fresh traversal,
+    [State.fresh_tree]; the auditor passes the one it checks with).
+    Pure read; charges no simulated time. *)
 
 val page_owners : Treesls_ckpt.Manager.t -> (int, string) Hashtbl.t
-(** NVM page index -> owner label
+(** NVM page index -> owner label by the page's role in
+    [State.iter_named_frames] over a fresh traversal
     ([role/process/object], e.g. ["runtime/memcached/pmo12"],
-    ["backup/redis/obj7"], ["eternal/kernel/pmo3"], ["slab"]) for
-    wear-heatmap attribution.  Pure read; charges no simulated time. *)
+    ["backup/redis/obj7"], ["eternal/kernel/pmo3"], ["detached/pmo9"],
+    ["slab"]; the process from [Live_tree.owners]) for wear-heatmap
+    attribution.  A drain-saved frame is labelled as the backup settle
+    makes it, a dead PMO's fresh page as detached; a page named twice
+    keeps its first label.  Pure read; charges no simulated time. *)
 
 val accounted_pages : t -> int
 (** Pages claimed by some subsystem:

@@ -4,9 +4,12 @@
    record outside the managed pages, rollback state on
    an eternal PMO, an eternal PMO missing from the root cap group, a
    normal PMO registered as an observability backing, a change the dirty
-   log never saw, an ORoot the GC missed —
-   yields exactly the expected violation, and the states a GC has yet to
-   clean up (exited processes, a dead PMO's fresh pages) audit clean.
+   log never saw, an ORoot the GC missed, a frame two radixes map, a
+   frame freed under a mapping —
+   yields the expected violation, and the states a GC or a settle has yet
+   to clean up (exited processes, a dead PMO's fresh pages, a pending
+   drain window's saved frame) audit clean, with the census and the wear
+   heatmap's owner labels agreeing.
    Also pins the Report.pp format (every field, including per_kind_ns). *)
 
 module System = Treesls.System
@@ -24,6 +27,8 @@ module Audit = Treesls_audit.Audit
 module Probe = Treesls_obs.Probe
 module Census = Treesls_audit.Nvm_census
 module Ring = Treesls_extsync.Ring
+module Radix = Treesls_cap.Radix
+module Paddr = Treesls_nvm.Paddr
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -65,6 +70,24 @@ let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
+
+(* The frame behind page [pno] of the heap region [proc] grew last. *)
+let heap_frame (proc : Kernel.process) pno =
+  let region = List.hd (List.rev proc.Kernel.vms.Kobj.vs_regions) in
+  Option.get (Radix.get region.Kobj.vr_pmo.Kobj.pmo_radix pno)
+
+let owner_label sys (frame : Paddr.t) =
+  Hashtbl.find_opt (Census.page_owners (System.manager sys)) frame.Paddr.idx
+
+(* An allocator error that names [frame] and says [sub]. *)
+let allocator_error_on r (frame : Paddr.t) ~sub =
+  List.exists
+    (fun v ->
+      v.Audit.severity = Audit.Error
+      && v.Audit.subsystem = Audit.Allocator
+      && v.Audit.paddr = Some frame
+      && contains ~sub v.Audit.message)
+    r.Audit.violations
 
 (* ---- clean systems audit green ---- *)
 
@@ -153,6 +176,36 @@ let leaked_buddy_block_detected () =
   check_string "subsystem" "allocator" (Audit.subsystem_name v.Audit.subsystem);
   check_string "message" "live NVM block reachable from no subsystem (leak)" v.Audit.message;
   check_int "census counts the leak" 1 (Census.unaccounted_pages r.Audit.census)
+
+(* ---- fault injection: a frame named twice, a frame freed under a map ---- *)
+
+let double_mapped_frame_detected () =
+  let sys, k, proc, vpn, _, psz = setup () in
+  let other = Kernel.create_process k ~name:"other" ~threads:1 ~prio:5 in
+  let ovpn = Kernel.grow_heap k other ~pages:1 in
+  Kernel.write_bytes k proc ~vaddr:(vpn * psz) (Bytes.of_string "mine");
+  Kernel.write_bytes k other ~vaddr:(ovpn * psz) (Bytes.of_string "theirs");
+  ignore (System.checkpoint sys);
+  check_bool "baseline clean" true (Audit.ok (System.audit sys));
+  (* the other heap's page now maps this heap's frame; its own frame is
+     freed so that no leak joins the report *)
+  let shared = heap_frame proc 0 and own = heap_frame other 0 in
+  let region = List.hd (List.rev other.Kernel.vms.Kobj.vs_regions) in
+  Radix.set region.Kobj.vr_pmo.Kobj.pmo_radix 0 shared;
+  Store.free_page (System.store sys) own;
+  let r = System.audit sys in
+  if not (allocator_error_on r shared ~sub:"claimed as both runtime page and runtime page") then
+    Alcotest.failf "no double claim of %s:@\n%a" (Paddr.to_string shared) Audit.pp r
+
+let freed_mapped_frame_detected () =
+  let sys, k, proc, vpn, _, psz = setup () in
+  write_epoch sys k proc vpn psz "kept";
+  check_bool "baseline clean" true (Audit.ok (System.audit sys));
+  let frame = heap_frame proc 0 in
+  Store.free_page (System.store sys) frame;
+  let r = System.audit sys in
+  if not (allocator_error_on r frame ~sub:"runtime page is not a live buddy allocation") then
+    Alcotest.failf "no dangling %s:@\n%a" (Paddr.to_string frame) Audit.pp r
 
 (* ---- fault injection: an order record outside the managed pages ---- *)
 
@@ -374,6 +427,11 @@ let dead_fresh_pages_claimed () =
     if not (Audit.ok r) then Alcotest.failf "%s:@\n%a" what Audit.pp r;
     check_int (what ^ ": census unaccounted") 0 (Census.unaccounted_pages r.Audit.census)
   in
+  let labelled what sys frame =
+    match owner_label sys frame with
+    | Some _ -> ()
+    | None -> Alcotest.failf "%s: fresh page %s has no owner label" what (Paddr.to_string frame)
+  in
   let sys = System.boot () in
   let k = System.kernel sys in
   (* a heap grown and written after the process's last walk *)
@@ -387,8 +445,10 @@ let dead_fresh_pages_claimed () =
   (* a process spawned and exited between two walks *)
   let p = Kernel.create_process k ~name:"brief" ~threads:1 ~prio:5 in
   Kernel.touch_write k p ~vpn:(Kernel.grow_heap k p ~pages:1);
+  let fresh = heap_frame p 0 in
   Kernel.exit_process k p;
   audited "born and dead between walks" sys;
+  labelled "born and dead between walks" sys fresh;
   ignore (System.checkpoint sys);
   audited "born and dead between walks, collected" sys
 
@@ -407,6 +467,92 @@ let census_balances () =
   check_int "self-diff runtime" 0 d.Census.runtime_pages;
   check_int "self-diff free" 0 d.Census.free_pages;
   check_int "self-diff snapshot bytes" 0 d.Census.snapshot_bytes
+
+(* A cold NVM page dirty at a pending window's version N faults inside
+   the window: its fault saves N's content into a fresh frame that only
+   the drain's saved table names until settle installs it as the page's
+   CP backup.  The auditor claims it; the census must count it and the
+   heatmap label it too. *)
+let mid_window_saved_frame_counted () =
+  let f = State.default_features () in
+  f.State.async_drain <- true;
+  let sys = System.boot ~features:f () in
+  let mgr = System.manager sys in
+  Manager.set_drain_batch mgr 1;
+  let k = System.kernel sys in
+  let psz = (Kernel.cost k).Treesls_sim.Cost.page_size in
+  let cold = Kernel.create_process k ~name:"cold" ~threads:1 ~prio:5 in
+  let vpn = Kernel.grow_heap k cold ~pages:2 in
+  let write i s = Kernel.write_bytes k cold ~vaddr:(((vpn + i) * psz) + 64) (Bytes.of_string s) in
+  write 0 "x0";
+  write 1 "y0";
+  ignore (System.checkpoint sys);
+  System.drain_settle sys;
+  (* dirty DRAM-cached pages keep N's window pending across the faults *)
+  let hot = Kernel.create_process k ~name:"hot" ~threads:1 ~prio:5 in
+  let hvpn = Kernel.grow_heap k hot ~pages:2 in
+  let touch_hot () =
+    for i = 0 to 1 do
+      Kernel.touch_write k hot ~vpn:(hvpn + i)
+    done
+  in
+  touch_hot ();
+  ignore (System.checkpoint sys);
+  System.drain_settle sys;
+  let st = Manager.state mgr in
+  let al = st.State.active in
+  let hpmo = (List.hd (List.rev hot.Kernel.vms.Kobj.vs_regions)).Kobj.vr_pmo in
+  for pno = 0 to 1 do
+    for _ = 1 to (Treesls_ckpt.Active_list.config al).Treesls_ckpt.Active_list.hot_threshold do
+      Treesls_ckpt.Active_list.record_fault al hpmo pno
+    done
+  done;
+  ignore (System.checkpoint sys);
+  System.drain_settle sys;
+  touch_hot ();
+  write 0 "x1";
+  ignore (System.checkpoint sys);
+  check_bool "window pending" true (System.drain_backlog sys > 0);
+  write 0 "x2";
+  write 1 "y2";
+  let saved = ref [] in
+  State.iter_named_frames st ~live:(State.fresh_tree st) (fun role oid _ frame ->
+      if role = State.Drain_saved then saved := (oid, frame) :: !saved);
+  check_int "one drain-saved frame" 1 (List.length !saved);
+  let r = System.audit sys in
+  if not (Audit.ok r) then Alcotest.failf "mid-window:@\n%a" Audit.pp r;
+  let c = r.Audit.census in
+  check_int "census unaccounted" 0 (Census.unaccounted_pages c);
+  check_int "accounted = total - free" (c.Census.total_pages - c.Census.free_pages)
+    (Census.accounted_pages c);
+  let oid, frame = List.hd !saved in
+  check_string "saved frame labelled as the backup settle makes it"
+    (Printf.sprintf "backup/cold/obj%d" oid)
+    (Option.value (owner_label sys frame) ~default:"(unlabelled)");
+  System.drain_settle sys;
+  check_int "settled: census unaccounted" 0 (Census.unaccounted_pages (System.nvm_census sys))
+
+(* One label per role: a process's page and its backup carry the process
+   name, an eternal PMO in the root's slots carries "kernel". *)
+let page_owner_labels () =
+  let sys, k, proc, vpn, pmo_id, psz = setup () in
+  let eternal = Kernel.make_eternal_pmo k ~pages:1 in
+  write_epoch sys k proc vpn psz "one";
+  Kernel.write_bytes k proc ~vaddr:(vpn * psz) (Bytes.of_string "two");
+  let cp = find_cp sys pmo_id 0 in
+  let backup = Option.get cp.Ckpt_page.b1 in
+  let label what frame =
+    match owner_label sys frame with
+    | Some l -> l
+    | None -> Alcotest.failf "%s %s has no owner label" what (Paddr.to_string frame)
+  in
+  check_string "runtime page" (Printf.sprintf "runtime/subject/pmo%d" pmo_id)
+    (label "runtime page" (heap_frame proc 0));
+  check_string "eternal frame"
+    (Printf.sprintf "eternal/kernel/pmo%d" eternal.Kobj.pmo_id)
+    (label "eternal frame" (Option.get (Radix.get eternal.Kobj.pmo_radix 0)));
+  check_string "backup frame" (Printf.sprintf "backup/subject/obj%d" pmo_id)
+    (label "backup frame" backup)
 
 (* ---- cross-version diff explorer ---- *)
 
@@ -527,9 +673,17 @@ let () =
           Alcotest.test_case "a dead PMO's fresh pages are claimed" `Quick
             dead_fresh_pages_claimed;
           Alcotest.test_case "unlogged change detected" `Quick unlogged_change_detected;
+          Alcotest.test_case "frame mapped twice detected" `Quick double_mapped_frame_detected;
+          Alcotest.test_case "frame freed under a mapping detected" `Quick
+            freed_mapped_frame_detected;
         ] );
       ( "census",
-        [ Alcotest.test_case "census balances" `Quick census_balances ] );
+        [
+          Alcotest.test_case "census balances" `Quick census_balances;
+          Alcotest.test_case "mid-window saved frame counted and labelled" `Quick
+            mid_window_saved_frame_counted;
+          Alcotest.test_case "page owners labelled by role" `Quick page_owner_labels;
+        ] );
       ( "diff",
         [
           Alcotest.test_case "diff explorer" `Quick diff_explorer;

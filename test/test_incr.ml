@@ -244,7 +244,7 @@ let live_tree_tracks_shape () =
   let t4 = live_tree sys in
   check_bool "restored cache matches the restored tree" true
     (Live_tree.check t4
-       ~root:(Kernel.root (System.kernel sys))
+       ~fresh:(State.fresh_tree (Manager.state mgr))
        ~log:(Kernel.dirty_log (System.kernel sys))
        ~oroot:(Manager.find_oroot mgr)
     = None);
